@@ -44,7 +44,7 @@ class Tensor:
 
     def __init__(self, value, requires_grad=False, _parents=(), _vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
-        if CHECK_FINITE and not np.all(np.isfinite(self.value)):
+        if CHECK_FINITE and not np.isfinite(self.value).all():
             raise FloatingPointError("non-finite values entering the graph")
         self.grad = None
         self.requires_grad = bool(requires_grad) or (
@@ -387,7 +387,10 @@ def matmul(a, b):
     return Tensor(
         a.value @ b.value,
         _parents=(a, b),
-        _vjp=lambda g: (g @ b.value.T, a.value.T @ g),
+        _vjp=lambda g: (
+            g @ b.value.T if a.requires_grad else None,
+            a.value.T @ g if b.requires_grad else None,
+        ),
     )
 
 
@@ -396,16 +399,59 @@ def matmul(a, b):
 # ---------------------------------------------------------------------------
 
 def _im2col(xp, kh, kw, stride, oh, ow):
+    """(C*kh*kw, oh*ow) patch matrix of a C-contiguous (C, H, W) array: a
+    strided window view over its buffer, copied once by the reshape."""
     c = xp.shape[0]
-    cols = np.empty((c, kh, kw, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(c * kh * kw, oh * ow)
+    sc, sh, sw = xp.strides
+    windows = np.ndarray((c, kh, kw, oh, ow), np.float64, xp, 0,
+                         (sc, sh, sw, sh * stride, sw * stride))
+    return windows.reshape(c * kh * kw, oh * ow)
+
+
+def _embed(a, top, left, h, w):
+    """(C, h, w) zeros with `a` placed at offset (top, left). The offsets may
+    be negative; what lands outside the frame is cropped."""
+    out = np.zeros((a.shape[0], h, w), dtype=np.float64)
+    y0, x0 = max(-top, 0), max(-left, 0)
+    y1, x1 = min(a.shape[1], h - top), min(a.shape[2], w - left)
+    if y1 > y0 and x1 > x0:
+        out[:, top + y0 : top + y1, left + x0 : left + x1] = a[:, y0:y1, x0:x1]
+    return out
+
+
+def _conv_input_grad(g, wv, stride, pad, h, w):
+    """Input gradient of conv2d: a transposed convolution of `g`.
+
+    Input rows and columns are split by phase mod `stride`. Each phase gets
+    a stride-1 correlation of the padded `g` with the flipped,
+    channel-swapped taps that reach it, as one GEMM over `_im2col`. At
+    stride 1 there is one phase and it takes the whole kernel.
+    """
+    o, c, kh, kw = wv.shape
+    dx = np.zeros((c, h, w), dtype=np.float64)
+    for a in range(min(stride, h)):
+        for e in range(min(stride, w)):
+            i0, j0 = (a + pad) % stride, (e + pad) % stride
+            taps = wv[:, :, i0::stride, j0::stride]
+            mh, mw = taps.shape[2], taps.shape[3]
+            if mh == 0 or mw == 0:
+                continue  # no tap of the kernel reaches this phase
+            nu, nv = -(-(h - a) // stride), -(-(w - e) // stride)
+            gp = _embed(g, mh - 1 - (a + pad - i0) // stride,
+                        mw - 1 - (e + pad - j0) // stride, nu + mh - 1, nv + mw - 1)
+            wflip = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            dx[:, a::stride, e::stride] = (
+                wflip @ _im2col(gp, mh, mw, 1, nu, nv)
+            ).reshape(c, nu, nv)
+    return dx
 
 
 def conv2d(x, w, b, stride=1, pad=1):
-    """2-D convolution of a (C,H,W) input with (O,C,kh,kw) kernels."""
+    """2-D convolution of a (C,H,W) input with (O,C,kh,kw) kernels.
+
+    Its vjp computes the input gradient as a transposed convolution
+    (`_conv_input_grad`), and only when `x` requires grad.
+    """
     xt = isinstance(x, Tensor)
     xv = x.value if xt else np.asarray(x, dtype=np.float64)
     wv = w.value if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
@@ -413,9 +459,10 @@ def conv2d(x, w, b, stride=1, pad=1):
     o, c, kh, kw = wv.shape
     if xv.shape[0] != c:
         raise ValueError(f"conv2d channel mismatch: input {xv.shape[0]}, kernel {c}")
-    xp = np.pad(xv, ((0, 0), (pad, pad), (pad, pad)))
-    oh = (xv.shape[1] + 2 * pad - kh) // stride + 1
-    ow = (xv.shape[2] + 2 * pad - kw) // stride + 1
+    h, wd = xv.shape[1], xv.shape[2]
+    xp = _embed(xv, pad, pad, h + 2 * pad, wd + 2 * pad)
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (wd + 2 * pad - kw) // stride + 1
     cols = _im2col(xp, kh, kw, stride, oh, ow)
     out = (wv.reshape(o, -1) @ cols + bv[:, None]).reshape(o, oh, ow)
 
@@ -428,13 +475,7 @@ def conv2d(x, w, b, stride=1, pad=1):
         gm = g.reshape(o, -1)
         db = g.sum(axis=(1, 2))
         dw = (gm @ cols.T).reshape(o, c, kh, kw)
-        dcols = (wv.reshape(o, -1).T @ gm).reshape(c, kh, kw, oh, ow)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
-        h, wd = xv.shape[1], xv.shape[2]
-        dx = dxp[:, pad : pad + h, pad : pad + wd]
+        dx = _conv_input_grad(g, wv, stride, pad, h, wd) if x.requires_grad else None
         return (dx, dw, db)
 
     return Tensor(out, _parents=(x, w, b), _vjp=vjp)

@@ -1,0 +1,41 @@
+"""Command-line front end.
+
+    fsalign train [--config CONFIG.json] [--out DIR]
+    fsalign gradcheck
+
+`train` runs the adapted model and its source-only twin (`run_experiment`)
+and, with `--out`, writes the loss CSVs, metrics.json and both checkpoints.
+`gradcheck` prints the per-branch finite-difference report as JSON.
+"""
+
+import argparse
+import json
+import sys
+
+from . import training
+
+
+def _parser():
+    p = argparse.ArgumentParser(prog="fsalign", description=__doc__.split("\n\n")[0])
+    sub = p.add_subparsers(dest="command", required=True)
+    tr = sub.add_parser("train", help="adapted run plus source-only twin")
+    tr.add_argument("--config", help="JSON config (see training.config_to_dict); "
+                    "defaults to TrainConfig()")
+    tr.add_argument("--out", help="directory for losses, metrics and checkpoints")
+    sub.add_parser("gradcheck", help="finite-difference check of every branch")
+    return p
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    if args.command == "train":
+        cfg = training.load_config(args.config) if args.config else training.TrainConfig()
+        training.run_experiment(cfg, args.out, log=print)
+    else:
+        report = training.finite_difference_check()
+        print(json.dumps(report, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

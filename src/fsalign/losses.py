@@ -137,24 +137,18 @@ def focal_target_term(p, gamma):
 def region_instance_loss(source_probs, target_probs, gamma):
     """Focal domain loss over per-image group probabilities.
 
-    `source_probs` / `target_probs` are lists (one entry per image) of lists
-    of the region classifier's source-probabilities, one per group. Each
-    image averages over its groups, each domain over its images, and the two
+    `source_probs` / `target_probs` hold one vector per image of the region
+    classifier's source-probabilities, one entry per group. Each image
+    averages over its groups, each domain over its images, and the two
     domain losses are averaged.
     """
     if not source_probs or not target_probs:
         raise ValueError("both domains need at least one image")
     for probs in list(source_probs) + list(target_probs):
-        if len(probs) == 0:
+        if _value(probs).size == 0:
             raise ValueError("an image contributed no group probabilities")
-    ls = _scalar_mean(
-        [_scalar_mean([focal_source_term(p, gamma) for p in probs])
-         for probs in source_probs]
-    )
-    lt = _scalar_mean(
-        [_scalar_mean([focal_target_term(p, gamma) for p in probs])
-         for probs in target_probs]
-    )
+    ls = _scalar_mean([ad.mean(focal_source_term(p, gamma)) for p in source_probs])
+    lt = _scalar_mean([ad.mean(focal_target_term(p, gamma)) for p in target_probs])
     return 0.5 * (ls + lt)
 
 

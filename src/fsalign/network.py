@@ -86,15 +86,14 @@ def grl_apply(x, lam):
     return ad.grl(x, lam)
 
 
-def crop_pool(fmap, box, stride):
-    """Average a (C, Hf, Wf) map over the cells covered by a pixel-space box.
+def _cell_span(box, stride, hf, wf):
+    """Feature cells (i0, i1, j0, j1) a pixel-space box covers on an
+    (hf, wf) map.
 
     The box is clipped to the image bounds first; covered cells are the
     stride-scaled span rounded outward. An empty span after clipping is an
-    error. A box covering the whole image reproduces the global pool exactly.
+    error.
     """
-    shape = fmap.shape if isinstance(fmap, ad.Tensor) else np.shape(fmap)
-    hf, wf = shape[1], shape[2]
     h, w = hf * stride, wf * stride
     x0, y0, x1, y1 = box.corners()
     x0, x1 = max(x0, 0.0), min(x1, float(w))
@@ -107,7 +106,42 @@ def crop_pool(fmap, box, stride):
     i0, i1 = max(i0, 0), min(i1, hf)
     if j1 <= j0 or i1 <= i0:
         raise ValueError("box covers no feature cells after clipping")
+    return i0, i1, j0, j1
+
+
+def crop_pool(fmap, box, stride):
+    """Average a (C, Hf, Wf) map over the cells a pixel-space box covers
+    (see `_cell_span`). A box covering the whole image reproduces the global
+    pool exactly."""
+    shape = fmap.shape if isinstance(fmap, ad.Tensor) else np.shape(fmap)
+    i0, i1, j0, j1 = _cell_span(box, stride, shape[1], shape[2])
     return ad.mean(ad.crop(fmap, i0, i1, j0, j1), axis=(1, 2))
+
+
+def roi_pool_matrix(boxes, stride, hf, wf):
+    """(P, hf*wf) averaging matrix: row k holds 1/n on the n cells box k
+    covers, so its product with a flattened map is `crop_pool` of box k."""
+    a = np.zeros((len(boxes), hf, wf))
+    for k, box in enumerate(boxes):
+        i0, i1, j0, j1 = _cell_span(box, stride, hf, wf)
+        a[k, i0:i1, j0:j1] = 1.0 / ((i1 - i0) * (j1 - j0))
+    return a.reshape(len(boxes), hf * wf)
+
+
+def group_mean_matrix(groups, n):
+    """(G, n) membership matrix with weight 1/|group| on each member, so its
+    product with (n, C) rows gives the per-group means."""
+    m = np.zeros((len(groups), n))
+    for g, members in enumerate(groups):
+        m[g, members] = 1.0 / len(members)
+    return m
+
+
+def roi_pool(fmap, boxes, stride):
+    """(P, C) crop-pooled features of a (C, Hf, Wf) map, one matmul."""
+    c, hf, wf = fmap.shape if isinstance(fmap, ad.Tensor) else np.shape(fmap)
+    a = roi_pool_matrix(boxes, stride, hf, wf)
+    return ad.matmul(a, ad.transpose(ad.reshape(fmap, (c, hf * wf))))
 
 
 class SeparationNet:
@@ -248,10 +282,11 @@ class SeparationNet:
         return ad.reshape(p, ()), ad.reshape(h, (-1,))
 
     def region_domain(self, fused):
-        """Domain probability of one pooled fused instance feature."""
-        scaled = self.spec.domain_head_gain * ad.reshape(fused, (1, -1))
-        h = ad.tanh(self.dri_hidden(scaled))
-        return ad.reshape(ad.sigmoid(self.dri_out(h)), ())
+        """(G, D) pooled fused group features -> (G,) domain probabilities
+        (a single (D,) feature gives a scalar)."""
+        rows = ad.reshape(fused, (-1, fused.shape[-1]))
+        h = ad.tanh(self.dri_hidden(self.spec.domain_head_gain * rows))
+        return ad.reshape(ad.sigmoid(self.dri_out(h)), fused.shape[:-1])
 
     def detector_head(self, roi_features):
         """(P, C) crop-pooled features -> (P, num_classes+1) logits and

@@ -225,7 +225,8 @@ def _branch(name, fn):
 
 def _domain_forward(net, entry, domain, lam, gamma):
     """Shared per-image forward: features, reconstruction pieces,
-    level-classifier outputs and region-instance group probabilities."""
+    level-classifier outputs, crop-pooled proposal features and the
+    region-instance group probabilities."""
     sample = entry.sample
     f1, f2, f3 = net.forward_backbone(sample.rgb)
     d = net.encode_private(sample.gray, domain)
@@ -233,21 +234,15 @@ def _domain_forward(net, entry, domain, lam, gamma):
     p1map, f_l = net.local_domain(ad.grl(f1, lam))
     p2, f_m = net.mid_domain(ad.grl(f2, lam))
     p3, f_g = net.global_domain(ad.grl(f3, lam))
-    ctx = ad.concat([f_l.detach(), f_m.detach(), f_g.detach()])
-    roi_vecs = [
-        nw.crop_pool(f3, p.box, net.spec.stride) for p in entry.pset.proposals
-    ]
-    group_probs = []
-    for members in entry.groups:
-        fr = roi_vecs[members[0]] if len(members) == 1 else ad.mean(
-            ad.stack([roi_vecs[i] for i in members]), axis=0
-        )
-        fused = ad.concat([ctx, ad.grl(fr, lam)])
-        group_probs.append(net.region_domain(fused))
+    # the context is held fixed (detached) for the region-instance head
+    ctx = np.concatenate([f_l.value, f_m.value, f_g.value])
+    roi = nw.roi_pool(f3, [p.box for p in entry.pset.proposals], net.spec.stride)
+    fr = ad.matmul(nw.group_mean_matrix(entry.groups, len(entry.pset.proposals)), roi)
+    fused = ad.concat([np.tile(ctx, (len(entry.groups), 1)), ad.grl(fr, lam)], axis=1)
     return {
         "f3": f3, "d": d, "xhat": xhat, "gray": sample.gray,
         "p1map": p1map, "p2": p2, "p3": p3,
-        "roi_vecs": roi_vecs, "group_probs": group_probs,
+        "roi": roi, "group_probs": net.region_domain(fused),
     }
 
 
@@ -264,8 +259,7 @@ def train_step(net, source_entry, target_entry, weights, optimizer,
 
     # detector on source proposals
     def detector():
-        feats = ad.stack(s["roi_vecs"])
-        logits, deltas = net.detector_head(feats)
+        logits, deltas = net.detector_head(s["roi"])
         boxes = [p.box for p in source_entry.pset.proposals]
         return nw.detector_losses(
             logits, deltas, boxes,
@@ -315,10 +309,9 @@ def train_step(net, source_entry, target_entry, weights, optimizer,
     vals["acc_d3"] = 0.5 * (
         float(s["p3"].value <= 0.5) + float(t["p3"].value > 0.5)
     )
-    ri_correct = [float(p.value > 0.5) for p in s["group_probs"]] + [
-        float(p.value <= 0.5) for p in t["group_probs"]
-    ]
-    vals["acc_dri"] = float(np.mean(ri_correct))
+    vals["acc_dri"] = float(np.concatenate([
+        s["group_probs"].value > 0.5, t["group_probs"].value <= 0.5
+    ]).mean())
     if not all(np.isfinite(v) for v in vals.values()):
         raise TrainingDiverged("non-finite loss component in logs")
     return vals
@@ -413,9 +406,7 @@ def target_match_rate(net, detect_eval):
     with ad.no_grad():
         for sample, pset in detect_eval:
             _, _, f3 = net.forward_backbone(sample.rgb)
-            feats = ad.stack(
-                [nw.crop_pool(f3, p.box, net.spec.stride) for p in pset.proposals]
-            )
+            feats = nw.roi_pool(f3, [p.box for p in pset.proposals], net.spec.stride)
             logits, deltas = net.detector_head(feats)
             pred_cls = logits.value.argmax(axis=1)
             refined = [
@@ -483,8 +474,11 @@ def run_experiment(cfg, out_dir=None, log=None):
     Writes losses.csv / losses_source_only.csv, metrics.json and both
     checkpoints when `out_dir` is given; returns the metrics dict.
     """
-    adapted = train(cfg)
-    baseline = train(source_only_config(cfg))
+    # source_only_config changes only the loss weights, so both twins train
+    # on the same grouped corpus
+    source, target = build_training_corpus(cfg)
+    adapted = train(cfg, source, target)
+    baseline = train(source_only_config(cfg), source, target)
     probe_train, probe_eval, detect_eval = build_eval_sets(cfg)
     metrics = {
         "probe_accuracy_source_only": probe_domain_accuracy(
@@ -550,8 +544,7 @@ def branch_loss(net, source_entry, target_entry, branch, lam, gamma=5.0):
     s = _domain_forward(net, source_entry, "source", lam, gamma)
     t = _domain_forward(net, target_entry, "target", lam, gamma)
     if branch in ("l_c", "l_r"):
-        feats = ad.stack(s["roi_vecs"])
-        logits, deltas = net.detector_head(feats)
+        logits, deltas = net.detector_head(s["roi"])
         boxes = [p.box for p in source_entry.pset.proposals]
         l_c, l_r = nw.detector_losses(
             logits, deltas, boxes,
@@ -572,8 +565,7 @@ def branch_loss(net, source_entry, target_entry, branch, lam, gamma=5.0):
     if branch == "l_ri":
         return L.region_instance_loss([s["group_probs"]], [t["group_probs"]], gamma)
     if branch == "composite":
-        feats = ad.stack(s["roi_vecs"])
-        logits, deltas = net.detector_head(feats)
+        logits, deltas = net.detector_head(s["roi"])
         boxes = [p.box for p in source_entry.pset.proposals]
         l_c, l_r = nw.detector_losses(
             logits, deltas, boxes,

@@ -190,6 +190,59 @@ class TestStructuredOps:
         )
 
 
+def brute_conv2d(x, w, b, stride, pad):
+    """Direct loop over output positions."""
+    o, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    oh = (xp.shape[1] - kh) // stride + 1
+    ow = (xp.shape[2] - kw) // stride + 1
+    out = np.empty((o, oh, ow))
+    for y in range(oh):
+        for z in range(ow):
+            patch = xp[:, y * stride : y * stride + kh, z * stride : z * stride + kw]
+            out[:, y, z] = np.tensordot(w, patch, axes=3) + b
+    return out
+
+
+class TestConv2dAdjoint:
+    """conv2d is linear in x (w fixed), in w (x fixed) and in b, so each
+    gradient must satisfy the adjoint identity <conv, g> = <arg, d arg>."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("hw", [(6, 6), (7, 7), (5, 8)])
+    def test_adjoint_identity(self, stride, pad, k, hw):
+        rng = np.random.default_rng(100 * stride + 10 * pad + k + hw[1])
+        xv = rng.normal(size=(3, *hw))
+        wv = rng.normal(size=(4, 3, k, k))
+        bv = rng.normal(size=4)
+        x, w, b = (ad.Tensor(v, requires_grad=True) for v in (xv, wv, bv))
+        out = ad.conv2d(x, w, ad.Tensor(np.zeros(4), requires_grad=True), stride, pad)
+        np.testing.assert_allclose(
+            ad.conv2d(xv, wv, bv, stride, pad), brute_conv2d(xv, wv, bv, stride, pad),
+            rtol=1e-12, atol=1e-12)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        inner = float(np.sum(out.value * g))
+        assert x.grad.shape == xv.shape
+        assert float(np.sum(xv * x.grad)) == pytest.approx(inner, rel=1e-12)
+        assert float(np.sum(wv * w.grad)) == pytest.approx(inner, rel=1e-12)
+        with_b = ad.conv2d(xv, wv, b, stride, pad)
+        with_b.backward(g)
+        assert float(np.sum(bv * b.grad)) == pytest.approx(
+            float(np.sum((with_b.value - out.value) * g)), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [np.ones((2, 5, 5)), ad.Tensor(np.ones((2, 5, 5)))])
+    def test_no_input_gradient_without_requires_grad(self, x):
+        w = ad.parameter(np.ones((3, 2, 3, 3)))
+        b = ad.parameter(np.zeros(3))
+        out = ad.conv2d(x, w, b, stride=2, pad=1)
+        dx, dw, db = out._vjp(np.ones(out.shape))
+        assert dx is None
+        assert dw.shape == (3, 2, 3, 3) and db.shape == (3,)
+
+
 class TestGRL:
     def test_forward_identity_bit_exact(self):
         x = ad.Tensor(np.array([1.0, -2.5, 3e-7]), requires_grad=True)

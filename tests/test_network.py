@@ -3,7 +3,8 @@ import pytest
 
 from fsalign import autodiff as ad
 from fsalign import network as net
-from fsalign.grouping import BoundingBox
+from fsalign import synth
+from fsalign.grouping import BoundingBox, cluster_box_centers
 from fsalign.losses import global_pool
 
 
@@ -99,6 +100,67 @@ class TestCropPool:
         assert fmap.grad is not None and fmap.grad.any()
 
 
+class TestRoiPool:
+    """RoI and group pooling as matrices must reproduce crop_pool and the
+    per-group mean of its rows."""
+
+    @pytest.fixture(scope="class")
+    def image(self):
+        scene = synth.generate_scene(synth.SceneSpec(), seed=21)
+        pset = synth.generate_proposals(scene, synth.ProposalNoiseSpec(), seed=22)
+        # plus boxes that hang over each border and get clipped
+        boxes = [p.box for p in pset.proposals] + [
+            BoundingBox(bx=2.0, by=30.0, w=12.0, h=6.0),
+            BoundingBox(bx=62.0, by=63.0, w=9.0, h=7.0),
+            BoundingBox(bx=-1.0, by=-2.0, w=10.0, h=10.0),
+        ]
+        fmap = np.random.default_rng(23).normal(size=(5, 8, 8))
+        return fmap, boxes, pset
+
+    def test_rows_match_crop_pool(self, image):
+        fmap, boxes, _ = image
+        a = net.roi_pool_matrix(boxes, 8, 8, 8)
+        got = a @ fmap.reshape(5, -1).T
+        for k, box in enumerate(boxes):
+            np.testing.assert_allclose(got[k], net.crop_pool(fmap, box, 8),
+                                       rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=1e-12)
+
+    def test_group_matrix_gives_group_means(self, image):
+        fmap, _, pset = image
+        boxes = [p.box for p in pset.proposals]
+        groups, _, _ = cluster_box_centers(pset.centers())
+        roi = net.roi_pool(fmap, boxes, 8)
+        got = net.group_mean_matrix(groups, len(boxes)) @ roi
+        want = np.stack([
+            np.stack([net.crop_pool(fmap, boxes[i], 8) for i in members]).mean(axis=0)
+            for members in groups
+        ])
+        assert len(groups) > 1 and max(len(m) for m in groups) > 1
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_gradient_matches_stacked_crop_pool(self, image):
+        fmap, boxes, _ = image
+        g = np.random.default_rng(24).normal(size=(len(boxes), 5))
+        grads = []
+        for pool in (
+            lambda t: net.roi_pool(t, boxes, 8),
+            lambda t: ad.stack([net.crop_pool(t, b, 8) for b in boxes]),
+        ):
+            t = ad.Tensor(fmap, requires_grad=True)
+            pool(t).backward(g)
+            grads.append(t.grad)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=1e-12)
+
+    def test_outside_box_rejected(self):
+        inside = BoundingBox(bx=8.0, by=8.0, w=4.0, h=4.0)
+        outside = BoundingBox(bx=100.0, by=4.0, w=4.0, h=4.0)
+        with pytest.raises(ValueError):
+            net.roi_pool_matrix([inside, outside], 8, 4, 4)
+        with pytest.raises(ValueError):
+            net.roi_pool(np.zeros((1, 4, 4)), [outside], 8)
+
+
 class TestDomainHeads:
     def test_local_map_range_and_shape(self, small_net):
         rng = np.random.default_rng(8)
@@ -119,6 +181,33 @@ class TestDomainHeads:
                            ad.Tensor(np.zeros(32))])
         p_ri = small_net.region_domain(fused)
         assert 0.0 < float(p_ri.value) < 1.0
+
+    def test_region_domain_rows_backward(self):
+        """Each (D,) row alone and the (G, D) batch give the same
+        probabilities and, summed, the same gradients."""
+        model = net.SeparationNet(net.NetworkSpec(), seed=0)
+        params = model.dri_hidden.params() + model.dri_out.params()
+        rows = np.random.default_rng(11).normal(size=(3, model.dri_hidden.w.value.shape[0]))
+
+        def grads(inputs):
+            for _, p in params:
+                p.grad = None
+            probs = []
+            for x in inputs:
+                p = model.region_domain(x)
+                ad.sum(p).backward()
+                probs.append(p.value)
+            return probs, [p.grad for _, p in params], [x.grad for x in inputs]
+
+        single = [ad.Tensor(r, requires_grad=True) for r in rows]
+        batch = ad.Tensor(rows, requires_grad=True)
+        p1, w1, x1 = grads(single)
+        p3, w3, x3 = grads([batch])
+        assert p1[0].shape == () and p3[0].shape == (3,)
+        np.testing.assert_allclose(np.stack(p1), p3[0], rtol=1e-12)
+        for a, b in zip(w1, w3):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(np.stack(x1), x3[0], rtol=1e-12, atol=1e-15)
 
     def test_detector_head_shapes(self, small_net):
         feats = ad.Tensor(np.random.default_rng(10).normal(size=(5, 32)))

@@ -1,0 +1,104 @@
+import csv
+import dataclasses
+import traceback
+
+import numpy as np
+import pytest
+
+from fsalign import autodiff as ad
+from fsalign import network as nw
+from fsalign import losses, synth, training
+
+
+def tiny_config(iterations):
+    """Narrow gradcheck network on a 32x32 canvas with a 2+2 corpus."""
+    return training.TrainConfig(
+        iterations=iterations, corpus_size=2, eval_size=3, probe_size=3, seed=0,
+        network=training.gradcheck_network_spec(),
+        scene=synth.SceneSpec(canvas=(32, 32), object_count_range=(1, 2),
+                              radius_range=(4.0, 6.0)),
+        proposal_noise=synth.ProposalNoiseSpec(jitter_std=1.5, redundancy=3,
+                                               background_count=1,
+                                               background_margin=8.0),
+    )
+
+
+LOSS_COLUMNS = training.CSV_COLUMNS[1:]
+
+# per-step (L_c, L_r, L_rec, L_diff, L_lg, L_ri, total) of train(tiny_config(12)),
+# recorded with the per-proposal crop_pool / per-group head implementation
+GOLDEN_ROWS = np.array([
+    [1.425588837454761, 0.05368830760339671, 0.7307985112369606, 0.0020910335536456362, 1.9095786694190189, 0.019110307313629907, -0.37612287719543036],
+    [1.377993130888969, 0.029154403132432193, 0.7056873127194674, 0.0010302794141513298, 1.6872273555660735, 0.019684998701972566, -0.22909306103328286],
+    [1.376166966755057, 0.029449673352561045, 0.7050297616472709, 0.001556854610499164, 1.7306826233822261, 0.018903703913560367, -0.2733110255623916],
+    [1.3729185320781072, 0.030090714558885595, 0.7022025936709599, 0.002518002145097255, 1.800113363773717, 0.017821021159550934, -0.34445307871466935],
+    [1.4302806592747466, 0.05262532687160759, 0.7299833222716829, 0.008665539454888054, 2.111191870244851, 0.01881790272878597, -0.5732389006546257],
+    [1.4321098792079447, 0.05186192906616004, 0.7273755620090656, 0.01292882372953579, 2.1986472940339903, 0.021338969182838393, -0.661984016368864],
+    [1.3605146970228892, 0.031979433697094745, 0.6995354253939567, 0.011731815126101719, 2.128175767442335, 0.020889514449252487, -0.6854444271195979],
+    [1.4344235151286124, 0.04884258573996651, 0.7282211145206459, 0.026930160901312127, 2.3566496540744413, 0.021671570258818565, -0.8195399959224847],
+    [1.3518485848398636, 0.032081943514548954, 0.6982420820915021, 0.024352836236511268, 2.324890552447888, 0.02155984495113401, -0.8902603772118076],
+    [1.434484241173339, 0.046410407881819035, 0.7276917858615048, 0.03680565790990997, 2.417414999832456, 0.02230838153132003, -0.8823789879314765],
+    [1.350948848451238, 0.03199324983125372, 0.6980499440102301, 0.025840005469859147, 2.339802749235588, 0.021735433866954205, -0.9062070898720418],
+    [1.4343345577117894, 0.04589571747223899, 0.7275018843514031, 0.03871950761709686, 2.426470082466583, 0.02243847353708268, -0.8920561416227872],
+])
+
+
+def test_train_rows_match_golden():
+    result = training.train(tiny_config(12))
+    got = np.array([[r[c] for c in LOSS_COLUMNS] for r in result.rows])
+    np.testing.assert_allclose(got, GOLDEN_ROWS, rtol=1e-10, atol=0.0)
+
+
+def test_injected_nan_raises_at_the_node():
+    net = nw.SeparationNet(training.gradcheck_network_spec(), seed=0)
+    source, target = training.build_gradcheck_data(0)
+    opt = ad.SGD(net.params(), lr=1e-3)
+    net.dec[1].w.value[0, 0, 0, 0] = np.nan
+    with pytest.raises(training.TrainingDiverged, match="branch source forward") as err:
+        training.train_step(net, source, target, losses.ObjectiveWeights(), opt)
+    # caught where the NaN first enters a node, not at a branch output
+    cause = err.value.__cause__
+    assert isinstance(cause, FloatingPointError)
+    assert traceback.extract_tb(cause.__traceback__)[-1].name == "__init__"
+
+
+def _last_row(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return [float(rows[-1][c]) for c in LOSS_COLUMNS]
+
+
+def test_run_experiment_builds_the_corpus_once(monkeypatch, tmp_path):
+    calls = []
+    build = training.build_training_corpus
+
+    def counted(cfg):
+        calls.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(training, "build_training_corpus", counted)
+    metrics = training.run_experiment(tiny_config(6), str(tmp_path))
+    assert len(calls) == 1
+    # recorded when each twin built and grouped its own corpus
+    assert metrics == {
+        "probe_accuracy_source_only": 1.0,
+        "probe_accuracy_adapted": 1.0,
+        "target_match_rate": 0.6666666666666666,
+        "target_match_rate_source_only": 0.6666666666666666,
+        "seeds": {"train": 0},
+    }
+    np.testing.assert_allclose(_last_row(tmp_path / "losses.csv"), [
+        1.4304679733367895, 0.05255504963492267, 0.7280477133606047,
+        0.0088885243591180323, 2.1199692749733732, 0.018669997621271937,
+        -0.58192262585096044], rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(_last_row(tmp_path / "losses_source_only.csv"), [
+        1.4207127047326555, 0.050450546135618217, 0.73168875888592788,
+        0.0019021590918508397, 1.9013436383167099, 0.0179370820615249,
+        1.4711632508682737], rtol=1e-10, atol=0.0)
+
+
+def test_source_only_config_changes_only_weights():
+    cfg = tiny_config(6)
+    twin = training.source_only_config(cfg)
+    assert twin.weights.beta == 0.0 and twin.weights.lam == 0.0
+    assert dataclasses.replace(twin, weights=cfg.weights) == cfg
