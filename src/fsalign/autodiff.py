@@ -384,14 +384,19 @@ def matmul(a, b):
     if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
         return a @ b
     a, b = _wrap(a), _wrap(b)
-    return Tensor(
-        a.value @ b.value,
-        _parents=(a, b),
-        _vjp=lambda g: (
-            g @ b.value.T if a.requires_grad else None,
-            a.value.T @ g if b.requires_grad else None,
-        ),
-    )
+
+    def vjp(g):
+        # a 1-D left operand is a (1, D) row and a 1-D right operand a (D, 1)
+        # column; 2-D operands pass through these reshapes unchanged
+        av = a.value.reshape(-1, a.value.shape[-1])
+        bv = b.value.reshape(b.value.shape[0], -1)
+        g = g.reshape(av.shape[0], bv.shape[1])
+        return (
+            (g @ bv.T).reshape(a.value.shape) if a.requires_grad else None,
+            (av.T @ g).reshape(b.value.shape) if b.requires_grad else None,
+        )
+
+    return Tensor(a.value @ b.value, _parents=(a, b), _vjp=vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ class ClusterSnapshot:
 
     sigma: float
     centers: np.ndarray  # (K, 2)
+    iters: int = 0  # mean-shift iterations run at this scale
 
     @property
     def K(self):
@@ -108,6 +109,11 @@ class ClusteringResult:
     snapshots: list
     truncated: bool
 
+    @property
+    def inner_iters(self):
+        """Mean-shift iterations summed over every scale of the sweep."""
+        return sum(s.iters for s in self.snapshots)
+
 
 def as_points(points):
     """Coerce to a finite (N, 2) float64 array."""
@@ -136,11 +142,25 @@ def density(points, x, sigma):
 
 def _shift_all(points, centers, sigma):
     """One mean-shift update of every center; rows with underflowed kernel
-    mass are kept in place and reported as isolated."""
-    diff = centers[:, None, :] - points[None, :, :]
-    w = np.exp(-(diff * diff).sum(axis=2) / (2.0 * sigma * sigma))
-    total = w.sum(axis=1)
+    mass are kept in place and reported as isolated.
+
+    The squared distances are built from the x and y differences in one
+    (K, N) buffer that the kernel is then computed in, in place: per-call
+    overhead, not arithmetic, is the cost on these small arrays. Adding the
+    two squares is exactly the length-2 reduction over the coordinate axis,
+    and dividing by the negated scale is exactly negating, then dividing.
+    """
+    w = centers[:, :1] - points[:, 0]
+    w *= w
+    dy = centers[:, 1:] - points[:, 1]
+    dy *= dy
+    w += dy
+    w /= -2.0 * sigma * sigma
+    np.exp(w, out=w)
+    total = np.add.reduce(w, axis=1)
     isolated = total < _WEIGHT_FLOOR
+    if not np.count_nonzero(isolated):
+        return (w @ points) / total[:, None], isolated
     safe = np.where(isolated, 1.0, total)
     new = (w @ points) / safe[:, None]
     new[isolated] = centers[isolated]
@@ -167,10 +187,10 @@ def _merge_centers(centers, tol):
     """Merge centers closer than `tol` (transitively); each surviving center
     is the mean of its component, ordered by smallest member index."""
     n = len(centers)
-    if n == 1:
-        return centers.copy()
     diff = centers[:, None, :] - centers[None, :, :]
     close = (diff * diff).sum(axis=2) <= tol * tol
+    if np.count_nonzero(close) == n:  # only the diagonal: nothing merges
+        return centers.copy()
     comp = np.full(n, -1, dtype=np.int64)
     n_comp = 0
     for i in range(n):
@@ -199,17 +219,27 @@ def converge_centers(points, init_centers, sigma, cfg):
     if centers.shape[0] < 1:
         raise ValueError("init_centers must be nonempty")
     tol = cfg.convergence_tol * sigma
-    active = np.ones(len(centers), dtype=bool)
-    for _ in range(cfg.max_inner_iters):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        new, isolated = _shift_all(points, centers[idx], sigma)
-        moved = np.linalg.norm(new - centers[idx], axis=1)
-        centers[idx] = new
-        active[idx[(moved < tol) | isolated]] = False
+    # `cur` holds the still-moving rows and `rows` their indices into
+    # `centers`. The matmul in `_shift_all` must stay (active rows, N) @
+    # (N, 2): running converged rows along would let BLAS change each row's
+    # summation order, and with it the bits of the result.
+    cur, rows, iters = centers, np.arange(len(centers)), 0
+    for iters in range(1, cfg.max_inner_iters + 1):
+        new, isolated = _shift_all(points, cur, sigma)
+        step = new - cur
+        step *= step
+        stop = (np.sqrt(step[:, 0] + step[:, 1]) < tol) | isolated
+        if np.count_nonzero(stop):
+            centers[rows[stop]] = new[stop]
+            keep = ~stop
+            rows, new = rows[keep], new[keep]
+            if rows.size == 0:
+                break
+        cur = new
+    else:
+        centers[rows] = cur
     merged = _merge_centers(centers, cfg.merge_tol * sigma)
-    return ClusterSnapshot(sigma=float(sigma), centers=merged)
+    return ClusterSnapshot(sigma=float(sigma), centers=merged, iters=iters)
 
 
 def default_sigma0(points, cfg):

@@ -35,6 +35,10 @@ _DEFAULT_PALETTE = (
 _CLASS_PALETTE_SLOTS = {1: (0, 3), 2: (1, 5), 3: (2, 4)}
 
 
+# whole-scene placement retries after the first attempt
+_PLACEMENT_RESTARTS = 20
+
+
 class PlacementError(RuntimeError):
     """Objects could not be placed without overlap within the retry budget."""
 
@@ -164,43 +168,60 @@ def _boxes_overlap(a, b, gap=2.0):
     )
 
 
-def generate_scene(spec=None, seed=0):
-    """Build one source-domain scene: non-overlapping shapes, tight boxes."""
-    spec = spec or SceneSpec()
-    spec.validate()
-    rng = np.random.default_rng(seed)
-    h, w = spec.canvas
-    rgb = np.empty((3, h, w))
-    for c in range(3):
-        rgb[c] = spec.background[c]
+def _place_objects(spec, rng, h, w):
+    """One placement attempt: [(box, shape, color)] with pairwise-separated
+    boxes, or None when some object found no free spot in 200 draws."""
     count = int(rng.integers(spec.object_count_range[0], spec.object_count_range[1] + 1))
-    boxes, labels = [], []
+    objects = []
     for _ in range(count):
-        placed = False
         for _ in range(200):
             r = float(rng.uniform(*spec.radius_range))
             cx = float(rng.uniform(r + 2.0, w - r - 2.0))
             cy = float(rng.uniform(r + 2.0, h - r - 2.0))
             box = BoundingBox(bx=cx, by=cy, w=2 * r, h=2 * r)
-            if all(not _boxes_overlap(box, b) for b in boxes):
-                placed = True
+            if all(not _boxes_overlap(box, b) for b, _, _ in objects):
                 break
-        if not placed:
-            raise PlacementError("could not place objects without overlap")
+        else:
+            return None
         shape = spec.shapes[int(rng.integers(len(spec.shapes)))]
-        class_id = SHAPE_CLASS_IDS[shape]
         if spec.color_by_class:
-            slots = _CLASS_PALETTE_SLOTS[class_id]
+            slots = _CLASS_PALETTE_SLOTS[SHAPE_CLASS_IDS[shape]]
             slot = slots[int(rng.integers(len(slots)))] % len(spec.palette)
             tint = float(rng.uniform(0.85, 1.15))
             color = np.clip(np.asarray(spec.palette[slot]) * tint, 0.0, 1.0)
         else:
             color = np.asarray(spec.palette[int(rng.integers(len(spec.palette)))])
-        mask = _shape_mask(shape, cx, cy, r, h, w)
+        objects.append((box, shape, color))
+    return objects
+
+
+def generate_scene(spec=None, seed=0):
+    """Build one source-domain scene: non-overlapping shapes, tight boxes.
+
+    An early object can leave no room for a later one on a small canvas, so
+    a failed placement restarts from the object count, drawing on from the
+    same generator, up to `_PLACEMENT_RESTARTS` times. A scene placed on the
+    first attempt is unaffected.
+    """
+    spec = spec or SceneSpec()
+    spec.validate()
+    rng = np.random.default_rng(seed)
+    h, w = spec.canvas
+    for _ in range(1 + _PLACEMENT_RESTARTS):
+        objects = _place_objects(spec, rng, h, w)
+        if objects is not None:
+            break
+    else:
+        raise PlacementError("could not place objects without overlap")
+    rgb = np.empty((3, h, w))
+    for c in range(3):
+        rgb[c] = spec.background[c]
+    for box, shape, color in objects:
+        mask = _shape_mask(shape, box.bx, box.by, box.w / 2, h, w)
         for c in range(3):
             rgb[c][mask] = color[c]
-        boxes.append(box)
-        labels.append(SHAPE_CLASS_IDS[shape])
+    boxes = [box for box, _, _ in objects]
+    labels = [SHAPE_CLASS_IDS[shape] for _, shape, _ in objects]
     return Sample(
         image_id=f"s{seed}",
         domain="source",

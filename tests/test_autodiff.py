@@ -100,6 +100,38 @@ class TestShapeOps:
         fa = lambda v: float(np.sum((v @ b.value) ** 2))
         np.testing.assert_allclose(a.grad, numeric_grad(fa, a.value.copy()), rtol=1e-6)
 
+    @pytest.mark.parametrize("dout", [3, 4])
+    def test_matmul_vector_operands_match_rows(self, dout):
+        # a (D,) operand must give the (1, D) row's values and gradients,
+        # including when D equals the output width
+        x = self.rng.normal(size=4)
+        w = self.rng.normal(size=(4, dout))
+        grads = []
+        for xv in (x, x[None, :]):
+            xt = ad.Tensor(xv, requires_grad=True)
+            wt = ad.Tensor(w, requires_grad=True)
+            out = ad.matmul(xt, wt)
+            ad.sum(out * out).backward()
+            assert xt.grad.shape == xv.shape and wt.grad.shape == w.shape
+            grads.append((out.value.reshape(-1), xt.grad.reshape(-1), wt.grad))
+        for a, b in zip(*grads):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(grads[0][2], 2.0 * np.outer(x, x @ w), rtol=1e-12)
+
+    def test_matmul_vector_right_and_inner_product(self):
+        a = self.rng.normal(size=(3, 4))
+        v = self.rng.normal(size=4)
+        at, vt = ad.Tensor(a, requires_grad=True), ad.Tensor(v, requires_grad=True)
+        ad.sum(ad.matmul(at, vt)).backward()
+        np.testing.assert_allclose(at.grad, np.outer(np.ones(3), v), rtol=1e-12)
+        np.testing.assert_allclose(vt.grad, a.sum(axis=0), rtol=1e-12)
+        ut, wt = ad.Tensor(v, requires_grad=True), ad.Tensor(2.0 * v, requires_grad=True)
+        out = ad.matmul(ut, wt)
+        assert out.value.shape == ()
+        out.backward()
+        np.testing.assert_array_equal(ut.grad, 2.0 * v)
+        np.testing.assert_array_equal(wt.grad, v)
+
     def test_mean_axis(self):
         a = ad.Tensor(self.rng.normal(size=(2, 3, 4)), requires_grad=True)
         out = ad.sum(ad.mean(a, axis=(1, 2)) ** 2.0)

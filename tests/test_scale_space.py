@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsalign import scale_space as ssc
+from fsalign import synth
 
 # frozen with 50-digit arithmetic: log(100)/log(1.05)
 LIFETIME_AT_ONE = 94.38726563812878
@@ -293,3 +296,195 @@ class TestGlobalProperties:
         assert len(d["assignments"]) == len(pts)
         assert all(isinstance(a, int) or a == "outlier" for a in d["assignments"])
         assert str(d["k"]) in d["lifetimes"]
+
+
+# ---------------------------------------------------------------------------
+# reference sweep: the straightforward mean-shift loop the fast one must match
+# bit for bit
+# ---------------------------------------------------------------------------
+
+def ref_shift_all(points, centers, sigma):
+    diff = centers[:, None, :] - points[None, :, :]
+    w = np.exp(-(diff * diff).sum(axis=2) / (2.0 * sigma * sigma))
+    total = w.sum(axis=1)
+    isolated = total < np.finfo(np.float64).tiny
+    safe = np.where(isolated, 1.0, total)
+    new = (w @ points) / safe[:, None]
+    new[isolated] = centers[isolated]
+    return new, isolated
+
+
+def ref_merge(centers, tol):
+    n = len(centers)
+    if n == 1:
+        return centers.copy()
+    diff = centers[:, None, :] - centers[None, :, :]
+    close = (diff * diff).sum(axis=2) <= tol * tol
+    comp = np.full(n, -1, dtype=np.int64)
+    n_comp = 0
+    for i in range(n):
+        if comp[i] >= 0:
+            continue
+        stack = [i]
+        comp[i] = n_comp
+        while stack:
+            j = stack.pop()
+            for m in np.nonzero(close[j] & (comp < 0))[0]:
+                comp[m] = n_comp
+                stack.append(int(m))
+        n_comp += 1
+    return np.stack([centers[comp == c].mean(axis=0) for c in range(n_comp)])
+
+
+def ref_converge(points, init_centers, sigma, cfg):
+    """(merged centers, iterations, whether any row was isolated)."""
+    centers = np.array(init_centers, dtype=np.float64)
+    tol = cfg.convergence_tol * sigma
+    active = np.ones(len(centers), dtype=bool)
+    iters, any_isolated = 0, False
+    for _ in range(cfg.max_inner_iters):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        iters += 1
+        new, isolated = ref_shift_all(points, centers[idx], sigma)
+        any_isolated |= bool(isolated.any())
+        moved = np.linalg.norm(new - centers[idx], axis=1)
+        centers[idx] = new
+        active[idx[(moved < tol) | isolated]] = False
+    return ref_merge(centers, cfg.merge_tol * sigma), iters, any_isolated
+
+
+def ref_sweep(points, cfg):
+    """([(sigma, centers, iters)], truncated)."""
+    points = ssc.as_points(points)
+    sigma0 = cfg.sigma0 if cfg.sigma0 is not None else ssc.default_sigma0(points, cfg)
+    snaps, seeds = [], points
+    for j in range(cfg.max_scales):
+        sigma = sigma0 * cfg.k**j
+        centers, iters, _ = ref_converge(points, seeds, sigma, cfg)
+        snaps.append((float(sigma), centers, iters))
+        seeds = centers
+        if len(centers) == 1:
+            return snaps, False
+    return snaps, True
+
+
+def proposal_cloud(objects, redundancy, background, seed):
+    spec = synth.SceneSpec(object_count_range=(objects, objects))
+    noise = synth.ProposalNoiseSpec(redundancy=redundancy, background_count=background)
+    scene = synth.generate_scene(spec, seed=seed)
+    return synth.generate_proposals(scene, noise, seed=seed + 1).centers()
+
+
+def assert_sweep_matches_reference(points, cfg):
+    snaps, truncated = ssc.scale_sweep(points, cfg)
+    want, want_truncated = ref_sweep(points, cfg)
+    assert truncated == want_truncated
+    assert len(snaps) == len(want)
+    for snap, (sigma, centers, iters) in zip(snaps, want):
+        assert snap.sigma == sigma
+        assert snap.centers.shape == centers.shape
+        assert np.array_equal(snap.centers, centers)
+        assert snap.iters == iters
+    return snaps, truncated
+
+
+class TestSweepBitIdentity:
+    # (objects, redundancy, background) -> N = objects * redundancy + background
+    @pytest.mark.parametrize("layout,n", [((1, 1, 0), 1), ((1, 2, 0), 2),
+                                          ((2, 3, 2), 8), ((2, 12, 2), 26),
+                                          ((4, 12, 2), 50)])
+    @pytest.mark.parametrize("seed", [3, 40])
+    def test_proposal_clouds(self, layout, n, seed):
+        pts = proposal_cloud(*layout, seed=seed)
+        assert len(pts) == n
+        assert_sweep_matches_reference(pts, ssc.ScaleSweepConfig())
+
+    def test_coincident_centers(self):
+        pts = np.array([(3.0, 3.0)] * 4 + [(10.0, 10.0)] * 3 + [(10.0, 14.0)])
+        snaps, _ = assert_sweep_matches_reference(pts, ssc.ScaleSweepConfig())
+        assert snaps[0].K <= 3  # coincident seeds leave one center
+
+    def test_tiny_sigma0(self):
+        # every kernel but a point's own underflows, so every row stops after
+        # one iteration at the first scales
+        pts = proposal_cloud(2, 3, 2, seed=5)
+        cfg = ssc.ScaleSweepConfig(sigma0=1e-3, epsilon=1e-3, max_scales=40)
+        snaps, truncated = assert_sweep_matches_reference(pts, cfg)
+        assert truncated and snaps[0].iters == 1
+
+    def test_isolated_rows(self):
+        # rows started far from every point at a tiny scale have underflowed
+        # kernel mass and stay put, beside rows that converge
+        pts = proposal_cloud(2, 6, 2, seed=7)
+        init = np.concatenate([pts[:5], [(1e4, 1e4), (-3e3, 50.0)]])
+        cfg = ssc.ScaleSweepConfig()
+        for sigma in (0.5, 2.0):
+            snap = ssc.converge_centers(pts, init, sigma, cfg)
+            centers, iters, any_isolated = ref_converge(pts, init, sigma, cfg)
+            assert any_isolated
+            assert np.array_equal(snap.centers, centers) and snap.iters == iters
+            assert any(np.array_equal(c, [1e4, 1e4]) for c in snap.centers)
+
+    def test_truncated_sweep(self):
+        pts = proposal_cloud(4, 12, 2, seed=11)
+        cfg = ssc.ScaleSweepConfig(max_scales=5)
+        snaps, truncated = assert_sweep_matches_reference(pts, cfg)
+        assert truncated and len(snaps) == 5
+
+    def test_out_of_iterations(self):
+        # max_inner_iters cuts every scale short while rows still move
+        pts = proposal_cloud(3, 6, 2, seed=13)
+        cfg = ssc.ScaleSweepConfig(max_inner_iters=3)
+        snaps, _ = assert_sweep_matches_reference(pts, cfg)
+        assert max(s.iters for s in snaps) == 3
+
+    def test_transitive_chain_merges_to_one(self):
+        # 0~1 and 1~2 are within tol, 0~2 is not: one component
+        centers = np.array([(0.0, 0.0), (0.6, 0.0), (1.2, 0.0), (5.0, 5.0)])
+        merged = ssc._merge_centers(centers, 1.0)
+        assert np.array_equal(merged, ref_merge(centers, 1.0))
+        assert np.array_equal(merged, [[0.6, 0.0], [5.0, 5.0]])
+
+    def test_no_merge_returns_copy(self):
+        centers = np.array([(0.0, 0.0), (1.5, 0.0), (0.0, 1.5)])
+        merged = ssc._merge_centers(centers, 1.0)
+        assert np.array_equal(merged, ref_merge(centers, 1.0))
+        assert np.array_equal(merged, centers) and merged is not centers
+
+
+class TestIterationCounter:
+    def test_single_point_stops_after_one_iteration(self):
+        snap = ssc.converge_centers([(2.0, 3.0)], [(2.0, 3.0)], 1.0,
+                                    ssc.ScaleSweepConfig())
+        assert snap.iters == 1
+
+    def test_counts_match_reference_and_sum(self):
+        pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.2), (9.0, 9.0), (9.5, 8.0)])
+        cfg = ssc.ScaleSweepConfig()
+        result = ssc.cluster_points(pts, cfg)
+        want, _ = ref_sweep(pts, cfg)
+        assert [s.iters for s in result.snapshots] == [it for _, _, it in want]
+        assert all(s.iters >= 1 for s in result.snapshots)
+        assert result.inner_iters == sum(it for _, _, it in want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    grid=st.lists(st.tuples(st.integers(0, 256), st.integers(0, 256)),
+                  min_size=1, max_size=20),
+    e=st.integers(-3, 4),
+)
+def test_scale_equivariance(grid, e):
+    # points on a quarter-pixel grid and power-of-two factors keep every
+    # step exact, so labels must match and scales and centers scale exactly
+    pts = np.asarray(grid, dtype=np.float64) / 4.0
+    f = 2.0**e
+    cfg = ssc.ScaleSweepConfig()
+    r1 = ssc.cluster_points(pts, cfg)
+    r2 = ssc.cluster_points(pts * f, ssc.ScaleSweepConfig(epsilon=cfg.epsilon * f))
+    assert np.array_equal(r1.assignment.labels, r2.assignment.labels)
+    assert r2.model.sigma_star == r1.model.sigma_star * f
+    assert np.array_equal(r2.model.centers, r1.model.centers * f)
+    assert [s.iters for s in r1.snapshots] == [s.iters for s in r2.snapshots]

@@ -20,6 +20,20 @@ class TestGenerateScene:
         s = synth.generate_scene(spec, seed=3)
         assert len(s.eval_boxes()) == 1
 
+    @pytest.mark.parametrize("seed", [85, 90, 93])
+    def test_crowded_small_canvas_restarts_placement(self, seed):
+        # the first object can leave no room for the second on this canvas;
+        # the whole placement is redrawn instead of raising
+        spec = synth.SceneSpec(canvas=(32, 32), object_count_range=(1, 2),
+                               radius_range=(4, 6))
+        s = synth.generate_scene(spec, seed=seed)
+        boxes = s.eval_boxes()
+        assert 1 <= len(boxes) <= 2
+        for i, a in enumerate(boxes):
+            assert 4 <= a.w / 2 <= 6
+            for b in boxes[i + 1:]:
+                assert not synth._boxes_overlap(a, b)
+
     def test_class_frequencies_near_uniform(self):
         counts = {1: 0, 2: 0, 3: 0}
         total = 0
