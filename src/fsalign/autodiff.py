@@ -500,6 +500,67 @@ def upsample2x(a):
     )
 
 
+def _phase_taps():
+    """(4, 9, 9) 0/1 matrices from the 9 taps of a 3x3 kernel to the taps of
+    its phase kernel at output phase (i, j), stacked in order 2i+j.
+
+    A pad-1 tap of the nearest-upsampled map at output row 2y+i reads source
+    rows (y-1, y, y) for i = 0 and (y, y, y+1) for i = 1, so per axis phase 0
+    has taps (w0, w1+w2, 0) and phase 1 has taps (0, w0+w1, w2).
+    """
+    per_axis = np.array([
+        [[1, 0, 0], [0, 1, 1], [0, 0, 0]],
+        [[0, 0, 0], [1, 1, 0], [0, 0, 1]],
+    ], dtype=np.float64)
+    return np.einsum("iap,jbq->ijabpq", per_axis, per_axis).reshape(4, 9, 9)
+
+
+_PHASE_TAPS = _phase_taps()
+_PHASE_TAPS_T = np.ascontiguousarray(_PHASE_TAPS.transpose(0, 2, 1))
+
+
+def upsample_kernels(w):
+    """Phase kernels of a (O, C, 3, 3) kernel: (4O, C, 3, 3), where channel
+    (2i+j)*O + k is the kernel of map k at output phase (i, j).
+
+    A stride-1 pad-1 convolution of `upsample2x(x)` with `w` equals
+    `depth_to_space` of the convolution of `x` with these kernels.
+    """
+    wv = w.value if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
+    o, c, kh, kw = wv.shape
+    if (kh, kw) != (3, 3):
+        raise ValueError("upsample_kernels needs 3x3 kernels")
+    # one matmul, broadcast over the phases, lands in (phase, O, C, tap) order
+    out = np.matmul(wv.reshape(o * c, 9), _PHASE_TAPS_T).reshape(4 * o, c, 3, 3)
+    if not isinstance(w, Tensor):
+        return out
+
+    def vjp(g):
+        gm = np.matmul(g.reshape(4, o * c, 9), _PHASE_TAPS).sum(axis=0)
+        return (gm.reshape(o, c, 3, 3),)
+
+    return Tensor(out, _parents=(w,), _vjp=vjp)
+
+
+def depth_to_space(a):
+    """(4O, H, W) -> (O, 2H, 2W): channel (2i+j)*O + k fills rows 2y+i and
+    columns 2x+j of map k."""
+    av = a.value if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
+    c4, h, w = av.shape
+    if c4 % 4:
+        raise ValueError("depth_to_space needs a channel count divisible by 4")
+    o = c4 // 4
+    out = av.reshape(2, 2, o, h, w).transpose(2, 3, 0, 4, 1).reshape(o, 2 * h, 2 * w)
+    if not isinstance(a, Tensor):
+        return out
+
+    def vjp(g):
+        gm = g.reshape(o, h, 2, w, 2).transpose(2, 4, 0, 1, 3)
+        return (gm.reshape(c4, h, w),)
+
+    return Tensor(out, _parents=(a,), _vjp=vjp)
+
+
 def grl(a, lam):
     """Gradient reversal: identity forward, upstream gradient times -lam backward."""
     lam = float(lam)

@@ -113,23 +113,6 @@ class ProposalSet:
 
 
 @dataclass
-class ContextVectors:
-    """Per-image context features taken from the three domain classifiers."""
-
-    f_l: np.ndarray
-    f_m: np.ndarray
-    f_g: np.ndarray
-
-    def __post_init__(self):
-        self.f_l = np.asarray(self.f_l, dtype=np.float64)
-        self.f_m = np.asarray(self.f_m, dtype=np.float64)
-        self.f_g = np.asarray(self.f_g, dtype=np.float64)
-        for v in (self.f_l, self.f_m, self.f_g):
-            if not np.all(np.isfinite(v)):
-                raise ValueError("context vectors must be finite")
-
-
-@dataclass
 class InstanceGroup:
     member_indices: list
     center: np.ndarray
@@ -152,13 +135,6 @@ def pool_group(features):
     if len({a.shape for a in arr}) > 1:
         raise ValueError("feature lengths differ")
     return np.mean(arr, axis=0)
-
-
-def context_fuse(ctx, f_r):
-    """Concatenate the context vectors with an instance feature:
-    [f_l, f_m, f_g, f_r]."""
-    f_r = np.asarray(f_r, dtype=np.float64)
-    return np.concatenate([ctx.f_l, ctx.f_m, ctx.f_g, f_r])
 
 
 def cluster_box_centers(centers, cfg=None):
@@ -204,14 +180,6 @@ def _build_groups(pset, cfg, feature_of):
 def cluster_proposals(pset, cfg=None):
     """Group a proposal set; each group pools its members' raw features."""
     return _build_groups(pset, cfg, lambda i: pset.proposals[i].feature)
-
-
-def group_fused_features(pset, ctx, cfg=None):
-    """Same grouping as `cluster_proposals`, but each group pools the
-    context-fused features [f_l, f_m, f_g, f_r] of its members."""
-    return _build_groups(
-        pset, cfg, lambda i: context_fuse(ctx, pset.proposals[i].feature)
-    )
 
 
 # ---------------------------------------------------------------------------

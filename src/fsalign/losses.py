@@ -168,6 +168,13 @@ def local_adv_loss(source_maps, target_maps):
     return total
 
 
+def pooled_adv_loss(p_s, p_t):
+    """Least-squares domain loss of a pooled (image-level) classifier: the
+    source probability is pushed toward 0 and the target one toward 1, the
+    same bounded form as `local_adv_loss` at one location per image."""
+    return p_s * p_s + (1.0 - p_t) * (1.0 - p_t)
+
+
 def local_global_composition(l_adv1, l_adv2, l_adv3):
     """Multi-level adversarial total: plain sum of the three level losses."""
     return l_adv1 + l_adv2 + l_adv3

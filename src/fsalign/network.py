@@ -7,6 +7,12 @@ domain classifiers (per-location on f1, pooled on f2/f3), a region-instance
 domain classifier over pooled fused group features, and a detector head over
 crop-pooled f3 producing class logits and box deltas per proposal.
 
+Each decoder block is a 3x3 convolution of a nearest 2x upsampling. It runs
+at the resolution of its input, as one convolution with four phase kernels
+per output map (one per output row and column parity) whose outputs are
+interleaved; the upsampled map is never built. The parameters keep their
+plain (O, C, 3, 3) kernel shapes.
+
 Everything is built on the minimal autodiff engine; adversarial branches are
 wired through gradient reversal by the trainer.
 """
@@ -144,6 +150,17 @@ def roi_pool(fmap, boxes, stride):
     return ad.matmul(a, ad.transpose(ad.reshape(fmap, (c, hf * wf))))
 
 
+def upsample_conv(conv, x):
+    """A 3x3 stride-1 pad-1 `conv` of the nearest 2x upsampling of a
+    (C, H, W) map, computed at (H, W): one convolution of `x` with the four
+    phase kernels of `conv.w` (`ad.upsample_kernels`), interleaved into
+    (O, 2H, 2W) by `ad.depth_to_space`."""
+    b4 = ad.concat([conv.b] * 4)
+    return ad.depth_to_space(
+        ad.conv2d(x, ad.upsample_kernels(conv.w), b4, stride=1, pad=1)
+    )
+
+
 class SeparationNet:
     """All trainable modules, built with a seeded generator in a fixed order."""
 
@@ -167,7 +184,8 @@ class SeparationNet:
             Conv2d(c1, c2, rng, stride=2),
             Conv2d(c2, c3, rng, stride=2),
         ]
-        # shared decoder: three upsample+conv blocks back to 1 channel
+        # shared decoder: three upsample+conv blocks back to 1 channel, run
+        # as phase-kernel convolutions (`upsample_conv`)
         self.dec = [
             Conv2d(2 * c3, c2, rng),
             Conv2d(c2, c1, rng),
@@ -254,9 +272,9 @@ class SeparationNet:
         if ds[1:] != fs[1:]:
             raise ValueError("private and shared maps must align spatially")
         h = ad.concat([d, f3], axis=0)
-        h = ad.tanh(self.dec[0](ad.upsample2x(h)))
-        h = ad.tanh(self.dec[1](ad.upsample2x(h)))
-        return self.dec[2](ad.upsample2x(h))
+        h = ad.tanh(upsample_conv(self.dec[0], h))
+        h = ad.tanh(upsample_conv(self.dec[1], h))
+        return upsample_conv(self.dec[2], h)
 
     def local_domain(self, f1):
         """Per-location domain probability map over f1 plus the pooled

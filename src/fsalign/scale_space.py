@@ -23,6 +23,14 @@ _LIFETIME_C = 1.0 / math.log(1.05)
 _WEIGHT_FLOOR = np.finfo(np.float64).tiny
 
 
+def _check_kernel_scale(sigma0):
+    """Reject a starting scale whose kernel denominator 2*sigma0**2 underflows
+    to 0: every self-distance term would be 0/0 and every center NaN."""
+    if not 2.0 * sigma0 * sigma0 > 0:
+        raise ValueError(
+            f"sigma0 = {sigma0!r} is too small: 2*sigma0**2 underflows to 0")
+
+
 @dataclass
 class ScaleSweepConfig:
     """Knobs of the scale sweep.
@@ -44,8 +52,10 @@ class ScaleSweepConfig:
     allow_single_cluster: bool = False
 
     def validate(self):
-        if self.sigma0 is not None and not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
+        if self.sigma0 is not None:
+            if not self.sigma0 > 0:
+                raise ValueError("sigma0 must be positive")
+            _check_kernel_scale(self.sigma0)
         if not self.k > 1:
             raise ValueError("scale multiplier k must exceed 1")
         for name in ("epsilon", "convergence_tol", "merge_tol"):
@@ -261,12 +271,14 @@ def scale_sweep(points, cfg=None):
     Scale j uses sigma_j = sigma0 * k**j. Scale 0 starts from all data
     points; every later scale starts from the previous converged centers, so
     K is non-increasing. Returns (snapshots, truncated); `truncated` is True
-    when max_scales ran out before K reached 1.
+    when max_scales ran out before K reached 1. Raises ValueError when the
+    resolved sigma0 is so small that 2*sigma0**2 underflows to 0.
     """
     cfg = cfg or ScaleSweepConfig()
     cfg.validate()
     points = as_points(points)
     sigma0 = cfg.sigma0 if cfg.sigma0 is not None else default_sigma0(points, cfg)
+    _check_kernel_scale(sigma0)
     snapshots = []
     seeds = points
     for j in range(cfg.max_scales):

@@ -277,14 +277,8 @@ def train_step(net, source_entry, target_entry, weights, optimizer,
     l_adv1 = _branch("local adversarial", lambda: L.local_adv_loss(
         [s["p1map"]], [t["p1map"]]
     ))
-    # pooled-level classifiers use the same bounded least-squares form as
-    # the per-location level (source -> 0, target -> 1)
-    l_adv2 = _branch("mid adversarial", lambda: (
-        s["p2"] * s["p2"] + (1.0 - t["p2"]) * (1.0 - t["p2"])
-    ))
-    l_adv3 = _branch("global adversarial", lambda: (
-        s["p3"] * s["p3"] + (1.0 - t["p3"]) * (1.0 - t["p3"])
-    ))
+    l_adv2 = _branch("mid adversarial", lambda: L.pooled_adv_loss(s["p2"], t["p2"]))
+    l_adv3 = _branch("global adversarial", lambda: L.pooled_adv_loss(s["p3"], t["p3"]))
     l_ri = _branch("region instance", lambda: L.region_instance_loss(
         [s["group_probs"]], [t["group_probs"]], gamma
     ))
@@ -559,9 +553,9 @@ def branch_loss(net, source_entry, target_entry, branch, lam, gamma=5.0):
     if branch == "l_adv1":
         return L.local_adv_loss([s["p1map"]], [t["p1map"]])
     if branch == "l_adv2":
-        return s["p2"] * s["p2"] + (1.0 - t["p2"]) * (1.0 - t["p2"])
+        return L.pooled_adv_loss(s["p2"], t["p2"])
     if branch == "l_adv3":
-        return s["p3"] * s["p3"] + (1.0 - t["p3"]) * (1.0 - t["p3"])
+        return L.pooled_adv_loss(s["p3"], t["p3"])
     if branch == "l_ri":
         return L.region_instance_loss([s["group_probs"]], [t["group_probs"]], gamma)
     if branch == "composite":
@@ -576,8 +570,8 @@ def branch_loss(net, source_entry, target_entry, branch, lam, gamma=5.0):
         l_diff = L.difference_loss([s["d"]], [s["f3"]], [t["d"]], [t["f3"]])
         l_lg = (
             L.local_adv_loss([s["p1map"]], [t["p1map"]])
-            + s["p2"] * s["p2"] + (1.0 - t["p2"]) * (1.0 - t["p2"])
-            + s["p3"] * s["p3"] + (1.0 - t["p3"]) * (1.0 - t["p3"])
+            + L.pooled_adv_loss(s["p2"], t["p2"])
+            + L.pooled_adv_loss(s["p3"], t["p3"])
         )
         l_ri = L.region_instance_loss([s["group_probs"]], [t["group_probs"]], gamma)
         return l_c + l_r + 0.1 * (l_rec + l_diff) + (l_lg + l_ri)

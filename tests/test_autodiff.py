@@ -275,6 +275,57 @@ class TestConv2dAdjoint:
         assert dw.shape == (3, 2, 3, 3) and db.shape == (3,)
 
 
+class TestPhaseOps:
+    """upsample_kernels and depth_to_space are linear, so their vjps must
+    satisfy the adjoint identity <A x, y> = <x, A^T y>."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (2, 5)])
+    def test_upsample_kernels_adjoint(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        w = ad.Tensor(rng.normal(size=(*shape, 3, 3)), requires_grad=True)
+        out = ad.upsample_kernels(w)
+        assert out.shape == (4 * shape[0], shape[1], 3, 3)
+        y = rng.normal(size=out.shape)
+        out.backward(y)
+        assert float(np.sum(w.value * w.grad)) == pytest.approx(
+            float(np.sum(out.value * y)), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 1, 1), (8, 3, 5), (12, 4, 4)])
+    def test_depth_to_space_adjoint(self, shape):
+        rng = np.random.default_rng(shape[0] + shape[1] * shape[2])
+        a = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        out = ad.depth_to_space(a)
+        assert out.shape == (shape[0] // 4, 2 * shape[1], 2 * shape[2])
+        y = rng.normal(size=out.shape)
+        out.backward(y)
+        assert float(np.sum(a.value * a.grad)) == pytest.approx(
+            float(np.sum(out.value * y)), rel=1e-12)
+
+    def test_depth_to_space_layout(self):
+        a = np.arange(4 * 2 * 3 * 3, dtype=np.float64).reshape(8, 3, 3)
+        out = ad.depth_to_space(a)
+        for i in range(2):
+            for j in range(2):
+                for k in range(2):
+                    np.testing.assert_array_equal(
+                        out[k, i::2, j::2], a[(2 * i + j) * 2 + k])
+
+    def test_phase_kernels_sum_taps_per_axis(self):
+        w = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
+        k = ad.upsample_kernels(w)[:, 0]
+        rows = ([[1, 0, 0], [0, 1, 1], [0, 0, 0]], [[0, 0, 0], [1, 1, 0], [0, 0, 1]])
+        for i in range(2):
+            for j in range(2):
+                want = np.array(rows[i]) @ w[0, 0] @ np.array(rows[j]).T
+                np.testing.assert_array_equal(k[2 * i + j], want)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            ad.upsample_kernels(np.ones((2, 2, 1, 1)))
+        with pytest.raises(ValueError):
+            ad.depth_to_space(np.ones((6, 2, 2)))
+
+
 class TestGRL:
     def test_forward_identity_bit_exact(self):
         x = ad.Tensor(np.array([1.0, -2.5, 3e-7]), requires_grad=True)

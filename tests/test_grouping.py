@@ -110,27 +110,6 @@ class TestPoolGroup:
             grp.pool_group([])
 
 
-class TestContextFuse:
-    def test_order(self):
-        ctx = grp.ContextVectors(f_l=[1.0], f_m=[2.0], f_g=[3.0])
-        np.testing.assert_array_equal(
-            grp.context_fuse(ctx, np.array([4.0])), [1, 2, 3, 4]
-        )
-
-    def test_empty_context(self):
-        ctx = grp.ContextVectors(f_l=[], f_m=[], f_g=[])
-        np.testing.assert_array_equal(
-            grp.context_fuse(ctx, np.array([7.0, 8.0])), [7.0, 8.0]
-        )
-
-    def test_length_additivity(self):
-        rng = np.random.default_rng(5)
-        ctx = grp.ContextVectors(
-            f_l=rng.normal(size=8), f_m=rng.normal(size=16), f_g=rng.normal(size=32)
-        )
-        assert grp.context_fuse(ctx, rng.normal(size=64)).shape == (120,)
-
-
 class TestClusterProposals:
     def test_single_proposal_single_group(self):
         pset = grp.ProposalSet([make_proposal(10, 10, feature=(3.0, 4.0))])
@@ -214,39 +193,6 @@ class TestClusterProposals:
         # the pile is a group; the far point is an outlier
         assert len(res.groups) >= 1
         assert 2 in res.outliers
-
-
-class TestGroupFusedFeatures:
-    def test_single_proposal(self):
-        pset = grp.ProposalSet([make_proposal(5, 5, feature=(4.0,))])
-        ctx = grp.ContextVectors(f_l=[1.0], f_m=[2.0], f_g=[3.0])
-        res = grp.group_fused_features(pset, ctx)
-        np.testing.assert_array_equal(res.groups[0].pooled_feature, [1, 2, 3, 4])
-
-    def test_identical_features_pool_to_fusion(self):
-        props = [make_proposal(5 + 0.01 * i, 5, feature=(7.0, 8.0)) for i in range(4)]
-        ctx = grp.ContextVectors(f_l=[1.0], f_m=[], f_g=[2.0])
-        res = grp.group_fused_features(grp.ProposalSet(props), ctx)
-        assert len(res.groups) == 1
-        np.testing.assert_allclose(
-            res.groups[0].pooled_feature, [1.0, 2.0, 7.0, 8.0], atol=1e-12
-        )
-
-    def test_matches_brute_force_mean_of_fused(self):
-        pset = two_object_set(seed=61)
-        rng = np.random.default_rng(0)
-        ctx = grp.ContextVectors(
-            f_l=rng.normal(size=2), f_m=rng.normal(size=3), f_g=rng.normal(size=4)
-        )
-        res = grp.group_fused_features(pset, ctx)
-        for g in res.groups:
-            fused = [
-                np.concatenate([ctx.f_l, ctx.f_m, ctx.f_g, pset.proposals[i].feature])
-                for i in g.member_indices
-            ]
-            np.testing.assert_allclose(
-                g.pooled_feature, np.mean(fused, axis=0), atol=1e-12
-            )
 
 
 class TestJsonRoundTrip:

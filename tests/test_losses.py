@@ -238,6 +238,26 @@ class TestLocalAdvLoss:
         assert losses.local_adv_loss(smaps, tmaps) == pytest.approx(want, abs=1e-12)
 
 
+class TestPooledAdvLoss:
+    def test_perfect_and_worst_classifier(self):
+        assert losses.pooled_adv_loss(0.0, 1.0) == 0.0
+        assert losses.pooled_adv_loss(1.0, 0.0) == 2.0
+
+    def test_equals_one_location_local_loss(self):
+        ps, pt = 0.3, 0.8
+        want = losses.local_adv_loss([np.full((1, 1, 1), ps)], [np.full((1, 1, 1), pt)])
+        assert losses.pooled_adv_loss(ps, pt) == want
+
+    def test_gradient(self):
+        ps = ad.Tensor(0.3, requires_grad=True)
+        pt = ad.Tensor(0.8, requires_grad=True)
+        loss = losses.pooled_adv_loss(ps, pt)
+        loss.backward()
+        assert loss.item() == 0.3 * 0.3 + (1.0 - 0.8) * (1.0 - 0.8)
+        assert ps.grad == pytest.approx(0.6)
+        assert pt.grad == pytest.approx(-0.4)
+
+
 class TestObjective:
     def test_all_zero(self):
         w = losses.ObjectiveWeights()

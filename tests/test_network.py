@@ -65,6 +65,33 @@ class TestReconstruct:
             )
 
 
+class TestUpsampleConv:
+    """The phase-kernel decoder block against a 3x3 conv of the explicit
+    nearest 2x upsampling: value and the x, w and b gradients."""
+
+    # the three decoder blocks of the default spec, then odd and 1x1 maps
+    @pytest.mark.parametrize("cin, cout, h, w", [
+        (64, 16, 8, 8), (16, 8, 16, 16), (8, 1, 32, 32), (3, 2, 5, 7), (2, 3, 1, 1),
+    ])
+    def test_matches_conv_of_upsampled(self, cin, cout, h, w):
+        rng = np.random.default_rng(cin * 100 + cout + h * w)
+        conv = net.Conv2d(cin, cout, rng)
+        conv.b.value = rng.normal(size=cout)
+        xv = rng.normal(size=(cin, h, w))
+        g = rng.normal(size=(cout, 2 * h, 2 * w))
+        results = []
+        for block in (lambda x: net.upsample_conv(conv, x),
+                      lambda x: ad.conv2d(ad.upsample2x(x), conv.w, conv.b, 1, 1)):
+            conv.w.grad = conv.b.grad = None
+            x = ad.Tensor(xv, requires_grad=True)
+            out = block(x)
+            out.backward(g)
+            results.append((out.value, x.grad, conv.w.grad, conv.b.grad))
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestCropPool:
     def test_whole_image_equals_global_pool(self):
         rng = np.random.default_rng(5)

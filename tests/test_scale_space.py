@@ -142,6 +142,30 @@ class TestScaleSweep:
         snaps, truncated = ssc.scale_sweep(pts, cfg)
         assert truncated and len(snaps) == 5 and snaps[-1].K > 1
 
+    # 2*sigma0**2 underflows to 0 below ~1e-162: the kernel of a center at
+    # its own point is then 0/0, which used to give NaN centers, a sweep run
+    # out to max_scales and every point labelled 0
+    UNDERFLOW_POINTS = np.array([[0.0, 0.0], [1e-170, 0.0], [0.0, 2e-170]])
+
+    def test_underflowing_sigma0_rejected(self):
+        with pytest.raises(ValueError, match="underflows"):
+            ssc.ScaleSweepConfig(sigma0=1e-170, epsilon=1e-171).validate()
+        with pytest.raises(ValueError, match="underflows"):
+            ssc.cluster_points(self.UNDERFLOW_POINTS,
+                               ssc.ScaleSweepConfig(sigma0=1e-170, epsilon=1e-171))
+
+    def test_underflowing_default_sigma0_rejected(self):
+        # the default sigma0 is clamped to epsilon, which underflows here
+        cfg = ssc.ScaleSweepConfig(epsilon=1e-171)
+        cfg.validate()
+        with pytest.raises(ValueError, match="underflows"):
+            ssc.scale_sweep(self.UNDERFLOW_POINTS, cfg)
+
+    def test_tiny_valid_sigma0_accepted(self):
+        cfg = ssc.ScaleSweepConfig(sigma0=1e-150, epsilon=1e-150, max_scales=3)
+        snaps, _ = ssc.scale_sweep(self.UNDERFLOW_POINTS * 1e20, cfg)
+        assert all(np.isfinite(s.centers).all() for s in snaps)
+
 
 class TestLifetime:
     def test_at_epsilon_exactly_zero(self):

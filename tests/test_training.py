@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import traceback
 
 import numpy as np
@@ -102,3 +103,38 @@ def test_source_only_config_changes_only_weights():
     twin = training.source_only_config(cfg)
     assert twin.weights.beta == 0.0 and twin.weights.lam == 0.0
     assert dataclasses.replace(twin, weights=cfg.weights) == cfg
+
+
+def test_l_rec_gradcheck_through_the_decoder():
+    report = training.finite_difference_check(branches=["l_rec"], coords_per_param=3)
+    assert report["l_rec"]["max_rel_err"] <= 1e-6
+
+
+@pytest.mark.parametrize("through_json", [False, True])
+def test_config_round_trip(through_json):
+    cfg = dataclasses.replace(
+        tiny_config(5), decay_step=3, lambda_warmup_steps=2,
+        weights=losses.ObjectiveWeights(beta=0.2, lam=0.5, gamma=2.0),
+    )
+    cfg.scene = dataclasses.replace(
+        cfg.scene, palette=((0.9, 0.1, 0.1), (0.1, 0.9, 0.1), (0.1, 0.1, 0.9)))
+    cfg.cluster = dataclasses.replace(cfg.cluster, sigma0=0.5, max_scales=50)
+    data = training.config_to_dict(cfg)
+    if through_json:
+        data = json.loads(json.dumps(data))
+    back = training.config_from_dict(data)
+    assert back == cfg
+    assert isinstance(back.network.channels, tuple)
+    assert all(isinstance(c, tuple) for c in back.scene.palette)
+
+
+def test_checkpoint_round_trip_is_bitwise(tmp_path):
+    trained = training.train(tiny_config(2)).net
+    training.save_checkpoint(trained, str(tmp_path))
+    other = nw.SeparationNet(trained.spec, seed=7)
+    assert not np.array_equal(other.dec[0].w.value, trained.dec[0].w.value)
+    training.load_checkpoint(other, str(tmp_path))
+    for (name, p), (oname, q) in zip(trained.named_params(), other.named_params()):
+        assert name == oname
+        assert q.value.shape == p.value.shape
+        assert q.value.tobytes() == p.value.tobytes()
