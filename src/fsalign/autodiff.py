@@ -4,9 +4,8 @@ A small tape-free engine: every op builds a `Tensor` node holding its value,
 its parent nodes and a vector-Jacobian closure. `Tensor.backward()` walks the
 graph in reverse topological order and accumulates gradients into `.grad`.
 
-Everything is float64. Ops raise on non-finite results (toggle with
-`CHECK_FINITE`) so a NaN is caught where it appears instead of poisoning the
-whole step.
+Everything is float64. Every node raises on a non-finite value, so a NaN is
+caught where it appears instead of poisoning the whole step.
 
 Most ops also accept plain numpy arrays / python scalars through the generic
 wrappers at the bottom (`log`, `clip`, `mean`, ...), so formula code can be
@@ -16,8 +15,6 @@ written once and evaluated with or without gradient tracking.
 import contextlib
 
 import numpy as np
-
-CHECK_FINITE = True
 
 _grad_enabled = True
 
@@ -44,7 +41,7 @@ class Tensor:
 
     def __init__(self, value, requires_grad=False, _parents=(), _vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
-        if CHECK_FINITE and not np.isfinite(self.value).all():
+        if not np.isfinite(self.value).all():
             raise FloatingPointError("non-finite values entering the graph")
         self.grad = None
         self.requires_grad = bool(requires_grad) or (
@@ -65,10 +62,6 @@ class Tensor:
 
     def item(self):
         return float(self.value)
-
-    def detach(self):
-        """Value-only copy, cut off from the graph."""
-        return Tensor(self.value.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"

@@ -69,35 +69,22 @@ def _difference_term(priv, shared):
     return _scalar_mean(terms)
 
 
-def _difference_term_batch(priv, shared):
-    gd = ad.stack([global_pool(d) for d in priv])  # (n, C)
-    gf = ad.stack([global_pool(f) for f in shared])
-    if _value(gd).shape != _value(gf).shape:
-        raise ValueError("pooled channel counts differ between streams")
-    m = ad.matmul(ad.transpose(gd), gf)  # (C, C)
-    return ad.sum(m * m) / float(len(priv))
-
-
-def difference_loss(priv_source, shared_source, priv_target, shared_target,
-                    batch_form=False):
+def difference_loss(priv_source, shared_source, priv_target, shared_target):
     """Orthogonality penalty between private and shared pooled features.
 
     Per domain, each sample contributes the squared inner product of its two
     pooled vectors, averaged over the domain's samples; the two domain terms
-    add. `batch_form=True` switches to the batch reading: the squared
-    Frobenius norm of G_priv^T G_shared over the whole domain batch
-    (normalised by batch size).
+    add.
     """
     if len(priv_source) != len(shared_source) or len(priv_target) != len(shared_target):
         raise ValueError("private/shared lists must pair up per domain")
     if not priv_source and not priv_target:
         raise ValueError("at least one domain must be nonempty")
-    term = _difference_term_batch if batch_form else _difference_term
     total = 0.0
     if priv_source:
-        total = total + term(priv_source, shared_source)
+        total = total + _difference_term(priv_source, shared_source)
     if priv_target:
-        total = total + term(priv_target, shared_target)
+        total = total + _difference_term(priv_target, shared_target)
     return total
 
 
@@ -173,11 +160,6 @@ def pooled_adv_loss(p_s, p_t):
     source probability is pushed toward 0 and the target one toward 1, the
     same bounded form as `local_adv_loss` at one location per image."""
     return p_s * p_s + (1.0 - p_t) * (1.0 - p_t)
-
-
-def local_global_composition(l_adv1, l_adv2, l_adv3):
-    """Multi-level adversarial total: plain sum of the three level losses."""
-    return l_adv1 + l_adv2 + l_adv3
 
 
 def total_objective(l_c, l_r, l_rec, l_diff, l_lg, l_ri, w):

@@ -87,11 +87,6 @@ class Affine:
         return [("w", self.w), ("b", self.b)]
 
 
-def grl_apply(x, lam):
-    """Gradient reversal: identity forward; backward multiplies by -lam."""
-    return ad.grl(x, lam)
-
-
 def _cell_span(box, stride, hf, wf):
     """Feature cells (i0, i1, j0, j1) a pixel-space box covers on an
     (hf, wf) map.
@@ -240,11 +235,6 @@ class SeparationNet:
 
     def params(self):
         return [p for _, p in self.named_params()]
-
-    def feature_and_head_params(self):
-        """Backbone + detector head parameters (the source-only subset)."""
-        keep = ("backbone.", "head.")
-        return [p for n, p in self.named_params() if n.startswith(keep)]
 
     # -- forward pieces ---------------------------------------------------------
     def forward_backbone(self, img):

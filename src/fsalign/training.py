@@ -1,15 +1,14 @@
 """Adversarial training loop for the toy two-domain detector.
 
-Every step takes one source and one target image. The detector and the
-reconstruction / difference branches are minimised directly; the adversarial
-branches (three level classifiers plus the region-instance classifier) are
-wired through gradient reversal, so the classifiers minimise their domain
-losses while the feature path maximises them. SGD with momentum and a
-single-step learning-rate decay drives all parameters.
-
-Also hosts the evaluation protocol (domain probe on frozen pooled features,
-target detection match rate), checkpoint serialisation and the gradient
-check harness used by the CLI.
+Every step takes one source and one target image. `compute_losses` builds
+its one loss graph: each branch (detector, reconstruction / difference, three
+level classifiers, region-instance classifier) is a named node, and their
+sum `composite` is what `train_step` minimises; the CLI's gradient check
+tests these same nodes. The adversarial branches are wired through gradient
+reversal, so the classifiers minimise their domain losses while the feature
+path maximises them. SGD with momentum and a single-step learning-rate decay
+drives all parameters. Also hosts the evaluation protocol (domain probe on
+frozen pooled features, target detection match rate) and checkpoints.
 """
 
 import csv
@@ -81,70 +80,42 @@ class TrainConfig:
         self.network.validate()
 
 
-def config_to_dict(cfg):
-    def plain(obj):
-        return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in dataclasses.asdict(obj).items()}
+# JSON key of a dataclass field where it differs from the field name
+_JSON_KEYS = {"lam": "lambda"}
 
-    d = {
-        "iterations": cfg.iterations,
-        "lr_initial": cfg.lr_initial,
-        "lr_after_decay": cfg.lr_after_decay,
-        "decay_step": cfg.decay_step,
-        "momentum": cfg.momentum,
-        "seed": cfg.seed,
-        "corpus_size": cfg.corpus_size,
-        "eval_size": cfg.eval_size,
-        "probe_size": cfg.probe_size,
-        "weights": {"beta": cfg.weights.beta, "lambda": cfg.weights.lam,
-                    "gamma": cfg.weights.gamma},
-        "network": plain(cfg.network),
-        "scene": plain(cfg.scene),
-        "shift": plain(cfg.shift),
-        "proposal_noise": plain(cfg.proposal_noise),
-        "cluster": plain(cfg.cluster),
-        "normalize_reconstruction": cfg.normalize_reconstruction,
-        "lambda_warmup_steps": cfg.lambda_warmup_steps,
-    }
-    return d
+
+def config_to_dict(cfg):
+    """JSON form of a config or any of its values: dataclasses (the nested
+    specs too) become dicts keyed by field name, tuples become lists."""
+    if dataclasses.is_dataclass(cfg):
+        return {_JSON_KEYS.get(f.name, f.name): config_to_dict(getattr(cfg, f.name))
+                for f in dataclasses.fields(cfg)}
+    if isinstance(cfg, tuple):
+        return [config_to_dict(v) for v in cfg]
+    return cfg
+
+
+def _from_plain(cls, data):
+    """Inverse of `config_to_dict` for dataclass `cls`: lists become tuples,
+    missing keys keep the field defaults and an unknown key raises."""
+    fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise TypeError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+
+    def tuples(v):
+        return tuple(tuples(x) for x in v) if isinstance(v, list) else v
+
+    kwargs = {}
+    for key, value in data.items():
+        f = fields[key]
+        kwargs[f.name] = (_from_plain(f.type, value) if dataclasses.is_dataclass(f.type)
+                          else tuples(value))
+    return cls(**kwargs)
 
 
 def config_from_dict(data):
-    def build(cls, key, tuple_fields=()):
-        kwargs = dict(data.get(key, {}))
-        for f in tuple_fields:
-            if f in kwargs and isinstance(kwargs[f], list):
-                if f == "palette":
-                    kwargs[f] = tuple(tuple(c) for c in kwargs[f])
-                else:
-                    kwargs[f] = tuple(kwargs[f])
-        return cls(**kwargs)
-
-    w = data.get("weights", {})
-    weights = L.ObjectiveWeights(
-        beta=w.get("beta", 0.1), lam=w.get("lambda", 1.0), gamma=w.get("gamma", 5.0)
-    )
-    cfg = TrainConfig(
-        iterations=data.get("iterations", 2000),
-        lr_initial=data.get("lr_initial", 1e-3),
-        lr_after_decay=data.get("lr_after_decay", 1e-4),
-        decay_step=data.get("decay_step"),
-        momentum=data.get("momentum", 0.9),
-        weights=weights,
-        seed=data.get("seed", 0),
-        corpus_size=data.get("corpus_size", 40),
-        eval_size=data.get("eval_size", 40),
-        probe_size=data.get("probe_size", 40),
-        network=build(nw.NetworkSpec, "network", ("channels",)),
-        scene=build(synth.SceneSpec, "scene",
-                    ("canvas", "object_count_range", "shapes", "palette",
-                     "background", "radius_range")),
-        shift=build(synth.DomainShiftSpec, "shift", ("color_shift",)),
-        proposal_noise=build(synth.ProposalNoiseSpec, "proposal_noise"),
-        cluster=build(ScaleSweepConfig, "cluster"),
-        normalize_reconstruction=data.get("normalize_reconstruction", True),
-        lambda_warmup_steps=data.get("lambda_warmup_steps", 0),
-    )
+    cfg = _from_plain(TrainConfig, data)
     cfg.validate()
     return cfg
 
@@ -213,7 +184,7 @@ def build_eval_sets(cfg):
 
 
 # ---------------------------------------------------------------------------
-# one optimisation step
+# the loss graph and one optimisation step
 # ---------------------------------------------------------------------------
 
 def _branch(name, fn):
@@ -223,7 +194,7 @@ def _branch(name, fn):
         raise TrainingDiverged(f"non-finite value in branch {name}") from exc
 
 
-def _domain_forward(net, entry, domain, lam, gamma):
+def _domain_forward(net, entry, domain, lam):
     """Shared per-image forward: features, reconstruction pieces,
     level-classifier outputs, crop-pooled proposal features and the
     region-instance group probabilities."""
@@ -246,16 +217,17 @@ def _domain_forward(net, entry, domain, lam, gamma):
     }
 
 
-def train_step(net, source_entry, target_entry, weights, optimizer,
-               normalize_rec=True, lam=None):
-    """One min-max update on a source/target image pair; returns the loss
-    components as floats plus domain-classifier diagnostics."""
-    lam = weights.lam if lam is None else lam
-    gamma = weights.gamma
+def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec):
+    """The loss graph of one source/target pair.
+
+    Returns every branch of `ALL_BRANCHES` as a graph node, `composite` being
+    the minimised objective, plus the global (`p3_source`, `p3_target`) and
+    region-instance (`dri_source`, `dri_target`) domain probabilities.
+    """
     s = _branch("source forward", lambda: _domain_forward(
-        net, source_entry, "source", lam, gamma))
+        net, source_entry, "source", lam))
     t = _branch("target forward", lambda: _domain_forward(
-        net, target_entry, "target", lam, gamma))
+        net, target_entry, "target", lam))
 
     # detector on source proposals
     def detector():
@@ -280,31 +252,46 @@ def train_step(net, source_entry, target_entry, weights, optimizer,
     l_adv2 = _branch("mid adversarial", lambda: L.pooled_adv_loss(s["p2"], t["p2"]))
     l_adv3 = _branch("global adversarial", lambda: L.pooled_adv_loss(s["p3"], t["p3"]))
     l_ri = _branch("region instance", lambda: L.region_instance_loss(
-        [s["group_probs"]], [t["group_probs"]], gamma
+        [s["group_probs"]], [t["group_probs"]], weights.gamma
     ))
     l_lg = l_adv1 + l_adv2 + l_adv3
 
-    total_min = _branch("composite", lambda: (
+    composite = _branch("composite", lambda: (
         l_c + l_r + weights.beta * (l_rec + l_diff) + (l_lg + l_ri)
     ))
+    return {
+        "l_c": l_c, "l_r": l_r, "l_rec": l_rec, "l_diff": l_diff,
+        "l_adv1": l_adv1, "l_adv2": l_adv2, "l_adv3": l_adv3,
+        "l_lg": l_lg, "l_ri": l_ri, "composite": composite,
+        "p3_source": s["p3"], "p3_target": t["p3"],
+        "dri_source": s["group_probs"], "dri_target": t["group_probs"],
+    }
+
+
+def train_step(net, source_entry, target_entry, weights, optimizer,
+               normalize_rec=True, lam=None):
+    """One min-max update on a source/target image pair; returns the loss
+    components as floats plus domain-classifier diagnostics."""
+    lam = weights.lam if lam is None else lam
+    out = compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec)
     optimizer.zero_grad()
-    total_min.backward()
+    out["composite"].backward()
     optimizer.step()
 
     vals = {
-        "L_c": float(l_c.value), "L_r": float(l_r.value),
-        "L_rec": float(l_rec.value), "L_diff": float(l_diff.value),
-        "L_lg": float(l_lg.value), "L_ri": float(l_ri.value),
+        "L_c": float(out["l_c"].value), "L_r": float(out["l_r"].value),
+        "L_rec": float(out["l_rec"].value), "L_diff": float(out["l_diff"].value),
+        "L_lg": float(out["l_lg"].value), "L_ri": float(out["l_ri"].value),
     }
     vals["total"] = L.total_objective(
         vals["L_c"], vals["L_r"], vals["L_rec"], vals["L_diff"],
         vals["L_lg"], vals["L_ri"], weights,
     )
     vals["acc_d3"] = 0.5 * (
-        float(s["p3"].value <= 0.5) + float(t["p3"].value > 0.5)
+        float(out["p3_source"].value <= 0.5) + float(out["p3_target"].value > 0.5)
     )
     vals["acc_dri"] = float(np.concatenate([
-        s["group_probs"].value > 0.5, t["group_probs"].value <= 0.5
+        out["dri_source"].value > 0.5, out["dri_target"].value <= 0.5
     ]).mean())
     if not all(np.isfinite(v) for v in vals.values()):
         raise TrainingDiverged("non-finite loss component in logs")
@@ -346,9 +333,7 @@ def train(cfg, source=None, target=None):
 
 def source_only_config(cfg):
     """Same run with the separation and adversarial pressure gated off."""
-    return replace(
-        cfg, weights=L.ObjectiveWeights(beta=0.0, lam=0.0, gamma=cfg.weights.gamma)
-    )
+    return replace(cfg, weights=replace(cfg.weights, beta=0.0, lam=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +428,7 @@ def save_checkpoint(net, out_dir, prefix="checkpoint"):
     with open(os.path.join(out_dir, f"{prefix}.bin"), "wb") as fh:
         fh.write(b"".join(blobs))
     manifest = {"dtype": "<f8", "total": offset, "params": entries,
-                "network": config_to_dict(TrainConfig(network=net.spec))["network"]}
+                "network": config_to_dict(net.spec)}
     with open(os.path.join(out_dir, f"{prefix}.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
 
@@ -533,59 +518,23 @@ def build_gradcheck_data(seed):
     )
 
 
-def branch_loss(net, source_entry, target_entry, branch, lam, gamma=5.0):
-    """Scalar loss of one named branch at the given GRL coefficient."""
-    s = _domain_forward(net, source_entry, "source", lam, gamma)
-    t = _domain_forward(net, target_entry, "target", lam, gamma)
-    if branch in ("l_c", "l_r"):
-        logits, deltas = net.detector_head(s["roi"])
-        boxes = [p.box for p in source_entry.pset.proposals]
-        l_c, l_r = nw.detector_losses(
-            logits, deltas, boxes,
-            source_entry.sample.boxes, source_entry.sample.labels,
-        )
-        return l_c if branch == "l_c" else l_r
-    if branch == "l_rec":
-        return L.reconstruction_loss([s["gray"]], [s["xhat"]]) + \
-            L.reconstruction_loss([t["gray"]], [t["xhat"]])
-    if branch == "l_diff":
-        return L.difference_loss([s["d"]], [s["f3"]], [t["d"]], [t["f3"]])
-    if branch == "l_adv1":
-        return L.local_adv_loss([s["p1map"]], [t["p1map"]])
-    if branch == "l_adv2":
-        return L.pooled_adv_loss(s["p2"], t["p2"])
-    if branch == "l_adv3":
-        return L.pooled_adv_loss(s["p3"], t["p3"])
-    if branch == "l_ri":
-        return L.region_instance_loss([s["group_probs"]], [t["group_probs"]], gamma)
-    if branch == "composite":
-        logits, deltas = net.detector_head(s["roi"])
-        boxes = [p.box for p in source_entry.pset.proposals]
-        l_c, l_r = nw.detector_losses(
-            logits, deltas, boxes,
-            source_entry.sample.boxes, source_entry.sample.labels,
-        )
-        l_rec = L.reconstruction_loss([s["gray"]], [s["xhat"]]) + \
-            L.reconstruction_loss([t["gray"]], [t["xhat"]])
-        l_diff = L.difference_loss([s["d"]], [s["f3"]], [t["d"]], [t["f3"]])
-        l_lg = (
-            L.local_adv_loss([s["p1map"]], [t["p1map"]])
-            + L.pooled_adv_loss(s["p2"], t["p2"])
-            + L.pooled_adv_loss(s["p3"], t["p3"])
-        )
-        l_ri = L.region_instance_loss([s["group_probs"]], [t["group_probs"]], gamma)
-        return l_c + l_r + 0.1 * (l_rec + l_diff) + (l_lg + l_ri)
-    raise ValueError(f"unknown branch {branch!r}")
+def branch_loss(net, source_entry, target_entry, branch, lam):
+    """Scalar loss of one named branch of the trained objective, under the
+    `TrainConfig` defaults, at the given GRL coefficient."""
+    if branch not in ALL_BRANCHES:
+        raise ValueError(f"unknown branch {branch!r}")
+    cfg = TrainConfig()
+    return compute_losses(net, source_entry, target_entry, cfg.weights, lam,
+                          cfg.normalize_reconstruction)[branch]
 
 
-def finite_difference_check(seed=0, eps=1e-5, coords_per_param=50, branches=None,
-                            gamma=5.0):
+def finite_difference_check(seed=0, eps=1e-5, coords_per_param=50, branches=None):
     """Per-branch finite-difference report for the toy network.
 
-    Non-adversarial branches are checked as-is. Branches containing gradient
-    reversal are checked at lam = -1 (GRL exactly transparent), and the
-    lam = +1 vs lam = -1 gradient sign symmetry of every parameter upstream
-    of a GRL is verified exactly. Returns
+    Every branch is a node of the trained loss graph (see `branch_loss`),
+    checked at lam = -1, where gradient reversal is exactly transparent. For
+    the reversed branches the lam = +1 vs lam = -1 gradient sign symmetry of
+    every parameter upstream of a GRL is verified exactly. Returns
     {branch: {"max_rel_err": float, "per_param": {...}, "sign_symmetric": bool}}.
     """
     net = nw.SeparationNet(gradcheck_network_spec(), seed=seed)
@@ -593,11 +542,8 @@ def finite_difference_check(seed=0, eps=1e-5, coords_per_param=50, branches=None
     named = net.named_params()
     report = {}
     for branch in branches or ALL_BRANCHES:
-        reversed_branch = branch in REVERSED_BRANCHES or branch == "composite"
-        lam = -1.0 if reversed_branch else 0.0
-
         def build():
-            return branch_loss(net, source_entry, target_entry, branch, lam, gamma)
+            return branch_loss(net, source_entry, target_entry, branch, -1.0)
 
         per_param = nw.finite_difference_report(
             named, build, eps=eps, coords_per_param=coords_per_param,
@@ -609,27 +555,27 @@ def finite_difference_check(seed=0, eps=1e-5, coords_per_param=50, branches=None
         }
         if branch in REVERSED_BRANCHES:
             entry["sign_symmetric"] = _check_sign_symmetry(
-                net, named, source_entry, target_entry, branch, gamma
+                net, named, source_entry, target_entry, branch
             )
         report[branch] = entry
     return report
 
 
-def _grads_at(net, named, source_entry, target_entry, branch, lam, gamma):
+def _grads_at(net, named, source_entry, target_entry, branch, lam):
     for _, p in named:
         p.grad = None
-    branch_loss(net, source_entry, target_entry, branch, lam, gamma).backward()
+    branch_loss(net, source_entry, target_entry, branch, lam).backward()
     return [
         (p.grad.copy() if p.grad is not None else np.zeros_like(p.value))
         for _, p in named
     ]
 
 
-def _check_sign_symmetry(net, named, source_entry, target_entry, branch, gamma):
+def _check_sign_symmetry(net, named, source_entry, target_entry, branch):
     """Feature-side gradients must negate exactly between lam = +-1 while
     classifier-side gradients are identical."""
-    g_pos = _grads_at(net, named, source_entry, target_entry, branch, 1.0, gamma)
-    g_neg = _grads_at(net, named, source_entry, target_entry, branch, -1.0, gamma)
+    g_pos = _grads_at(net, named, source_entry, target_entry, branch, 1.0)
+    g_neg = _grads_at(net, named, source_entry, target_entry, branch, -1.0)
     upstream = ("backbone.", "enc_s.", "enc_t.", "decoder.")
     ok = True
     for (name, _), gp, gn in zip(named, g_pos, g_neg):

@@ -95,16 +95,6 @@ class TestDifferenceLoss:
                 [np.zeros((2, 2, 2))], [np.zeros((3, 2, 2))], [], []
             )
 
-    def test_batch_form_matches_brute_force(self):
-        rng = np.random.default_rng(4)
-        ds = [rng.normal(size=(3, 2, 2)) for _ in range(3)]
-        f3s = [rng.normal(size=(3, 2, 2)) for _ in range(3)]
-        gd = np.stack([brute_global_pool(d) for d in ds])
-        gf = np.stack([brute_global_pool(f) for f in f3s])
-        want = float(np.sum((gd.T @ gf) ** 2)) / 3.0
-        got = losses.difference_loss(ds, f3s, [], [], batch_form=True)
-        assert got == pytest.approx(want, abs=1e-12)
-
 
 class TestReconstructionLoss:
     def test_identical_pairs(self):
@@ -271,9 +261,6 @@ class TestObjective:
         w = losses.ObjectiveWeights(beta=0.1, lam=1.0)
         got = losses.total_objective(1, 1, 2, 2, 3, 3, w)
         assert got == pytest.approx(-3.6, abs=1e-12)
-
-    def test_composition(self):
-        assert losses.local_global_composition(1.0, 2.0, 3.5) == 6.5
 
 
 class TestGrayscale:
