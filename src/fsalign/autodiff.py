@@ -60,9 +60,6 @@ class Tensor:
     def size(self):
         return self.value.size
 
-    def item(self):
-        return float(self.value)
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
@@ -70,13 +67,18 @@ class Tensor:
     def backward(self, seed=None):
         """Accumulate gradients of `self` w.r.t. every upstream tensor.
 
-        `seed` defaults to 1 and requires a scalar output.
+        `seed` defaults to 1 and requires a scalar output. Leaf gradients
+        accumulate across calls; interior nodes start each call from zero,
+        so several outputs of one graph can be backpropagated in turn.
         """
         if seed is None:
             if self.value.size != 1:
                 raise ValueError("backward() without seed needs a scalar output")
             seed = np.ones_like(self.value)
         order = _toposort(self)
+        for node in order:
+            if node._parents:
+                node.grad = None
         self.grad = np.asarray(seed, dtype=np.float64)
         for node in reversed(order):
             if node._vjp is None or node.grad is None:
@@ -310,11 +312,13 @@ def reshape(a, shape):
     )
 
 
-def transpose(a):
-    """2-D transpose."""
+def transpose(a, axes=None):
+    """Permute the axes as `np.transpose` does (reversed by default)."""
     if not isinstance(a, Tensor):
-        return np.transpose(a)
-    return Tensor(a.value.T, _parents=(a,), _vjp=lambda g: (g.T,))
+        return np.transpose(a, axes)
+    back = None if axes is None else tuple(np.argsort(axes))
+    return Tensor(np.transpose(a.value, axes), _parents=(a,),
+                  _vjp=lambda g: (np.transpose(g, back),))
 
 
 def concat(parts, axis=0):
@@ -397,36 +401,41 @@ def matmul(a, b):
 # ---------------------------------------------------------------------------
 
 def _im2col(xp, kh, kw, stride, oh, ow):
-    """(C*kh*kw, oh*ow) patch matrix of a C-contiguous (C, H, W) array: a
-    strided window view over its buffer, copied once by the reshape."""
-    c = xp.shape[0]
-    sc, sh, sw = xp.strides
-    windows = np.ndarray((c, kh, kw, oh, ow), np.float64, xp, 0,
-                         (sc, sh, sw, sh * stride, sw * stride))
-    return windows.reshape(c * kh * kw, oh * ow)
+    """(C*kh*kw, N*oh*ow) patch matrix of a C-contiguous (N, C, H, W) array:
+    a strided window view over its buffer, copied once by the reshape. Its
+    columns run over the images, then the output rows, then the columns."""
+    n, c = xp.shape[:2]
+    sn, sc, sh, sw = xp.strides
+    windows = np.ndarray((c, kh, kw, n, oh, ow), np.float64, xp, 0,
+                         (sc, sh, sw, sn, sh * stride, sw * stride))
+    return windows.reshape(c * kh * kw, n * oh * ow)
 
 
 def _embed(a, top, left, h, w):
-    """(C, h, w) zeros with `a` placed at offset (top, left). The offsets may
-    be negative; what lands outside the frame is cropped."""
-    out = np.zeros((a.shape[0], h, w), dtype=np.float64)
+    """Zeros of shape a.shape[:-2] + (h, w) with `a` placed at offset
+    (top, left) of the trailing two axes. The offsets may be negative; what
+    lands outside the frame is cropped."""
+    out = np.zeros(a.shape[:-2] + (h, w), dtype=np.float64)
     y0, x0 = max(-top, 0), max(-left, 0)
-    y1, x1 = min(a.shape[1], h - top), min(a.shape[2], w - left)
+    y1, x1 = min(a.shape[-2], h - top), min(a.shape[-1], w - left)
     if y1 > y0 and x1 > x0:
-        out[:, top + y0 : top + y1, left + x0 : left + x1] = a[:, y0:y1, x0:x1]
+        out[..., top + y0 : top + y1, left + x0 : left + x1] = a[..., y0:y1, x0:x1]
     return out
 
 
 def _conv_input_grad(g, wv, stride, pad, h, w):
-    """Input gradient of conv2d: a transposed convolution of `g`.
+    """Input gradient of conv2d for an (N, O, oh, ow) output gradient: a
+    transposed convolution of `g`, (N, C, h, w).
 
     Input rows and columns are split by phase mod `stride`. Each phase gets
     a stride-1 correlation of the padded `g` with the flipped,
-    channel-swapped taps that reach it, as one GEMM over `_im2col`. At
-    stride 1 there is one phase and it takes the whole kernel.
+    channel-swapped taps that reach it, as one GEMM over `_im2col` of the
+    whole batch. At stride 1 there is one phase and it takes the whole
+    kernel.
     """
+    n = g.shape[0]
     o, c, kh, kw = wv.shape
-    dx = np.zeros((c, h, w), dtype=np.float64)
+    dx = np.zeros((n, c, h, w), dtype=np.float64)
     for a in range(min(stride, h)):
         for e in range(min(stride, w)):
             i0, j0 = (a + pad) % stride, (e + pad) % stride
@@ -438,31 +447,39 @@ def _conv_input_grad(g, wv, stride, pad, h, w):
             gp = _embed(g, mh - 1 - (a + pad - i0) // stride,
                         mw - 1 - (e + pad - j0) // stride, nu + mh - 1, nv + mw - 1)
             wflip = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-            dx[:, a::stride, e::stride] = (
+            dx[:, :, a::stride, e::stride] = (
                 wflip @ _im2col(gp, mh, mw, 1, nu, nv)
-            ).reshape(c, nu, nv)
+            ).reshape(c, n, nu, nv).transpose(1, 0, 2, 3)
     return dx
 
 
 def conv2d(x, w, b, stride=1, pad=1):
-    """2-D convolution of a (C,H,W) input with (O,C,kh,kw) kernels.
+    """2-D convolution with (O, C, kh, kw) kernels of an (N, C, H, W) batch,
+    giving (N, O, oh, ow), or of one (C, H, W) image, giving (O, oh, ow).
 
-    Its vjp computes the input gradient as a transposed convolution
-    (`_conv_input_grad`), and only when `x` requires grad.
+    A batch is laid out as one (C*kh*kw, N*oh*ow) patch matrix (`_im2col`),
+    so the forward and the weight gradient are one GEMM each over every
+    image, and the weight gradient sums the images inside that GEMM. The
+    vjp computes the input gradient as a transposed convolution
+    (`_conv_input_grad`, one GEMM per phase over the batch), and only when
+    `x` requires grad.
     """
     xt = isinstance(x, Tensor)
     xv = x.value if xt else np.asarray(x, dtype=np.float64)
     wv = w.value if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
     bv = b.value if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
     o, c, kh, kw = wv.shape
-    if xv.shape[0] != c:
-        raise ValueError(f"conv2d channel mismatch: input {xv.shape[0]}, kernel {c}")
-    h, wd = xv.shape[1], xv.shape[2]
-    xp = _embed(xv, pad, pad, h + 2 * pad, wd + 2 * pad)
+    single = xv.ndim == 3
+    xb = xv[None] if single else xv
+    n, cx, h, wd = xb.shape
+    if cx != c:
+        raise ValueError(f"conv2d channel mismatch: input {cx}, kernel {c}")
+    xp = _embed(xb, pad, pad, h + 2 * pad, wd + 2 * pad)
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
     cols = _im2col(xp, kh, kw, stride, oh, ow)
-    out = (wv.reshape(o, -1) @ cols + bv[:, None]).reshape(o, oh, ow)
+    out = (wv.reshape(o, -1) @ cols + bv[:, None]).reshape(o, n, oh, ow)
+    out = out[:, 0] if single else out.transpose(1, 0, 2, 3)
 
     if not (xt or isinstance(w, Tensor) or isinstance(b, Tensor)):
         return out
@@ -470,11 +487,14 @@ def conv2d(x, w, b, stride=1, pad=1):
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
 
     def vjp(g):
-        gm = g.reshape(o, -1)
-        db = g.sum(axis=(1, 2))
+        gb = g[None] if single else g
+        gm = gb.transpose(1, 0, 2, 3).reshape(o, -1)
+        db = gb.sum(axis=(0, 2, 3))
         dw = (gm @ cols.T).reshape(o, c, kh, kw)
-        dx = _conv_input_grad(g, wv, stride, pad, h, wd) if x.requires_grad else None
-        return (dx, dw, db)
+        if not x.requires_grad:
+            return (None, dw, db)
+        dx = _conv_input_grad(gb, wv, stride, pad, h, wd)
+        return (dx[0] if single else dx, dw, db)
 
     return Tensor(out, _parents=(x, w, b), _vjp=vjp)
 
@@ -536,20 +556,24 @@ def upsample_kernels(w):
 
 
 def depth_to_space(a):
-    """(4O, H, W) -> (O, 2H, 2W): channel (2i+j)*O + k fills rows 2y+i and
-    columns 2x+j of map k."""
+    """(..., 4O, H, W) -> (..., O, 2H, 2W): channel (2i+j)*O + k fills rows
+    2y+i and columns 2x+j of map k. Leading (batch) axes pass through."""
     av = a.value if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-    c4, h, w = av.shape
-    if c4 % 4:
+    if av.ndim < 3 or av.shape[-3] % 4:
         raise ValueError("depth_to_space needs a channel count divisible by 4")
-    o = c4 // 4
-    out = av.reshape(2, 2, o, h, w).transpose(2, 3, 0, 4, 1).reshape(o, 2 * h, 2 * w)
+    *lead, c4, h, w = av.shape
+    lead, o = tuple(lead), c4 // 4
+    k = len(lead)
+    keep = tuple(range(k))
+    out = av.reshape(lead + (2, 2, o, h, w)).transpose(
+        keep + (k + 2, k + 3, k, k + 4, k + 1)).reshape(lead + (o, 2 * h, 2 * w))
     if not isinstance(a, Tensor):
         return out
 
     def vjp(g):
-        gm = g.reshape(o, h, 2, w, 2).transpose(2, 4, 0, 1, 3)
-        return (gm.reshape(c4, h, w),)
+        gm = g.reshape(lead + (o, h, 2, w, 2)).transpose(
+            keep + (k + 2, k + 4, k, k + 1, k + 3))
+        return (gm.reshape(lead + (c4, h, w)),)
 
     return Tensor(out, _parents=(a,), _vjp=vjp)
 

@@ -4,9 +4,11 @@ All functions are pure and written against the generic ops in `autodiff`, so
 each one accepts either plain numpy arrays (returning floats) or graph
 tensors (returning a differentiable scalar node).
 
-Conventions: feature maps are (C, H, W); domain probabilities are the
-classifier's "source" probability and are clamped to [1e-7, 1 - 1e-7] before
-any logarithm.
+Conventions: the domain losses take a batch whose leading axis runs over
+images, with `domains` labelling each image 0 (source) or 1 (target); each
+domain averages over its own images. Feature maps are (N, C, H, W). The
+region classifier's probabilities are its "source" probability and are
+clamped to [1e-7, 1 - 1e-7] before any logarithm.
 """
 
 from dataclasses import dataclass
@@ -43,70 +45,61 @@ def _value(x):
     return x.value if isinstance(x, ad.Tensor) else np.asarray(x)
 
 
+def _domain_weights(domains):
+    """(N,) weights that average each domain's images: 1/n_d for an image of
+    domain d, where `domains` labels each image of a batch 0 (source) or 1
+    (target)."""
+    d = np.asarray(domains)
+    if d.ndim != 1 or d.size == 0 or not ((d == 0) | (d == 1)).all():
+        raise ValueError("domains must be a nonempty vector of 0/1 labels")
+    d = d.astype(np.int64)
+    return 1.0 / np.bincount(d, minlength=2)[d]
+
+
 def global_pool(f):
-    """Spatial average of a (C, H, W) map: one value per channel."""
-    if _value(f).ndim != 3:
-        raise ValueError("expected a (C, H, W) feature map")
-    return ad.mean(f, axis=(1, 2))
+    """Spatial average of a (C, H, W) map or an (N, C, H, W) batch: one
+    value per channel (and image)."""
+    if _value(f).ndim < 3:
+        raise ValueError("expected a (C, H, W) map or an (N, C, H, W) batch")
+    return ad.mean(f, axis=(-2, -1))
 
 
-def _scalar_mean(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total / float(len(terms))
+def _per_image(a):
+    """(N,) sums of an (N, ...) array over everything but the batch axis."""
+    nd = _value(a).ndim
+    return ad.sum(a, axis=tuple(range(1, nd))) if nd > 1 else a
 
 
-def _difference_term(priv, shared):
-    terms = []
-    for d, f in zip(priv, shared):
-        gd = global_pool(d)
-        gf = global_pool(f)
-        if _value(gd).shape != _value(gf).shape:
-            raise ValueError("pooled channel counts differ between streams")
-        inner = ad.sum(gd * gf)
-        terms.append(inner * inner)
-    return _scalar_mean(terms)
-
-
-def difference_loss(priv_source, shared_source, priv_target, shared_target):
+def difference_loss(priv, shared, domains):
     """Orthogonality penalty between private and shared pooled features.
 
-    Per domain, each sample contributes the squared inner product of its two
-    pooled vectors, averaged over the domain's samples; the two domain terms
-    add.
+    `priv` and `shared` are (N, C, H, W) batches of the two streams and
+    `domains` labels each image 0 (source) or 1 (target). Each image
+    contributes the squared inner product of its two pooled vectors; each
+    domain averages its images, and the two domain terms add.
     """
-    if len(priv_source) != len(shared_source) or len(priv_target) != len(shared_target):
-        raise ValueError("private/shared lists must pair up per domain")
-    if not priv_source and not priv_target:
-        raise ValueError("at least one domain must be nonempty")
-    total = 0.0
-    if priv_source:
-        total = total + _difference_term(priv_source, shared_source)
-    if priv_target:
-        total = total + _difference_term(priv_target, shared_target)
-    return total
+    gd, gf = global_pool(priv), global_pool(shared)
+    if _value(gd).shape != _value(gf).shape:
+        raise ValueError("pooled channel counts differ between streams")
+    inner = _per_image(gd * gf)
+    return ad.matmul(inner * inner, _domain_weights(domains))
 
 
-def reconstruction_loss(originals, reconstructions, normalize=False):
-    """Mean L1 distance between paired maps of one domain.
+def reconstruction_loss(originals, reconstructions, domains, normalize=False):
+    """L1 distance between paired (N, C, H, W) batches of maps.
 
-    The L1 norm is the raw sum of absolute entry differences; set
-    `normalize=True` to divide each pair's norm by its entry count.
+    Each image's L1 norm is the raw sum of its absolute entry differences;
+    set `normalize=True` to divide it by the image's entry count. Each domain
+    (`domains`: 0 source, 1 target per image) averages its images, and the
+    two domain terms add.
     """
-    if len(originals) != len(reconstructions):
-        raise ValueError("originals and reconstructions must pair up")
-    if not originals:
-        raise ValueError("need at least one pair")
-    terms = []
-    for x, xh in zip(originals, reconstructions):
-        if _value(x).shape != _value(xh).shape:
-            raise ValueError("paired maps must share a shape")
-        l1 = ad.sum(ad.absolute(x - xh))
-        if normalize:
-            l1 = l1 / float(_value(x).size)
-        terms.append(l1)
-    return _scalar_mean(terms)
+    xv, xhv = _value(originals), _value(reconstructions)
+    if xv.shape != xhv.shape:
+        raise ValueError("paired maps must share a shape")
+    w = _domain_weights(domains)
+    if normalize:
+        w = w / float(xv[0].size)
+    return ad.matmul(_per_image(ad.absolute(originals - reconstructions)), w)
 
 
 def focal_source_term(p, gamma):
@@ -116,50 +109,57 @@ def focal_source_term(p, gamma):
 
 
 def focal_target_term(p, gamma):
-    """-p^gamma * log(1-p) for a target-domain probability p."""
-    pc = ad.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return -(ad.power(pc, gamma) * ad.log(1.0 - pc))
+    """-p^gamma * log(1-p) for a target-domain probability p: the source
+    term of the target probability 1 - p."""
+    return focal_source_term(1.0 - p, gamma)
 
 
-def region_instance_loss(source_probs, target_probs, gamma):
-    """Focal domain loss over per-image group probabilities.
+def region_instance_loss(probs, groups_per_image, domains, gamma):
+    """Focal domain loss over group probabilities.
 
-    `source_probs` / `target_probs` hold one vector per image of the region
-    classifier's source-probabilities, one entry per group. Each image
-    averages over its groups, each domain over its images, and the two
-    domain losses are averaged.
+    `probs` holds the region classifier's source probabilities of every
+    group of a batch, image after image, `groups_per_image` how many rows
+    each image owns and `domains` each image's label (0 source, 1 target).
+    A row's focal term is the source term of the probability of its own
+    domain. Each image averages over its groups, each domain over its
+    images, and the two domain losses are averaged.
     """
-    if not source_probs or not target_probs:
+    counts = np.asarray(groups_per_image)
+    d = np.asarray(domains)
+    if counts.shape != d.shape:
+        raise ValueError("one group count and one domain label per image")
+    if not ((d == 0).any() and (d == 1).any()):
         raise ValueError("both domains need at least one image")
-    for probs in list(source_probs) + list(target_probs):
-        if _value(probs).size == 0:
-            raise ValueError("an image contributed no group probabilities")
-    ls = _scalar_mean([ad.mean(focal_source_term(p, gamma)) for p in source_probs])
-    lt = _scalar_mean([ad.mean(focal_target_term(p, gamma)) for p in target_probs])
-    return 0.5 * (ls + lt)
+    if (counts < 1).any() or counts.sum() != _value(probs).size:
+        raise ValueError("an image contributed no group probabilities")
+    row_domain = np.repeat(d, counts)
+    # the probability of each row's own domain: p for source, 1 - p for target
+    own = row_domain + (1.0 - 2.0 * row_domain) * probs
+    w = np.repeat(0.5 * _domain_weights(d) / counts, counts)
+    return ad.matmul(focal_source_term(own, gamma), w)
 
 
-def local_adv_loss(source_maps, target_maps):
-    """Least-squares per-location domain loss for the lowest-level classifier.
-
-    Source locations are pushed toward 0, target locations toward 1; the two
-    per-domain means over all spatial positions add.
-    """
-    total = 0.0
-    if source_maps:
-        flat = ad.concat([ad.reshape(m, (-1,)) for m in source_maps])
-        total = total + ad.mean(flat * flat)
-    if target_maps:
-        flat = ad.concat([ad.reshape(1.0 - m, (-1,)) for m in target_maps])
-        total = total + ad.mean(flat * flat)
-    return total
+def _squared_error(p, domains):
+    """Each image's mean over its locations of (p - domain label)^2 for
+    (N, ...) probabilities; each domain averages its images and the two
+    domain terms add."""
+    pv = _value(p)
+    y = np.asarray(domains, dtype=np.float64).reshape((-1,) + (1,) * (pv.ndim - 1))
+    err = p - y
+    return ad.matmul(_per_image(err * err), _domain_weights(domains) / float(pv[0].size))
 
 
-def pooled_adv_loss(p_s, p_t):
-    """Least-squares domain loss of a pooled (image-level) classifier: the
-    source probability is pushed toward 0 and the target one toward 1, the
-    same bounded form as `local_adv_loss` at one location per image."""
-    return p_s * p_s + (1.0 - p_t) * (1.0 - p_t)
+def local_adv_loss(maps, domains):
+    """Least-squares per-location domain loss for the lowest-level
+    classifier: (N, 1, H, W) probability maps, source locations pushed
+    toward 0 and target locations toward 1 (`_squared_error`)."""
+    return _squared_error(maps, domains)
+
+
+def pooled_adv_loss(p, domains):
+    """Least-squares domain loss of a pooled (image-level) classifier on (N,)
+    probabilities: `local_adv_loss` at one location per image."""
+    return _squared_error(p, domains)
 
 
 def total_objective(l_c, l_r, l_rec, l_diff, l_lg, l_ri, w):

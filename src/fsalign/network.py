@@ -7,6 +7,11 @@ domain classifiers (per-location on f1, pooled on f2/f3), a region-instance
 domain classifier over pooled fused group features, and a detector head over
 crop-pooled f3 producing class logits and box deltas per proposal.
 
+The shared modules (backbone, decoder, level classifiers, RoI pooling) take
+an (N, C, H, W) batch as well as one (C, H, W) image, so a training step
+runs its source/target pair through them at once. The private encoders are
+per domain and so run per image.
+
 Each decoder block is a 3x3 convolution of a nearest 2x upsampling. It runs
 at the resolution of its input, as one convolution with four phase kernels
 per output map (one per output row and column parity) whose outputs are
@@ -138,18 +143,37 @@ def group_mean_matrix(groups, n):
     return m
 
 
+def block_diag(mats):
+    """Block-diagonal matrix of 2-D blocks, one block per image of a batch."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    r = c = 0
+    for m in mats:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
 def roi_pool(fmap, boxes, stride):
-    """(P, C) crop-pooled features of a (C, Hf, Wf) map, one matmul."""
-    c, hf, wf = fmap.shape if isinstance(fmap, ad.Tensor) else np.shape(fmap)
-    a = roi_pool_matrix(boxes, stride, hf, wf)
-    return ad.matmul(a, ad.transpose(ad.reshape(fmap, (c, hf * wf))))
+    """(P, C) crop-pooled features of a (C, Hf, Wf) map, one matmul.
+
+    For an (N, C, Hf, Wf) batch `boxes` holds one box list per image, and
+    the rows of all images stack in image order, from one block-diagonal
+    matmul over the batch's cells.
+    """
+    shape = fmap.shape if isinstance(fmap, ad.Tensor) else np.shape(fmap)
+    c, hf, wf = shape[-3:]
+    k = len(shape) - 3
+    a = block_diag([roi_pool_matrix(b, stride, hf, wf) for b in (boxes if k else [boxes])])
+    cells = ad.transpose(fmap, tuple(range(k)) + (k + 1, k + 2, k))
+    return ad.matmul(a, ad.reshape(cells, (-1, c)))
 
 
 def upsample_conv(conv, x):
     """A 3x3 stride-1 pad-1 `conv` of the nearest 2x upsampling of a
-    (C, H, W) map, computed at (H, W): one convolution of `x` with the four
-    phase kernels of `conv.w` (`ad.upsample_kernels`), interleaved into
-    (O, 2H, 2W) by `ad.depth_to_space`."""
+    (C, H, W) map or an (N, C, H, W) batch, computed at (H, W): one
+    convolution of `x` with the four phase kernels of `conv.w`
+    (`ad.upsample_kernels`), interleaved into (..., O, 2H, 2W) by
+    `ad.depth_to_space`."""
     b4 = ad.concat([conv.b] * 4)
     return ad.depth_to_space(
         ad.conv2d(x, ad.upsample_kernels(conv.w), b4, stride=1, pad=1)
@@ -238,17 +262,21 @@ class SeparationNet:
 
     # -- forward pieces ---------------------------------------------------------
     def forward_backbone(self, img):
-        """(3, H, W) image -> feature maps at strides 2, 4 and 8."""
+        """(3, H, W) image or (N, 3, H, W) batch -> feature maps at strides
+        2, 4 and 8."""
         shape = img.shape if isinstance(img, ad.Tensor) else np.shape(img)
-        if shape[0] != 3 or shape[1] % self.spec.stride or shape[2] % self.spec.stride:
-            raise ValueError("image must be (3, H, W) with H, W divisible by 8")
+        if (len(shape) not in (3, 4) or shape[-3] != 3
+                or shape[-2] % self.spec.stride or shape[-1] % self.spec.stride):
+            raise ValueError("image must be (3, H, W) or (N, 3, H, W) with H, W "
+                             "divisible by 8")
         f1 = ad.tanh(self.f1_conv(img))
         f2 = ad.tanh(self.f2_conv(f1))
         f3 = ad.tanh(self.f3_conv(f2))
         return f1, f2, f3
 
     def encode_private(self, gray, domain):
-        """Private distractive-feature encoder over the grayscale image."""
+        """Private distractive-feature encoder of one domain over its
+        (1, H, W) grayscale image."""
         stack = self.enc_s if domain == "source" else self.enc_t
         h = gray
         for conv in stack:
@@ -256,12 +284,13 @@ class SeparationNet:
         return h
 
     def reconstruct(self, d, f3):
-        """Decode the channel fusion [d, f3] back to the grayscale shape."""
+        """Decode the channel fusion [d, f3] back to the grayscale shape;
+        `d` and `f3` are (C, h, w) maps or (N, C, h, w) batches."""
         ds = d.shape if isinstance(d, ad.Tensor) else np.shape(d)
         fs = f3.shape if isinstance(f3, ad.Tensor) else np.shape(f3)
-        if ds[1:] != fs[1:]:
+        if ds[:-3] != fs[:-3] or ds[-2:] != fs[-2:]:
             raise ValueError("private and shared maps must align spatially")
-        h = ad.concat([d, f3], axis=0)
+        h = ad.concat([d, f3], axis=-3)
         h = ad.tanh(upsample_conv(self.dec[0], h))
         h = ad.tanh(upsample_conv(self.dec[1], h))
         return upsample_conv(self.dec[2], h)
@@ -271,23 +300,20 @@ class SeparationNet:
         hidden activation used as the local context vector."""
         h = self.d1_hidden(f1)
         pmap = ad.sigmoid(self.d1_out(h))
-        return pmap, ad.mean(h, axis=(1, 2))
+        return pmap, ad.mean(h, axis=(-2, -1))
+
+    def _pooled_domain(self, f, hidden, out):
+        """Image-level domain probability of a pooled map, () per image,
+        plus the hidden activation used as the context vector."""
+        h = hidden(self.spec.domain_head_gain * ad.mean(f, axis=(-2, -1)))
+        p = ad.sigmoid(out(h))
+        return ad.reshape(p, p.shape[:-1]), h
 
     def mid_domain(self, f2):
-        pooled = self.spec.domain_head_gain * ad.reshape(
-            ad.mean(f2, axis=(1, 2)), (1, -1)
-        )
-        h = self.d2_hidden(pooled)
-        p = ad.sigmoid(self.d2_out(h))
-        return ad.reshape(p, ()), ad.reshape(h, (-1,))
+        return self._pooled_domain(f2, self.d2_hidden, self.d2_out)
 
     def global_domain(self, f3):
-        pooled = self.spec.domain_head_gain * ad.reshape(
-            ad.mean(f3, axis=(1, 2)), (1, -1)
-        )
-        h = self.d3_hidden(pooled)
-        p = ad.sigmoid(self.d3_out(h))
-        return ad.reshape(p, ()), ad.reshape(h, (-1,))
+        return self._pooled_domain(f3, self.d3_hidden, self.d3_out)
 
     def region_domain(self, fused):
         """(G, D) pooled fused group features -> (G,) domain probabilities
@@ -344,42 +370,58 @@ def detector_losses(class_logits, box_deltas, proposal_boxes, gt_boxes, gt_label
 # gradient verification
 # ---------------------------------------------------------------------------
 
-def finite_difference_report(named_params, loss_builder, eps=1e-5,
+def branch_gradients(named_params, losses, branches):
+    """{branch: [gradient per parameter]} of each named scalar node of
+    `losses`, by one backward per branch through their shared graph. A
+    parameter the branch does not reach gets zeros."""
+    out = {}
+    for branch in branches:
+        for _, p in named_params:
+            p.grad = None
+        losses[branch].backward()
+        out[branch] = [
+            p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
+            for _, p in named_params
+        ]
+    return out
+
+
+def finite_difference_report(named_params, builder, branches, eps=1e-5,
                              coords_per_param=50, rng=None):
     """Compare analytic parameter gradients against central differences.
 
-    `loss_builder` re-runs the forward pass from current parameter values.
+    `builder` re-runs the forward pass from current parameter values and
+    returns a dict holding a scalar loss node for each of `branches`. The
+    analytic gradients come from one graph (`branch_gradients`); each
+    perturbed pass runs once, under `ad.no_grad()`, and serves every branch.
     Samples up to `coords_per_param` coordinates from every parameter tensor
-    (all layers, including ones the branch should not touch, so missing graph
-    edges surface as mismatches). Returns {param_name: max_relative_error}.
+    (all layers, including ones a branch should not touch, so missing graph
+    edges surface as mismatches), the same ones for every branch. Returns
+    {branch: {param_name: max_relative_error}}.
     """
     rng = rng or np.random.default_rng(0)
-    for _, p in named_params:
-        p.grad = None
-    loss = loss_builder()
-    loss.backward()
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.value))
-        for name, p in named_params
-    }
-    report = {}
-    for name, p in named_params:
+    analytic = branch_gradients(named_params, builder(), branches)
+    report = {branch: {} for branch in branches}
+    for k, (name, p) in enumerate(named_params):
         flat = p.value.reshape(-1)
         n = flat.size
         idx = np.arange(n) if n <= coords_per_param else rng.choice(
             n, size=coords_per_param, replace=False
         )
-        worst = 0.0
-        ag = analytic[name].reshape(-1)
+        worst = dict.fromkeys(branches, 0.0)
         for i in idx:
             orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(loss_builder().value)
-            flat[i] = orig - eps
-            lo = float(loss_builder().value)
+            with ad.no_grad():
+                flat[i] = orig + eps
+                hi = builder()
+                flat[i] = orig - eps
+                lo = builder()
             flat[i] = orig
-            fd = (hi - lo) / (2.0 * eps)
-            err = abs(ag[i] - fd) / max(abs(ag[i]), abs(fd), 1e-6)
-            worst = max(worst, err)
-        report[name] = worst
+            for branch in branches:
+                fd = (float(hi[branch].value) - float(lo[branch].value)) / (2.0 * eps)
+                ag = analytic[branch][k].reshape(-1)[i]
+                err = abs(ag - fd) / max(abs(ag), abs(fd), 1e-6)
+                worst[branch] = max(worst[branch], err)
+        for branch in branches:
+            report[branch][name] = worst[branch]
     return report

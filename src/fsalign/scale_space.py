@@ -106,10 +106,6 @@ class Assignment:
 
     labels: np.ndarray
 
-    @property
-    def outlier_mask(self):
-        return self.labels == OUTLIER
-
 
 @dataclass
 class ClusteringResult:

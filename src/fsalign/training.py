@@ -1,12 +1,14 @@
 """Adversarial training loop for the toy two-domain detector.
 
 Every step takes one source and one target image. `compute_losses` builds
-its one loss graph: each branch (detector, reconstruction / difference, three
-level classifiers, region-instance classifier) is a named node, and their
-sum `composite` is what `train_step` minimises; the CLI's gradient check
-tests these same nodes. The adversarial branches are wired through gradient
-reversal, so the classifiers minimise their domain losses while the feature
-path maximises them. SGD with momentum and a single-step learning-rate decay
+its one loss graph from one forward of the pair: the shared modules run on
+the stacked (2, C, H, W) batch, the private encoders per image. Each branch
+(detector, reconstruction / difference, three level classifiers,
+region-instance classifier) is a named node, and their sum `composite` is
+what `train_step` minimises; the CLI's gradient check tests these same
+nodes. The adversarial branches are wired through gradient reversal, so the
+classifiers minimise their domain losses while the feature path maximises
+them. SGD with momentum and a single-step learning-rate decay
 drives all parameters. Also hosts the evaluation protocol (domain probe on
 frozen pooled features, target detection match rate) and checkpoints.
 """
@@ -194,26 +196,41 @@ def _branch(name, fn):
         raise TrainingDiverged(f"non-finite value in branch {name}") from exc
 
 
-def _domain_forward(net, entry, domain, lam):
-    """Shared per-image forward: features, reconstruction pieces,
-    level-classifier outputs, crop-pooled proposal features and the
-    region-instance group probabilities."""
-    sample = entry.sample
-    f1, f2, f3 = net.forward_backbone(sample.rgb)
-    d = net.encode_private(sample.gray, domain)
+# batch index -> domain label of the pair forward: the source image first
+PAIR_DOMAINS = np.array([0, 1])
+
+
+def _pair_forward(net, source_entry, target_entry, lam):
+    """Forward of one source/target pair.
+
+    The shared modules (backbone, decoder, level classifiers, RoI and group
+    pooling, region head) run once on the stacked (2, ...) pair, source
+    first; the private encoders run per image and their outputs are stacked
+    for the decoder. RoI and group pooling are block-diagonal matmuls over
+    both images, whose group rows the region head takes at once.
+    """
+    entries = (source_entry, target_entry)
+    f1, f2, f3 = net.forward_backbone(np.stack([e.sample.rgb for e in entries]))
+    d = ad.stack([net.encode_private(source_entry.sample.gray, "source"),
+                  net.encode_private(target_entry.sample.gray, "target")])
     xhat = net.reconstruct(d, f3)
     p1map, f_l = net.local_domain(ad.grl(f1, lam))
     p2, f_m = net.mid_domain(ad.grl(f2, lam))
     p3, f_g = net.global_domain(ad.grl(f3, lam))
     # the context is held fixed (detached) for the region-instance head
-    ctx = np.concatenate([f_l.value, f_m.value, f_g.value])
-    roi = nw.roi_pool(f3, [p.box for p in entry.pset.proposals], net.spec.stride)
-    fr = ad.matmul(nw.group_mean_matrix(entry.groups, len(entry.pset.proposals)), roi)
-    fused = ad.concat([np.tile(ctx, (len(entry.groups), 1)), ad.grl(fr, lam)], axis=1)
+    ctx = np.concatenate([f_l.value, f_m.value, f_g.value], axis=1)
+    boxes = [[p.box for p in e.pset.proposals] for e in entries]
+    roi = nw.roi_pool(f3, boxes, net.spec.stride)
+    members = nw.block_diag([nw.group_mean_matrix(e.groups, len(b))
+                             for e, b in zip(entries, boxes)])
+    groups_per_image = [len(e.groups) for e in entries]
+    fused = ad.concat([np.repeat(ctx, groups_per_image, axis=0),
+                       ad.grl(ad.matmul(members, roi), lam)], axis=1)
     return {
-        "f3": f3, "d": d, "xhat": xhat, "gray": sample.gray,
-        "p1map": p1map, "p2": p2, "p3": p3,
-        "roi": roi, "group_probs": net.region_domain(fused),
+        "f3": f3, "d": d, "xhat": xhat,
+        "gray": np.stack([e.sample.gray for e in entries]),
+        "p1map": p1map, "p2": p2, "p3": p3, "roi": roi, "source_boxes": boxes[0],
+        "groups_per_image": groups_per_image, "group_probs": net.region_domain(fused),
     }
 
 
@@ -221,39 +238,36 @@ def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec)
     """The loss graph of one source/target pair.
 
     Returns every branch of `ALL_BRANCHES` as a graph node, `composite` being
-    the minimised objective, plus the global (`p3_source`, `p3_target`) and
-    region-instance (`dri_source`, `dri_target`) domain probabilities.
+    the minimised objective, plus the global (`p3`, one per image) and
+    region-instance (`dri`, one per group, with `dri_domains` labelling
+    each row) domain probabilities, source first.
     """
-    s = _branch("source forward", lambda: _domain_forward(
-        net, source_entry, "source", lam))
-    t = _branch("target forward", lambda: _domain_forward(
-        net, target_entry, "target", lam))
+    pair = _branch("pair forward", lambda: _pair_forward(
+        net, source_entry, target_entry, lam))
 
-    # detector on source proposals
+    # detector on the source proposals, the first rows of the pair's RoIs
     def detector():
-        logits, deltas = net.detector_head(s["roi"])
-        boxes = [p.box for p in source_entry.pset.proposals]
+        boxes = pair["source_boxes"]
+        logits, deltas = net.detector_head(
+            ad.take_rows(pair["roi"], np.arange(len(boxes))))
         return nw.detector_losses(
             logits, deltas, boxes,
             source_entry.sample.boxes, source_entry.sample.labels,
         )
     l_c, l_r = _branch("detector", detector)
 
-    l_rec = _branch("reconstruction", lambda: (
-        L.reconstruction_loss([s["gray"]], [s["xhat"]], normalize=normalize_rec)
-        + L.reconstruction_loss([t["gray"]], [t["xhat"]], normalize=normalize_rec)
-    ))
+    l_rec = _branch("reconstruction", lambda: L.reconstruction_loss(
+        pair["gray"], pair["xhat"], PAIR_DOMAINS, normalize=normalize_rec))
     l_diff = _branch("difference", lambda: L.difference_loss(
-        [s["d"]], [s["f3"]], [t["d"]], [t["f3"]]
-    ))
+        pair["d"], pair["f3"], PAIR_DOMAINS))
     l_adv1 = _branch("local adversarial", lambda: L.local_adv_loss(
-        [s["p1map"]], [t["p1map"]]
-    ))
-    l_adv2 = _branch("mid adversarial", lambda: L.pooled_adv_loss(s["p2"], t["p2"]))
-    l_adv3 = _branch("global adversarial", lambda: L.pooled_adv_loss(s["p3"], t["p3"]))
+        pair["p1map"], PAIR_DOMAINS))
+    l_adv2 = _branch("mid adversarial", lambda: L.pooled_adv_loss(
+        pair["p2"], PAIR_DOMAINS))
+    l_adv3 = _branch("global adversarial", lambda: L.pooled_adv_loss(
+        pair["p3"], PAIR_DOMAINS))
     l_ri = _branch("region instance", lambda: L.region_instance_loss(
-        [s["group_probs"]], [t["group_probs"]], weights.gamma
-    ))
+        pair["group_probs"], pair["groups_per_image"], PAIR_DOMAINS, weights.gamma))
     l_lg = l_adv1 + l_adv2 + l_adv3
 
     composite = _branch("composite", lambda: (
@@ -263,15 +277,17 @@ def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec)
         "l_c": l_c, "l_r": l_r, "l_rec": l_rec, "l_diff": l_diff,
         "l_adv1": l_adv1, "l_adv2": l_adv2, "l_adv3": l_adv3,
         "l_lg": l_lg, "l_ri": l_ri, "composite": composite,
-        "p3_source": s["p3"], "p3_target": t["p3"],
-        "dri_source": s["group_probs"], "dri_target": t["group_probs"],
+        "p3": pair["p3"], "dri": pair["group_probs"],
+        "dri_domains": np.repeat(PAIR_DOMAINS, pair["groups_per_image"]),
     }
 
 
 def train_step(net, source_entry, target_entry, weights, optimizer,
                normalize_rec=True, lam=None):
     """One min-max update on a source/target image pair; returns the loss
-    components as floats plus domain-classifier diagnostics."""
+    components as floats plus domain-classifier diagnostics. The logged
+    `total` is the saddle value at the GRL coefficient `lam` the step ran
+    at."""
     lam = weights.lam if lam is None else lam
     out = compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec)
     optimizer.zero_grad()
@@ -285,14 +301,13 @@ def train_step(net, source_entry, target_entry, weights, optimizer,
     }
     vals["total"] = L.total_objective(
         vals["L_c"], vals["L_r"], vals["L_rec"], vals["L_diff"],
-        vals["L_lg"], vals["L_ri"], weights,
+        vals["L_lg"], vals["L_ri"], replace(weights, lam=lam),
     )
-    vals["acc_d3"] = 0.5 * (
-        float(out["p3_source"].value <= 0.5) + float(out["p3_target"].value > 0.5)
-    )
-    vals["acc_dri"] = float(np.concatenate([
-        out["dri_source"].value > 0.5, out["dri_target"].value <= 0.5
-    ]).mean())
+    # d3 is pushed toward 0 on the source image, the region head (whose
+    # output is P(source)) toward 1 on the source groups
+    p3 = out["p3"].value
+    vals["acc_d3"] = 0.5 * (float(p3[0] <= 0.5) + float(p3[1] > 0.5))
+    vals["acc_dri"] = float(((out["dri"].value > 0.5) == (out["dri_domains"] == 0)).mean())
     if not all(np.isfinite(v) for v in vals.values()):
         raise TrainingDiverged("non-finite loss component in logs")
     return vals
@@ -518,64 +533,63 @@ def build_gradcheck_data(seed):
     )
 
 
+def _checked_losses(net, source_entry, target_entry, lam):
+    """Every branch of the trained objective under the `TrainConfig`
+    defaults, at the given GRL coefficient."""
+    cfg = TrainConfig()
+    return compute_losses(net, source_entry, target_entry, cfg.weights, lam,
+                          cfg.normalize_reconstruction)
+
+
 def branch_loss(net, source_entry, target_entry, branch, lam):
     """Scalar loss of one named branch of the trained objective, under the
     `TrainConfig` defaults, at the given GRL coefficient."""
     if branch not in ALL_BRANCHES:
         raise ValueError(f"unknown branch {branch!r}")
-    cfg = TrainConfig()
-    return compute_losses(net, source_entry, target_entry, cfg.weights, lam,
-                          cfg.normalize_reconstruction)[branch]
+    return _checked_losses(net, source_entry, target_entry, lam)[branch]
 
 
 def finite_difference_check(seed=0, eps=1e-5, coords_per_param=50, branches=None):
     """Per-branch finite-difference report for the toy network.
 
-    Every branch is a node of the trained loss graph (see `branch_loss`),
-    checked at lam = -1, where gradient reversal is exactly transparent. For
-    the reversed branches the lam = +1 vs lam = -1 gradient sign symmetry of
-    every parameter upstream of a GRL is verified exactly. Returns
+    Every branch is a node of the trained loss graph (`compute_losses`),
+    checked at lam = -1, where gradient reversal is exactly transparent. One
+    forward per perturbation serves every branch. For the reversed branches
+    the lam = +1 vs lam = -1 gradient sign symmetry of every parameter
+    upstream of a GRL is verified exactly. Returns
     {branch: {"max_rel_err": float, "per_param": {...}, "sign_symmetric": bool}}.
     """
+    branches = list(branches or ALL_BRANCHES)
+    unknown = [b for b in branches if b not in ALL_BRANCHES]
+    if unknown:
+        raise ValueError(f"unknown branches {unknown!r}")
     net = nw.SeparationNet(gradcheck_network_spec(), seed=seed)
     source_entry, target_entry = build_gradcheck_data(seed)
     named = net.named_params()
-    report = {}
-    for branch in branches or ALL_BRANCHES:
-        def build():
-            return branch_loss(net, source_entry, target_entry, branch, -1.0)
 
-        per_param = nw.finite_difference_report(
-            named, build, eps=eps, coords_per_param=coords_per_param,
-            rng=np.random.default_rng(seed + 1),
-        )
-        entry = {
-            "max_rel_err": max(per_param.values()),
-            "per_param": per_param,
-        }
+    def build(lam=-1.0):
+        return _checked_losses(net, source_entry, target_entry, lam)
+
+    per_branch = nw.finite_difference_report(
+        named, build, branches, eps=eps, coords_per_param=coords_per_param,
+        rng=np.random.default_rng(seed + 1),
+    )
+    reversed_branches = [b for b in branches if b in REVERSED_BRANCHES]
+    g_pos = nw.branch_gradients(named, build(1.0), reversed_branches)
+    g_neg = nw.branch_gradients(named, build(-1.0), reversed_branches)
+    report = {}
+    for branch in branches:
+        per_param = per_branch[branch]
+        report[branch] = {"max_rel_err": max(per_param.values()), "per_param": per_param}
         if branch in REVERSED_BRANCHES:
-            entry["sign_symmetric"] = _check_sign_symmetry(
-                net, named, source_entry, target_entry, branch
-            )
-        report[branch] = entry
+            report[branch]["sign_symmetric"] = _sign_symmetric(
+                named, g_pos[branch], g_neg[branch])
     return report
 
 
-def _grads_at(net, named, source_entry, target_entry, branch, lam):
-    for _, p in named:
-        p.grad = None
-    branch_loss(net, source_entry, target_entry, branch, lam).backward()
-    return [
-        (p.grad.copy() if p.grad is not None else np.zeros_like(p.value))
-        for _, p in named
-    ]
-
-
-def _check_sign_symmetry(net, named, source_entry, target_entry, branch):
+def _sign_symmetric(named, g_pos, g_neg):
     """Feature-side gradients must negate exactly between lam = +-1 while
     classifier-side gradients are identical."""
-    g_pos = _grads_at(net, named, source_entry, target_entry, branch, 1.0)
-    g_neg = _grads_at(net, named, source_entry, target_entry, branch, -1.0)
     upstream = ("backbone.", "enc_s.", "enc_t.", "decoder.")
     ok = True
     for (name, _), gp, gn in zip(named, g_pos, g_neg):

@@ -170,6 +170,25 @@ class TestShapeOps:
         y.backward()
         assert float(x.grad) == pytest.approx(7.0, abs=1e-12)
 
+    def test_backward_twice_through_a_shared_graph(self):
+        # the second backward must not see the first one's interior grads
+        x = ad.Tensor(2.0, requires_grad=True)
+        h = x * x
+        y1, y2 = h * 3.0, h * 5.0
+        y1.backward()
+        assert float(x.grad) == 12.0
+        x.grad = None
+        y2.backward()
+        assert float(x.grad) == 20.0
+
+    def test_transpose_axes(self):
+        a = ad.Tensor(self.rng.normal(size=(2, 3, 4)), requires_grad=True)
+        out = ad.transpose(a, (1, 2, 0))
+        assert out.shape == (3, 4, 2)
+        g = self.rng.normal(size=out.shape)
+        out.backward(g)
+        np.testing.assert_array_equal(a.grad, g.transpose(2, 0, 1))
+
 
 class TestStructuredOps:
     def setup_method(self):
@@ -236,6 +255,29 @@ def brute_conv2d(x, w, b, stride, pad):
     return out
 
 
+def check_conv2d_adjoint(rng, xv, stride, pad, k):
+    """Brute-force forward, then the adjoint identity of each gradient, for
+    a (3, H, W) image or an (N, 3, H, W) batch."""
+    wv = rng.normal(size=(4, 3, k, k))
+    bv = rng.normal(size=4)
+    x, w, b = (ad.Tensor(v, requires_grad=True) for v in (xv, wv, bv))
+    out = ad.conv2d(x, w, ad.Tensor(np.zeros(4), requires_grad=True), stride, pad)
+    want = (brute_conv2d(xv, wv, bv, stride, pad) if xv.ndim == 3 else
+            np.stack([brute_conv2d(xi, wv, bv, stride, pad) for xi in xv]))
+    np.testing.assert_allclose(ad.conv2d(xv, wv, bv, stride, pad), want,
+                               rtol=1e-12, atol=1e-12)
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    inner = float(np.sum(out.value * g))
+    assert x.grad.shape == xv.shape
+    assert float(np.sum(xv * x.grad)) == pytest.approx(inner, rel=1e-12)
+    assert float(np.sum(wv * w.grad)) == pytest.approx(inner, rel=1e-12)
+    with_b = ad.conv2d(xv, wv, b, stride, pad)
+    with_b.backward(g)
+    assert float(np.sum(bv * b.grad)) == pytest.approx(
+        float(np.sum((with_b.value - out.value) * g)), rel=1e-12)
+
+
 class TestConv2dAdjoint:
     """conv2d is linear in x (w fixed), in w (x fixed) and in b, so each
     gradient must satisfy the adjoint identity <conv, g> = <arg, d arg>."""
@@ -246,24 +288,40 @@ class TestConv2dAdjoint:
     @pytest.mark.parametrize("hw", [(6, 6), (7, 7), (5, 8)])
     def test_adjoint_identity(self, stride, pad, k, hw):
         rng = np.random.default_rng(100 * stride + 10 * pad + k + hw[1])
-        xv = rng.normal(size=(3, *hw))
-        wv = rng.normal(size=(4, 3, k, k))
-        bv = rng.normal(size=4)
+        check_conv2d_adjoint(rng, rng.normal(size=(3, *hw)), stride, pad, k)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batch_adjoint_identity(self, stride, pad, k, n):
+        rng = np.random.default_rng(1000 * n + 100 * stride + 10 * pad + k)
+        check_conv2d_adjoint(rng, rng.normal(size=(n, 3, 5, 8)), stride, pad, k)
+
+    @pytest.mark.parametrize("stride, k, pad", [(1, 3, 1), (2, 3, 1), (1, 1, 0), (2, 1, 0)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_matches_stacked_images(self, stride, k, pad, n):
+        """One batched call against one call per image: the value and the
+        x, w and b gradients (the per-image w and b gradients summed)."""
+        rng = np.random.default_rng(10 * n + stride + k)
+        xv = rng.normal(size=(n, 3, 7, 6))
+        wv, bv = rng.normal(size=(5, 3, k, k)), rng.normal(size=5)
+        oh, ow = (7 + 2 * pad - k) // stride + 1, (6 + 2 * pad - k) // stride + 1
+        g = rng.normal(size=(n, 5, oh, ow))
         x, w, b = (ad.Tensor(v, requires_grad=True) for v in (xv, wv, bv))
-        out = ad.conv2d(x, w, ad.Tensor(np.zeros(4), requires_grad=True), stride, pad)
-        np.testing.assert_allclose(
-            ad.conv2d(xv, wv, bv, stride, pad), brute_conv2d(xv, wv, bv, stride, pad),
-            rtol=1e-12, atol=1e-12)
-        g = rng.normal(size=out.shape)
+        out = ad.conv2d(x, w, b, stride, pad)
         out.backward(g)
-        inner = float(np.sum(out.value * g))
-        assert x.grad.shape == xv.shape
-        assert float(np.sum(xv * x.grad)) == pytest.approx(inner, rel=1e-12)
-        assert float(np.sum(wv * w.grad)) == pytest.approx(inner, rel=1e-12)
-        with_b = ad.conv2d(xv, wv, b, stride, pad)
-        with_b.backward(g)
-        assert float(np.sum(bv * b.grad)) == pytest.approx(
-            float(np.sum((with_b.value - out.value) * g)), rel=1e-12)
+        singles = []
+        for i in range(n):
+            xi, wi, bi = (ad.Tensor(v, requires_grad=True) for v in (xv[i], wv, bv))
+            oi = ad.conv2d(xi, wi, bi, stride, pad)
+            oi.backward(g[i])
+            singles.append((oi.value, xi.grad, wi.grad, bi.grad))
+        want = (np.stack([s[0] for s in singles]), np.stack([s[1] for s in singles]),
+                sum(s[2] for s in singles), sum(s[3] for s in singles))
+        for got, ref in zip((out.value, x.grad, w.grad, b.grad), want):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("x", [np.ones((2, 5, 5)), ad.Tensor(np.ones((2, 5, 5)))])
     def test_no_input_gradient_without_requires_grad(self, x):
@@ -300,6 +358,22 @@ class TestPhaseOps:
         out.backward(y)
         assert float(np.sum(a.value * a.grad)) == pytest.approx(
             float(np.sum(out.value * y)), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 8, 3, 5), (3, 4, 1, 1), (2, 1, 12, 2, 3)])
+    def test_depth_to_space_batch_adjoint(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        out = ad.depth_to_space(a)
+        *lead, c4, h, w = shape
+        assert out.shape == (*lead, c4 // 4, 2 * h, 2 * w)
+        y = rng.normal(size=out.shape)
+        out.backward(y)
+        assert float(np.sum(a.value * a.grad)) == pytest.approx(
+            float(np.sum(out.value * y)), rel=1e-12)
+        # each image is interleaved on its own
+        flat_a = a.value.reshape(-1, c4, h, w)
+        for i, img in enumerate(out.value.reshape(-1, c4 // 4, 2 * h, 2 * w)):
+            np.testing.assert_array_equal(img, ad.depth_to_space(flat_a[i]))
 
     def test_depth_to_space_layout(self):
         a = np.arange(4 * 2 * 3 * 3, dtype=np.float64).reshape(8, 3, 3)

@@ -58,14 +58,14 @@ class TestDifferenceLoss:
         d[0] = 1.0
         f = np.zeros((2, 2, 2))
         f[1] = 1.0
-        assert losses.difference_loss([d], [f], [d], [f]) == 0.0
+        assert losses.difference_loss(np.stack([d, d]), np.stack([f, f]), [0, 1]) == 0.0
 
     def test_single_source_sample(self):
         d = np.zeros((2, 1, 1))
         d[0] = 1.0
         f = np.zeros((2, 1, 1))
         f[0] = 2.0
-        assert losses.difference_loss([d], [f], [], []) == pytest.approx(4.0)
+        assert losses.difference_loss(d[None], f[None], [0]) == pytest.approx(4.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
@@ -73,7 +73,8 @@ class TestDifferenceLoss:
         f3s = [rng.normal(size=(3, 2, 4)) for _ in range(4)]
         dt = [rng.normal(size=(3, 2, 4)) for _ in range(3)]
         f3t = [rng.normal(size=(3, 2, 4)) for _ in range(3)]
-        got = losses.difference_loss(ds, f3s, dt, f3t)
+        got = losses.difference_loss(np.stack(ds + dt), np.stack(f3s + f3t),
+                                     [0] * 4 + [1] * 3)
         assert got == pytest.approx(brute_difference(ds, f3s, dt, f3t), abs=1e-12)
 
     def test_quadratic_scaling_in_one_sample(self):
@@ -85,48 +86,52 @@ class TestDifferenceLoss:
             for di, fi in zip(d, f)
         ]
         alpha = 1.7
-        scaled = losses.difference_loss(d, [f[0] * alpha, f[1]], [], [])
+        scaled = losses.difference_loss(np.stack(d), np.stack([f[0] * alpha, f[1]]),
+                                        [0, 0])
         want = (base_terms[0] * alpha**2 + base_terms[1]) / 2.0
         assert scaled == pytest.approx(want, rel=1e-12)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
             losses.difference_loss(
-                [np.zeros((2, 2, 2))], [np.zeros((3, 2, 2))], [], []
+                np.zeros((1, 2, 2, 2)), np.zeros((1, 3, 2, 2)), [0]
             )
 
 
 class TestReconstructionLoss:
     def test_identical_pairs(self):
-        x = np.ones((1, 3, 3))
-        assert losses.reconstruction_loss([x], [x]) == 0.0
+        x = np.ones((1, 1, 3, 3))
+        assert losses.reconstruction_loss(x, x, [0]) == 0.0
 
     def test_unit_differences(self):
-        x = np.zeros((1, 2, 2))
-        y = np.ones((1, 2, 2))
-        assert losses.reconstruction_loss([x], [y]) == pytest.approx(4.0)
+        x = np.zeros((1, 1, 2, 2))
+        y = np.ones((1, 1, 2, 2))
+        assert losses.reconstruction_loss(x, y, [0]) == pytest.approx(4.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
         xs = [rng.normal(size=(2, 3, 4)) for _ in range(5)]
         ys = [rng.normal(size=(2, 3, 4)) for _ in range(5)]
         want = sum(float(np.abs(x - y).sum()) for x, y in zip(xs, ys)) / 5.0
-        assert losses.reconstruction_loss(xs, ys) == pytest.approx(want, abs=1e-12)
+        got = losses.reconstruction_loss(np.stack(xs), np.stack(ys), [0] * 5)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(6)
         xs = [rng.normal(size=(1, 4, 4)) for _ in range(3)]
         ys = [rng.normal(size=(1, 4, 4)) for _ in range(3)]
-        assert losses.reconstruction_loss(xs, ys) == losses.reconstruction_loss(ys, xs)
+        xs, ys = np.stack(xs), np.stack(ys)
+        assert (losses.reconstruction_loss(xs, ys, [0, 1, 1])
+                == losses.reconstruction_loss(ys, xs, [0, 1, 1]))
 
     def test_normalize_flag(self):
-        x = np.zeros((1, 2, 2))
-        y = np.ones((1, 2, 2))
-        assert losses.reconstruction_loss([x], [y], normalize=True) == pytest.approx(1.0)
+        x = np.zeros((1, 1, 2, 2))
+        y = np.ones((1, 1, 2, 2))
+        assert losses.reconstruction_loss(x, y, [0], normalize=True) == pytest.approx(1.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            losses.reconstruction_loss([np.zeros((1, 2, 2))], [np.zeros((1, 3, 3))])
+            losses.reconstruction_loss(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)), [0])
 
 
 class TestFocalTerms:
@@ -188,35 +193,37 @@ def brute_region_instance(source_probs, target_probs, gamma):
 
 class TestRegionInstanceLoss:
     def test_single_images_single_groups(self):
-        got = losses.region_instance_loss([[0.5]], [[0.5]], 0.0)
+        got = losses.region_instance_loss([0.5, 0.5], [1, 1], [0, 1], 0.0)
         assert got == pytest.approx(0.6931471805599453, abs=1e-9)
 
     def test_confident_classifier_zero(self):
-        got = losses.region_instance_loss([[1.0, 1.0]], [[0.0]], 5.0)
+        got = losses.region_instance_loss([1.0, 1.0, 0.0], [2, 1], [0, 1], 5.0)
         assert got == pytest.approx(0.0, abs=1e-20)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
         src = [list(rng.uniform(0.05, 0.95, size=rng.integers(1, 5))) for _ in range(4)]
         tgt = [list(rng.uniform(0.05, 0.95, size=rng.integers(1, 5))) for _ in range(3)]
-        got = losses.region_instance_loss(src, tgt, 5.0)
+        got = losses.region_instance_loss(
+            np.concatenate(src + tgt), [len(p) for p in src + tgt],
+            [0] * len(src) + [1] * len(tgt), 5.0)
         assert got == pytest.approx(brute_region_instance(src, tgt, 5.0), abs=1e-12)
 
     def test_empty_group_list_rejected(self):
         with pytest.raises(ValueError):
-            losses.region_instance_loss([[]], [[0.5]], 5.0)
+            losses.region_instance_loss([0.5], [0, 1], [0, 1], 5.0)
 
 
 class TestLocalAdvLoss:
     def test_perfect_classifier_zero(self):
         s = np.zeros((1, 3, 3))
         t = np.ones((1, 3, 3))
-        assert losses.local_adv_loss([s], [t]) == 0.0
+        assert losses.local_adv_loss(np.stack([s, t]), [0, 1]) == 0.0
 
     def test_worst_classifier_two(self):
         s = np.ones((1, 2, 2))
         t = np.zeros((1, 2, 2))
-        assert losses.local_adv_loss([s], [t]) == pytest.approx(2.0)
+        assert losses.local_adv_loss(np.stack([s, t]), [0, 1]) == pytest.approx(2.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)
@@ -225,27 +232,26 @@ class TestLocalAdvLoss:
         s_pix = np.concatenate([m.ravel() for m in smaps])
         t_pix = np.concatenate([m.ravel() for m in tmaps])
         want = float((s_pix**2).mean() + ((1 - t_pix) ** 2).mean())
-        assert losses.local_adv_loss(smaps, tmaps) == pytest.approx(want, abs=1e-12)
+        got = losses.local_adv_loss(np.stack(smaps + tmaps), [0, 0, 0, 1, 1])
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestPooledAdvLoss:
     def test_perfect_and_worst_classifier(self):
-        assert losses.pooled_adv_loss(0.0, 1.0) == 0.0
-        assert losses.pooled_adv_loss(1.0, 0.0) == 2.0
+        assert losses.pooled_adv_loss([0.0, 1.0], [0, 1]) == 0.0
+        assert losses.pooled_adv_loss([1.0, 0.0], [0, 1]) == 2.0
 
     def test_equals_one_location_local_loss(self):
         ps, pt = 0.3, 0.8
-        want = losses.local_adv_loss([np.full((1, 1, 1), ps)], [np.full((1, 1, 1), pt)])
-        assert losses.pooled_adv_loss(ps, pt) == want
+        want = losses.local_adv_loss(np.array([ps, pt]).reshape(2, 1, 1, 1), [0, 1])
+        assert losses.pooled_adv_loss([ps, pt], [0, 1]) == want
 
     def test_gradient(self):
-        ps = ad.Tensor(0.3, requires_grad=True)
-        pt = ad.Tensor(0.8, requires_grad=True)
-        loss = losses.pooled_adv_loss(ps, pt)
+        p = ad.Tensor([0.3, 0.8], requires_grad=True)
+        loss = losses.pooled_adv_loss(p, [0, 1])
         loss.backward()
-        assert loss.item() == 0.3 * 0.3 + (1.0 - 0.8) * (1.0 - 0.8)
-        assert ps.grad == pytest.approx(0.6)
-        assert pt.grad == pytest.approx(-0.4)
+        assert float(loss.value) == 0.3 * 0.3 + (1.0 - 0.8) * (1.0 - 0.8)
+        assert p.grad == pytest.approx([0.6, -0.4])
 
 
 class TestObjective:
@@ -287,18 +293,18 @@ class TestDifferentiability:
 
     def test_difference_loss_gradients(self):
         rng = np.random.default_rng(11)
-        d = ad.Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
-        f = ad.Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
-        out = losses.difference_loss([d], [f], [], [])
+        d = ad.Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+        f = ad.Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+        out = losses.difference_loss(d, f, [0])
         out.backward()
         assert d.grad is not None and f.grad is not None
         eps = 1e-6
-        i = (0, 1, 2)
+        i = (0, 0, 1, 2)
         dv = d.value.copy()
         dv[i] += eps
-        hi = losses.difference_loss([dv], [f.value], [], [])
+        hi = losses.difference_loss(dv, f.value, [0])
         dv[i] -= 2 * eps
-        lo = losses.difference_loss([dv], [f.value], [], [])
+        lo = losses.difference_loss(dv, f.value, [0])
         assert d.grad[i] == pytest.approx((hi - lo) / (2 * eps), rel=1e-5)
 
     def test_focal_gradient(self):
@@ -314,9 +320,9 @@ class TestDifferentiability:
     def test_nonnegativity_everywhere(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            d = [rng.normal(size=(2, 2, 2))]
-            f = [rng.normal(size=(2, 2, 2))]
-            assert losses.difference_loss(d, f, [], []) >= 0.0
-            assert losses.reconstruction_loss(d, f) >= 0.0
-            maps = [rng.uniform(size=(1, 2, 2))]
-            assert losses.local_adv_loss(maps, maps) >= 0.0
+            d = rng.normal(size=(1, 2, 2, 2))
+            f = rng.normal(size=(1, 2, 2, 2))
+            assert losses.difference_loss(d, f, [0]) >= 0.0
+            assert losses.reconstruction_loss(d, f, [0]) >= 0.0
+            maps = np.repeat(rng.uniform(size=(1, 1, 2, 2)), 2, axis=0)
+            assert losses.local_adv_loss(maps, [0, 1]) >= 0.0

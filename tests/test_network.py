@@ -319,11 +319,11 @@ class TestFiniteDifferenceReport:
         def build():
             out = layer(ad.Tensor(x))
             diff = out - target
-            return ad.sum(diff * diff)
+            return {"l2": ad.sum(diff * diff)}
 
         named = [(f"lin.{n}", p) for n, p in layer.params()]
-        report = net.finite_difference_report(named, build, coords_per_param=30,
-                                              rng=np.random.default_rng(0))
+        report = net.finite_difference_report(named, build, ["l2"], coords_per_param=30,
+                                              rng=np.random.default_rng(0))["l2"]
         assert max(report.values()) < 1e-8
 
     def test_grl_branch_checked_at_transparent_lambda(self):
@@ -335,13 +335,13 @@ class TestFiniteDifferenceReport:
         x = rng.normal(size=(3, 4))
 
         def build(lam):
-            return ad.sum(ad.grl(layer(ad.Tensor(x)), lam) ** 2.0)
+            return {"sq": ad.sum(ad.grl(layer(ad.Tensor(x)), lam) ** 2.0)}
 
         named = [("lin.w", layer.w), ("lin.b", layer.b)]
         passing = net.finite_difference_report(
-            named, lambda: build(-1.0), coords_per_param=8,
+            named, lambda: build(-1.0), ["sq"], coords_per_param=8,
             rng=np.random.default_rng(0),
-        )
+        )["sq"]
         assert max(passing.values()) < 1e-8
 
     def test_grl_sign_symmetry_on_upstream_params(self):
@@ -365,12 +365,12 @@ class TestFiniteDifferenceReport:
             out = layer(ad.Tensor(x))
             scaled = out * (2.0 if flip["on"] else 1.0)
             flip["on"] = True  # finite differences probe a different function
-            return ad.sum(scaled * scaled)
+            return {"sq": ad.sum(scaled * scaled)}
 
         report = net.finite_difference_report(
-            [("lin.w", layer.w)], build_mismatch, coords_per_param=10,
+            [("lin.w", layer.w)], build_mismatch, ["sq"], coords_per_param=10,
             rng=np.random.default_rng(0),
-        )
+        )["sq"]
         assert max(report.values()) > 0.1
 
 

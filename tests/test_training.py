@@ -55,12 +55,21 @@ def test_injected_nan_raises_at_the_node():
     source, target = training.build_gradcheck_data(0)
     opt = ad.SGD(net.params(), lr=1e-3)
     net.dec[1].w.value[0, 0, 0, 0] = np.nan
-    with pytest.raises(training.TrainingDiverged, match="branch source forward") as err:
+    with pytest.raises(training.TrainingDiverged, match="branch pair forward") as err:
         training.train_step(net, source, target, losses.ObjectiveWeights(), opt)
     # caught where the NaN first enters a node, not at a branch output
     cause = err.value.__cause__
     assert isinstance(cause, FloatingPointError)
     assert traceback.extract_tb(cause.__traceback__)[-1].name == "__init__"
+
+
+def test_logged_total_uses_the_applied_lambda():
+    cfg = dataclasses.replace(tiny_config(2), lambda_warmup_steps=4)
+    row = training.train(cfg).rows[0]  # the warm-up starts at lam 0
+    terms = [row[c] for c in ("L_c", "L_r", "L_rec", "L_diff", "L_lg", "L_ri")]
+    at_zero = losses.total_objective(*terms, dataclasses.replace(cfg.weights, lam=0.0))
+    assert row["total"] == at_zero
+    assert at_zero != losses.total_objective(*terms, cfg.weights)
 
 
 def _last_row(path):
@@ -133,6 +142,19 @@ def test_gradcheck_through_the_detached_context(branch):
     assert report[branch]["max_rel_err"] <= 1e-6
 
 
+def test_one_forward_report_equals_the_per_branch_loop():
+    """The report reads every branch from one forward per perturbation; a
+    loop that rebuilds the graph for each branch must give the same bits."""
+    report = training.finite_difference_check(branches=["l_adv1", "l_ri"],
+                                              coords_per_param=1)
+    net, source, target = _pair_and_net()
+    loop = nw.finite_difference_report(
+        net.named_params(),
+        lambda: {"l_ri": training.branch_loss(net, source, target, "l_ri", -1.0)},
+        ["l_ri"], coords_per_param=1, rng=np.random.default_rng(1))
+    assert loop["l_ri"] == report["l_ri"]["per_param"]
+
+
 def _pair_and_net():
     net = nw.SeparationNet(training.gradcheck_network_spec(), seed=0)
     source, target = training.build_gradcheck_data(0)
@@ -149,6 +171,74 @@ def test_train_step_descends_the_checked_composite():
     training.branch_loss(net, source, target, "composite", lam=weights.lam).backward()
     for (name, p), g in zip(net.named_params(), trained):
         assert p.grad.tobytes() == g.tobytes(), name
+
+
+def _reference_losses(net, source_entry, target_entry, weights, lam):
+    """The per-image composition the pair forward replaced: each image runs
+    through every module on its own and each term is summed over the two
+    domains (normalised reconstruction)."""
+    def image_forward(entry, domain):
+        sample = entry.sample
+        f1, f2, f3 = net.forward_backbone(sample.rgb)
+        d = net.encode_private(sample.gray, domain)
+        p1map, f_l = net.local_domain(ad.grl(f1, lam))
+        p2, f_m = net.mid_domain(ad.grl(f2, lam))
+        p3, f_g = net.global_domain(ad.grl(f3, lam))
+        ctx = np.concatenate([f_l.value, f_m.value, f_g.value])
+        boxes = [p.box for p in entry.pset.proposals]
+        roi = nw.roi_pool(f3, boxes, net.spec.stride)
+        fr = ad.matmul(nw.group_mean_matrix(entry.groups, len(boxes)), roi)
+        fused = ad.concat([np.tile(ctx, (len(entry.groups), 1)), ad.grl(fr, lam)], axis=1)
+        return {"f3": f3, "d": d, "xhat": net.reconstruct(d, f3), "gray": sample.gray,
+                "p1map": p1map, "p2": p2, "p3": p3, "roi": roi,
+                "probs": net.region_domain(fused)}
+
+    s, t = image_forward(source_entry, "source"), image_forward(target_entry, "target")
+    logits, deltas = net.detector_head(s["roi"])
+    l_c, l_r = nw.detector_losses(logits, deltas, [p.box for p in source_entry.pset.proposals],
+                                  source_entry.sample.boxes, source_entry.sample.labels)
+
+    def rec(x):
+        return ad.sum(ad.absolute(x["gray"] - x["xhat"])) / float(x["gray"].size)
+
+    def diff(x):
+        inner = ad.sum(ad.mean(x["d"], axis=(1, 2)) * ad.mean(x["f3"], axis=(1, 2)))
+        return inner * inner
+
+    def clamp(p):
+        return ad.clip(p, losses.PROB_CLAMP, 1.0 - losses.PROB_CLAMP)
+
+    q = 1.0 - t["p1map"]
+    l_adv1 = ad.mean(s["p1map"] * s["p1map"]) + ad.mean(q * q)
+    l_adv2 = s["p2"] * s["p2"] + (1.0 - t["p2"]) * (1.0 - t["p2"])
+    l_adv3 = s["p3"] * s["p3"] + (1.0 - t["p3"]) * (1.0 - t["p3"])
+    ps, pt = clamp(s["probs"]), clamp(t["probs"])
+    l_ri = 0.5 * (ad.mean(-(ad.power(1.0 - ps, weights.gamma) * ad.log(ps)))
+                  + ad.mean(-(ad.power(pt, weights.gamma) * ad.log(1.0 - pt))))
+    l_rec, l_diff = rec(s) + rec(t), diff(s) + diff(t)
+    l_lg = l_adv1 + l_adv2 + l_adv3
+    composite = l_c + l_r + weights.beta * (l_rec + l_diff) + (l_lg + l_ri)
+    return {"l_c": l_c, "l_r": l_r, "l_rec": l_rec, "l_diff": l_diff, "l_adv1": l_adv1,
+            "l_adv2": l_adv2, "l_adv3": l_adv3, "l_lg": l_lg, "l_ri": l_ri,
+            "composite": composite}
+
+
+@pytest.mark.parametrize("seed, lam", [(0, 1.0), (1, 0.3)])
+def test_pair_forward_matches_the_per_image_composition(seed, lam):
+    net = nw.SeparationNet(training.gradcheck_network_spec(), seed=seed)
+    source, target = training.build_gradcheck_data(seed)
+    weights = losses.ObjectiveWeights()
+    named = net.named_params()
+    branches = list(training.ALL_BRANCHES) + ["l_lg"]
+    pair = training.compute_losses(net, source, target, weights, lam, normalize_rec=True)
+    ref = _reference_losses(net, source, target, weights, lam)
+    grads = nw.branch_gradients(named, pair, branches)
+    ref_grads = nw.branch_gradients(named, ref, branches)
+    for branch in branches:
+        want = float(ref[branch].value)
+        assert abs(float(pair[branch].value) - want) <= 1e-12 * abs(want), branch
+        for (name, _), got, g in zip(named, grads[branch], ref_grads[branch]):
+            assert np.abs(got - g).max() <= 1e-12 * np.abs(g).max(), (branch, name)
 
 
 def test_compute_losses_returns_every_branch():
