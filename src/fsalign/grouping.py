@@ -2,13 +2,12 @@
 
 Proposal boxes are clustered on their (bx, by) centers only; widths and
 heights ride along. Proposals flagged as outliers (farther than sigma_star
-from every cluster center) are excluded from grouping, and each surviving
-cluster is summarised by the mean of its members' instance features.
+from every cluster center) are excluded from grouping. Each surviving group
+is pooled over the backbone's f3 features by `network.group_mean_matrix`.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,56 +88,23 @@ def apply_deltas(box, deltas):
 @dataclass
 class Proposal:
     box: BoundingBox
-    feature: np.ndarray
     objectness: float = 1.0
-
-    def __post_init__(self):
-        self.feature = np.asarray(self.feature, dtype=np.float64)
 
 
 @dataclass
 class ProposalSet:
     proposals: list
-    image_id: str = ""
 
     def __post_init__(self):
         if not self.proposals:
             raise ValueError("a proposal set needs at least one proposal")
-        dims = {p.feature.shape for p in self.proposals}
-        if len(dims) > 1:
-            raise ValueError("all proposal features must share one length")
 
     def centers(self):
         return np.array([[p.box.bx, p.box.by] for p in self.proposals])
 
 
-@dataclass
-class InstanceGroup:
-    member_indices: list
-    center: np.ndarray
-    pooled_feature: np.ndarray
-
-
-@dataclass
-class GroupingResult:
-    groups: list
-    outliers: list
-    model: ssc.SelectedModel
-    clustering: ssc.ClusteringResult = field(default=None, repr=False)
-
-
-def pool_group(features):
-    """Componentwise mean of a nonempty list of equal-length vectors."""
-    if not len(features):
-        raise ValueError("cannot pool an empty group")
-    arr = [np.asarray(f, dtype=np.float64) for f in features]
-    if len({a.shape for a in arr}) > 1:
-        raise ValueError("feature lengths differ")
-    return np.mean(arr, axis=0)
-
-
 def cluster_box_centers(centers, cfg=None):
-    """Geometric core shared with the trainer: cluster (N, 2) box centers.
+    """Cluster (N, 2) box centers into proposal groups.
 
     Returns (member_index_lists, outlier_indices, clustering_result); empty
     clusters are dropped. Raises DegenerateGroupingError when every center is
@@ -158,80 +124,3 @@ def cluster_box_centers(centers, cfg=None):
         )
     return members, outliers, result
 
-
-def _build_groups(pset, cfg, feature_of):
-    members, outliers, result = cluster_box_centers(pset.centers(), cfg)
-    labels = result.assignment.labels
-    groups = []
-    for m in members:
-        k = int(labels[m[0]])
-        groups.append(
-            InstanceGroup(
-                member_indices=m,
-                center=result.model.centers[k].copy(),
-                pooled_feature=pool_group([feature_of(i) for i in m]),
-            )
-        )
-    return GroupingResult(
-        groups=groups, outliers=outliers, model=result.model, clustering=result
-    )
-
-
-def cluster_proposals(pset, cfg=None):
-    """Group a proposal set; each group pools its members' raw features."""
-    return _build_groups(pset, cfg, lambda i: pset.proposals[i].feature)
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-# ---------------------------------------------------------------------------
-
-def proposal_set_to_dict(pset):
-    return {
-        "image_id": pset.image_id,
-        "proposals": [
-            {
-                "bx": p.box.bx,
-                "by": p.box.by,
-                "w": p.box.w,
-                "h": p.box.h,
-                "objectness": p.objectness,
-                "feature": [float(v) for v in p.feature],
-            }
-            for p in pset.proposals
-        ],
-    }
-
-
-def proposal_set_from_dict(data):
-    props = [
-        Proposal(
-            box=BoundingBox(bx=d["bx"], by=d["by"], w=d["w"], h=d["h"]),
-            feature=np.asarray(d["feature"], dtype=np.float64),
-            objectness=float(d.get("objectness", 1.0)),
-        )
-        for d in data["proposals"]
-    ]
-    return ProposalSet(proposals=props, image_id=str(data.get("image_id", "")))
-
-
-def load_proposal_set(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return proposal_set_from_dict(json.load(fh))
-
-
-def grouping_result_to_dict(result):
-    out = {
-        "groups": [
-            {
-                "members": list(g.member_indices),
-                "center": [float(g.center[0]), float(g.center[1])],
-                "pooled_feature": [float(v) for v in g.pooled_feature],
-            }
-            for g in result.groups
-        ],
-        "outliers": list(result.outliers),
-    }
-    if result.clustering is not None:
-        out["clustering"] = ssc.result_to_dict(result.clustering)
-    return out

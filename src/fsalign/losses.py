@@ -108,12 +108,6 @@ def focal_source_term(p, gamma):
     return -(ad.power(1.0 - pc, gamma) * ad.log(pc))
 
 
-def focal_target_term(p, gamma):
-    """-p^gamma * log(1-p) for a target-domain probability p: the source
-    term of the target probability 1 - p."""
-    return focal_source_term(1.0 - p, gamma)
-
-
 def region_instance_loss(probs, groups_per_image, domains, gamma):
     """Focal domain loss over group probabilities.
 

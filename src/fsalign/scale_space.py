@@ -131,21 +131,6 @@ def as_points(points):
     return pts
 
 
-def gaussian_weight(x, c, sigma):
-    """exp(-||x - c||^2 / (2 sigma^2)), the blur kernel response at x."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    d = np.asarray(x, dtype=np.float64) - np.asarray(c, dtype=np.float64)
-    return float(np.exp(-np.dot(d, d) / (2.0 * sigma * sigma)))
-
-
-def density(points, x, sigma):
-    """Blurred scatter-image value at x: sum of kernel responses."""
-    points = as_points(points)
-    d = points - np.asarray(x, dtype=np.float64)
-    return float(np.exp(-(d * d).sum(axis=1) / (2.0 * sigma * sigma)).sum())
-
-
 def _shift_all(points, centers, sigma):
     """One mean-shift update of every center; rows with underflowed kernel
     mass are kept in place and reported as isolated.
@@ -171,22 +156,6 @@ def _shift_all(points, centers, sigma):
     new = (w @ points) / safe[:, None]
     new[isolated] = centers[isolated]
     return new, isolated
-
-
-def mean_shift_step(points, center, sigma):
-    """Kernel-weighted mean of the points around `center`.
-
-    Fixed-point map of the blurred-density stationarity condition: iterating
-    it climbs to a density mode. Returns (new_center, isolated); `isolated`
-    is True when every kernel weight underflowed (sigma far too small for
-    this center), in which case the center is returned unchanged.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    points = as_points(points)
-    center = np.asarray(center, dtype=np.float64)
-    new, isolated = _shift_all(points, center[None, :], sigma)
-    return new[0], bool(isolated[0])
 
 
 def _merge_centers(centers, tol):

@@ -4,15 +4,15 @@ Source images are clean colored shapes (disk / square / triangle) on a dark
 background; target images are color-shifted, blurred, fogged and noised
 variants of independently drawn scenes. A proposal generator stands in for a
 region proposal network: redundant jittered copies of every ground-truth box
-plus a few background boxes.
+plus a few background boxes, each proposal carrying a box and an objectness
+score.
 
 Everything is a pure function of (spec, seed). Target-domain ground truth is
 carried for evaluation but fenced off from training code paths.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,17 +280,6 @@ def apply_domain_shift(sample, shift=None, seed=0):
     )
 
 
-def _box_feature(rgb, box):
-    """Mean RGB inside the (clipped) box; generation-time stand-in feature."""
-    _, h, w = rgb.shape
-    x0, y0, x1, y1 = box.corners()
-    j0, j1 = max(int(math.floor(x0)), 0), min(int(math.ceil(x1)), w)
-    i0, i1 = max(int(math.floor(y0)), 0), min(int(math.ceil(y1)), h)
-    if j1 <= j0 or i1 <= i0:
-        return rgb.mean(axis=(1, 2))
-    return rgb[:, i0:i1, j0:j1].mean(axis=(1, 2))
-
-
 def generate_proposals(sample, noise=None, seed=0):
     """Redundant noisy proposals around the ground-truth boxes plus background.
 
@@ -322,11 +311,7 @@ def generate_proposals(sample, noise=None, seed=0):
                 h=gt.h * sh,
             )
             proposals.append(
-                Proposal(
-                    box=box,
-                    feature=_box_feature(sample.rgb, box),
-                    objectness=float(rng.uniform(0.6, 1.0)),
-                )
+                Proposal(box=box, objectness=float(rng.uniform(0.6, 1.0)))
             )
     centers = np.array([[b.bx, b.by] for b in gt_boxes])
     for _ in range(noise.background_count):
@@ -342,68 +327,9 @@ def generate_proposals(sample, noise=None, seed=0):
             bx=bx, by=by, w=float(rng.uniform(8.0, 14.0)), h=float(rng.uniform(8.0, 14.0))
         )
         proposals.append(
-            Proposal(
-                box=box,
-                feature=_box_feature(sample.rgb, box),
-                objectness=float(rng.uniform(0.2, 0.7)),
-            )
+            Proposal(box=box, objectness=float(rng.uniform(0.2, 0.7)))
         )
-    return ProposalSet(proposals=proposals, image_id=sample.image_id)
-
-
-# ---------------------------------------------------------------------------
-# corpus on disk
-# ---------------------------------------------------------------------------
-
-def write_ppm(path, rgb):
-    """8-bit binary PPM (P6)."""
-    arr = np.clip(np.round(np.asarray(rgb) * 255.0), 0, 255).astype(np.uint8)
-    _, h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.transpose(1, 2, 0).tobytes())
-
-
-def read_ppm(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P6"):
-        raise ValueError("not a binary PPM file")
-    fields, pos = [], 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
-    pixels = np.frombuffer(data, dtype=np.uint8, count=h * w * 3, offset=pos)
-    return pixels.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / maxval
-
-
-def sample_labels_dict(sample):
-    return {
-        "image_id": sample.image_id,
-        "domain": sample.domain,
-        "boxes": [[b.bx, b.by, b.w, b.h] for b in sample.eval_boxes()],
-        "labels": sample.eval_labels(),
-    }
-
-
-def load_sample(image_path, labels_path):
-    rgb = read_ppm(image_path)
-    with open(labels_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return Sample(
-        image_id=meta["image_id"],
-        domain=meta["domain"],
-        rgb=rgb,
-        gray=rgb_to_grayscale(rgb),
-        boxes=[BoundingBox(*b) for b in meta["boxes"]],
-        labels=meta["labels"],
-    )
+    return ProposalSet(proposals=proposals)
 
 
 def scene_seed(base_seed, domain, index):

@@ -1,43 +1,30 @@
-import json
-
 import numpy as np
 import pytest
 
 from fsalign import grouping as grp
+from fsalign import training
 from fsalign.scale_space import ScaleSweepConfig
 
-
-def make_proposal(bx, by, w=8.0, h=8.0, feature=(1.0, 0.0), objectness=0.9):
-    return grp.Proposal(
-        box=grp.BoundingBox(bx=bx, by=by, w=w, h=h),
-        feature=np.asarray(feature, dtype=np.float64),
-        objectness=objectness,
-    )
+PILES = ((12.0, 12.0), (52.0, 12.0))
 
 
-def two_object_set(seed=0, jitter=2.0, per_object=6):
-    """Proposals jittered around (12, 12) and (52, 12) plus two background
-    boxes whose modes die early in the sweep (moderate distance from the
-    object piles), so they end up outliers rather than singleton clusters."""
+def two_object_centers(seed=0, jitter=2.0, per_object=6):
+    """Box centers jittered around the two PILES plus two background centers
+    whose modes die early in the sweep (moderate distance from the object
+    piles), so they end up outliers rather than singleton clusters."""
     rng = np.random.default_rng(seed)
-    props = []
-    for cx, cy in ((12.0, 12.0), (52.0, 12.0)):
-        for _ in range(per_object):
-            props.append(
-                make_proposal(
-                    cx + rng.normal() * jitter,
-                    cy + rng.normal() * jitter,
-                    feature=rng.normal(size=4),
-                )
-            )
-    for cx, cy in ((12.0, 25.0), (52.0, 25.5)):
-        props.append(
-            make_proposal(
-                cx + rng.normal() * 0.7, cy + rng.normal() * 0.7,
-                feature=rng.normal(size=4),
-            )
-        )
-    return grp.ProposalSet(proposals=props, image_id="img0")
+    pts = [(cx + rng.normal() * jitter, cy + rng.normal() * jitter)
+           for cx, cy in PILES for _ in range(per_object)]
+    pts += [(cx + rng.normal() * 0.7, cy + rng.normal() * 0.7)
+            for cx, cy in ((12.0, 25.0), (52.0, 25.5))]
+    return np.array(pts)
+
+
+# corners of a square: the default sigma0 (half the 5th-percentile distance,
+# 7.07) starts the sweep where the four modes merge. K = 4 lives one scale,
+# with centers 0.55 from the origin, so every point lies farther than
+# sigma_star from every center and is an outlier
+SQUARE = [(10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)]
 
 
 class TestBoundingBox:
@@ -74,143 +61,67 @@ class TestBoundingBox:
         assert refined.h == pytest.approx(g.h)
 
 
-class TestPoolGroup:
-    def test_singleton(self):
-        v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(grp.pool_group([v]), v)
-
-    def test_two_vectors(self):
-        got = grp.pool_group([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        np.testing.assert_array_equal(got, [0.5, 0.5])
-
-    def test_matches_brute_force_exactly(self):
-        rng = np.random.default_rng(3)
-        feats = [rng.normal(size=8) for _ in range(100)]
-        want = np.zeros(8)
-        for f in feats:
-            want += f
-        want /= 100.0
-        np.testing.assert_allclose(grp.pool_group(feats), want, atol=0)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(4)
-        feats = [rng.normal(size=5) for _ in range(7)]
-        a = 2.5
-        np.testing.assert_allclose(
-            grp.pool_group([a * f for f in feats]), a * grp.pool_group(feats),
-            rtol=1e-12,
-        )
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            grp.pool_group([np.zeros(3), np.zeros(4)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            grp.pool_group([])
-
-
 class TestClusterProposals:
+    """Proposal grouping: `cluster_box_centers` on (N, 2) box centers."""
+
     def test_single_proposal_single_group(self):
-        pset = grp.ProposalSet([make_proposal(10, 10, feature=(3.0, 4.0))])
-        res = grp.cluster_proposals(pset)
-        assert len(res.groups) == 1 and not res.outliers
-        np.testing.assert_array_equal(res.groups[0].pooled_feature, [3.0, 4.0])
+        members, outliers, _ = grp.cluster_box_centers([(10.0, 10.0)])
+        assert members == [[0]] and outliers == []
 
     def test_two_objects_and_background_outliers(self):
-        pset = two_object_set(seed=11)
-        res = grp.cluster_proposals(pset)
+        pts = two_object_centers(seed=11)
+        members, outliers, res = grp.cluster_box_centers(pts)
         assert res.model.K == 2
-        assert set(res.outliers) == {12, 13}
+        assert set(outliers) == {12, 13}
         # oracle: brute-force distance to the two known object centers
-        for g in res.groups:
-            for i in g.member_indices:
-                p = pset.proposals[i].box
-                d0 = np.hypot(p.bx - 10, p.by - 10)
-                d1 = np.hypot(p.bx - 50, p.by - 10)
-                assert min(d0, d1) < 6.0
+        for m in members:
+            for i in m:
+                assert min(np.hypot(*(pts[i] - c)) for c in PILES) < 6.0
 
     def test_partition_property(self):
-        pset = two_object_set(seed=21)
-        res = grp.cluster_proposals(pset)
-        seen = sorted(
-            i for g in res.groups for i in g.member_indices
-        ) + sorted(res.outliers)
-        assert sorted(seen) == list(range(len(pset.proposals)))
+        pts = two_object_centers(seed=21)
+        members, outliers, _ = grp.cluster_box_centers(pts)
+        seen = [i for m in members for i in m] + outliers
+        assert sorted(seen) == list(range(len(pts)))
 
     def test_permutation_invariance(self):
-        pset = two_object_set(seed=31)
-        rng = np.random.default_rng(0)
-        perm = rng.permutation(len(pset.proposals))
-        shuffled = grp.ProposalSet(
-            [pset.proposals[i] for i in perm], image_id="perm"
-        )
-        r1 = grp.cluster_proposals(pset)
-        r2 = grp.cluster_proposals(shuffled)
-        sets1 = {frozenset(g.member_indices) for g in r1.groups}
-        sets2 = {
-            frozenset(int(perm[i]) for i in g.member_indices) for g in r2.groups
+        pts = two_object_centers(seed=31)
+        perm = np.random.default_rng(0).permutation(len(pts))
+        m1, o1, _ = grp.cluster_box_centers(pts)
+        m2, o2, _ = grp.cluster_box_centers(pts[perm])
+        assert {frozenset(m) for m in m1} == {
+            frozenset(int(perm[i]) for i in m) for m in m2
         }
-        assert sets1 == sets2
-        assert {int(perm[i]) for i in r2.outliers} == set(r1.outliers)
-        pooled1 = sorted(tuple(g.pooled_feature) for g in r1.groups)
-        pooled2 = sorted(tuple(g.pooled_feature) for g in r2.groups)
-        np.testing.assert_allclose(pooled1, pooled2, atol=1e-12)
-
-    def test_pooled_is_member_mean(self):
-        pset = two_object_set(seed=41)
-        res = grp.cluster_proposals(pset)
-        for g in res.groups:
-            want = np.mean([pset.proposals[i].feature for i in g.member_indices], axis=0)
-            np.testing.assert_allclose(g.pooled_feature, want, atol=1e-12)
+        assert {int(perm[i]) for i in o2} == set(o1)
 
     def test_adaptive_k_tracks_object_count(self):
         rng = np.random.default_rng(51)
-        def make_set(centers):
-            props = []
-            for cx, cy in centers:
-                for _ in range(6):
-                    props.append(
-                        make_proposal(cx + rng.normal(), cy + rng.normal(),
-                                      feature=rng.normal(size=3))
-                    )
-            return grp.ProposalSet(props)
+
+        def make_centers(objects):
+            return np.array([(cx + rng.normal(), cy + rng.normal())
+                             for cx, cy in objects for _ in range(6)])
+
         cfg = ScaleSweepConfig()
-        r2 = grp.cluster_proposals(make_set([(10, 10), (50, 50)]), cfg)
+        _, _, r2 = grp.cluster_box_centers(make_centers([(10, 10), (50, 50)]), cfg)
         centers5 = [(10, 10), (50, 10), (10, 50), (50, 50), (30, 30)]
-        r5 = grp.cluster_proposals(make_set(centers5), cfg)
+        _, _, r5 = grp.cluster_box_centers(make_centers(centers5), cfg)
         assert r2.model.K == 2
         assert r5.model.K == 5
 
-    def test_all_outliers_degenerate_error(self):
-        # one tight pile plus one far point: sigma_star stays tiny, so a
-        # hand-built model is needed to force the degenerate branch; emulate
-        # by clustering two coincident points with a far singleton
-        pset = grp.ProposalSet(
-            [make_proposal(0, 0), make_proposal(0, 0), make_proposal(200, 200)]
-        )
-        res = grp.cluster_proposals(pset)
-        # the pile is a group; the far point is an outlier
-        assert len(res.groups) >= 1
-        assert 2 in res.outliers
+    def test_coincident_centers_far_point_is_outlier(self):
+        members, outliers, _ = grp.cluster_box_centers([(0, 0), (0, 0), (200, 200)])
+        assert members == [[0, 1]] and outliers == [2]
 
 
-class TestJsonRoundTrip:
-    def test_proposal_set(self, tmp_path):
-        pset = two_object_set(seed=71)
-        d = grp.proposal_set_to_dict(pset)
-        path = tmp_path / "props.json"
-        path.write_text(json.dumps(d))
-        back = grp.load_proposal_set(path)
-        assert back.image_id == pset.image_id
-        for a, b in zip(back.proposals, pset.proposals):
-            assert a.box.bx == b.box.bx and a.box.h == b.box.h
-            np.testing.assert_array_equal(a.feature, b.feature)
+class TestDegenerateFallback:
+    def test_evenly_spaced_centers_raise(self):
+        with pytest.raises(grp.DegenerateGroupingError):
+            grp.cluster_box_centers(SQUARE)
 
-    def test_grouping_dict_embeds_clustering(self):
-        res = grp.cluster_proposals(two_object_set(seed=81))
-        d = grp.grouping_result_to_dict(res)
-        assert "clustering" in d and d["clustering"]["k"] == len(d["groups"])
-        assert all(
-            len(g["members"]) > 0 and len(g["center"]) == 2 for g in d["groups"]
-        )
+    def test_trainer_falls_back_to_one_group(self):
+        pset = grp.ProposalSet([
+            grp.Proposal(box=grp.BoundingBox(bx=bx, by=by, w=8.0, h=8.0))
+            for bx, by in SQUARE
+        ])
+        entry = training._grouped_entry(None, pset, ScaleSweepConfig())
+        assert entry.groups == [[0, 1, 2, 3]] and entry.outliers == []

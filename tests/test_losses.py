@@ -139,25 +139,20 @@ class TestFocalTerms:
         assert losses.focal_source_term(0.5, 0.0) == pytest.approx(
             0.6931471805599453, abs=1e-12
         )
-        assert losses.focal_target_term(0.5, 0.0) == pytest.approx(
-            0.6931471805599453, abs=1e-12
-        )
 
     def test_confident_terms_vanish(self):
         assert losses.focal_source_term(1.0, 5.0) == pytest.approx(0.0, abs=1e-20)
-        assert losses.focal_target_term(0.0, 5.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_gamma_five_frozen_value(self):
         # -(0.1)^5 * log(0.9), frozen with 50-digit arithmetic
         want = 1.0536051565782630e-06
         assert losses.focal_source_term(0.9, 5.0) == pytest.approx(want, rel=1e-12)
-        assert losses.focal_target_term(0.1, 5.0) == pytest.approx(want, rel=1e-12)
 
     def test_bce_equivalence_at_gamma_zero(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             p, q = rng.uniform(1e-6, 1 - 1e-6, size=2)
-            got = losses.focal_source_term(p, 0.0) + losses.focal_target_term(q, 0.0)
+            got = losses.focal_source_term(p, 0.0) + losses.focal_source_term(1 - q, 0.0)
             want = -math.log(p) - math.log(1.0 - q)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -165,7 +160,7 @@ class TestFocalTerms:
         rng = np.random.default_rng(8)
         for p in rng.uniform(0, 1, size=50):
             assert losses.focal_source_term(p, 5.0) >= 0.0
-            assert losses.focal_target_term(p, 5.0) >= 0.0
+            assert losses.focal_source_term(1 - p, 5.0) >= 0.0
 
 
 def brute_region_instance(source_probs, target_probs, gamma):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,59 +19,43 @@ def make_blobs(centers, n_per, spread, seed):
     return np.concatenate(pts)
 
 
-class TestGaussianWeight:
-    def test_zero_distance(self):
-        assert ssc.gaussian_weight((0, 0), (0, 0), 1.0) == 1.0
-
-    def test_unit_distance(self):
-        # exp(-1/2), frozen with 50-digit arithmetic
-        assert ssc.gaussian_weight((1, 0), (0, 0), 1.0) == pytest.approx(
-            0.6065306597126334, abs=1e-15
-        )
-
-    def test_three_four_five(self):
-        assert ssc.gaussian_weight((3, 4), (0, 0), 5.0) == pytest.approx(
-            math.exp(-0.5), abs=1e-15
-        )
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            ssc.gaussian_weight((0, 0), (1, 1), 0.0)
+def density(points, x, sigma):
+    """Blurred scatter-image value at x: the sum of the kernel responses."""
+    d = np.asarray(points, dtype=np.float64) - np.asarray(x, dtype=np.float64)
+    return float(np.exp(-(d * d).sum(axis=1) / (2.0 * sigma * sigma)).sum())
 
 
 class TestMeanShiftStep:
+    """The mean-shift update, driven through `converge_centers`."""
+
     def test_symmetric_midpoint_is_fixed(self):
-        pts = [(-1.0, 0.0), (1.0, 0.0)]
+        cfg = ssc.ScaleSweepConfig()
         for sigma in (0.5, 1.0, 7.0):
-            new, isolated = ssc.mean_shift_step(pts, (0.0, 0.0), sigma)
-            assert not isolated
-            np.testing.assert_allclose(new, [0.0, 0.0], atol=1e-15)
+            snap = ssc.converge_centers([(-1.0, 0.0), (1.0, 0.0)], [(0.0, 0.0)], sigma, cfg)
+            assert snap.iters == 1
+            np.testing.assert_allclose(snap.centers, [[0.0, 0.0]], atol=1e-15)
 
     def test_single_point_is_global_mode(self):
-        new, _ = ssc.mean_shift_step([(5.0, 5.0)], (0.0, 0.0), 10.0)
-        np.testing.assert_allclose(new, [5.0, 5.0], atol=1e-12)
+        cfg = ssc.ScaleSweepConfig()
+        snap = ssc.converge_centers([(5.0, 5.0)], [(0.0, 0.0)], 10.0, cfg)
+        np.testing.assert_allclose(snap.centers, [[5.0, 5.0]], atol=1e-12)
 
     def test_iteration_converges_to_near_mode(self):
-        pts = [(0.0, 0.0), (10.0, 0.0)]
-        c = np.array([0.1, 0.0])
-        for _ in range(200):
-            c, _ = ssc.mean_shift_step(pts, c, 1.0)
-        np.testing.assert_allclose(c, [0.0, 0.0], atol=1e-6)
-
-    def test_isolated_center_stays_put(self):
-        new, isolated = ssc.mean_shift_step([(1e6, 1e6)], (0.0, 0.0), 1e-3)
-        assert isolated
-        np.testing.assert_array_equal(new, [0.0, 0.0])
+        cfg = ssc.ScaleSweepConfig()
+        snap = ssc.converge_centers([(0.0, 0.0), (10.0, 0.0)], [(0.1, 0.0)], 1.0, cfg)
+        np.testing.assert_allclose(snap.centers, [[0.0, 0.0]], atol=1e-6)
 
     def test_mode_ascent(self):
+        # one mean-shift step per call: the density never drops along the way
+        cfg = ssc.ScaleSweepConfig(max_inner_iters=1)
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(40, 2)) * 3.0
         for sigma in (0.5, 1.5):
             c = rng.normal(size=2) * 3.0
-            prev = ssc.density(pts, c, sigma)
+            prev = density(pts, c, sigma)
             for _ in range(50):
-                c, _ = ssc.mean_shift_step(pts, c, sigma)
-                cur = ssc.density(pts, c, sigma)
+                c = ssc.converge_centers(pts, c, sigma, cfg).centers[0]
+                cur = density(pts, c, sigma)
                 assert cur >= prev - 1e-12
                 prev = cur
 

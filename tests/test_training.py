@@ -173,6 +173,22 @@ def test_train_step_descends_the_checked_composite():
         assert p.grad.tobytes() == g.tobytes(), name
 
 
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_composite_gradient_is_the_weighted_branch_sum(lam):
+    """Read from one graph, the composite's gradient equals the weighted sum
+    of the branch gradients; not bitwise, as the summation order differs."""
+    net, source, target = _pair_and_net()
+    named = net.named_params()
+    beta = training.TrainConfig().weights.beta
+    g = nw.branch_gradients(named, training._checked_losses(net, source, target, lam),
+                            training.ALL_BRANCHES)
+    for i, (name, _) in enumerate(named):
+        want = (g["l_c"][i] + g["l_r"][i] + beta * (g["l_rec"][i] + g["l_diff"][i])
+                + g["l_adv1"][i] + g["l_adv2"][i] + g["l_adv3"][i] + g["l_ri"][i])
+        got = g["composite"][i]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(got).max(), name
+
+
 def _reference_losses(net, source_entry, target_entry, weights, lam):
     """The per-image composition the pair forward replaced: each image runs
     through every module on its own and each term is summed over the two
