@@ -513,69 +513,94 @@ def upsample2x(a):
     )
 
 
-def _phase_taps():
-    """(4, 9, 9) 0/1 matrices from the 9 taps of a 3x3 kernel to the taps of
-    its phase kernel at output phase (i, j), stacked in order 2i+j.
+def _upsample_taps():
+    """(9, 16) 0/1 matrix from the 9 taps (p, q) of a 3x3 kernel to the 16
+    taps (i, j, a, b) of its four 2x2 phase kernels, tap (a, b) of phase
+    (i, j) at column 8i + 4j + 2a + b.
 
     A pad-1 tap of the nearest-upsampled map at output row 2y+i reads source
-    rows (y-1, y, y) for i = 0 and (y, y, y+1) for i = 1, so per axis phase 0
-    has taps (w0, w1+w2, 0) and phase 1 has taps (0, w0+w1, w2).
+    rows (y-1, y, y) for i = 0 and (y, y, y+1) for i = 1. In the pad-1 source
+    that is row y+i+a, so per axis phase 0 has taps (w0, w1+w2) and phase 1
+    has taps (w0+w1, w2).
     """
     per_axis = np.array([
-        [[1, 0, 0], [0, 1, 1], [0, 0, 0]],
-        [[0, 0, 0], [1, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 1]],
+        [[1, 1, 0], [0, 0, 1]],
     ], dtype=np.float64)
-    return np.einsum("iap,jbq->ijabpq", per_axis, per_axis).reshape(4, 9, 9)
+    return np.einsum("iap,jbq->pqijab", per_axis, per_axis).reshape(9, 16)
 
 
-_PHASE_TAPS = _phase_taps()
-_PHASE_TAPS_T = np.ascontiguousarray(_PHASE_TAPS.transpose(0, 2, 1))
+_UPSAMPLE_TAPS = _upsample_taps()
 
 
-def upsample_kernels(w):
-    """Phase kernels of a (O, C, 3, 3) kernel: (4O, C, 3, 3), where channel
-    (2i+j)*O + k is the kernel of map k at output phase (i, j).
+def _tap_windows(a, n, h, w):
+    """Window view of a (16, O, n*(h+2)*(w+2)) array over the flattened
+    pad-1 grid of an (n, h, w) batch: entry [i, j, a, b, o, k, y, x] is
+    `a[8i+4j+2a+b, o]` at grid cell (k, y+i+a, x+j+b)."""
+    s16, so, s1 = a.strides
+    hp, wp = h + 2, w + 2
+    return np.ndarray((2, 2, 2, 2, a.shape[1], n, h, w), np.float64, a, 0,
+                      (8 * s16 + wp * s1, 4 * s16 + s1, 2 * s16 + wp * s1, s16 + s1,
+                       so, hp * wp * s1, wp * s1, s1))
 
-    A stride-1 pad-1 convolution of `upsample2x(x)` with `w` equals
-    `depth_to_space` of the convolution of `x` with these kernels.
+
+def upsample_conv2d(x, w, b):
+    """3x3 stride-1 pad-1 convolution with (O, C, 3, 3) kernels `w` of the
+    nearest 2x upsampling of a (C, H, W) image or an (N, C, H, W) batch,
+    giving (O, 2H, 2W) or (N, O, 2H, 2W); equal to
+    `conv2d(upsample2x(x), w, b)`.
+
+    It runs at input resolution with only the taps that reach each output
+    phase: the output at rows 2y+i and columns 2x+j sums four taps (a, b),
+    each reading the pad-1 source at (y+i+a, x+j+b). `_UPSAMPLE_TAPS` folds
+    `w` into these 16 (O, C) tap kernels. The forward is one GEMM of the
+    stacked (16O, C) kernels with the source's flattened pad-1 grid, whose
+    columns are already the shifted inputs of every tap; each phase then
+    sums its four taps' products at their shifts (`_tap_windows`). The vjp
+    scatters the phase gradients to those shifts once and takes the weight
+    gradient and, only when `x` requires grad, the input gradient as one
+    GEMM each.
     """
+    xt = isinstance(x, Tensor)
+    xv = x.value if xt else np.asarray(x, dtype=np.float64)
     wv = w.value if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
+    bv = b.value if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
     o, c, kh, kw = wv.shape
     if (kh, kw) != (3, 3):
-        raise ValueError("upsample_kernels needs 3x3 kernels")
-    # one matmul, broadcast over the phases, lands in (phase, O, C, tap) order
-    out = np.matmul(wv.reshape(o * c, 9), _PHASE_TAPS_T).reshape(4 * o, c, 3, 3)
-    if not isinstance(w, Tensor):
+        raise ValueError("upsample_conv2d needs 3x3 kernels")
+    single = xv.ndim == 3
+    xb = xv[None] if single else xv
+    n, cx, h, wd = xb.shape
+    if cx != c:
+        raise ValueError(f"upsample_conv2d channel mismatch: input {cx}, kernel {c}")
+    grid = _embed(xb.transpose(1, 0, 2, 3), 1, 1, h + 2, wd + 2).reshape(c, -1)
+    kern = (_UPSAMPLE_TAPS.T @ wv.reshape(o * c, 9).T).reshape(16 * o, c)
+    taps = (kern @ grid).reshape(16, o, -1)
+    # (i, j, O, n, y, x) -> (n, O, 2y+i, 2x+j)
+    phases = _tap_windows(taps, n, h, wd).sum(axis=(2, 3)) + bv[:, None, None, None]
+    out = phases.transpose(3, 2, 4, 0, 5, 1).reshape(n, o, 2 * h, 2 * wd)
+    out = out[0] if single else out
+    if not (xt or isinstance(w, Tensor) or isinstance(b, Tensor)):
         return out
 
-    def vjp(g):
-        gm = np.matmul(g.reshape(4, o * c, 9), _PHASE_TAPS).sum(axis=0)
-        return (gm.reshape(o, c, 3, 3),)
-
-    return Tensor(out, _parents=(w,), _vjp=vjp)
-
-
-def depth_to_space(a):
-    """(..., 4O, H, W) -> (..., O, 2H, 2W): channel (2i+j)*O + k fills rows
-    2y+i and columns 2x+j of map k. Leading (batch) axes pass through."""
-    av = a.value if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-    if av.ndim < 3 or av.shape[-3] % 4:
-        raise ValueError("depth_to_space needs a channel count divisible by 4")
-    *lead, c4, h, w = av.shape
-    lead, o = tuple(lead), c4 // 4
-    k = len(lead)
-    keep = tuple(range(k))
-    out = av.reshape(lead + (2, 2, o, h, w)).transpose(
-        keep + (k + 2, k + 3, k, k + 4, k + 1)).reshape(lead + (o, 2 * h, 2 * w))
-    if not isinstance(a, Tensor):
-        return out
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
 
     def vjp(g):
-        gm = g.reshape(lead + (o, h, 2, w, 2)).transpose(
-            keep + (k + 2, k + 4, k, k + 1, k + 3))
-        return (gm.reshape(lead + (c4, h, w)),)
+        # (n, O, 2y+i, 2x+j) -> (i, j, O, n, y, x)
+        gph = g.reshape(n, o, h, 2, wd, 2).transpose(3, 5, 1, 0, 2, 4)
+        db = gph.sum(axis=(0, 1, 3, 4, 5))
+        gtaps = np.zeros((16, o, grid.shape[1]))
+        _tap_windows(gtaps, n, h, wd)[...] = gph[:, :, None, None]
+        gtaps = gtaps.reshape(16 * o, -1)
+        dkern = (gtaps @ grid.T).reshape(16, o * c)
+        dw = (_UPSAMPLE_TAPS @ dkern).reshape(3, 3, o, c).transpose(2, 3, 0, 1)
+        if not x.requires_grad:
+            return (None, dw, db)
+        dgrid = (kern.T @ gtaps).reshape(c, n, h + 2, wd + 2)
+        dx = dgrid[:, :, 1 : h + 1, 1 : wd + 1].transpose(1, 0, 2, 3)
+        return (dx[0] if single else dx, dw, db)
 
-    return Tensor(out, _parents=(a,), _vjp=vjp)
+    return Tensor(out, _parents=(x, w, b), _vjp=vjp)
 
 
 def grl(a, lam):

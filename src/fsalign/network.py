@@ -12,11 +12,11 @@ an (N, C, H, W) batch as well as one (C, H, W) image, so a training step
 runs its source/target pair through them at once. The private encoders are
 per domain and so run per image.
 
-Each decoder block is a 3x3 convolution of a nearest 2x upsampling. It runs
-at the resolution of its input, as one convolution with four phase kernels
-per output map (one per output row and column parity) whose outputs are
-interleaved; the upsampled map is never built. The parameters keep their
-plain (O, C, 3, 3) kernel shapes.
+Each decoder block is a 3x3 convolution of a nearest 2x upsampling, one
+`ad.upsample_conv2d` call: it runs at the resolution of its input, and each
+output row and column parity sees only the 2x2 source taps that reach it,
+so the upsampled map is never built and no multiply-add hits a structural
+zero. The parameters keep their plain (O, C, 3, 3) kernel shapes.
 
 Everything is built on the minimal autodiff engine; adversarial branches are
 wired through gradient reversal by the trainer.
@@ -24,11 +24,15 @@ wired through gradient reversal by the trainer.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .grouping import encode_deltas, iou
+
+# pixels per f3 cell: the backbone's three stride-2 stages
+STRIDE = 8
 
 
 @dataclass
@@ -53,7 +57,7 @@ class NetworkSpec:
 
     @property
     def stride(self):
-        return 8
+        return STRIDE
 
     def validate(self):
         if len(self.channels) != 3 or any(c < 1 for c in self.channels):
@@ -153,31 +157,18 @@ def block_diag(mats):
     return out
 
 
-def roi_pool(fmap, boxes, stride):
-    """(P, C) crop-pooled features of a (C, Hf, Wf) map, one matmul.
+def roi_pool(fmap, a):
+    """(P, C) crop-pooled features of a (C, Hf, Wf) map or an (N, C, Hf, Wf)
+    batch: one product of the averaging matrix `a` with the map's cells.
 
-    For an (N, C, Hf, Wf) batch `boxes` holds one box list per image, and
-    the rows of all images stack in image order, from one block-diagonal
-    matmul over the batch's cells.
+    For one map `a` is its (P, Hf*Wf) `roi_pool_matrix`; for a batch it is
+    the `block_diag` of one such matrix per image, and the rows of all
+    images stack in image order.
     """
     shape = fmap.shape if isinstance(fmap, ad.Tensor) else np.shape(fmap)
-    c, hf, wf = shape[-3:]
     k = len(shape) - 3
-    a = block_diag([roi_pool_matrix(b, stride, hf, wf) for b in (boxes if k else [boxes])])
     cells = ad.transpose(fmap, tuple(range(k)) + (k + 1, k + 2, k))
-    return ad.matmul(a, ad.reshape(cells, (-1, c)))
-
-
-def upsample_conv(conv, x):
-    """A 3x3 stride-1 pad-1 `conv` of the nearest 2x upsampling of a
-    (C, H, W) map or an (N, C, H, W) batch, computed at (H, W): one
-    convolution of `x` with the four phase kernels of `conv.w`
-    (`ad.upsample_kernels`), interleaved into (..., O, 2H, 2W) by
-    `ad.depth_to_space`."""
-    b4 = ad.concat([conv.b] * 4)
-    return ad.depth_to_space(
-        ad.conv2d(x, ad.upsample_kernels(conv.w), b4, stride=1, pad=1)
-    )
+    return ad.matmul(a, ad.reshape(cells, (-1, shape[-3])))
 
 
 class SeparationNet:
@@ -203,8 +194,8 @@ class SeparationNet:
             Conv2d(c1, c2, rng, stride=2),
             Conv2d(c2, c3, rng, stride=2),
         ]
-        # shared decoder: three upsample+conv blocks back to 1 channel, run
-        # as phase-kernel convolutions (`upsample_conv`)
+        # shared decoder: three upsample+conv blocks back to 1 channel, each
+        # one `ad.upsample_conv2d`
         self.dec = [
             Conv2d(2 * c3, c2, rng),
             Conv2d(c2, c1, rng),
@@ -291,9 +282,9 @@ class SeparationNet:
         if ds[:-3] != fs[:-3] or ds[-2:] != fs[-2:]:
             raise ValueError("private and shared maps must align spatially")
         h = ad.concat([d, f3], axis=-3)
-        h = ad.tanh(upsample_conv(self.dec[0], h))
-        h = ad.tanh(upsample_conv(self.dec[1], h))
-        return upsample_conv(self.dec[2], h)
+        h = ad.tanh(ad.upsample_conv2d(h, self.dec[0].w, self.dec[0].b))
+        h = ad.tanh(ad.upsample_conv2d(h, self.dec[1].w, self.dec[1].b))
+        return ad.upsample_conv2d(h, self.dec[2].w, self.dec[2].b)
 
     def local_domain(self, f1):
         """Per-location domain probability map over f1 plus the pooled
@@ -333,6 +324,12 @@ class SeparationNet:
 # detection losses
 # ---------------------------------------------------------------------------
 
+class DetectorTargets(NamedTuple):
+    labels: np.ndarray  # (P,) class per proposal, 0 for background
+    deltas: np.ndarray  # (P, 4) regression targets, zero off the positives
+    positives: list     # indices of the proposals with a class
+
+
 def detector_targets(proposal_boxes, gt_boxes, gt_labels, iou_threshold=0.5):
     """Per-proposal class labels and regression targets.
 
@@ -352,15 +349,16 @@ def detector_targets(proposal_boxes, gt_boxes, gt_labels, iou_threshold=0.5):
             labels[i] = int(gt_labels[j])
             targets[i] = encode_deltas(pb, gt_boxes[j])
             positives.append(i)
-    return labels, targets, positives
+    return DetectorTargets(labels, targets, positives)
 
 
-def detector_losses(class_logits, box_deltas, proposal_boxes, gt_boxes, gt_labels):
-    """Softmax cross-entropy over all proposals and smooth-L1 over positives."""
-    labels, targets, positives = detector_targets(proposal_boxes, gt_boxes, gt_labels)
-    l_c = ad.softmax_cross_entropy(class_logits, labels)
-    if positives:
-        l_r = ad.smooth_l1(ad.take_rows(box_deltas, positives), targets[positives])
+def detector_losses(class_logits, box_deltas, targets):
+    """Softmax cross-entropy over all proposals and smooth-L1 over the
+    positives, against `targets` from `detector_targets`."""
+    l_c = ad.softmax_cross_entropy(class_logits, targets.labels)
+    if targets.positives:
+        l_r = ad.smooth_l1(ad.take_rows(box_deltas, targets.positives),
+                           targets.deltas[targets.positives])
     else:
         l_r = ad.Tensor(0.0)
     return l_c, l_r

@@ -78,8 +78,14 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.iterations < 1 or self.corpus_size < 1:
             raise ValueError("iterations and corpus size must be >= 1")
-        self.weights.validate()
-        self.network.validate()
+        if self.eval_size < 1 or self.probe_size < 1:
+            raise ValueError("eval and probe sizes must be >= 1")
+        if any(n % self.network.stride for n in self.scene.canvas):
+            raise ValueError(f"canvas sides must be multiples of the network "
+                             f"stride {self.network.stride}")
+        for spec in (self.weights, self.network, self.scene, self.shift,
+                     self.proposal_noise, self.cluster):
+            spec.validate()
 
 
 # JSON key of a dataclass field where it differs from the field name
@@ -133,10 +139,24 @@ def load_config(path):
 
 @dataclass
 class CorpusEntry:
+    """One training image with its proposals, their grouping and the
+    constants every step on it reads, built once by `_grouped_entry`.
+
+    `roi_matrix` averages the f3 cells each proposal covers
+    (`network.roi_pool_matrix` at `network.STRIDE`), `group_matrix` takes
+    the mean of each group's pooled rows (`network.group_mean_matrix`).
+    `targets` holds the detector targets of a source image and is None for
+    a target image, whose truth stays evaluation-only.
+    """
+
     sample: synth.Sample
     pset: object
     groups: list      # member index lists (grouping fallback applied)
     outliers: list
+    boxes: list       # proposal boxes, in proposal order
+    roi_matrix: np.ndarray
+    group_matrix: np.ndarray
+    targets: nw.DetectorTargets | None
 
 
 def _grouped_entry(sample, pset, cluster_cfg):
@@ -144,7 +164,14 @@ def _grouped_entry(sample, pset, cluster_cfg):
         members, outliers, _ = cluster_box_centers(pset.centers(), cluster_cfg)
     except DegenerateGroupingError:
         members, outliers = [list(range(len(pset.proposals)))], []
-    return CorpusEntry(sample=sample, pset=pset, groups=members, outliers=outliers)
+    boxes = [p.box for p in pset.proposals]
+    hf, wf = (n // nw.STRIDE for n in sample.rgb.shape[-2:])
+    targets = (nw.detector_targets(boxes, sample.boxes, sample.labels)
+               if sample.domain == "source" else None)
+    return CorpusEntry(
+        sample=sample, pset=pset, groups=members, outliers=outliers, boxes=boxes,
+        roi_matrix=nw.roi_pool_matrix(boxes, nw.STRIDE, hf, wf),
+        group_matrix=nw.group_mean_matrix(members, len(boxes)), targets=targets)
 
 
 def build_training_corpus(cfg):
@@ -219,17 +246,15 @@ def _pair_forward(net, source_entry, target_entry, lam):
     p3, f_g = net.global_domain(ad.grl(f3, lam))
     # the context is held fixed (detached) for the region-instance head
     ctx = np.concatenate([f_l.value, f_m.value, f_g.value], axis=1)
-    boxes = [[p.box for p in e.pset.proposals] for e in entries]
-    roi = nw.roi_pool(f3, boxes, net.spec.stride)
-    members = nw.block_diag([nw.group_mean_matrix(e.groups, len(b))
-                             for e, b in zip(entries, boxes)])
+    roi = nw.roi_pool(f3, nw.block_diag([e.roi_matrix for e in entries]))
+    members = nw.block_diag([e.group_matrix for e in entries])
     groups_per_image = [len(e.groups) for e in entries]
     fused = ad.concat([np.repeat(ctx, groups_per_image, axis=0),
                        ad.grl(ad.matmul(members, roi), lam)], axis=1)
     return {
         "f3": f3, "d": d, "xhat": xhat,
         "gray": np.stack([e.sample.gray for e in entries]),
-        "p1map": p1map, "p2": p2, "p3": p3, "roi": roi, "source_boxes": boxes[0],
+        "p1map": p1map, "p2": p2, "p3": p3, "roi": roi,
         "groups_per_image": groups_per_image, "group_probs": net.region_domain(fused),
     }
 
@@ -242,18 +267,16 @@ def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec)
     region-instance (`dri`, one per group, with `dri_domains` labelling
     each row) domain probabilities, source first.
     """
+    if source_entry.targets is None:
+        raise ValueError("the source entry holds no detector targets")
     pair = _branch("pair forward", lambda: _pair_forward(
         net, source_entry, target_entry, lam))
 
     # detector on the source proposals, the first rows of the pair's RoIs
     def detector():
-        boxes = pair["source_boxes"]
         logits, deltas = net.detector_head(
-            ad.take_rows(pair["roi"], np.arange(len(boxes))))
-        return nw.detector_losses(
-            logits, deltas, boxes,
-            source_entry.sample.boxes, source_entry.sample.labels,
-        )
+            ad.take_rows(pair["roi"], np.arange(len(source_entry.boxes))))
+        return nw.detector_losses(logits, deltas, source_entry.targets)
     l_c, l_r = _branch("detector", detector)
 
     l_rec = _branch("reconstruction", lambda: L.reconstruction_loss(
@@ -400,7 +423,9 @@ def target_match_rate(net, detect_eval):
     with ad.no_grad():
         for sample, pset in detect_eval:
             _, _, f3 = net.forward_backbone(sample.rgb)
-            feats = nw.roi_pool(f3, [p.box for p in pset.proposals], net.spec.stride)
+            a = nw.roi_pool_matrix([p.box for p in pset.proposals], net.spec.stride,
+                                   *f3.shape[1:])
+            feats = nw.roi_pool(f3, a)
             logits, deltas = net.detector_head(feats)
             pred_cls = logits.value.argmax(axis=1)
             refined = [

@@ -333,71 +333,101 @@ class TestConv2dAdjoint:
         assert dw.shape == (3, 2, 3, 3) and db.shape == (3,)
 
 
-class TestPhaseOps:
-    """upsample_kernels and depth_to_space are linear, so their vjps must
-    satisfy the adjoint identity <A x, y> = <x, A^T y>."""
+class TestUpsampleConv2d:
+    """upsample_conv2d is linear in x and in w, so its vjp must satisfy the
+    adjoint identity <A x, y> = <x, A^T y> in each."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (2, 5)])
-    def test_upsample_kernels_adjoint(self, shape):
+    def test_adjoint_in_w(self, shape):
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        x = rng.normal(size=(shape[1], 3, 4))
         w = ad.Tensor(rng.normal(size=(*shape, 3, 3)), requires_grad=True)
-        out = ad.upsample_kernels(w)
-        assert out.shape == (4 * shape[0], shape[1], 3, 3)
+        out = ad.upsample_conv2d(x, w, np.zeros(shape[0]))
+        assert out.shape == (shape[0], 6, 8)
         y = rng.normal(size=out.shape)
         out.backward(y)
         assert float(np.sum(w.value * w.grad)) == pytest.approx(
             float(np.sum(out.value * y)), rel=1e-12)
 
-    @pytest.mark.parametrize("shape", [(4, 1, 1), (8, 3, 5), (12, 4, 4)])
-    def test_depth_to_space_adjoint(self, shape):
-        rng = np.random.default_rng(shape[0] + shape[1] * shape[2])
-        a = ad.Tensor(rng.normal(size=shape), requires_grad=True)
-        out = ad.depth_to_space(a)
-        assert out.shape == (shape[0] // 4, 2 * shape[1], 2 * shape[2])
-        y = rng.normal(size=out.shape)
-        out.backward(y)
-        assert float(np.sum(a.value * a.grad)) == pytest.approx(
-            float(np.sum(out.value * y)), rel=1e-12)
-
-    @pytest.mark.parametrize("shape", [(2, 8, 3, 5), (3, 4, 1, 1), (2, 1, 12, 2, 3)])
-    def test_depth_to_space_batch_adjoint(self, shape):
+    @pytest.mark.parametrize("shape", [(4, 1, 1), (8, 3, 5), (3, 2, 4, 4)])
+    def test_adjoint_in_x(self, shape):
         rng = np.random.default_rng(sum(shape))
-        a = ad.Tensor(rng.normal(size=shape), requires_grad=True)
-        out = ad.depth_to_space(a)
-        *lead, c4, h, w = shape
-        assert out.shape == (*lead, c4 // 4, 2 * h, 2 * w)
+        *lead, c, h, wd = shape
+        x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        w = rng.normal(size=(2, c, 3, 3))
+        out = ad.upsample_conv2d(x, w, np.zeros(2))
+        assert out.shape == (*lead, 2, 2 * h, 2 * wd)
         y = rng.normal(size=out.shape)
         out.backward(y)
-        assert float(np.sum(a.value * a.grad)) == pytest.approx(
+        assert float(np.sum(x.value * x.grad)) == pytest.approx(
             float(np.sum(out.value * y)), rel=1e-12)
-        # each image is interleaved on its own
-        flat_a = a.value.reshape(-1, c4, h, w)
-        for i, img in enumerate(out.value.reshape(-1, c4 // 4, 2 * h, 2 * w)):
-            np.testing.assert_array_equal(img, ad.depth_to_space(flat_a[i]))
 
-    def test_depth_to_space_layout(self):
-        a = np.arange(4 * 2 * 3 * 3, dtype=np.float64).reshape(8, 3, 3)
-        out = ad.depth_to_space(a)
+    @pytest.mark.parametrize("shape", [(2, 8, 3, 5), (3, 4, 1, 1), (2, 1, 6, 2)])
+    def test_batch_matches_per_image(self, shape):
+        """Each image of a batch gives its own value and input gradient; the
+        weight and bias gradients sum over the images."""
+        rng = np.random.default_rng(sum(shape) + 1)
+        n, c, h, wd = shape
+        xv = rng.normal(size=shape)
+        wv, bv = rng.normal(size=(3, c, 3, 3)), rng.normal(size=3)
+        g = rng.normal(size=(n, 3, 2 * h, 2 * wd))
+
+        def run(xin, gin):
+            x, w, b = ad.Tensor(xin, requires_grad=True), ad.parameter(wv), ad.parameter(bv)
+            out = ad.upsample_conv2d(x, w, b)
+            out.backward(gin)
+            return out.value, x.grad, w.grad, b.grad
+
+        batch = run(xv, g)
+        singles = [run(xv[i], g[i]) for i in range(n)]
+        want = (np.stack([s[0] for s in singles]), np.stack([s[1] for s in singles]),
+                sum(s[2] for s in singles), sum(s[3] for s in singles))
+        for got, ref in zip(batch, want):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_matches_brute_force_loops(self):
+        """Value against the definition: nearest 2x upsampling by index,
+        then a 3x3 pad-1 correlation, both as plain loops."""
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(2, 3, 2))
+        w = rng.normal(size=(2, 2, 3, 3))
+        b = rng.normal(size=2)
+        up = np.zeros((2, 6 + 2, 4 + 2))
+        for r in range(6):
+            for s in range(4):
+                up[:, r + 1, s + 1] = x[:, r // 2, s // 2]
+        want = np.zeros((2, 6, 4))
+        for o in range(2):
+            for r in range(6):
+                for s in range(4):
+                    want[o, r, s] = b[o] + np.sum(w[o] * up[:, r : r + 3, s : s + 3])
+        np.testing.assert_allclose(ad.upsample_conv2d(x, w, b), want,
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_tap_matrix_sums_taps_per_axis(self):
+        w = np.arange(9, dtype=np.float64)
+        k = (w @ ad._UPSAMPLE_TAPS).reshape(2, 2, 2, 2)
+        rows = ([[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]])
         for i in range(2):
             for j in range(2):
-                for k in range(2):
-                    np.testing.assert_array_equal(
-                        out[k, i::2, j::2], a[(2 * i + j) * 2 + k])
+                want = np.array(rows[i]) @ w.reshape(3, 3) @ np.array(rows[j]).T
+                np.testing.assert_array_equal(k[i, j], want)
 
-    def test_phase_kernels_sum_taps_per_axis(self):
-        w = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
-        k = ad.upsample_kernels(w)[:, 0]
-        rows = ([[1, 0, 0], [0, 1, 1], [0, 0, 0]], [[0, 0, 0], [1, 1, 0], [0, 0, 1]])
-        for i in range(2):
-            for j in range(2):
-                want = np.array(rows[i]) @ w[0, 0] @ np.array(rows[j]).T
-                np.testing.assert_array_equal(k[2 * i + j], want)
+    @pytest.mark.parametrize("x", [np.ones((2, 3, 3)), ad.Tensor(np.ones((2, 3, 3)))])
+    def test_no_input_gradient_without_requires_grad(self, x):
+        w = ad.parameter(np.ones((3, 2, 3, 3)))
+        b = ad.parameter(np.zeros(3))
+        out = ad.upsample_conv2d(x, w, b)
+        dx, dw, db = out._vjp(np.ones(out.shape))
+        assert dx is None
+        assert dw.shape == (3, 2, 3, 3) and db.shape == (3,)
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            ad.upsample_kernels(np.ones((2, 2, 1, 1)))
-        with pytest.raises(ValueError):
-            ad.depth_to_space(np.ones((6, 2, 2)))
+        with pytest.raises(ValueError, match="3x3"):
+            ad.upsample_conv2d(np.ones((2, 2, 2)), np.ones((1, 2, 1, 1)), np.zeros(1))
+        with pytest.raises(ValueError, match="channel"):
+            ad.upsample_conv2d(np.ones((3, 2, 2)), np.ones((1, 2, 3, 3)), np.zeros(1))
 
 
 class TestGRL:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fsalign import grouping as grp
-from fsalign import training
+from fsalign import synth, training
 from fsalign.scale_space import ScaleSweepConfig
 
 PILES = ((12.0, 12.0), (52.0, 12.0))
@@ -119,9 +119,15 @@ class TestDegenerateFallback:
             grp.cluster_box_centers(SQUARE)
 
     def test_trainer_falls_back_to_one_group(self):
+        # the square moved to the middle of a 32x32 image, so every box lies
+        # inside it; grouping sees only distances, so it still degenerates
         pset = grp.ProposalSet([
-            grp.Proposal(box=grp.BoundingBox(bx=bx, by=by, w=8.0, h=8.0))
+            grp.Proposal(box=grp.BoundingBox(bx=16.0 + bx, by=16.0 + by, w=8.0, h=8.0))
             for bx, by in SQUARE
         ])
-        entry = training._grouped_entry(None, pset, ScaleSweepConfig())
+        sample = synth.Sample("square", "source", np.zeros((3, 32, 32)),
+                              np.zeros((1, 32, 32)),
+                              [grp.BoundingBox(bx=16.0, by=16.0, w=8.0, h=8.0)], [1])
+        entry = training._grouped_entry(sample, pset, ScaleSweepConfig())
         assert entry.groups == [[0, 1, 2, 3]] and entry.outliers == []
+        np.testing.assert_array_equal(entry.group_matrix, np.full((1, 4), 0.25))

@@ -66,8 +66,8 @@ class TestReconstruct:
 
 
 class TestUpsampleConv:
-    """The phase-kernel decoder block against a 3x3 conv of the explicit
-    nearest 2x upsampling: value and the x, w and b gradients."""
+    """The decoder block (`ad.upsample_conv2d`) against a 3x3 conv of the
+    explicit nearest 2x upsampling: value and the x, w and b gradients."""
 
     # the three decoder blocks of the default spec, then odd and 1x1 maps
     @pytest.mark.parametrize("cin, cout, h, w", [
@@ -80,7 +80,7 @@ class TestUpsampleConv:
         xv = rng.normal(size=(cin, h, w))
         g = rng.normal(size=(cout, 2 * h, 2 * w))
         results = []
-        for block in (lambda x: net.upsample_conv(conv, x),
+        for block in (lambda x: ad.upsample_conv2d(x, conv.w, conv.b),
                       lambda x: ad.conv2d(ad.upsample2x(x), conv.w, conv.b, 1, 1)):
             conv.w.grad = conv.b.grad = None
             x = ad.Tensor(xv, requires_grad=True)
@@ -90,6 +90,27 @@ class TestUpsampleConv:
         for got, want in zip(*results):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_batch_matches_conv_of_upsampled(self):
+        """An N = 2 batch against the explicit upsampling of each image."""
+        rng = np.random.default_rng(77)
+        conv = net.Conv2d(6, 4, rng)
+        conv.b.value = rng.normal(size=4)
+        xv = rng.normal(size=(2, 6, 3, 5))
+        g = rng.normal(size=(2, 4, 6, 10))
+        x = ad.Tensor(xv, requires_grad=True)
+        out = ad.upsample_conv2d(x, conv.w, conv.b)
+        out.backward(g)
+        got = (out.value, x.grad, conv.w.grad, conv.b.grad)
+        conv.w.grad = conv.b.grad = None
+        xs = [ad.Tensor(v, requires_grad=True) for v in xv]
+        outs = [ad.conv2d(ad.upsample2x(xi), conv.w, conv.b, 1, 1) for xi in xs]
+        ad.sum(ad.stack(outs) * g).backward()
+        want = (np.stack([o.value for o in outs]), np.stack([xi.grad for xi in xs]),
+                conv.w.grad, conv.b.grad)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
 class TestCropPool:
@@ -157,7 +178,7 @@ class TestRoiPool:
         fmap, _, pset = image
         boxes = [p.box for p in pset.proposals]
         groups, _, _ = cluster_box_centers(pset.centers())
-        roi = net.roi_pool(fmap, boxes, 8)
+        roi = net.roi_pool(fmap, net.roi_pool_matrix(boxes, 8, 8, 8))
         got = net.group_mean_matrix(groups, len(boxes)) @ roi
         want = np.stack([
             np.stack([net.crop_pool(fmap, boxes[i], 8) for i in members]).mean(axis=0)
@@ -171,7 +192,7 @@ class TestRoiPool:
         g = np.random.default_rng(24).normal(size=(len(boxes), 5))
         grads = []
         for pool in (
-            lambda t: net.roi_pool(t, boxes, 8),
+            lambda t: net.roi_pool(t, net.roi_pool_matrix(boxes, 8, 8, 8)),
             lambda t: ad.stack([net.crop_pool(t, b, 8) for b in boxes]),
         ):
             t = ad.Tensor(fmap, requires_grad=True)
@@ -185,7 +206,7 @@ class TestRoiPool:
         with pytest.raises(ValueError):
             net.roi_pool_matrix([inside, outside], 8, 4, 4)
         with pytest.raises(ValueError):
-            net.roi_pool(np.zeros((1, 4, 4)), [outside], 8)
+            net.crop_pool(np.zeros((1, 4, 4)), outside, 8)
 
 
 class TestDomainHeads:
@@ -267,7 +288,8 @@ class TestDetectorLosses:
         for i, l in enumerate(lab):
             logits[i, l] = 40.0
         l_c, _ = net.detector_losses(
-            ad.Tensor(logits), ad.Tensor(np.zeros((3, 4))), props, gt, labels
+            ad.Tensor(logits), ad.Tensor(np.zeros((3, 4))),
+            net.detector_targets(props, gt, labels),
         )
         assert float(l_c.value) == pytest.approx(0.0, abs=1e-12)
 
@@ -275,7 +297,8 @@ class TestDetectorLosses:
         gt = [BoundingBox(bx=10, by=10, w=8, h=8)]
         props = [BoundingBox(bx=10, by=10, w=8, h=8)]
         _, l_r = net.detector_losses(
-            ad.Tensor(np.zeros((1, 4))), ad.Tensor(np.zeros((1, 4))), props, gt, [2]
+            ad.Tensor(np.zeros((1, 4))), ad.Tensor(np.zeros((1, 4))),
+            net.detector_targets(props, gt, [2]),
         )
         assert float(l_r.value) == 0.0
 
@@ -285,7 +308,7 @@ class TestDetectorLosses:
         logits = rng.normal(size=(3, 4))
         deltas = rng.normal(size=(3, 4)) * 0.5
         l_c, l_r = net.detector_losses(
-            ad.Tensor(logits), ad.Tensor(deltas), props, gt, labels
+            ad.Tensor(logits), ad.Tensor(deltas), net.detector_targets(props, gt, labels)
         )
         lab, targets, pos = net.detector_targets(props, gt, labels)
         # brute-force cross-entropy

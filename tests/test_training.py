@@ -202,7 +202,7 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
         p3, f_g = net.global_domain(ad.grl(f3, lam))
         ctx = np.concatenate([f_l.value, f_m.value, f_g.value])
         boxes = [p.box for p in entry.pset.proposals]
-        roi = nw.roi_pool(f3, boxes, net.spec.stride)
+        roi = nw.roi_pool(f3, nw.roi_pool_matrix(boxes, net.spec.stride, *f3.shape[1:]))
         fr = ad.matmul(nw.group_mean_matrix(entry.groups, len(boxes)), roi)
         fused = ad.concat([np.tile(ctx, (len(entry.groups), 1)), ad.grl(fr, lam)], axis=1)
         return {"f3": f3, "d": d, "xhat": net.reconstruct(d, f3), "gray": sample.gray,
@@ -211,8 +211,9 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
 
     s, t = image_forward(source_entry, "source"), image_forward(target_entry, "target")
     logits, deltas = net.detector_head(s["roi"])
-    l_c, l_r = nw.detector_losses(logits, deltas, [p.box for p in source_entry.pset.proposals],
-                                  source_entry.sample.boxes, source_entry.sample.labels)
+    l_c, l_r = nw.detector_losses(logits, deltas, nw.detector_targets(
+        [p.box for p in source_entry.pset.proposals],
+        source_entry.sample.boxes, source_entry.sample.labels))
 
     def rec(x):
         return ad.sum(ad.absolute(x["gray"] - x["xhat"])) / float(x["gray"].size)
@@ -319,3 +320,67 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
         assert name == oname
         assert q.value.shape == p.value.shape
         assert q.value.tobytes() == p.value.tobytes()
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"eval_size": 0}, "eval and probe"),
+    ({"probe_size": 0}, "eval and probe"),
+    ({"scene": synth.SceneSpec(canvas=(36, 40))}, "stride 8"),
+    ({"scene": synth.SceneSpec(object_count_range=(0, 2))}, "object count"),
+    ({"shift": synth.DomainShiftSpec(fog_alpha=1.5)}, "fog_alpha"),
+    ({"proposal_noise": synth.ProposalNoiseSpec(redundancy=0)}, "redundancy"),
+    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, k=0.5)}, "multiplier"),
+])
+def test_validate_rejects(change, match):
+    cfg = dataclasses.replace(tiny_config(2), **change)
+    with pytest.raises(ValueError, match=match):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("data", [{"cluster": {"k": 0.5}}, {"scene": {"canvas": [40, 36]}}])
+def test_config_from_dict_validates_the_nested_specs(data):
+    with pytest.raises(ValueError):
+        training.config_from_dict(data)
+
+
+def test_corpus_entries_cache_the_step_constants(monkeypatch):
+    calls = []
+    targets = nw.detector_targets
+
+    def counted(boxes, gt_boxes, gt_labels):
+        calls.append(len(boxes))
+        return targets(boxes, gt_boxes, gt_labels)
+
+    monkeypatch.setattr(nw, "detector_targets", counted)
+    # a target image's truth raises LabelQuarantineError when read, so
+    # building its entry reads none
+    source, target = training.build_training_corpus(tiny_config(2))
+    assert calls == [len(e.boxes) for e in source]
+    for entry in source + target:
+        boxes = [p.box for p in entry.pset.proposals]
+        assert entry.boxes == boxes
+        np.testing.assert_array_equal(entry.roi_matrix, nw.roi_pool_matrix(boxes, 8, 4, 4))
+        np.testing.assert_array_equal(
+            entry.group_matrix, nw.group_mean_matrix(entry.groups, len(boxes)))
+    for entry in source:
+        want = targets(entry.boxes, entry.sample.boxes, entry.sample.labels)
+        np.testing.assert_array_equal(entry.targets.labels, want.labels)
+        np.testing.assert_array_equal(entry.targets.deltas, want.deltas)
+        assert entry.targets.positives == want.positives
+    assert all(entry.targets is None for entry in target)
+
+
+def test_target_entry_cannot_train_the_detector():
+    net, _, target = _pair_and_net()
+    with pytest.raises(ValueError, match="no detector targets"):
+        training.compute_losses(net, target, target, losses.ObjectiveWeights(),
+                                lam=1.0, normalize_rec=True)
+
+
+def test_box_missing_the_image_fails_at_corpus_build():
+    source, _ = training.build_gradcheck_data(0)
+    sample = source.sample
+    pset = synth.ProposalSet(source.pset.proposals + [
+        synth.Proposal(box=synth.BoundingBox(bx=50.0, by=8.0, w=6.0, h=6.0))])
+    with pytest.raises(ValueError, match="does not intersect"):
+        training._grouped_entry(sample, pset, training.TrainConfig().cluster)
