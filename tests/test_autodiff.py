@@ -405,15 +405,6 @@ class TestUpsampleConv2d:
         np.testing.assert_allclose(ad.upsample_conv2d(x, w, b), want,
                                    rtol=1e-13, atol=1e-13)
 
-    def test_tap_matrix_sums_taps_per_axis(self):
-        w = np.arange(9, dtype=np.float64)
-        k = (w @ ad._UPSAMPLE_TAPS).reshape(2, 2, 2, 2)
-        rows = ([[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]])
-        for i in range(2):
-            for j in range(2):
-                want = np.array(rows[i]) @ w.reshape(3, 3) @ np.array(rows[j]).T
-                np.testing.assert_array_equal(k[i, j], want)
-
     @pytest.mark.parametrize("x", [np.ones((2, 3, 3)), ad.Tensor(np.ones((2, 3, 3)))])
     def test_no_input_gradient_without_requires_grad(self, x):
         w = ad.parameter(np.ones((3, 2, 3, 3)))
@@ -422,6 +413,41 @@ class TestUpsampleConv2d:
         dx, dw, db = out._vjp(np.ones(out.shape))
         assert dx is None
         assert dw.shape == (3, 2, 3, 3) and db.shape == (3,)
+
+
+
+class TestPhaseOps:
+    """The phase structure of upsample_conv2d: `_UPSAMPLE_TAPS` folds a 3x3
+    kernel into four 2x2 phase kernels, and phase (i, j) lands at rows i::2
+    and columns j::2 of the output."""
+
+    def test_phase_kernels_sum_taps_per_axis(self):
+        w = np.arange(9, dtype=np.float64)
+        k = (w @ ad._UPSAMPLE_TAPS).reshape(2, 2, 2, 2)
+        rows = ([[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]])
+        for i in range(2):
+            for j in range(2):
+                want = np.array(rows[i]) @ w.reshape(3, 3) @ np.array(rows[j]).T
+                np.testing.assert_array_equal(k[i, j], want)
+
+    def test_depth_to_space_layout(self):
+        """Rows i::2 and columns j::2 of the output are the 2x2 correlation
+        of the pad-1 source at offset (i, j) with phase (i, j)'s kernel."""
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(3, 4, 5))
+        w = rng.normal(size=(2, 3, 3, 3))
+        b = rng.normal(size=2)
+        out = ad.upsample_conv2d(x, w, b)
+        # (i, j, a, b, O, C)
+        k = np.einsum("ocp,pt->toc", w.reshape(2, 3, 9), ad._UPSAMPLE_TAPS).reshape(
+            2, 2, 2, 2, 2, 3)
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+        for i in range(2):
+            for j in range(2):
+                want = b[:, None, None] + sum(
+                    np.einsum("oc,chw->ohw", k[i, j, a, c], xp[:, i + a : i + a + 4, j + c : j + c + 5])
+                    for a in range(2) for c in range(2))
+                np.testing.assert_allclose(out[:, i::2, j::2], want, rtol=1e-13, atol=1e-13)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="3x3"):
