@@ -13,6 +13,7 @@ written once and evaluated with or without gradient tracking.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -40,15 +41,21 @@ class Tensor:
     __array_ufunc__ = None
 
     def __init__(self, value, requires_grad=False, _parents=(), _vjp=None):
-        self.value = np.asarray(value, dtype=np.float64)
-        if not np.isfinite(self.value).all():
+        v = self.value = np.asarray(value, dtype=np.float64)
+        # a finite sum proves every entry finite; finite entries can still
+        # overflow the sum, so only then are the entries checked one by one
+        if not math.isfinite(np.add.reduce(v, axis=None)) and not np.isfinite(v).all():
             raise FloatingPointError("non-finite values entering the graph")
         self.grad = None
-        self.requires_grad = bool(requires_grad) or (
-            _grad_enabled and any(p.requires_grad for p in _parents)
-        )
+        rg = bool(requires_grad)
+        if not rg and _grad_enabled:
+            for p in _parents:
+                if p.requires_grad:
+                    rg = True
+                    break
+        self.requires_grad = rg
         # graph edges are only kept when someone upstream needs gradients
-        self._parents = tuple(_parents) if (self.requires_grad and _grad_enabled) else ()
+        self._parents = tuple(_parents) if (rg and _grad_enabled) else ()
         self._vjp = _vjp if self._parents else None
 
     # -- basic introspection ------------------------------------------------
@@ -170,7 +177,10 @@ def add(a, b):
     return Tensor(
         a.value + b.value,
         _parents=(a, b),
-        _vjp=lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)),
+        _vjp=lambda g: (
+            _unbroadcast(g, a.value.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.value.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -182,8 +192,8 @@ def sub(a, b):
         a.value - b.value,
         _parents=(a, b),
         _vjp=lambda g: (
-            _unbroadcast(g, a.value.shape),
-            _unbroadcast(-g, b.value.shape),
+            _unbroadcast(g, a.value.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.value.shape) if b.requires_grad else None,
         ),
     )
 
@@ -196,8 +206,8 @@ def mul(a, b):
         a.value * b.value,
         _parents=(a, b),
         _vjp=lambda g: (
-            _unbroadcast(g * b.value, a.value.shape),
-            _unbroadcast(g * a.value, b.value.shape),
+            _unbroadcast(g * b.value, a.value.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.value, b.value.shape) if b.requires_grad else None,
         ),
     )
 
@@ -210,8 +220,9 @@ def div(a, b):
         a.value / b.value,
         _parents=(a, b),
         _vjp=lambda g: (
-            _unbroadcast(g / b.value, a.value.shape),
-            _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
+            _unbroadcast(g / b.value, a.value.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)
+            if b.requires_grad else None,
         ),
     )
 
@@ -291,6 +302,8 @@ def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
 
 
 def mean(a, axis=None, keepdims=False):
+    """Mean over `axis` as one node: `sum` then division by the count, the
+    vjp broadcasting `g / n` back."""
     if not isinstance(a, Tensor):
         return np.mean(a, axis=axis, keepdims=keepdims)
     if axis is None:
@@ -300,7 +313,15 @@ def mean(a, axis=None, keepdims=False):
         n = 1
         for ax in axes:
             n *= a.value.shape[ax]
-    return div(sum(a, axis=axis, keepdims=keepdims), float(n))
+    n = float(n)
+
+    def vjp(g):
+        g = g / n
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.value.shape).copy(),)
+
+    return Tensor(np.sum(a.value, axis=axis, keepdims=keepdims) / n, _parents=(a,), _vjp=vjp)
 
 
 def reshape(a, shape):
@@ -401,20 +422,25 @@ def matmul(a, b):
 # ---------------------------------------------------------------------------
 
 def _im2col(xp, kh, kw, stride, oh, ow):
-    """(C*kh*kw, N*oh*ow) patch matrix of a C-contiguous (N, C, H, W) array:
-    a strided window view over its buffer, copied once by the reshape. Its
-    columns run over the images, then the output rows, then the columns."""
+    """(N, C*kh*kw, oh*ow) patch stack of a C-contiguous (N, C, H, W) array:
+    a strided window view over its buffer, reshaped. The reshape copies
+    unless the windows already tile the buffer in order (a 1x1 stride-1
+    kernel), in which case the stack is a view of `xp`; callers only read
+    it."""
     n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
-    windows = np.ndarray((c, kh, kw, n, oh, ow), np.float64, xp, 0,
-                         (sc, sh, sw, sn, sh * stride, sw * stride))
-    return windows.reshape(c * kh * kw, n * oh * ow)
+    windows = np.ndarray((n, c, kh, kw, oh, ow), np.float64, xp, 0,
+                         (sn, sc, sh, sw, sh * stride, sw * stride))
+    return windows.reshape(n, c * kh * kw, oh * ow)
 
 
 def _embed(a, top, left, h, w):
     """Zeros of shape a.shape[:-2] + (h, w) with `a` placed at offset
     (top, left) of the trailing two axes. The offsets may be negative; what
-    lands outside the frame is cropped."""
+    lands outside the frame is cropped. With no offset and no crop it
+    returns `a` itself, made C-contiguous (a copy only if it was not)."""
+    if top == 0 and left == 0 and a.shape[-2:] == (h, w):
+        return np.ascontiguousarray(a)
     out = np.zeros(a.shape[:-2] + (h, w), dtype=np.float64)
     y0, x0 = max(-top, 0), max(-left, 0)
     y1, x1 = min(a.shape[-2], h - top), min(a.shape[-1], w - left)
@@ -425,61 +451,69 @@ def _embed(a, top, left, h, w):
 
 def _conv_input_grad(g, wv, stride, pad, h, w):
     """Input gradient of conv2d for an (N, O, oh, ow) output gradient: a
-    transposed convolution of `g`, (N, C, h, w).
+    transposed convolution of `g`, (N, C, h, w). `wv` is the shared
+    (O, C, kh, kw) kernel or the (N, O, C, kh, kw) per-image stack.
 
     Input rows and columns are split by phase mod `stride`. Each phase gets
     a stride-1 correlation of the padded `g` with the flipped,
-    channel-swapped taps that reach it, as one GEMM over `_im2col` of the
-    whole batch. At stride 1 there is one phase and it takes the whole
-    kernel.
+    channel-swapped taps that reach it, as one `np.matmul` of those taps
+    with the `_im2col` stack of every image. At stride 1 there is one phase
+    and it takes the whole kernel.
     """
     n = g.shape[0]
-    o, c, kh, kw = wv.shape
+    o, c, kh, kw = wv.shape[-4:]
     dx = np.zeros((n, c, h, w), dtype=np.float64)
     for a in range(min(stride, h)):
         for e in range(min(stride, w)):
             i0, j0 = (a + pad) % stride, (e + pad) % stride
-            taps = wv[:, :, i0::stride, j0::stride]
-            mh, mw = taps.shape[2], taps.shape[3]
+            taps = wv[..., i0::stride, j0::stride]
+            mh, mw = taps.shape[-2], taps.shape[-1]
             if mh == 0 or mw == 0:
                 continue  # no tap of the kernel reaches this phase
             nu, nv = -(-(h - a) // stride), -(-(w - e) // stride)
             gp = _embed(g, mh - 1 - (a + pad - i0) // stride,
                         mw - 1 - (e + pad - j0) // stride, nu + mh - 1, nv + mw - 1)
-            wflip = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-            dx[:, :, a::stride, e::stride] = (
-                wflip @ _im2col(gp, mh, mw, 1, nu, nv)
-            ).reshape(c, n, nu, nv).transpose(1, 0, 2, 3)
+            wflip = np.swapaxes(taps[..., ::-1, ::-1], -4, -3).reshape(-1, c, o * mh * mw)
+            dx[:, :, a::stride, e::stride] = np.matmul(
+                wflip, _im2col(gp, mh, mw, 1, nu, nv)).reshape(n, c, nu, nv)
     return dx
 
 
 def conv2d(x, w, b, stride=1, pad=1):
-    """2-D convolution with (O, C, kh, kw) kernels of an (N, C, H, W) batch,
-    giving (N, O, oh, ow), or of one (C, H, W) image, giving (O, oh, ow).
+    """2-D convolution of an (N, C, H, W) batch, giving (N, O, oh, ow), or
+    of one (C, H, W) image, giving (O, oh, ow).
 
-    A batch is laid out as one (C*kh*kw, N*oh*ow) patch matrix (`_im2col`),
-    so the forward and the weight gradient are one GEMM each over every
-    image, and the weight gradient sums the images inside that GEMM. The
-    vjp computes the input gradient as a transposed convolution
-    (`_conv_input_grad`, one GEMM per phase over the batch), and only when
-    `x` requires grad.
+    The kernel is shared, (O, C, kh, kw) with an (O,) bias, or one per
+    image, an (N, O, C, kh, kw) stack with (N, O) biases. Both take one code
+    path: the batch is an image-major (N, C*kh*kw, oh*ow) patch stack
+    (`_im2col`), the forward one `np.matmul` of the (1 or N, O, C*kh*kw)
+    kernels with it, broadcast over the images, whose (N, O, oh*ow) result
+    is already in output order. The vjp reads `g` as (N, O, oh*ow) the same
+    way; the weight and bias gradients are summed over the images for a
+    shared kernel. The input gradient is a transposed convolution
+    (`_conv_input_grad`), computed only when `x` requires grad.
     """
     xt = isinstance(x, Tensor)
     xv = x.value if xt else np.asarray(x, dtype=np.float64)
     wv = w.value if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
     bv = b.value if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
-    o, c, kh, kw = wv.shape
+    o, c, kh, kw = wv.shape[-4:]
     single = xv.ndim == 3
     xb = xv[None] if single else xv
     n, cx, h, wd = xb.shape
     if cx != c:
         raise ValueError(f"conv2d channel mismatch: input {cx}, kernel {c}")
+    if wv.ndim == 5 and wv.shape[0] != n:
+        raise ValueError(f"conv2d kernel stack of {wv.shape[0]} for {n} images")
+    if bv.shape != wv.shape[:-3]:
+        raise ValueError(f"conv2d bias shape {bv.shape} for kernels {wv.shape}")
     xp = _embed(xb, pad, pad, h + 2 * pad, wd + 2 * pad)
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
     cols = _im2col(xp, kh, kw, stride, oh, ow)
-    out = (wv.reshape(o, -1) @ cols + bv[:, None]).reshape(o, n, oh, ow)
-    out = out[:, 0] if single else out.transpose(1, 0, 2, 3)
+    out = (np.matmul(wv.reshape(-1, o, c * kh * kw), cols)
+           + bv.reshape(-1, o, 1)).reshape(n, o, oh, ow)
+    out = out[0] if single else out
 
     if not (xt or isinstance(w, Tensor) or isinstance(b, Tensor)):
         return out
@@ -487,13 +521,15 @@ def conv2d(x, w, b, stride=1, pad=1):
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
 
     def vjp(g):
-        gb = g[None] if single else g
-        gm = gb.transpose(1, 0, 2, 3).reshape(o, -1)
-        db = gb.sum(axis=(0, 2, 3))
-        dw = (gm @ cols.T).reshape(o, c, kh, kw)
+        gb = g.reshape(n, o, oh * ow)
+        dw = np.matmul(gb, cols.transpose(0, 2, 1))
+        db = gb.sum(axis=2)
+        if wv.ndim == 4:
+            dw, db = dw.sum(axis=0), db.sum(axis=0)
+        dw = dw.reshape(wv.shape)
         if not x.requires_grad:
             return (None, dw, db)
-        dx = _conv_input_grad(gb, wv, stride, pad, h, wd)
+        dx = _conv_input_grad(gb.reshape(n, o, oh, ow), wv, stride, pad, h, wd)
         return (dx[0] if single else dx, dw, db)
 
     return Tensor(out, _parents=(x, w, b), _vjp=vjp)

@@ -10,7 +10,9 @@ crop-pooled f3 producing class logits and box deltas per proposal.
 The shared modules (backbone, decoder, level classifiers, RoI pooling) take
 an (N, C, H, W) batch as well as one (C, H, W) image, so a training step
 runs its source/target pair through them at once. The private encoders are
-per domain and so run per image.
+per domain; they too run on the pair at once, each layer one convolution
+whose kernels are stacked per image (source kernel for the source image,
+target kernel for the target image).
 
 Each decoder block is a 3x3 convolution of a nearest 2x upsampling, one
 `ad.upsample_conv2d` call: it runs at the resolution of its input, and each
@@ -265,13 +267,15 @@ class SeparationNet:
         f3 = ad.tanh(self.f3_conv(f2))
         return f1, f2, f3
 
-    def encode_private(self, gray, domain):
-        """Private distractive-feature encoder of one domain over its
-        (1, H, W) grayscale image."""
-        stack = self.enc_s if domain == "source" else self.enc_t
+    def encode_private(self, gray):
+        """Private distractive-feature encoders over the (2, 1, H, W)
+        source/target grayscale pair: image 0 runs through `enc_s`, image 1
+        through `enc_t`. Each layer is one `ad.conv2d` of the pair with the
+        two domains' kernels stacked per image."""
         h = gray
-        for conv in stack:
-            h = ad.tanh(conv(h))
+        for cs, ct in zip(self.enc_s, self.enc_t):
+            h = ad.tanh(ad.conv2d(h, ad.stack([cs.w, ct.w]), ad.stack([cs.b, ct.b]),
+                                  cs.stride, cs.pad))
         return h
 
     def reconstruct(self, d, f3):

@@ -1,14 +1,14 @@
 """Adversarial training loop for the toy two-domain detector.
 
 Every step takes one source and one target image. `compute_losses` builds
-its one loss graph from one forward of the pair: the shared modules run on
-the stacked (2, C, H, W) batch, the private encoders per image. Each branch
-(detector, reconstruction / difference, three level classifiers,
-region-instance classifier) is a named node, and their sum `composite` is
-what `train_step` minimises; the CLI's gradient check tests these same
-nodes. The adversarial branches are wired through gradient reversal, so the
-classifiers minimise their domain losses while the feature path maximises
-them. SGD with momentum and a single-step learning-rate decay
+its one loss graph from one forward of the pair: every module runs on the
+stacked (2, C, H, W) batch, the private encoders with each domain's kernels
+on its own image. Each branch (detector, reconstruction / difference, three
+level classifiers, region-instance classifier) is a named node, and their
+sum `composite` is what `train_step` minimises; the CLI's gradient check
+tests these same nodes. The adversarial branches are wired through gradient
+reversal, so the classifiers minimise their domain losses while the feature
+path maximises them. SGD with momentum and a single-step learning-rate decay
 drives all parameters. Also hosts the evaluation protocol (domain probe on
 frozen pooled features, target detection match rate) and checkpoints.
 """
@@ -80,6 +80,10 @@ class TrainConfig:
             raise ValueError("iterations and corpus size must be >= 1")
         if self.eval_size < 1 or self.probe_size < 1:
             raise ValueError("eval and probe sizes must be >= 1")
+        if self.decay_step is not None and self.decay_step < 0:
+            raise ValueError("decay_step must be >= 0 (or None for the default)")
+        if self.lambda_warmup_steps < 0:
+            raise ValueError("lambda_warmup_steps must be >= 0")
         if any(n % self.network.stride for n in self.scene.canvas):
             raise ValueError(f"canvas sides must be multiples of the network "
                              f"stride {self.network.stride}")
@@ -230,16 +234,17 @@ PAIR_DOMAINS = np.array([0, 1])
 def _pair_forward(net, source_entry, target_entry, lam):
     """Forward of one source/target pair.
 
-    The shared modules (backbone, decoder, level classifiers, RoI and group
-    pooling, region head) run once on the stacked (2, ...) pair, source
-    first; the private encoders run per image and their outputs are stacked
-    for the decoder. RoI and group pooling are block-diagonal matmuls over
-    both images, whose group rows the region head takes at once.
+    Every module runs once on the stacked (2, ...) pair, source first: the
+    shared ones (backbone, decoder, level classifiers, RoI and group
+    pooling, region head) with one set of weights, the private encoders on
+    the grayscale pair with each domain's kernels on its own image. RoI and
+    group pooling are block-diagonal matmuls over both images, whose group
+    rows the region head takes at once.
     """
     entries = (source_entry, target_entry)
     f1, f2, f3 = net.forward_backbone(np.stack([e.sample.rgb for e in entries]))
-    d = ad.stack([net.encode_private(source_entry.sample.gray, "source"),
-                  net.encode_private(target_entry.sample.gray, "target")])
+    gray = np.stack([e.sample.gray for e in entries])
+    d = net.encode_private(gray)
     xhat = net.reconstruct(d, f3)
     p1map, f_l = net.local_domain(ad.grl(f1, lam))
     p2, f_m = net.mid_domain(ad.grl(f2, lam))
@@ -252,8 +257,7 @@ def _pair_forward(net, source_entry, target_entry, lam):
     fused = ad.concat([np.repeat(ctx, groups_per_image, axis=0),
                        ad.grl(ad.matmul(members, roi), lam)], axis=1)
     return {
-        "f3": f3, "d": d, "xhat": xhat,
-        "gray": np.stack([e.sample.gray for e in entries]),
+        "f3": f3, "d": d, "xhat": xhat, "gray": gray,
         "p1map": p1map, "p2": p2, "p3": p3, "roi": roi,
         "groups_per_image": groups_per_image, "group_probs": net.region_domain(fused),
     }
@@ -474,16 +478,31 @@ def save_checkpoint(net, out_dir, prefix="checkpoint"):
 
 
 def load_checkpoint(net, out_dir, prefix="checkpoint"):
+    """Load a `save_checkpoint` pair into `net`. The manifest must hold
+    float64 values for exactly the net's parameters, each in the net's
+    shape; otherwise a ValueError names what differs and `net` is left
+    unchanged."""
     with open(os.path.join(out_dir, f"{prefix}.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if manifest.get("dtype") != "<f8":
+        raise ValueError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
     raw = np.fromfile(os.path.join(out_dir, f"{prefix}.bin"), dtype="<f8")
     if raw.size != manifest["total"]:
         raise ValueError("checkpoint blob size does not match manifest")
     by_name = {e["name"]: e for e in manifest["params"]}
-    for name, p in net.named_params():
+    named = net.named_params()
+    names = [name for name, _ in named]
+    if sorted(e["name"] for e in manifest["params"]) != sorted(names):
+        raise ValueError(f"checkpoint parameters differ from the net's: missing "
+                         f"{sorted(set(names) - set(by_name))}, unexpected "
+                         f"{sorted(set(by_name) - set(names))} (or a name repeats)")
+    for name, p in named:
+        if tuple(by_name[name]["shape"]) != p.value.shape:
+            raise ValueError(f"checkpoint shape {tuple(by_name[name]['shape'])} of "
+                             f"{name} differs from the net's {p.value.shape}")
+    for name, p in named:
         e = by_name[name]
-        n = int(np.prod(e["shape"])) if e["shape"] else 1
-        p.value = raw[e["offset"] : e["offset"] + n].reshape(e["shape"]).copy()
+        p.value = raw[e["offset"] : e["offset"] + p.value.size].reshape(p.value.shape).copy()
     return net
 
 

@@ -255,15 +255,21 @@ def brute_conv2d(x, w, b, stride, pad):
     return out
 
 
-def check_conv2d_adjoint(rng, xv, stride, pad, k):
+def check_conv2d_adjoint(rng, xv, stride, pad, k, per_image=False):
     """Brute-force forward, then the adjoint identity of each gradient, for
-    a (3, H, W) image or an (N, 3, H, W) batch."""
-    wv = rng.normal(size=(4, 3, k, k))
-    bv = rng.normal(size=4)
+    a (3, H, W) image or an (N, 3, H, W) batch; with `per_image` the kernels
+    and biases are an (N, 4, 3, k, k) and (N, 4) stack, one per image."""
+    lead = (len(xv),) if per_image else ()
+    wv = rng.normal(size=lead + (4, 3, k, k))
+    bv = rng.normal(size=lead + (4,))
     x, w, b = (ad.Tensor(v, requires_grad=True) for v in (xv, wv, bv))
-    out = ad.conv2d(x, w, ad.Tensor(np.zeros(4), requires_grad=True), stride, pad)
-    want = (brute_conv2d(xv, wv, bv, stride, pad) if xv.ndim == 3 else
-            np.stack([brute_conv2d(xi, wv, bv, stride, pad) for xi in xv]))
+    out = ad.conv2d(x, w, ad.Tensor(np.zeros(bv.shape), requires_grad=True), stride, pad)
+    if per_image:
+        want = np.stack([brute_conv2d(xi, wi, bi, stride, pad)
+                         for xi, wi, bi in zip(xv, wv, bv)])
+    else:
+        want = (brute_conv2d(xv, wv, bv, stride, pad) if xv.ndim == 3 else
+                np.stack([brute_conv2d(xi, wv, bv, stride, pad) for xi in xv]))
     np.testing.assert_allclose(ad.conv2d(xv, wv, bv, stride, pad), want,
                                rtol=1e-12, atol=1e-12)
     g = rng.normal(size=out.shape)
@@ -297,6 +303,72 @@ class TestConv2dAdjoint:
     def test_batch_adjoint_identity(self, stride, pad, k, n):
         rng = np.random.default_rng(1000 * n + 100 * stride + 10 * pad + k)
         check_conv2d_adjoint(rng, rng.normal(size=(n, 3, 5, 8)), stride, pad, k)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_per_image_kernels_adjoint_identity(self, stride, pad, k, n):
+        rng = np.random.default_rng(5000 + 1000 * n + 100 * stride + 10 * pad + k)
+        check_conv2d_adjoint(rng, rng.normal(size=(n, 3, 5, 8)), stride, pad, k,
+                             per_image=True)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_per_image_kernels_match_one_call_per_image(self, stride, pad, k):
+        """An (N, O, C, k, k) kernel stack against one shared-kernel call per
+        image with that image's kernel: the value and the x, w and b
+        gradients."""
+        rng = np.random.default_rng(300 + 100 * stride + 10 * pad + k)
+        n = 2
+        xv = rng.normal(size=(n, 3, 7, 6))
+        wv, bv = rng.normal(size=(n, 5, 3, k, k)), rng.normal(size=(n, 5))
+        oh, ow = (7 + 2 * pad - k) // stride + 1, (6 + 2 * pad - k) // stride + 1
+        g = rng.normal(size=(n, 5, oh, ow))
+        x, w, b = (ad.Tensor(v, requires_grad=True) for v in (xv, wv, bv))
+        out = ad.conv2d(x, w, b, stride, pad)
+        out.backward(g)
+        singles = []
+        for i in range(n):
+            xi, wi, bi = (ad.Tensor(v, requires_grad=True) for v in (xv[i], wv[i], bv[i]))
+            oi = ad.conv2d(xi, wi, bi, stride, pad)
+            oi.backward(g[i])
+            singles.append((oi.value, xi.grad, wi.grad, bi.grad))
+        for got, ref in zip((out.value, x.grad, w.grad, b.grad),
+                            (np.stack(parts) for parts in zip(*singles))):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("w_shape, b_shape, match", [
+        ((3, 4, 2, 3, 3), (3, 4), "kernel stack of 3 for 2 images"),
+        ((1, 4, 2, 3, 3), (1, 4), "kernel stack of 1 for 2 images"),
+        ((2, 4, 2, 3, 3), (4,), "bias shape"),
+        ((4, 2, 3, 3), (2, 4), "bias shape"),
+    ])
+    def test_rejects_a_kernel_stack_of_the_wrong_size(self, w_shape, b_shape, match):
+        with pytest.raises(ValueError, match=match):
+            ad.conv2d(np.ones((2, 2, 5, 5)), np.ones(w_shape), np.ones(b_shape))
+
+    @pytest.mark.parametrize("per_image", [False, True])
+    def test_pad0_conv_reads_its_input_and_g_in_place(self, per_image):
+        """A pad-0 1x1 conv builds its patch stack as a view of the input,
+        and its vjp leaves both the input and `g` as they were."""
+        rng = np.random.default_rng(8)
+        xv = rng.normal(size=(2, 4, 6, 5))
+        assert ad._embed(xv, 0, 0, 6, 5) is xv
+        assert np.shares_memory(ad._im2col(xv, 1, 1, 1, 6, 5), xv)
+        lead = (2,) if per_image else ()
+        x = ad.Tensor(xv.copy(), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=lead + (3, 4, 1, 1)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=lead + (3,)), requires_grad=True)
+        out = ad.conv2d(x, w, b, stride=1, pad=0)
+        g = rng.normal(size=out.shape)
+        g_before = g.copy()
+        dx, dw, db = out._vjp(g)
+        assert x.value.tobytes() == xv.tobytes()
+        assert g.tobytes() == g_before.tobytes()
+        assert dx.shape == xv.shape and dw.shape == w.shape and db.shape == b.shape
 
     @pytest.mark.parametrize("stride, k, pad", [(1, 3, 1), (2, 3, 1), (1, 1, 0), (2, 1, 0)])
     @pytest.mark.parametrize("n", [2, 3])
@@ -486,11 +558,66 @@ class TestFiniteGuard:
         with pytest.raises(FloatingPointError):
             ad.Tensor([np.nan])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_raises_on_the_last_entry_of_a_feature_batch(self, bad):
+        v = np.random.default_rng(0).normal(size=(2, 8, 32, 32))
+        v[-1, -1, -1, -1] = bad
+        with pytest.raises(FloatingPointError):
+            ad.Tensor(v)
+
+    def test_finite_entries_whose_sum_overflows_pass(self):
+        with np.errstate(over="ignore"):
+            t = ad.Tensor(np.full(4, 1e308))
+        assert t.value.tobytes() == np.full(4, 1e308).tobytes()
+
     def test_log_of_negative_raises(self):
         t = ad.Tensor([-1.0])
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError):
                 ad.log(t)
+
+
+class TestConstantOperands:
+    """A binary op's vjp gives None for an operand that needs no gradient,
+    and the other operand's gradient is the one it gets when both do."""
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    @pytest.mark.parametrize("const", [0, 1])
+    def test_vjp_skips_the_constant_operand(self, op, const):
+        rng = np.random.default_rng(3)
+        av, bv = rng.normal(size=(3, 4)), rng.normal(size=4) + 3.0
+        g = rng.normal(size=(3, 4))
+        full = op(ad.Tensor(av, requires_grad=True), ad.Tensor(bv, requires_grad=True))
+        want = full._vjp(g)
+        args = [ad.Tensor(av, requires_grad=True), ad.Tensor(bv, requires_grad=True)]
+        args[const] = ad.Tensor(args[const].value)
+        got = op(*args)._vjp(g)
+        assert got[const] is None
+        live = 1 - const
+        assert got[live].tobytes() == want[live].tobytes()
+        assert got[live].shape == args[live].shape
+
+
+class TestMean:
+    @pytest.mark.parametrize("axis, keepdims", [
+        (None, False), (None, True), ((1, 2), False), (-1, False), ((-2, -1), True),
+    ])
+    def test_equals_sum_then_div_bit_for_bit(self, axis, keepdims):
+        rng = np.random.default_rng(11)
+        av = rng.normal(size=(2, 3, 5))
+        g_shape = np.sum(av, axis=axis, keepdims=keepdims).shape
+        g = rng.normal(size=g_shape)
+        a = ad.Tensor(av, requires_grad=True)
+        got = ad.mean(a, axis=axis, keepdims=keepdims)
+        got.backward(g)
+        got_grad, a.grad = a.grad, None
+        n = av.size // int(np.prod(g_shape))
+        want = ad.div(ad.sum(a, axis=axis, keepdims=keepdims), float(n))
+        want.backward(g)
+        assert got.value.shape == want.value.shape
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got_grad.tobytes() == a.grad.tobytes()
+
 
 
 class TestSGD:

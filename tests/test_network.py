@@ -65,6 +65,38 @@ class TestReconstruct:
             )
 
 
+class TestEncodePrivate:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pair_equals_each_domain_stack_on_its_own_image(self, seed):
+        """One call on the (2, 1, H, W) pair against `enc_s` on the source
+        image and `enc_t` on the target image, layer by layer: the value and
+        every encoder parameter's gradient."""
+        n = net.SeparationNet(net.NetworkSpec(channels=(4, 6, 8)), seed=seed)
+        rng = np.random.default_rng(seed)
+        gray = rng.uniform(size=(2, 1, 16, 24))
+        g = rng.normal(size=(2, 8, 2, 3))
+        encoders = n.enc_s + n.enc_t
+        pair = n.encode_private(gray)
+        pair.backward(g)
+        pair_grads = [(m.w.grad, m.b.grad) for m in encoders]
+        for m in encoders:
+            m.w.grad = m.b.grad = None
+        for i, stack in enumerate((n.enc_s, n.enc_t)):
+            h = gray[i]
+            for conv in stack:
+                h = ad.tanh(conv(h))
+            h.backward(g[i])
+            assert h.shape == pair.shape[1:]
+            assert np.abs(pair.value[i] - h.value).max() <= 1e-13 * np.abs(h.value).max()
+        for m, (gw, gb) in zip(encoders, pair_grads):
+            for got, want in ((gw, m.w.grad), (gb, m.b.grad)):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_needs_the_pair(self, small_net):
+        with pytest.raises(ValueError, match="kernel stack of 2 for 1 images"):
+            small_net.encode_private(np.zeros((1, 1, 16, 16)))
+
+
 class TestUpsampleConv:
     """The decoder block (`ad.upsample_conv2d`) against a 3x3 conv of the
     explicit nearest 2x upsampling: value and the x, w and b gradients."""

@@ -192,11 +192,15 @@ def test_composite_gradient_is_the_weighted_branch_sum(lam):
 def _reference_losses(net, source_entry, target_entry, weights, lam):
     """The per-image composition the pair forward replaced: each image runs
     through every module on its own and each term is summed over the two
-    domains (normalised reconstruction)."""
-    def image_forward(entry, domain):
+    domains (normalised reconstruction). Each image's private features come
+    from its own domain's encoder layers, called one by one on that image
+    alone."""
+    def image_forward(entry, encoder):
         sample = entry.sample
         f1, f2, f3 = net.forward_backbone(sample.rgb)
-        d = net.encode_private(sample.gray, domain)
+        d = sample.gray
+        for conv in encoder:
+            d = ad.tanh(conv(d))
         p1map, f_l = net.local_domain(ad.grl(f1, lam))
         p2, f_m = net.mid_domain(ad.grl(f2, lam))
         p3, f_g = net.global_domain(ad.grl(f3, lam))
@@ -209,7 +213,7 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
                 "p1map": p1map, "p2": p2, "p3": p3, "roi": roi,
                 "probs": net.region_domain(fused)}
 
-    s, t = image_forward(source_entry, "source"), image_forward(target_entry, "target")
+    s, t = image_forward(source_entry, net.enc_s), image_forward(target_entry, net.enc_t)
     logits, deltas = net.detector_head(s["roi"])
     l_c, l_r = nw.detector_losses(logits, deltas, nw.detector_targets(
         [p.box for p in source_entry.pset.proposals],
@@ -322,6 +326,49 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
         assert q.value.tobytes() == p.value.tobytes()
 
 
+def _saved_spec_into(tmp_path, spec, edit=None):
+    """Save a fresh net of `spec`, optionally `edit` its manifest dict, and
+    return the directory."""
+    training.save_checkpoint(nw.SeparationNet(spec, seed=1), str(tmp_path))
+    if edit:
+        path = tmp_path / "checkpoint.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+    return str(tmp_path)
+
+
+def _drop_last_param(manifest):
+    manifest["params"].pop()
+
+
+def _rename_first_param(manifest):
+    manifest["params"][0]["name"] = "backbone.f0.w"
+
+
+def _repeat_first_param(manifest):
+    manifest["params"][1]["name"] = manifest["params"][0]["name"]
+
+
+@pytest.mark.parametrize("spec, edit, match", [
+    (training.gradcheck_network_spec(), None, r"backbone\.f1\.w"),
+    (nw.NetworkSpec(), lambda m: m.update(dtype=">f8"), "dtype"),
+    (nw.NetworkSpec(), _drop_last_param, r"missing \['head\.box\.b'\]"),
+    (nw.NetworkSpec(), _rename_first_param, r"unexpected \['backbone\.f0\.w'\]"),
+    (nw.NetworkSpec(), _repeat_first_param, "repeats"),
+])
+def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
+    """A checkpoint of another `NetworkSpec`, or whose manifest names other
+    parameters or another dtype, raises and leaves the net unchanged."""
+    out = _saved_spec_into(tmp_path, spec, edit)
+    target = nw.SeparationNet(nw.NetworkSpec(), seed=0)
+    before = [p.value.copy() for p in target.params()]
+    with pytest.raises(ValueError, match=match):
+        training.load_checkpoint(target, out)
+    for p, v in zip(target.params(), before):
+        assert p.value.tobytes() == v.tobytes()
+
+
 @pytest.mark.parametrize("change, match", [
     ({"eval_size": 0}, "eval and probe"),
     ({"probe_size": 0}, "eval and probe"),
@@ -330,11 +377,18 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     ({"shift": synth.DomainShiftSpec(fog_alpha=1.5)}, "fog_alpha"),
     ({"proposal_noise": synth.ProposalNoiseSpec(redundancy=0)}, "redundancy"),
     ({"cluster": dataclasses.replace(training.TrainConfig().cluster, k=0.5)}, "multiplier"),
+    ({"decay_step": -1}, "decay_step"),
+    ({"lambda_warmup_steps": -1}, "lambda_warmup_steps"),
 ])
 def test_validate_rejects(change, match):
     cfg = dataclasses.replace(tiny_config(2), **change)
     with pytest.raises(ValueError, match=match):
         cfg.validate()
+
+
+@pytest.mark.parametrize("decay_step", [None, 0])
+def test_validate_accepts_the_default_and_a_zero_decay_step(decay_step):
+    dataclasses.replace(tiny_config(2), decay_step=decay_step).validate()
 
 
 @pytest.mark.parametrize("data", [{"cluster": {"k": 0.5}}, {"scene": {"canvas": [40, 36]}}])
