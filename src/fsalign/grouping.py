@@ -15,7 +15,13 @@ from . import scale_space as ssc
 
 
 class DegenerateGroupingError(ValueError):
-    """Every proposal was flagged as an outlier; no group survives."""
+    """Every proposal was flagged as an outlier; no group survives.
+
+    `result` is the clustering that flagged them."""
+
+    def __init__(self, result):
+        super().__init__("all proposals were flagged as outliers; fall back to one group")
+        self.result = result
 
 
 @dataclass
@@ -107,8 +113,8 @@ def cluster_box_centers(centers, cfg=None):
     """Cluster (N, 2) box centers into proposal groups.
 
     Returns (member_index_lists, outlier_indices, clustering_result); empty
-    clusters are dropped. Raises DegenerateGroupingError when every center is
-    an outlier.
+    clusters are dropped. Raises DegenerateGroupingError, carrying the
+    clustering result, when every center is an outlier.
     """
     result = ssc.cluster_points(centers, cfg)
     labels = result.assignment.labels
@@ -119,8 +125,6 @@ def cluster_box_centers(centers, cfg=None):
     members = [m for m in members if m]
     outliers = [int(i) for i in np.nonzero(labels == ssc.OUTLIER)[0]]
     if not members:
-        raise DegenerateGroupingError(
-            "all proposals were flagged as outliers; fall back to one group"
-        )
+        raise DegenerateGroupingError(result)
     return members, outliers, result
 

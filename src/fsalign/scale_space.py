@@ -20,7 +20,8 @@ OUTLIER = -1
 # lifetime constant: pi(sigma) = log(sigma/epsilon) / log(1.05)
 _LIFETIME_C = 1.0 / math.log(1.05)
 
-_WEIGHT_FLOOR = np.finfo(np.float64).tiny
+# smallest normal float64; a row whose kernel mass falls below it is isolated
+_WEIGHT_FLOOR = float(np.finfo(np.float64).tiny)
 
 
 def _check_kernel_scale(sigma0):
@@ -52,10 +53,8 @@ class ScaleSweepConfig:
     allow_single_cluster: bool = False
 
     def validate(self):
-        if self.sigma0 is not None:
-            if not self.sigma0 > 0:
-                raise ValueError("sigma0 must be positive")
-            _check_kernel_scale(self.sigma0)
+        if self.sigma0 is not None and not self.sigma0 > 0:
+            raise ValueError("sigma0 must be positive")
         if not self.k > 1:
             raise ValueError("scale multiplier k must exceed 1")
         for name in ("epsilon", "convergence_tol", "merge_tol"):
@@ -63,6 +62,13 @@ class ScaleSweepConfig:
                 raise ValueError(f"{name} must be positive")
         if self.max_inner_iters < 1 or self.max_scales < 1:
             raise ValueError("iteration limits must be >= 1")
+        if self.sigma0 is not None:
+            # `lifetime` is defined from epsilon up: a sweep started below it
+            # would run, then fail when its scales are scored
+            if self.sigma0 < self.epsilon:
+                raise ValueError(f"sigma0 = {self.sigma0!r} is below "
+                                 f"epsilon = {self.epsilon!r}")
+            _check_kernel_scale(self.sigma0)
 
 
 @dataclass
@@ -131,33 +137,6 @@ def as_points(points):
     return pts
 
 
-def _shift_all(points, centers, sigma):
-    """One mean-shift update of every center; rows with underflowed kernel
-    mass are kept in place and reported as isolated.
-
-    The squared distances are built from the x and y differences in one
-    (K, N) buffer that the kernel is then computed in, in place: per-call
-    overhead, not arithmetic, is the cost on these small arrays. Adding the
-    two squares is exactly the length-2 reduction over the coordinate axis,
-    and dividing by the negated scale is exactly negating, then dividing.
-    """
-    w = centers[:, :1] - points[:, 0]
-    w *= w
-    dy = centers[:, 1:] - points[:, 1]
-    dy *= dy
-    w += dy
-    w /= -2.0 * sigma * sigma
-    np.exp(w, out=w)
-    total = np.add.reduce(w, axis=1)
-    isolated = total < _WEIGHT_FLOOR
-    if not np.count_nonzero(isolated):
-        return (w @ points) / total[:, None], isolated
-    safe = np.where(isolated, 1.0, total)
-    new = (w @ points) / safe[:, None]
-    new[isolated] = centers[isolated]
-    return new, isolated
-
-
 def _merge_centers(centers, tol):
     """Merge centers closer than `tol` (transitively); each surviving center
     is the mean of its component, ordered by smallest member index."""
@@ -188,32 +167,60 @@ def converge_centers(points, init_centers, sigma, cfg):
     Movement below `cfg.convergence_tol * sigma` (or kernel-mass underflow)
     stops a center; converged centers within `cfg.merge_tol * sigma` of each
     other collapse to their mean.
+
+    Each iteration builds the Gaussian kernel of the still-moving rows against
+    every point in numpy, as one (active rows, N) buffer, and takes its row
+    sums and its product with the points there. That product must stay
+    (active rows, N) @ (N, 2): running stopped rows along would let BLAS
+    change each row's summation order, and with it the bits of the result.
+    The rest is a few operations per row (a division by the kernel mass, the
+    isolation test, the movement test), so it runs on Python floats read back
+    with `tolist()`. Each is one IEEE operation (`+ - * /` and a correctly
+    rounded `sqrt`) with the same bits as numpy's, so the centers and the
+    iteration count are those of the all-numpy loop.
     """
     points = as_points(points)
-    centers = np.atleast_2d(np.asarray(init_centers, dtype=np.float64)).copy()
+    centers = np.atleast_2d(np.asarray(init_centers, dtype=np.float64))
     if centers.shape[0] < 1:
         raise ValueError("init_centers must be nonempty")
-    tol = cfg.convergence_tol * sigma
-    # `cur` holds the still-moving rows and `rows` their indices into
-    # `centers`. The matmul in `_shift_all` must stay (active rows, N) @
-    # (N, 2): running converged rows along would let BLAS change each row's
-    # summation order, and with it the bits of the result.
-    cur, rows, iters = centers, np.arange(len(centers)), 0
+    tol = float(cfg.convergence_tol * sigma)
+    scale = -2.0 * sigma * sigma
+    px, py = points[:, 0].copy(), points[:, 1].copy()
+    # `out` holds every row's position, written when the row stops; `rows`
+    # and `pos` are the indices and positions of the rows still moving
+    pos = centers.tolist()
+    out, rows, cur, iters = list(pos), list(range(len(pos))), centers, 0
     for iters in range(1, cfg.max_inner_iters + 1):
-        new, isolated = _shift_all(points, cur, sigma)
-        step = new - cur
-        step *= step
-        stop = (np.sqrt(step[:, 0] + step[:, 1]) < tol) | isolated
-        if np.count_nonzero(stop):
-            centers[rows[stop]] = new[stop]
-            keep = ~stop
-            rows, new = rows[keep], new[keep]
-            if rows.size == 0:
-                break
-        cur = new
-    else:
-        centers[rows] = cur
-    merged = _merge_centers(centers, cfg.merge_tol * sigma)
+        # (dx*dx + dy*dy) / (-2 sigma^2), then exp: the kernel of every
+        # moving row against every point, in one buffer
+        w = cur[:, :1] - px
+        w *= w
+        wy = cur[:, 1:] - py
+        wy *= wy
+        w += wy
+        w /= scale
+        np.exp(w, out=w)
+        mass = np.add.reduce(w, axis=1).tolist()
+        moved = (w @ points).tolist()
+        next_rows, next_pos = [], []
+        for r, m, (sx, sy), (cx, cy) in zip(rows, mass, moved, pos):
+            if m < _WEIGHT_FLOOR:  # isolated: the row stays where it is
+                out[r] = [cx, cy]
+                continue
+            x, y = sx / m, sy / m
+            dx, dy = x - cx, y - cy
+            if math.sqrt(dx * dx + dy * dy) < tol:
+                out[r] = [x, y]
+            else:
+                next_rows.append(r)
+                next_pos.append([x, y])
+        rows, pos = next_rows, next_pos
+        if not rows:
+            break
+        cur = np.array(pos)
+    for r, p in zip(rows, pos):  # rows still moving when the iterations ran out
+        out[r] = p
+    merged = _merge_centers(np.array(out), cfg.merge_tol * sigma)
     return ClusterSnapshot(sigma=float(sigma), centers=merged, iters=iters)
 
 

@@ -27,7 +27,7 @@ from . import losses as L
 from . import network as nw
 from . import synth
 from .grouping import apply_deltas, cluster_box_centers, iou, DegenerateGroupingError
-from .scale_space import ScaleSweepConfig
+from .scale_space import OUTLIER, ScaleSweepConfig
 
 CSV_COLUMNS = ("step", "L_c", "L_r", "L_rec", "L_diff", "L_lg", "L_ri", "total")
 
@@ -141,6 +141,22 @@ def load_config(path):
 # corpus with cached grouping
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class GroupingDiagnostics:
+    """What the scale sweep did on one image: the selected cluster count K
+    and scale `sigma_star`, how many proposals it flagged as outliers,
+    whether it ran out of scales before K reached 1, its mean-shift
+    iterations over all scales, and whether every proposal was an outlier,
+    so that the entry fell back to one group of all proposals."""
+
+    K: int
+    sigma_star: float
+    outliers: int
+    truncated: bool
+    inner_iters: int
+    fallback: bool
+
+
 @dataclass
 class CorpusEntry:
     """One training image with its proposals, their grouping and the
@@ -150,7 +166,8 @@ class CorpusEntry:
     (`network.roi_pool_matrix` at `network.STRIDE`), `group_matrix` takes
     the mean of each group's pooled rows (`network.group_mean_matrix`).
     `targets` holds the detector targets of a source image and is None for
-    a target image, whose truth stays evaluation-only.
+    a target image, whose truth stays evaluation-only. `grouping` describes
+    the sweep; `groups` and `outliers` are what training uses.
     """
 
     sample: synth.Sample
@@ -161,13 +178,20 @@ class CorpusEntry:
     roi_matrix: np.ndarray
     group_matrix: np.ndarray
     targets: nw.DetectorTargets | None
+    grouping: GroupingDiagnostics
 
 
 def _grouped_entry(sample, pset, cluster_cfg):
     try:
-        members, outliers, _ = cluster_box_centers(pset.centers(), cluster_cfg)
-    except DegenerateGroupingError:
-        members, outliers = [list(range(len(pset.proposals)))], []
+        members, outliers, result = cluster_box_centers(pset.centers(), cluster_cfg)
+        fallback = False
+    except DegenerateGroupingError as err:
+        members, outliers, result = [list(range(len(pset.proposals)))], [], err.result
+        fallback = True
+    grouping = GroupingDiagnostics(
+        K=result.model.K, sigma_star=result.model.sigma_star,
+        outliers=int(np.count_nonzero(result.assignment.labels == OUTLIER)),
+        truncated=result.truncated, inner_iters=result.inner_iters, fallback=fallback)
     boxes = [p.box for p in pset.proposals]
     hf, wf = (n // nw.STRIDE for n in sample.rgb.shape[-2:])
     targets = (nw.detector_targets(boxes, sample.boxes, sample.labels)
@@ -175,7 +199,8 @@ def _grouped_entry(sample, pset, cluster_cfg):
     return CorpusEntry(
         sample=sample, pset=pset, groups=members, outliers=outliers, boxes=boxes,
         roi_matrix=nw.roi_pool_matrix(boxes, nw.STRIDE, hf, wf),
-        group_matrix=nw.group_mean_matrix(members, len(boxes)), targets=targets)
+        group_matrix=nw.group_mean_matrix(members, len(boxes)), targets=targets,
+        grouping=grouping)
 
 
 def build_training_corpus(cfg):

@@ -115,8 +115,12 @@ class TestClusterProposals:
 
 class TestDegenerateFallback:
     def test_evenly_spaced_centers_raise(self):
-        with pytest.raises(grp.DegenerateGroupingError):
+        with pytest.raises(grp.DegenerateGroupingError) as err:
             grp.cluster_box_centers(SQUARE)
+        # the error carries the clustering that flagged every proposal
+        result = err.value.result
+        assert (result.assignment.labels == -1).all()
+        assert result.model.K == 4 and not result.truncated
 
     def test_trainer_falls_back_to_one_group(self):
         # the square moved to the middle of a 32x32 image, so every box lies
@@ -130,4 +134,13 @@ class TestDegenerateFallback:
                               [grp.BoundingBox(bx=16.0, by=16.0, w=8.0, h=8.0)], [1])
         entry = training._grouped_entry(sample, pset, ScaleSweepConfig())
         assert entry.groups == [[0, 1, 2, 3]] and entry.outliers == []
+        # the diagnostics describe the sweep that degenerated: all four
+        # proposals flagged, then the fallback
+        with pytest.raises(grp.DegenerateGroupingError) as err:
+            grp.cluster_box_centers(pset.centers())
+        result = err.value.result
+        assert entry.grouping == training.GroupingDiagnostics(
+            K=4, sigma_star=result.model.sigma_star, outliers=4, truncated=False,
+            inner_iters=result.inner_iters, fallback=True)
+        assert entry.grouping.inner_iters > 0
         np.testing.assert_array_equal(entry.group_matrix, np.full((1, 4), 0.25))

@@ -143,6 +143,17 @@ class TestScaleSweep:
         with pytest.raises(ValueError, match="underflows"):
             ssc.scale_sweep(self.UNDERFLOW_POINTS, cfg)
 
+    def test_sigma0_below_epsilon_rejected(self):
+        # the sweep itself would run; scoring its scales would not, since
+        # `lifetime` is defined from epsilon up
+        pts = make_blobs([(0, 0), (20, 0)], 10, 1.0, seed=4)
+        cfg = ssc.ScaleSweepConfig(sigma0=0.001)
+        with pytest.raises(ValueError, match=r"sigma0 = 0\.001 is below epsilon = 0\.01"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="below epsilon"):
+            ssc.cluster_points(pts, cfg)
+        ssc.ScaleSweepConfig(sigma0=0.01).validate()  # sigma0 == epsilon is fine
+
     def test_tiny_valid_sigma0_accepted(self):
         cfg = ssc.ScaleSweepConfig(sigma0=1e-150, epsilon=1e-150, max_scales=3)
         snaps, _ = ssc.scale_sweep(self.UNDERFLOW_POINTS * 1e20, cfg)
@@ -460,6 +471,40 @@ class TestSweepBitIdentity:
         assert np.array_equal(merged, centers) and merged is not centers
 
 
+class TestRowWriteBack:
+    """Rows leave the active set in the iteration they stop, in place."""
+
+    def test_isolated_stopped_and_moving_rows_in_one_iteration(self):
+        # at sigma 1.5, in iteration 1: row 0 is far from every point and
+        # isolated, row 1 sits on the mode between (-1, 0) and (1, 0) and
+        # stops, row 2 starts off the mode of the right pair and moves on
+        pts = np.array([(-1.0, 0.0), (1.0, 0.0), (20.0, -1.0), (20.0, 1.0)])
+        init = np.array([(1e4, 1e4), (0.0, 0.0), (20.0, 0.7)])
+        cfg, sigma = ssc.ScaleSweepConfig(), 1.5
+        one = ssc.converge_centers(pts, init, sigma, ssc.ScaleSweepConfig(max_inner_iters=1))
+        snap = ssc.converge_centers(pts, init, sigma, cfg)
+        centers, iters, any_isolated = ref_converge(pts, init, sigma, cfg)
+        assert any_isolated and iters > 1
+        assert np.array_equal(snap.centers, centers) and snap.iters == iters
+        assert np.array_equal(snap.centers[0], init[0])       # left in place
+        assert np.array_equal(snap.centers[1], one.centers[1])  # stopped after one step
+        assert not np.array_equal(snap.centers[1], init[1])
+        assert not np.array_equal(snap.centers[2], one.centers[2])  # kept moving
+        assert abs(snap.centers[2, 1]) < 1e-5
+
+    def test_every_row_stops_in_the_first_iteration(self):
+        # every point's kernel reaches only itself at this scale, so each row
+        # started on a point stays there; the last row is isolated
+        pts = np.array([(0.0, 0.0), (3.0, 1.0), (7.5, -2.25)])
+        init = np.concatenate([pts, [(500.0, 500.0)]])
+        cfg, sigma = ssc.ScaleSweepConfig(), 0.05
+        snap = ssc.converge_centers(pts, init, sigma, cfg)
+        centers, iters, any_isolated = ref_converge(pts, init, sigma, cfg)
+        assert snap.iters == iters == 1 and any_isolated
+        assert np.array_equal(snap.centers, centers)
+        assert np.array_equal(snap.centers, init)
+
+
 class TestIterationCounter:
     def test_single_point_stops_after_one_iteration(self):
         snap = ssc.converge_centers([(2.0, 3.0)], [(2.0, 3.0)], 1.0,
@@ -494,3 +539,15 @@ def test_scale_equivariance(grid, e):
     assert r2.model.sigma_star == r1.model.sigma_star * f
     assert np.array_equal(r2.model.centers, r1.model.centers * f)
     assert [s.iters for s in r1.snapshots] == [s.iters for s in r2.snapshots]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    cloud=st.integers(1, 25).flatmap(lambda n: st.lists(
+        st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)), min_size=n, max_size=n)),
+    repeats=st.lists(st.integers(0, 24), max_size=5),
+)
+def test_sweep_matches_reference_on_random_clouds(cloud, repeats):
+    # 1 to 30 points, some of them repeated; every snapshot bit for bit
+    pts = np.array(cloud + [cloud[i % len(cloud)] for i in repeats])
+    assert_sweep_matches_reference(pts, ssc.ScaleSweepConfig())

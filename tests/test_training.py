@@ -8,7 +8,7 @@ import pytest
 
 from fsalign import autodiff as ad
 from fsalign import network as nw
-from fsalign import losses, synth, training
+from fsalign import grouping, losses, synth, training
 
 
 def tiny_config(iterations):
@@ -422,6 +422,19 @@ def test_corpus_entries_cache_the_step_constants(monkeypatch):
         np.testing.assert_array_equal(entry.targets.deltas, want.deltas)
         assert entry.targets.positives == want.positives
     assert all(entry.targets is None for entry in target)
+
+
+def test_corpus_entries_keep_their_grouping_diagnostics():
+    for entry in training.build_gradcheck_data(0):
+        members, outliers, result = grouping.cluster_box_centers(
+            entry.pset.centers(), training.ScaleSweepConfig())
+        assert (entry.groups, entry.outliers) == (members, outliers)
+        assert entry.grouping == training.GroupingDiagnostics(
+            K=result.model.K, sigma_star=result.model.sigma_star,
+            outliers=len(outliers), truncated=result.truncated,
+            inner_iters=result.inner_iters, fallback=False)
+        assert type(entry.grouping.K) is int and type(entry.grouping.inner_iters) is int
+        assert entry.grouping.inner_iters >= len(result.snapshots)
 
 
 def test_target_entry_cannot_train_the_detector():
