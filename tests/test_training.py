@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import traceback
 
@@ -105,6 +106,51 @@ def test_run_experiment_builds_the_corpus_once(monkeypatch, tmp_path):
         1.4207127047326555, 0.050450546135618217, 0.73168875888592788,
         0.0019021590918508397, 1.9013436383167099, 0.0179370820615249,
         1.4711632508682737], rtol=1e-10, atol=0.0)
+
+
+@pytest.fixture(scope="module")
+def trained_tiny():
+    cfg = tiny_config(6)
+    return training.train(cfg), training.build_eval_sets(cfg)
+
+
+# the evaluation path of the net `train(tiny_config(6))` gives, recorded
+# bit-for-bit: pooled f3 features of the detection eval images, and the
+# `.17g` fields of its loss CSV parsed back
+PINNED_POOLED = np.array([
+    [-0.030992150088208256, -0.004183643059980764, -0.13385527198056638, -0.2804742551280509,
+     -0.25473441982854406, -0.1840482655323189, 0.12598440352386991, 0.3794621749874763],
+    [-0.03245384821527566, -0.006698098104613104, -0.1328968804060636, -0.2630772040145345,
+     -0.2376034492567838, -0.18172969488930774, 0.11229893965071183, 0.3717685477183802],
+    [-0.03502996174393276, -0.006959543238654513, -0.15624434722139843, -0.25444013699266566,
+     -0.22812028959852296, -0.16754289546967172, 0.10552619009592365, 0.35095576568850995],
+])
+PINNED_CSV_ROWS = [
+    [1.425588837454761, 0.05368830760339671, 0.7307985112369606, 0.0020910335536456362,
+     1.9095786694190189, 0.0191103073136299, -0.37612287719543036],
+    [1.377993130888969, 0.029154403132432193, 0.7056873127194674, 0.0010302794141513298,
+     1.6872273555660735, 0.019684998701972555, -0.22909306103328286],
+    [1.376166966755057, 0.029449673352561045, 0.7050297616472708, 0.0015568546104991635,
+     1.7306826233822261, 0.018903703913560374, -0.2733110255623916],
+    [1.3729185320781072, 0.030090714558885595, 0.7022025936709599, 0.002518002145097255,
+     1.8001133637737172, 0.017821021159550934, -0.34445307871466957],
+    [1.4302806592747463, 0.05262532687160759, 0.729983322271683, 0.008665539454888054,
+     2.111191870244851, 0.01881790272878598, -0.5732389006546257],
+    [1.4304679733367895, 0.05255504963492267, 0.7280477133606047, 0.008888524359118032,
+     2.119969274973373, 0.018669997621271927, -0.5819226258509604],
+]
+
+
+def test_evaluation_path_is_pinned(trained_tiny):
+    result, (probe_train, probe_eval, detect_eval) = trained_tiny
+    pooled = training.pooled_features(result.net, [s for s, _ in detect_eval])
+    assert np.array_equal(pooled, PINNED_POOLED)
+    assert training.probe_domain_accuracy(result.net, probe_train, probe_eval) == 1.0
+    assert training.target_match_rate(result.net, detect_eval) == 2 / 3
+    rows = list(csv.reader(io.StringIO(training.rows_to_csv_text(result.rows))))
+    assert rows[0] == list(training.CSV_COLUMNS)
+    assert [int(r[0]) for r in rows[1:]] == list(range(6))
+    assert [[float(v) for v in r[1:]] for r in rows[1:]] == PINNED_CSV_ROWS
 
 
 def test_source_only_config_changes_only_weights():
