@@ -1,15 +1,20 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A small tape-free engine: every op builds a `Tensor` node holding its value,
+A small tape-free engine: every op returns a `Tensor` node holding its value,
 its parent nodes and a vector-Jacobian closure. `Tensor.backward()` walks the
 graph in reverse topological order and accumulates gradients into `.grad`.
 
-Everything is float64. Every node raises on a non-finite value, so a NaN is
-caught where it appears instead of poisoning the whole step.
+An operand is a `Tensor` node or a constant: a Python scalar or numpy array,
+read by value as float64. A constant makes no node: it is not a parent, and
+the vjp gives gradients for the parents only. An op whose operands are all
+constants still returns a `Tensor`, one without parents. To evaluate without
+building a graph, run the ops under `no_grad()`. Image ops (`conv2d`,
+`upsample_conv2d`) take (N, C, H, W) batches; one image is a batch of one.
 
-Most ops also accept plain numpy arrays / python scalars through the generic
-wrappers at the bottom (`log`, `clip`, `mean`, ...), so formula code can be
-written once and evaluated with or without gradient tracking.
+Everything is float64. Every node raises on a non-finite value, so a NaN is
+caught where it appears instead of poisoning the whole step. A non-finite
+constant is caught by the node that reads it, wherever it makes that node's
+value non-finite (a finite value divided by an infinite constant gives 0).
 """
 
 import contextlib
@@ -149,8 +154,32 @@ def _toposort(root):
     return order
 
 
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _value(x):
+    """An operand's array: a `Tensor`'s value, or a constant as float64."""
+    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _needs_grad(x):
+    return isinstance(x, Tensor) and x.requires_grad
+
+
+def _node(value, operands, vjp):
+    """The node of `value`, computed from `operands`.
+
+    `vjp` maps the output gradient to one gradient per operand, None for an
+    operand that needs none (`_needs_grad`). The `Tensor` operands become
+    the parents, in order; a constant's slot is dropped from the gradients,
+    so the node's vjp gives one gradient per parent.
+    """
+    keep = [i for i, x in enumerate(operands) if isinstance(x, Tensor)]
+    if len(keep) == len(operands):
+        return Tensor(value, _parents=operands, _vjp=vjp)
+
+    def parent_grads(g):
+        grads = vjp(g)
+        return tuple(grads[i] for i in keep)
+
+    return Tensor(value, _parents=[operands[i] for i in keep], _vjp=parent_grads)
 
 
 def _unbroadcast(grad, shape):
@@ -171,117 +200,76 @@ def _unbroadcast(grad, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return np.add(a, b)
-    a, b = _wrap(a), _wrap(b)
-    return Tensor(
-        a.value + b.value,
-        _parents=(a, b),
-        _vjp=lambda g: (
-            _unbroadcast(g, a.value.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.value.shape) if b.requires_grad else None,
-        ),
-    )
+    av, bv = _value(a), _value(b)
+    return _node(av + bv, (a, b), lambda g: (
+        _unbroadcast(g, av.shape) if _needs_grad(a) else None,
+        _unbroadcast(g, bv.shape) if _needs_grad(b) else None,
+    ))
 
 
 def sub(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return np.subtract(a, b)
-    a, b = _wrap(a), _wrap(b)
-    return Tensor(
-        a.value - b.value,
-        _parents=(a, b),
-        _vjp=lambda g: (
-            _unbroadcast(g, a.value.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.value.shape) if b.requires_grad else None,
-        ),
-    )
+    av, bv = _value(a), _value(b)
+    return _node(av - bv, (a, b), lambda g: (
+        _unbroadcast(g, av.shape) if _needs_grad(a) else None,
+        _unbroadcast(-g, bv.shape) if _needs_grad(b) else None,
+    ))
 
 
 def mul(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return np.multiply(a, b)
-    a, b = _wrap(a), _wrap(b)
-    return Tensor(
-        a.value * b.value,
-        _parents=(a, b),
-        _vjp=lambda g: (
-            _unbroadcast(g * b.value, a.value.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.value, b.value.shape) if b.requires_grad else None,
-        ),
-    )
+    av, bv = _value(a), _value(b)
+    return _node(av * bv, (a, b), lambda g: (
+        _unbroadcast(g * bv, av.shape) if _needs_grad(a) else None,
+        _unbroadcast(g * av, bv.shape) if _needs_grad(b) else None,
+    ))
 
 
 def div(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return np.divide(a, b)
-    a, b = _wrap(a), _wrap(b)
-    return Tensor(
-        a.value / b.value,
-        _parents=(a, b),
-        _vjp=lambda g: (
-            _unbroadcast(g / b.value, a.value.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)
-            if b.requires_grad else None,
-        ),
-    )
+    av, bv = _value(a), _value(b)
+    return _node(av / bv, (a, b), lambda g: (
+        _unbroadcast(g / bv, av.shape) if _needs_grad(a) else None,
+        _unbroadcast(-g * av / (bv * bv), bv.shape) if _needs_grad(b) else None,
+    ))
 
 
 def power(a, p):
     """Elementwise a**p for a constant scalar exponent."""
-    if not isinstance(a, Tensor):
-        return np.power(a, p)
-    p = float(p)
-    val = a.value**p
+    av, p = _value(a), float(p)
     if p == 0.0:
-        return Tensor(np.ones_like(a.value), _parents=(a,), _vjp=lambda g: (np.zeros_like(a.value),))
-    return Tensor(val, _parents=(a,), _vjp=lambda g: (g * p * a.value ** (p - 1.0),))
+        return _node(np.ones_like(av), (a,), lambda g: (np.zeros_like(av),))
+    return _node(av**p, (a,), lambda g: (g * p * av ** (p - 1.0),))
 
 
 def exp(a):
-    if not isinstance(a, Tensor):
-        return np.exp(a)
-    val = np.exp(a.value)
-    return Tensor(val, _parents=(a,), _vjp=lambda g: (g * val,))
+    val = np.exp(_value(a))
+    return _node(val, (a,), lambda g: (g * val,))
 
 
 def log(a):
-    if not isinstance(a, Tensor):
-        return np.log(a)
-    return Tensor(np.log(a.value), _parents=(a,), _vjp=lambda g: (g / a.value,))
+    av = _value(a)
+    return _node(np.log(av), (a,), lambda g: (g / av,))
 
 
 def tanh(a):
-    if not isinstance(a, Tensor):
-        return np.tanh(a)
-    val = np.tanh(a.value)
-    return Tensor(val, _parents=(a,), _vjp=lambda g: (g * (1.0 - val * val),))
+    val = np.tanh(_value(a))
+    return _node(val, (a,), lambda g: (g * (1.0 - val * val),))
 
 
 def sigmoid(a):
-    if not isinstance(a, Tensor):
-        return 1.0 / (1.0 + np.exp(-a))
-    val = 1.0 / (1.0 + np.exp(-a.value))
-    return Tensor(val, _parents=(a,), _vjp=lambda g: (g * val * (1.0 - val),))
+    val = 1.0 / (1.0 + np.exp(-_value(a)))
+    return _node(val, (a,), lambda g: (g * val * (1.0 - val),))
 
 
 def absolute(a):
     """|a| with sign subgradient (0 at the kink)."""
-    if not isinstance(a, Tensor):
-        return np.abs(a)
-    return Tensor(np.abs(a.value), _parents=(a,), _vjp=lambda g: (g * np.sign(a.value),))
+    av = _value(a)
+    return _node(np.abs(av), (a,), lambda g: (g * np.sign(av),))
 
 
 def clip(a, lo, hi):
     """Clamp to [lo, hi]; gradient is passed only strictly inside the interval."""
-    if not isinstance(a, Tensor):
-        return np.clip(a, lo, hi)
-    inside = (a.value > lo) & (a.value < hi)
-    return Tensor(
-        np.clip(a.value, lo, hi),
-        _parents=(a,),
-        _vjp=lambda g: (g * inside,),
-    )
+    av = _value(a)
+    inside = (av > lo) & (av < hi)
+    return _node(np.clip(av, lo, hi), (a,), lambda g: (g * inside,))
 
 
 # ---------------------------------------------------------------------------
@@ -289,132 +277,106 @@ def clip(a, lo, hi):
 # ---------------------------------------------------------------------------
 
 def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
-    if not isinstance(a, Tensor):
-        return np.sum(a, axis=axis, keepdims=keepdims)
+    av = _value(a)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.value.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, a.value.shape).copy(),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, av.shape).copy(),)
 
-    return Tensor(np.sum(a.value, axis=axis, keepdims=keepdims), _parents=(a,), _vjp=vjp)
+    return _node(np.sum(av, axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def mean(a, axis=None, keepdims=False):
     """Mean over `axis` as one node: `sum` then division by the count, the
     vjp broadcasting `g / n` back."""
-    if not isinstance(a, Tensor):
-        return np.mean(a, axis=axis, keepdims=keepdims)
+    av = _value(a)
     if axis is None:
-        n = a.value.size
+        n = av.size
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         n = 1
         for ax in axes:
-            n *= a.value.shape[ax]
+            n *= av.shape[ax]
     n = float(n)
 
     def vjp(g):
         g = g / n
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.value.shape).copy(),)
+        return (np.broadcast_to(g, av.shape).copy(),)
 
-    return Tensor(np.sum(a.value, axis=axis, keepdims=keepdims) / n, _parents=(a,), _vjp=vjp)
+    return _node(np.sum(av, axis=axis, keepdims=keepdims) / n, (a,), vjp)
 
 
 def reshape(a, shape):
-    if not isinstance(a, Tensor):
-        return np.reshape(a, shape)
-    old = a.value.shape
-    return Tensor(
-        a.value.reshape(shape), _parents=(a,), _vjp=lambda g: (g.reshape(old),)
-    )
+    av = _value(a)
+    return _node(av.reshape(shape), (a,), lambda g: (g.reshape(av.shape),))
 
 
 def transpose(a, axes=None):
     """Permute the axes as `np.transpose` does (reversed by default)."""
-    if not isinstance(a, Tensor):
-        return np.transpose(a, axes)
     back = None if axes is None else tuple(np.argsort(axes))
-    return Tensor(np.transpose(a.value, axes), _parents=(a,),
-                  _vjp=lambda g: (np.transpose(g, back),))
+    return _node(np.transpose(_value(a), axes), (a,),
+                 lambda g: (np.transpose(g, back),))
 
 
 def concat(parts, axis=0):
-    if not any(isinstance(p, Tensor) for p in parts):
-        return np.concatenate(parts, axis=axis)
-    parts = [_wrap(p) for p in parts]
-    sizes = [p.value.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    values = [_value(p) for p in parts]
+    splits = np.cumsum([v.shape[axis] for v in values])[:-1]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(piece) if _needs_grad(p) else None
+                     for p, piece in zip(parts, np.split(g, splits, axis=axis)))
 
-    return Tensor(
-        np.concatenate([p.value for p in parts], axis=axis),
-        _parents=tuple(parts),
-        _vjp=vjp,
-    )
+    return _node(np.concatenate(values, axis=axis), parts, vjp)
 
 
 def stack(parts):
-    """Stack equal-shape tensors along a new leading axis."""
-    if not any(isinstance(p, Tensor) for p in parts):
-        return np.stack(parts)
-    parts = [_wrap(p) for p in parts]
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(parts)))
-
-    return Tensor(np.stack([p.value for p in parts]), _parents=tuple(parts), _vjp=vjp)
+    """Stack equal-shape operands along a new leading axis."""
+    return _node(np.stack([_value(p) for p in parts]), parts,
+                 lambda g: tuple(g[i] for i in range(len(parts))))
 
 
 def take_rows(a, idx):
-    """Select rows of a 2-D tensor by integer index array."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if not isinstance(a, Tensor):
-        return a[idx]
+    """Select rows of a 2-D operand by integer index array."""
+    av, idx = _value(a), np.asarray(idx, dtype=np.int64)
 
     def vjp(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros_like(av)
         np.add.at(out, idx, g)
         return (out,)
 
-    return Tensor(a.value[idx], _parents=(a,), _vjp=vjp)
+    return _node(av[idx], (a,), vjp)
 
 
 def crop(a, y0, y1, x0, x1):
-    """Spatial crop of a (C, H, W) tensor."""
-    if not isinstance(a, Tensor):
-        return a[:, y0:y1, x0:x1]
+    """Spatial crop of a (C, H, W) operand."""
+    av = _value(a)
 
     def vjp(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros_like(av)
         out[:, y0:y1, x0:x1] = g
         return (out,)
 
-    return Tensor(a.value[:, y0:y1, x0:x1], _parents=(a,), _vjp=vjp)
+    return _node(av[:, y0:y1, x0:x1], (a,), vjp)
 
 
 def matmul(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return a @ b
-    a, b = _wrap(a), _wrap(b)
+    av, bv = _value(a), _value(b)
 
     def vjp(g):
         # a 1-D left operand is a (1, D) row and a 1-D right operand a (D, 1)
         # column; 2-D operands pass through these reshapes unchanged
-        av = a.value.reshape(-1, a.value.shape[-1])
-        bv = b.value.reshape(b.value.shape[0], -1)
-        g = g.reshape(av.shape[0], bv.shape[1])
+        a2 = av.reshape(-1, av.shape[-1])
+        b2 = bv.reshape(bv.shape[0], -1)
+        g = g.reshape(a2.shape[0], b2.shape[1])
         return (
-            (g @ bv.T).reshape(a.value.shape) if a.requires_grad else None,
-            (av.T @ g).reshape(b.value.shape) if b.requires_grad else None,
+            (g @ b2.T).reshape(av.shape) if _needs_grad(a) else None,
+            (a2.T @ g).reshape(bv.shape) if _needs_grad(b) else None,
         )
 
-    return Tensor(a.value @ b.value, _parents=(a, b), _vjp=vjp)
+    return _node(av @ bv, (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +442,7 @@ def _conv_input_grad(g, wv, stride, pad, h, w):
 
 
 def conv2d(x, w, b, stride=1, pad=1):
-    """2-D convolution of an (N, C, H, W) batch, giving (N, O, oh, ow), or
-    of one (C, H, W) image, giving (O, oh, ow).
+    """2-D convolution of an (N, C, H, W) batch, giving (N, O, oh, ow).
 
     The kernel is shared, (O, C, kh, kw) with an (O,) bias, or one per
     image, an (N, O, C, kh, kw) stack with (N, O) biases. Both take one code
@@ -493,32 +454,23 @@ def conv2d(x, w, b, stride=1, pad=1):
     shared kernel. The input gradient is a transposed convolution
     (`_conv_input_grad`), computed only when `x` requires grad.
     """
-    xt = isinstance(x, Tensor)
-    xv = x.value if xt else np.asarray(x, dtype=np.float64)
-    wv = w.value if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
-    bv = b.value if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+    xv, wv, bv = _value(x), _value(w), _value(b)
     o, c, kh, kw = wv.shape[-4:]
-    single = xv.ndim == 3
-    xb = xv[None] if single else xv
-    n, cx, h, wd = xb.shape
+    if xv.ndim != 4:
+        raise ValueError(f"conv2d takes an (N, C, H, W) batch, not shape {xv.shape}")
+    n, cx, h, wd = xv.shape
     if cx != c:
         raise ValueError(f"conv2d channel mismatch: input {cx}, kernel {c}")
     if wv.ndim == 5 and wv.shape[0] != n:
         raise ValueError(f"conv2d kernel stack of {wv.shape[0]} for {n} images")
     if bv.shape != wv.shape[:-3]:
         raise ValueError(f"conv2d bias shape {bv.shape} for kernels {wv.shape}")
-    xp = _embed(xb, pad, pad, h + 2 * pad, wd + 2 * pad)
+    xp = _embed(xv, pad, pad, h + 2 * pad, wd + 2 * pad)
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
     cols = _im2col(xp, kh, kw, stride, oh, ow)
     out = (np.matmul(wv.reshape(-1, o, c * kh * kw), cols)
            + bv.reshape(-1, o, 1)).reshape(n, o, oh, ow)
-    out = out[0] if single else out
-
-    if not (xt or isinstance(w, Tensor) or isinstance(b, Tensor)):
-        return out
-
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
 
     def vjp(g):
         gb = g.reshape(n, o, oh * ow)
@@ -526,27 +478,22 @@ def conv2d(x, w, b, stride=1, pad=1):
         db = gb.sum(axis=2)
         if wv.ndim == 4:
             dw, db = dw.sum(axis=0), db.sum(axis=0)
-        dw = dw.reshape(wv.shape)
-        if not x.requires_grad:
-            return (None, dw, db)
-        dx = _conv_input_grad(gb.reshape(n, o, oh, ow), wv, stride, pad, h, wd)
-        return (dx[0] if single else dx, dw, db)
+        dx = (_conv_input_grad(gb.reshape(n, o, oh, ow), wv, stride, pad, h, wd)
+              if _needs_grad(x) else None)
+        return (dx, dw.reshape(wv.shape), db)
 
-    return Tensor(out, _parents=(x, w, b), _vjp=vjp)
+    return _node(out, (x, w, b), vjp)
 
 
 def upsample2x(a):
-    """Nearest-neighbour 2x upsampling of a (C,H,W) tensor."""
-    if not isinstance(a, Tensor):
-        return a.repeat(2, axis=1).repeat(2, axis=2)
-    c, h, w = a.value.shape
+    """Nearest-neighbour 2x upsampling of the last two axes."""
+    av = _value(a)
+    *lead, h, w = av.shape
 
     def vjp(g):
-        return (g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)),)
+        return (g.reshape(*lead, h, 2, w, 2).sum(axis=(-3, -1)),)
 
-    return Tensor(
-        a.value.repeat(2, axis=1).repeat(2, axis=2), _parents=(a,), _vjp=vjp
-    )
+    return _node(av.repeat(2, axis=-2).repeat(2, axis=-1), (a,), vjp)
 
 
 def _upsample_taps():
@@ -582,9 +529,8 @@ def _tap_windows(a, n, h, w):
 
 def upsample_conv2d(x, w, b):
     """3x3 stride-1 pad-1 convolution with (O, C, 3, 3) kernels `w` of the
-    nearest 2x upsampling of a (C, H, W) image or an (N, C, H, W) batch,
-    giving (O, 2H, 2W) or (N, O, 2H, 2W); equal to
-    `conv2d(upsample2x(x), w, b)`.
+    nearest 2x upsampling of an (N, C, H, W) batch, giving (N, O, 2H, 2W);
+    equal to `conv2d(upsample2x(x), w, b)`.
 
     It runs at input resolution with only the taps that reach each output
     phase: the output at rows 2y+i and columns 2x+j sums four taps (a, b),
@@ -597,29 +543,21 @@ def upsample_conv2d(x, w, b):
     gradient and, only when `x` requires grad, the input gradient as one
     GEMM each.
     """
-    xt = isinstance(x, Tensor)
-    xv = x.value if xt else np.asarray(x, dtype=np.float64)
-    wv = w.value if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
-    bv = b.value if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+    xv, wv, bv = _value(x), _value(w), _value(b)
     o, c, kh, kw = wv.shape
     if (kh, kw) != (3, 3):
         raise ValueError("upsample_conv2d needs 3x3 kernels")
-    single = xv.ndim == 3
-    xb = xv[None] if single else xv
-    n, cx, h, wd = xb.shape
+    if xv.ndim != 4:
+        raise ValueError(f"upsample_conv2d takes an (N, C, H, W) batch, not shape {xv.shape}")
+    n, cx, h, wd = xv.shape
     if cx != c:
         raise ValueError(f"upsample_conv2d channel mismatch: input {cx}, kernel {c}")
-    grid = _embed(xb.transpose(1, 0, 2, 3), 1, 1, h + 2, wd + 2).reshape(c, -1)
+    grid = _embed(xv.transpose(1, 0, 2, 3), 1, 1, h + 2, wd + 2).reshape(c, -1)
     kern = (_UPSAMPLE_TAPS.T @ wv.reshape(o * c, 9).T).reshape(16 * o, c)
     taps = (kern @ grid).reshape(16, o, -1)
     # (i, j, O, n, y, x) -> (n, O, 2y+i, 2x+j)
     phases = _tap_windows(taps, n, h, wd).sum(axis=(2, 3)) + bv[:, None, None, None]
     out = phases.transpose(3, 2, 4, 0, 5, 1).reshape(n, o, 2 * h, 2 * wd)
-    out = out[0] if single else out
-    if not (xt or isinstance(w, Tensor) or isinstance(b, Tensor)):
-        return out
-
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
 
     def vjp(g):
         # (n, O, 2y+i, 2x+j) -> (i, j, O, n, y, x)
@@ -630,66 +568,55 @@ def upsample_conv2d(x, w, b):
         gtaps = gtaps.reshape(16 * o, -1)
         dkern = (gtaps @ grid.T).reshape(16, o * c)
         dw = (_UPSAMPLE_TAPS @ dkern).reshape(3, 3, o, c).transpose(2, 3, 0, 1)
-        if not x.requires_grad:
+        if not _needs_grad(x):
             return (None, dw, db)
         dgrid = (kern.T @ gtaps).reshape(c, n, h + 2, wd + 2)
-        dx = dgrid[:, :, 1 : h + 1, 1 : wd + 1].transpose(1, 0, 2, 3)
-        return (dx[0] if single else dx, dw, db)
+        return (dgrid[:, :, 1 : h + 1, 1 : wd + 1].transpose(1, 0, 2, 3), dw, db)
 
-    return Tensor(out, _parents=(x, w, b), _vjp=vjp)
+    return _node(out, (x, w, b), vjp)
 
 
 def grl(a, lam):
     """Gradient reversal: identity forward, upstream gradient times -lam backward."""
     lam = float(lam)
-    if not isinstance(a, Tensor):
-        return np.asarray(a, dtype=np.float64)
-    return Tensor(a.value, _parents=(a,), _vjp=lambda g: (-lam * g,))
+    return _node(_value(a), (a,), lambda g: (-lam * g,))
 
 
 def softmax_cross_entropy(logits, labels):
     """Mean softmax cross-entropy of (N, C) logits against integer labels."""
     labels = np.asarray(labels, dtype=np.int64)
-    lt = isinstance(logits, Tensor)
-    lv = logits.value if lt else np.asarray(logits, dtype=np.float64)
+    lv = _value(logits)
     n = lv.shape[0]
     if labels.shape[0] != n:
         raise ValueError("labels length does not match logits rows")
     shifted = lv - lv.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + lv.max(axis=1)
     val = np.float64((lse - lv[np.arange(n), labels]).mean())
-    if not lt:
-        return val
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
 
     def vjp(g):
-        d = probs.copy()
+        d = np.exp(shifted)
+        d /= d.sum(axis=1, keepdims=True)
         d[np.arange(n), labels] -= 1.0
         return (g * d / n,)
 
-    return Tensor(val, _parents=(logits,), _vjp=vjp)
+    return _node(val, (logits,), vjp)
 
 
 def smooth_l1(pred, target):
-    """Huber-style loss: sum over coords, mean over rows of (N, D) inputs."""
-    pt = isinstance(pred, Tensor)
-    pv = pred.value if pt else np.asarray(pred, dtype=np.float64)
-    tv = target.value if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
+    """Huber-style loss: sum over coords, mean over rows of (N, D) operands."""
+    pv, tv = _value(pred), _value(target)
     if pv.shape != tv.shape:
         raise ValueError("smooth_l1 shape mismatch")
     n = pv.shape[0]
     d = pv - tv
     ad = np.abs(d)
     elem = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
-    val = np.float64(elem.sum() / n)
-    if not pt:
-        return val
 
     def vjp(g):
-        return (g * np.where(ad < 1.0, d, np.sign(d)) / n,)
+        dp = g * np.where(ad < 1.0, d, np.sign(d)) / n
+        return (dp, -dp)
 
-    return Tensor(val, _parents=(pred,), _vjp=vjp)
+    return _node(np.float64(elem.sum() / n), (pred, target), vjp)
 
 
 # ---------------------------------------------------------------------------

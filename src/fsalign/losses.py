@@ -1,8 +1,8 @@
 """Loss suite for the two-domain feature separation / alignment objective.
 
-All functions are pure and written against the generic ops in `autodiff`, so
-each one accepts either plain numpy arrays (returning floats) or graph
-tensors (returning a differentiable scalar node).
+All functions are pure and written against the ops in `autodiff`: an input
+is a graph tensor or a constant numpy array, and each loss is a scalar
+`Tensor` node. `total_objective` adds up whatever terms it is given.
 
 Conventions: the domain losses take a batch whose leading axis runs over
 images, with `domains` labelling each image 0 (source) or 1 (target); each
@@ -11,6 +11,7 @@ region classifier's probabilities are its "source" probability and are
 clamped to [1e-7, 1 - 1e-7] before any logarithm.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,6 @@ class ObjectiveWeights:
                 raise ValueError(f"{name} must be finite and non-negative")
 
 
-def _value(x):
-    return x.value if isinstance(x, ad.Tensor) else np.asarray(x)
-
-
 def _domain_weights(domains):
     """(N,) weights that average each domain's images: 1/n_d for an image of
     domain d, where `domains` labels each image of a batch 0 (source) or 1
@@ -57,16 +54,16 @@ def _domain_weights(domains):
 
 
 def global_pool(f):
-    """Spatial average of a (C, H, W) map or an (N, C, H, W) batch: one
-    value per channel (and image)."""
-    if _value(f).ndim < 3:
-        raise ValueError("expected a (C, H, W) map or an (N, C, H, W) batch")
+    """Spatial average of an (N, C, H, W) batch: one value per image and
+    channel."""
+    if len(np.shape(f)) != 4:
+        raise ValueError("expected an (N, C, H, W) batch")
     return ad.mean(f, axis=(-2, -1))
 
 
 def _per_image(a):
     """(N,) sums of an (N, ...) array over everything but the batch axis."""
-    nd = _value(a).ndim
+    nd = len(np.shape(a))
     return ad.sum(a, axis=tuple(range(1, nd))) if nd > 1 else a
 
 
@@ -79,7 +76,7 @@ def difference_loss(priv, shared, domains):
     domain averages its images, and the two domain terms add.
     """
     gd, gf = global_pool(priv), global_pool(shared)
-    if _value(gd).shape != _value(gf).shape:
+    if np.shape(gd) != np.shape(gf):
         raise ValueError("pooled channel counts differ between streams")
     inner = _per_image(gd * gf)
     return ad.matmul(inner * inner, _domain_weights(domains))
@@ -93,12 +90,12 @@ def reconstruction_loss(originals, reconstructions, domains, normalize=False):
     (`domains`: 0 source, 1 target per image) averages its images, and the
     two domain terms add.
     """
-    xv, xhv = _value(originals), _value(reconstructions)
-    if xv.shape != xhv.shape:
+    shape = np.shape(originals)
+    if shape != np.shape(reconstructions):
         raise ValueError("paired maps must share a shape")
     w = _domain_weights(domains)
     if normalize:
-        w = w / float(xv[0].size)
+        w = w / float(math.prod(shape[1:]))
     return ad.matmul(_per_image(ad.absolute(originals - reconstructions)), w)
 
 
@@ -124,7 +121,7 @@ def region_instance_loss(probs, groups_per_image, domains, gamma):
         raise ValueError("one group count and one domain label per image")
     if not ((d == 0).any() and (d == 1).any()):
         raise ValueError("both domains need at least one image")
-    if (counts < 1).any() or counts.sum() != _value(probs).size:
+    if (counts < 1).any() or counts.sum() != np.size(probs):
         raise ValueError("an image contributed no group probabilities")
     row_domain = np.repeat(d, counts)
     # the probability of each row's own domain: p for source, 1 - p for target
@@ -137,10 +134,11 @@ def _squared_error(p, domains):
     """Each image's mean over its locations of (p - domain label)^2 for
     (N, ...) probabilities; each domain averages its images and the two
     domain terms add."""
-    pv = _value(p)
-    y = np.asarray(domains, dtype=np.float64).reshape((-1,) + (1,) * (pv.ndim - 1))
+    shape = np.shape(p)
+    y = np.asarray(domains, dtype=np.float64).reshape((-1,) + (1,) * (len(shape) - 1))
     err = p - y
-    return ad.matmul(_per_image(err * err), _domain_weights(domains) / float(pv[0].size))
+    return ad.matmul(_per_image(err * err),
+                     _domain_weights(domains) / float(math.prod(shape[1:])))
 
 
 def local_adv_loss(maps, domains):

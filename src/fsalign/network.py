@@ -8,11 +8,11 @@ domain classifier over pooled fused group features, and a detector head over
 crop-pooled f3 producing class logits and box deltas per proposal.
 
 The shared modules (backbone, decoder, level classifiers, RoI pooling) take
-an (N, C, H, W) batch as well as one (C, H, W) image, so a training step
-runs its source/target pair through them at once. The private encoders are
-per domain; they too run on the pair at once, each layer one convolution
-whose kernels are stacked per image (source kernel for the source image,
-target kernel for the target image).
+(N, C, H, W) batches: a training step runs its source/target pair through
+them at once, and an evaluation runs each image as a batch of one. The
+private encoders are per domain; they too run on the pair at once, each
+layer one convolution whose kernels are stacked per image (source kernel
+for the source image, target kernel for the target image).
 
 Each decoder block is a 3x3 convolution of a nearest 2x upsampling, one
 `ad.upsample_conv2d` call: it runs at the resolution of its input, and each
@@ -66,8 +66,8 @@ class NetworkSpec:
             raise ValueError("channels must be three positive counts")
         if self.num_classes < 1:
             raise ValueError("need at least one object class")
-        if self.domain_head_gain <= 0:
-            raise ValueError("domain_head_gain must be positive")
+        if not (math.isfinite(self.domain_head_gain) and self.domain_head_gain > 0):
+            raise ValueError("domain_head_gain must be finite and positive")
 
 
 class Conv2d:
@@ -125,8 +125,8 @@ def crop_pool(fmap, box, stride):
     """Average a (C, Hf, Wf) map over the cells a pixel-space box covers
     (see `_cell_span`). A box covering the whole image reproduces the global
     pool exactly."""
-    shape = fmap.shape if isinstance(fmap, ad.Tensor) else np.shape(fmap)
-    i0, i1, j0, j1 = _cell_span(box, stride, shape[1], shape[2])
+    _, hf, wf = np.shape(fmap)
+    i0, i1, j0, j1 = _cell_span(box, stride, hf, wf)
     return ad.mean(ad.crop(fmap, i0, i1, j0, j1), axis=(1, 2))
 
 
@@ -160,17 +160,18 @@ def block_diag(mats):
 
 
 def roi_pool(fmap, a):
-    """(P, C) crop-pooled features of a (C, Hf, Wf) map or an (N, C, Hf, Wf)
-    batch: one product of the averaging matrix `a` with the map's cells.
+    """(P, C) crop-pooled features of an (N, C, Hf, Wf) batch: one product
+    of the averaging matrix `a` with the maps' cells.
 
-    For one map `a` is its (P, Hf*Wf) `roi_pool_matrix`; for a batch it is
-    the `block_diag` of one such matrix per image, and the rows of all
-    images stack in image order.
+    `a` is the `block_diag` of each image's (P_i, Hf*Wf) `roi_pool_matrix`
+    (for a batch of one, that matrix itself), and the rows of all images
+    stack in image order.
     """
-    shape = fmap.shape if isinstance(fmap, ad.Tensor) else np.shape(fmap)
-    k = len(shape) - 3
-    cells = ad.transpose(fmap, tuple(range(k)) + (k + 1, k + 2, k))
-    return ad.matmul(a, ad.reshape(cells, (-1, shape[-3])))
+    shape = np.shape(fmap)
+    if len(shape) != 4:
+        raise ValueError(f"roi_pool takes an (N, C, Hf, Wf) batch, not shape {shape}")
+    cells = ad.transpose(fmap, (0, 2, 3, 1))
+    return ad.matmul(a, ad.reshape(cells, (-1, shape[1])))
 
 
 class SeparationNet:
@@ -255,12 +256,11 @@ class SeparationNet:
 
     # -- forward pieces ---------------------------------------------------------
     def forward_backbone(self, img):
-        """(3, H, W) image or (N, 3, H, W) batch -> feature maps at strides
-        2, 4 and 8."""
-        shape = img.shape if isinstance(img, ad.Tensor) else np.shape(img)
-        if (len(shape) not in (3, 4) or shape[-3] != 3
-                or shape[-2] % self.spec.stride or shape[-1] % self.spec.stride):
-            raise ValueError("image must be (3, H, W) or (N, 3, H, W) with H, W "
+        """(N, 3, H, W) batch -> feature maps at strides 2, 4 and 8."""
+        shape = np.shape(img)
+        if (len(shape) != 4 or shape[1] != 3
+                or shape[2] % self.spec.stride or shape[3] % self.spec.stride):
+            raise ValueError("images must be an (N, 3, H, W) batch with H, W "
                              "divisible by 8")
         f1 = ad.tanh(self.f1_conv(img))
         f2 = ad.tanh(self.f2_conv(f1))
@@ -279,13 +279,13 @@ class SeparationNet:
         return h
 
     def reconstruct(self, d, f3):
-        """Decode the channel fusion [d, f3] back to the grayscale shape;
-        `d` and `f3` are (C, h, w) maps or (N, C, h, w) batches."""
-        ds = d.shape if isinstance(d, ad.Tensor) else np.shape(d)
-        fs = f3.shape if isinstance(f3, ad.Tensor) else np.shape(f3)
-        if ds[:-3] != fs[:-3] or ds[-2:] != fs[-2:]:
-            raise ValueError("private and shared maps must align spatially")
-        h = ad.concat([d, f3], axis=-3)
+        """Decode the channel fusion [d, f3] of two (N, C, h, w) batches back
+        to the grayscale shape."""
+        ds, fs = np.shape(d), np.shape(f3)
+        if len(ds) != 4 or len(fs) != 4 or ds[0] != fs[0] or ds[2:] != fs[2:]:
+            raise ValueError("private and shared maps must be batches that align "
+                             "spatially")
+        h = ad.concat([d, f3], axis=1)
         h = ad.tanh(ad.upsample_conv2d(h, self.dec[0].w, self.dec[0].b))
         h = ad.tanh(ad.upsample_conv2d(h, self.dec[1].w, self.dec[1].b))
         return ad.upsample_conv2d(h, self.dec[2].w, self.dec[2].b)
@@ -311,11 +311,12 @@ class SeparationNet:
         return self._pooled_domain(f3, self.d3_hidden, self.d3_out)
 
     def region_domain(self, fused):
-        """(G, D) pooled fused group features -> (G,) domain probabilities
-        (a single (D,) feature gives a scalar)."""
-        rows = ad.reshape(fused, (-1, fused.shape[-1]))
-        h = ad.tanh(self.dri_hidden(self.spec.domain_head_gain * rows))
-        return ad.reshape(ad.sigmoid(self.dri_out(h)), fused.shape[:-1])
+        """(G, D) pooled fused group features -> (G,) domain probabilities."""
+        if len(np.shape(fused)) != 2:
+            raise ValueError(f"region_domain takes (G, D) rows, not shape "
+                             f"{np.shape(fused)}")
+        h = ad.tanh(self.dri_hidden(self.spec.domain_head_gain * fused))
+        return ad.reshape(ad.sigmoid(self.dri_out(h)), (-1,))
 
     def detector_head(self, roi_features):
         """(P, C) crop-pooled features -> (P, num_classes+1) logits and

@@ -53,13 +53,14 @@ class ScaleSweepConfig:
     allow_single_cluster: bool = False
 
     def validate(self):
-        if self.sigma0 is not None and not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
-        if not self.k > 1:
-            raise ValueError("scale multiplier k must exceed 1")
+        if self.sigma0 is not None and not (math.isfinite(self.sigma0) and self.sigma0 > 0):
+            raise ValueError("sigma0 must be finite and positive")
+        if not (math.isfinite(self.k) and self.k > 1):
+            raise ValueError("scale multiplier k must be finite and exceed 1")
         for name in ("epsilon", "convergence_tol", "merge_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.max_inner_iters < 1 or self.max_scales < 1:
             raise ValueError("iteration limits must be >= 1")
         if self.sigma0 is not None:
@@ -355,23 +356,3 @@ def cluster_points(points, cfg=None):
         truncated=truncated,
     )
 
-
-def result_to_dict(result):
-    """JSON-ready view of a clustering result."""
-    return {
-        "k": int(result.model.K),
-        "sigma_star": float(result.model.sigma_star),
-        "centers": [[float(x), float(y)] for x, y in result.model.centers],
-        "assignments": [
-            "outlier" if lab == OUTLIER else int(lab)
-            for lab in result.assignment.labels
-        ],
-        "lifetimes": {
-            str(k): {
-                "sigma_inf": float(e.sigma_inf),
-                "sigma_sup": float(e.sigma_sup),
-                "lifetime": float(e.lifetime),
-            }
-            for k, e in sorted(result.table.entries.items())
-        },
-    }

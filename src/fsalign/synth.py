@@ -60,8 +60,12 @@ class SceneSpec:
     color_by_class: bool = True
 
     def validate(self):
+        if len(self.canvas) != 2:
+            raise ValueError("canvas must be (height, width)")
         if self.canvas[0] < 32 or self.canvas[1] < 32:
             raise ValueError("canvas must be at least 32x32")
+        if len(self.object_count_range) != 2:
+            raise ValueError("object_count_range must be (min, max)")
         if self.object_count_range[0] < 1:
             raise ValueError("minimum object count must be >= 1")
         if self.object_count_range[0] > self.object_count_range[1]:
@@ -69,6 +73,19 @@ class SceneSpec:
         unknown = set(self.shapes) - set(SHAPE_CLASS_IDS)
         if unknown or not self.shapes:
             raise ValueError(f"unsupported shapes: {sorted(unknown)}")
+        if len(self.radius_range) != 2 or not all(
+                math.isfinite(r) and r > 0 for r in self.radius_range):
+            raise ValueError("radius_range must be two finite positive radii")
+        if self.radius_range[0] > self.radius_range[1]:
+            raise ValueError("radius_range is inverted")
+        # an object's center is drawn 2 px further than its radius from every edge
+        if self.radius_range[1] > min(self.canvas) / 2.0 - 2.0:
+            raise ValueError("radius_range must leave objects room on the canvas")
+        if not self.palette:
+            raise ValueError("palette must hold at least one color")
+        for name, colors in (("palette", self.palette), ("background", (self.background,))):
+            if not all(len(c) == 3 and all(math.isfinite(v) for v in c) for c in colors):
+                raise ValueError(f"{name} colors must be three finite channel values")
 
 
 @dataclass
@@ -79,11 +96,15 @@ class DomainShiftSpec:
     noise_std: float = 0.02
 
     def validate(self):
-        vals = (*self.color_shift, self.fog_alpha, self.blur_radius, self.noise_std)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("shift parameters must be finite")
+        if len(self.color_shift) != 3 or not all(math.isfinite(v) for v in self.color_shift):
+            raise ValueError("color_shift must be three finite channel offsets")
         if not 0.0 <= self.fog_alpha <= 1.0:
             raise ValueError("fog_alpha must lie in [0, 1]")
+        # a negative blur or noise would silently switch the effect off
+        for name in ("blur_radius", "noise_std"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass
@@ -96,8 +117,13 @@ class ProposalNoiseSpec:
     def validate(self):
         if self.redundancy < 1:
             raise ValueError("redundancy must be >= 1")
-        if self.background_count < 0 or self.background_margin < 0:
-            raise ValueError("background settings must be non-negative")
+        # a negative jitter would silently switch the jitter off
+        for name in ("jitter_std", "background_margin"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
+        if self.background_count < 0:
+            raise ValueError("background_count must be non-negative")
 
 
 class Sample:

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -72,8 +73,10 @@ class TrainConfig:
         )
 
     def validate(self):
-        if self.lr_initial <= 0 or self.lr_after_decay <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr_initial", "lr_after_decay"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.iterations < 1 or self.corpus_size < 1:
@@ -408,11 +411,12 @@ def source_only_config(cfg):
 # ---------------------------------------------------------------------------
 
 def pooled_features(net, samples):
+    """(len(samples), C3) spatially pooled f3 features, one image at a time."""
     out = np.empty((len(samples), net.spec.channels[2]))
     with ad.no_grad():
         for i, sample in enumerate(samples):
-            _, _, f3 = net.forward_backbone(sample.rgb)
-            out[i] = ad.mean(f3, axis=(1, 2)).value
+            _, _, f3 = net.forward_backbone(sample.rgb[None])
+            out[i] = L.global_pool(f3).value[0]
     return out
 
 
@@ -451,9 +455,9 @@ def target_match_rate(net, detect_eval):
     matched = total = 0
     with ad.no_grad():
         for sample, pset in detect_eval:
-            _, _, f3 = net.forward_backbone(sample.rgb)
+            _, _, f3 = net.forward_backbone(sample.rgb[None])
             a = nw.roi_pool_matrix([p.box for p in pset.proposals], net.spec.stride,
-                                   *f3.shape[1:])
+                                   *f3.shape[2:])
             feats = nw.roi_pool(f3, a)
             logits, deltas = net.detector_head(feats)
             pred_cls = logits.value.argmax(axis=1)

@@ -1,3 +1,5 @@
+import traceback
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ def check_unary(op, x, tol=1e-7):
     t = ad.Tensor(x, requires_grad=True)
     out = ad.sum(op(t) * op(t))
     out.backward()
-    num = numeric_grad(lambda v: float(np.sum(np.asarray(op(v)) ** 2)), x.copy())
+    num = numeric_grad(lambda v: float(np.sum(op(v).value ** 2)), x.copy())
     np.testing.assert_allclose(t.grad, num, rtol=tol, atol=tol)
 
 
@@ -195,23 +197,25 @@ class TestStructuredOps:
         self.rng = np.random.default_rng(13)
 
     def test_conv2d_matches_finite_differences(self):
-        x = ad.Tensor(self.rng.normal(size=(2, 6, 6)), requires_grad=True)
+        x = ad.Tensor(self.rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
         w = ad.Tensor(self.rng.normal(size=(3, 2, 3, 3)) * 0.3, requires_grad=True)
         b = ad.Tensor(self.rng.normal(size=3), requires_grad=True)
         out = ad.sum(ad.conv2d(x, w, b, stride=2, pad=1) ** 2.0)
         out.backward()
-        fx = lambda v: float(np.sum(ad.conv2d(v, w.value, b.value, 2, 1) ** 2))
-        fw = lambda v: float(np.sum(ad.conv2d(x.value, v, b.value, 2, 1) ** 2))
-        fb = lambda v: float(np.sum(ad.conv2d(x.value, w.value, v, 2, 1) ** 2))
+        fx = lambda v: float(np.sum(ad.conv2d(v, w.value, b.value, 2, 1).value ** 2))
+        fw = lambda v: float(np.sum(ad.conv2d(x.value, v, b.value, 2, 1).value ** 2))
+        fb = lambda v: float(np.sum(ad.conv2d(x.value, w.value, v, 2, 1).value ** 2))
         np.testing.assert_allclose(x.grad, numeric_grad(fx, x.value.copy()), rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(w.grad, numeric_grad(fw, w.value.copy()), rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(b.grad, numeric_grad(fb, b.value.copy()), rtol=1e-5, atol=1e-7)
 
     def test_conv2d_output_shape(self):
-        x = np.zeros((3, 32, 32))
+        x = np.zeros((1, 3, 32, 32))
         w = np.zeros((8, 3, 3, 3))
         b = np.zeros(8)
-        assert ad.conv2d(x, w, b, stride=2, pad=1).shape == (8, 16, 16)
+        assert ad.conv2d(x, w, b, stride=2, pad=1).shape == (1, 8, 16, 16)
+        with pytest.raises(ValueError, match="batch"):
+            ad.conv2d(x[0], w, b)
 
     def test_upsample2x(self):
         a = ad.Tensor(self.rng.normal(size=(1, 2, 2)), requires_grad=True)
@@ -225,7 +229,7 @@ class TestStructuredOps:
         labels = np.array([0, 3, 1, 2, 2])
         out = ad.softmax_cross_entropy(logits, labels)
         out.backward()
-        f = lambda v: float(ad.softmax_cross_entropy(v, labels))
+        f = lambda v: float(ad.softmax_cross_entropy(v, labels).value)
         np.testing.assert_allclose(
             logits.grad, numeric_grad(f, logits.value.copy()), rtol=1e-6, atol=1e-9
         )
@@ -235,7 +239,7 @@ class TestStructuredOps:
         target = self.rng.normal(size=(4, 4))
         out = ad.smooth_l1(pred, target)
         out.backward()
-        f = lambda v: float(ad.smooth_l1(v, target))
+        f = lambda v: float(ad.smooth_l1(v, target).value)
         np.testing.assert_allclose(
             pred.grad, numeric_grad(f, pred.value.copy()), rtol=1e-5, atol=1e-8
         )
@@ -257,8 +261,8 @@ def brute_conv2d(x, w, b, stride, pad):
 
 def check_conv2d_adjoint(rng, xv, stride, pad, k, per_image=False):
     """Brute-force forward, then the adjoint identity of each gradient, for
-    a (3, H, W) image or an (N, 3, H, W) batch; with `per_image` the kernels
-    and biases are an (N, 4, 3, k, k) and (N, 4) stack, one per image."""
+    an (N, 3, H, W) batch; with `per_image` the kernels and biases are an
+    (N, 4, 3, k, k) and (N, 4) stack, one per image."""
     lead = (len(xv),) if per_image else ()
     wv = rng.normal(size=lead + (4, 3, k, k))
     bv = rng.normal(size=lead + (4,))
@@ -268,9 +272,8 @@ def check_conv2d_adjoint(rng, xv, stride, pad, k, per_image=False):
         want = np.stack([brute_conv2d(xi, wi, bi, stride, pad)
                          for xi, wi, bi in zip(xv, wv, bv)])
     else:
-        want = (brute_conv2d(xv, wv, bv, stride, pad) if xv.ndim == 3 else
-                np.stack([brute_conv2d(xi, wv, bv, stride, pad) for xi in xv]))
-    np.testing.assert_allclose(ad.conv2d(xv, wv, bv, stride, pad), want,
+        want = np.stack([brute_conv2d(xi, wv, bv, stride, pad) for xi in xv])
+    np.testing.assert_allclose(ad.conv2d(xv, wv, bv, stride, pad).value, want,
                                rtol=1e-12, atol=1e-12)
     g = rng.normal(size=out.shape)
     out.backward(g)
@@ -284,6 +287,21 @@ def check_conv2d_adjoint(rng, xv, stride, pad, k, per_image=False):
         float(np.sum((with_b.value - out.value) * g)), rel=1e-12)
 
 
+def check_no_input_gradient(out, x, w, b):
+    """An input that is a constant is no parent of the conv's node and takes
+    no slot in its vjp; a `Tensor` input that requires no gradient is a
+    parent and gets None. The weight and bias gradients come either way."""
+    grads = out._vjp(np.ones(out.shape))
+    if isinstance(x, ad.Tensor):
+        assert out._parents == (x, w, b)
+        dx, dw, db = grads
+        assert dx is None
+    else:
+        assert out._parents == (w, b)
+        dw, db = grads
+    assert dw.shape == w.shape and db.shape == b.shape
+
+
 class TestConv2dAdjoint:
     """conv2d is linear in x (w fixed), in w (x fixed) and in b, so each
     gradient must satisfy the adjoint identity <conv, g> = <arg, d arg>."""
@@ -294,7 +312,7 @@ class TestConv2dAdjoint:
     @pytest.mark.parametrize("hw", [(6, 6), (7, 7), (5, 8)])
     def test_adjoint_identity(self, stride, pad, k, hw):
         rng = np.random.default_rng(100 * stride + 10 * pad + k + hw[1])
-        check_conv2d_adjoint(rng, rng.normal(size=(3, *hw)), stride, pad, k)
+        check_conv2d_adjoint(rng, rng.normal(size=(1, 3, *hw)), stride, pad, k)
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("pad", [0, 1])
@@ -331,10 +349,11 @@ class TestConv2dAdjoint:
         out.backward(g)
         singles = []
         for i in range(n):
-            xi, wi, bi = (ad.Tensor(v, requires_grad=True) for v in (xv[i], wv[i], bv[i]))
+            xi, wi, bi = (ad.Tensor(v, requires_grad=True)
+                          for v in (xv[i : i + 1], wv[i], bv[i]))
             oi = ad.conv2d(xi, wi, bi, stride, pad)
-            oi.backward(g[i])
-            singles.append((oi.value, xi.grad, wi.grad, bi.grad))
+            oi.backward(g[i : i + 1])
+            singles.append((oi.value[0], xi.grad[0], wi.grad, bi.grad))
         for got, ref in zip((out.value, x.grad, w.grad, b.grad),
                             (np.stack(parts) for parts in zip(*singles))):
             assert got.shape == ref.shape
@@ -385,24 +404,21 @@ class TestConv2dAdjoint:
         out.backward(g)
         singles = []
         for i in range(n):
-            xi, wi, bi = (ad.Tensor(v, requires_grad=True) for v in (xv[i], wv, bv))
+            xi, wi, bi = (ad.Tensor(v, requires_grad=True) for v in (xv[i : i + 1], wv, bv))
             oi = ad.conv2d(xi, wi, bi, stride, pad)
-            oi.backward(g[i])
-            singles.append((oi.value, xi.grad, wi.grad, bi.grad))
+            oi.backward(g[i : i + 1])
+            singles.append((oi.value[0], xi.grad[0], wi.grad, bi.grad))
         want = (np.stack([s[0] for s in singles]), np.stack([s[1] for s in singles]),
                 sum(s[2] for s in singles), sum(s[3] for s in singles))
         for got, ref in zip((out.value, x.grad, w.grad, b.grad), want):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("x", [np.ones((2, 5, 5)), ad.Tensor(np.ones((2, 5, 5)))])
+    @pytest.mark.parametrize("x", [np.ones((1, 2, 5, 5)), ad.Tensor(np.ones((1, 2, 5, 5)))])
     def test_no_input_gradient_without_requires_grad(self, x):
         w = ad.parameter(np.ones((3, 2, 3, 3)))
         b = ad.parameter(np.zeros(3))
-        out = ad.conv2d(x, w, b, stride=2, pad=1)
-        dx, dw, db = out._vjp(np.ones(out.shape))
-        assert dx is None
-        assert dw.shape == (3, 2, 3, 3) and db.shape == (3,)
+        check_no_input_gradient(ad.conv2d(x, w, b, stride=2, pad=1), x, w, b)
 
 
 class TestUpsampleConv2d:
@@ -412,23 +428,23 @@ class TestUpsampleConv2d:
     @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (2, 5)])
     def test_adjoint_in_w(self, shape):
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
-        x = rng.normal(size=(shape[1], 3, 4))
+        x = rng.normal(size=(1, shape[1], 3, 4))
         w = ad.Tensor(rng.normal(size=(*shape, 3, 3)), requires_grad=True)
         out = ad.upsample_conv2d(x, w, np.zeros(shape[0]))
-        assert out.shape == (shape[0], 6, 8)
+        assert out.shape == (1, shape[0], 6, 8)
         y = rng.normal(size=out.shape)
         out.backward(y)
         assert float(np.sum(w.value * w.grad)) == pytest.approx(
             float(np.sum(out.value * y)), rel=1e-12)
 
-    @pytest.mark.parametrize("shape", [(4, 1, 1), (8, 3, 5), (3, 2, 4, 4)])
+    @pytest.mark.parametrize("shape", [(1, 4, 1, 1), (1, 8, 3, 5), (3, 2, 4, 4)])
     def test_adjoint_in_x(self, shape):
         rng = np.random.default_rng(sum(shape))
-        *lead, c, h, wd = shape
+        n, c, h, wd = shape
         x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
         w = rng.normal(size=(2, c, 3, 3))
         out = ad.upsample_conv2d(x, w, np.zeros(2))
-        assert out.shape == (*lead, 2, 2 * h, 2 * wd)
+        assert out.shape == (n, 2, 2 * h, 2 * wd)
         y = rng.normal(size=out.shape)
         out.backward(y)
         assert float(np.sum(x.value * x.grad)) == pytest.approx(
@@ -451,8 +467,9 @@ class TestUpsampleConv2d:
             return out.value, x.grad, w.grad, b.grad
 
         batch = run(xv, g)
-        singles = [run(xv[i], g[i]) for i in range(n)]
-        want = (np.stack([s[0] for s in singles]), np.stack([s[1] for s in singles]),
+        singles = [run(xv[i : i + 1], g[i : i + 1]) for i in range(n)]
+        want = (np.concatenate([s[0] for s in singles]),
+                np.concatenate([s[1] for s in singles]),
                 sum(s[2] for s in singles), sum(s[3] for s in singles))
         for got, ref in zip(batch, want):
             assert got.shape == ref.shape
@@ -474,17 +491,14 @@ class TestUpsampleConv2d:
             for r in range(6):
                 for s in range(4):
                     want[o, r, s] = b[o] + np.sum(w[o] * up[:, r : r + 3, s : s + 3])
-        np.testing.assert_allclose(ad.upsample_conv2d(x, w, b), want,
+        np.testing.assert_allclose(ad.upsample_conv2d(x[None], w, b).value[0], want,
                                    rtol=1e-13, atol=1e-13)
 
-    @pytest.mark.parametrize("x", [np.ones((2, 3, 3)), ad.Tensor(np.ones((2, 3, 3)))])
+    @pytest.mark.parametrize("x", [np.ones((1, 2, 3, 3)), ad.Tensor(np.ones((1, 2, 3, 3)))])
     def test_no_input_gradient_without_requires_grad(self, x):
         w = ad.parameter(np.ones((3, 2, 3, 3)))
         b = ad.parameter(np.zeros(3))
-        out = ad.upsample_conv2d(x, w, b)
-        dx, dw, db = out._vjp(np.ones(out.shape))
-        assert dx is None
-        assert dw.shape == (3, 2, 3, 3) and db.shape == (3,)
+        check_no_input_gradient(ad.upsample_conv2d(x, w, b), x, w, b)
 
 
 
@@ -509,7 +523,7 @@ class TestPhaseOps:
         x = rng.normal(size=(3, 4, 5))
         w = rng.normal(size=(2, 3, 3, 3))
         b = rng.normal(size=2)
-        out = ad.upsample_conv2d(x, w, b)
+        out = ad.upsample_conv2d(x[None], w, b).value[0]
         # (i, j, a, b, O, C)
         k = np.einsum("ocp,pt->toc", w.reshape(2, 3, 9), ad._UPSAMPLE_TAPS).reshape(
             2, 2, 2, 2, 2, 3)
@@ -523,9 +537,11 @@ class TestPhaseOps:
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="3x3"):
-            ad.upsample_conv2d(np.ones((2, 2, 2)), np.ones((1, 2, 1, 1)), np.zeros(1))
+            ad.upsample_conv2d(np.ones((1, 2, 2, 2)), np.ones((1, 2, 1, 1)), np.zeros(1))
         with pytest.raises(ValueError, match="channel"):
-            ad.upsample_conv2d(np.ones((3, 2, 2)), np.ones((1, 2, 3, 3)), np.zeros(1))
+            ad.upsample_conv2d(np.ones((1, 3, 2, 2)), np.ones((1, 2, 3, 3)), np.zeros(1))
+        with pytest.raises(ValueError, match="batch"):
+            ad.upsample_conv2d(np.ones((2, 2, 2)), np.ones((1, 2, 3, 3)), np.zeros(1))
 
 
 class TestGRL:
@@ -570,6 +586,26 @@ class TestFiniteGuard:
             t = ad.Tensor(np.full(4, 1e308))
         assert t.value.tobytes() == np.full(4, 1e308).tobytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("op", ["add", "matmul", "concat", "conv2d"])
+    def test_non_finite_constant_raises_at_the_op_reading_it(self, op, bad):
+        """A constant makes no node, so its own values are not checked; the
+        node of the op that reads it is."""
+        t = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        c = np.ones((2, 3))
+        c[1, 2] = bad
+        calls = {
+            "add": lambda: ad.add(t, c),
+            "matmul": lambda: ad.matmul(t, c.T),
+            "concat": lambda: ad.concat([t, c], axis=0),
+            "conv2d": lambda: ad.conv2d(c[None, None], ad.parameter(np.ones((1, 1, 3, 3))),
+                                        ad.parameter(np.zeros(1))),
+        }
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as err:
+            calls[op]()
+        frames = [f.name for f in traceback.extract_tb(err.value.__traceback__)]
+        assert frames[-1] == "__init__" and op in frames
+
     def test_log_of_negative_raises(self):
         t = ad.Tensor([-1.0])
         with np.errstate(invalid="ignore"):
@@ -596,6 +632,33 @@ class TestConstantOperands:
         live = 1 - const
         assert got[live].tobytes() == want[live].tobytes()
         assert got[live].shape == args[live].shape
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    @pytest.mark.parametrize("const", [0, 1])
+    def test_plain_operand_takes_no_slot(self, op, const):
+        """A plain array operand gives the value and the other operand's
+        gradient of a constant `Tensor` operand, as a node whose one parent
+        is the other operand."""
+        rng = np.random.default_rng(5)
+        av, bv = rng.normal(size=(3, 4)), rng.normal(size=4) + 3.0
+        g = rng.normal(size=(3, 4))
+        live = 1 - const
+        args = [ad.Tensor(av, requires_grad=True), ad.Tensor(bv, requires_grad=True)]
+        args[const] = ad.Tensor(args[const].value)
+        want = op(*args)
+        args[const] = args[const].value
+        got = op(*args)
+        assert got._parents == (args[live],)
+        assert got.value.tobytes() == want.value.tobytes()
+        (grad,) = got._vjp(g)
+        assert grad.tobytes() == want._vjp(g)[live].tobytes()
+
+    def test_constant_operands_give_a_parentless_tensor(self):
+        x = np.array([0.2, 0.4])
+        for out in (ad.log(x), ad.mean(x), ad.matmul(x, x), ad.concat([x, x])):
+            assert isinstance(out, ad.Tensor)
+            assert out._parents == () and not out.requires_grad
+        assert ad.log(x).value.tobytes() == np.log(x).tobytes()
 
 
 class TestMean:
@@ -630,9 +693,4 @@ class TestSGD:
             opt.step()
             assert float(p.value[0]) == pytest.approx(expected, abs=1e-15)
 
-    def test_generic_wrappers_passthrough(self):
-        x = np.array([0.2, 0.4])
-        assert isinstance(ad.log(x), np.ndarray)
-        assert isinstance(ad.mean(x), np.floating)
-        t = ad.Tensor(x)
-        assert isinstance(ad.log(t), ad.Tensor)
+

@@ -21,20 +21,22 @@ def brute_global_pool(f):
 
 class TestGlobalPool:
     def test_constant_map(self):
-        f = np.full((3, 4, 5), 3.0)
-        np.testing.assert_array_equal(losses.global_pool(f), [3.0, 3.0, 3.0])
+        f = np.full((1, 3, 4, 5), 3.0)
+        np.testing.assert_array_equal(losses.global_pool(f).value, [[3.0, 3.0, 3.0]])
 
     def test_singleton(self):
         np.testing.assert_array_equal(
-            losses.global_pool(np.full((1, 1, 1), 2.5)), [2.5]
+            losses.global_pool(np.full((1, 1, 1, 1), 2.5)).value, [[2.5]]
         )
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
-        f = rng.normal(size=(4, 5, 5))
+        f = rng.normal(size=(2, 4, 5, 5))
         np.testing.assert_allclose(
-            losses.global_pool(f), brute_global_pool(f), atol=1e-12
+            losses.global_pool(f).value, [brute_global_pool(fi) for fi in f], atol=1e-12
         )
+        with pytest.raises(ValueError, match="batch"):
+            losses.global_pool(f[0])
 
 
 def brute_difference(ds, f3s, dt, f3t):
@@ -58,14 +60,14 @@ class TestDifferenceLoss:
         d[0] = 1.0
         f = np.zeros((2, 2, 2))
         f[1] = 1.0
-        assert losses.difference_loss(np.stack([d, d]), np.stack([f, f]), [0, 1]) == 0.0
+        assert losses.difference_loss(np.stack([d, d]), np.stack([f, f]), [0, 1]).value == 0.0
 
     def test_single_source_sample(self):
         d = np.zeros((2, 1, 1))
         d[0] = 1.0
         f = np.zeros((2, 1, 1))
         f[0] = 2.0
-        assert losses.difference_loss(d[None], f[None], [0]) == pytest.approx(4.0)
+        assert losses.difference_loss(d[None], f[None], [0]).value == pytest.approx(4.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
@@ -74,7 +76,7 @@ class TestDifferenceLoss:
         dt = [rng.normal(size=(3, 2, 4)) for _ in range(3)]
         f3t = [rng.normal(size=(3, 2, 4)) for _ in range(3)]
         got = losses.difference_loss(np.stack(ds + dt), np.stack(f3s + f3t),
-                                     [0] * 4 + [1] * 3)
+                                     [0] * 4 + [1] * 3).value
         assert got == pytest.approx(brute_difference(ds, f3s, dt, f3t), abs=1e-12)
 
     def test_quadratic_scaling_in_one_sample(self):
@@ -82,12 +84,13 @@ class TestDifferenceLoss:
         d = [rng.normal(size=(2, 3, 3)) for _ in range(2)]
         f = [rng.normal(size=(2, 3, 3)) for _ in range(2)]
         base_terms = [
-            float(np.dot(losses.global_pool(di), losses.global_pool(fi))) ** 2
+            float(np.dot(losses.global_pool(di[None]).value[0],
+                         losses.global_pool(fi[None]).value[0])) ** 2
             for di, fi in zip(d, f)
         ]
         alpha = 1.7
         scaled = losses.difference_loss(np.stack(d), np.stack([f[0] * alpha, f[1]]),
-                                        [0, 0])
+                                        [0, 0]).value
         want = (base_terms[0] * alpha**2 + base_terms[1]) / 2.0
         assert scaled == pytest.approx(want, rel=1e-12)
 
@@ -101,19 +104,19 @@ class TestDifferenceLoss:
 class TestReconstructionLoss:
     def test_identical_pairs(self):
         x = np.ones((1, 1, 3, 3))
-        assert losses.reconstruction_loss(x, x, [0]) == 0.0
+        assert losses.reconstruction_loss(x, x, [0]).value == 0.0
 
     def test_unit_differences(self):
         x = np.zeros((1, 1, 2, 2))
         y = np.ones((1, 1, 2, 2))
-        assert losses.reconstruction_loss(x, y, [0]) == pytest.approx(4.0)
+        assert losses.reconstruction_loss(x, y, [0]).value == pytest.approx(4.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
         xs = [rng.normal(size=(2, 3, 4)) for _ in range(5)]
         ys = [rng.normal(size=(2, 3, 4)) for _ in range(5)]
         want = sum(float(np.abs(x - y).sum()) for x, y in zip(xs, ys)) / 5.0
-        got = losses.reconstruction_loss(np.stack(xs), np.stack(ys), [0] * 5)
+        got = losses.reconstruction_loss(np.stack(xs), np.stack(ys), [0] * 5).value
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_symmetry(self):
@@ -121,13 +124,13 @@ class TestReconstructionLoss:
         xs = [rng.normal(size=(1, 4, 4)) for _ in range(3)]
         ys = [rng.normal(size=(1, 4, 4)) for _ in range(3)]
         xs, ys = np.stack(xs), np.stack(ys)
-        assert (losses.reconstruction_loss(xs, ys, [0, 1, 1])
-                == losses.reconstruction_loss(ys, xs, [0, 1, 1]))
+        assert (losses.reconstruction_loss(xs, ys, [0, 1, 1]).value
+                == losses.reconstruction_loss(ys, xs, [0, 1, 1]).value)
 
     def test_normalize_flag(self):
         x = np.zeros((1, 1, 2, 2))
         y = np.ones((1, 1, 2, 2))
-        assert losses.reconstruction_loss(x, y, [0], normalize=True) == pytest.approx(1.0)
+        assert losses.reconstruction_loss(x, y, [0], normalize=True).value == pytest.approx(1.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -136,31 +139,32 @@ class TestReconstructionLoss:
 
 class TestFocalTerms:
     def test_gamma_zero_reduces_to_log(self):
-        assert losses.focal_source_term(0.5, 0.0) == pytest.approx(
+        assert losses.focal_source_term(0.5, 0.0).value == pytest.approx(
             0.6931471805599453, abs=1e-12
         )
 
     def test_confident_terms_vanish(self):
-        assert losses.focal_source_term(1.0, 5.0) == pytest.approx(0.0, abs=1e-20)
+        assert losses.focal_source_term(1.0, 5.0).value == pytest.approx(0.0, abs=1e-20)
 
     def test_gamma_five_frozen_value(self):
         # -(0.1)^5 * log(0.9), frozen with 50-digit arithmetic
         want = 1.0536051565782630e-06
-        assert losses.focal_source_term(0.9, 5.0) == pytest.approx(want, rel=1e-12)
+        assert losses.focal_source_term(0.9, 5.0).value == pytest.approx(want, rel=1e-12)
 
     def test_bce_equivalence_at_gamma_zero(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             p, q = rng.uniform(1e-6, 1 - 1e-6, size=2)
-            got = losses.focal_source_term(p, 0.0) + losses.focal_source_term(1 - q, 0.0)
+            got = (losses.focal_source_term(p, 0.0).value
+                   + losses.focal_source_term(1 - q, 0.0).value)
             want = -math.log(p) - math.log(1.0 - q)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         for p in rng.uniform(0, 1, size=50):
-            assert losses.focal_source_term(p, 5.0) >= 0.0
-            assert losses.focal_source_term(1 - p, 5.0) >= 0.0
+            assert losses.focal_source_term(p, 5.0).value >= 0.0
+            assert losses.focal_source_term(1 - p, 5.0).value >= 0.0
 
 
 def brute_region_instance(source_probs, target_probs, gamma):
@@ -188,11 +192,11 @@ def brute_region_instance(source_probs, target_probs, gamma):
 
 class TestRegionInstanceLoss:
     def test_single_images_single_groups(self):
-        got = losses.region_instance_loss([0.5, 0.5], [1, 1], [0, 1], 0.0)
+        got = losses.region_instance_loss([0.5, 0.5], [1, 1], [0, 1], 0.0).value
         assert got == pytest.approx(0.6931471805599453, abs=1e-9)
 
     def test_confident_classifier_zero(self):
-        got = losses.region_instance_loss([1.0, 1.0, 0.0], [2, 1], [0, 1], 5.0)
+        got = losses.region_instance_loss([1.0, 1.0, 0.0], [2, 1], [0, 1], 5.0).value
         assert got == pytest.approx(0.0, abs=1e-20)
 
     def test_matches_brute_force(self):
@@ -201,7 +205,7 @@ class TestRegionInstanceLoss:
         tgt = [list(rng.uniform(0.05, 0.95, size=rng.integers(1, 5))) for _ in range(3)]
         got = losses.region_instance_loss(
             np.concatenate(src + tgt), [len(p) for p in src + tgt],
-            [0] * len(src) + [1] * len(tgt), 5.0)
+            [0] * len(src) + [1] * len(tgt), 5.0).value
         assert got == pytest.approx(brute_region_instance(src, tgt, 5.0), abs=1e-12)
 
     def test_empty_group_list_rejected(self):
@@ -213,12 +217,12 @@ class TestLocalAdvLoss:
     def test_perfect_classifier_zero(self):
         s = np.zeros((1, 3, 3))
         t = np.ones((1, 3, 3))
-        assert losses.local_adv_loss(np.stack([s, t]), [0, 1]) == 0.0
+        assert losses.local_adv_loss(np.stack([s, t]), [0, 1]).value == 0.0
 
     def test_worst_classifier_two(self):
         s = np.ones((1, 2, 2))
         t = np.zeros((1, 2, 2))
-        assert losses.local_adv_loss(np.stack([s, t]), [0, 1]) == pytest.approx(2.0)
+        assert losses.local_adv_loss(np.stack([s, t]), [0, 1]).value == pytest.approx(2.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)
@@ -227,19 +231,19 @@ class TestLocalAdvLoss:
         s_pix = np.concatenate([m.ravel() for m in smaps])
         t_pix = np.concatenate([m.ravel() for m in tmaps])
         want = float((s_pix**2).mean() + ((1 - t_pix) ** 2).mean())
-        got = losses.local_adv_loss(np.stack(smaps + tmaps), [0, 0, 0, 1, 1])
+        got = losses.local_adv_loss(np.stack(smaps + tmaps), [0, 0, 0, 1, 1]).value
         assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestPooledAdvLoss:
     def test_perfect_and_worst_classifier(self):
-        assert losses.pooled_adv_loss([0.0, 1.0], [0, 1]) == 0.0
-        assert losses.pooled_adv_loss([1.0, 0.0], [0, 1]) == 2.0
+        assert losses.pooled_adv_loss([0.0, 1.0], [0, 1]).value == 0.0
+        assert losses.pooled_adv_loss([1.0, 0.0], [0, 1]).value == 2.0
 
     def test_equals_one_location_local_loss(self):
         ps, pt = 0.3, 0.8
-        want = losses.local_adv_loss(np.array([ps, pt]).reshape(2, 1, 1, 1), [0, 1])
-        assert losses.pooled_adv_loss([ps, pt], [0, 1]) == want
+        want = losses.local_adv_loss(np.array([ps, pt]).reshape(2, 1, 1, 1), [0, 1]).value
+        assert losses.pooled_adv_loss([ps, pt], [0, 1]).value == want
 
     def test_gradient(self):
         p = ad.Tensor([0.3, 0.8], requires_grad=True)
@@ -284,7 +288,7 @@ class TestGrayscale:
 
 
 class TestDifferentiability:
-    """The same loss code must run on graph tensors and expose gradients."""
+    """The losses take graph tensors and expose their gradients."""
 
     def test_difference_loss_gradients(self):
         rng = np.random.default_rng(11)
@@ -297,9 +301,9 @@ class TestDifferentiability:
         i = (0, 0, 1, 2)
         dv = d.value.copy()
         dv[i] += eps
-        hi = losses.difference_loss(dv, f.value, [0])
+        hi = losses.difference_loss(dv, f.value, [0]).value
         dv[i] -= 2 * eps
-        lo = losses.difference_loss(dv, f.value, [0])
+        lo = losses.difference_loss(dv, f.value, [0]).value
         assert d.grad[i] == pytest.approx((hi - lo) / (2 * eps), rel=1e-5)
 
     def test_focal_gradient(self):
@@ -307,8 +311,8 @@ class TestDifferentiability:
         losses.focal_source_term(p, 5.0).backward()
         eps = 1e-7
         fd = (
-            losses.focal_source_term(0.7 + eps, 5.0)
-            - losses.focal_source_term(0.7 - eps, 5.0)
+            losses.focal_source_term(0.7 + eps, 5.0).value
+            - losses.focal_source_term(0.7 - eps, 5.0).value
         ) / (2 * eps)
         assert float(p.grad) == pytest.approx(fd, rel=1e-6)
 
@@ -317,7 +321,7 @@ class TestDifferentiability:
         for _ in range(20):
             d = rng.normal(size=(1, 2, 2, 2))
             f = rng.normal(size=(1, 2, 2, 2))
-            assert losses.difference_loss(d, f, [0]) >= 0.0
-            assert losses.reconstruction_loss(d, f, [0]) >= 0.0
+            assert losses.difference_loss(d, f, [0]).value >= 0.0
+            assert losses.reconstruction_loss(d, f, [0]).value >= 0.0
             maps = np.repeat(rng.uniform(size=(1, 1, 2, 2)), 2, axis=0)
-            assert losses.local_adv_loss(maps, [0, 1]) >= 0.0
+            assert losses.local_adv_loss(maps, [0, 1]).value >= 0.0

@@ -15,37 +15,39 @@ def small_net():
 
 class TestBackbone:
     def test_shapes_follow_stride_plan(self, small_net):
-        img = np.zeros((3, 32, 32))
+        img = np.zeros((1, 3, 32, 32))
         f1, f2, f3 = small_net.forward_backbone(img)
-        assert f1.value.shape == (8, 16, 16)
-        assert f2.value.shape == (16, 8, 8)
-        assert f3.value.shape == (32, 4, 4)
+        assert f1.value.shape == (1, 8, 16, 16)
+        assert f2.value.shape == (1, 16, 8, 8)
+        assert f3.value.shape == (1, 32, 4, 4)
+        with pytest.raises(ValueError, match="batch"):
+            small_net.forward_backbone(img[0])
 
     def test_zero_weights_zero_features(self):
         n = net.SeparationNet(seed=0)
         for _, mod in n.named_modules():
             for _, p in mod.params():
                 p.value[:] = 0.0
-        f1, f2, f3 = n.forward_backbone(np.zeros((3, 16, 16)))
+        f1, f2, f3 = n.forward_backbone(np.zeros((1, 3, 16, 16)))
         assert not f1.value.any() and not f2.value.any() and not f3.value.any()
 
     def test_indivisible_shape_rejected(self, small_net):
         with pytest.raises(ValueError):
-            small_net.forward_backbone(np.zeros((3, 30, 30)))
+            small_net.forward_backbone(np.zeros((1, 3, 30, 30)))
 
     def test_finite_outputs_on_random_input(self, small_net):
         rng = np.random.default_rng(1)
-        f1, f2, f3 = small_net.forward_backbone(rng.uniform(size=(3, 16, 16)))
+        f1, f2, f3 = small_net.forward_backbone(rng.uniform(size=(1, 3, 16, 16)))
         for f in (f1, f2, f3):
             assert np.all(np.isfinite(f.value))
 
 
 class TestReconstruct:
     def test_channel_concatenation_shape(self, small_net):
-        d = ad.Tensor(np.zeros((32, 2, 2)))
-        f3 = ad.Tensor(np.zeros((32, 2, 2)))
+        d = ad.Tensor(np.zeros((1, 32, 2, 2)))
+        f3 = ad.Tensor(np.zeros((1, 32, 2, 2)))
         out = small_net.reconstruct(d, f3)
-        assert out.value.shape == (1, 16, 16)
+        assert out.value.shape == (1, 1, 16, 16)
 
     def test_zero_weights_constant_bias_image(self):
         n = net.SeparationNet(seed=3)
@@ -54,14 +56,14 @@ class TestReconstruct:
                 if pname == "w":
                     p.value[:] = 0.0
         n.dec[2].b.value[:] = 0.25
-        out = n.reconstruct(ad.Tensor(np.zeros((32, 2, 2))),
-                            ad.Tensor(np.zeros((32, 2, 2))))
+        out = n.reconstruct(ad.Tensor(np.zeros((1, 32, 2, 2))),
+                            ad.Tensor(np.zeros((1, 32, 2, 2))))
         np.testing.assert_allclose(out.value, 0.25)
 
     def test_spatial_mismatch_rejected(self, small_net):
         with pytest.raises(ValueError):
             small_net.reconstruct(
-                ad.Tensor(np.zeros((32, 2, 2))), ad.Tensor(np.zeros((32, 4, 4)))
+                ad.Tensor(np.zeros((1, 32, 2, 2))), ad.Tensor(np.zeros((1, 32, 4, 4)))
             )
 
 
@@ -82,12 +84,12 @@ class TestEncodePrivate:
         for m in encoders:
             m.w.grad = m.b.grad = None
         for i, stack in enumerate((n.enc_s, n.enc_t)):
-            h = gray[i]
+            h = gray[i : i + 1]
             for conv in stack:
                 h = ad.tanh(conv(h))
-            h.backward(g[i])
-            assert h.shape == pair.shape[1:]
-            assert np.abs(pair.value[i] - h.value).max() <= 1e-13 * np.abs(h.value).max()
+            h.backward(g[i : i + 1])
+            assert h.shape == (1,) + pair.shape[1:]
+            assert np.abs(pair.value[i] - h.value[0]).max() <= 1e-13 * np.abs(h.value).max()
         for m, (gw, gb) in zip(encoders, pair_grads):
             for got, want in ((gw, m.w.grad), (gb, m.b.grad)):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -109,8 +111,8 @@ class TestUpsampleConv:
         rng = np.random.default_rng(cin * 100 + cout + h * w)
         conv = net.Conv2d(cin, cout, rng)
         conv.b.value = rng.normal(size=cout)
-        xv = rng.normal(size=(cin, h, w))
-        g = rng.normal(size=(cout, 2 * h, 2 * w))
+        xv = rng.normal(size=(1, cin, h, w))
+        g = rng.normal(size=(1, cout, 2 * h, 2 * w))
         results = []
         for block in (lambda x: ad.upsample_conv2d(x, conv.w, conv.b),
                       lambda x: ad.conv2d(ad.upsample2x(x), conv.w, conv.b, 1, 1)):
@@ -135,11 +137,11 @@ class TestUpsampleConv:
         out.backward(g)
         got = (out.value, x.grad, conv.w.grad, conv.b.grad)
         conv.w.grad = conv.b.grad = None
-        xs = [ad.Tensor(v, requires_grad=True) for v in xv]
+        xs = [ad.Tensor(v[None], requires_grad=True) for v in xv]
         outs = [ad.conv2d(ad.upsample2x(xi), conv.w, conv.b, 1, 1) for xi in xs]
-        ad.sum(ad.stack(outs) * g).backward()
-        want = (np.stack([o.value for o in outs]), np.stack([xi.grad for xi in xs]),
-                conv.w.grad, conv.b.grad)
+        ad.sum(ad.concat(outs) * g).backward()
+        want = (np.concatenate([o.value for o in outs]),
+                np.concatenate([xi.grad for xi in xs]), conv.w.grad, conv.b.grad)
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
@@ -151,18 +153,18 @@ class TestCropPool:
         fmap = rng.normal(size=(6, 4, 4))
         box = BoundingBox(bx=16.0, by=16.0, w=32.0, h=32.0)
         got = net.crop_pool(fmap, box, stride=8)
-        np.testing.assert_array_equal(got, global_pool(fmap))
+        np.testing.assert_array_equal(got.value, global_pool(fmap[None]).value[0])
 
     def test_constant_map_any_box(self):
         fmap = np.full((3, 4, 4), 1.5)
         box = BoundingBox(bx=9.0, by=12.0, w=6.0, h=10.0)
-        np.testing.assert_allclose(net.crop_pool(fmap, box, 8), [1.5, 1.5, 1.5])
+        np.testing.assert_allclose(net.crop_pool(fmap, box, 8).value, [1.5, 1.5, 1.5])
 
     def test_matches_brute_force_cell_average(self):
         rng = np.random.default_rng(6)
         fmap = rng.normal(size=(2, 8, 8))
         box = BoundingBox(bx=20.0, by=30.0, w=17.0, h=9.0)
-        got = net.crop_pool(fmap, box, 8)
+        got = net.crop_pool(fmap, box, 8).value
         # cells covered by [11.5, 28.5] x [25.5, 34.5] at stride 8
         want = fmap[:, 3:5, 1:4].mean(axis=(1, 2))
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -202,7 +204,7 @@ class TestRoiPool:
         a = net.roi_pool_matrix(boxes, 8, 8, 8)
         got = a @ fmap.reshape(5, -1).T
         for k, box in enumerate(boxes):
-            np.testing.assert_allclose(got[k], net.crop_pool(fmap, box, 8),
+            np.testing.assert_allclose(got[k], net.crop_pool(fmap, box, 8).value,
                                        rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=1e-12)
 
@@ -210,10 +212,10 @@ class TestRoiPool:
         fmap, _, pset = image
         boxes = [p.box for p in pset.proposals]
         groups, _, _ = cluster_box_centers(pset.centers())
-        roi = net.roi_pool(fmap, net.roi_pool_matrix(boxes, 8, 8, 8))
+        roi = net.roi_pool(fmap[None], net.roi_pool_matrix(boxes, 8, 8, 8)).value
         got = net.group_mean_matrix(groups, len(boxes)) @ roi
         want = np.stack([
-            np.stack([net.crop_pool(fmap, boxes[i], 8) for i in members]).mean(axis=0)
+            np.stack([net.crop_pool(fmap, boxes[i], 8).value for i in members]).mean(axis=0)
             for members in groups
         ])
         assert len(groups) > 1 and max(len(m) for m in groups) > 1
@@ -222,15 +224,13 @@ class TestRoiPool:
     def test_gradient_matches_stacked_crop_pool(self, image):
         fmap, boxes, _ = image
         g = np.random.default_rng(24).normal(size=(len(boxes), 5))
-        grads = []
-        for pool in (
-            lambda t: net.roi_pool(t, net.roi_pool_matrix(boxes, 8, 8, 8)),
-            lambda t: ad.stack([net.crop_pool(t, b, 8) for b in boxes]),
-        ):
-            t = ad.Tensor(fmap, requires_grad=True)
-            pool(t).backward(g)
-            grads.append(t.grad)
-        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=1e-12)
+        batch = ad.Tensor(fmap[None], requires_grad=True)
+        net.roi_pool(batch, net.roi_pool_matrix(boxes, 8, 8, 8)).backward(g)
+        t = ad.Tensor(fmap, requires_grad=True)
+        ad.stack([net.crop_pool(t, b, 8) for b in boxes]).backward(g)
+        np.testing.assert_allclose(batch.grad[0], t.grad, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="batch"):
+            net.roi_pool(fmap, net.roi_pool_matrix(boxes, 8, 8, 8))
 
     def test_outside_box_rejected(self):
         inside = BoundingBox(bx=8.0, by=8.0, w=4.0, h=4.0)
@@ -244,27 +244,28 @@ class TestRoiPool:
 class TestDomainHeads:
     def test_local_map_range_and_shape(self, small_net):
         rng = np.random.default_rng(8)
-        f1, _, _ = small_net.forward_backbone(rng.uniform(size=(3, 16, 16)))
+        f1, _, _ = small_net.forward_backbone(rng.uniform(size=(1, 3, 16, 16)))
         pmap, f_l = small_net.local_domain(f1)
-        assert pmap.value.shape == (1, 8, 8)
+        assert pmap.value.shape == (1, 1, 8, 8)
         assert np.all((pmap.value > 0) & (pmap.value < 1))
-        assert f_l.value.shape == (8,)
+        assert f_l.value.shape == (1, 8)
 
     def test_scalar_heads(self, small_net):
         rng = np.random.default_rng(9)
-        _, f2, f3 = small_net.forward_backbone(rng.uniform(size=(3, 16, 16)))
+        _, f2, f3 = small_net.forward_backbone(rng.uniform(size=(1, 3, 16, 16)))
         p2, f_m = small_net.mid_domain(f2)
         p3, f_g = small_net.global_domain(f3)
-        assert p2.value.shape == () and p3.value.shape == ()
-        assert f_m.value.shape == (16,) and f_g.value.shape == (16,)
-        fused = ad.concat([f_l_dummy := ad.Tensor(np.zeros(8)), f_m, f_g,
-                           ad.Tensor(np.zeros(32))])
+        assert p2.value.shape == (1,) and p3.value.shape == (1,)
+        assert f_m.value.shape == (1, 16) and f_g.value.shape == (1, 16)
+        fused = ad.concat([np.zeros((1, 8)), f_m, f_g, np.zeros((1, 32))], axis=1)
         p_ri = small_net.region_domain(fused)
-        assert 0.0 < float(p_ri.value) < 1.0
+        assert p_ri.value.shape == (1,) and 0.0 < p_ri.value[0] < 1.0
+        with pytest.raises(ValueError, match="rows"):
+            small_net.region_domain(fused.value[0])
 
     def test_region_domain_rows_backward(self):
-        """Each (D,) row alone and the (G, D) batch give the same
-        probabilities and, summed, the same gradients."""
+        """Each row alone, as a (1, D) batch, and the (G, D) batch give the
+        same probabilities and, summed, the same gradients."""
         model = net.SeparationNet(net.NetworkSpec(), seed=0)
         params = model.dri_hidden.params() + model.dri_out.params()
         rows = np.random.default_rng(11).normal(size=(3, model.dri_hidden.w.value.shape[0]))
@@ -279,15 +280,15 @@ class TestDomainHeads:
                 probs.append(p.value)
             return probs, [p.grad for _, p in params], [x.grad for x in inputs]
 
-        single = [ad.Tensor(r, requires_grad=True) for r in rows]
+        single = [ad.Tensor(r[None], requires_grad=True) for r in rows]
         batch = ad.Tensor(rows, requires_grad=True)
         p1, w1, x1 = grads(single)
         p3, w3, x3 = grads([batch])
-        assert p1[0].shape == () and p3[0].shape == (3,)
-        np.testing.assert_allclose(np.stack(p1), p3[0], rtol=1e-12)
+        assert p1[0].shape == (1,) and p3[0].shape == (3,)
+        np.testing.assert_allclose(np.concatenate(p1), p3[0], rtol=1e-12)
         for a, b in zip(w1, w3):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(np.stack(x1), x3[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(np.concatenate(x1), x3[0], rtol=1e-12, atol=1e-15)
 
     def test_detector_head_shapes(self, small_net):
         feats = ad.Tensor(np.random.default_rng(10).normal(size=(5, 32)))

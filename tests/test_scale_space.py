@@ -306,14 +306,6 @@ class TestGlobalProperties:
         assert r1.model.sigma_star == r2.model.sigma_star
         assert np.array_equal(r1.assignment.labels, r2.assignment.labels)
 
-    def test_json_round_shape(self):
-        pts = make_blobs([(0, 0), (30, 0)], 30, 1.0, seed=8)
-        d = ssc.result_to_dict(ssc.cluster_points(pts))
-        assert d["k"] == len(d["centers"])
-        assert len(d["assignments"]) == len(pts)
-        assert all(isinstance(a, int) or a == "outlier" for a in d["assignments"])
-        assert str(d["k"]) in d["lifetimes"]
-
 
 # ---------------------------------------------------------------------------
 # reference sweep: the straightforward mean-shift loop the fast one must match

@@ -64,6 +64,27 @@ def test_injected_nan_raises_at_the_node():
     assert traceback.extract_tb(cause.__traceback__)[-1].name == "__init__"
 
 
+def test_a_step_makes_no_constant_nodes(monkeypatch):
+    """Every node one default `train_step` builds has a parent: the image
+    pair, the loss weights and the per-image matrices enter the graph as
+    plain operands, so the only parentless nodes are the parameters, made
+    before the step."""
+    net = nw.SeparationNet(seed=0)
+    source, target = training.build_gradcheck_data(0)
+    opt = ad.SGD(net.params(), lr=1e-3)
+    made = []
+    init = ad.Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counted)
+    training.train_step(net, source, target, losses.ObjectiveWeights(), opt)
+    assert made
+    assert [t for t in made if not t._parents] == []
+
+
 def test_logged_total_uses_the_applied_lambda():
     cfg = dataclasses.replace(tiny_config(2), lambda_warmup_steps=4)
     row = training.train(cfg).rows[0]  # the warm-up starts at lam 0
@@ -240,24 +261,24 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
     through every module on its own and each term is summed over the two
     domains (normalised reconstruction). Each image's private features come
     from its own domain's encoder layers, called one by one on that image
-    alone."""
+    alone, a batch of one."""
     def image_forward(entry, encoder):
         sample = entry.sample
-        f1, f2, f3 = net.forward_backbone(sample.rgb)
-        d = sample.gray
+        f1, f2, f3 = net.forward_backbone(sample.rgb[None])
+        d = gray = sample.gray[None]
         for conv in encoder:
             d = ad.tanh(conv(d))
         p1map, f_l = net.local_domain(ad.grl(f1, lam))
         p2, f_m = net.mid_domain(ad.grl(f2, lam))
         p3, f_g = net.global_domain(ad.grl(f3, lam))
-        ctx = np.concatenate([f_l.value, f_m.value, f_g.value])
+        ctx = np.concatenate([f_l.value, f_m.value, f_g.value], axis=1)
         boxes = [p.box for p in entry.pset.proposals]
-        roi = nw.roi_pool(f3, nw.roi_pool_matrix(boxes, net.spec.stride, *f3.shape[1:]))
+        roi = nw.roi_pool(f3, nw.roi_pool_matrix(boxes, net.spec.stride, *f3.shape[2:]))
         fr = ad.matmul(nw.group_mean_matrix(entry.groups, len(boxes)), roi)
         fused = ad.concat([np.tile(ctx, (len(entry.groups), 1)), ad.grl(fr, lam)], axis=1)
-        return {"f3": f3, "d": d, "xhat": net.reconstruct(d, f3), "gray": sample.gray,
-                "p1map": p1map, "p2": p2, "p3": p3, "roi": roi,
-                "probs": net.region_domain(fused)}
+        return {"f3": f3, "d": d, "xhat": net.reconstruct(d, f3), "gray": gray,
+                "p1map": p1map, "p2": ad.reshape(p2, ()), "p3": ad.reshape(p3, ()),
+                "roi": roi, "probs": net.region_domain(fused)}
 
     s, t = image_forward(source_entry, net.enc_s), image_forward(target_entry, net.enc_t)
     logits, deltas = net.detector_head(s["roi"])
@@ -269,7 +290,7 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
         return ad.sum(ad.absolute(x["gray"] - x["xhat"])) / float(x["gray"].size)
 
     def diff(x):
-        inner = ad.sum(ad.mean(x["d"], axis=(1, 2)) * ad.mean(x["f3"], axis=(1, 2)))
+        inner = ad.sum(ad.mean(x["d"], axis=(2, 3)) * ad.mean(x["f3"], axis=(2, 3)))
         return inner * inner
 
     def clamp(p):
@@ -425,6 +446,26 @@ def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
     ({"cluster": dataclasses.replace(training.TrainConfig().cluster, k=0.5)}, "multiplier"),
     ({"decay_step": -1}, "decay_step"),
     ({"lambda_warmup_steps": -1}, "lambda_warmup_steps"),
+    # each of these used to pass validation, then switch an effect off
+    # silently or fail later inside numpy or the first step
+    ({"shift": synth.DomainShiftSpec(noise_std=-1.0)}, "noise_std"),
+    ({"shift": synth.DomainShiftSpec(blur_radius=-1.0)}, "blur_radius"),
+    ({"shift": synth.DomainShiftSpec(color_shift=(0.1, 0.2))}, "color_shift"),
+    ({"proposal_noise": synth.ProposalNoiseSpec(jitter_std=-1.0)}, "jitter_std"),
+    ({"proposal_noise": synth.ProposalNoiseSpec(background_margin=np.nan)},
+     "background_margin"),
+    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, k=np.inf)},
+     "multiplier k"),
+    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, sigma0=np.inf)},
+     "sigma0"),
+    ({"lr_initial": np.nan}, "lr_initial"),
+    ({"lr_after_decay": np.inf}, "lr_after_decay"),
+    ({"network": nw.NetworkSpec(domain_head_gain=np.inf)}, "domain_head_gain"),
+    ({"scene": synth.SceneSpec(canvas=(32, 32), radius_range=(9.0, 5.0))}, "radius_range"),
+    ({"scene": synth.SceneSpec(canvas=(32, 32), radius_range=(4.0, 15.0))}, "radius_range"),
+    ({"scene": synth.SceneSpec(palette=())}, "palette"),
+    ({"scene": synth.SceneSpec(background=(0.1, 0.2))}, "background"),
+    ({"scene": synth.SceneSpec(canvas=(64,))}, "canvas"),
 ])
 def test_validate_rejects(change, match):
     cfg = dataclasses.replace(tiny_config(2), **change)
@@ -437,7 +478,10 @@ def test_validate_accepts_the_default_and_a_zero_decay_step(decay_step):
     dataclasses.replace(tiny_config(2), decay_step=decay_step).validate()
 
 
-@pytest.mark.parametrize("data", [{"cluster": {"k": 0.5}}, {"scene": {"canvas": [40, 36]}}])
+@pytest.mark.parametrize("data", [
+    {"cluster": {"k": 0.5}}, {"scene": {"canvas": [40, 36]}},
+    json.loads('{"lr_initial": NaN}'), json.loads('{"network": {"domain_head_gain": Infinity}}'),
+])
 def test_config_from_dict_validates_the_nested_specs(data):
     with pytest.raises(ValueError):
         training.config_from_dict(data)
