@@ -171,15 +171,13 @@ def _node(value, operands, vjp):
     the parents, in order; a constant's slot is dropped from the gradients,
     so the node's vjp gives one gradient per parent.
     """
-    keep = [i for i, x in enumerate(operands) if isinstance(x, Tensor)]
-    if len(keep) == len(operands):
+    for x in operands:
+        if not isinstance(x, Tensor):
+            break
+    else:
         return Tensor(value, _parents=operands, _vjp=vjp)
-
-    def parent_grads(g):
-        grads = vjp(g)
-        return tuple(grads[i] for i in keep)
-
-    return Tensor(value, _parents=[operands[i] for i in keep], _vjp=parent_grads)
+    return Tensor(value, _parents=[x for x in operands if isinstance(x, Tensor)],
+                  _vjp=lambda g: [d for x, d in zip(operands, vjp(g)) if isinstance(x, Tensor)])
 
 
 def _unbroadcast(grad, shape):
