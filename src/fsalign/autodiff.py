@@ -198,18 +198,16 @@ def _unbroadcast(grad, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    av, bv = _value(a), _value(b)
-    return _node(av + bv, (a, b), lambda g: (
-        _unbroadcast(g, av.shape) if _needs_grad(a) else None,
-        _unbroadcast(g, bv.shape) if _needs_grad(b) else None,
+    return _node(_value(a) + _value(b), (a, b), lambda g: (
+        _unbroadcast(g, a.value.shape) if _needs_grad(a) else None,
+        _unbroadcast(g, b.value.shape) if _needs_grad(b) else None,
     ))
 
 
 def sub(a, b):
-    av, bv = _value(a), _value(b)
-    return _node(av - bv, (a, b), lambda g: (
-        _unbroadcast(g, av.shape) if _needs_grad(a) else None,
-        _unbroadcast(-g, bv.shape) if _needs_grad(b) else None,
+    return _node(_value(a) - _value(b), (a, b), lambda g: (
+        _unbroadcast(g, a.value.shape) if _needs_grad(a) else None,
+        _unbroadcast(-g, b.value.shape) if _needs_grad(b) else None,
     ))
 
 
