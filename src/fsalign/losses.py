@@ -4,11 +4,11 @@ All functions are pure and written against the ops in `autodiff`: an input
 is a graph tensor or a constant numpy array, and each loss is a scalar
 `Tensor` node. `total_objective` adds up whatever terms it is given.
 
-Conventions: the domain losses take a batch whose leading axis runs over
-images, with `domains` labelling each image 0 (source) or 1 (target); each
-domain averages over its own images. Feature maps are (N, C, H, W). The
-region classifier's probabilities are its "source" probability and are
-clamped to [1e-7, 1 - 1e-7] before any logarithm.
+Conventions: a domain loss takes one training step's (2, ...) pair, the
+source image first and the target image second, and adds the two images'
+terms. Feature maps are (2, C, H, W). The region classifier's probabilities
+are its "source" probability and are clamped to [1e-7, 1 - 1e-7] before
+any logarithm.
 """
 
 import math
@@ -42,15 +42,12 @@ class ObjectiveWeights:
                 raise ValueError(f"{name} must be finite and non-negative")
 
 
-def _domain_weights(domains):
-    """(N,) weights that average each domain's images: 1/n_d for an image of
-    domain d, where `domains` labels each image of a batch 0 (source) or 1
-    (target)."""
-    d = np.asarray(domains)
-    if d.ndim != 1 or d.size == 0 or not ((d == 0) | (d == 1)).all():
-        raise ValueError("domains must be a nonempty vector of 0/1 labels")
-    d = d.astype(np.int64)
-    return 1.0 / np.bincount(d, minlength=2)[d]
+def _check_pair(x, what):
+    """Raise unless `x` has a leading axis of 2: the source image, then the
+    target image."""
+    if np.shape(x)[:1] != (2,):
+        raise ValueError(f"{what} must lead with the (source, target) pair axis "
+                         f"of 2, not shape {np.shape(x)}")
 
 
 def global_pool(f):
@@ -67,36 +64,34 @@ def _per_image(a):
     return ad.sum(a, axis=tuple(range(1, nd))) if nd > 1 else a
 
 
-def difference_loss(priv, shared, domains):
+def difference_loss(priv, shared):
     """Orthogonality penalty between private and shared pooled features.
 
-    `priv` and `shared` are (N, C, H, W) batches of the two streams and
-    `domains` labels each image 0 (source) or 1 (target). Each image
-    contributes the squared inner product of its two pooled vectors; each
-    domain averages its images, and the two domain terms add.
+    `priv` and `shared` are (2, C, H, W) pairs of the two streams. Each image
+    contributes the squared inner product of its two pooled vectors, and the
+    two images' terms add.
     """
+    _check_pair(priv, "private features")
     gd, gf = global_pool(priv), global_pool(shared)
     if np.shape(gd) != np.shape(gf):
         raise ValueError("pooled channel counts differ between streams")
     inner = _per_image(gd * gf)
-    return ad.matmul(inner * inner, _domain_weights(domains))
+    return ad.sum(inner * inner)
 
 
-def reconstruction_loss(originals, reconstructions, domains, normalize=False):
-    """L1 distance between paired (N, C, H, W) batches of maps.
+def reconstruction_loss(originals, reconstructions, normalize=False):
+    """L1 distance between (2, C, H, W) pairs of maps.
 
     Each image's L1 norm is the raw sum of its absolute entry differences;
-    set `normalize=True` to divide it by the image's entry count. Each domain
-    (`domains`: 0 source, 1 target per image) averages its images, and the
-    two domain terms add.
+    set `normalize=True` to divide it by the image's entry count. The two
+    images' terms add.
     """
+    _check_pair(originals, "originals")
     shape = np.shape(originals)
     if shape != np.shape(reconstructions):
         raise ValueError("paired maps must share a shape")
-    w = _domain_weights(domains)
-    if normalize:
-        w = w / float(math.prod(shape[1:]))
-    return ad.matmul(_per_image(ad.absolute(originals - reconstructions)), w)
+    w = 1.0 / math.prod(shape[1:]) if normalize else 1.0
+    return ad.matmul(_per_image(ad.absolute(originals - reconstructions)), np.full(2, w))
 
 
 def focal_source_term(p, gamma):
@@ -105,53 +100,46 @@ def focal_source_term(p, gamma):
     return -(ad.power(1.0 - pc, gamma) * ad.log(pc))
 
 
-def region_instance_loss(probs, groups_per_image, domains, gamma):
+def region_instance_loss(probs, groups_per_image, gamma):
     """Focal domain loss over group probabilities.
 
     `probs` holds the region classifier's source probabilities of every
-    group of a batch, image after image, `groups_per_image` how many rows
-    each image owns and `domains` each image's label (0 source, 1 target).
-    A row's focal term is the source term of the probability of its own
-    domain. Each image averages over its groups, each domain over its
-    images, and the two domain losses are averaged.
+    group of the pair, the source image's groups first, and
+    `groups_per_image` the two images' group counts. A row's focal term is
+    the source term of the probability of its own domain. Each image
+    averages over its groups, and the two images' losses are averaged.
     """
+    _check_pair(groups_per_image, "groups_per_image")
     counts = np.asarray(groups_per_image)
-    d = np.asarray(domains)
-    if counts.shape != d.shape:
-        raise ValueError("one group count and one domain label per image")
-    if not ((d == 0).any() and (d == 1).any()):
-        raise ValueError("both domains need at least one image")
     if (counts < 1).any() or counts.sum() != np.size(probs):
         raise ValueError("an image contributed no group probabilities")
-    row_domain = np.repeat(d, counts)
+    row_domain = np.repeat([0, 1], counts)
     # the probability of each row's own domain: p for source, 1 - p for target
     own = row_domain + (1.0 - 2.0 * row_domain) * probs
-    w = np.repeat(0.5 * _domain_weights(d) / counts, counts)
-    return ad.matmul(focal_source_term(own, gamma), w)
+    return ad.matmul(focal_source_term(own, gamma), np.repeat(0.5 / counts, counts))
 
 
-def _squared_error(p, domains):
+def _squared_error(p):
     """Each image's mean over its locations of (p - domain label)^2 for
-    (N, ...) probabilities; each domain averages its images and the two
-    domain terms add."""
+    (2, ...) probabilities, the source label 0 and the target label 1; the
+    two images' terms add."""
+    _check_pair(p, "domain probabilities")
     shape = np.shape(p)
-    y = np.asarray(domains, dtype=np.float64).reshape((-1,) + (1,) * (len(shape) - 1))
-    err = p - y
-    return ad.matmul(_per_image(err * err),
-                     _domain_weights(domains) / float(math.prod(shape[1:])))
+    err = p - np.array([0.0, 1.0]).reshape((2,) + (1,) * (len(shape) - 1))
+    return ad.matmul(_per_image(err * err), np.full(2, 1.0 / math.prod(shape[1:])))
 
 
-def local_adv_loss(maps, domains):
+def local_adv_loss(maps):
     """Least-squares per-location domain loss for the lowest-level
-    classifier: (N, 1, H, W) probability maps, source locations pushed
+    classifier: (2, 1, H, W) probability maps, source locations pushed
     toward 0 and target locations toward 1 (`_squared_error`)."""
-    return _squared_error(maps, domains)
+    return _squared_error(maps)
 
 
-def pooled_adv_loss(p, domains):
-    """Least-squares domain loss of a pooled (image-level) classifier on (N,)
+def pooled_adv_loss(p):
+    """Least-squares domain loss of a pooled (image-level) classifier on (2,)
     probabilities: `local_adv_loss` at one location per image."""
-    return _squared_error(p, domains)
+    return _squared_error(p)
 
 
 def total_objective(l_c, l_r, l_rec, l_diff, l_lg, l_ri, w):

@@ -57,17 +57,19 @@ class NetworkSpec:
     num_classes: int = 3  # object classes; background is logit index 0
     domain_head_gain: float = 8.0
 
-    @property
-    def stride(self):
-        return STRIDE
-
     def validate(self):
-        if len(self.channels) != 3 or any(c < 1 for c in self.channels):
-            raise ValueError("channels must be three positive counts")
-        if self.num_classes < 1:
-            raise ValueError("need at least one object class")
+        if len(self.channels) != 3 or not all(_is_count(c) for c in self.channels):
+            raise ValueError("channels must be three positive integer counts")
+        for name in ("d1_hidden", "d23_hidden", "dri_hidden", "head_hidden", "num_classes"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive integer")
         if not (math.isfinite(self.domain_head_gain) and self.domain_head_gain > 0):
             raise ValueError("domain_head_gain must be finite and positive")
+
+
+def _is_count(v):
+    """Whether `v` is an integer >= 1."""
+    return isinstance(v, (int, np.integer)) and v >= 1
 
 
 class Conv2d:
@@ -98,22 +100,22 @@ class Affine:
         return [("w", self.w), ("b", self.b)]
 
 
-def _cell_span(box, stride, hf, wf):
+def _cell_span(box, hf, wf):
     """Feature cells (i0, i1, j0, j1) a pixel-space box covers on an
-    (hf, wf) map.
+    (hf, wf) f3 map.
 
     The box is clipped to the image bounds first; covered cells are the
-    stride-scaled span rounded outward. An empty span after clipping is an
+    `STRIDE`-scaled span rounded outward. An empty span after clipping is an
     error.
     """
-    h, w = hf * stride, wf * stride
+    h, w = hf * STRIDE, wf * STRIDE
     x0, y0, x1, y1 = box.corners()
     x0, x1 = max(x0, 0.0), min(x1, float(w))
     y0, y1 = max(y0, 0.0), min(y1, float(h))
     if x1 <= x0 or y1 <= y0:
         raise ValueError("box does not intersect the image")
-    j0, j1 = int(math.floor(x0 / stride)), int(math.ceil(x1 / stride))
-    i0, i1 = int(math.floor(y0 / stride)), int(math.ceil(y1 / stride))
+    j0, j1 = int(math.floor(x0 / STRIDE)), int(math.ceil(x1 / STRIDE))
+    i0, i1 = int(math.floor(y0 / STRIDE)), int(math.ceil(y1 / STRIDE))
     j0, j1 = max(j0, 0), min(j1, wf)
     i0, i1 = max(i0, 0), min(i1, hf)
     if j1 <= j0 or i1 <= i0:
@@ -121,21 +123,22 @@ def _cell_span(box, stride, hf, wf):
     return i0, i1, j0, j1
 
 
-def crop_pool(fmap, box, stride):
-    """Average a (C, Hf, Wf) map over the cells a pixel-space box covers
+def crop_pool(fmap, box):
+    """Average a (C, Hf, Wf) f3 map over the cells a pixel-space box covers
     (see `_cell_span`). A box covering the whole image reproduces the global
     pool exactly."""
     _, hf, wf = np.shape(fmap)
-    i0, i1, j0, j1 = _cell_span(box, stride, hf, wf)
+    i0, i1, j0, j1 = _cell_span(box, hf, wf)
     return ad.mean(ad.crop(fmap, i0, i1, j0, j1), axis=(1, 2))
 
 
-def roi_pool_matrix(boxes, stride, hf, wf):
-    """(P, hf*wf) averaging matrix: row k holds 1/n on the n cells box k
-    covers, so its product with a flattened map is `crop_pool` of box k."""
+def roi_pool_matrix(boxes, hf, wf):
+    """(P, hf*wf) averaging matrix over an (hf, wf) f3 map: row k holds 1/n
+    on the n cells box k covers, so its product with a flattened map is
+    `crop_pool` of box k."""
     a = np.zeros((len(boxes), hf, wf))
     for k, box in enumerate(boxes):
-        i0, i1, j0, j1 = _cell_span(box, stride, hf, wf)
+        i0, i1, j0, j1 = _cell_span(box, hf, wf)
         a[k, i0:i1, j0:j1] = 1.0 / ((i1 - i0) * (j1 - j0))
     return a.reshape(len(boxes), hf * wf)
 
@@ -259,7 +262,7 @@ class SeparationNet:
         """(N, 3, H, W) batch -> feature maps at strides 2, 4 and 8."""
         shape = np.shape(img)
         if (len(shape) != 4 or shape[1] != 3
-                or shape[2] % self.spec.stride or shape[3] % self.spec.stride):
+                or shape[2] % STRIDE or shape[3] % STRIDE):
             raise ValueError("images must be an (N, 3, H, W) batch with H, W "
                              "divisible by 8")
         f1 = ad.tanh(self.f1_conv(img))

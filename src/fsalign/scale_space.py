@@ -179,8 +179,11 @@ def converge_centers(points, init_centers, sigma, cfg):
     with `tolist()`. Each is one IEEE operation (`+ - * /` and a correctly
     rounded `sqrt`) with the same bits as numpy's, so the centers and the
     iteration count are those of the all-numpy loop.
+
+    `points` are read as given: `scale_sweep`, which calls this at every
+    scale, validated them once with `as_points`.
     """
-    points = as_points(points)
+    points = np.asarray(points, dtype=np.float64)
     centers = np.atleast_2d(np.asarray(init_centers, dtype=np.float64))
     if centers.shape[0] < 1:
         raise ValueError("init_centers must be nonempty")

@@ -20,7 +20,6 @@ from .grouping import BoundingBox, Proposal, ProposalSet
 from .losses import rgb_to_grayscale
 
 SHAPE_CLASS_IDS = {"disk": 1, "square": 2, "triangle": 3}
-CLASS_NAMES = {0: "background", 1: "disk", 2: "square", 3: "triangle"}
 
 _DEFAULT_PALETTE = (
     (0.85, 0.20, 0.20),

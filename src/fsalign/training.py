@@ -13,6 +13,7 @@ drives all parameters. Also hosts the evaluation protocol (domain probe on
 frozen pooled features, target detection match rate) and checkpoints.
 """
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -87,12 +88,16 @@ class TrainConfig:
             raise ValueError("decay_step must be >= 0 (or None for the default)")
         if self.lambda_warmup_steps < 0:
             raise ValueError("lambda_warmup_steps must be >= 0")
-        if any(n % self.network.stride for n in self.scene.canvas):
+        if any(n % nw.STRIDE for n in self.scene.canvas):
             raise ValueError(f"canvas sides must be multiples of the network "
-                             f"stride {self.network.stride}")
+                             f"stride {nw.STRIDE}")
         for spec in (self.weights, self.network, self.scene, self.shift,
                      self.proposal_noise, self.cluster):
             spec.validate()
+        top = max(synth.SHAPE_CLASS_IDS[s] for s in self.scene.shapes)
+        if self.network.num_classes < top:
+            raise ValueError(f"network num_classes {self.network.num_classes} is below "
+                             f"the class id {top} that scene shapes can draw")
 
 
 # JSON key of a dataclass field where it differs from the field name
@@ -166,8 +171,8 @@ class CorpusEntry:
     constants every step on it reads, built once by `_grouped_entry`.
 
     `roi_matrix` averages the f3 cells each proposal covers
-    (`network.roi_pool_matrix` at `network.STRIDE`), `group_matrix` takes
-    the mean of each group's pooled rows (`network.group_mean_matrix`).
+    (`network.roi_pool_matrix`), `group_matrix` takes the mean of each
+    group's pooled rows (`network.group_mean_matrix`).
     `targets` holds the detector targets of a source image and is None for
     a target image, whose truth stays evaluation-only. `grouping` describes
     the sweep; `groups` and `outliers` are what training uses.
@@ -201,7 +206,7 @@ def _grouped_entry(sample, pset, cluster_cfg):
                if sample.domain == "source" else None)
     return CorpusEntry(
         sample=sample, pset=pset, groups=members, outliers=outliers, boxes=boxes,
-        roi_matrix=nw.roi_pool_matrix(boxes, nw.STRIDE, hf, wf),
+        roi_matrix=nw.roi_pool_matrix(boxes, hf, wf),
         group_matrix=nw.group_mean_matrix(members, len(boxes)), targets=targets,
         grouping=grouping)
 
@@ -248,92 +253,75 @@ def build_eval_sets(cfg):
 # the loss graph and one optimisation step
 # ---------------------------------------------------------------------------
 
-def _branch(name, fn):
+@contextlib.contextmanager
+def _branch(name):
+    """Turn a non-finite value raised inside the block into `TrainingDiverged`
+    naming the branch."""
     try:
-        return fn()
+        yield
     except FloatingPointError as exc:
         raise TrainingDiverged(f"non-finite value in branch {name}") from exc
 
 
-# batch index -> domain label of the pair forward: the source image first
-PAIR_DOMAINS = np.array([0, 1])
-
-
-def _pair_forward(net, source_entry, target_entry, lam):
-    """Forward of one source/target pair.
+def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec):
+    """The loss graph of one source/target pair.
 
     Every module runs once on the stacked (2, ...) pair, source first: the
     shared ones (backbone, decoder, level classifiers, RoI and group
     pooling, region head) with one set of weights, the private encoders on
     the grayscale pair with each domain's kernels on its own image. RoI and
     group pooling are block-diagonal matmuls over both images, whose group
-    rows the region head takes at once.
-    """
-    entries = (source_entry, target_entry)
-    f1, f2, f3 = net.forward_backbone(np.stack([e.sample.rgb for e in entries]))
-    gray = np.stack([e.sample.gray for e in entries])
-    d = net.encode_private(gray)
-    xhat = net.reconstruct(d, f3)
-    p1map, f_l = net.local_domain(ad.grl(f1, lam))
-    p2, f_m = net.mid_domain(ad.grl(f2, lam))
-    p3, f_g = net.global_domain(ad.grl(f3, lam))
-    # the context is held fixed (detached) for the region-instance head
-    ctx = np.concatenate([f_l.value, f_m.value, f_g.value], axis=1)
-    roi = nw.roi_pool(f3, nw.block_diag([e.roi_matrix for e in entries]))
-    members = nw.block_diag([e.group_matrix for e in entries])
-    groups_per_image = [len(e.groups) for e in entries]
-    fused = ad.concat([np.repeat(ctx, groups_per_image, axis=0),
-                       ad.grl(ad.matmul(members, roi), lam)], axis=1)
-    return {
-        "f3": f3, "d": d, "xhat": xhat, "gray": gray,
-        "p1map": p1map, "p2": p2, "p3": p3, "roi": roi,
-        "groups_per_image": groups_per_image, "group_probs": net.region_domain(fused),
-    }
-
-
-def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec):
-    """The loss graph of one source/target pair.
+    rows the region head takes at once. Each domain loss takes the pair.
 
     Returns every branch of `ALL_BRANCHES` as a graph node, `composite` being
     the minimised objective, plus the global (`p3`, one per image) and
-    region-instance (`dri`, one per group, with `dri_domains` labelling
-    each row) domain probabilities, source first.
+    region-instance (`dri`, one per group, the source image's groups first)
+    domain probabilities. A non-finite value raises `TrainingDiverged`
+    naming the block it appeared in.
     """
     if source_entry.targets is None:
         raise ValueError("the source entry holds no detector targets")
-    pair = _branch("pair forward", lambda: _pair_forward(
-        net, source_entry, target_entry, lam))
-
-    # detector on the source proposals, the first rows of the pair's RoIs
-    def detector():
+    entries = (source_entry, target_entry)
+    groups_per_image = [len(e.groups) for e in entries]
+    with _branch("pair forward"):
+        f1, f2, f3 = net.forward_backbone(np.stack([e.sample.rgb for e in entries]))
+        gray = np.stack([e.sample.gray for e in entries])
+        d = net.encode_private(gray)
+        xhat = net.reconstruct(d, f3)
+        p1map, f_l = net.local_domain(ad.grl(f1, lam))
+        p2, f_m = net.mid_domain(ad.grl(f2, lam))
+        p3, f_g = net.global_domain(ad.grl(f3, lam))
+        # the context is held fixed (detached) for the region-instance head
+        ctx = np.concatenate([f_l.value, f_m.value, f_g.value], axis=1)
+        roi = nw.roi_pool(f3, nw.block_diag([e.roi_matrix for e in entries]))
+        members = nw.block_diag([e.group_matrix for e in entries])
+        fused = ad.concat([np.repeat(ctx, groups_per_image, axis=0),
+                           ad.grl(ad.matmul(members, roi), lam)], axis=1)
+        dri = net.region_domain(fused)
+    with _branch("detector"):
+        # on the source proposals, the first rows of the pair's RoIs
         logits, deltas = net.detector_head(
-            ad.take_rows(pair["roi"], np.arange(len(source_entry.boxes))))
-        return nw.detector_losses(logits, deltas, source_entry.targets)
-    l_c, l_r = _branch("detector", detector)
-
-    l_rec = _branch("reconstruction", lambda: L.reconstruction_loss(
-        pair["gray"], pair["xhat"], PAIR_DOMAINS, normalize=normalize_rec))
-    l_diff = _branch("difference", lambda: L.difference_loss(
-        pair["d"], pair["f3"], PAIR_DOMAINS))
-    l_adv1 = _branch("local adversarial", lambda: L.local_adv_loss(
-        pair["p1map"], PAIR_DOMAINS))
-    l_adv2 = _branch("mid adversarial", lambda: L.pooled_adv_loss(
-        pair["p2"], PAIR_DOMAINS))
-    l_adv3 = _branch("global adversarial", lambda: L.pooled_adv_loss(
-        pair["p3"], PAIR_DOMAINS))
-    l_ri = _branch("region instance", lambda: L.region_instance_loss(
-        pair["group_probs"], pair["groups_per_image"], PAIR_DOMAINS, weights.gamma))
+            ad.take_rows(roi, np.arange(len(source_entry.boxes))))
+        l_c, l_r = nw.detector_losses(logits, deltas, source_entry.targets)
+    with _branch("reconstruction"):
+        l_rec = L.reconstruction_loss(gray, xhat, normalize=normalize_rec)
+    with _branch("difference"):
+        l_diff = L.difference_loss(d, f3)
+    with _branch("local adversarial"):
+        l_adv1 = L.local_adv_loss(p1map)
+    with _branch("mid adversarial"):
+        l_adv2 = L.pooled_adv_loss(p2)
+    with _branch("global adversarial"):
+        l_adv3 = L.pooled_adv_loss(p3)
+    with _branch("region instance"):
+        l_ri = L.region_instance_loss(dri, groups_per_image, weights.gamma)
     l_lg = l_adv1 + l_adv2 + l_adv3
-
-    composite = _branch("composite", lambda: (
-        l_c + l_r + weights.beta * (l_rec + l_diff) + (l_lg + l_ri)
-    ))
+    with _branch("composite"):
+        composite = l_c + l_r + weights.beta * (l_rec + l_diff) + (l_lg + l_ri)
     return {
         "l_c": l_c, "l_r": l_r, "l_rec": l_rec, "l_diff": l_diff,
         "l_adv1": l_adv1, "l_adv2": l_adv2, "l_adv3": l_adv3,
-        "l_lg": l_lg, "l_ri": l_ri, "composite": composite,
-        "p3": pair["p3"], "dri": pair["group_probs"],
-        "dri_domains": np.repeat(PAIR_DOMAINS, pair["groups_per_image"]),
+        "l_lg": l_lg, "l_ri": l_ri, "composite": composite, "p3": p3, "dri": dri,
     }
 
 
@@ -362,7 +350,9 @@ def train_step(net, source_entry, target_entry, weights, optimizer,
     # output is P(source)) toward 1 on the source groups
     p3 = out["p3"].value
     vals["acc_d3"] = 0.5 * (float(p3[0] <= 0.5) + float(p3[1] > 0.5))
-    vals["acc_dri"] = float(((out["dri"].value > 0.5) == (out["dri_domains"] == 0)).mean())
+    dri = out["dri"].value
+    is_source = np.arange(dri.size) < len(source_entry.groups)
+    vals["acc_dri"] = float(((dri > 0.5) == is_source).mean())
     if not all(np.isfinite(v) for v in vals.values()):
         raise TrainingDiverged("non-finite loss component in logs")
     return vals
@@ -372,7 +362,6 @@ def train_step(net, source_entry, target_entry, weights, optimizer,
 class TrainResult:
     net: nw.SeparationNet
     rows: list
-    config: TrainConfig
 
 
 def train(cfg, source=None, target=None):
@@ -398,7 +387,7 @@ def train(cfg, source=None, target=None):
                           normalize_rec=cfg.normalize_reconstruction, lam=lam)
         vals["step"] = step
         rows.append(vals)
-    return TrainResult(net=net, rows=rows, config=cfg)
+    return TrainResult(net=net, rows=rows)
 
 
 def source_only_config(cfg):
@@ -456,8 +445,7 @@ def target_match_rate(net, detect_eval):
     with ad.no_grad():
         for sample, pset in detect_eval:
             _, _, f3 = net.forward_backbone(sample.rgb[None])
-            a = nw.roi_pool_matrix([p.box for p in pset.proposals], net.spec.stride,
-                                   *f3.shape[2:])
+            a = nw.roi_pool_matrix([p.box for p in pset.proposals], *f3.shape[2:])
             feats = nw.roi_pool(f3, a)
             logits, deltas = net.detector_head(feats)
             pred_cls = logits.value.argmax(axis=1)
@@ -612,14 +600,6 @@ def _checked_losses(net, source_entry, target_entry, lam):
     cfg = TrainConfig()
     return compute_losses(net, source_entry, target_entry, cfg.weights, lam,
                           cfg.normalize_reconstruction)
-
-
-def branch_loss(net, source_entry, target_entry, branch, lam):
-    """Scalar loss of one named branch of the trained objective, under the
-    `TrainConfig` defaults, at the given GRL coefficient."""
-    if branch not in ALL_BRANCHES:
-        raise ValueError(f"unknown branch {branch!r}")
-    return _checked_losses(net, source_entry, target_entry, lam)[branch]
 
 
 def finite_difference_check(seed=0, eps=1e-5, coords_per_param=50, branches=None):

@@ -60,23 +60,21 @@ class TestDifferenceLoss:
         d[0] = 1.0
         f = np.zeros((2, 2, 2))
         f[1] = 1.0
-        assert losses.difference_loss(np.stack([d, d]), np.stack([f, f]), [0, 1]).value == 0.0
+        assert losses.difference_loss(np.stack([d, d]), np.stack([f, f])).value == 0.0
 
     def test_single_source_sample(self):
-        d = np.zeros((2, 1, 1))
-        d[0] = 1.0
-        f = np.zeros((2, 1, 1))
-        f[0] = 2.0
-        assert losses.difference_loss(d[None], f[None], [0]).value == pytest.approx(4.0)
+        """The source image's term alone, beside a target image with zero
+        private features."""
+        d = np.zeros((2, 2, 1, 1))
+        d[0, 0] = 1.0
+        f = np.zeros((2, 2, 1, 1))
+        f[:, 0] = 2.0
+        assert losses.difference_loss(d, f).value == pytest.approx(4.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
-        ds = [rng.normal(size=(3, 2, 4)) for _ in range(4)]
-        f3s = [rng.normal(size=(3, 2, 4)) for _ in range(4)]
-        dt = [rng.normal(size=(3, 2, 4)) for _ in range(3)]
-        f3t = [rng.normal(size=(3, 2, 4)) for _ in range(3)]
-        got = losses.difference_loss(np.stack(ds + dt), np.stack(f3s + f3t),
-                                     [0] * 4 + [1] * 3).value
+        ds, f3s, dt, f3t = ([rng.normal(size=(3, 2, 4))] for _ in range(4))
+        got = losses.difference_loss(np.stack(ds + dt), np.stack(f3s + f3t)).value
         assert got == pytest.approx(brute_difference(ds, f3s, dt, f3t), abs=1e-12)
 
     def test_quadratic_scaling_in_one_sample(self):
@@ -89,52 +87,51 @@ class TestDifferenceLoss:
             for di, fi in zip(d, f)
         ]
         alpha = 1.7
-        scaled = losses.difference_loss(np.stack(d), np.stack([f[0] * alpha, f[1]]),
-                                        [0, 0]).value
-        want = (base_terms[0] * alpha**2 + base_terms[1]) / 2.0
+        scaled = losses.difference_loss(np.stack(d), np.stack([f[0] * alpha, f[1]])).value
+        want = base_terms[0] * alpha**2 + base_terms[1]
         assert scaled == pytest.approx(want, rel=1e-12)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            losses.difference_loss(
-                np.zeros((1, 2, 2, 2)), np.zeros((1, 3, 2, 2)), [0]
-            )
+            losses.difference_loss(np.zeros((2, 2, 2, 2)), np.zeros((2, 3, 2, 2)))
 
 
 class TestReconstructionLoss:
     def test_identical_pairs(self):
-        x = np.ones((1, 1, 3, 3))
-        assert losses.reconstruction_loss(x, x, [0]).value == 0.0
+        x = np.ones((2, 1, 3, 3))
+        assert losses.reconstruction_loss(x, x).value == 0.0
 
     def test_unit_differences(self):
-        x = np.zeros((1, 1, 2, 2))
-        y = np.ones((1, 1, 2, 2))
-        assert losses.reconstruction_loss(x, y, [0]).value == pytest.approx(4.0)
+        """Unit differences on the source image, none on the target."""
+        x = np.zeros((2, 1, 2, 2))
+        y = np.zeros((2, 1, 2, 2))
+        y[0] = 1.0
+        assert losses.reconstruction_loss(x, y).value == pytest.approx(4.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
-        xs = [rng.normal(size=(2, 3, 4)) for _ in range(5)]
-        ys = [rng.normal(size=(2, 3, 4)) for _ in range(5)]
-        want = sum(float(np.abs(x - y).sum()) for x, y in zip(xs, ys)) / 5.0
-        got = losses.reconstruction_loss(np.stack(xs), np.stack(ys), [0] * 5).value
+        xs = [rng.normal(size=(2, 3, 4)) for _ in range(2)]
+        ys = [rng.normal(size=(2, 3, 4)) for _ in range(2)]
+        want = sum(float(np.abs(x - y).sum()) for x, y in zip(xs, ys))
+        got = losses.reconstruction_loss(np.stack(xs), np.stack(ys)).value
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(6)
-        xs = [rng.normal(size=(1, 4, 4)) for _ in range(3)]
-        ys = [rng.normal(size=(1, 4, 4)) for _ in range(3)]
-        xs, ys = np.stack(xs), np.stack(ys)
-        assert (losses.reconstruction_loss(xs, ys, [0, 1, 1]).value
-                == losses.reconstruction_loss(ys, xs, [0, 1, 1]).value)
+        xs = rng.normal(size=(2, 1, 4, 4))
+        ys = rng.normal(size=(2, 1, 4, 4))
+        assert (losses.reconstruction_loss(xs, ys).value
+                == losses.reconstruction_loss(ys, xs).value)
 
     def test_normalize_flag(self):
-        x = np.zeros((1, 1, 2, 2))
-        y = np.ones((1, 1, 2, 2))
-        assert losses.reconstruction_loss(x, y, [0], normalize=True).value == pytest.approx(1.0)
+        x = np.zeros((2, 1, 2, 2))
+        y = np.zeros((2, 1, 2, 2))
+        y[0] = 1.0
+        assert losses.reconstruction_loss(x, y, normalize=True).value == pytest.approx(1.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            losses.reconstruction_loss(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)), [0])
+            losses.reconstruction_loss(np.zeros((2, 1, 2, 2)), np.zeros((2, 1, 3, 3)))
 
 
 class TestFocalTerms:
@@ -192,62 +189,58 @@ def brute_region_instance(source_probs, target_probs, gamma):
 
 class TestRegionInstanceLoss:
     def test_single_images_single_groups(self):
-        got = losses.region_instance_loss([0.5, 0.5], [1, 1], [0, 1], 0.0).value
+        got = losses.region_instance_loss([0.5, 0.5], [1, 1], 0.0).value
         assert got == pytest.approx(0.6931471805599453, abs=1e-9)
 
     def test_confident_classifier_zero(self):
-        got = losses.region_instance_loss([1.0, 1.0, 0.0], [2, 1], [0, 1], 5.0).value
+        got = losses.region_instance_loss([1.0, 1.0, 0.0], [2, 1], 5.0).value
         assert got == pytest.approx(0.0, abs=1e-20)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
-        src = [list(rng.uniform(0.05, 0.95, size=rng.integers(1, 5))) for _ in range(4)]
-        tgt = [list(rng.uniform(0.05, 0.95, size=rng.integers(1, 5))) for _ in range(3)]
+        src, tgt = ([list(rng.uniform(0.05, 0.95, size=n))] for n in (3, 5))
         got = losses.region_instance_loss(
-            np.concatenate(src + tgt), [len(p) for p in src + tgt],
-            [0] * len(src) + [1] * len(tgt), 5.0).value
+            np.concatenate(src + tgt), [len(p) for p in src + tgt], 5.0).value
         assert got == pytest.approx(brute_region_instance(src, tgt, 5.0), abs=1e-12)
 
     def test_empty_group_list_rejected(self):
         with pytest.raises(ValueError):
-            losses.region_instance_loss([0.5], [0, 1], [0, 1], 5.0)
+            losses.region_instance_loss([0.5], [0, 1], 5.0)
 
 
 class TestLocalAdvLoss:
     def test_perfect_classifier_zero(self):
         s = np.zeros((1, 3, 3))
         t = np.ones((1, 3, 3))
-        assert losses.local_adv_loss(np.stack([s, t]), [0, 1]).value == 0.0
+        assert losses.local_adv_loss(np.stack([s, t])).value == 0.0
 
     def test_worst_classifier_two(self):
         s = np.ones((1, 2, 2))
         t = np.zeros((1, 2, 2))
-        assert losses.local_adv_loss(np.stack([s, t]), [0, 1]).value == pytest.approx(2.0)
+        assert losses.local_adv_loss(np.stack([s, t])).value == pytest.approx(2.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)
-        smaps = [rng.uniform(size=(1, 3, 4)) for _ in range(3)]
-        tmaps = [rng.uniform(size=(1, 3, 4)) for _ in range(2)]
-        s_pix = np.concatenate([m.ravel() for m in smaps])
-        t_pix = np.concatenate([m.ravel() for m in tmaps])
+        smap, tmap = rng.uniform(size=(2, 1, 3, 4))
+        s_pix, t_pix = smap.ravel(), tmap.ravel()
         want = float((s_pix**2).mean() + ((1 - t_pix) ** 2).mean())
-        got = losses.local_adv_loss(np.stack(smaps + tmaps), [0, 0, 0, 1, 1]).value
+        got = losses.local_adv_loss(np.stack([smap, tmap])).value
         assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestPooledAdvLoss:
     def test_perfect_and_worst_classifier(self):
-        assert losses.pooled_adv_loss([0.0, 1.0], [0, 1]).value == 0.0
-        assert losses.pooled_adv_loss([1.0, 0.0], [0, 1]).value == 2.0
+        assert losses.pooled_adv_loss([0.0, 1.0]).value == 0.0
+        assert losses.pooled_adv_loss([1.0, 0.0]).value == 2.0
 
     def test_equals_one_location_local_loss(self):
         ps, pt = 0.3, 0.8
-        want = losses.local_adv_loss(np.array([ps, pt]).reshape(2, 1, 1, 1), [0, 1]).value
-        assert losses.pooled_adv_loss([ps, pt], [0, 1]).value == want
+        want = losses.local_adv_loss(np.array([ps, pt]).reshape(2, 1, 1, 1)).value
+        assert losses.pooled_adv_loss([ps, pt]).value == want
 
     def test_gradient(self):
         p = ad.Tensor([0.3, 0.8], requires_grad=True)
-        loss = losses.pooled_adv_loss(p, [0, 1])
+        loss = losses.pooled_adv_loss(p)
         loss.backward()
         assert float(loss.value) == 0.3 * 0.3 + (1.0 - 0.8) * (1.0 - 0.8)
         assert p.grad == pytest.approx([0.6, -0.4])
@@ -292,18 +285,18 @@ class TestDifferentiability:
 
     def test_difference_loss_gradients(self):
         rng = np.random.default_rng(11)
-        d = ad.Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
-        f = ad.Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
-        out = losses.difference_loss(d, f, [0])
+        d = ad.Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+        f = ad.Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+        out = losses.difference_loss(d, f)
         out.backward()
         assert d.grad is not None and f.grad is not None
         eps = 1e-6
         i = (0, 0, 1, 2)
         dv = d.value.copy()
         dv[i] += eps
-        hi = losses.difference_loss(dv, f.value, [0]).value
+        hi = losses.difference_loss(dv, f.value).value
         dv[i] -= 2 * eps
-        lo = losses.difference_loss(dv, f.value, [0]).value
+        lo = losses.difference_loss(dv, f.value).value
         assert d.grad[i] == pytest.approx((hi - lo) / (2 * eps), rel=1e-5)
 
     def test_focal_gradient(self):
@@ -319,9 +312,29 @@ class TestDifferentiability:
     def test_nonnegativity_everywhere(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            d = rng.normal(size=(1, 2, 2, 2))
-            f = rng.normal(size=(1, 2, 2, 2))
-            assert losses.difference_loss(d, f, [0]).value >= 0.0
-            assert losses.reconstruction_loss(d, f, [0]).value >= 0.0
+            d = rng.normal(size=(2, 2, 2, 2))
+            f = rng.normal(size=(2, 2, 2, 2))
+            assert losses.difference_loss(d, f).value >= 0.0
+            assert losses.reconstruction_loss(d, f).value >= 0.0
             maps = np.repeat(rng.uniform(size=(1, 1, 2, 2)), 2, axis=0)
-            assert losses.local_adv_loss(maps, [0, 1]).value >= 0.0
+            assert losses.local_adv_loss(maps).value >= 0.0
+
+
+# each domain loss called on n images instead of the (source, target) pair
+PAIR_LOSSES = {
+    "difference": lambda n: losses.difference_loss(np.ones((n, 2, 2, 2)),
+                                                   np.ones((n, 2, 2, 2))),
+    "reconstruction": lambda n: losses.reconstruction_loss(np.ones((n, 1, 2, 2)),
+                                                           np.ones((n, 1, 2, 2))),
+    "region_instance": lambda n: losses.region_instance_loss(np.full(n, 0.5), [1] * n, 5.0),
+    "local_adv": lambda n: losses.local_adv_loss(np.full((n, 1, 2, 2), 0.5)),
+    "pooled_adv": lambda n: losses.pooled_adv_loss(np.full(n, 0.5)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("loss", sorted(PAIR_LOSSES))
+def test_domain_losses_take_only_the_pair(loss, n):
+    with pytest.raises(ValueError, match="pair axis of 2"):
+        PAIR_LOSSES[loss](n)
+    assert np.isfinite(PAIR_LOSSES[loss](2).value)

@@ -152,19 +152,19 @@ class TestCropPool:
         rng = np.random.default_rng(5)
         fmap = rng.normal(size=(6, 4, 4))
         box = BoundingBox(bx=16.0, by=16.0, w=32.0, h=32.0)
-        got = net.crop_pool(fmap, box, stride=8)
+        got = net.crop_pool(fmap, box)
         np.testing.assert_array_equal(got.value, global_pool(fmap[None]).value[0])
 
     def test_constant_map_any_box(self):
         fmap = np.full((3, 4, 4), 1.5)
         box = BoundingBox(bx=9.0, by=12.0, w=6.0, h=10.0)
-        np.testing.assert_allclose(net.crop_pool(fmap, box, 8).value, [1.5, 1.5, 1.5])
+        np.testing.assert_allclose(net.crop_pool(fmap, box).value, [1.5, 1.5, 1.5])
 
     def test_matches_brute_force_cell_average(self):
         rng = np.random.default_rng(6)
         fmap = rng.normal(size=(2, 8, 8))
         box = BoundingBox(bx=20.0, by=30.0, w=17.0, h=9.0)
-        got = net.crop_pool(fmap, box, 8).value
+        got = net.crop_pool(fmap, box).value
         # cells covered by [11.5, 28.5] x [25.5, 34.5] at stride 8
         want = fmap[:, 3:5, 1:4].mean(axis=(1, 2))
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -172,12 +172,12 @@ class TestCropPool:
     def test_outside_box_rejected(self):
         fmap = np.zeros((1, 4, 4))
         with pytest.raises(ValueError):
-            net.crop_pool(fmap, BoundingBox(bx=100.0, by=4.0, w=4.0, h=4.0), 8)
+            net.crop_pool(fmap, BoundingBox(bx=100.0, by=4.0, w=4.0, h=4.0))
 
     def test_gradient_flows(self):
         fmap = ad.Tensor(np.random.default_rng(7).normal(size=(2, 4, 4)),
                          requires_grad=True)
-        vec = net.crop_pool(fmap, BoundingBox(bx=8.0, by=8.0, w=8.0, h=8.0), 8)
+        vec = net.crop_pool(fmap, BoundingBox(bx=8.0, by=8.0, w=8.0, h=8.0))
         ad.sum(vec).backward()
         assert fmap.grad is not None and fmap.grad.any()
 
@@ -201,10 +201,10 @@ class TestRoiPool:
 
     def test_rows_match_crop_pool(self, image):
         fmap, boxes, _ = image
-        a = net.roi_pool_matrix(boxes, 8, 8, 8)
+        a = net.roi_pool_matrix(boxes, 8, 8)
         got = a @ fmap.reshape(5, -1).T
         for k, box in enumerate(boxes):
-            np.testing.assert_allclose(got[k], net.crop_pool(fmap, box, 8).value,
+            np.testing.assert_allclose(got[k], net.crop_pool(fmap, box).value,
                                        rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=1e-12)
 
@@ -212,10 +212,10 @@ class TestRoiPool:
         fmap, _, pset = image
         boxes = [p.box for p in pset.proposals]
         groups, _, _ = cluster_box_centers(pset.centers())
-        roi = net.roi_pool(fmap[None], net.roi_pool_matrix(boxes, 8, 8, 8)).value
+        roi = net.roi_pool(fmap[None], net.roi_pool_matrix(boxes, 8, 8)).value
         got = net.group_mean_matrix(groups, len(boxes)) @ roi
         want = np.stack([
-            np.stack([net.crop_pool(fmap, boxes[i], 8).value for i in members]).mean(axis=0)
+            np.stack([net.crop_pool(fmap, boxes[i]).value for i in members]).mean(axis=0)
             for members in groups
         ])
         assert len(groups) > 1 and max(len(m) for m in groups) > 1
@@ -225,20 +225,20 @@ class TestRoiPool:
         fmap, boxes, _ = image
         g = np.random.default_rng(24).normal(size=(len(boxes), 5))
         batch = ad.Tensor(fmap[None], requires_grad=True)
-        net.roi_pool(batch, net.roi_pool_matrix(boxes, 8, 8, 8)).backward(g)
+        net.roi_pool(batch, net.roi_pool_matrix(boxes, 8, 8)).backward(g)
         t = ad.Tensor(fmap, requires_grad=True)
-        ad.stack([net.crop_pool(t, b, 8) for b in boxes]).backward(g)
+        ad.stack([net.crop_pool(t, b) for b in boxes]).backward(g)
         np.testing.assert_allclose(batch.grad[0], t.grad, rtol=1e-12, atol=1e-12)
         with pytest.raises(ValueError, match="batch"):
-            net.roi_pool(fmap, net.roi_pool_matrix(boxes, 8, 8, 8))
+            net.roi_pool(fmap, net.roi_pool_matrix(boxes, 8, 8))
 
     def test_outside_box_rejected(self):
         inside = BoundingBox(bx=8.0, by=8.0, w=4.0, h=4.0)
         outside = BoundingBox(bx=100.0, by=4.0, w=4.0, h=4.0)
         with pytest.raises(ValueError):
-            net.roi_pool_matrix([inside, outside], 8, 4, 4)
+            net.roi_pool_matrix([inside, outside], 4, 4)
         with pytest.raises(ValueError):
-            net.crop_pool(np.zeros((1, 4, 4)), outside, 8)
+            net.crop_pool(np.zeros((1, 4, 4)), outside)
 
 
 class TestDomainHeads:

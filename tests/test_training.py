@@ -64,6 +64,16 @@ def test_injected_nan_raises_at_the_node():
     assert traceback.extract_tb(cause.__traceback__)[-1].name == "__init__"
 
 
+def test_nan_in_the_detector_head_names_its_branch():
+    net = nw.SeparationNet(training.gradcheck_network_spec(), seed=0)
+    source, target = training.build_gradcheck_data(0)
+    opt = ad.SGD(net.params(), lr=1e-3)
+    net.head_cls.w.value[0, 0] = np.nan
+    with pytest.raises(training.TrainingDiverged, match="branch detector") as err:
+        training.train_step(net, source, target, losses.ObjectiveWeights(), opt)
+    assert isinstance(err.value.__cause__, FloatingPointError)
+
+
 def test_a_step_makes_no_constant_nodes(monkeypatch):
     """Every node one default `train_step` builds has a parent: the image
     pair, the loss weights and the per-image matrices enter the graph as
@@ -217,7 +227,7 @@ def test_one_forward_report_equals_the_per_branch_loop():
     net, source, target = _pair_and_net()
     loop = nw.finite_difference_report(
         net.named_params(),
-        lambda: {"l_ri": training.branch_loss(net, source, target, "l_ri", -1.0)},
+        lambda: {"l_ri": training._checked_losses(net, source, target, -1.0)["l_ri"]},
         ["l_ri"], coords_per_param=1, rng=np.random.default_rng(1))
     assert loop["l_ri"] == report["l_ri"]["per_param"]
 
@@ -235,7 +245,7 @@ def test_train_step_descends_the_checked_composite():
     trained = [p.grad.copy() for p in net.params()]
     for p in net.params():
         p.grad = None
-    training.branch_loss(net, source, target, "composite", lam=weights.lam).backward()
+    training._checked_losses(net, source, target, weights.lam)["composite"].backward()
     for (name, p), g in zip(net.named_params(), trained):
         assert p.grad.tobytes() == g.tobytes(), name
 
@@ -273,7 +283,7 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
         p3, f_g = net.global_domain(ad.grl(f3, lam))
         ctx = np.concatenate([f_l.value, f_m.value, f_g.value], axis=1)
         boxes = [p.box for p in entry.pset.proposals]
-        roi = nw.roi_pool(f3, nw.roi_pool_matrix(boxes, net.spec.stride, *f3.shape[2:]))
+        roi = nw.roi_pool(f3, nw.roi_pool_matrix(boxes, *f3.shape[2:]))
         fr = ad.matmul(nw.group_mean_matrix(entry.groups, len(boxes)), roi)
         fused = ad.concat([np.tile(ctx, (len(entry.groups), 1)), ad.grl(fr, lam)], axis=1)
         return {"f3": f3, "d": d, "xhat": net.reconstruct(d, f3), "gray": gray,
@@ -335,12 +345,6 @@ def test_compute_losses_returns_every_branch():
                                   lam=1.0, normalize_rec=True)
     for branch in training.ALL_BRANCHES:
         assert isinstance(out[branch], ad.Tensor) and out[branch].shape == (), branch
-
-
-def test_branch_loss_rejects_an_unknown_branch():
-    net, source, target = _pair_and_net()
-    with pytest.raises(ValueError, match="l_lr"):
-        training.branch_loss(net, source, target, "l_lr", lam=1.0)
 
 
 @pytest.mark.parametrize("through_json", [False, True])
@@ -466,6 +470,13 @@ def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
     ({"scene": synth.SceneSpec(palette=())}, "palette"),
     ({"scene": synth.SceneSpec(background=(0.1, 0.2))}, "background"),
     ({"scene": synth.SceneSpec(canvas=(64,))}, "canvas"),
+    # these too passed validation, then failed inside the network or step 0
+    ({"network": nw.NetworkSpec(num_classes=2)}, "num_classes"),
+    ({"network": nw.NetworkSpec(d1_hidden=0)}, "d1_hidden"),
+    ({"network": nw.NetworkSpec(d23_hidden=-1)}, "d23_hidden"),
+    ({"network": nw.NetworkSpec(dri_hidden=0)}, "dri_hidden"),
+    ({"network": nw.NetworkSpec(head_hidden=0)}, "head_hidden"),
+    ({"network": nw.NetworkSpec(channels=(4, 6.5, 8))}, "channels"),
 ])
 def test_validate_rejects(change, match):
     cfg = dataclasses.replace(tiny_config(2), **change)
@@ -481,6 +492,8 @@ def test_validate_accepts_the_default_and_a_zero_decay_step(decay_step):
 @pytest.mark.parametrize("data", [
     {"cluster": {"k": 0.5}}, {"scene": {"canvas": [40, 36]}},
     json.loads('{"lr_initial": NaN}'), json.loads('{"network": {"domain_head_gain": Infinity}}'),
+    {"network": {"num_classes": 2}}, {"network": {"head_hidden": 0}},
+    {"network": {"channels": [4, 6.5, 8]}},
 ])
 def test_config_from_dict_validates_the_nested_specs(data):
     with pytest.raises(ValueError):
@@ -503,7 +516,7 @@ def test_corpus_entries_cache_the_step_constants(monkeypatch):
     for entry in source + target:
         boxes = [p.box for p in entry.pset.proposals]
         assert entry.boxes == boxes
-        np.testing.assert_array_equal(entry.roi_matrix, nw.roi_pool_matrix(boxes, 8, 4, 4))
+        np.testing.assert_array_equal(entry.roi_matrix, nw.roi_pool_matrix(boxes, 4, 4))
         np.testing.assert_array_equal(
             entry.group_matrix, nw.group_mean_matrix(entry.groups, len(boxes)))
     for entry in source:
