@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import traceback
@@ -182,6 +183,45 @@ def test_evaluation_path_is_pinned(trained_tiny):
     assert rows[0] == list(training.CSV_COLUMNS)
     assert [int(r[0]) for r in rows[1:]] == list(range(6))
     assert [[float(v) for v in r[1:]] for r in rows[1:]] == PINNED_CSV_ROWS
+
+
+def _digest(rows):
+    """sha256 of the little-endian float64 bytes of each row in turn."""
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(np.asarray(row, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# sha256 digests of the held-out sets of `tiny_config`, recorded bit-for-bit:
+# the images of each probe split's source and target samples and of the
+# detection set, and the detection set's proposals and ground truth
+PINNED_HELD_OUT = {
+    "probe_train": ["5585adabead2d7962cf31b86db57458bdb55893c43c89e4e9260672fc27df984",
+                    "a6512217cb53e6d00ee24db9df95f080e9d0338c1396861be15acf39f2a9c0de"],
+    "probe_eval": ["3dde7380c007312312bf1b1c6709d3f7d831debf8ce26a953dc225474eae9c54",
+                   "f8713fe423a16816f630b3572f74db7e54ef1bd8324930a8de4450346685bd2c"],
+    "detect_images": "ea5bb00be071ad44f7419831c6ff1dd5a41978b9211c41894901596299245d46",
+    "detect_proposals": "dc18f646c9b578ebd117650b86f96cb86007f87dbcf7be42bc4a8861146ec4a9",
+    "detect_truth": "24085e494e611e3ee914b9d09e3c4ab6a9af093fbb558faa3df32f3f13e82e50",
+}
+
+
+def test_held_out_sets_are_pinned(trained_tiny):
+    _, (probe_train, probe_eval, detect_eval) = trained_tiny
+    got = {}
+    for name, probe in (("probe_train", probe_train), ("probe_eval", probe_eval)):
+        # the source samples, then the target samples, keyed by domain or paired
+        domains = probe.values() if isinstance(probe, dict) else probe
+        got[name] = [_digest(s.rgb for s, _ in samples) for samples in domains]
+    got["detect_images"] = _digest(s.rgb for s, _ in detect_eval)
+    got["detect_proposals"] = _digest(
+        [[p.box.bx, p.box.by, p.box.w, p.box.h, p.objectness] for p in pset.proposals]
+        for _, pset in detect_eval)
+    got["detect_truth"] = _digest(
+        [[b.bx, b.by, b.w, b.h, label] for b, label in zip(s.eval_boxes(), s.eval_labels())]
+        for s, _ in detect_eval)
+    assert got == PINNED_HELD_OUT
 
 
 def test_source_only_config_changes_only_weights():
