@@ -32,6 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .grouping import encode_deltas, iou
+from .scale_space import is_count
 
 # pixels per f3 cell: the backbone's three stride-2 stages
 STRIDE = 8
@@ -58,18 +59,13 @@ class NetworkSpec:
     domain_head_gain: float = 8.0
 
     def validate(self):
-        if len(self.channels) != 3 or not all(_is_count(c) for c in self.channels):
+        if len(self.channels) != 3 or not all(is_count(c) for c in self.channels):
             raise ValueError("channels must be three positive integer counts")
         for name in ("d1_hidden", "d23_hidden", "dri_hidden", "head_hidden", "num_classes"):
-            if not _is_count(getattr(self, name)):
+            if not is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be a positive integer")
         if not (math.isfinite(self.domain_head_gain) and self.domain_head_gain > 0):
             raise ValueError("domain_head_gain must be finite and positive")
-
-
-def _is_count(v):
-    """Whether `v` is an integer >= 1."""
-    return isinstance(v, (int, np.integer)) and v >= 1
 
 
 class Conv2d:

@@ -24,6 +24,12 @@ _LIFETIME_C = 1.0 / math.log(1.05)
 _WEIGHT_FLOOR = float(np.finfo(np.float64).tiny)
 
 
+def is_count(v, least=1):
+    """Whether `v` is an integer (a bool is not) of at least `least`; every
+    config spec checks its counts with it."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+
+
 def _check_kernel_scale(sigma0):
     """Reject a starting scale whose kernel denominator 2*sigma0**2 underflows
     to 0: every self-distance term would be 0/0 and every center NaN."""
@@ -61,8 +67,9 @@ class ScaleSweepConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive")
-        if self.max_inner_iters < 1 or self.max_scales < 1:
-            raise ValueError("iteration limits must be >= 1")
+        for name in ("max_inner_iters", "max_scales"):
+            if not is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 1")
         if self.sigma0 is not None:
             # `lifetime` is defined from epsilon up: a sweep started below it
             # would run, then fail when its scales are scored

@@ -7,8 +7,15 @@ region proposal network: redundant jittered copies of every ground-truth box
 plus a few background boxes, each proposal carrying a box and an objectness
 score.
 
-Everything is a pure function of (spec, seed). Target-domain ground truth is
-carried for evaluation but fenced off from training code paths.
+Everything is a pure function of (spec, seed). Each domain has one sample
+stream (`domain_samples`): sample i of it is seeded by
+`SeedSequence([base_seed, d, i])`, d = 0 for source and 1 for target, whose
+spawned children seed in order the scene, the domain shift (target only) and
+the proposals. The training corpus is samples 0 to n-1 of both streams; the
+held-out sets (`training.build_eval_sets`) start at 10_000 (target
+detection), 20_000 (probe training) and 30_000 (probe evaluation).
+Target-domain ground truth is carried for evaluation but fenced off from
+training code paths.
 """
 
 import math
@@ -18,6 +25,7 @@ import numpy as np
 
 from .grouping import BoundingBox, Proposal, ProposalSet
 from .losses import rgb_to_grayscale
+from .scale_space import is_count
 
 SHAPE_CLASS_IDS = {"disk": 1, "square": 2, "triangle": 3}
 
@@ -59,14 +67,12 @@ class SceneSpec:
     color_by_class: bool = True
 
     def validate(self):
-        if len(self.canvas) != 2:
-            raise ValueError("canvas must be (height, width)")
-        if self.canvas[0] < 32 or self.canvas[1] < 32:
-            raise ValueError("canvas must be at least 32x32")
-        if len(self.object_count_range) != 2:
-            raise ValueError("object_count_range must be (min, max)")
-        if self.object_count_range[0] < 1:
-            raise ValueError("minimum object count must be >= 1")
+        if len(self.canvas) != 2 or not all(is_count(n, 32) for n in self.canvas):
+            raise ValueError("canvas must be (height, width), integers >= 32")
+        if len(self.object_count_range) != 2 or not all(
+                is_count(n) for n in self.object_count_range):
+            raise ValueError("object_count_range must be (min, max) object counts, "
+                             "integers >= 1")
         if self.object_count_range[0] > self.object_count_range[1]:
             raise ValueError("object count range is inverted")
         unknown = set(self.shapes) - set(SHAPE_CLASS_IDS)
@@ -114,15 +120,14 @@ class ProposalNoiseSpec:
     background_margin: float = 12.0
 
     def validate(self):
-        if self.redundancy < 1:
-            raise ValueError("redundancy must be >= 1")
+        for name, least in (("redundancy", 1), ("background_count", 0)):
+            if not is_count(getattr(self, name), least):
+                raise ValueError(f"{name} must be an integer >= {least}")
         # a negative jitter would silently switch the jitter off
         for name in ("jitter_std", "background_margin"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and non-negative")
-        if self.background_count < 0:
-            raise ValueError("background_count must be non-negative")
 
 
 class Sample:
@@ -357,26 +362,22 @@ def generate_proposals(sample, noise=None, seed=0):
     return ProposalSet(proposals=proposals)
 
 
-def scene_seed(base_seed, domain, index):
-    """Stable per-sample seed stream."""
-    code = 0 if domain == "source" else 1
-    return np.random.SeedSequence([int(base_seed), code, int(index)])
+def domain_samples(domain, scene_spec, shift_spec, noise_spec, n, base_seed, start=0):
+    """Samples `start` to `start + n - 1` of one domain's stream, each with
+    its proposals."""
+    code = ("source", "target").index(domain)
+    out = []
+    for i in range(start, start + n):
+        children = np.random.SeedSequence([int(base_seed), code, i]).spawn(2 + code)
+        sample = generate_scene(scene_spec, seed=children[0])
+        if code:
+            sample = apply_domain_shift(sample, shift_spec, seed=children[1])
+        sample.image_id = f"{('src', 'tgt')[code]}{i:05d}"
+        out.append((sample, generate_proposals(sample, noise_spec, seed=children[-1])))
+    return out
 
 
 def build_pair_corpus(scene_spec, shift_spec, noise_spec, n, base_seed):
-    """n source and n target samples (independent scenes) with proposals."""
-    source, target = [], []
-    for i in range(n):
-        ss = scene_seed(base_seed, "source", i)
-        scene_ss, prop_ss = ss.spawn(2)
-        s = generate_scene(scene_spec, seed=scene_ss)
-        s.image_id = f"src{i:05d}"
-        source.append((s, generate_proposals(s, noise_spec, seed=prop_ss)))
-    for i in range(n):
-        ss = scene_seed(base_seed, "target", i)
-        scene_ss, shift_ss, prop_ss = ss.spawn(3)
-        base = generate_scene(scene_spec, seed=scene_ss)
-        t = apply_domain_shift(base, shift_spec, seed=shift_ss)
-        t.image_id = f"tgt{i:05d}"
-        target.append((t, generate_proposals(t, noise_spec, seed=prop_ss)))
-    return source, target
+    """Samples 0 to n-1 of the source and of the target stream, with proposals."""
+    return tuple(domain_samples(d, scene_spec, shift_spec, noise_spec, n, base_seed)
+                 for d in ("source", "target"))

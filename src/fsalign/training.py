@@ -10,7 +10,10 @@ tests these same nodes. The adversarial branches are wired through gradient
 reversal, so the classifiers minimise their domain losses while the feature
 path maximises them. SGD with momentum and a single-step learning-rate decay
 drives all parameters. Also hosts the evaluation protocol (domain probe on
-frozen pooled features, target detection match rate) and checkpoints.
+frozen pooled features, target detection match rate) on held-out samples
+drawn from the corpus's sample streams, checkpoints, and `run_experiment`,
+which trains, evaluates and writes the adapted net and its source-only twin
+in one loop.
 """
 
 import contextlib
@@ -29,7 +32,7 @@ from . import losses as L
 from . import network as nw
 from . import synth
 from .grouping import apply_deltas, cluster_box_centers, iou, DegenerateGroupingError
-from .scale_space import OUTLIER, ScaleSweepConfig
+from .scale_space import OUTLIER, ScaleSweepConfig, is_count
 
 CSV_COLUMNS = ("step", "L_c", "L_r", "L_rec", "L_diff", "L_lg", "L_ri", "total")
 
@@ -80,20 +83,19 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.iterations < 1 or self.corpus_size < 1:
-            raise ValueError("iterations and corpus size must be >= 1")
-        if self.eval_size < 1 or self.probe_size < 1:
-            raise ValueError("eval and probe sizes must be >= 1")
-        if self.decay_step is not None and self.decay_step < 0:
-            raise ValueError("decay_step must be >= 0 (or None for the default)")
-        if self.lambda_warmup_steps < 0:
-            raise ValueError("lambda_warmup_steps must be >= 0")
-        if any(n % nw.STRIDE for n in self.scene.canvas):
-            raise ValueError(f"canvas sides must be multiples of the network "
-                             f"stride {nw.STRIDE}")
+        for name in ("iterations", "corpus_size", "eval_size", "probe_size"):
+            if not is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 1")
+        if self.decay_step is not None and not is_count(self.decay_step, 0):
+            raise ValueError("decay_step must be an integer >= 0 (or None for the default)")
+        if not is_count(self.lambda_warmup_steps, 0):
+            raise ValueError("lambda_warmup_steps must be an integer >= 0")
         for spec in (self.weights, self.network, self.scene, self.shift,
                      self.proposal_noise, self.cluster):
             spec.validate()
+        if any(n % nw.STRIDE for n in self.scene.canvas):
+            raise ValueError(f"canvas sides must be multiples of the network "
+                             f"stride {nw.STRIDE}")
         top = max(synth.SHAPE_CLASS_IDS[s] for s in self.scene.shapes)
         if self.network.num_classes < top:
             raise ValueError(f"network num_classes {self.network.num_classes} is below "
@@ -221,32 +223,18 @@ def build_training_corpus(cfg):
 
 
 def build_eval_sets(cfg):
-    """Held-out sets: probe train/eval pairs per domain plus a target
-    detection set, all on seed streams disjoint from the training corpus."""
-    def scenes(domain, offset, n, with_shift):
-        out = []
-        for i in range(n):
-            ss = synth.scene_seed(cfg.seed, domain, offset + i)
-            scene_ss, shift_ss, prop_ss = ss.spawn(3)
-            s = synth.generate_scene(cfg.scene, seed=scene_ss)
-            s.image_id = f"{domain[:3]}e{offset + i}"
-            if with_shift:
-                s = synth.apply_domain_shift(s, cfg.shift, seed=shift_ss)
-            pset = synth.generate_proposals(s, cfg.proposal_noise, seed=prop_ss)
-            out.append((s, pset))
-        return out
+    """Held-out sets, each drawn from the corpus's sample streams (see
+    `synth`) at its own start index: probe training and probe evaluation
+    (source, target) pairs of `probe_size` samples per domain from 20_000
+    and 30_000, and `eval_size` target detection samples from 10_000."""
+    def stream(domain, start, n):
+        return synth.domain_samples(domain, cfg.scene, cfg.shift, cfg.proposal_noise,
+                                    n, cfg.seed, start)
 
     n = cfg.probe_size
-    probe_train = {
-        "source": scenes("source", 20_000, n, False),
-        "target": scenes("target", 20_000, n, True),
-    }
-    probe_eval = {
-        "source": scenes("source", 30_000, n, False),
-        "target": scenes("target", 30_000, n, True),
-    }
-    detect_eval = scenes("target", 10_000, cfg.eval_size, True)
-    return probe_train, probe_eval, detect_eval
+    probe_train = (stream("source", 20_000, n), stream("target", 20_000, n))
+    probe_eval = (stream("source", 30_000, n), stream("target", 30_000, n))
+    return probe_train, probe_eval, stream("target", 10_000, cfg.eval_size)
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +409,18 @@ def _logistic_fit(x, y, iters=500, lr=0.5, l2=1e-3):
 
 
 def probe_domain_accuracy(net, probe_train, probe_eval):
-    """Train a fresh logistic probe on frozen pooled shared features and
-    report its source/target accuracy on the held-out probe split."""
-    xs = pooled_features(net, [s for s, _ in probe_train["source"]])
-    xt = pooled_features(net, [s for s, _ in probe_train["target"]])
-    x = np.concatenate([xs, xt])
-    y = np.concatenate([np.zeros(len(xs)), np.ones(len(xt))])
+    """Train a fresh logistic probe on frozen pooled shared features of the
+    (source, target) sample pair `probe_train` and report its source/target
+    accuracy on the held-out pair `probe_eval`."""
+    def features(pair):
+        xs, xt = (pooled_features(net, [s for s, _ in samples]) for samples in pair)
+        return np.concatenate([xs, xt]), np.repeat([0.0, 1.0], [len(xs), len(xt)])
+
+    x, y = features(probe_train)
     mu, sd = x.mean(axis=0), x.std(axis=0) + 1e-8
     w = _logistic_fit((x - mu) / sd, y)
-    exs = pooled_features(net, [s for s, _ in probe_eval["source"]])
-    ext = pooled_features(net, [s for s, _ in probe_eval["target"]])
-    ex = (np.concatenate([exs, ext]) - mu) / sd
-    ey = np.concatenate([np.zeros(len(exs)), np.ones(len(ext))])
-    xb = np.concatenate([ex, np.ones((len(ex), 1))], axis=1)
+    ex, ey = features(probe_eval)
+    xb = np.concatenate([(ex - mu) / sd, np.ones((len(ex), 1))], axis=1)
     pred = (xb @ w) > 0
     return float((pred == ey.astype(bool)).mean())
 
@@ -497,8 +484,8 @@ def save_checkpoint(net, out_dir, prefix="checkpoint"):
 def load_checkpoint(net, out_dir, prefix="checkpoint"):
     """Load a `save_checkpoint` pair into `net`. The manifest must hold
     float64 values for exactly the net's parameters, each in the net's
-    shape; otherwise a ValueError names what differs and `net` is left
-    unchanged."""
+    shape, saved from a net of the same `NetworkSpec`; otherwise a
+    ValueError names what differs and `net` is left unchanged."""
     with open(os.path.join(out_dir, f"{prefix}.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("dtype") != "<f8":
@@ -517,6 +504,11 @@ def load_checkpoint(net, out_dir, prefix="checkpoint"):
         if tuple(by_name[name]["shape"]) != p.value.shape:
             raise ValueError(f"checkpoint shape {tuple(by_name[name]['shape'])} of "
                              f"{name} differs from the net's {p.value.shape}")
+    saved, spec = manifest.get("network", {}), config_to_dict(net.spec)
+    differ = sorted(k for k in {**saved, **spec} if saved.get(k) != spec.get(k))
+    if differ:
+        raise ValueError("checkpoint network differs from the net's in " + ", ".join(
+            f"{k} ({saved.get(k)!r} vs {spec.get(k)!r})" for k in differ))
     for name, p in named:
         e = by_name[name]
         p.value = raw[e["offset"] : e["offset"] + p.value.size].reshape(p.value.shape).copy()
@@ -526,44 +518,35 @@ def load_checkpoint(net, out_dir, prefix="checkpoint"):
 def run_experiment(cfg, out_dir=None, log=None):
     """Adapted run plus source-only twin, probed under the same protocol.
 
-    Writes losses.csv / losses_source_only.csv, metrics.json and both
-    checkpoints when `out_dir` is given; returns the metrics dict.
+    Both twins train on one grouped corpus (`source_only_config` changes
+    only the loss weights) and are evaluated on one set of held-out samples,
+    one twin after the other. With `out_dir`, each writes its loss CSV and
+    checkpoint (`losses.csv` and `checkpoint.*` for the adapted twin, with
+    the suffix `_source_only` for the other), and metrics.json follows;
+    returns the metrics dict.
     """
-    # source_only_config changes only the loss weights, so both twins train
-    # on the same grouped corpus
     source, target = build_training_corpus(cfg)
-    adapted = train(cfg, source, target)
-    baseline = train(source_only_config(cfg), source, target)
     probe_train, probe_eval, detect_eval = build_eval_sets(cfg)
-    metrics = {
-        "probe_accuracy_source_only": probe_domain_accuracy(
-            baseline.net, probe_train, probe_eval
-        ),
-        "probe_accuracy_adapted": probe_domain_accuracy(
-            adapted.net, probe_train, probe_eval
-        ),
-        "target_match_rate": target_match_rate(adapted.net, detect_eval),
-        "target_match_rate_source_only": target_match_rate(
-            baseline.net, detect_eval
-        ),
-        "seeds": {"train": cfg.seed},
-    }
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    metrics = {}
+    for suffix, twin_cfg in {"": cfg, "_source_only": source_only_config(cfg)}.items():
+        result = train(twin_cfg, source, target)
+        metrics[f"probe_accuracy{suffix or '_adapted'}"] = probe_domain_accuracy(
+            result.net, probe_train, probe_eval)
+        metrics[f"target_match_rate{suffix}"] = target_match_rate(result.net, detect_eval)
+        if out_dir:
+            with open(os.path.join(out_dir, f"losses{suffix}.csv"), "w",
+                      encoding="utf-8", newline="") as fh:
+                fh.write(rows_to_csv_text(result.rows))
+            save_checkpoint(result.net, out_dir, prefix=f"checkpoint{suffix}")
+    metrics["seeds"] = {"train": cfg.seed}
     if log:
         log(json.dumps(metrics))
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "losses.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(rows_to_csv_text(adapted.rows))
-        with open(os.path.join(out_dir, "losses_source_only.csv"), "w",
-                  encoding="utf-8", newline="") as fh:
-            fh.write(rows_to_csv_text(baseline.rows))
-        with open(os.path.join(out_dir, "metrics.json"), "w",
-                  encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
             json.dump(metrics, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        save_checkpoint(adapted.net, out_dir, prefix="checkpoint")
-        save_checkpoint(baseline.net, out_dir, prefix="checkpoint_source_only")
     return metrics
 
 

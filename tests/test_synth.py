@@ -196,6 +196,28 @@ class TestPairCorpus:
         pb = b_tgt[0][1].proposals[0].box
         assert (pa.bx, pa.by) == (pb.bx, pb.by)
 
+    @pytest.mark.parametrize("domain", ["source", "target"])
+    def test_a_later_start_gives_the_tail_of_the_stream(self, domain):
+        specs = (synth.SceneSpec(), synth.DomainShiftSpec(), synth.ProposalNoiseSpec())
+        whole = synth.domain_samples(domain, *specs, 5, 3)
+        tail = synth.domain_samples(domain, *specs, 2, 3, start=3)
+        assert len(tail) == 2
+        for (a, pa), (b, pb) in zip(whole[3:], tail):
+            assert (a.image_id, a.domain) == (b.image_id, b.domain)
+            assert np.array_equal(a.rgb, b.rgb)
+            assert a.eval_labels() == b.eval_labels()
+            assert [(p.box, p.objectness) for p in pa.proposals] == [
+                (p.box, p.objectness) for p in pb.proposals]
+
+    def test_the_corpus_is_the_head_of_both_streams(self):
+        specs = (synth.SceneSpec(), synth.DomainShiftSpec(), synth.ProposalNoiseSpec())
+        corpus = synth.build_pair_corpus(*specs, 2, 5)
+        for domain, samples in zip(("source", "target"), corpus):
+            stream = synth.domain_samples(domain, *specs, 2, 5)
+            assert [s.image_id for s, _ in samples] == [s.image_id for s, _ in stream]
+            for (a, _), (b, _) in zip(samples, stream):
+                assert np.array_equal(a.rgb, b.rgb)
+
     def test_source_target_scenes_differ(self):
         src, tgt = synth.build_pair_corpus(
             synth.SceneSpec(), synth.DomainShiftSpec(), synth.ProposalNoiseSpec(),

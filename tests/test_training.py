@@ -224,6 +224,22 @@ def test_held_out_sets_are_pinned(trained_tiny):
     assert got == PINNED_HELD_OUT
 
 
+def test_eval_sets_generate_only_the_scenes_they_keep(monkeypatch):
+    """One scene per held-out sample: two probe splits of both domains and
+    the target detection set."""
+    calls = []
+    generate = synth.generate_scene
+
+    def counted(spec=None, seed=0):
+        calls.append(seed)
+        return generate(spec, seed)
+
+    monkeypatch.setattr(synth, "generate_scene", counted)
+    cfg = dataclasses.replace(tiny_config(1), probe_size=2, eval_size=3)
+    training.build_eval_sets(cfg)
+    assert len(calls) == 4 * cfg.probe_size + cfg.eval_size
+
+
 def test_source_only_config_changes_only_weights():
     cfg = tiny_config(6)
     twin = training.source_only_config(cfg)
@@ -467,6 +483,9 @@ def _repeat_first_param(manifest):
     (nw.NetworkSpec(), _drop_last_param, r"missing \['head\.box\.b'\]"),
     (nw.NetworkSpec(), _rename_first_param, r"unexpected \['backbone\.f0\.w'\]"),
     (nw.NetworkSpec(), _repeat_first_param, "repeats"),
+    # same parameter shapes, another spec
+    (nw.NetworkSpec(domain_head_gain=2.0), None, r"domain_head_gain \(2\.0 vs 8\.0\)"),
+    (nw.NetworkSpec(), lambda m: m.pop("network"), "num_classes"),
 ])
 def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
     """A checkpoint of another `NetworkSpec`, or whose manifest names other
@@ -481,8 +500,8 @@ def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
 
 
 @pytest.mark.parametrize("change, match", [
-    ({"eval_size": 0}, "eval and probe"),
-    ({"probe_size": 0}, "eval and probe"),
+    ({"eval_size": 0}, "eval_size"),
+    ({"probe_size": 0}, "probe_size"),
     ({"scene": synth.SceneSpec(canvas=(36, 40))}, "stride 8"),
     ({"scene": synth.SceneSpec(object_count_range=(0, 2))}, "object count"),
     ({"shift": synth.DomainShiftSpec(fog_alpha=1.5)}, "fog_alpha"),
@@ -517,6 +536,23 @@ def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
     ({"network": nw.NetworkSpec(dri_hidden=0)}, "dri_hidden"),
     ({"network": nw.NetworkSpec(head_hidden=0)}, "head_hidden"),
     ({"network": nw.NetworkSpec(channels=(4, 6.5, 8))}, "channels"),
+    # non-integer counts: these passed validation, then raised a TypeError
+    # inside the run or, for the last two, trained without a word
+    ({"iterations": 2.5}, "iterations"),
+    ({"corpus_size": 1.5}, "corpus_size"),
+    ({"eval_size": 2.5}, "eval_size"),
+    ({"probe_size": 2.5}, "probe_size"),
+    ({"proposal_noise": synth.ProposalNoiseSpec(redundancy=2.5)}, "redundancy"),
+    ({"proposal_noise": synth.ProposalNoiseSpec(background_count=1.5)},
+     "background_count"),
+    ({"scene": synth.SceneSpec(canvas=(32.0, 32))}, "canvas"),
+    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, max_scales=50.5)},
+     "max_scales"),
+    ({"cluster": dataclasses.replace(training.TrainConfig().cluster,
+                                     max_inner_iters=10.5)}, "max_inner_iters"),
+    ({"scene": synth.SceneSpec(object_count_range=(1.5, 2))}, "object_count_range"),
+    ({"iterations": True}, "iterations"),
+    ({"network": nw.NetworkSpec(head_hidden=True)}, "head_hidden"),
 ])
 def test_validate_rejects(change, match):
     cfg = dataclasses.replace(tiny_config(2), **change)
@@ -534,6 +570,10 @@ def test_validate_accepts_the_default_and_a_zero_decay_step(decay_step):
     json.loads('{"lr_initial": NaN}'), json.loads('{"network": {"domain_head_gain": Infinity}}'),
     {"network": {"num_classes": 2}}, {"network": {"head_hidden": 0}},
     {"network": {"channels": [4, 6.5, 8]}},
+    {"iterations": 2.5}, {"corpus_size": 1.5}, {"eval_size": 2.5}, {"iterations": True},
+    {"proposal_noise": {"redundancy": 2.5}}, {"proposal_noise": {"background_count": 1.5}},
+    {"scene": {"canvas": [32.0, 32]}}, {"scene": {"object_count_range": [1.5, 2]}},
+    {"cluster": {"max_scales": 50.5}}, {"cluster": {"max_inner_iters": 10.5}},
 ])
 def test_config_from_dict_validates_the_nested_specs(data):
     with pytest.raises(ValueError):
