@@ -88,8 +88,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer >= 1")
         if self.decay_step is not None and not is_count(self.decay_step, 0):
             raise ValueError("decay_step must be an integer >= 0 (or None for the default)")
-        if not is_count(self.lambda_warmup_steps, 0):
-            raise ValueError("lambda_warmup_steps must be an integer >= 0")
+        for name in ("lambda_warmup_steps", "seed"):
+            if not is_count(getattr(self, name), 0):
+                raise ValueError(f"{name} must be an integer >= 0")
         for spec in (self.weights, self.network, self.scene, self.shift,
                      self.proposal_noise, self.cluster):
             spec.validate()

@@ -209,15 +209,6 @@ class TestPairCorpus:
             assert [(p.box, p.objectness) for p in pa.proposals] == [
                 (p.box, p.objectness) for p in pb.proposals]
 
-    def test_the_corpus_is_the_head_of_both_streams(self):
-        specs = (synth.SceneSpec(), synth.DomainShiftSpec(), synth.ProposalNoiseSpec())
-        corpus = synth.build_pair_corpus(*specs, 2, 5)
-        for domain, samples in zip(("source", "target"), corpus):
-            stream = synth.domain_samples(domain, *specs, 2, 5)
-            assert [s.image_id for s, _ in samples] == [s.image_id for s, _ in stream]
-            for (a, _), (b, _) in zip(samples, stream):
-                assert np.array_equal(a.rgb, b.rgb)
-
     def test_source_target_scenes_differ(self):
         src, tgt = synth.build_pair_corpus(
             synth.SceneSpec(), synth.DomainShiftSpec(), synth.ProposalNoiseSpec(),

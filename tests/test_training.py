@@ -552,6 +552,8 @@ def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
                                      max_inner_iters=10.5)}, "max_inner_iters"),
     ({"scene": synth.SceneSpec(object_count_range=(1.5, 2))}, "object_count_range"),
     ({"iterations": True}, "iterations"),
+    ({"seed": 2.5}, "seed"),
+    ({"seed": True}, "seed"),
     ({"network": nw.NetworkSpec(head_hidden=True)}, "head_hidden"),
 ])
 def test_validate_rejects(change, match):
@@ -571,6 +573,7 @@ def test_validate_accepts_the_default_and_a_zero_decay_step(decay_step):
     {"network": {"num_classes": 2}}, {"network": {"head_hidden": 0}},
     {"network": {"channels": [4, 6.5, 8]}},
     {"iterations": 2.5}, {"corpus_size": 1.5}, {"eval_size": 2.5}, {"iterations": True},
+    {"seed": 2.5}, {"seed": -1},
     {"proposal_noise": {"redundancy": 2.5}}, {"proposal_noise": {"background_count": 1.5}},
     {"scene": {"canvas": [32.0, 32]}}, {"scene": {"object_count_range": [1.5, 2]}},
     {"cluster": {"max_scales": 50.5}}, {"cluster": {"max_inner_iters": 10.5}},
