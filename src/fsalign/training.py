@@ -520,11 +520,10 @@ def run_experiment(cfg, out_dir=None, log=None):
     """Adapted run plus source-only twin, probed under the same protocol.
 
     Both twins train on one grouped corpus (`source_only_config` changes
-    only the loss weights) and are evaluated on one set of held-out samples,
-    one twin after the other. With `out_dir`, each writes its loss CSV and
-    checkpoint (`losses.csv` and `checkpoint.*` for the adapted twin, with
-    the suffix `_source_only` for the other), and metrics.json follows;
-    returns the metrics dict.
+    only the loss weights) and are evaluated on the same held-out samples.
+    With `out_dir`, each writes its loss CSV and checkpoint (`losses.csv`,
+    `checkpoint.*`, suffixed `_source_only` for the twin), then
+    metrics.json; returns the metrics dict.
     """
     source, target = build_training_corpus(cfg)
     probe_train, probe_eval, detect_eval = build_eval_sets(cfg)

@@ -536,8 +536,9 @@ def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
     ({"network": nw.NetworkSpec(dri_hidden=0)}, "dri_hidden"),
     ({"network": nw.NetworkSpec(head_hidden=0)}, "head_hidden"),
     ({"network": nw.NetworkSpec(channels=(4, 6.5, 8))}, "channels"),
-    # non-integer counts: these passed validation, then raised a TypeError
-    # inside the run or, for the last two, trained without a word
+    # non-integer counts and seeds: each passed validation, then raised a
+    # TypeError inside the run or trained without a word (a fractional
+    # object count, a bool)
     ({"iterations": 2.5}, "iterations"),
     ({"corpus_size": 1.5}, "corpus_size"),
     ({"eval_size": 2.5}, "eval_size"),
