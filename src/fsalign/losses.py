@@ -6,9 +6,12 @@ is a graph tensor or a constant numpy array, and each loss is a scalar
 
 Conventions: a domain loss takes one training step's (2, ...) pair, the
 source image first and the target image second, and adds the two images'
-terms. Feature maps are (2, C, H, W). The region classifier's probabilities
-are its "source" probability and are clamped to [1e-7, 1 - 1e-7] before
-any logarithm.
+terms. Feature maps are (2, C, H, W). One least-squares loss,
+`local_adv_loss`, serves all three level classifiers: the per-location map
+on f1 and the pooled f2 and f3 classifiers, whose one probability per image
+is a single location. The region classifier's probabilities are its
+"source" probability and are clamped to [1e-7, 1 - 1e-7] before any
+logarithm.
 """
 
 import math
@@ -119,27 +122,16 @@ def region_instance_loss(probs, groups_per_image, gamma):
     return ad.matmul(focal_source_term(own, gamma), np.repeat(0.5 / counts, counts))
 
 
-def _squared_error(p):
-    """Each image's mean over its locations of (p - domain label)^2 for
-    (2, ...) probabilities, the source label 0 and the target label 1; the
-    two images' terms add."""
+def local_adv_loss(p):
+    """Least-squares domain loss of a level classifier: for (2, ...) domain
+    probabilities, each image's mean over its locations of
+    (p - domain label)^2, the source label 0 and the target label 1; the two
+    images' terms add. A per-location map is (2, 1, H, W); a pooled
+    (image-level) classifier's (2,) probabilities are one location each."""
     _check_pair(p, "domain probabilities")
     shape = np.shape(p)
     err = p - np.array([0.0, 1.0]).reshape((2,) + (1,) * (len(shape) - 1))
     return ad.matmul(_per_image(err * err), np.full(2, 1.0 / math.prod(shape[1:])))
-
-
-def local_adv_loss(maps):
-    """Least-squares per-location domain loss for the lowest-level
-    classifier: (2, 1, H, W) probability maps, source locations pushed
-    toward 0 and target locations toward 1 (`_squared_error`)."""
-    return _squared_error(maps)
-
-
-def pooled_adv_loss(p):
-    """Least-squares domain loss of a pooled (image-level) classifier on (2,)
-    probabilities: `local_adv_loss` at one location per image."""
-    return _squared_error(p)
 
 
 def total_objective(l_c, l_r, l_rec, l_diff, l_lg, l_ri, w):

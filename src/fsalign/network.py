@@ -179,69 +179,50 @@ class SeparationNet:
     def __init__(self, spec=None, seed=0):
         self.spec = spec or NetworkSpec()
         self.spec.validate()
-        c1, c2, c3 = self.spec.channels
+        s = self.spec
+        c1, c2, c3 = s.channels
         rng = np.random.default_rng(seed)
+        self._modules = []
+
+        def add(name, module):
+            """Register `module` under its public name; the build order is the
+            rng draw order and the `named_modules` order."""
+            self._modules.append((name, module))
+            return module
+
+        def convs(name, plan, **kw):
+            return [add(f"{name}.{i}", Conv2d(cin, cout, rng, **kw))
+                    for i, (cin, cout) in enumerate(plan)]
+
         # shared backbone, stride 2 per stage
-        self.f1_conv = Conv2d(3, c1, rng, stride=2)
-        self.f2_conv = Conv2d(c1, c2, rng, stride=2)
-        self.f3_conv = Conv2d(c2, c3, rng, stride=2)
+        self.f1_conv = add("backbone.f1", Conv2d(3, c1, rng, stride=2))
+        self.f2_conv = add("backbone.f2", Conv2d(c1, c2, rng, stride=2))
+        self.f3_conv = add("backbone.f3", Conv2d(c2, c3, rng, stride=2))
         # private grayscale encoders, same output shape as f3
-        self.enc_s = [
-            Conv2d(1, c1, rng, stride=2),
-            Conv2d(c1, c2, rng, stride=2),
-            Conv2d(c2, c3, rng, stride=2),
-        ]
-        self.enc_t = [
-            Conv2d(1, c1, rng, stride=2),
-            Conv2d(c1, c2, rng, stride=2),
-            Conv2d(c2, c3, rng, stride=2),
-        ]
+        self.enc_s = convs("enc_s", ((1, c1), (c1, c2), (c2, c3)), stride=2)
+        self.enc_t = convs("enc_t", ((1, c1), (c1, c2), (c2, c3)), stride=2)
         # shared decoder: three upsample+conv blocks back to 1 channel, each
         # one `ad.upsample_conv2d`
-        self.dec = [
-            Conv2d(2 * c3, c2, rng),
-            Conv2d(c2, c1, rng),
-            Conv2d(c1, 1, rng),
-        ]
+        self.dec = convs("decoder", ((2 * c3, c2), (c2, c1), (c1, 1)))
         # domain classifiers
-        self.d1_hidden = Conv2d(c1, self.spec.d1_hidden, rng, ksize=1, pad=0)
-        self.d1_out = Conv2d(self.spec.d1_hidden, 1, rng, ksize=1, pad=0)
-        self.d2_hidden = Affine(c2, self.spec.d23_hidden, rng)
-        self.d2_out = Affine(self.spec.d23_hidden, 1, rng)
-        self.d3_hidden = Affine(c3, self.spec.d23_hidden, rng)
-        self.d3_out = Affine(self.spec.d23_hidden, 1, rng)
-        fused_dim = self.spec.d1_hidden + 2 * self.spec.d23_hidden + c3
-        self.dri_hidden = Affine(fused_dim, self.spec.dri_hidden, rng)
-        self.dri_out = Affine(self.spec.dri_hidden, 1, rng)
+        self.d1_hidden = add("d1.hidden", Conv2d(c1, s.d1_hidden, rng, ksize=1, pad=0))
+        self.d1_out = add("d1.out", Conv2d(s.d1_hidden, 1, rng, ksize=1, pad=0))
+        self.d2_hidden = add("d2.hidden", Affine(c2, s.d23_hidden, rng))
+        self.d2_out = add("d2.out", Affine(s.d23_hidden, 1, rng))
+        self.d3_hidden = add("d3.hidden", Affine(c3, s.d23_hidden, rng))
+        self.d3_out = add("d3.out", Affine(s.d23_hidden, 1, rng))
+        fused_dim = s.d1_hidden + 2 * s.d23_hidden + c3
+        self.dri_hidden = add("dri.hidden", Affine(fused_dim, s.dri_hidden, rng))
+        self.dri_out = add("dri.out", Affine(s.dri_hidden, 1, rng))
         # detector head
-        self.head_hidden = Affine(c3, self.spec.head_hidden, rng)
-        self.head_cls = Affine(self.spec.head_hidden, self.spec.num_classes + 1, rng)
-        self.head_box = Affine(self.spec.head_hidden, 4, rng)
+        self.head_hidden = add("head.hidden", Affine(c3, s.head_hidden, rng))
+        self.head_cls = add("head.cls", Affine(s.head_hidden, s.num_classes + 1, rng))
+        self.head_box = add("head.box", Affine(s.head_hidden, 4, rng))
 
     # -- parameter bookkeeping ------------------------------------------------
     def named_modules(self):
-        mods = [
-            ("backbone.f1", self.f1_conv),
-            ("backbone.f2", self.f2_conv),
-            ("backbone.f3", self.f3_conv),
-        ]
-        mods += [(f"enc_s.{i}", m) for i, m in enumerate(self.enc_s)]
-        mods += [(f"enc_t.{i}", m) for i, m in enumerate(self.enc_t)]
-        mods += [(f"decoder.{i}", m) for i, m in enumerate(self.dec)]
-        mods += [
-            ("d1.hidden", self.d1_hidden),
-            ("d1.out", self.d1_out),
-            ("d2.hidden", self.d2_hidden),
-            ("d2.out", self.d2_out),
-            ("d3.hidden", self.d3_hidden),
-            ("d3.out", self.d3_out),
-            ("dri.hidden", self.dri_hidden),
-            ("dri.out", self.dri_out),
-            ("head.hidden", self.head_hidden),
-            ("head.cls", self.head_cls),
-            ("head.box", self.head_box),
-        ]
-        return mods
+        """(name, module) of every trainable module, in build order."""
+        return list(self._modules)
 
     def named_params(self):
         return [

@@ -110,6 +110,11 @@ class DomainShiftSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and non-negative")
+        # the blur kernel's denominator: at 0 its centre tap is 0/0
+        r = self.blur_radius
+        if r > 0 and not 2.0 * r * r > 0:
+            raise ValueError(f"blur_radius = {r!r} is too small: 2*blur_radius**2 "
+                             f"underflows to 0")
 
 
 @dataclass

@@ -260,7 +260,10 @@ def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec)
     pooling, region head) with one set of weights, the private encoders on
     the grayscale pair with each domain's kernels on its own image. RoI and
     group pooling are block-diagonal matmuls over both images, whose group
-    rows the region head takes at once. Each domain loss takes the pair.
+    rows the region head takes at once. Each domain loss takes the pair, and
+    one least-squares loss (`L.local_adv_loss`) serves all three levels: the
+    f1 map per location, the pooled f2 and f3 probabilities as one location
+    per image.
 
     Returns every branch of `ALL_BRANCHES` as a graph node, `composite` being
     the minimised objective, plus the global (`p3`, one per image) and
@@ -299,9 +302,9 @@ def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec)
     with _branch("local adversarial"):
         l_adv1 = L.local_adv_loss(p1map)
     with _branch("mid adversarial"):
-        l_adv2 = L.pooled_adv_loss(p2)
+        l_adv2 = L.local_adv_loss(p2)
     with _branch("global adversarial"):
-        l_adv3 = L.pooled_adv_loss(p3)
+        l_adv3 = L.local_adv_loss(p3)
     with _branch("region instance"):
         l_ri = L.region_instance_loss(dri, groups_per_image, weights.gamma)
     l_lg = l_adv1 + l_adv2 + l_adv3
@@ -554,39 +557,24 @@ def run_experiment(cfg, out_dir=None, log=None):
 # gradient checking harness
 # ---------------------------------------------------------------------------
 
-def gradcheck_network_spec():
-    """Narrow spec keeping finite-difference sweeps cheap."""
-    return nw.NetworkSpec(
-        channels=(4, 6, 8), d1_hidden=4, d23_hidden=6, dri_hidden=8,
-        head_hidden=12,
+def gradcheck_config():
+    """The gradient check's setting, kept cheap for finite-difference sweeps:
+    a narrow network and one source/target pair of 32x32 scenes with light
+    proposal noise, under the default loss weights."""
+    return TrainConfig(
+        corpus_size=1,
+        network=nw.NetworkSpec(channels=(4, 6, 8), d1_hidden=4, d23_hidden=6,
+                               dri_hidden=8, head_hidden=12),
+        scene=synth.SceneSpec(canvas=(32, 32), object_count_range=(1, 2),
+                              radius_range=(4.0, 6.0)),
+        proposal_noise=synth.ProposalNoiseSpec(jitter_std=1.5, redundancy=3,
+                                               background_count=1,
+                                               background_margin=8.0),
     )
-
-
-def build_gradcheck_data(seed):
-    """Small fixed source/target pair on a 32x32 canvas."""
-    scene = synth.SceneSpec(canvas=(32, 32), object_count_range=(1, 2),
-                            radius_range=(4.0, 6.0))
-    noise = synth.ProposalNoiseSpec(jitter_std=1.5, redundancy=3,
-                                    background_count=1, background_margin=8.0)
-    shift = synth.DomainShiftSpec()
-    src, tgt = synth.build_pair_corpus(scene, shift, noise, 1, seed)
-    cluster = ScaleSweepConfig()
-    return (
-        _grouped_entry(src[0][0], src[0][1], cluster),
-        _grouped_entry(tgt[0][0], tgt[0][1], cluster),
-    )
-
-
-def _checked_losses(net, source_entry, target_entry, lam):
-    """Every branch of the trained objective under the `TrainConfig`
-    defaults, at the given GRL coefficient."""
-    cfg = TrainConfig()
-    return compute_losses(net, source_entry, target_entry, cfg.weights, lam,
-                          cfg.normalize_reconstruction)
 
 
 def finite_difference_check(seed=0, eps=1e-5, coords_per_param=50, branches=None):
-    """Per-branch finite-difference report for the toy network.
+    """Per-branch finite-difference report on `gradcheck_config` at `seed`.
 
     Every branch is a node of the trained loss graph (`compute_losses`),
     checked at lam = -1, where gradient reversal is exactly transparent. One
@@ -599,12 +587,14 @@ def finite_difference_check(seed=0, eps=1e-5, coords_per_param=50, branches=None
     unknown = [b for b in branches if b not in ALL_BRANCHES]
     if unknown:
         raise ValueError(f"unknown branches {unknown!r}")
-    net = nw.SeparationNet(gradcheck_network_spec(), seed=seed)
-    source_entry, target_entry = build_gradcheck_data(seed)
+    cfg = replace(gradcheck_config(), seed=seed)
+    net = nw.SeparationNet(cfg.network, seed=seed)
+    (source_entry,), (target_entry,) = build_training_corpus(cfg)
     named = net.named_params()
 
     def build(lam=-1.0):
-        return _checked_losses(net, source_entry, target_entry, lam)
+        return compute_losses(net, source_entry, target_entry, cfg.weights, lam,
+                              cfg.normalize_reconstruction)
 
     per_branch = nw.finite_difference_report(
         named, build, branches, eps=eps, coords_per_param=coords_per_param,

@@ -229,18 +229,21 @@ class TestLocalAdvLoss:
 
 
 class TestPooledAdvLoss:
+    """`local_adv_loss` on a pooled classifier's (2,) probabilities: one
+    location per image."""
+
     def test_perfect_and_worst_classifier(self):
-        assert losses.pooled_adv_loss([0.0, 1.0]).value == 0.0
-        assert losses.pooled_adv_loss([1.0, 0.0]).value == 2.0
+        assert losses.local_adv_loss([0.0, 1.0]).value == 0.0
+        assert losses.local_adv_loss([1.0, 0.0]).value == 2.0
 
     def test_equals_one_location_local_loss(self):
         ps, pt = 0.3, 0.8
         want = losses.local_adv_loss(np.array([ps, pt]).reshape(2, 1, 1, 1)).value
-        assert losses.pooled_adv_loss([ps, pt]).value == want
+        assert losses.local_adv_loss([ps, pt]).value == want
 
     def test_gradient(self):
         p = ad.Tensor([0.3, 0.8], requires_grad=True)
-        loss = losses.pooled_adv_loss(p)
+        loss = losses.local_adv_loss(p)
         loss.backward()
         assert float(loss.value) == 0.3 * 0.3 + (1.0 - 0.8) * (1.0 - 0.8)
         assert p.grad == pytest.approx([0.6, -0.4])
@@ -328,7 +331,7 @@ PAIR_LOSSES = {
                                                            np.ones((n, 1, 2, 2))),
     "region_instance": lambda n: losses.region_instance_loss(np.full(n, 0.5), [1] * n, 5.0),
     "local_adv": lambda n: losses.local_adv_loss(np.full((n, 1, 2, 2), 0.5)),
-    "pooled_adv": lambda n: losses.pooled_adv_loss(np.full(n, 0.5)),
+    "pooled_adv": lambda n: losses.local_adv_loss(np.full(n, 0.5)),
 }
 
 

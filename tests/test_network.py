@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from fsalign import autodiff as ad
 from fsalign import network as net
-from fsalign import synth
+from fsalign import synth, training
 from fsalign.grouping import BoundingBox, cluster_box_centers
 from fsalign.losses import global_pool
 
@@ -445,3 +447,34 @@ class TestDeterminism:
             not np.array_equal(pa.value, pb.value)
             for (_, pa), (_, pb) in zip(a.named_params(), b.named_params())
         )
+
+
+# sha256 over `named_params()` at seed 0, in order, of each parameter's name,
+# shape and little-endian float64 values; recorded before the modules
+# registered themselves as they are built
+INIT_DIGESTS = {
+    "default": "1535973377ffd2ac56248f9eb4c065beaea572b9455f156c40c2ba692ae1767c",
+    "gradcheck": "ae967814f71a4558d7b5d3710a8230f6bb5853c530a14c92c791dce88ef16325",
+}
+
+
+@pytest.mark.parametrize("which", sorted(INIT_DIGESTS))
+def test_initial_weights_are_pinned(which):
+    """Names, order, shapes and values of the initial parameters are pinned,
+    and `named_modules` holds every module the net's attributes reach,
+    exactly once: a module left out would go untrained and unsaved."""
+    spec = {"default": net.NetworkSpec(),
+            "gradcheck": training.gradcheck_config().network}[which]
+    n = net.SeparationNet(spec, seed=0)
+    h = hashlib.sha256()
+    for name, p in n.named_params():
+        h.update(name.encode())
+        h.update(repr(p.value.shape).encode())
+        h.update(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+    assert h.hexdigest() == INIT_DIGESTS[which]
+    reachable = [m for v in vars(n).values() for m in (v if isinstance(v, list) else [v])
+                 if isinstance(m, (net.Conv2d, net.Affine))]
+    names, modules = zip(*n.named_modules())
+    assert len(set(names)) == len(names) == 23
+    assert len({id(m) for m in modules}) == len(modules)
+    assert sorted(map(id, reachable)) == sorted(map(id, modules))

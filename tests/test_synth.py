@@ -83,6 +83,19 @@ class TestDomainShift:
         assert np.array_equal(t.rgb, s.rgb)
         assert t.domain == "target"
 
+    def test_smallest_blur_keeps_the_image(self):
+        """At radius 1e-160, 2*r**2 is a positive subnormal, the kernel is
+        [0, 1, 0] and the image is unchanged; at 1e-200 it underflows to 0 and
+        validation names the field."""
+        s = synth.generate_scene(seed=19)
+        plain = dict(color_shift=(0, 0, 0), fog_alpha=0.0, noise_std=0.0)
+        with np.errstate(over="ignore"):  # the off-centre taps are exp(-inf) = 0
+            t = synth.apply_domain_shift(s, synth.DomainShiftSpec(blur_radius=1e-160,
+                                                                  **plain))
+        assert np.array_equal(t.rgb, s.rgb)
+        with pytest.raises(ValueError, match="blur_radius"):
+            synth.apply_domain_shift(s, synth.DomainShiftSpec(blur_radius=1e-200, **plain))
+
     def test_full_fog_is_white(self):
         s = synth.generate_scene(seed=23)
         shift = synth.DomainShiftSpec(

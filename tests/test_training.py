@@ -14,16 +14,24 @@ from fsalign import grouping, losses, synth, training
 
 
 def tiny_config(iterations):
-    """Narrow gradcheck network on a 32x32 canvas with a 2+2 corpus."""
-    return training.TrainConfig(
-        iterations=iterations, corpus_size=2, eval_size=3, probe_size=3, seed=0,
-        network=training.gradcheck_network_spec(),
-        scene=synth.SceneSpec(canvas=(32, 32), object_count_range=(1, 2),
-                              radius_range=(4.0, 6.0)),
-        proposal_noise=synth.ProposalNoiseSpec(jitter_std=1.5, redundancy=3,
-                                               background_count=1,
-                                               background_margin=8.0),
-    )
+    """The gradient check's narrow network and 32x32 scenes
+    (`training.gradcheck_config`) with a 2+2 corpus."""
+    return dataclasses.replace(training.gradcheck_config(), iterations=iterations,
+                               corpus_size=2, eval_size=3, probe_size=3)
+
+
+def _pair_and_net(seed=0):
+    """The gradient check's net and its (source, target) corpus pair."""
+    cfg = dataclasses.replace(training.gradcheck_config(), seed=seed)
+    (source,), (target,) = training.build_training_corpus(cfg)
+    return nw.SeparationNet(cfg.network, seed=seed), source, target
+
+
+def _checked_losses(net, source, target, lam):
+    """The loss graph the gradient check reads, at GRL coefficient `lam`."""
+    cfg = training.gradcheck_config()
+    return training.compute_losses(net, source, target, cfg.weights, lam,
+                                   cfg.normalize_reconstruction)
 
 
 LOSS_COLUMNS = training.CSV_COLUMNS[1:]
@@ -53,8 +61,7 @@ def test_train_rows_match_golden():
 
 
 def test_injected_nan_raises_at_the_node():
-    net = nw.SeparationNet(training.gradcheck_network_spec(), seed=0)
-    source, target = training.build_gradcheck_data(0)
+    net, source, target = _pair_and_net()
     opt = ad.SGD(net.params(), lr=1e-3)
     net.dec[1].w.value[0, 0, 0, 0] = np.nan
     with pytest.raises(training.TrainingDiverged, match="branch pair forward") as err:
@@ -66,8 +73,7 @@ def test_injected_nan_raises_at_the_node():
 
 
 def test_nan_in_the_detector_head_names_its_branch():
-    net = nw.SeparationNet(training.gradcheck_network_spec(), seed=0)
-    source, target = training.build_gradcheck_data(0)
+    net, source, target = _pair_and_net()
     opt = ad.SGD(net.params(), lr=1e-3)
     net.head_cls.w.value[0, 0] = np.nan
     with pytest.raises(training.TrainingDiverged, match="branch detector") as err:
@@ -81,7 +87,7 @@ def test_a_step_makes_no_constant_nodes(monkeypatch):
     plain operands, so the only parentless nodes are the parameters, made
     before the step."""
     net = nw.SeparationNet(seed=0)
-    source, target = training.build_gradcheck_data(0)
+    _, source, target = _pair_and_net()
     opt = ad.SGD(net.params(), lr=1e-3)
     made = []
     init = ad.Tensor.__init__
@@ -283,15 +289,9 @@ def test_one_forward_report_equals_the_per_branch_loop():
     net, source, target = _pair_and_net()
     loop = nw.finite_difference_report(
         net.named_params(),
-        lambda: {"l_ri": training._checked_losses(net, source, target, -1.0)["l_ri"]},
+        lambda: {"l_ri": _checked_losses(net, source, target, -1.0)["l_ri"]},
         ["l_ri"], coords_per_param=1, rng=np.random.default_rng(1))
     assert loop["l_ri"] == report["l_ri"]["per_param"]
-
-
-def _pair_and_net():
-    net = nw.SeparationNet(training.gradcheck_network_spec(), seed=0)
-    source, target = training.build_gradcheck_data(0)
-    return net, source, target
 
 
 def test_train_step_descends_the_checked_composite():
@@ -301,7 +301,7 @@ def test_train_step_descends_the_checked_composite():
     trained = [p.grad.copy() for p in net.params()]
     for p in net.params():
         p.grad = None
-    training._checked_losses(net, source, target, weights.lam)["composite"].backward()
+    _checked_losses(net, source, target, weights.lam)["composite"].backward()
     for (name, p), g in zip(net.named_params(), trained):
         assert p.grad.tobytes() == g.tobytes(), name
 
@@ -313,7 +313,7 @@ def test_composite_gradient_is_the_weighted_branch_sum(lam):
     net, source, target = _pair_and_net()
     named = net.named_params()
     beta = training.TrainConfig().weights.beta
-    g = nw.branch_gradients(named, training._checked_losses(net, source, target, lam),
+    g = nw.branch_gradients(named, _checked_losses(net, source, target, lam),
                             training.ALL_BRANCHES)
     for i, (name, _) in enumerate(named):
         want = (g["l_c"][i] + g["l_r"][i] + beta * (g["l_rec"][i] + g["l_diff"][i])
@@ -379,8 +379,7 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
 
 @pytest.mark.parametrize("seed, lam", [(0, 1.0), (1, 0.3)])
 def test_pair_forward_matches_the_per_image_composition(seed, lam):
-    net = nw.SeparationNet(training.gradcheck_network_spec(), seed=seed)
-    source, target = training.build_gradcheck_data(seed)
+    net, source, target = _pair_and_net(seed)
     weights = losses.ObjectiveWeights()
     named = net.named_params()
     branches = list(training.ALL_BRANCHES) + ["l_lg"]
@@ -478,7 +477,7 @@ def _repeat_first_param(manifest):
 
 
 @pytest.mark.parametrize("spec, edit, match", [
-    (training.gradcheck_network_spec(), None, r"backbone\.f1\.w"),
+    (training.gradcheck_config().network, None, r"backbone\.f1\.w"),
     (nw.NetworkSpec(), lambda m: m.update(dtype=">f8"), "dtype"),
     (nw.NetworkSpec(), _drop_last_param, r"missing \['head\.box\.b'\]"),
     (nw.NetworkSpec(), _rename_first_param, r"unexpected \['backbone\.f0\.w'\]"),
@@ -556,6 +555,9 @@ def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
     ({"seed": 2.5}, "seed"),
     ({"seed": True}, "seed"),
     ({"network": nw.NetworkSpec(head_hidden=True)}, "head_hidden"),
+    # a blur radius whose kernel denominator 2*r**2 underflows made every
+    # target pixel NaN
+    ({"shift": synth.DomainShiftSpec(blur_radius=1e-200)}, "blur_radius"),
 ])
 def test_validate_rejects(change, match):
     cfg = dataclasses.replace(tiny_config(2), **change)
@@ -612,7 +614,7 @@ def test_corpus_entries_cache_the_step_constants(monkeypatch):
 
 
 def test_corpus_entries_keep_their_grouping_diagnostics():
-    for entry in training.build_gradcheck_data(0):
+    for entry in _pair_and_net()[1:]:
         members, outliers, result = grouping.cluster_box_centers(
             entry.pset.centers(), training.ScaleSweepConfig())
         assert (entry.groups, entry.outliers) == (members, outliers)
@@ -632,7 +634,7 @@ def test_target_entry_cannot_train_the_detector():
 
 
 def test_box_missing_the_image_fails_at_corpus_build():
-    source, _ = training.build_gradcheck_data(0)
+    _, source, _ = _pair_and_net()
     sample = source.sample
     pset = synth.ProposalSet(source.pset.proposals + [
         synth.Proposal(box=synth.BoundingBox(bx=50.0, by=8.0, w=6.0, h=6.0))])
