@@ -56,7 +56,6 @@ class ScaleSweepConfig:
     merge_tol: float = 1e-2
     max_inner_iters: int = 500
     max_scales: int = 400
-    allow_single_cluster: bool = False
 
     def validate(self):
         if self.sigma0 is not None and not (math.isfinite(self.sigma0) and self.sigma0 > 0):
@@ -311,17 +310,17 @@ def build_lifetime_table(snapshots, cfg=None):
     return LifetimeTable(entries=entries)
 
 
-def select_model(snapshots, table, allow_single_cluster=False):
+def select_model(snapshots, table):
     """Pick the longest-lived K and its median scale.
 
     K = 1 persists forever as sigma grows, so it is skipped unless it is the
-    only K (or explicitly allowed). Lifetime ties (within 1e-9) break toward
+    only K. Lifetime ties (within 1e-9) break toward
     larger K; an even-length interval takes the lower median scale.
     """
     if not table.entries:
         raise ValueError("lifetime table is empty")
     entries = dict(table.entries)
-    if not allow_single_cluster and len(entries) > 1:
+    if len(entries) > 1:
         entries.pop(1, None)
     best_life = max(e.lifetime for e in entries.values())
     best_k = max(k for k, e in entries.items() if e.lifetime >= best_life - 1e-9)
@@ -354,9 +353,7 @@ def cluster_points(points, cfg=None):
     points = as_points(points)
     snapshots, truncated = scale_sweep(points, cfg)
     table = build_lifetime_table(snapshots, cfg)
-    model = select_model(
-        snapshots, table, allow_single_cluster=cfg.allow_single_cluster
-    )
+    model = select_model(snapshots, table)
     assignment = assign_points(points, model)
     return ClusteringResult(
         model=model,

@@ -38,7 +38,8 @@ _DEFAULT_PALETTE = (
     (0.20, 0.80, 0.80),
 )
 
-# class id -> palette slots used when colors are class-correlated
+# class id -> palette slots of its objects' colors (plus brightness jitter): a
+# learnable cue for the toy detector that the domain shift then attacks
 _CLASS_PALETTE_SLOTS = {1: (0, 3), 2: (1, 5), 3: (2, 4)}
 
 
@@ -62,9 +63,6 @@ class SceneSpec:
     palette: tuple = _DEFAULT_PALETTE
     background: tuple = (0.15, 0.16, 0.19)
     radius_range: tuple = (5.0, 9.0)
-    # tie object colors to their class (plus brightness jitter) so the toy
-    # detector has a learnable cue that the domain shift then attacks
-    color_by_class: bool = True
 
     def validate(self):
         if len(self.canvas) != 2 or not all(is_count(n, 32) for n in self.canvas):
@@ -219,13 +217,10 @@ def _place_objects(spec, rng, h, w):
         else:
             return None
         shape = spec.shapes[int(rng.integers(len(spec.shapes)))]
-        if spec.color_by_class:
-            slots = _CLASS_PALETTE_SLOTS[SHAPE_CLASS_IDS[shape]]
-            slot = slots[int(rng.integers(len(slots)))] % len(spec.palette)
-            tint = float(rng.uniform(0.85, 1.15))
-            color = np.clip(np.asarray(spec.palette[slot]) * tint, 0.0, 1.0)
-        else:
-            color = np.asarray(spec.palette[int(rng.integers(len(spec.palette)))])
+        slots = _CLASS_PALETTE_SLOTS[SHAPE_CLASS_IDS[shape]]
+        slot = slots[int(rng.integers(len(slots)))] % len(spec.palette)
+        tint = float(rng.uniform(0.85, 1.15))
+        color = np.clip(np.asarray(spec.palette[slot]) * tint, 0.0, 1.0)
         objects.append((box, shape, color))
     return objects
 
@@ -270,7 +265,9 @@ def generate_scene(spec=None, seed=0):
 def _gaussian_blur(img, sigma):
     radius = int(math.ceil(3.0 * sigma))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(t * t) / (2.0 * sigma * sigma))
+    # taps past exp's underflow stay -inf: a tiny sigma overflows their division
+    kernel = np.exp(np.divide(-(t * t), 2.0 * sigma * sigma, out=np.full_like(t, -np.inf),
+                              where=t * t <= 1492.0 * sigma * sigma))
     kernel /= kernel.sum()
     out = np.empty_like(img)
     for c in range(img.shape[0]):

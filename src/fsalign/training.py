@@ -1,19 +1,18 @@
 """Adversarial training loop for the toy two-domain detector.
 
 Every step takes one source and one target image. `compute_losses` builds
-its one loss graph from one forward of the pair: every module runs on the
-stacked (2, C, H, W) batch, the private encoders with each domain's kernels
-on its own image. Each branch (detector, reconstruction / difference, three
-level classifiers, region-instance classifier) is a named node, and their
-sum `composite` is what `train_step` minimises; the CLI's gradient check
-tests these same nodes. The adversarial branches are wired through gradient
-reversal, so the classifiers minimise their domain losses while the feature
-path maximises them. SGD with momentum and a single-step learning-rate decay
-drives all parameters. Also hosts the evaluation protocol (domain probe on
-frozen pooled features, target detection match rate) on held-out samples
-drawn from the corpus's sample streams, checkpoints, and `run_experiment`,
-which trains, evaluates and writes the adapted net and its source-only twin
-in one loop.
+one loss graph from one forward of the pair, with the branches the loss
+weights make live (`beta` the separation, `lam` the alignment; with both 0
+it is the detector on the source image alone). Each branch is a named node,
+and their sum `composite` is what `train_step` minimises; the CLI's
+gradient check tests these same nodes. The adversarial branches are wired
+through gradient reversal, so the classifiers minimise their domain losses
+while the feature path maximises them. SGD with momentum and a single-step
+learning-rate decay drives every parameter the graph reaches. Also hosts
+the evaluation protocol (domain probe on frozen pooled features, target
+detection match rate) on held-out samples drawn from the corpus's sample
+streams, checkpoints, and `run_experiment`, which trains, evaluates and
+writes the adapted net and its source-only twin in one loop.
 """
 
 import contextlib
@@ -253,98 +252,101 @@ def _branch(name):
 
 
 def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec):
-    """The loss graph of one source/target pair.
+    """The loss graph of one source/target pair, with the branches the
+    weights make live.
 
-    Every module runs once on the stacked (2, ...) pair, source first: the
-    shared ones (backbone, decoder, level classifiers, RoI and group
-    pooling, region head) with one set of weights, the private encoders on
-    the grayscale pair with each domain's kernels on its own image. RoI and
-    group pooling are block-diagonal matmuls over both images, whose group
-    rows the region head takes at once. Each domain loss takes the pair, and
-    one least-squares loss (`L.local_adv_loss`) serves all three levels: the
-    f1 map per location, the pooled f2 and f3 probabilities as one location
-    per image.
-
-    Returns every branch of `ALL_BRANCHES` as a graph node, `composite` being
-    the minimised objective, plus the global (`p3`, one per image) and
-    region-instance (`dri`, one per group, the source image's groups first)
-    domain probabilities. A non-finite value raises `TrainingDiverged`
-    naming the block it appeared in.
+    The detector (`l_c`, `l_r`) is always built; the separation branch
+    (private encoders, decoder, `l_rec`, `l_diff`) when `weights.beta > 0`;
+    the alignment branches (d1-d3 and the region head: `l_adv1`-`l_adv3`,
+    `l_lg`, `l_ri`, and the domain probabilities `p3`, one per image, and
+    `dri`, one per group, source groups first) when `weights.lam > 0`. With
+    neither, the backbone runs on the source image alone. `lam` is the GRL
+    coefficient of this step. Otherwise every module runs once on the
+    stacked (2, ...) pair, source first: the shared ones with one set of
+    weights, the private encoders with each domain's kernels on its own
+    image. RoI and group pooling are block-diagonal matmuls over the images,
+    and one least-squares loss (`L.local_adv_loss`) serves all three
+    levels. `composite`, the sum of the built terms, is the minimised
+    objective. A non-finite value raises `TrainingDiverged` naming the
+    block it appeared in.
     """
     if source_entry.targets is None:
         raise ValueError("the source entry holds no detector targets")
-    entries = (source_entry, target_entry)
-    groups_per_image = [len(e.groups) for e in entries]
+    separate, align = weights.beta > 0, weights.lam > 0
+    entries = (source_entry, target_entry) if separate or align else (source_entry,)
+    out = {}
     with _branch("pair forward"):
         f1, f2, f3 = net.forward_backbone(np.stack([e.sample.rgb for e in entries]))
-        gray = np.stack([e.sample.gray for e in entries])
-        d = net.encode_private(gray)
-        xhat = net.reconstruct(d, f3)
-        p1map, f_l = net.local_domain(ad.grl(f1, lam))
-        p2, f_m = net.mid_domain(ad.grl(f2, lam))
-        p3, f_g = net.global_domain(ad.grl(f3, lam))
-        # the context is held fixed (detached) for the region-instance head
-        ctx = np.concatenate([f_l.value, f_m.value, f_g.value], axis=1)
         roi = nw.roi_pool(f3, nw.block_diag([e.roi_matrix for e in entries]))
-        members = nw.block_diag([e.group_matrix for e in entries])
-        fused = ad.concat([np.repeat(ctx, groups_per_image, axis=0),
-                           ad.grl(ad.matmul(members, roi), lam)], axis=1)
-        dri = net.region_domain(fused)
+        if separate:
+            gray = np.stack([e.sample.gray for e in entries])
+            d = net.encode_private(gray)
+            xhat = net.reconstruct(d, f3)
+        if align:
+            groups_per_image = [len(e.groups) for e in entries]
+            p1map, f_l = net.local_domain(ad.grl(f1, lam))
+            p2, f_m = net.mid_domain(ad.grl(f2, lam))
+            out["p3"], f_g = net.global_domain(ad.grl(f3, lam))
+            # the context is held fixed (detached) for the region-instance head
+            ctx = np.concatenate([f_l.value, f_m.value, f_g.value], axis=1)
+            members = nw.block_diag([e.group_matrix for e in entries])
+            fused = ad.concat([np.repeat(ctx, groups_per_image, axis=0),
+                               ad.grl(ad.matmul(members, roi), lam)], axis=1)
+            out["dri"] = net.region_domain(fused)
     with _branch("detector"):
-        # on the source proposals, the first rows of the pair's RoIs
+        # on the source proposals, the first rows of the RoIs
         logits, deltas = net.detector_head(
             ad.take_rows(roi, np.arange(len(source_entry.boxes))))
-        l_c, l_r = nw.detector_losses(logits, deltas, source_entry.targets)
-    with _branch("reconstruction"):
-        l_rec = L.reconstruction_loss(gray, xhat, normalize=normalize_rec)
-    with _branch("difference"):
-        l_diff = L.difference_loss(d, f3)
-    with _branch("local adversarial"):
-        l_adv1 = L.local_adv_loss(p1map)
-    with _branch("mid adversarial"):
-        l_adv2 = L.local_adv_loss(p2)
-    with _branch("global adversarial"):
-        l_adv3 = L.local_adv_loss(p3)
-    with _branch("region instance"):
-        l_ri = L.region_instance_loss(dri, groups_per_image, weights.gamma)
-    l_lg = l_adv1 + l_adv2 + l_adv3
+        out["l_c"], out["l_r"] = nw.detector_losses(logits, deltas, source_entry.targets)
+    if separate:
+        with _branch("reconstruction"):
+            out["l_rec"] = L.reconstruction_loss(gray, xhat, normalize=normalize_rec)
+        with _branch("difference"):
+            out["l_diff"] = L.difference_loss(d, f3)
+    if align:
+        with _branch("local adversarial"):
+            out["l_adv1"] = L.local_adv_loss(p1map)
+        with _branch("mid adversarial"):
+            out["l_adv2"] = L.local_adv_loss(p2)
+        with _branch("global adversarial"):
+            out["l_adv3"] = L.local_adv_loss(out["p3"])
+        with _branch("region instance"):
+            out["l_ri"] = L.region_instance_loss(out["dri"], groups_per_image,
+                                                 weights.gamma)
+        out["l_lg"] = out["l_adv1"] + out["l_adv2"] + out["l_adv3"]
     with _branch("composite"):
-        composite = l_c + l_r + weights.beta * (l_rec + l_diff) + (l_lg + l_ri)
-    return {
-        "l_c": l_c, "l_r": l_r, "l_rec": l_rec, "l_diff": l_diff,
-        "l_adv1": l_adv1, "l_adv2": l_adv2, "l_adv3": l_adv3,
-        "l_lg": l_lg, "l_ri": l_ri, "composite": composite, "p3": p3, "dri": dri,
-    }
+        out["composite"] = out["l_c"] + out["l_r"]
+        if separate:
+            out["composite"] += weights.beta * (out["l_rec"] + out["l_diff"])
+        if align:
+            out["composite"] += out["l_lg"] + out["l_ri"]
+    return out
 
 
 def train_step(net, source_entry, target_entry, weights, optimizer,
                normalize_rec=True, lam=None):
     """One min-max update on a source/target image pair; returns the loss
-    components as floats plus domain-classifier diagnostics. The logged
-    `total` is the saddle value at the GRL coefficient `lam` the step ran
-    at."""
+    terms its graph has as floats, plus domain-classifier diagnostics when
+    the alignment branches are built. The logged `total` is the saddle value
+    at the GRL coefficient `lam` the step ran at, an absent term read as 0."""
     lam = weights.lam if lam is None else lam
     out = compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec)
     optimizer.zero_grad()
     out["composite"].backward()
     optimizer.step()
 
-    vals = {
-        "L_c": float(out["l_c"].value), "L_r": float(out["l_r"].value),
-        "L_rec": float(out["l_rec"].value), "L_diff": float(out["l_diff"].value),
-        "L_lg": float(out["l_lg"].value), "L_ri": float(out["l_ri"].value),
-    }
-    vals["total"] = L.total_objective(
-        vals["L_c"], vals["L_r"], vals["L_rec"], vals["L_diff"],
-        vals["L_lg"], vals["L_ri"], replace(weights, lam=lam),
-    )
-    # d3 is pushed toward 0 on the source image, the region head (whose
-    # output is P(source)) toward 1 on the source groups
-    p3 = out["p3"].value
-    vals["acc_d3"] = 0.5 * (float(p3[0] <= 0.5) + float(p3[1] > 0.5))
-    dri = out["dri"].value
-    is_source = np.arange(dri.size) < len(source_entry.groups)
-    vals["acc_dri"] = float(((dri > 0.5) == is_source).mean())
+    terms = CSV_COLUMNS[1:-1]  # each its branch's name, capitalised
+    vals = {c: float(out[c.lower()].value) for c in terms if c.lower() in out}
+    vals["total"] = L.total_objective(*(vals.get(c, 0.0) for c in terms),
+                                      replace(weights, lam=lam))
+    if "p3" in out:
+        # d3 is pushed toward 0 on the source image, the region head (whose
+        # output is P(source)) toward 1 on the source groups
+        p3 = out["p3"].value
+        vals["acc_d3"] = 0.5 * (float(p3[0] <= 0.5) + float(p3[1] > 0.5))
+        dri = out["dri"].value
+        is_source = np.arange(dri.size) < len(source_entry.groups)
+        vals["acc_dri"] = float(((dri > 0.5) == is_source).mean())
     if not all(np.isfinite(v) for v in vals.values()):
         raise TrainingDiverged("non-finite loss component in logs")
     return vals
@@ -383,7 +385,7 @@ def train(cfg, source=None, target=None):
 
 
 def source_only_config(cfg):
-    """Same run with the separation and adversarial pressure gated off."""
+    """Same run at beta = lam = 0: `compute_losses` builds the detector alone."""
     return replace(cfg, weights=replace(cfg.weights, beta=0.0, lam=0.0))
 
 
@@ -459,13 +461,13 @@ def target_match_rate(net, detect_eval):
 # ---------------------------------------------------------------------------
 
 def rows_to_csv_text(rows):
+    """The `CSV_COLUMNS` the rows hold, in that order, one line per step."""
+    columns = [c for c in CSV_COLUMNS if not rows or c in rows[0]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(columns)
     for r in rows:
-        writer.writerow(
-            [r["step"]] + [format(r[c], ".17g") for c in CSV_COLUMNS[1:]]
-        )
+        writer.writerow([r["step"]] + [format(r[c], ".17g") for c in columns[1:]])
     return buf.getvalue()
 
 
@@ -522,11 +524,11 @@ def load_checkpoint(net, out_dir, prefix="checkpoint"):
 def run_experiment(cfg, out_dir=None, log=None):
     """Adapted run plus source-only twin, probed under the same protocol.
 
-    Both twins train on one grouped corpus (`source_only_config` changes
-    only the loss weights) and are evaluated on the same held-out samples.
+    Both twins train on one grouped corpus and are evaluated on the same
+    held-out samples; the twin (`source_only_config`) is the detector alone.
     With `out_dir`, each writes its loss CSV and checkpoint (`losses.csv`,
-    `checkpoint.*`, suffixed `_source_only` for the twin), then
-    metrics.json; returns the metrics dict.
+    `checkpoint.*`, suffixed `_source_only` for the twin, whose CSV holds
+    `L_c`, `L_r` and `total`), then metrics.json; returns the metrics dict.
     """
     source, target = build_training_corpus(cfg)
     probe_train, probe_eval, detect_eval = build_eval_sets(cfg)

@@ -13,6 +13,8 @@ def test_train_writes_the_run(tmp_path, capsys):
     metrics = json.loads((out / "metrics.json").read_text())
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1]) == metrics
     assert (out / "losses.csv").read_text().count("\n") == 3
+    # the source-only twin logs the detector terms alone
+    assert (out / "losses_source_only.csv").read_text().splitlines()[0] == "step,L_c,L_r,total"
     for name in ("losses_source_only.csv", "checkpoint.bin", "checkpoint_source_only.json"):
         assert (out / name).exists()
 

@@ -229,7 +229,6 @@ class TestSelectModel:
         snaps = snapshots_from_ks([2, 1, 1, 1, 1, 1])
         table = ssc.build_lifetime_table(snaps)
         assert ssc.select_model(snaps, table).K == 2
-        assert ssc.select_model(snaps, table, allow_single_cluster=True).K == 1
 
     def test_tie_breaks_toward_larger_k(self):
         snaps = snapshots_from_ks([3, 3, 2, 2, 1])

@@ -85,11 +85,11 @@ class TestDomainShift:
 
     def test_smallest_blur_keeps_the_image(self):
         """At radius 1e-160, 2*r**2 is a positive subnormal, the kernel is
-        [0, 1, 0] and the image is unchanged; at 1e-200 it underflows to 0 and
-        validation names the field."""
+        [0, 1, 0] with no overflow on the way and the image is unchanged; at
+        1e-200 it underflows to 0 and validation names the field."""
         s = synth.generate_scene(seed=19)
         plain = dict(color_shift=(0, 0, 0), fog_alpha=0.0, noise_std=0.0)
-        with np.errstate(over="ignore"):  # the off-centre taps are exp(-inf) = 0
+        with np.errstate(over="raise"):
             t = synth.apply_domain_shift(s, synth.DomainShiftSpec(blur_radius=1e-160,
                                                                   **plain))
         assert np.array_equal(t.rgb, s.rgb)

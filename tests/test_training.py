@@ -111,10 +111,11 @@ def test_logged_total_uses_the_applied_lambda():
     assert at_zero != losses.total_objective(*terms, cfg.weights)
 
 
-def _last_row(path):
+def _header_and_last_row(path):
+    """A loss CSV's header and the loss fields of its last row."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    return [float(rows[-1][c]) for c in LOSS_COLUMNS]
+        header, *rows = csv.reader(fh)
+    return header, [float(v) for v in rows[-1][1:]]
 
 
 def test_run_experiment_builds_the_corpus_once(monkeypatch, tmp_path):
@@ -136,14 +137,19 @@ def test_run_experiment_builds_the_corpus_once(monkeypatch, tmp_path):
         "target_match_rate_source_only": 0.6666666666666666,
         "seeds": {"train": 0},
     }
-    np.testing.assert_allclose(_last_row(tmp_path / "losses.csv"), [
+    header, last = _header_and_last_row(tmp_path / "losses.csv")
+    assert header == list(training.CSV_COLUMNS)
+    np.testing.assert_allclose(last, [
         1.4304679733367895, 0.05255504963492267, 0.7280477133606047,
         0.0088885243591180323, 2.1199692749733732, 0.018669997621271937,
         -0.58192262585096044], rtol=1e-10, atol=0.0)
-    np.testing.assert_allclose(_last_row(tmp_path / "losses_source_only.csv"), [
-        1.4207127047326555, 0.050450546135618217, 0.73168875888592788,
-        0.0019021590918508397, 1.9013436383167099, 0.0179370820615249,
-        1.4711632508682737], rtol=1e-10, atol=0.0)
+    # the source-only twin is the detector alone, so its CSV holds only
+    # the detector terms and the total
+    header, last = _header_and_last_row(tmp_path / "losses_source_only.csv")
+    assert header == ["step", "L_c", "L_r", "total"]
+    np.testing.assert_allclose(last, [
+        1.4207127047326555, 0.050450546135618217, 1.4711632508682737],
+        rtol=1e-10, atol=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +398,58 @@ def test_pair_forward_matches_the_per_image_composition(seed, lam):
         assert abs(float(pair[branch].value) - want) <= 1e-12 * abs(want), branch
         for (name, _), got, g in zip(named, grads[branch], ref_grads[branch]):
             assert np.abs(got - g).max() <= 1e-12 * np.abs(g).max(), (branch, name)
+
+
+ALIGNMENT_KEYS = {"l_adv1", "l_adv2", "l_adv3", "l_lg", "l_ri", "p3", "dri"}
+
+# (beta, lam) -> the keys `compute_losses` returns
+SELECTED_KEYS = {
+    (0.1, 1.0): {"l_c", "l_r", "l_rec", "l_diff", "composite"} | ALIGNMENT_KEYS,
+    (0.1, 0.0): {"l_c", "l_r", "l_rec", "l_diff", "composite"},
+    (0.0, 1.0): {"l_c", "l_r", "composite"} | ALIGNMENT_KEYS,
+    (0.0, 0.0): {"l_c", "l_r", "composite"},
+}
+
+
+@pytest.mark.parametrize("beta, lam", list(SELECTED_KEYS))
+def test_weights_select_the_built_branches(beta, lam):
+    """Each selection builds exactly its branches, and its composite is the
+    matching terms of the per-image composition, in value and gradient."""
+    net, source, target = _pair_and_net()
+    weights = losses.ObjectiveWeights(beta=beta, lam=lam)
+    out = training.compute_losses(net, source, target, weights, lam, normalize_rec=True)
+    assert set(out) == SELECTED_KEYS[beta, lam]
+    ref = _reference_losses(net, source, target, weights, lam)
+    want = ref["l_c"] + ref["l_r"]
+    if beta:
+        want = want + beta * (ref["l_rec"] + ref["l_diff"])
+    if lam:
+        want = want + (ref["l_lg"] + ref["l_ri"])
+    value = float(want.value)
+    assert abs(float(out["composite"].value) - value) <= 1e-12 * abs(value)
+    named = net.named_params()
+    got = nw.branch_gradients(named, out, ["composite"])["composite"]
+    ref_grads = nw.branch_gradients(named, {"composite": want}, ["composite"])["composite"]
+    for (name, _), g, w in zip(named, got, ref_grads):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+
+
+def test_source_only_step_trains_the_detector_alone():
+    """At beta = lam = 0 a step logs the detector terms and the total, and
+    leaves the private encoders, the decoder and the domain heads without a
+    gradient and unchanged."""
+    net, source, target = _pair_and_net()
+    before = {name: p.value.copy() for name, p in net.named_params()}
+    vals = training.train_step(net, source, target,
+                               losses.ObjectiveWeights(beta=0.0, lam=0.0),
+                               ad.SGD(net.params(), lr=1e-3))
+    assert set(vals) == {"L_c", "L_r", "total"}
+    idle = ("enc_s.", "enc_t.", "decoder.", "d1.", "d2.", "d3.", "dri.")
+    for name, p in net.named_params():
+        if name.startswith(idle):
+            assert p.grad is None and np.array_equal(p.value, before[name]), name
+        else:
+            assert p.grad is not None and not np.array_equal(p.value, before[name]), name
 
 
 def test_compute_losses_returns_every_branch():
