@@ -2,7 +2,8 @@
 
 Subpackages:
   scale_space  -- scale-space filtering clustering of 2-D points
-  grouping     -- proposal grouping by box-center clustering, outlier removal
+  grouping     -- center-format boxes as (P, 4) arrays (IoU, box deltas),
+                  proposal grouping by box-center clustering, outlier removal
   losses       -- difference / reconstruction / focal / adversarial losses
   autodiff     -- minimal reverse-mode engine backing the toy network
   network      -- toy detector with private encoders and domain classifiers

@@ -1,9 +1,13 @@
 """Grouping of region proposals by scale-space clustering of box centers.
 
-Proposal boxes are clustered on their (bx, by) centers only; widths and
-heights ride along. Proposals flagged as outliers (farther than sigma_star
-from every cluster center) are excluded from grouping. Each surviving group
-is pooled over the backbone's f3 features by `network.group_mean_matrix`.
+A box is a center-format row (bx, by, w, h) in pixels, and an image's
+proposals are one (P, 4) array with their objectness scores
+(`ProposalSet`); `box_iou`, `encode_deltas` and `apply_deltas` work on
+whole arrays. Proposal boxes are clustered on their (bx, by) centers only;
+widths and heights ride along. Proposals flagged as outliers (farther than
+sigma_star from every cluster center) are excluded from grouping. Each
+surviving group is pooled over the backbone's f3 features by
+`network.group_mean_matrix`.
 """
 
 import math
@@ -24,89 +28,67 @@ class DegenerateGroupingError(ValueError):
         self.result = result
 
 
-@dataclass
-class BoundingBox:
-    """Center-format box: center (bx, by), width w, height h, in pixels."""
-
-    bx: float
-    by: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        vals = (self.bx, self.by, self.w, self.h)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("box coordinates must be finite")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError("box width and height must be positive")
-
-    def corners(self):
-        """(x0, y0, x1, y1) corner coordinates."""
-        return (
-            self.bx - self.w / 2.0,
-            self.by - self.h / 2.0,
-            self.bx + self.w / 2.0,
-            self.by + self.h / 2.0,
-        )
-
-    @property
-    def area(self):
-        return self.w * self.h
+def corners(boxes):
+    """(..., 4) center-format boxes (bx, by, w, h) -> corners (x0, y0, x1, y1)."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    half = boxes[..., 2:] / 2.0
+    return np.concatenate([boxes[..., :2] - half, boxes[..., :2] + half], axis=-1)
 
 
-def iou(a, b):
-    """Intersection-over-union of two center-format boxes."""
-    ax0, ay0, ax1, ay1 = a.corners()
-    bx0, by0, bx1, by1 = b.corners()
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
+def box_iou(a, b):
+    """(len(a), len(b)) intersection-over-union of two sets of center-format
+    boxes, (A, 4) and (B, 4)."""
+    ca, cb = corners(a)[:, None], corners(b)[None]
+    overlap = np.minimum(ca[..., 2:], cb[..., 2:]) - np.maximum(ca[..., :2], cb[..., :2])
+    inter = np.where((overlap > 0).all(axis=-1), overlap[..., 0] * overlap[..., 1], 0.0)
+    area_a, area_b = a[:, 2] * a[:, 3], b[:, 2] * b[:, 3]
+    return inter / (area_a[:, None] + area_b - inter)
 
 
-def encode_deltas(proposal_box, gt_box):
-    """Regression targets mapping a proposal box onto a ground-truth box."""
-    return np.array(
-        [
-            (gt_box.bx - proposal_box.bx) / proposal_box.w,
-            (gt_box.by - proposal_box.by) / proposal_box.h,
-            math.log(gt_box.w / proposal_box.w),
-            math.log(gt_box.h / proposal_box.h),
-        ]
-    )
+def _elementwise(fn, x):
+    """`fn` (math.log or math.exp) of each element of an array: numpy's own
+    log and exp round differently in the last bit."""
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def apply_deltas(box, deltas):
-    """Refine a box with predicted deltas (log-scales clamped to +-4)."""
-    tx, ty, tw, th = (float(d) for d in deltas)
-    tw = min(max(tw, -4.0), 4.0)
-    th = min(max(th, -4.0), 4.0)
-    return BoundingBox(
-        bx=box.bx + tx * box.w,
-        by=box.by + ty * box.h,
-        w=box.w * math.exp(tw),
-        h=box.h * math.exp(th),
-    )
+def encode_deltas(proposal_boxes, gt_boxes):
+    """(P, 4) regression targets mapping each proposal box onto the
+    ground-truth box in the same row."""
+    p, g = proposal_boxes, gt_boxes
+    return np.concatenate([(g[:, :2] - p[:, :2]) / p[:, 2:],
+                           _elementwise(math.log, g[:, 2:] / p[:, 2:])], axis=1)
 
 
-@dataclass
-class Proposal:
-    box: BoundingBox
-    objectness: float = 1.0
+def apply_deltas(boxes, deltas):
+    """Refine (P, 4) boxes with (P, 4) predicted deltas (log-scales clamped
+    to +-4). Non-finite deltas, or refined boxes that overflow, raise."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if not np.isfinite(deltas).all():
+        raise ValueError("box deltas must be finite")
+    scale = _elementwise(math.exp, np.clip(deltas[:, 2:], -4.0, 4.0))
+    with np.errstate(over="ignore"):  # an overflow raises below
+        refined = np.concatenate([boxes[:, :2] + deltas[:, :2] * boxes[:, 2:],
+                                  boxes[:, 2:] * scale], axis=1)
+    if not np.isfinite(refined).all():
+        raise ValueError("refined box coordinates must be finite")
+    return refined
 
 
 @dataclass
 class ProposalSet:
-    proposals: list
+    """One image's proposals: (P, 4) center-format boxes and (P,)
+    objectness scores."""
+
+    boxes: np.ndarray
+    objectness: np.ndarray
 
     def __post_init__(self):
-        if not self.proposals:
+        if not len(self.boxes):
             raise ValueError("a proposal set needs at least one proposal")
 
     def centers(self):
-        return np.array([[p.box.bx, p.box.by] for p in self.proposals])
+        """(P, 2) box centers, a C-contiguous copy."""
+        return self.boxes[:, :2].copy()
 
 
 def cluster_box_centers(centers, cfg=None):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .grouping import encode_deltas, iou
+from .grouping import box_iou, corners, encode_deltas
 from .scale_space import is_count
 
 # pixels per f3 cell: the backbone's three stride-2 stages
@@ -96,47 +96,44 @@ class Affine:
         return [("w", self.w), ("b", self.b)]
 
 
-def _cell_span(box, hf, wf):
-    """Feature cells (i0, i1, j0, j1) a pixel-space box covers on an
-    (hf, wf) f3 map.
+def _cell_span(boxes, hf, wf):
+    """(P, 4) int rows (i0, i1, j0, j1): the feature cells each of (P, 4)
+    pixel-space boxes covers on an (hf, wf) f3 map.
 
-    The box is clipped to the image bounds first; covered cells are the
+    The boxes are clipped to the image bounds first; covered cells are the
     `STRIDE`-scaled span rounded outward. An empty span after clipping is an
     error.
     """
     h, w = hf * STRIDE, wf * STRIDE
-    x0, y0, x1, y1 = box.corners()
-    x0, x1 = max(x0, 0.0), min(x1, float(w))
-    y0, y1 = max(y0, 0.0), min(y1, float(h))
-    if x1 <= x0 or y1 <= y0:
+    x0, y0, x1, y1 = corners(boxes).T
+    x0, x1 = np.maximum(x0, 0.0), np.minimum(x1, float(w))
+    y0, y1 = np.maximum(y0, 0.0), np.minimum(y1, float(h))
+    if ((x1 <= x0) | (y1 <= y0)).any():
         raise ValueError("box does not intersect the image")
-    j0, j1 = int(math.floor(x0 / STRIDE)), int(math.ceil(x1 / STRIDE))
-    i0, i1 = int(math.floor(y0 / STRIDE)), int(math.ceil(y1 / STRIDE))
-    j0, j1 = max(j0, 0), min(j1, wf)
-    i0, i1 = max(i0, 0), min(i1, hf)
-    if j1 <= j0 or i1 <= i0:
+    j0, j1 = np.maximum(np.floor(x0 / STRIDE), 0), np.minimum(np.ceil(x1 / STRIDE), wf)
+    i0, i1 = np.maximum(np.floor(y0 / STRIDE), 0), np.minimum(np.ceil(y1 / STRIDE), hf)
+    if ((j1 <= j0) | (i1 <= i0)).any():
         raise ValueError("box covers no feature cells after clipping")
-    return i0, i1, j0, j1
+    return np.stack([i0, i1, j0, j1], axis=1).astype(np.int64)
 
 
 def crop_pool(fmap, box):
-    """Average a (C, Hf, Wf) f3 map over the cells a pixel-space box covers
-    (see `_cell_span`). A box covering the whole image reproduces the global
-    pool exactly."""
+    """Average a (C, Hf, Wf) f3 map over the cells one pixel-space box
+    (bx, by, w, h) covers (see `_cell_span`). A box covering the whole image
+    reproduces the global pool exactly."""
     _, hf, wf = np.shape(fmap)
-    i0, i1, j0, j1 = _cell_span(box, hf, wf)
+    i0, i1, j0, j1 = _cell_span(np.reshape(box, (1, 4)), hf, wf)[0]
     return ad.mean(ad.crop(fmap, i0, i1, j0, j1), axis=(1, 2))
 
 
 def roi_pool_matrix(boxes, hf, wf):
     """(P, hf*wf) averaging matrix over an (hf, wf) f3 map: row k holds 1/n
-    on the n cells box k covers, so its product with a flattened map is
-    `crop_pool` of box k."""
-    a = np.zeros((len(boxes), hf, wf))
-    for k, box in enumerate(boxes):
-        i0, i1, j0, j1 = _cell_span(box, hf, wf)
-        a[k, i0:i1, j0:j1] = 1.0 / ((i1 - i0) * (j1 - j0))
-    return a.reshape(len(boxes), hf * wf)
+    on the n cells box k of the (P, 4) `boxes` covers, so its product with a
+    flattened map is `crop_pool` of box k."""
+    i0, i1, j0, j1 = _cell_span(boxes, hf, wf).T[:, :, None]
+    rows, cols = np.arange(hf), np.arange(wf)
+    inside = ((i0 <= rows) & (rows < i1))[:, :, None] & ((j0 <= cols) & (cols < j1))[:, None]
+    return (inside / ((i1 - i0) * (j1 - j0))[:, :, None]).reshape(len(boxes), hf * wf)
 
 
 def group_mean_matrix(groups, n):
@@ -316,25 +313,23 @@ class DetectorTargets(NamedTuple):
 
 
 def detector_targets(proposal_boxes, gt_boxes, gt_labels, iou_threshold=0.5):
-    """Per-proposal class labels and regression targets.
+    """Per-proposal class labels and regression targets of (P, 4) proposal
+    boxes against (G, 4) ground-truth boxes with (G,) labels.
 
-    A proposal takes the class of its highest-IoU ground-truth box when that
-    IoU reaches the threshold, else background (0). Regression targets exist
-    only for positives.
+    A proposal takes the class of its highest-IoU ground-truth box (the
+    first on a tie) when that IoU reaches the threshold, else background
+    (0). Regression targets exist only for positives.
     """
-    if not proposal_boxes:
+    if not len(proposal_boxes):
         raise ValueError("no proposals to assign")
-    labels = np.zeros(len(proposal_boxes), dtype=np.int64)
-    targets = np.zeros((len(proposal_boxes), 4))
-    positives = []
-    for i, pb in enumerate(proposal_boxes):
-        ious = np.array([iou(pb, g) for g in gt_boxes])
-        j = int(ious.argmax())
-        if ious[j] >= iou_threshold:
-            labels[i] = int(gt_labels[j])
-            targets[i] = encode_deltas(pb, gt_boxes[j])
-            positives.append(i)
-    return DetectorTargets(labels, targets, positives)
+    ious = box_iou(proposal_boxes, gt_boxes)
+    best = ious.argmax(axis=1)
+    positives = np.flatnonzero(ious[np.arange(len(best)), best] >= iou_threshold)
+    labels = np.zeros(len(best), dtype=np.int64)
+    labels[positives] = np.asarray(gt_labels)[best[positives]]
+    targets = np.zeros((len(best), 4))
+    targets[positives] = encode_deltas(proposal_boxes[positives], gt_boxes[best[positives]])
+    return DetectorTargets(labels, targets, positives.tolist())
 
 
 def detector_losses(class_logits, box_deltas, targets):

@@ -4,8 +4,10 @@ Source images are clean colored shapes (disk / square / triangle) on a dark
 background; target images are color-shifted, blurred, fogged and noised
 variants of independently drawn scenes. A proposal generator stands in for a
 region proposal network: redundant jittered copies of every ground-truth box
-plus a few background boxes, each proposal carrying a box and an objectness
-score.
+plus a few background boxes. A box is a center-format row (bx, by, w, h) in
+pixels: a sample's truth is one (G, 4) array with (G,) int class labels, and
+its proposals are one (P, 4) array with (P,) objectness scores
+(`grouping.ProposalSet`).
 
 Everything is a pure function of (spec, seed). Each domain has one sample
 stream (`domain_samples`): sample i of it is seeded by
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grouping import BoundingBox, Proposal, ProposalSet
+from .grouping import ProposalSet
 from .losses import rgb_to_grayscale
 from .scale_space import is_count
 
@@ -134,11 +136,12 @@ class ProposalNoiseSpec:
 
 
 class Sample:
-    """One image with ground truth; target-domain truth is evaluation-only.
+    """One image with ground truth: (G, 4) center-format boxes and (G,) int
+    class labels. Target-domain truth is evaluation-only.
 
     `boxes` / `labels` raise for target samples so the training loop cannot
     read them by accident; evaluation code uses `eval_boxes()` /
-    `eval_labels()`.
+    `eval_labels()`, which return copies.
     """
 
     def __init__(self, image_id, domain, rgb, gray, boxes, labels):
@@ -148,8 +151,8 @@ class Sample:
         self.domain = domain
         self.rgb = np.asarray(rgb, dtype=np.float64)
         self.gray = np.asarray(gray, dtype=np.float64)
-        self._boxes = list(boxes)
-        self._labels = [int(v) for v in labels]
+        self._boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        self._labels = np.asarray(labels, dtype=np.int64)
 
     @property
     def boxes(self):
@@ -168,10 +171,10 @@ class Sample:
         return self._labels
 
     def eval_boxes(self):
-        return list(self._boxes)
+        return self._boxes.copy()
 
     def eval_labels(self):
-        return list(self._labels)
+        return self._labels.copy()
 
     def image_hw(self):
         return self.rgb.shape[1], self.rgb.shape[2]
@@ -194,16 +197,18 @@ def _shape_mask(shape, cx, cy, r, h, w):
 
 
 def _boxes_overlap(a, b, gap=2.0):
-    ax0, ay0, ax1, ay1 = a.corners()
-    bx0, by0, bx1, by1 = b.corners()
-    return not (
-        ax1 + gap <= bx0 or bx1 + gap <= ax0 or ay1 + gap <= by0 or by1 + gap <= ay0
-    )
+    """Whether center-format boxes a and b, each (bx, by, w, h), come within
+    `gap` of each other on both axes."""
+    (ax, ay, aw, ah), (bx, by, bw, bh) = a, b
+    return not (ax + aw / 2.0 + gap <= bx - bw / 2.0 or bx + bw / 2.0 + gap <= ax - aw / 2.0
+                or ay + ah / 2.0 + gap <= by - bh / 2.0
+                or by + bh / 2.0 + gap <= ay - ah / 2.0)
 
 
 def _place_objects(spec, rng, h, w):
     """One placement attempt: [(box, shape, color)] with pairwise-separated
-    boxes, or None when some object found no free spot in 200 draws."""
+    center-format boxes (bx, by, w, h), or None when some object found no
+    free spot in 200 draws."""
     count = int(rng.integers(spec.object_count_range[0], spec.object_count_range[1] + 1))
     objects = []
     for _ in range(count):
@@ -211,7 +216,7 @@ def _place_objects(spec, rng, h, w):
             r = float(rng.uniform(*spec.radius_range))
             cx = float(rng.uniform(r + 2.0, w - r - 2.0))
             cy = float(rng.uniform(r + 2.0, h - r - 2.0))
-            box = BoundingBox(bx=cx, by=cy, w=2 * r, h=2 * r)
+            box = (cx, cy, 2 * r, 2 * r)
             if all(not _boxes_overlap(box, b) for b, _, _ in objects):
                 break
         else:
@@ -247,7 +252,7 @@ def generate_scene(spec=None, seed=0):
     for c in range(3):
         rgb[c] = spec.background[c]
     for box, shape, color in objects:
-        mask = _shape_mask(shape, box.bx, box.by, box.w / 2, h, w)
+        mask = _shape_mask(shape, box[0], box[1], box[2] / 2, h, w)
         for c in range(3):
             rgb[c][mask] = color[c]
     boxes = [box for box, _, _ in objects]
@@ -262,13 +267,22 @@ def generate_scene(spec=None, seed=0):
     )
 
 
-def _gaussian_blur(img, sigma):
+def _gaussian_kernel(sigma):
+    """Normalised 1-D Gaussian taps out to ceil(3 sigma)."""
     radius = int(math.ceil(3.0 * sigma))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     # taps past exp's underflow stay -inf: a tiny sigma overflows their division
-    kernel = np.exp(np.divide(-(t * t), 2.0 * sigma * sigma, out=np.full_like(t, -np.inf),
-                              where=t * t <= 1492.0 * sigma * sigma))
-    kernel /= kernel.sum()
+    exponent = np.divide(-(t * t), 2.0 * sigma * sigma, out=np.full_like(t, -np.inf),
+                         where=t * t <= 1492.0 * sigma * sigma)
+    # taps just short of that edge are subnormal, which is no error
+    with np.errstate(under="ignore"):
+        kernel = np.exp(exponent)
+    return kernel / kernel.sum()
+
+
+def _gaussian_blur(img, sigma):
+    kernel = _gaussian_kernel(sigma)
+    radius = len(kernel) // 2
     out = np.empty_like(img)
     for c in range(img.shape[0]):
         padded = np.pad(img[c], radius, mode="reflect")
@@ -324,11 +338,11 @@ def generate_proposals(sample, noise=None, seed=0):
     noise.validate()
     rng = np.random.default_rng(seed)
     gt_boxes = sample.eval_boxes()
-    if not gt_boxes:
+    if not len(gt_boxes):
         raise ValueError("sample has no ground-truth boxes")
     h, w = sample.image_hw()
-    proposals = []
-    for gt in gt_boxes:
+    boxes, objectness = [], []
+    for gx, gy, gw, gh in gt_boxes.tolist():
         for _ in range(noise.redundancy):
             if noise.jitter_std > 0:
                 dx, dy = rng.normal(0.0, noise.jitter_std, size=2)
@@ -336,16 +350,10 @@ def generate_proposals(sample, noise=None, seed=0):
             else:
                 dx = dy = 0.0
                 sw = sh = 1.0
-            box = BoundingBox(
-                bx=min(max(gt.bx + dx, 1.0), w - 1.0),
-                by=min(max(gt.by + dy, 1.0), h - 1.0),
-                w=gt.w * sw,
-                h=gt.h * sh,
-            )
-            proposals.append(
-                Proposal(box=box, objectness=float(rng.uniform(0.6, 1.0)))
-            )
-    centers = np.array([[b.bx, b.by] for b in gt_boxes])
+            boxes.append((min(max(gx + dx, 1.0), w - 1.0), min(max(gy + dy, 1.0), h - 1.0),
+                          gw * sw, gh * sh))
+            objectness.append(rng.uniform(0.6, 1.0))
+    centers = gt_boxes[:, :2]
     for _ in range(noise.background_count):
         for _ in range(2000):
             bx = float(rng.uniform(4.0, w - 4.0))
@@ -355,13 +363,9 @@ def generate_proposals(sample, noise=None, seed=0):
                 break
         else:
             raise PlacementError("background margin unsatisfiable")
-        box = BoundingBox(
-            bx=bx, by=by, w=float(rng.uniform(8.0, 14.0)), h=float(rng.uniform(8.0, 14.0))
-        )
-        proposals.append(
-            Proposal(box=box, objectness=float(rng.uniform(0.2, 0.7)))
-        )
-    return ProposalSet(proposals=proposals)
+        boxes.append((bx, by, rng.uniform(8.0, 14.0), rng.uniform(8.0, 14.0)))
+        objectness.append(rng.uniform(0.2, 0.7))
+    return ProposalSet(boxes=np.array(boxes), objectness=np.array(objectness))
 
 
 def domain_samples(domain, scene_spec, shift_spec, noise_spec, n, base_seed, start=0):

@@ -30,7 +30,8 @@ from . import autodiff as ad
 from . import losses as L
 from . import network as nw
 from . import synth
-from .grouping import apply_deltas, cluster_box_centers, iou, DegenerateGroupingError
+from .grouping import (apply_deltas, box_iou, cluster_box_centers, DegenerateGroupingError,
+                       ProposalSet)
 from .scale_space import OUTLIER, ScaleSweepConfig, is_count
 
 CSV_COLUMNS = ("step", "L_c", "L_r", "L_rec", "L_diff", "L_lg", "L_ri", "total")
@@ -169,8 +170,9 @@ class GroupingDiagnostics:
 
 @dataclass
 class CorpusEntry:
-    """One training image with its proposals, their grouping and the
-    constants every step on it reads, built once by `_grouped_entry`.
+    """One training image with its proposals (`pset`, whose (P, 4) boxes
+    are the RoIs in proposal order), their grouping and the constants every
+    step on it reads, built once by `_grouped_entry`.
 
     `roi_matrix` averages the f3 cells each proposal covers
     (`network.roi_pool_matrix`), `group_matrix` takes the mean of each
@@ -181,10 +183,9 @@ class CorpusEntry:
     """
 
     sample: synth.Sample
-    pset: object
+    pset: ProposalSet
     groups: list      # member index lists (grouping fallback applied)
     outliers: list
-    boxes: list       # proposal boxes, in proposal order
     roi_matrix: np.ndarray
     group_matrix: np.ndarray
     targets: nw.DetectorTargets | None
@@ -196,18 +197,18 @@ def _grouped_entry(sample, pset, cluster_cfg):
         members, outliers, result = cluster_box_centers(pset.centers(), cluster_cfg)
         fallback = False
     except DegenerateGroupingError as err:
-        members, outliers, result = [list(range(len(pset.proposals)))], [], err.result
+        members, outliers, result = [list(range(len(pset.boxes)))], [], err.result
         fallback = True
     grouping = GroupingDiagnostics(
         K=result.model.K, sigma_star=result.model.sigma_star,
         outliers=int(np.count_nonzero(result.assignment.labels == OUTLIER)),
         truncated=result.truncated, inner_iters=result.inner_iters, fallback=fallback)
-    boxes = [p.box for p in pset.proposals]
+    boxes = pset.boxes
     hf, wf = (n // nw.STRIDE for n in sample.rgb.shape[-2:])
     targets = (nw.detector_targets(boxes, sample.boxes, sample.labels)
                if sample.domain == "source" else None)
     return CorpusEntry(
-        sample=sample, pset=pset, groups=members, outliers=outliers, boxes=boxes,
+        sample=sample, pset=pset, groups=members, outliers=outliers,
         roi_matrix=nw.roi_pool_matrix(boxes, hf, wf),
         group_matrix=nw.group_mean_matrix(members, len(boxes)), targets=targets,
         grouping=grouping)
@@ -296,7 +297,7 @@ def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec)
     with _branch("detector"):
         # on the source proposals, the first rows of the RoIs
         logits, deltas = net.detector_head(
-            ad.take_rows(roi, np.arange(len(source_entry.boxes))))
+            ad.take_rows(roi, np.arange(len(source_entry.pset.boxes))))
         out["l_c"], out["l_r"] = nw.detector_losses(logits, deltas, source_entry.targets)
     if separate:
         with _branch("reconstruction"):
@@ -438,21 +439,15 @@ def target_match_rate(net, detect_eval):
     with ad.no_grad():
         for sample, pset in detect_eval:
             _, _, f3 = net.forward_backbone(sample.rgb[None])
-            a = nw.roi_pool_matrix([p.box for p in pset.proposals], *f3.shape[2:])
-            feats = nw.roi_pool(f3, a)
+            feats = nw.roi_pool(f3, nw.roi_pool_matrix(pset.boxes, *f3.shape[2:]))
             logits, deltas = net.detector_head(feats)
             pred_cls = logits.value.argmax(axis=1)
-            refined = [
-                apply_deltas(p.box, deltas.value[i])
-                for i, p in enumerate(pset.proposals)
-            ]
-            for gt_box, gt_label in zip(sample.eval_boxes(), sample.eval_labels()):
-                total += 1
-                hit = any(
-                    pred_cls[i] == gt_label and iou(refined[i], gt_box) >= 0.5
-                    for i in range(len(refined))
-                )
-                matched += int(hit)
+            refined = apply_deltas(pset.boxes, deltas.value)
+            # (G, P): proposal p finds ground-truth box g
+            found = ((box_iou(sample.eval_boxes(), refined) >= 0.5)
+                     & (pred_cls == sample.eval_labels()[:, None]))
+            matched += int(found.any(axis=1).sum())
+            total += len(found)
     return matched / total if total else 0.0
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,38 +29,123 @@ def two_object_centers(seed=0, jitter=2.0, per_object=6):
 SQUARE = [(10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)]
 
 
-class TestBoundingBox:
-    def test_corners(self):
-        b = grp.BoundingBox(bx=10, by=20, w=4, h=6)
-        assert b.corners() == (8.0, 17.0, 12.0, 23.0)
+# the per-box formulas the array code replaced, kept as references: each
+# array result must equal them bit for bit
+def ref_corners(box):
+    bx, by, w, h = box
+    return bx - w / 2.0, by - h / 2.0, bx + w / 2.0, by + h / 2.0
 
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            grp.BoundingBox(bx=0, by=0, w=0, h=1)
+
+def ref_iou(a, b):
+    ax0, ay0, ax1, ay1 = ref_corners(a)
+    bx0, by0, bx1, by1 = ref_corners(b)
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a[2] * a[3] + b[2] * b[3] - inter)
+
+
+def ref_encode_deltas(p, g):
+    return [(g[0] - p[0]) / p[2], (g[1] - p[1]) / p[3],
+            math.log(g[2] / p[2]), math.log(g[3] / p[3])]
+
+
+def ref_apply_deltas(box, deltas):
+    tx, ty, tw, th = deltas
+    tw = min(max(tw, -4.0), 4.0)
+    th = min(max(th, -4.0), 4.0)
+    return [box[0] + tx * box[2], box[1] + ty * box[3],
+            box[2] * math.exp(tw), box[3] * math.exp(th)]
+
+
+def random_boxes(rng, n):
+    """Center-format boxes, half on a coarse grid (so that edges touch and
+    boxes nest or coincide) and half continuous."""
+    grid = np.column_stack([rng.integers(0, 9, size=(n, 2)) * 4.0,
+                            rng.integers(1, 5, size=(n, 2)) * 4.0])
+    free = np.column_stack([rng.uniform(0.0, 32.0, size=(n, 2)),
+                            rng.uniform(0.5, 20.0, size=(n, 2))])
+    return np.concatenate([grid, free])
+
+
+# touching edges, nested, coincident and disjoint boxes
+SPECIAL = np.array([[0.0, 0.0, 2.0, 2.0], [2.0, 0.0, 2.0, 2.0], [0.0, 2.0, 2.0, 2.0],
+                    [5.0, 5.0, 10.0, 10.0], [5.0, 5.0, 4.0, 4.0], [5.0, 5.0, 10.0, 10.0],
+                    [40.0, 40.0, 3.0, 3.0]])
+
+
+class TestBoundingBox:
+    """Center-format boxes (bx, by, w, h) as rows of arrays."""
+
+    def test_corners(self):
+        np.testing.assert_array_equal(grp.corners([[10, 20, 4, 6], [1, 1, 1, 3]]),
+                                      [[8.0, 17.0, 12.0, 23.0], [0.5, -0.5, 1.5, 2.5]])
+
+    def test_apply_deltas_rejects_non_finite(self):
+        box = np.array([[10.0, 12.0, 8.0, 6.0]])
+        for bad in ([np.nan, 0, 0, 0], [0, np.inf, 0, 0], [0, 0, -np.inf, 0]):
+            with pytest.raises(ValueError, match="deltas must be finite"):
+                grp.apply_deltas(box, np.array([bad]))
+        # finite deltas whose refined box overflows fail as loudly
+        with pytest.raises(ValueError, match="refined box"):
+            grp.apply_deltas(box, np.array([[1e308, 0.0, 0.0, 0.0]]))
+        # the log-scales clamp to +-4
+        clamped = grp.apply_deltas(box, np.array([[0.0, 0.0, 9.0, -9.0]]))
+        np.testing.assert_array_equal(
+            clamped, [[10.0, 12.0, 8.0 * math.exp(4.0), 6.0 * math.exp(-4.0)]])
 
     def test_iou_identity(self):
-        b = grp.BoundingBox(bx=5, by=5, w=4, h=4)
-        assert grp.iou(b, b) == pytest.approx(1.0)
+        b = np.array([[5.0, 5.0, 4.0, 4.0]])
+        assert grp.box_iou(b, b)[0, 0] == 1.0
 
     def test_iou_disjoint(self):
-        a = grp.BoundingBox(bx=0, by=0, w=2, h=2)
-        b = grp.BoundingBox(bx=10, by=0, w=2, h=2)
-        assert grp.iou(a, b) == 0.0
+        a = np.array([[0.0, 0.0, 2.0, 2.0]])
+        b = np.array([[10.0, 0.0, 2.0, 2.0], [2.0, 0.0, 2.0, 2.0]])
+        # the second box touches the first along an edge
+        np.testing.assert_array_equal(grp.box_iou(a, b), [[0.0, 0.0]])
 
     def test_iou_half_overlap(self):
-        a = grp.BoundingBox(bx=0, by=0, w=2, h=2)
-        b = grp.BoundingBox(bx=1, by=0, w=2, h=2)
-        # intersection 1x2=2, union 4+4-2=6
-        assert grp.iou(a, b) == pytest.approx(2.0 / 6.0)
+        a = np.array([[0.0, 0.0, 2.0, 2.0]])
+        b = np.array([[1.0, 0.0, 2.0, 2.0], [0.0, 0.0, 1.0, 1.0]])
+        # intersection 1x2=2, union 4+4-2=6; the nested box covers a quarter
+        np.testing.assert_allclose(grp.box_iou(a, b), [[2.0 / 6.0, 0.25]], rtol=1e-15)
 
     def test_delta_round_trip(self):
-        p = grp.BoundingBox(bx=10, by=12, w=8, h=6)
-        g = grp.BoundingBox(bx=11.5, by=10.0, w=10.0, h=5.0)
-        refined = grp.apply_deltas(p, grp.encode_deltas(p, g))
-        assert refined.bx == pytest.approx(g.bx)
-        assert refined.by == pytest.approx(g.by)
-        assert refined.w == pytest.approx(g.w)
-        assert refined.h == pytest.approx(g.h)
+        p = np.array([[10.0, 12.0, 8.0, 6.0]])
+        g = np.array([[11.5, 10.0, 10.0, 5.0]])
+        np.testing.assert_allclose(grp.apply_deltas(p, grp.encode_deltas(p, g)), g,
+                                   rtol=1e-14)
+
+
+class TestArraysMatchThePerBoxFormulas:
+    def test_box_iou(self):
+        rng = np.random.default_rng(3)
+        a = np.concatenate([random_boxes(rng, 40), SPECIAL])
+        b = np.concatenate([random_boxes(rng, 30), SPECIAL])
+        want = np.array([[ref_iou(x, y) for y in b.tolist()] for x in a.tolist()])
+        got = grp.box_iou(a, b)
+        assert got.shape == (len(a), len(b))
+        assert np.array_equal(got, want)
+        # the cases the grid and SPECIAL are there for
+        assert (want == 0.0).any() and (want == 1.0).any()
+        assert ((want > 0.0) & (want < 1.0)).any()
+
+    def test_deltas(self):
+        # enough rows that np.log or np.exp in place of math.log and math.exp
+        # would differ in the last bit somewhere
+        rng = np.random.default_rng(4)
+        p = np.concatenate([random_boxes(rng, 2000), SPECIAL])
+        g = np.concatenate([random_boxes(rng, 2000), SPECIAL[::-1]])
+        deltas = grp.encode_deltas(p, g)
+        want = np.array([ref_encode_deltas(x, y) for x, y in zip(p.tolist(), g.tolist())])
+        assert np.array_equal(deltas, want)
+        # spread wide enough that the log-scale clamp bites on some rows
+        pred = rng.normal(0.0, 3.0, size=p.shape)
+        want = np.array([ref_apply_deltas(x, d) for x, d in zip(p.tolist(), pred.tolist())])
+        assert (np.abs(pred[:, 2:]) > 4.0).any()
+        assert np.array_equal(grp.apply_deltas(p, pred), want)
 
 
 class TestClusterProposals:
@@ -125,13 +212,11 @@ class TestDegenerateFallback:
     def test_trainer_falls_back_to_one_group(self):
         # the square moved to the middle of a 32x32 image, so every box lies
         # inside it; grouping sees only distances, so it still degenerates
-        pset = grp.ProposalSet([
-            grp.Proposal(box=grp.BoundingBox(bx=16.0 + bx, by=16.0 + by, w=8.0, h=8.0))
-            for bx, by in SQUARE
-        ])
+        pset = grp.ProposalSet(boxes=np.array([[16.0 + bx, 16.0 + by, 8.0, 8.0]
+                                               for bx, by in SQUARE]),
+                               objectness=np.ones(len(SQUARE)))
         sample = synth.Sample("square", "source", np.zeros((3, 32, 32)),
-                              np.zeros((1, 32, 32)),
-                              [grp.BoundingBox(bx=16.0, by=16.0, w=8.0, h=8.0)], [1])
+                              np.zeros((1, 32, 32)), [[16.0, 16.0, 8.0, 8.0]], [1])
         entry = training._grouped_entry(sample, pset, ScaleSweepConfig())
         assert entry.groups == [[0, 1, 2, 3]] and entry.outliers == []
         # the diagnostics describe the sweep that degenerated: all four

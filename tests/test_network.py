@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from fsalign import autodiff as ad
 from fsalign import network as net
 from fsalign import synth, training
-from fsalign.grouping import BoundingBox, cluster_box_centers
+from fsalign.grouping import cluster_box_centers
 from fsalign.losses import global_pool
 
 
@@ -153,19 +154,19 @@ class TestCropPool:
     def test_whole_image_equals_global_pool(self):
         rng = np.random.default_rng(5)
         fmap = rng.normal(size=(6, 4, 4))
-        box = BoundingBox(bx=16.0, by=16.0, w=32.0, h=32.0)
+        box = np.array([16.0, 16.0, 32.0, 32.0])
         got = net.crop_pool(fmap, box)
         np.testing.assert_array_equal(got.value, global_pool(fmap[None]).value[0])
 
     def test_constant_map_any_box(self):
         fmap = np.full((3, 4, 4), 1.5)
-        box = BoundingBox(bx=9.0, by=12.0, w=6.0, h=10.0)
+        box = np.array([9.0, 12.0, 6.0, 10.0])
         np.testing.assert_allclose(net.crop_pool(fmap, box).value, [1.5, 1.5, 1.5])
 
     def test_matches_brute_force_cell_average(self):
         rng = np.random.default_rng(6)
         fmap = rng.normal(size=(2, 8, 8))
-        box = BoundingBox(bx=20.0, by=30.0, w=17.0, h=9.0)
+        box = np.array([20.0, 30.0, 17.0, 9.0])
         got = net.crop_pool(fmap, box).value
         # cells covered by [11.5, 28.5] x [25.5, 34.5] at stride 8
         want = fmap[:, 3:5, 1:4].mean(axis=(1, 2))
@@ -174,14 +175,31 @@ class TestCropPool:
     def test_outside_box_rejected(self):
         fmap = np.zeros((1, 4, 4))
         with pytest.raises(ValueError):
-            net.crop_pool(fmap, BoundingBox(bx=100.0, by=4.0, w=4.0, h=4.0))
+            net.crop_pool(fmap, np.array([100.0, 4.0, 4.0, 4.0]))
 
     def test_gradient_flows(self):
         fmap = ad.Tensor(np.random.default_rng(7).normal(size=(2, 4, 4)),
                          requires_grad=True)
-        vec = net.crop_pool(fmap, BoundingBox(bx=8.0, by=8.0, w=8.0, h=8.0))
+        vec = net.crop_pool(fmap, np.array([8.0, 8.0, 8.0, 8.0]))
         ad.sum(vec).backward()
         assert fmap.grad is not None and fmap.grad.any()
+
+
+def ref_roi_pool_matrix(boxes, hf, wf):
+    """The per-box loop `roi_pool_matrix` replaced, kept as its reference."""
+    a = np.zeros((len(boxes), hf, wf))
+    for k, (bx, by, w, h) in enumerate(boxes.tolist()):
+        x0, y0, x1, y1 = bx - w / 2.0, by - h / 2.0, bx + w / 2.0, by + h / 2.0
+        x0, x1 = max(x0, 0.0), min(x1, float(wf * net.STRIDE))
+        y0, y1 = max(y0, 0.0), min(y1, float(hf * net.STRIDE))
+        if x1 <= x0 or y1 <= y0:
+            raise ValueError("box does not intersect the image")
+        j0 = max(int(math.floor(x0 / net.STRIDE)), 0)
+        j1 = min(int(math.ceil(x1 / net.STRIDE)), wf)
+        i0 = max(int(math.floor(y0 / net.STRIDE)), 0)
+        i1 = min(int(math.ceil(y1 / net.STRIDE)), hf)
+        a[k, i0:i1, j0:j1] = 1.0 / ((i1 - i0) * (j1 - j0))
+    return a.reshape(len(boxes), hf * wf)
 
 
 class TestRoiPool:
@@ -193,11 +211,11 @@ class TestRoiPool:
         scene = synth.generate_scene(synth.SceneSpec(), seed=21)
         pset = synth.generate_proposals(scene, synth.ProposalNoiseSpec(), seed=22)
         # plus boxes that hang over each border and get clipped
-        boxes = [p.box for p in pset.proposals] + [
-            BoundingBox(bx=2.0, by=30.0, w=12.0, h=6.0),
-            BoundingBox(bx=62.0, by=63.0, w=9.0, h=7.0),
-            BoundingBox(bx=-1.0, by=-2.0, w=10.0, h=10.0),
-        ]
+        boxes = np.concatenate([pset.boxes, [
+            [2.0, 30.0, 12.0, 6.0],
+            [62.0, 63.0, 9.0, 7.0],
+            [-1.0, -2.0, 10.0, 10.0],
+        ]])
         fmap = np.random.default_rng(23).normal(size=(5, 8, 8))
         return fmap, boxes, pset
 
@@ -212,7 +230,7 @@ class TestRoiPool:
 
     def test_group_matrix_gives_group_means(self, image):
         fmap, _, pset = image
-        boxes = [p.box for p in pset.proposals]
+        boxes = pset.boxes
         groups, _, _ = cluster_box_centers(pset.centers())
         roi = net.roi_pool(fmap[None], net.roi_pool_matrix(boxes, 8, 8)).value
         got = net.group_mean_matrix(groups, len(boxes)) @ roi
@@ -234,11 +252,29 @@ class TestRoiPool:
         with pytest.raises(ValueError, match="batch"):
             net.roi_pool(fmap, net.roi_pool_matrix(boxes, 8, 8))
 
+    def test_matrix_equals_the_per_box_reference(self, image):
+        _, boxes, _ = image
+        rng = np.random.default_rng(25)
+        # edges on multiples of 4 land on cell boundaries, where the rounding
+        # outward decides the span
+        grid = np.column_stack([rng.integers(0, 17, size=(40, 2)) * 4.0,
+                                rng.integers(1, 9, size=(40, 2)) * 4.0])
+        free = np.column_stack([rng.uniform(0.0, 64.0, size=(40, 2)),
+                                rng.uniform(0.5, 40.0, size=(40, 2))])
+        # a 5x7-cell span, where 1/(5*7) and 1/5/7 round apart
+        boxes = np.concatenate([boxes, grid, free, [[20.0, 28.0, 40.0, 56.0]]])
+        assert np.array_equal(net.roi_pool_matrix(boxes, 8, 8),
+                              ref_roi_pool_matrix(boxes, 8, 8))
+        outside = np.concatenate([boxes, [[100.0, 4.0, 4.0, 4.0]]])
+        for build in (net.roi_pool_matrix, ref_roi_pool_matrix):
+            with pytest.raises(ValueError, match="does not intersect"):
+                build(outside, 8, 8)
+
     def test_outside_box_rejected(self):
-        inside = BoundingBox(bx=8.0, by=8.0, w=4.0, h=4.0)
-        outside = BoundingBox(bx=100.0, by=4.0, w=4.0, h=4.0)
+        inside = np.array([8.0, 8.0, 4.0, 4.0])
+        outside = np.array([100.0, 4.0, 4.0, 4.0])
         with pytest.raises(ValueError):
-            net.roi_pool_matrix([inside, outside], 4, 4)
+            net.roi_pool_matrix(np.stack([inside, outside]), 4, 4)
         with pytest.raises(ValueError):
             net.crop_pool(np.zeros((1, 4, 4)), outside)
 
@@ -301,12 +337,12 @@ class TestDomainHeads:
 
 class TestDetectorLosses:
     def boxes(self):
-        gt = [BoundingBox(bx=10, by=10, w=8, h=8), BoundingBox(bx=40, by=40, w=10, h=10)]
-        props = [
-            BoundingBox(bx=10.5, by=10.2, w=8, h=8),   # matches gt0
-            BoundingBox(bx=39, by=41, w=10, h=10),     # matches gt1
-            BoundingBox(bx=25, by=25, w=8, h=8),       # background
-        ]
+        gt = np.array([[10, 10, 8, 8], [40, 40, 10, 10]], dtype=float)
+        props = np.array([
+            [10.5, 10.2, 8, 8],   # matches gt0
+            [39, 41, 10, 10],     # matches gt1
+            [25, 25, 8, 8],       # background
+        ])
         return props, gt, [1, 3]
 
     def test_target_assignment(self):
@@ -329,8 +365,8 @@ class TestDetectorLosses:
         assert float(l_c.value) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_deltas_on_perfect_proposals(self):
-        gt = [BoundingBox(bx=10, by=10, w=8, h=8)]
-        props = [BoundingBox(bx=10, by=10, w=8, h=8)]
+        gt = np.array([[10.0, 10.0, 8.0, 8.0]])
+        props = gt.copy()
         _, l_r = net.detector_losses(
             ad.Tensor(np.zeros((1, 4))), ad.Tensor(np.zeros((1, 4))),
             net.detector_targets(props, gt, [2]),
@@ -364,7 +400,7 @@ class TestDetectorLosses:
 
     def test_no_proposals_rejected(self):
         with pytest.raises(ValueError):
-            net.detector_targets([], [BoundingBox(bx=1, by=1, w=2, h=2)], [1])
+            net.detector_targets(np.zeros((0, 4)), np.array([[1.0, 1.0, 2.0, 2.0]]), [1])
 
 
 class TestFiniteDifferenceReport:

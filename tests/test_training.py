@@ -197,6 +197,16 @@ def test_evaluation_path_is_pinned(trained_tiny):
     assert [[float(v) for v in r[1:]] for r in rows[1:]] == PINNED_CSV_ROWS
 
 
+def test_a_diverged_box_head_fails_the_match_rate(trained_tiny):
+    """Refined boxes that overflow raise instead of scoring IoU 0."""
+    _, (_, _, detect_eval) = trained_tiny
+    net = nw.SeparationNet(tiny_config(1).network, seed=0)
+    net.head_box.b.value[:] = 1e308
+    # the sum in autodiff's finiteness check overflows on these finite values
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="refined box"):
+        training.target_match_rate(net, detect_eval)
+
+
 def _digest(rows):
     """sha256 of the little-endian float64 bytes of each row in turn."""
     h = hashlib.sha256()
@@ -228,11 +238,9 @@ def test_held_out_sets_are_pinned(trained_tiny):
         got[name] = [_digest(s.rgb for s, _ in samples) for samples in domains]
     got["detect_images"] = _digest(s.rgb for s, _ in detect_eval)
     got["detect_proposals"] = _digest(
-        [[p.box.bx, p.box.by, p.box.w, p.box.h, p.objectness] for p in pset.proposals]
-        for _, pset in detect_eval)
+        np.column_stack([pset.boxes, pset.objectness]) for _, pset in detect_eval)
     got["detect_truth"] = _digest(
-        [[b.bx, b.by, b.w, b.h, label] for b, label in zip(s.eval_boxes(), s.eval_labels())]
-        for s, _ in detect_eval)
+        np.column_stack([s.eval_boxes(), s.eval_labels()]) for s, _ in detect_eval)
     assert got == PINNED_HELD_OUT
 
 
@@ -344,7 +352,7 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
         p2, f_m = net.mid_domain(ad.grl(f2, lam))
         p3, f_g = net.global_domain(ad.grl(f3, lam))
         ctx = np.concatenate([f_l.value, f_m.value, f_g.value], axis=1)
-        boxes = [p.box for p in entry.pset.proposals]
+        boxes = entry.pset.boxes
         roi = nw.roi_pool(f3, nw.roi_pool_matrix(boxes, *f3.shape[2:]))
         fr = ad.matmul(nw.group_mean_matrix(entry.groups, len(boxes)), roi)
         fused = ad.concat([np.tile(ctx, (len(entry.groups), 1)), ad.grl(fr, lam)], axis=1)
@@ -355,8 +363,7 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
     s, t = image_forward(source_entry, net.enc_s), image_forward(target_entry, net.enc_t)
     logits, deltas = net.detector_head(s["roi"])
     l_c, l_r = nw.detector_losses(logits, deltas, nw.detector_targets(
-        [p.box for p in source_entry.pset.proposals],
-        source_entry.sample.boxes, source_entry.sample.labels))
+        source_entry.pset.boxes, source_entry.sample.boxes, source_entry.sample.labels))
 
     def rec(x):
         return ad.sum(ad.absolute(x["gray"] - x["xhat"])) / float(x["gray"].size)
@@ -656,15 +663,14 @@ def test_corpus_entries_cache_the_step_constants(monkeypatch):
     # a target image's truth raises LabelQuarantineError when read, so
     # building its entry reads none
     source, target = training.build_training_corpus(tiny_config(2))
-    assert calls == [len(e.boxes) for e in source]
+    assert calls == [len(e.pset.boxes) for e in source]
     for entry in source + target:
-        boxes = [p.box for p in entry.pset.proposals]
-        assert entry.boxes == boxes
+        boxes = entry.pset.boxes
         np.testing.assert_array_equal(entry.roi_matrix, nw.roi_pool_matrix(boxes, 4, 4))
         np.testing.assert_array_equal(
             entry.group_matrix, nw.group_mean_matrix(entry.groups, len(boxes)))
     for entry in source:
-        want = targets(entry.boxes, entry.sample.boxes, entry.sample.labels)
+        want = targets(entry.pset.boxes, entry.sample.boxes, entry.sample.labels)
         np.testing.assert_array_equal(entry.targets.labels, want.labels)
         np.testing.assert_array_equal(entry.targets.deltas, want.deltas)
         assert entry.targets.positives == want.positives
@@ -694,7 +700,8 @@ def test_target_entry_cannot_train_the_detector():
 def test_box_missing_the_image_fails_at_corpus_build():
     _, source, _ = _pair_and_net()
     sample = source.sample
-    pset = synth.ProposalSet(source.pset.proposals + [
-        synth.Proposal(box=synth.BoundingBox(bx=50.0, by=8.0, w=6.0, h=6.0))])
+    pset = synth.ProposalSet(
+        boxes=np.concatenate([source.pset.boxes, [[50.0, 8.0, 6.0, 6.0]]]),
+        objectness=np.append(source.pset.objectness, 1.0))
     with pytest.raises(ValueError, match="does not intersect"):
         training._grouped_entry(sample, pset, training.TrainConfig().cluster)
