@@ -5,20 +5,30 @@ its parent nodes and a vector-Jacobian closure. `Tensor.backward()` walks the
 graph in reverse topological order and accumulates gradients into `.grad`.
 
 An operand is a `Tensor` node or a constant: a Python scalar or numpy array,
-read by value as float64. A constant makes no node: it is not a parent, and
-the vjp gives gradients for the parents only. An op whose operands are all
-constants still returns a `Tensor`, one without parents. To evaluate without
-building a graph, run the ops under `no_grad()`. Image ops (`conv2d`,
-`upsample_conv2d`) take (N, C, H, W) batches; one image is a batch of one.
+read by value as float64 (`value_of`). A constant makes no node: it is not a
+parent, and the vjp gives gradients for the parents only. An op whose
+operands are all constants still returns a `Tensor`, one without parents.
+To evaluate without building a graph, run the ops under `no_grad()`. Image
+ops (`conv2d`, `upsample_conv2d`) take (N, C, H, W) batches; one image is a
+batch of one. An op outside this module is built the same way, from its
+value, its operands and a hand-written vjp (`node`); the losses are.
+
+Each node costs a fixed amount of Python work, so the layers are fused
+ops: `affine` is x @ w + b, and `affine`, `conv2d` and `upsample_conv2d`
+take an activation (`act="tanh"` or `"sigmoid"`) whose vjp scales `g` by
+the derivative before the linear vjp. A fused op computes the same floats
+in the same order as the composition of the small ops it replaces, so its
+value and gradients are bit-identical to theirs.
 
 Everything is float64. Every node raises on a non-finite value, so a NaN is
-caught where it appears instead of poisoning the whole step. A non-finite
-constant is caught by the node that reads it, wherever it makes that node's
-value non-finite (a finite value divided by an infinite constant gives 0).
+caught where it appears instead of poisoning the whole step; a fused
+activation checks its pre-activation too, so that an overflow is not
+squashed to a finite value. A non-finite constant is caught by the node that
+reads it, wherever it makes that node's value non-finite (a finite value
+divided by an infinite constant gives 0).
 """
 
 import contextlib
-import math
 
 import numpy as np
 
@@ -37,6 +47,18 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _all_finite(v):
+    """Whether every entry of float64 array `v` is finite.
+
+    `np.isfinite` classifies the entries without arithmetic, so it sets no
+    floating-point flag and warns or raises under no `np.errstate` or
+    warnings filter. A finite sum of the entries would prove the same, but
+    the sum can overflow on finite entries, and guarding it with
+    `np.errstate` costs more per call than this check.
+    """
+    return bool(np.isfinite(v).all())
+
+
 class Tensor:
     """Array node of the computation graph."""
 
@@ -46,10 +68,8 @@ class Tensor:
     __array_ufunc__ = None
 
     def __init__(self, value, requires_grad=False, _parents=(), _vjp=None):
-        v = self.value = np.asarray(value, dtype=np.float64)
-        # a finite sum proves every entry finite; finite entries can still
-        # overflow the sum, so only then are the entries checked one by one
-        if not math.isfinite(np.add.reduce(v, axis=None)) and not np.isfinite(v).all():
+        self.value = np.asarray(value, dtype=np.float64)
+        if not _all_finite(self.value):
             raise FloatingPointError("non-finite values entering the graph")
         self.grad = None
         rg = bool(requires_grad)
@@ -88,15 +108,15 @@ class Tensor:
                 raise ValueError("backward() without seed needs a scalar output")
             seed = np.ones_like(self.value)
         order = _toposort(self)
-        for node in order:
-            if node._parents:
-                node.grad = None
+        for t in order:
+            if t._parents:
+                t.grad = None
         self.grad = np.asarray(seed, dtype=np.float64)
-        for node in reversed(order):
-            if node._vjp is None or node.grad is None:
+        for t in reversed(order):
+            if t._vjp is None or t.grad is None:
                 continue
-            grads = node._vjp(node.grad)
-            for parent, g in zip(node._parents, grads):
+            grads = t._vjp(t.grad)
+            for parent, g in zip(t._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
@@ -140,21 +160,21 @@ def _toposort(root):
     order, visited = [], set()
     stack = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        t, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(t)
             continue
-        if id(node) in visited:
+        if id(t) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
+        visited.add(id(t))
+        stack.append((t, True))
+        for p in t._parents:
             if id(p) not in visited:
                 stack.append((p, False))
     return order
 
 
-def _value(x):
+def value_of(x):
     """An operand's array: a `Tensor`'s value, or a constant as float64."""
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
@@ -163,8 +183,9 @@ def _needs_grad(x):
     return isinstance(x, Tensor) and x.requires_grad
 
 
-def _node(value, operands, vjp):
-    """The node of `value`, computed from `operands`.
+def node(value, operands, vjp):
+    """The node of `value`, computed from `operands`: how every op makes its
+    node.
 
     `vjp` maps the output gradient to one gradient per operand, None for an
     operand that needs none (`_needs_grad`). The `Tensor` operands become
@@ -198,30 +219,30 @@ def _unbroadcast(grad, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    return _node(_value(a) + _value(b), (a, b), lambda g: (
+    return node(value_of(a) + value_of(b), (a, b), lambda g: (
         _unbroadcast(g, a.value.shape) if _needs_grad(a) else None,
         _unbroadcast(g, b.value.shape) if _needs_grad(b) else None,
     ))
 
 
 def sub(a, b):
-    return _node(_value(a) - _value(b), (a, b), lambda g: (
+    return node(value_of(a) - value_of(b), (a, b), lambda g: (
         _unbroadcast(g, a.value.shape) if _needs_grad(a) else None,
         _unbroadcast(-g, b.value.shape) if _needs_grad(b) else None,
     ))
 
 
 def mul(a, b):
-    av, bv = _value(a), _value(b)
-    return _node(av * bv, (a, b), lambda g: (
+    av, bv = value_of(a), value_of(b)
+    return node(av * bv, (a, b), lambda g: (
         _unbroadcast(g * bv, av.shape) if _needs_grad(a) else None,
         _unbroadcast(g * av, bv.shape) if _needs_grad(b) else None,
     ))
 
 
 def div(a, b):
-    av, bv = _value(a), _value(b)
-    return _node(av / bv, (a, b), lambda g: (
+    av, bv = value_of(a), value_of(b)
+    return node(av / bv, (a, b), lambda g: (
         _unbroadcast(g / bv, av.shape) if _needs_grad(a) else None,
         _unbroadcast(-g * av / (bv * bv), bv.shape) if _needs_grad(b) else None,
     ))
@@ -229,43 +250,72 @@ def div(a, b):
 
 def power(a, p):
     """Elementwise a**p for a constant scalar exponent."""
-    av, p = _value(a), float(p)
+    av, p = value_of(a), float(p)
     if p == 0.0:
-        return _node(np.ones_like(av), (a,), lambda g: (np.zeros_like(av),))
-    return _node(av**p, (a,), lambda g: (g * p * av ** (p - 1.0),))
+        return node(np.ones_like(av), (a,), lambda g: (np.zeros_like(av),))
+    return node(av**p, (a,), lambda g: (g * p * av ** (p - 1.0),))
 
 
 def exp(a):
-    val = np.exp(_value(a))
-    return _node(val, (a,), lambda g: (g * val,))
+    val = np.exp(value_of(a))
+    return node(val, (a,), lambda g: (g * val,))
 
 
 def log(a):
-    av = _value(a)
-    return _node(np.log(av), (a,), lambda g: (g / av,))
+    av = value_of(a)
+    return node(np.log(av), (a,), lambda g: (g / av,))
+
+
+def _tanh(v):
+    val = np.tanh(v)
+    return val, lambda g: g * (1.0 - val * val)
+
+
+def _sigmoid(v):
+    val = 1.0 / (1.0 + np.exp(-v))
+    return val, lambda g: g * val * (1.0 - val)
+
+
+# activation name -> f(pre) giving the activated array and the map from an
+# output gradient to the pre-activation gradient
+_ACTIVATIONS = {"tanh": _tanh, "sigmoid": _sigmoid}
 
 
 def tanh(a):
-    val = np.tanh(_value(a))
-    return _node(val, (a,), lambda g: (g * (1.0 - val * val),))
+    val, back = _tanh(value_of(a))
+    return node(val, (a,), lambda g: (back(g),))
 
 
 def sigmoid(a):
-    val = 1.0 / (1.0 + np.exp(-_value(a)))
-    return _node(val, (a,), lambda g: (g * val * (1.0 - val),))
+    val, back = _sigmoid(value_of(a))
+    return node(val, (a,), lambda g: (back(g),))
+
+
+def _activate(pre, act):
+    """The epilogue of a fused op: `act` (None, "tanh" or "sigmoid") of the
+    pre-activation array, and the map from an output gradient to the
+    pre-activation gradient (None without an activation). A non-finite
+    pre-activation raises here, before the activation can squash it."""
+    if act is None:
+        return pre, None
+    if act not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {act!r}")
+    if not _all_finite(pre):
+        raise FloatingPointError("non-finite pre-activation")
+    return _ACTIVATIONS[act](pre)
 
 
 def absolute(a):
     """|a| with sign subgradient (0 at the kink)."""
-    av = _value(a)
-    return _node(np.abs(av), (a,), lambda g: (g * np.sign(av),))
+    av = value_of(a)
+    return node(np.abs(av), (a,), lambda g: (g * np.sign(av),))
 
 
 def clip(a, lo, hi):
     """Clamp to [lo, hi]; gradient is passed only strictly inside the interval."""
-    av = _value(a)
+    av = value_of(a)
     inside = (av > lo) & (av < hi)
-    return _node(np.clip(av, lo, hi), (a,), lambda g: (g * inside,))
+    return node(np.clip(av, lo, hi), (a,), lambda g: (g * inside,))
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +323,20 @@ def clip(a, lo, hi):
 # ---------------------------------------------------------------------------
 
 def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
-    av = _value(a)
+    av = value_of(a)
 
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, av.shape).copy(),)
 
-    return _node(np.sum(av, axis=axis, keepdims=keepdims), (a,), vjp)
+    return node(np.sum(av, axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def mean(a, axis=None, keepdims=False):
     """Mean over `axis` as one node: `sum` then division by the count, the
     vjp broadcasting `g / n` back."""
-    av = _value(a)
+    av = value_of(a)
     if axis is None:
         n = av.size
     else:
@@ -302,64 +352,64 @@ def mean(a, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, av.shape).copy(),)
 
-    return _node(np.sum(av, axis=axis, keepdims=keepdims) / n, (a,), vjp)
+    return node(np.sum(av, axis=axis, keepdims=keepdims) / n, (a,), vjp)
 
 
 def reshape(a, shape):
-    av = _value(a)
-    return _node(av.reshape(shape), (a,), lambda g: (g.reshape(av.shape),))
+    av = value_of(a)
+    return node(av.reshape(shape), (a,), lambda g: (g.reshape(av.shape),))
 
 
 def transpose(a, axes=None):
     """Permute the axes as `np.transpose` does (reversed by default)."""
     back = None if axes is None else tuple(np.argsort(axes))
-    return _node(np.transpose(_value(a), axes), (a,),
+    return node(np.transpose(value_of(a), axes), (a,),
                  lambda g: (np.transpose(g, back),))
 
 
 def concat(parts, axis=0):
-    values = [_value(p) for p in parts]
+    values = [value_of(p) for p in parts]
     splits = np.cumsum([v.shape[axis] for v in values])[:-1]
 
     def vjp(g):
         return tuple(np.ascontiguousarray(piece) if _needs_grad(p) else None
                      for p, piece in zip(parts, np.split(g, splits, axis=axis)))
 
-    return _node(np.concatenate(values, axis=axis), parts, vjp)
+    return node(np.concatenate(values, axis=axis), parts, vjp)
 
 
 def stack(parts):
     """Stack equal-shape operands along a new leading axis."""
-    return _node(np.stack([_value(p) for p in parts]), parts,
+    return node(np.stack([value_of(p) for p in parts]), parts,
                  lambda g: tuple(g[i] for i in range(len(parts))))
 
 
 def take_rows(a, idx):
     """Select rows of a 2-D operand by integer index array."""
-    av, idx = _value(a), np.asarray(idx, dtype=np.int64)
+    av, idx = value_of(a), np.asarray(idx, dtype=np.int64)
 
     def vjp(g):
         out = np.zeros_like(av)
         np.add.at(out, idx, g)
         return (out,)
 
-    return _node(av[idx], (a,), vjp)
+    return node(av[idx], (a,), vjp)
 
 
 def crop(a, y0, y1, x0, x1):
     """Spatial crop of a (C, H, W) operand."""
-    av = _value(a)
+    av = value_of(a)
 
     def vjp(g):
         out = np.zeros_like(av)
         out[:, y0:y1, x0:x1] = g
         return (out,)
 
-    return _node(av[:, y0:y1, x0:x1], (a,), vjp)
+    return node(av[:, y0:y1, x0:x1], (a,), vjp)
 
 
 def matmul(a, b):
-    av, bv = _value(a), _value(b)
+    av, bv = value_of(a), value_of(b)
 
     def vjp(g):
         # a 1-D left operand is a (1, D) row and a 1-D right operand a (D, 1)
@@ -372,7 +422,30 @@ def matmul(a, b):
             (a2.T @ g).reshape(bv.shape) if _needs_grad(b) else None,
         )
 
-    return _node(av @ bv, (a, b), vjp)
+    return node(av @ bv, (a, b), vjp)
+
+
+def affine(x, w, b, act=None):
+    """`act` (None, "tanh" or "sigmoid") of x @ w + b as one node: `matmul`
+    then `add`, for (D,) or (P, D) rows `x`, a (D, O) `w` and an (O,) `b`.
+    The vjp scales `g` by the activation's derivative, then gives the
+    matmul's and the add's gradients."""
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
+    val, back = _activate(xv @ wv + bv, act)
+
+    def vjp(g):
+        if back is not None:
+            g = back(g)
+        # a (D,) `x` is one (1, D) row; (P, D) rows pass through unchanged
+        x2 = xv.reshape(-1, xv.shape[-1])
+        g2 = g.reshape(x2.shape[0], wv.shape[1])
+        return (
+            (g2 @ wv.T).reshape(xv.shape) if _needs_grad(x) else None,
+            x2.T @ g2 if _needs_grad(w) else None,
+            _unbroadcast(g, bv.shape) if _needs_grad(b) else None,
+        )
+
+    return node(val, (x, w, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +510,28 @@ def _conv_input_grad(g, wv, stride, pad, h, w):
     return dx
 
 
-def conv2d(x, w, b, stride=1, pad=1):
-    """2-D convolution of an (N, C, H, W) batch, giving (N, O, oh, ow).
+def conv2d(x, w, b, stride=1, pad=1, act=None):
+    """2-D convolution of an (N, C, H, W) batch, giving (N, O, oh, ow), with
+    an optional activation `act` ("tanh" or "sigmoid") of its output.
 
     The kernel is shared, (O, C, kh, kw) with an (O,) bias, or one per
-    image, an (N, O, C, kh, kw) stack with (N, O) biases. Both take one code
-    path: the batch is an image-major (N, C*kh*kw, oh*ow) patch stack
-    (`_im2col`), the forward one `np.matmul` of the (1 or N, O, C*kh*kw)
-    kernels with it, broadcast over the images, whose (N, O, oh*ow) result
-    is already in output order. The vjp reads `g` as (N, O, oh*ow) the same
-    way; the weight and bias gradients are summed over the images for a
-    shared kernel. The input gradient is a transposed convolution
+    image: an (N, O, C, kh, kw) stack with (N, O) biases, or a sequence of N
+    (O, C, kh, kw) kernels with a sequence of N (O,) biases, each its own
+    operand. All take one code path: the batch is an image-major
+    (N, C*kh*kw, oh*ow) patch stack (`_im2col`), the forward one `np.matmul`
+    of the (1 or N, O, C*kh*kw) kernels with it, broadcast over the images,
+    whose (N, O, oh*ow) result is already in output order. The vjp scales
+    `g` by the activation's derivative, then reads it as (N, O, oh*ow) the
+    same way; the weight and bias gradients are summed over the images for
+    a shared kernel. The input gradient is a transposed convolution
     (`_conv_input_grad`), computed only when `x` requires grad.
     """
-    xv, wv, bv = _value(x), _value(w), _value(b)
+    per_image = isinstance(w, (list, tuple))
+    xv = value_of(x)
+    if per_image:
+        wv, bv = np.stack([value_of(k) for k in w]), np.stack([value_of(k) for k in b])
+    else:
+        wv, bv = value_of(w), value_of(b)
     o, c, kh, kw = wv.shape[-4:]
     if xv.ndim != 4:
         raise ValueError(f"conv2d takes an (N, C, H, W) batch, not shape {xv.shape}")
@@ -465,10 +546,12 @@ def conv2d(x, w, b, stride=1, pad=1):
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
     cols = _im2col(xp, kh, kw, stride, oh, ow)
-    out = (np.matmul(wv.reshape(-1, o, c * kh * kw), cols)
-           + bv.reshape(-1, o, 1)).reshape(n, o, oh, ow)
+    out, back = _activate((np.matmul(wv.reshape(-1, o, c * kh * kw), cols)
+                           + bv.reshape(-1, o, 1)).reshape(n, o, oh, ow), act)
 
     def vjp(g):
+        if back is not None:
+            g = back(g)
         gb = g.reshape(n, o, oh * ow)
         dw = np.matmul(gb, cols.transpose(0, 2, 1))
         db = gb.sum(axis=2)
@@ -476,20 +559,22 @@ def conv2d(x, w, b, stride=1, pad=1):
             dw, db = dw.sum(axis=0), db.sum(axis=0)
         dx = (_conv_input_grad(gb.reshape(n, o, oh, ow), wv, stride, pad, h, wd)
               if _needs_grad(x) else None)
+        if per_image:
+            return (dx, *dw.reshape(wv.shape), *db)
         return (dx, dw.reshape(wv.shape), db)
 
-    return _node(out, (x, w, b), vjp)
+    return node(out, (x, *w, *b) if per_image else (x, w, b), vjp)
 
 
 def upsample2x(a):
     """Nearest-neighbour 2x upsampling of the last two axes."""
-    av = _value(a)
+    av = value_of(a)
     *lead, h, w = av.shape
 
     def vjp(g):
         return (g.reshape(*lead, h, 2, w, 2).sum(axis=(-3, -1)),)
 
-    return _node(av.repeat(2, axis=-2).repeat(2, axis=-1), (a,), vjp)
+    return node(av.repeat(2, axis=-2).repeat(2, axis=-1), (a,), vjp)
 
 
 def _upsample_taps():
@@ -523,10 +608,10 @@ def _tap_windows(a, n, h, w):
                        so, hp * wp * s1, wp * s1, s1))
 
 
-def upsample_conv2d(x, w, b):
+def upsample_conv2d(x, w, b, act=None):
     """3x3 stride-1 pad-1 convolution with (O, C, 3, 3) kernels `w` of the
     nearest 2x upsampling of an (N, C, H, W) batch, giving (N, O, 2H, 2W);
-    equal to `conv2d(upsample2x(x), w, b)`.
+    equal to `conv2d(upsample2x(x), w, b, act=act)`.
 
     It runs at input resolution with only the taps that reach each output
     phase: the output at rows 2y+i and columns 2x+j sums four taps (a, b),
@@ -537,9 +622,9 @@ def upsample_conv2d(x, w, b):
     sums its four taps' products at their shifts (`_tap_windows`). The vjp
     scatters the phase gradients to those shifts once and takes the weight
     gradient and, only when `x` requires grad, the input gradient as one
-    GEMM each.
+    GEMM each, after scaling `g` by the activation's derivative.
     """
-    xv, wv, bv = _value(x), _value(w), _value(b)
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
     o, c, kh, kw = wv.shape
     if (kh, kw) != (3, 3):
         raise ValueError("upsample_conv2d needs 3x3 kernels")
@@ -553,9 +638,12 @@ def upsample_conv2d(x, w, b):
     taps = (kern @ grid).reshape(16, o, -1)
     # (i, j, O, n, y, x) -> (n, O, 2y+i, 2x+j)
     phases = _tap_windows(taps, n, h, wd).sum(axis=(2, 3)) + bv[:, None, None, None]
-    out = phases.transpose(3, 2, 4, 0, 5, 1).reshape(n, o, 2 * h, 2 * wd)
+    out, back = _activate(phases.transpose(3, 2, 4, 0, 5, 1).reshape(n, o, 2 * h, 2 * wd),
+                          act)
 
     def vjp(g):
+        if back is not None:
+            g = back(g)
         # (n, O, 2y+i, 2x+j) -> (i, j, O, n, y, x)
         gph = g.reshape(n, o, h, 2, wd, 2).transpose(3, 5, 1, 0, 2, 4)
         db = gph.sum(axis=(0, 1, 3, 4, 5))
@@ -569,19 +657,19 @@ def upsample_conv2d(x, w, b):
         dgrid = (kern.T @ gtaps).reshape(c, n, h + 2, wd + 2)
         return (dgrid[:, :, 1 : h + 1, 1 : wd + 1].transpose(1, 0, 2, 3), dw, db)
 
-    return _node(out, (x, w, b), vjp)
+    return node(out, (x, w, b), vjp)
 
 
 def grl(a, lam):
     """Gradient reversal: identity forward, upstream gradient times -lam backward."""
     lam = float(lam)
-    return _node(_value(a), (a,), lambda g: (-lam * g,))
+    return node(value_of(a), (a,), lambda g: (-lam * g,))
 
 
 def softmax_cross_entropy(logits, labels):
     """Mean softmax cross-entropy of (N, C) logits against integer labels."""
     labels = np.asarray(labels, dtype=np.int64)
-    lv = _value(logits)
+    lv = value_of(logits)
     n = lv.shape[0]
     if labels.shape[0] != n:
         raise ValueError("labels length does not match logits rows")
@@ -595,12 +683,12 @@ def softmax_cross_entropy(logits, labels):
         d[np.arange(n), labels] -= 1.0
         return (g * d / n,)
 
-    return _node(val, (logits,), vjp)
+    return node(val, (logits,), vjp)
 
 
 def smooth_l1(pred, target):
     """Huber-style loss: sum over coords, mean over rows of (N, D) operands."""
-    pv, tv = _value(pred), _value(target)
+    pv, tv = value_of(pred), value_of(target)
     if pv.shape != tv.shape:
         raise ValueError("smooth_l1 shape mismatch")
     n = pv.shape[0]
@@ -612,7 +700,7 @@ def smooth_l1(pred, target):
         dp = g * np.where(ad < 1.0, d, np.sign(d)) / n
         return (dp, -dp)
 
-    return _node(np.float64(elem.sum() / n), (pred, target), vjp)
+    return node(np.float64(elem.sum() / n), (pred, target), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Loss suite for the two-domain feature separation / alignment objective.
 
-All functions are pure and written against the ops in `autodiff`: an input
-is a graph tensor or a constant numpy array, and each loss is a scalar
-`Tensor` node. `total_objective` adds up whatever terms it is given.
+All functions are pure: an input is a graph tensor or a constant numpy
+array, and each loss is one scalar `Tensor` node (`autodiff.node`) whose
+hand-written vjp repeats, in the same order, the float operations of the
+composition of `autodiff` ops that defines it, so its value and gradients
+are those of that composition bit for bit. `total_objective` adds up
+whatever terms it is given.
 
 Conventions: a domain loss takes one training step's (2, ...) pair, the
 source image first and the target image second, and adds the two images'
@@ -61,12 +64,6 @@ def global_pool(f):
     return ad.mean(f, axis=(-2, -1))
 
 
-def _per_image(a):
-    """(N,) sums of an (N, ...) array over everything but the batch axis."""
-    nd = len(np.shape(a))
-    return ad.sum(a, axis=tuple(range(1, nd))) if nd > 1 else a
-
-
 def difference_loss(priv, shared):
     """Orthogonality penalty between private and shared pooled features.
 
@@ -75,11 +72,24 @@ def difference_loss(priv, shared):
     two images' terms add.
     """
     _check_pair(priv, "private features")
-    gd, gf = global_pool(priv), global_pool(shared)
-    if np.shape(gd) != np.shape(gf):
+    if len(np.shape(priv)) != 4 or len(np.shape(shared)) != 4:
+        raise ValueError("expected an (N, C, H, W) batch")
+    if np.shape(priv)[:2] != np.shape(shared)[:2]:
         raise ValueError("pooled channel counts differ between streams")
-    inner = _per_image(gd * gf)
-    return ad.sum(inner * inner)
+    dv, fv = ad.value_of(priv), ad.value_of(shared)
+    nd, nf = float(dv.shape[-2] * dv.shape[-1]), float(fv.shape[-2] * fv.shape[-1])
+    gd = np.sum(dv, axis=(-2, -1)) / nd
+    gf = np.sum(fv, axis=(-2, -1)) / nf
+    inner = np.sum(gd * gf, axis=(1,))
+
+    def vjp(g):
+        # inner * inner gives each of its two operands the gradient t
+        t = np.broadcast_to(g, inner.shape) * inner
+        dprod = np.broadcast_to((t + t)[:, None], gd.shape)
+        return (np.broadcast_to((dprod * gf / nd)[..., None, None], dv.shape).copy(),
+                np.broadcast_to((dprod * gd / nf)[..., None, None], fv.shape).copy())
+
+    return ad.node(np.sum(inner * inner), (priv, shared), vjp)
 
 
 def reconstruction_loss(originals, reconstructions, normalize=False):
@@ -93,14 +103,15 @@ def reconstruction_loss(originals, reconstructions, normalize=False):
     shape = np.shape(originals)
     if shape != np.shape(reconstructions):
         raise ValueError("paired maps must share a shape")
-    w = 1.0 / math.prod(shape[1:]) if normalize else 1.0
-    return ad.matmul(_per_image(ad.absolute(originals - reconstructions)), np.full(2, w))
+    w = np.full(2, 1.0 / math.prod(shape[1:]) if normalize else 1.0)
+    diff = ad.value_of(originals) - ad.value_of(reconstructions)
+    axes = tuple(range(1, len(shape)))
 
+    def vjp(g):
+        d = np.broadcast_to(np.expand_dims(g * w, axes), shape) * np.sign(diff)
+        return (d, -d)
 
-def focal_source_term(p, gamma):
-    """-(1-p)^gamma * log(p) for a source-domain probability p."""
-    pc = ad.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return -(ad.power(1.0 - pc, gamma) * ad.log(pc))
+    return ad.node(np.sum(np.abs(diff), axis=axes) @ w, (originals, reconstructions), vjp)
 
 
 def region_instance_loss(probs, groups_per_image, gamma):
@@ -109,17 +120,30 @@ def region_instance_loss(probs, groups_per_image, gamma):
     `probs` holds the region classifier's source probabilities of every
     group of the pair, the source image's groups first, and
     `groups_per_image` the two images' group counts. A row's focal term is
-    the source term of the probability of its own domain. Each image
-    averages over its groups, and the two images' losses are averaged.
+    -(1 - p)^gamma * log(p) of the probability p of its own domain (p for a
+    source row, 1 - p for a target row), clamped to [1e-7, 1 - 1e-7]; the
+    clamp passes no gradient. Each image averages over its groups, and the
+    two images' losses are averaged.
     """
     _check_pair(groups_per_image, "groups_per_image")
     counts = np.asarray(groups_per_image)
     if (counts < 1).any() or counts.sum() != np.size(probs):
         raise ValueError("an image contributed no group probabilities")
     row_domain = np.repeat([0, 1], counts)
-    # the probability of each row's own domain: p for source, 1 - p for target
-    own = row_domain + (1.0 - 2.0 * row_domain) * probs
-    return ad.matmul(focal_source_term(own, gamma), np.repeat(0.5 / counts, counts))
+    sign = 1.0 - 2.0 * row_domain
+    own = row_domain + sign * ad.value_of(probs)
+    pc = np.clip(own, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    inside = (own > PROB_CLAMP) & (own < 1.0 - PROB_CLAMP)
+    q, p = 1.0 - pc, float(gamma)
+    qp, logp = (np.ones_like(q) if p == 0.0 else q**p), np.log(pc)
+    w = np.repeat(0.5 / counts, counts)
+
+    def vjp(g):
+        dterm = -(g * w)
+        dq = np.zeros_like(q) if p == 0.0 else dterm * logp * p * q ** (p - 1.0)
+        return ((-dq + dterm * qp / pc) * inside * sign,)
+
+    return ad.node(-(qp * logp) @ w, (probs,), vjp)
 
 
 def local_adv_loss(p):
@@ -129,9 +153,18 @@ def local_adv_loss(p):
     images' terms add. A per-location map is (2, 1, H, W); a pooled
     (image-level) classifier's (2,) probabilities are one location each."""
     _check_pair(p, "domain probabilities")
-    shape = np.shape(p)
-    err = p - np.array([0.0, 1.0]).reshape((2,) + (1,) * (len(shape) - 1))
-    return ad.matmul(_per_image(err * err), np.full(2, 1.0 / math.prod(shape[1:])))
+    pv = ad.value_of(p)
+    per_image = (2,) + (1,) * (pv.ndim - 1)
+    err = pv - np.array([0.0, 1.0]).reshape(per_image)
+    axes = tuple(range(1, pv.ndim))
+    w = np.full(2, 1.0 / math.prod(pv.shape[1:]))
+
+    def vjp(g):
+        # err * err gives each of its two operands the gradient t
+        t = np.broadcast_to((g * w).reshape(per_image), pv.shape) * err
+        return (t + t,)
+
+    return ad.node(np.sum(err * err, axis=axes) @ w, (p,), vjp)
 
 
 def total_objective(l_c, l_r, l_rec, l_diff, l_lg, l_ri, w):

@@ -20,8 +20,12 @@ output row and column parity sees only the 2x2 source taps that reach it,
 so the upsampled map is never built and no multiply-add hits a structural
 zero. The parameters keep their plain (O, C, 3, 3) kernel shapes.
 
-Everything is built on the minimal autodiff engine; adversarial branches are
-wired through gradient reversal by the trainer.
+Each layer is one graph node: a convolution or affine map with its tanh or
+sigmoid activation is one `ad.conv2d`, `ad.upsample_conv2d` or `ad.affine`
+call (`act=`), and the private encoders pass each domain's kernel and bias
+to their `ad.conv2d` as its own operand. Everything is built on the minimal
+autodiff engine; adversarial branches are wired through gradient reversal
+by the trainer.
 """
 
 import math
@@ -76,21 +80,24 @@ class Conv2d:
         self.stride = stride
         self.pad = pad
 
-    def __call__(self, x):
-        return ad.conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+    def __call__(self, x, act=None):
+        return ad.conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad, act=act)
 
     def params(self):
         return [("w", self.w), ("b", self.b)]
 
 
 class Affine:
+    """x @ w + b with an optional activation of the result, one
+    `ad.affine` node, for (D,) or (P, D) rows `x`."""
+
     def __init__(self, din, dout, rng):
         std = math.sqrt(1.0 / din)
         self.w = ad.parameter(rng.normal(0.0, std, size=(din, dout)))
         self.b = ad.parameter(np.zeros(dout))
 
-    def __call__(self, x):
-        return ad.matmul(x, self.w) + self.b
+    def __call__(self, x, act=None):
+        return ad.affine(x, self.w, self.b, act=act)
 
     def params(self):
         return [("w", self.w), ("b", self.b)]
@@ -239,20 +246,19 @@ class SeparationNet:
                 or shape[2] % STRIDE or shape[3] % STRIDE):
             raise ValueError("images must be an (N, 3, H, W) batch with H, W "
                              "divisible by 8")
-        f1 = ad.tanh(self.f1_conv(img))
-        f2 = ad.tanh(self.f2_conv(f1))
-        f3 = ad.tanh(self.f3_conv(f2))
+        f1 = self.f1_conv(img, act="tanh")
+        f2 = self.f2_conv(f1, act="tanh")
+        f3 = self.f3_conv(f2, act="tanh")
         return f1, f2, f3
 
     def encode_private(self, gray):
         """Private distractive-feature encoders over the (2, 1, H, W)
         source/target grayscale pair: image 0 runs through `enc_s`, image 1
-        through `enc_t`. Each layer is one `ad.conv2d` of the pair with the
-        two domains' kernels stacked per image."""
+        through `enc_t`. Each layer is one `ad.conv2d` of the pair that takes
+        each image's kernel and bias as its own operand."""
         h = gray
         for cs, ct in zip(self.enc_s, self.enc_t):
-            h = ad.tanh(ad.conv2d(h, ad.stack([cs.w, ct.w]), ad.stack([cs.b, ct.b]),
-                                  cs.stride, cs.pad))
+            h = ad.conv2d(h, (cs.w, ct.w), (cs.b, ct.b), cs.stride, cs.pad, act="tanh")
         return h
 
     def reconstruct(self, d, f3):
@@ -263,22 +269,22 @@ class SeparationNet:
             raise ValueError("private and shared maps must be batches that align "
                              "spatially")
         h = ad.concat([d, f3], axis=1)
-        h = ad.tanh(ad.upsample_conv2d(h, self.dec[0].w, self.dec[0].b))
-        h = ad.tanh(ad.upsample_conv2d(h, self.dec[1].w, self.dec[1].b))
+        h = ad.upsample_conv2d(h, self.dec[0].w, self.dec[0].b, act="tanh")
+        h = ad.upsample_conv2d(h, self.dec[1].w, self.dec[1].b, act="tanh")
         return ad.upsample_conv2d(h, self.dec[2].w, self.dec[2].b)
 
     def local_domain(self, f1):
         """Per-location domain probability map over f1 plus the pooled
         hidden activation used as the local context vector."""
         h = self.d1_hidden(f1)
-        pmap = ad.sigmoid(self.d1_out(h))
+        pmap = self.d1_out(h, act="sigmoid")
         return pmap, ad.mean(h, axis=(-2, -1))
 
     def _pooled_domain(self, f, hidden, out):
         """Image-level domain probability of a pooled map, () per image,
         plus the hidden activation used as the context vector."""
         h = hidden(self.spec.domain_head_gain * ad.mean(f, axis=(-2, -1)))
-        p = ad.sigmoid(out(h))
+        p = out(h, act="sigmoid")
         return ad.reshape(p, p.shape[:-1]), h
 
     def mid_domain(self, f2):
@@ -292,13 +298,13 @@ class SeparationNet:
         if len(np.shape(fused)) != 2:
             raise ValueError(f"region_domain takes (G, D) rows, not shape "
                              f"{np.shape(fused)}")
-        h = ad.tanh(self.dri_hidden(self.spec.domain_head_gain * fused))
-        return ad.reshape(ad.sigmoid(self.dri_out(h)), (-1,))
+        h = self.dri_hidden(self.spec.domain_head_gain * fused, act="tanh")
+        return ad.reshape(self.dri_out(h, act="sigmoid"), (-1,))
 
     def detector_head(self, roi_features):
         """(P, C) crop-pooled features -> (P, num_classes+1) logits and
         (P, 4) box deltas."""
-        h = ad.tanh(self.head_hidden(roi_features))
+        h = self.head_hidden(roi_features, act="tanh")
         return self.head_cls(h), self.head_box(h)
 
 

@@ -1,4 +1,5 @@
 import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -544,6 +545,116 @@ class TestPhaseOps:
             ad.upsample_conv2d(np.ones((2, 2, 2)), np.ones((1, 2, 3, 3)), np.zeros(1))
 
 
+ACTIVATIONS = {None: lambda t: t, "tanh": ad.tanh, "sigmoid": ad.sigmoid}
+
+
+def _fused_operands(values, kinds):
+    """One call's operands: per `kinds` entry, "grad" a `Tensor` that
+    requires grad, "fixed" one that does not, "const" the plain array."""
+    make = {"grad": lambda v: ad.Tensor(v, requires_grad=True), "fixed": ad.Tensor,
+            "const": lambda v: v}
+    return [make[k](v) for v, k in zip(values, kinds)]
+
+
+def assert_fused_matches(fused, composed, values, kinds):
+    """`fused(*operands)` is one node whose parents are the `Tensor`
+    operands, and its value and every gradient equal those of
+    `composed(*operands)`, the op composition it replaces, bit for bit."""
+    got_args, want_args = _fused_operands(values, kinds), _fused_operands(values, kinds)
+    got, want = fused(*got_args), composed(*want_args)
+    if got.requires_grad:
+        assert got._parents == tuple(a for a in got_args if isinstance(a, ad.Tensor))
+    assert got.value.tobytes() == want.value.tobytes()
+    g = np.random.default_rng(len(values)).normal(size=got.shape)
+    got.backward(g)
+    want.backward(g)
+    for a, b in zip(got_args, want_args):
+        if isinstance(a, ad.Tensor) and a.requires_grad:
+            assert a.grad.shape == b.grad.shape
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+
+KINDS = [("grad", "grad", "grad"), ("fixed", "grad", "grad"), ("const", "grad", "grad"),
+         ("grad", "const", "const")]
+
+
+class TestFusedOps:
+    """`affine`, `conv2d` and `upsample_conv2d` with an activation, and
+    `conv2d` with per-image kernel operands, against the op compositions
+    they replace."""
+
+    @pytest.mark.parametrize("act", [None, "tanh", "sigmoid"])
+    @pytest.mark.parametrize("kinds", KINDS)
+    @pytest.mark.parametrize("x_shape", [(5, 4), (4,)])
+    def test_affine(self, act, kinds, x_shape):
+        rng = np.random.default_rng(21)
+        values = [rng.normal(size=x_shape), rng.normal(size=(4, 3)), rng.normal(size=3)]
+        assert_fused_matches(lambda x, w, b: ad.affine(x, w, b, act=act),
+                             lambda x, w, b: ACTIVATIONS[act](ad.matmul(x, w) + b),
+                             values, kinds)
+
+    @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+    @pytest.mark.parametrize("kinds", KINDS)
+    @pytest.mark.parametrize("stride, pad, k", [(1, 1, 3), (2, 1, 3), (1, 0, 1)])
+    def test_conv2d(self, act, kinds, stride, pad, k):
+        rng = np.random.default_rng(22)
+        values = [rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(4, 3, k, k)),
+                  rng.normal(size=4)]
+        assert_fused_matches(
+            lambda x, w, b: ad.conv2d(x, w, b, stride, pad, act=act),
+            lambda x, w, b: ACTIVATIONS[act](ad.conv2d(x, w, b, stride, pad)),
+            values, kinds)
+
+    @pytest.mark.parametrize("act", [None, "tanh"])
+    @pytest.mark.parametrize("x_kind", ["grad", "fixed", "const"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_per_image_kernel_operands(self, act, x_kind, stride):
+        """A sequence of each image's kernel and bias against one stacked
+        kernel operand, `ad.stack` of them."""
+        rng = np.random.default_rng(23)
+        values = [rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(4, 3, 3, 3)),
+                  rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4), rng.normal(size=4)]
+        assert_fused_matches(
+            lambda x, ws, wt, bs, bt: ad.conv2d(x, (ws, wt), [bs, bt], stride, act=act),
+            lambda x, ws, wt, bs, bt: ACTIVATIONS[act](
+                ad.conv2d(x, ad.stack([ws, wt]), ad.stack([bs, bt]), stride)),
+            values, (x_kind,) + ("grad",) * 4)
+
+    @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+    @pytest.mark.parametrize("kinds", KINDS)
+    def test_upsample_conv2d(self, act, kinds):
+        rng = np.random.default_rng(24)
+        values = [rng.normal(size=(2, 3, 3, 4)), rng.normal(size=(2, 3, 3, 3)),
+                  rng.normal(size=2)]
+        assert_fused_matches(
+            lambda x, w, b: ad.upsample_conv2d(x, w, b, act=act),
+            lambda x, w, b: ACTIVATIONS[act](ad.upsample_conv2d(x, w, b)),
+            values, kinds)
+
+    @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+    @pytest.mark.parametrize("op", ["affine", "conv2d", "upsample_conv2d"])
+    def test_non_finite_pre_activation_raises_in_the_op(self, op, act):
+        """An overflowed pre-activation raises, though the activation would
+        squash it to a finite value."""
+        x = np.full((1, 2, 4, 4), 10.0)
+        w = ad.parameter(np.full((3, 2, 3, 3), 1e307))
+        b = ad.parameter(np.zeros(3))
+        calls = {
+            "affine": lambda: ad.affine(np.full(18, 10.0), w.value.reshape(3, 18).T, b,
+                                        act=act),
+            "conv2d": lambda: ad.conv2d(x, w, b, act=act),
+            "upsample_conv2d": lambda: ad.upsample_conv2d(x, w, b, act=act),
+        }
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as err:
+            calls[op]()
+        frames = [f.name for f in traceback.extract_tb(err.value.__traceback__)]
+        assert frames[-1] == "_activate" and op in frames
+
+    def test_rejects_an_unknown_activation(self):
+        with pytest.raises(ValueError, match="activation 'relu'"):
+            ad.affine(np.ones(2), np.ones((2, 2)), np.zeros(2), act="relu")
+
+
 class TestGRL:
     def test_forward_identity_bit_exact(self):
         x = ad.Tensor(np.array([1.0, -2.5, 3e-7]), requires_grad=True)
@@ -580,6 +691,23 @@ class TestFiniteGuard:
         v[-1, -1, -1, -1] = bad
         with pytest.raises(FloatingPointError):
             ad.Tensor(v)
+
+    def test_an_overflowing_sum_of_finite_entries_neither_raises_nor_warns(self):
+        v = np.array([1e308, 1e308])
+        with np.errstate(over="raise"):
+            assert ad.Tensor(v).value.tobytes() == v.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ad.Tensor(v).value.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("bad", [[1e308, np.inf], [np.nan], [np.inf, -np.inf]])
+    def test_non_finite_entries_raise_under_any_error_setting(self, bad):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="non-finite"):
+            ad.Tensor(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                ad.Tensor(bad)
 
     def test_finite_entries_whose_sum_overflows_pass(self):
         with np.errstate(over="ignore"):

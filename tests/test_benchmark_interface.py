@@ -11,7 +11,8 @@ import os
 
 import numpy as np
 
-from fsalign import synth
+from fsalign import autodiff as ad
+from fsalign import losses, network, synth, training
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -35,3 +36,21 @@ def test_pair_corpus_centers_are_contiguous_copies():
         assert centers.flags.c_contiguous
         assert np.array_equal(centers, pset.boxes[:, :2])
         assert not np.shares_memory(centers, pset.boxes)
+
+
+def test_a_traced_step_records_each_conv_and_restores_every_name(monkeypatch):
+    """One adapted `train_step` under `tracer.instrument` completes with its
+    8 `conv2d` calls traced, and leaves every patched name as it was."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer = importlib.import_module("tracer")
+    before = [(owner, attr, owner.__dict__[attr]) for owner, attr in tracer.target_names()]
+    (source,), (target,) = training.build_training_corpus(training.gradcheck_config())
+    net = network.SeparationNet(seed=0)
+    opt = ad.SGD(net.params(), lr=1e-3)
+    spans = tracer.Tracer()
+    with tracer.instrument(spans):
+        row = training.train_step(net, source, target, losses.ObjectiveWeights(), opt)
+    assert np.isfinite(list(row.values())).all()
+    names = spans.arrays()[0]
+    assert np.count_nonzero(names == spans.name_id("autodiff.conv2d.fwd")) == 8
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in before)

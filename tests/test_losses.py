@@ -6,6 +6,44 @@ import pytest
 from fsalign import autodiff as ad
 from fsalign import losses
 
+# The op compositions each one-node domain loss replaced, kept as oracles:
+# the loss node must give their value and every gradient bit for bit
+# (`TestLossNodesMatchTheirCompositions`).
+
+
+def focal_source_term(p, gamma):
+    """-(1-p)^gamma * log(p) for a source-domain probability p."""
+    pc = ad.clip(p, losses.PROB_CLAMP, 1.0 - losses.PROB_CLAMP)
+    return -(ad.power(1.0 - pc, gamma) * ad.log(pc))
+
+
+def _per_image(a):
+    nd = len(np.shape(a))
+    return ad.sum(a, axis=tuple(range(1, nd))) if nd > 1 else a
+
+
+def composed_difference_loss(priv, shared):
+    inner = _per_image(losses.global_pool(priv) * losses.global_pool(shared))
+    return ad.sum(inner * inner)
+
+
+def composed_reconstruction_loss(originals, reconstructions, normalize=False):
+    w = 1.0 / math.prod(np.shape(originals)[1:]) if normalize else 1.0
+    return ad.matmul(_per_image(ad.absolute(originals - reconstructions)), np.full(2, w))
+
+
+def composed_region_instance_loss(probs, groups_per_image, gamma):
+    counts = np.asarray(groups_per_image)
+    row_domain = np.repeat([0, 1], counts)
+    own = row_domain + (1.0 - 2.0 * row_domain) * probs
+    return ad.matmul(focal_source_term(own, gamma), np.repeat(0.5 / counts, counts))
+
+
+def composed_local_adv_loss(p):
+    shape = np.shape(p)
+    err = p - np.array([0.0, 1.0]).reshape((2,) + (1,) * (len(shape) - 1))
+    return ad.matmul(_per_image(err * err), np.full(2, 1.0 / math.prod(shape[1:])))
+
 
 def brute_global_pool(f):
     c, h, w = f.shape
@@ -136,32 +174,32 @@ class TestReconstructionLoss:
 
 class TestFocalTerms:
     def test_gamma_zero_reduces_to_log(self):
-        assert losses.focal_source_term(0.5, 0.0).value == pytest.approx(
+        assert focal_source_term(0.5, 0.0).value == pytest.approx(
             0.6931471805599453, abs=1e-12
         )
 
     def test_confident_terms_vanish(self):
-        assert losses.focal_source_term(1.0, 5.0).value == pytest.approx(0.0, abs=1e-20)
+        assert focal_source_term(1.0, 5.0).value == pytest.approx(0.0, abs=1e-20)
 
     def test_gamma_five_frozen_value(self):
         # -(0.1)^5 * log(0.9), frozen with 50-digit arithmetic
         want = 1.0536051565782630e-06
-        assert losses.focal_source_term(0.9, 5.0).value == pytest.approx(want, rel=1e-12)
+        assert focal_source_term(0.9, 5.0).value == pytest.approx(want, rel=1e-12)
 
     def test_bce_equivalence_at_gamma_zero(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             p, q = rng.uniform(1e-6, 1 - 1e-6, size=2)
-            got = (losses.focal_source_term(p, 0.0).value
-                   + losses.focal_source_term(1 - q, 0.0).value)
+            got = (focal_source_term(p, 0.0).value
+                   + focal_source_term(1 - q, 0.0).value)
             want = -math.log(p) - math.log(1.0 - q)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         for p in rng.uniform(0, 1, size=50):
-            assert losses.focal_source_term(p, 5.0).value >= 0.0
-            assert losses.focal_source_term(1 - p, 5.0).value >= 0.0
+            assert focal_source_term(p, 5.0).value >= 0.0
+            assert focal_source_term(1 - p, 5.0).value >= 0.0
 
 
 def brute_region_instance(source_probs, target_probs, gamma):
@@ -249,6 +287,74 @@ class TestPooledAdvLoss:
         assert p.grad == pytest.approx([0.6, -0.4])
 
 
+def _operands(values, live):
+    """Fresh operands of one call: a `Tensor` that requires grad where
+    `live` says so, else the plain array."""
+    return [ad.Tensor(v, requires_grad=True) if on else v for v, on in zip(values, live)]
+
+
+def assert_node_matches_composition(loss, composed, values, live, *extra, seed=1.37):
+    """`loss` is one node whose parents are the live operands, and its value
+    and the gradient of each live operand equal those of `composed`, the op
+    composition it replaced, bit for bit."""
+    got_args, want_args = _operands(values, live), _operands(values, live)
+    got, want = loss(*got_args, *extra), composed(*want_args, *extra)
+    assert got._parents == tuple(a for a in got_args if isinstance(a, ad.Tensor))
+    assert got.value.tobytes() == want.value.tobytes()
+    if not any(live):
+        return
+    got.backward(np.asarray(seed))
+    want.backward(np.asarray(seed))
+    for g, w in zip(got_args, want_args):
+        if isinstance(g, ad.Tensor):
+            assert g.grad.shape == w.grad.shape
+            assert g.grad.tobytes() == w.grad.tobytes()
+
+
+class TestLossNodesMatchTheirCompositions:
+    @pytest.mark.parametrize("shape", [(2,), (2, 1, 5, 7), (2, 3)])
+    @pytest.mark.parametrize("live", [(True,), (False,)])
+    def test_local_adv(self, shape, live):
+        p = np.random.default_rng(len(shape)).uniform(size=shape)
+        assert_node_matches_composition(losses.local_adv_loss, composed_local_adv_loss,
+                                        [p], live)
+
+    @pytest.mark.parametrize("counts", [(1, 1), (3, 5), (6, 2)])
+    @pytest.mark.parametrize("gamma", [5.0, 0.0, 2.5])
+    @pytest.mark.parametrize("live", [(True,), (False,)])
+    def test_region_instance(self, counts, gamma, live):
+        probs = np.random.default_rng(sum(counts)).uniform(0.02, 0.98, size=sum(counts))
+        assert_node_matches_composition(losses.region_instance_loss,
+                                        composed_region_instance_loss, [probs], live,
+                                        list(counts), gamma)
+
+    @pytest.mark.parametrize("gamma", [5.0, 0.0])
+    def test_region_instance_at_and_beyond_the_clamp(self, gamma):
+        c = losses.PROB_CLAMP
+        probs = np.array([0.0, c, 1.0 - c, 1.0, c / 2, 1.0 - c / 2, -0.5,
+                          1.0, 0.0, c, 1.0 - c, 2.0, 0.5])
+        assert_node_matches_composition(losses.region_instance_loss,
+                                        composed_region_instance_loss, [probs], (True,),
+                                        [7, 6], gamma)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("live", [(False, True), (True, True), (True, False)])
+    def test_reconstruction(self, normalize, live):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 2, 1, 6, 5))
+        b[0, 0, 0] = a[0, 0, 0]  # zero differences take the sign subgradient 0
+        assert_node_matches_composition(losses.reconstruction_loss,
+                                        composed_reconstruction_loss, [a, b], live,
+                                        normalize)
+
+    @pytest.mark.parametrize("live", [(True, True), (False, True), (True, False)])
+    def test_difference(self, live):
+        rng = np.random.default_rng(6)
+        d, f = rng.normal(size=(2, 3, 4, 3)), rng.normal(size=(2, 3, 5, 3))
+        assert_node_matches_composition(losses.difference_loss, composed_difference_loss,
+                                        [d, f], live)
+
+
 class TestObjective:
     def test_all_zero(self):
         w = losses.ObjectiveWeights()
@@ -304,11 +410,11 @@ class TestDifferentiability:
 
     def test_focal_gradient(self):
         p = ad.Tensor(0.7, requires_grad=True)
-        losses.focal_source_term(p, 5.0).backward()
+        focal_source_term(p, 5.0).backward()
         eps = 1e-7
         fd = (
-            losses.focal_source_term(0.7 + eps, 5.0).value
-            - losses.focal_source_term(0.7 - eps, 5.0).value
+            focal_source_term(0.7 + eps, 5.0).value
+            - focal_source_term(0.7 - eps, 5.0).value
         ) / (2 * eps)
         assert float(p.grad) == pytest.approx(fd, rel=1e-6)
 

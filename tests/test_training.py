@@ -66,10 +66,28 @@ def test_injected_nan_raises_at_the_node():
     net.dec[1].w.value[0, 0, 0, 0] = np.nan
     with pytest.raises(training.TrainingDiverged, match="branch pair forward") as err:
         training.train_step(net, source, target, losses.ObjectiveWeights(), opt)
-    # caught where the NaN first enters a node, not at a branch output
+    # caught where the NaN first enters a node, not at a branch output: in
+    # the activation epilogue of the decoder block that reads the kernel
     cause = err.value.__cause__
     assert isinstance(cause, FloatingPointError)
-    assert traceback.extract_tb(cause.__traceback__)[-1].name == "__init__"
+    frames = [f.name for f in traceback.extract_tb(cause.__traceback__)]
+    assert frames[-1] == "_activate" and "upsample_conv2d" in frames
+
+
+@pytest.mark.parametrize("conv", [
+    lambda net: net.f1_conv, lambda net: net.enc_s[0], lambda net: net.enc_t[0],
+], ids=["backbone", "source encoder", "target encoder"])
+def test_an_overflowed_conv_raises_though_tanh_would_squash_it(conv):
+    """A kernel that overflows its conv's output to inf fails the step in
+    that conv's tanh epilogue, where tanh would give a finite 1."""
+    net, source, target = _pair_and_net()
+    opt = ad.SGD(net.params(), lr=1e-3)
+    conv(net).w.value[0] = 1e308  # every tap of one output channel
+    with np.errstate(over="ignore"), pytest.raises(
+            training.TrainingDiverged, match="branch pair forward") as err:
+        training.train_step(net, source, target, losses.ObjectiveWeights(), opt)
+    frames = [f.name for f in traceback.extract_tb(err.value.__cause__.__traceback__)]
+    assert frames[-1] == "_activate" and "conv2d" in frames
 
 
 def test_nan_in_the_detector_head_names_its_branch():
@@ -100,6 +118,28 @@ def test_a_step_makes_no_constant_nodes(monkeypatch):
     training.train_step(net, source, target, losses.ObjectiveWeights(), opt)
     assert made
     assert [t for t in made if not t._parents] == []
+
+
+@pytest.mark.parametrize("weights, nodes", [
+    (losses.ObjectiveWeights(), 57),
+    (losses.ObjectiveWeights(beta=0.0, lam=0.0), 14),
+], ids=["adapted", "source only"])
+def test_a_step_builds_a_pinned_number_of_nodes(monkeypatch, weights, nodes):
+    """The graph nodes one default `train_step` builds: each conv, affine
+    layer and domain loss with its activation or whole formula is one node."""
+    net = nw.SeparationNet(seed=0)
+    _, source, target = _pair_and_net()
+    opt = ad.SGD(net.params(), lr=1e-3)
+    made = []
+    init = ad.Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counted)
+    training.train_step(net, source, target, weights, opt)
+    assert len(made) == nodes
 
 
 def test_logged_total_uses_the_applied_lambda():
