@@ -275,17 +275,17 @@ class SeparationNet:
 
     def local_domain(self, f1):
         """Per-location domain probability map over f1 plus the pooled
-        hidden activation used as the local context vector."""
+        hidden activation, detached, used as the local context vector."""
         h = self.d1_hidden(f1)
         pmap = self.d1_out(h, act="sigmoid")
-        return pmap, ad.mean(h, axis=(-2, -1))
+        return pmap, h.value.mean(axis=(-2, -1))
 
     def _pooled_domain(self, f, hidden, out):
         """Image-level domain probability of a pooled map, () per image,
-        plus the hidden activation used as the context vector."""
+        plus the hidden activation, detached, used as the context vector."""
         h = hidden(self.spec.domain_head_gain * ad.mean(f, axis=(-2, -1)))
         p = out(h, act="sigmoid")
-        return ad.reshape(p, p.shape[:-1]), h
+        return ad.reshape(p, p.shape[:-1]), h.value
 
     def mid_domain(self, f2):
         return self._pooled_domain(f2, self.d2_hidden, self.d2_out)

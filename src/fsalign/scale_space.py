@@ -4,21 +4,18 @@ Each point is treated as a unit light source; blurring the scatter image with
 a Gaussian of scale sigma gives a density surface whose modes are cluster
 centers. Modes are tracked with mean-shift iterations while sigma grows
 geometrically (sigma_{j+1} = k * sigma_j); centers merge as the surface
-smooths out, so the cluster count K falls monotonically. The cluster count
-whose scale interval survives the longest (largest "lifetime") is selected,
-and points farther than the selected scale from every center are flagged as
-outliers.
+smooths out, so the cluster count K falls monotonically. The K with the
+longest lifetime is selected: its lifetime, the log-scale span over which it
+survives, is the number of scale steps it survives in units of log k. Points
+farther than the selected scale from every center are flagged as outliers.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 OUTLIER = -1
-
-# lifetime constant: pi(sigma) = log(sigma/epsilon) / log(1.05)
-_LIFETIME_C = 1.0 / math.log(1.05)
 
 # smallest normal float64; a row whose kernel mass falls below it is isolated
 _WEIGHT_FLOOR = float(np.finfo(np.float64).tiny)
@@ -42,9 +39,9 @@ def _check_kernel_scale(sigma0):
 class ScaleSweepConfig:
     """Knobs of the scale sweep.
 
-    `sigma0 = None` picks half the 5th percentile of the nonzero pairwise
-    point distances (clamped to >= epsilon), which starts the sweep below the
-    intra-cluster scale so every K is visited. `convergence_tol` and
+    `epsilon` is the smallest starting scale: `sigma0 = None` picks half the
+    5th percentile of the nonzero pairwise point distances clamped up to it,
+    and a given `sigma0` below it is rejected. `convergence_tol` and
     `merge_tol` are fractions of the current sigma; absolute tolerances do
     not survive a geometric sweep.
     """
@@ -70,8 +67,8 @@ class ScaleSweepConfig:
             if not is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 1")
         if self.sigma0 is not None:
-            # `lifetime` is defined from epsilon up: a sweep started below it
-            # would run, then fail when its scales are scored
+            # epsilon is the smallest starting scale, for the default sigma0
+            # and a given one alike
             if self.sigma0 < self.epsilon:
                 raise ValueError(f"sigma0 = {self.sigma0!r} is below "
                                  f"epsilon = {self.epsilon!r}")
@@ -89,18 +86,6 @@ class ClusterSnapshot:
     @property
     def K(self):
         return len(self.centers)
-
-
-@dataclass
-class LifetimeEntry:
-    sigma_inf: float
-    sigma_sup: float
-    lifetime: float
-
-
-@dataclass
-class LifetimeTable:
-    entries: dict = field(default_factory=dict)  # K -> LifetimeEntry
 
 
 @dataclass
@@ -124,7 +109,7 @@ class Assignment:
 class ClusteringResult:
     model: SelectedModel
     assignment: Assignment
-    table: LifetimeTable
+    table: dict  # K -> (first, last) snapshot index of its run
     snapshots: list
     truncated: bool
 
@@ -147,25 +132,17 @@ def as_points(points):
 def _merge_centers(centers, tol):
     """Merge centers closer than `tol` (transitively); each surviving center
     is the mean of its component, ordered by smallest member index."""
-    n = len(centers)
     diff = centers[:, None, :] - centers[None, :, :]
     close = (diff * diff).sum(axis=2) <= tol * tol
-    if np.count_nonzero(close) == n:  # only the diagonal: nothing merges
+    if np.count_nonzero(close) == len(centers):  # only the diagonal: nothing merges
         return centers.copy()
-    comp = np.full(n, -1, dtype=np.int64)
-    n_comp = 0
-    for i in range(n):
-        if comp[i] >= 0:
-            continue
-        stack = [i]
-        comp[i] = n_comp
-        while stack:
-            j = stack.pop()
-            for m in np.nonzero(close[j] & (comp < 0))[0]:
-                comp[m] = n_comp
-                stack.append(int(m))
-        n_comp += 1
-    return np.stack([centers[comp == c].mean(axis=0) for c in range(n_comp)])
+    # square the reachability matrix until it is closed: row i then holds
+    # i's whole component, and its first True is the smallest member
+    reach = close @ close
+    while not np.array_equal(reach, close):
+        close, reach = reach, reach @ reach
+    root = close.argmax(axis=1)
+    return np.stack([centers[root == r].mean(axis=0) for r in np.unique(root)])
 
 
 def converge_centers(points, init_centers, sigma, cfg):
@@ -273,65 +250,36 @@ def scale_sweep(points, cfg=None):
     return snapshots, True
 
 
-def lifetime(sigma, cfg=None):
-    """Stability measure of a scale: log(sigma/epsilon) / log(1.05)."""
-    cfg = cfg or ScaleSweepConfig()
-    if sigma < cfg.epsilon:
-        raise ValueError("sigma must be >= epsilon")
-    return _LIFETIME_C * math.log(sigma / cfg.epsilon)
+def build_lifetime_table(snapshots):
+    """The run of snapshot indices each cluster count spans: {K: (first, last)}.
 
-
-def build_lifetime_table(snapshots, cfg=None):
-    """Lifetime of each cluster count observed in the sweep.
-
-    For each K the maximal contiguous scale run [sigma_inf, sigma_sup] is
-    scored with lifetime(sigma_sup) - lifetime(sigma_inf); with k = 1.05
-    that difference equals the number of scale steps survived.
+    K survives last - first scale steps, its lifetime in units of log k.
+    Raises ValueError if K grows anywhere along the snapshots, which a sweep
+    never does.
     """
-    cfg = cfg or ScaleSweepConfig()
     if not snapshots:
         raise ValueError("snapshots must be nonempty")
-    entries = {}
-    j = 0
-    while j < len(snapshots):
-        k_val = snapshots[j].K
-        j2 = j
-        while j2 + 1 < len(snapshots) and snapshots[j2 + 1].K == k_val:
-            j2 += 1
-        life = lifetime(snapshots[j2].sigma, cfg) - lifetime(snapshots[j].sigma, cfg)
-        prev = entries.get(k_val)
-        if prev is None or life > prev.lifetime:
-            entries[k_val] = LifetimeEntry(
-                sigma_inf=snapshots[j].sigma,
-                sigma_sup=snapshots[j2].sigma,
-                lifetime=life,
-            )
-        j = j2 + 1
-    return LifetimeTable(entries=entries)
+    runs = {}
+    for j, snap in enumerate(snapshots):
+        if j and snap.K > snapshots[j - 1].K:
+            raise ValueError(f"K grows from {snapshots[j - 1].K} to {snap.K} "
+                             f"at snapshot {j}")
+        runs[snap.K] = (runs.get(snap.K, (j,))[0], j)
+    return runs
 
 
-def select_model(snapshots, table):
-    """Pick the longest-lived K and its median scale.
+def select_model(snapshots, runs):
+    """Pick the K that survives the most scale steps, at its median scale.
 
     K = 1 persists forever as sigma grows, so it is skipped unless it is the
-    only K. Lifetime ties (within 1e-9) break toward
-    larger K; an even-length interval takes the lower median scale.
+    only K. Ties break toward larger K; an even-length run takes the lower
+    median scale.
     """
-    if not table.entries:
-        raise ValueError("lifetime table is empty")
-    entries = dict(table.entries)
-    if len(entries) > 1:
-        entries.pop(1, None)
-    best_life = max(e.lifetime for e in entries.values())
-    best_k = max(k for k, e in entries.items() if e.lifetime >= best_life - 1e-9)
-    entry = entries[best_k]
-    run = [
-        j
-        for j, s in enumerate(snapshots)
-        if s.K == best_k and entry.sigma_inf <= s.sigma <= entry.sigma_sup
-    ]
-    mid = run[(len(run) - 1) // 2]
-    snap = snapshots[mid]
+    if not runs:
+        raise ValueError("the run table is empty")
+    ks = [k for k in runs if k != 1] or [1]
+    first, last = runs[max(ks, key=lambda k: (runs[k][1] - runs[k][0], k))]
+    snap = snapshots[(first + last) // 2]
     return SelectedModel(centers=snap.centers.copy(), sigma_star=snap.sigma)
 
 
@@ -348,11 +296,11 @@ def assign_points(points, model):
 
 
 def cluster_points(points, cfg=None):
-    """Full pipeline: sweep, lifetime table, model selection, assignment."""
+    """Full pipeline: sweep, run table, model selection, assignment."""
     cfg = cfg or ScaleSweepConfig()
     points = as_points(points)
     snapshots, truncated = scale_sweep(points, cfg)
-    table = build_lifetime_table(snapshots, cfg)
+    table = build_lifetime_table(snapshots)
     model = select_model(snapshots, table)
     assignment = assign_points(points, model)
     return ClusteringResult(

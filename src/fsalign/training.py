@@ -289,7 +289,7 @@ def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec)
             p2, f_m = net.mid_domain(ad.grl(f2, lam))
             out["p3"], f_g = net.global_domain(ad.grl(f3, lam))
             # the context is held fixed (detached) for the region-instance head
-            ctx = np.concatenate([f_l.value, f_m.value, f_g.value], axis=1)
+            ctx = np.concatenate([f_l, f_m, f_g], axis=1)
             members = nw.block_diag([e.group_matrix for e in entries])
             fused = ad.concat([np.repeat(ctx, groups_per_image, axis=0),
                                ad.grl(ad.matmul(members, roi), lam)], axis=1)

@@ -7,6 +7,7 @@ every `build_pair_corpus` proposal set, so a rename or a change of layout in
 """
 
 import importlib
+import json
 import os
 
 import numpy as np
@@ -54,3 +55,21 @@ def test_a_traced_step_records_each_conv_and_restores_every_name(monkeypatch):
     names = spans.arrays()[0]
     assert np.count_nonzero(names == spans.name_id("autodiff.conv2d.fwd")) == 8
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in before)
+
+
+def test_block_zero_groups_as_recorded(monkeypatch):
+    """The 18 images of the `cluster` workload's first block of nine pairs
+    give the K, labels, sigma_star and truncation recorded in its reference,
+    so a change of partition fails here before any bench run."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    with open(os.path.join(PERFBENCH, "references", "cluster.json"), encoding="utf-8") as fh:
+        want = json.load(fh)[0]
+    got = []
+    for c, (r, k) in enumerate(workloads.COMBOS):
+        src, tgt = synth.build_pair_corpus(
+            synth.SceneSpec(object_count_range=(k, k)), synth.DomainShiftSpec(),
+            synth.ProposalNoiseSpec(redundancy=r), 1, 10_000 + c)
+        got += [workloads._cluster_summary(pset.centers()) for _, pset in src + tgt]
+    assert len(got) == len(want) == 18
+    assert got == want

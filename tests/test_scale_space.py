@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,6 @@ from hypothesis import strategies as st
 
 from fsalign import scale_space as ssc
 from fsalign import synth
-
-# frozen with 50-digit arithmetic: log(100)/log(1.05)
-LIFETIME_AT_ONE = 94.38726563812878
-
 
 def make_blobs(centers, n_per, spread, seed):
     rng = np.random.default_rng(seed)
@@ -144,8 +142,8 @@ class TestScaleSweep:
             ssc.scale_sweep(self.UNDERFLOW_POINTS, cfg)
 
     def test_sigma0_below_epsilon_rejected(self):
-        # the sweep itself would run; scoring its scales would not, since
-        # `lifetime` is defined from epsilon up
+        # epsilon is the smallest starting scale: the default sigma0 is
+        # clamped up to it, and a given one below it is rejected
         pts = make_blobs([(0, 0), (20, 0)], 10, 1.0, seed=4)
         cfg = ssc.ScaleSweepConfig(sigma0=0.001)
         with pytest.raises(ValueError, match=r"sigma0 = 0\.001 is below epsilon = 0\.01"):
@@ -160,56 +158,39 @@ class TestScaleSweep:
         assert all(np.isfinite(s.centers).all() for s in snaps)
 
 
-class TestLifetime:
-    def test_at_epsilon_exactly_zero(self):
-        cfg = ssc.ScaleSweepConfig()
-        assert ssc.lifetime(0.01, cfg) == 0.0
-
-    def test_one_step_is_one(self):
-        cfg = ssc.ScaleSweepConfig()
-        assert ssc.lifetime(0.0105, cfg) == pytest.approx(1.0, abs=1e-9)
-
-    def test_at_one(self):
-        cfg = ssc.ScaleSweepConfig()
-        assert ssc.lifetime(1.0, cfg) == pytest.approx(LIFETIME_AT_ONE, abs=1e-9)
-
-    def test_strictly_increasing(self):
-        cfg = ssc.ScaleSweepConfig()
-        sig = np.geomspace(0.01, 10.0, 50)
-        vals = [ssc.lifetime(s, cfg) for s in sig]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_below_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            ssc.lifetime(0.005, ssc.ScaleSweepConfig())
-
-
 def snapshots_from_ks(ks, sigma0=0.5, k=1.05):
+    """A hand-built ladder; snapshot j's centers all sit at (j, j)."""
     return [
-        ssc.ClusterSnapshot(sigma=sigma0 * k**j, centers=np.zeros((kk, 2)))
+        ssc.ClusterSnapshot(sigma=sigma0 * k**j, centers=np.full((kk, 2), float(j)))
         for j, kk in enumerate(ks)
     ]
 
 
 class TestLifetimeTable:
     def test_consecutive_step_counts(self):
-        snaps = snapshots_from_ks([3, 3, 3, 2, 2, 1])
-        table = ssc.build_lifetime_table(snaps)
-        assert table.entries[3].lifetime == pytest.approx(2.0, abs=1e-9)
-        assert table.entries[2].lifetime == pytest.approx(1.0, abs=1e-9)
-        assert table.entries[1].lifetime == pytest.approx(0.0, abs=1e-12)
+        table = ssc.build_lifetime_table(snapshots_from_ks([3, 3, 3, 2, 2, 1]))
+        assert table == {3: (0, 2), 2: (3, 4), 1: (5, 5)}
 
     def test_single_snapshot(self):
-        table = ssc.build_lifetime_table(snapshots_from_ks([4]))
-        assert set(table.entries) == {4}
-        assert table.entries[4].lifetime == 0.0
+        assert ssc.build_lifetime_table(snapshots_from_ks([4])) == {4: (0, 0)}
 
     def test_keys_match_brute_force_scan(self):
         pts = make_blobs([(0, 0), (28, 3), (5, 30)], 80, 2.0, seed=12)
-        cfg = ssc.ScaleSweepConfig()
-        snaps, _ = ssc.scale_sweep(pts, cfg)
-        table = ssc.build_lifetime_table(snaps, cfg)
-        assert set(table.entries) == {s.K for s in snaps}
+        snaps, _ = ssc.scale_sweep(pts, ssc.ScaleSweepConfig())
+        table = ssc.build_lifetime_table(snaps)
+        assert set(table) == {s.K for s in snaps}
+        for K, (first, last) in table.items():
+            assert [j for j, s in enumerate(snaps) if s.K == K] == list(range(first, last + 1))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            ssc.build_lifetime_table([])
+
+    @pytest.mark.parametrize("ks, at", [([2, 3], 1), ([3, 2, 2, 3, 1], 3)])
+    def test_growing_k_rejected(self, ks, at):
+        # a sweep never lets K grow; a ladder where it does is not one
+        with pytest.raises(ValueError, match=f"K grows from .* at snapshot {at}$"):
+            ssc.build_lifetime_table(snapshots_from_ks(ks))
 
 
 class TestSelectModel:
@@ -294,8 +275,7 @@ class TestGlobalProperties:
         np.testing.assert_allclose(c1 + shift, c2, atol=1e-9)
         np.testing.assert_array_equal(r1.assignment.labels == ssc.OUTLIER,
                                       r2.assignment.labels == ssc.OUTLIER)
-        for k, e in r1.table.entries.items():
-            assert e.lifetime == pytest.approx(r2.table.entries[k].lifetime, abs=1e-9)
+        assert r1.table == r2.table
 
     def test_bitwise_determinism(self):
         pts = make_blobs([(0, 0), (18, 12), (40, 2)], 70, 2.0, seed=55)
@@ -323,6 +303,8 @@ def ref_shift_all(points, centers, sigma):
 
 
 def ref_merge(centers, tol):
+    """The depth-first search over the "within tol" matrix that the closure
+    in `_merge_centers` replaced, with no shortcut for nothing merging."""
     n = len(centers)
     if n == 1:
         return centers.copy()
@@ -342,6 +324,56 @@ def ref_merge(centers, tol):
                 stack.append(int(m))
         n_comp += 1
     return np.stack([centers[comp == c].mean(axis=0) for c in range(n_comp)])
+
+
+# ---------------------------------------------------------------------------
+# reference selection: the float lifetimes the run lengths replaced, scored
+# from epsilon with the constant log 1.05 whatever the ladder's k
+# ---------------------------------------------------------------------------
+
+def ref_lifetime(sigma, cfg):
+    """log(sigma / epsilon) / log(1.05)."""
+    if sigma < cfg.epsilon:
+        raise ValueError("sigma must be >= epsilon")
+    return 1.0 / math.log(1.05) * math.log(sigma / cfg.epsilon)
+
+
+def ref_lifetime_table(snapshots, cfg):
+    """{K: (sigma_inf, sigma_sup, lifetime)} of each K's longest run."""
+    entries = {}
+    j = 0
+    while j < len(snapshots):
+        k_val = snapshots[j].K
+        j2 = j
+        while j2 + 1 < len(snapshots) and snapshots[j2 + 1].K == k_val:
+            j2 += 1
+        life = (ref_lifetime(snapshots[j2].sigma, cfg)
+                - ref_lifetime(snapshots[j].sigma, cfg))
+        if k_val not in entries or life > entries[k_val][2]:
+            entries[k_val] = (snapshots[j].sigma, snapshots[j2].sigma, life)
+        j = j2 + 1
+    return entries
+
+
+def ref_select(snapshots, entries):
+    """(K, sigma_star, centers): the longest-lived K other than 1, ties
+    within 1e-9 to the larger K, at the lower median scale of its run."""
+    entries = dict(entries)
+    if len(entries) > 1:
+        entries.pop(1, None)
+    best_life = max(e[2] for e in entries.values())
+    best_k = max(k for k, e in entries.items() if e[2] >= best_life - 1e-9)
+    lo, hi, _ = entries[best_k]
+    run = [j for j, s in enumerate(snapshots) if s.K == best_k and lo <= s.sigma <= hi]
+    snap = snapshots[run[(len(run) - 1) // 2]]
+    return snap.K, snap.sigma, snap.centers
+
+
+def assert_selection_matches_reference(snapshots, cfg):
+    model = ssc.select_model(snapshots, ssc.build_lifetime_table(snapshots))
+    K, sigma_star, centers = ref_select(snapshots, ref_lifetime_table(snapshots, cfg))
+    assert model.K == K and model.sigma_star == sigma_star
+    assert np.array_equal(model.centers, centers)
 
 
 def ref_converge(points, init_centers, sigma, cfg):
@@ -542,3 +574,51 @@ def test_sweep_matches_reference_on_random_clouds(cloud, repeats):
     # 1 to 30 points, some of them repeated; every snapshot bit for bit
     pts = np.array(cloud + [cloud[i % len(cloud)] for i in repeats])
     assert_sweep_matches_reference(pts, ssc.ScaleSweepConfig())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    runs=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    top=st.integers(1, 9),
+    k=st.floats(1.01, 2.0),
+    sigma0=st.floats(0.01, 5.0),
+)
+def test_run_length_selection_matches_lifetimes(runs, top, k, sigma0):
+    # a non-increasing ladder: run i holds K = top + len(runs) - 1 - i for
+    # runs[i] scales, so the last run is K = top
+    ks = [top + len(runs) - 1 - i for i, n in enumerate(runs) for _ in range(n)]
+    snaps = snapshots_from_ks(ks, sigma0=sigma0, k=k)
+    assert_selection_matches_reference(snaps, ssc.ScaleSweepConfig(sigma0=sigma0, k=k))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    cloud=st.lists(st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 30.0)),
+                   min_size=1, max_size=20),
+    k=st.sampled_from([1.05, 1.1, 1.3]),
+)
+def test_k_never_grows_along_a_sweep(cloud, k):
+    cfg = ssc.ScaleSweepConfig(k=k)
+    snaps, _ = ssc.scale_sweep(np.array(cloud), cfg)
+    ks = [s.K for s in snaps]
+    assert all(a >= b for a, b in zip(ks, ks[1:]))
+    assert_selection_matches_reference(snaps, cfg)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    steps=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                   min_size=1, max_size=30),
+    jumps=st.lists(st.integers(0, 29), max_size=4),
+    order=st.randoms(use_true_random=False),
+)
+def test_closure_merge_matches_dfs(steps, jumps, order):
+    # random walks with steps near tol = 1 chain near-neighbours; a jump
+    # starts a new walk far away, and the centers are shuffled
+    walk = np.array(steps)
+    for j in jumps:
+        if j < len(walk):
+            walk[j] += 50.0
+    centers = np.cumsum(walk, axis=0)
+    centers = centers[order.sample(range(len(centers)), len(centers))]
+    assert np.array_equal(ssc._merge_centers(centers, 1.0), ref_merge(centers, 1.0))
