@@ -4,11 +4,11 @@ A small tape-free engine: every op returns a `Tensor` node holding its value,
 its parent nodes and a vector-Jacobian closure. `Tensor.backward()` walks the
 graph in reverse topological order and accumulates gradients into `.grad`.
 
-An operand is a `Tensor` node or a constant: a Python scalar or numpy array,
-read by value as float64 (`value_of`). A constant makes no node: it is not a
-parent, and the vjp gives gradients for the parents only. An op whose
-operands are all constants still returns a `Tensor`, one without parents.
-To evaluate without building a graph, run the ops under `no_grad()`. Image
+A `Tensor` is a node that takes a gradient; a constant, a Python scalar or
+numpy array read by value as float64 (`value_of`), is an operand that makes
+no node: it is no parent, and the vjp gives gradients for the parents only.
+An op on constants alone returns a parentless `Tensor`. `.value` detaches a
+node, and evaluation runs the same ops and drops the graph. Image
 ops (`conv2d`, `upsample_conv2d`) take (N, C, H, W) batches; one image is a
 batch of one. An op outside this module is built the same way, from its
 value, its operands and a hand-written vjp (`node`); the losses are.
@@ -28,23 +28,7 @@ reads it, wherever it makes that node's value non-finite (a finite value
 divided by an infinite constant gives 0).
 """
 
-import contextlib
-
 import numpy as np
-
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph construction inside the block (evaluation passes)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 def _all_finite(v):
@@ -60,27 +44,19 @@ def _all_finite(v):
 
 
 class Tensor:
-    """Array node of the computation graph."""
+    """Array node of the computation graph; every node takes a gradient."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("value", "grad", "_parents", "_vjp")
 
     # make `ndarray <op> Tensor` defer to the reflected Tensor operators
     __array_ufunc__ = None
 
-    def __init__(self, value, requires_grad=False, _parents=(), _vjp=None):
+    def __init__(self, value, _parents=(), _vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         if not _all_finite(self.value):
             raise FloatingPointError("non-finite values entering the graph")
         self.grad = None
-        rg = bool(requires_grad)
-        if not rg and _grad_enabled:
-            for p in _parents:
-                if p.requires_grad:
-                    rg = True
-                    break
-        self.requires_grad = rg
-        # graph edges are only kept when someone upstream needs gradients
-        self._parents = tuple(_parents) if (rg and _grad_enabled) else ()
+        self._parents = tuple(_parents)
         self._vjp = _vjp if self._parents else None
 
     # -- basic introspection ------------------------------------------------
@@ -93,7 +69,7 @@ class Tensor:
         return self.value.size
 
     def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.value.shape})"
 
     # -- autodiff -----------------------------------------------------------
     def backward(self, seed=None):
@@ -117,12 +93,8 @@ class Tensor:
                 continue
             grads = t._vjp(t.grad)
             for parent, g in zip(t._parents, grads):
-                if g is None or not parent.requires_grad:
-                    continue
-                if parent.grad is None:
-                    parent.grad = g
-                else:
-                    parent.grad = parent.grad + g
+                if g is not None:
+                    parent.grad = g if parent.grad is None else parent.grad + g
 
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
@@ -179,18 +151,14 @@ def value_of(x):
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _needs_grad(x):
-    return isinstance(x, Tensor) and x.requires_grad
-
-
 def node(value, operands, vjp):
     """The node of `value`, computed from `operands`: how every op makes its
     node.
 
-    `vjp` maps the output gradient to one gradient per operand, None for an
-    operand that needs none (`_needs_grad`). The `Tensor` operands become
-    the parents, in order; a constant's slot is dropped from the gradients,
-    so the node's vjp gives one gradient per parent.
+    `vjp` maps the output gradient to one gradient per operand, None for a
+    constant (an operand that is not a `Tensor`). The `Tensor` operands
+    become the parents, in order; a constant's slot is dropped from the
+    gradients, so the node's vjp gives one gradient per parent.
     """
     for x in operands:
         if not isinstance(x, Tensor):
@@ -220,31 +188,31 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     return node(value_of(a) + value_of(b), (a, b), lambda g: (
-        _unbroadcast(g, a.value.shape) if _needs_grad(a) else None,
-        _unbroadcast(g, b.value.shape) if _needs_grad(b) else None,
+        _unbroadcast(g, a.value.shape) if isinstance(a, Tensor) else None,
+        _unbroadcast(g, b.value.shape) if isinstance(b, Tensor) else None,
     ))
 
 
 def sub(a, b):
     return node(value_of(a) - value_of(b), (a, b), lambda g: (
-        _unbroadcast(g, a.value.shape) if _needs_grad(a) else None,
-        _unbroadcast(-g, b.value.shape) if _needs_grad(b) else None,
+        _unbroadcast(g, a.value.shape) if isinstance(a, Tensor) else None,
+        _unbroadcast(-g, b.value.shape) if isinstance(b, Tensor) else None,
     ))
 
 
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
     return node(av * bv, (a, b), lambda g: (
-        _unbroadcast(g * bv, av.shape) if _needs_grad(a) else None,
-        _unbroadcast(g * av, bv.shape) if _needs_grad(b) else None,
+        _unbroadcast(g * bv, av.shape) if isinstance(a, Tensor) else None,
+        _unbroadcast(g * av, bv.shape) if isinstance(b, Tensor) else None,
     ))
 
 
 def div(a, b):
     av, bv = value_of(a), value_of(b)
     return node(av / bv, (a, b), lambda g: (
-        _unbroadcast(g / bv, av.shape) if _needs_grad(a) else None,
-        _unbroadcast(-g * av / (bv * bv), bv.shape) if _needs_grad(b) else None,
+        _unbroadcast(g / bv, av.shape) if isinstance(a, Tensor) else None,
+        _unbroadcast(-g * av / (bv * bv), bv.shape) if isinstance(b, Tensor) else None,
     ))
 
 
@@ -372,7 +340,7 @@ def concat(parts, axis=0):
     splits = np.cumsum([v.shape[axis] for v in values])[:-1]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(piece) if _needs_grad(p) else None
+        return tuple(np.ascontiguousarray(piece) if isinstance(p, Tensor) else None
                      for p, piece in zip(parts, np.split(g, splits, axis=axis)))
 
     return node(np.concatenate(values, axis=axis), parts, vjp)
@@ -418,8 +386,8 @@ def matmul(a, b):
         b2 = bv.reshape(bv.shape[0], -1)
         g = g.reshape(a2.shape[0], b2.shape[1])
         return (
-            (g @ b2.T).reshape(av.shape) if _needs_grad(a) else None,
-            (a2.T @ g).reshape(bv.shape) if _needs_grad(b) else None,
+            (g @ b2.T).reshape(av.shape) if isinstance(a, Tensor) else None,
+            (a2.T @ g).reshape(bv.shape) if isinstance(b, Tensor) else None,
         )
 
     return node(av @ bv, (a, b), vjp)
@@ -440,9 +408,9 @@ def affine(x, w, b, act=None):
         x2 = xv.reshape(-1, xv.shape[-1])
         g2 = g.reshape(x2.shape[0], wv.shape[1])
         return (
-            (g2 @ wv.T).reshape(xv.shape) if _needs_grad(x) else None,
-            x2.T @ g2 if _needs_grad(w) else None,
-            _unbroadcast(g, bv.shape) if _needs_grad(b) else None,
+            (g2 @ wv.T).reshape(xv.shape) if isinstance(x, Tensor) else None,
+            x2.T @ g2 if isinstance(w, Tensor) else None,
+            _unbroadcast(g, bv.shape) if isinstance(b, Tensor) else None,
         )
 
     return node(val, (x, w, b), vjp)
@@ -524,7 +492,7 @@ def conv2d(x, w, b, stride=1, pad=1, act=None):
     `g` by the activation's derivative, then reads it as (N, O, oh*ow) the
     same way; the weight and bias gradients are summed over the images for
     a shared kernel. The input gradient is a transposed convolution
-    (`_conv_input_grad`), computed only when `x` requires grad.
+    (`_conv_input_grad`), computed only when `x` is a `Tensor`.
     """
     per_image = isinstance(w, (list, tuple))
     xv = value_of(x)
@@ -558,7 +526,7 @@ def conv2d(x, w, b, stride=1, pad=1, act=None):
         if wv.ndim == 4:
             dw, db = dw.sum(axis=0), db.sum(axis=0)
         dx = (_conv_input_grad(gb.reshape(n, o, oh, ow), wv, stride, pad, h, wd)
-              if _needs_grad(x) else None)
+              if isinstance(x, Tensor) else None)
         if per_image:
             return (dx, *dw.reshape(wv.shape), *db)
         return (dx, dw.reshape(wv.shape), db)
@@ -621,7 +589,7 @@ def upsample_conv2d(x, w, b, act=None):
     columns are already the shifted inputs of every tap; each phase then
     sums its four taps' products at their shifts (`_tap_windows`). The vjp
     scatters the phase gradients to those shifts once and takes the weight
-    gradient and, only when `x` requires grad, the input gradient as one
+    gradient and, only when `x` is a `Tensor`, the input gradient as one
     GEMM each, after scaling `g` by the activation's derivative.
     """
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
@@ -652,7 +620,7 @@ def upsample_conv2d(x, w, b, act=None):
         gtaps = gtaps.reshape(16 * o, -1)
         dkern = (gtaps @ grid.T).reshape(16, o * c)
         dw = (_UPSAMPLE_TAPS @ dkern).reshape(3, 3, o, c).transpose(2, 3, 0, 1)
-        if not _needs_grad(x):
+        if not isinstance(x, Tensor):
             return (None, dw, db)
         dgrid = (kern.T @ gtaps).reshape(c, n, h + 2, wd + 2)
         return (dgrid[:, :, 1 : h + 1, 1 : wd + 1].transpose(1, 0, 2, 3), dw, db)
@@ -704,12 +672,8 @@ def smooth_l1(pred, target):
 
 
 # ---------------------------------------------------------------------------
-# parameters and optimisation
+# optimisation
 # ---------------------------------------------------------------------------
-
-def parameter(value):
-    return Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
-
 
 class SGD:
     """Plain SGD with classical momentum: v <- mu*v + g, p <- p - lr*v."""

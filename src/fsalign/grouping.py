@@ -76,15 +76,24 @@ def apply_deltas(boxes, deltas):
 
 @dataclass
 class ProposalSet:
-    """One image's proposals: (P, 4) center-format boxes and (P,)
-    objectness scores."""
+    """One image's proposals: (P, 4) center-format boxes, finite and with
+    positive widths and heights, and (P,) finite objectness scores."""
 
     boxes: np.ndarray
     objectness: np.ndarray
 
     def __post_init__(self):
-        if not len(self.boxes):
+        self.boxes = boxes = np.asarray(self.boxes, dtype=np.float64)
+        self.objectness = scores = np.asarray(self.objectness, dtype=np.float64)
+        if not len(boxes):
             raise ValueError("a proposal set needs at least one proposal")
+        if boxes.ndim != 2 or boxes.shape[1] != 4 or scores.shape != (len(boxes),):
+            raise ValueError(f"proposals need (P, 4) boxes and (P,) objectness, not "
+                             f"{boxes.shape} and {scores.shape}")
+        if not (np.isfinite(boxes).all() and np.isfinite(scores).all()
+                and (boxes[:, 2:] > 0).all()):
+            raise ValueError("proposals need finite boxes and objectness, and box "
+                             "widths and heights that are positive")
 
     def centers(self):
         """(P, 2) box centers, a C-contiguous copy."""

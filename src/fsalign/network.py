@@ -75,8 +75,8 @@ class NetworkSpec:
 class Conv2d:
     def __init__(self, cin, cout, rng, ksize=3, stride=1, pad=1):
         std = math.sqrt(1.0 / (cin * ksize * ksize))
-        self.w = ad.parameter(rng.normal(0.0, std, size=(cout, cin, ksize, ksize)))
-        self.b = ad.parameter(np.zeros(cout))
+        self.w = ad.Tensor(rng.normal(0.0, std, size=(cout, cin, ksize, ksize)))
+        self.b = ad.Tensor(np.zeros(cout))
         self.stride = stride
         self.pad = pad
 
@@ -93,8 +93,8 @@ class Affine:
 
     def __init__(self, din, dout, rng):
         std = math.sqrt(1.0 / din)
-        self.w = ad.parameter(rng.normal(0.0, std, size=(din, dout)))
-        self.b = ad.parameter(np.zeros(dout))
+        self.w = ad.Tensor(rng.normal(0.0, std, size=(din, dout)))
+        self.b = ad.Tensor(np.zeros(dout))
 
     def __call__(self, x, act=None):
         return ad.affine(x, self.w, self.b, act=act)
@@ -377,7 +377,7 @@ def finite_difference_report(named_params, builder, branches, eps=1e-5,
     `builder` re-runs the forward pass from current parameter values and
     returns a dict holding a scalar loss node for each of `branches`. The
     analytic gradients come from one graph (`branch_gradients`); each
-    perturbed pass runs once, under `ad.no_grad()`, and serves every branch.
+    perturbed pass builds its graph once and serves every branch.
     Samples up to `coords_per_param` coordinates from every parameter tensor
     (all layers, including ones a branch should not touch, so missing graph
     edges surface as mismatches), the same ones for every branch. Returns
@@ -395,11 +395,10 @@ def finite_difference_report(named_params, builder, branches, eps=1e-5,
         worst = dict.fromkeys(branches, 0.0)
         for i in idx:
             orig = flat[i]
-            with ad.no_grad():
-                flat[i] = orig + eps
-                hi = builder()
-                flat[i] = orig - eps
-                lo = builder()
+            flat[i] = orig + eps
+            hi = builder()
+            flat[i] = orig - eps
+            lo = builder()
             flat[i] = orig
             for branch in branches:
                 fd = (float(hi[branch].value) - float(lo[branch].value)) / (2.0 * eps)

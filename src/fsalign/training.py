@@ -91,6 +91,8 @@ class TrainConfig:
         for name in ("lambda_warmup_steps", "seed"):
             if not is_count(getattr(self, name), 0):
                 raise ValueError(f"{name} must be an integer >= 0")
+        if not isinstance(self.normalize_reconstruction, bool):
+            raise ValueError("normalize_reconstruction must be true or false")
         for spec in (self.weights, self.network, self.scene, self.shift,
                      self.proposal_noise, self.cluster):
             spec.validate()
@@ -397,10 +399,9 @@ def source_only_config(cfg):
 def pooled_features(net, samples):
     """(len(samples), C3) spatially pooled f3 features, one image at a time."""
     out = np.empty((len(samples), net.spec.channels[2]))
-    with ad.no_grad():
-        for i, sample in enumerate(samples):
-            _, _, f3 = net.forward_backbone(sample.rgb[None])
-            out[i] = L.global_pool(f3).value[0]
+    for i, sample in enumerate(samples):
+        _, _, f3 = net.forward_backbone(sample.rgb[None])
+        out[i] = L.global_pool(f3).value[0]
     return out
 
 
@@ -436,18 +437,17 @@ def target_match_rate(net, detect_eval):
     """Fraction of target ground-truth boxes matched by a proposal whose
     predicted class is correct and whose refined box reaches IoU >= 0.5."""
     matched = total = 0
-    with ad.no_grad():
-        for sample, pset in detect_eval:
-            _, _, f3 = net.forward_backbone(sample.rgb[None])
-            feats = nw.roi_pool(f3, nw.roi_pool_matrix(pset.boxes, *f3.shape[2:]))
-            logits, deltas = net.detector_head(feats)
-            pred_cls = logits.value.argmax(axis=1)
-            refined = apply_deltas(pset.boxes, deltas.value)
-            # (G, P): proposal p finds ground-truth box g
-            found = ((box_iou(sample.eval_boxes(), refined) >= 0.5)
-                     & (pred_cls == sample.eval_labels()[:, None]))
-            matched += int(found.any(axis=1).sum())
-            total += len(found)
+    for sample, pset in detect_eval:
+        _, _, f3 = net.forward_backbone(sample.rgb[None])
+        feats = nw.roi_pool(f3, nw.roi_pool_matrix(pset.boxes, *f3.shape[2:]))
+        logits, deltas = net.detector_head(feats)
+        pred_cls = logits.value.argmax(axis=1)
+        refined = apply_deltas(pset.boxes, deltas.value)
+        # (G, P): proposal p finds ground-truth box g
+        found = ((box_iou(sample.eval_boxes(), refined) >= 0.5)
+                 & (pred_cls == sample.eval_labels()[:, None]))
+        matched += int(found.any(axis=1).sum())
+        total += len(found)
     return matched / total if total else 0.0
 
 
@@ -485,15 +485,14 @@ def save_checkpoint(net, out_dir, prefix="checkpoint"):
 def load_checkpoint(net, out_dir, prefix="checkpoint"):
     """Load a `save_checkpoint` pair into `net`. The manifest must hold
     float64 values for exactly the net's parameters, each in the net's
-    shape, saved from a net of the same `NetworkSpec`; otherwise a
-    ValueError names what differs and `net` is left unchanged."""
+    shape, packed in manifest order from offset 0 to the blob's end, saved
+    from a net of the same `NetworkSpec`; otherwise a ValueError names what
+    differs and `net` is left unchanged."""
     with open(os.path.join(out_dir, f"{prefix}.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("dtype") != "<f8":
         raise ValueError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
     raw = np.fromfile(os.path.join(out_dir, f"{prefix}.bin"), dtype="<f8")
-    if raw.size != manifest["total"]:
-        raise ValueError("checkpoint blob size does not match manifest")
     by_name = {e["name"]: e for e in manifest["params"]}
     named = net.named_params()
     names = [name for name, _ in named]
@@ -505,6 +504,15 @@ def load_checkpoint(net, out_dir, prefix="checkpoint"):
         if tuple(by_name[name]["shape"]) != p.value.shape:
             raise ValueError(f"checkpoint shape {tuple(by_name[name]['shape'])} of "
                              f"{name} differs from the net's {p.value.shape}")
+    offset = 0
+    for e in manifest["params"]:
+        if e["offset"] != offset:
+            raise ValueError(f"checkpoint offset {e['offset']} of {e['name']} is not "
+                             f"{offset}, the sum of the sizes before it")
+        offset += math.prod(e["shape"])
+    if offset != raw.size:
+        raise ValueError(f"checkpoint blob size {raw.size} does not match the "
+                         f"{offset} values its manifest's parameters hold")
     saved, spec = manifest.get("network", {}), config_to_dict(net.spec)
     differ = sorted(k for k in {**saved, **spec} if saved.get(k) != spec.get(k))
     if differ:

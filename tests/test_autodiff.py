@@ -25,7 +25,7 @@ def numeric_grad(fn, x, eps=1e-6):
 
 
 def check_unary(op, x, tol=1e-7):
-    t = ad.Tensor(x, requires_grad=True)
+    t = ad.Tensor(x)
     out = ad.sum(op(t) * op(t))
     out.backward()
     num = numeric_grad(lambda v: float(np.sum(op(v).value ** 2)), x.copy())
@@ -37,8 +37,8 @@ class TestElementwise:
         self.rng = np.random.default_rng(7)
 
     def test_add_mul_broadcast(self):
-        a = ad.Tensor(self.rng.normal(size=(3, 4)), requires_grad=True)
-        b = ad.Tensor(self.rng.normal(size=(4,)), requires_grad=True)
+        a = ad.Tensor(self.rng.normal(size=(3, 4)))
+        b = ad.Tensor(self.rng.normal(size=(4,)))
         out = ad.sum((a + b) * (a * b))
         out.backward()
         fa = lambda v: float(np.sum((v + b.value) * (v * b.value)))
@@ -47,8 +47,8 @@ class TestElementwise:
         np.testing.assert_allclose(b.grad, numeric_grad(fb, b.value.copy()), rtol=1e-6)
 
     def test_div(self):
-        a = ad.Tensor(self.rng.normal(size=5), requires_grad=True)
-        b = ad.Tensor(self.rng.normal(size=5) + 3.0, requires_grad=True)
+        a = ad.Tensor(self.rng.normal(size=5))
+        b = ad.Tensor(self.rng.normal(size=5) + 3.0)
         out = ad.sum(a / b)
         out.backward()
         np.testing.assert_allclose(
@@ -68,25 +68,25 @@ class TestElementwise:
 
     def test_power(self):
         x = np.abs(self.rng.normal(size=6)) + 0.3
-        t = ad.Tensor(x, requires_grad=True)
+        t = ad.Tensor(x)
         out = ad.sum(ad.power(t, 2.5))
         out.backward()
         np.testing.assert_allclose(t.grad, 2.5 * x**1.5, rtol=1e-12)
 
     def test_power_zero_exponent_is_exactly_one(self):
-        t = ad.Tensor([0.3, 0.9], requires_grad=True)
+        t = ad.Tensor([0.3, 0.9])
         out = ad.power(t, 0.0)
         assert np.all(out.value == 1.0)
         ad.sum(out).backward()
         assert np.all(t.grad == 0.0)
 
     def test_clip_gradient_masked(self):
-        t = ad.Tensor([-2.0, 0.5, 2.0], requires_grad=True)
+        t = ad.Tensor([-2.0, 0.5, 2.0])
         ad.sum(ad.clip(t, 0.0, 1.0)).backward()
         np.testing.assert_array_equal(t.grad, [0.0, 1.0, 0.0])
 
     def test_abs(self):
-        t = ad.Tensor([-3.0, 2.0], requires_grad=True)
+        t = ad.Tensor([-3.0, 2.0])
         ad.sum(ad.absolute(t)).backward()
         np.testing.assert_array_equal(t.grad, [-1.0, 1.0])
 
@@ -96,8 +96,8 @@ class TestShapeOps:
         self.rng = np.random.default_rng(11)
 
     def test_matmul(self):
-        a = ad.Tensor(self.rng.normal(size=(3, 4)), requires_grad=True)
-        b = ad.Tensor(self.rng.normal(size=(4, 2)), requires_grad=True)
+        a = ad.Tensor(self.rng.normal(size=(3, 4)))
+        b = ad.Tensor(self.rng.normal(size=(4, 2)))
         out = ad.sum(ad.matmul(a, b) ** 2.0)
         out.backward()
         fa = lambda v: float(np.sum((v @ b.value) ** 2))
@@ -111,8 +111,8 @@ class TestShapeOps:
         w = self.rng.normal(size=(4, dout))
         grads = []
         for xv in (x, x[None, :]):
-            xt = ad.Tensor(xv, requires_grad=True)
-            wt = ad.Tensor(w, requires_grad=True)
+            xt = ad.Tensor(xv)
+            wt = ad.Tensor(w)
             out = ad.matmul(xt, wt)
             ad.sum(out * out).backward()
             assert xt.grad.shape == xv.shape and wt.grad.shape == w.shape
@@ -124,11 +124,11 @@ class TestShapeOps:
     def test_matmul_vector_right_and_inner_product(self):
         a = self.rng.normal(size=(3, 4))
         v = self.rng.normal(size=4)
-        at, vt = ad.Tensor(a, requires_grad=True), ad.Tensor(v, requires_grad=True)
+        at, vt = ad.Tensor(a), ad.Tensor(v)
         ad.sum(ad.matmul(at, vt)).backward()
         np.testing.assert_allclose(at.grad, np.outer(np.ones(3), v), rtol=1e-12)
         np.testing.assert_allclose(vt.grad, a.sum(axis=0), rtol=1e-12)
-        ut, wt = ad.Tensor(v, requires_grad=True), ad.Tensor(2.0 * v, requires_grad=True)
+        ut, wt = ad.Tensor(v), ad.Tensor(2.0 * v)
         out = ad.matmul(ut, wt)
         assert out.value.shape == ()
         out.backward()
@@ -136,15 +136,15 @@ class TestShapeOps:
         np.testing.assert_array_equal(wt.grad, v)
 
     def test_mean_axis(self):
-        a = ad.Tensor(self.rng.normal(size=(2, 3, 4)), requires_grad=True)
+        a = ad.Tensor(self.rng.normal(size=(2, 3, 4)))
         out = ad.sum(ad.mean(a, axis=(1, 2)) ** 2.0)
         out.backward()
         f = lambda v: float(np.sum(np.mean(v, axis=(1, 2)) ** 2))
         np.testing.assert_allclose(a.grad, numeric_grad(f, a.value.copy()), rtol=1e-6)
 
     def test_concat_stack_take_rows(self):
-        a = ad.Tensor(self.rng.normal(size=(2, 3)), requires_grad=True)
-        b = ad.Tensor(self.rng.normal(size=(1, 3)), requires_grad=True)
+        a = ad.Tensor(self.rng.normal(size=(2, 3)))
+        b = ad.Tensor(self.rng.normal(size=(1, 3)))
         cat = ad.concat([a, b], axis=0)
         sel = ad.take_rows(cat, [0, 2, 2])
         out = ad.sum(sel * sel)
@@ -153,14 +153,14 @@ class TestShapeOps:
             np.sum(np.concatenate([v, b.value])[np.array([0, 2, 2])] ** 2)
         )
         np.testing.assert_allclose(a.grad, numeric_grad(fa, a.value.copy()), rtol=1e-6)
-        rows = [ad.Tensor(self.rng.normal(size=4), requires_grad=True) for _ in range(3)]
+        rows = [ad.Tensor(self.rng.normal(size=4)) for _ in range(3)]
         out = ad.sum(ad.stack(rows) ** 2.0)
         out.backward()
         for r in rows:
             np.testing.assert_allclose(r.grad, 2 * r.value, rtol=1e-12)
 
     def test_crop(self):
-        a = ad.Tensor(self.rng.normal(size=(2, 5, 6)), requires_grad=True)
+        a = ad.Tensor(self.rng.normal(size=(2, 5, 6)))
         out = ad.sum(ad.crop(a, 1, 3, 2, 5))
         out.backward()
         expect = np.zeros((2, 5, 6))
@@ -168,14 +168,14 @@ class TestShapeOps:
         np.testing.assert_array_equal(a.grad, expect)
 
     def test_diamond_graph_accumulates(self):
-        x = ad.Tensor(2.0, requires_grad=True)
+        x = ad.Tensor(2.0)
         y = x * x + x * 3.0  # dy/dx = 2x + 3 = 7
         y.backward()
         assert float(x.grad) == pytest.approx(7.0, abs=1e-12)
 
     def test_backward_twice_through_a_shared_graph(self):
         # the second backward must not see the first one's interior grads
-        x = ad.Tensor(2.0, requires_grad=True)
+        x = ad.Tensor(2.0)
         h = x * x
         y1, y2 = h * 3.0, h * 5.0
         y1.backward()
@@ -185,7 +185,7 @@ class TestShapeOps:
         assert float(x.grad) == 20.0
 
     def test_transpose_axes(self):
-        a = ad.Tensor(self.rng.normal(size=(2, 3, 4)), requires_grad=True)
+        a = ad.Tensor(self.rng.normal(size=(2, 3, 4)))
         out = ad.transpose(a, (1, 2, 0))
         assert out.shape == (3, 4, 2)
         g = self.rng.normal(size=out.shape)
@@ -198,9 +198,9 @@ class TestStructuredOps:
         self.rng = np.random.default_rng(13)
 
     def test_conv2d_matches_finite_differences(self):
-        x = ad.Tensor(self.rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
-        w = ad.Tensor(self.rng.normal(size=(3, 2, 3, 3)) * 0.3, requires_grad=True)
-        b = ad.Tensor(self.rng.normal(size=3), requires_grad=True)
+        x = ad.Tensor(self.rng.normal(size=(1, 2, 6, 6)))
+        w = ad.Tensor(self.rng.normal(size=(3, 2, 3, 3)) * 0.3)
+        b = ad.Tensor(self.rng.normal(size=3))
         out = ad.sum(ad.conv2d(x, w, b, stride=2, pad=1) ** 2.0)
         out.backward()
         fx = lambda v: float(np.sum(ad.conv2d(v, w.value, b.value, 2, 1).value ** 2))
@@ -219,14 +219,14 @@ class TestStructuredOps:
             ad.conv2d(x[0], w, b)
 
     def test_upsample2x(self):
-        a = ad.Tensor(self.rng.normal(size=(1, 2, 2)), requires_grad=True)
+        a = ad.Tensor(self.rng.normal(size=(1, 2, 2)))
         out = ad.upsample2x(a)
         assert out.value.shape == (1, 4, 4)
         ad.sum(out).backward()
         np.testing.assert_array_equal(a.grad, np.full((1, 2, 2), 4.0))
 
     def test_softmax_cross_entropy(self):
-        logits = ad.Tensor(self.rng.normal(size=(5, 4)), requires_grad=True)
+        logits = ad.Tensor(self.rng.normal(size=(5, 4)))
         labels = np.array([0, 3, 1, 2, 2])
         out = ad.softmax_cross_entropy(logits, labels)
         out.backward()
@@ -236,7 +236,7 @@ class TestStructuredOps:
         )
 
     def test_smooth_l1(self):
-        pred = ad.Tensor(self.rng.normal(size=(4, 4)) * 2.0, requires_grad=True)
+        pred = ad.Tensor(self.rng.normal(size=(4, 4)) * 2.0)
         target = self.rng.normal(size=(4, 4))
         out = ad.smooth_l1(pred, target)
         out.backward()
@@ -267,8 +267,8 @@ def check_conv2d_adjoint(rng, xv, stride, pad, k, per_image=False):
     lead = (len(xv),) if per_image else ()
     wv = rng.normal(size=lead + (4, 3, k, k))
     bv = rng.normal(size=lead + (4,))
-    x, w, b = (ad.Tensor(v, requires_grad=True) for v in (xv, wv, bv))
-    out = ad.conv2d(x, w, ad.Tensor(np.zeros(bv.shape), requires_grad=True), stride, pad)
+    x, w, b = (ad.Tensor(v) for v in (xv, wv, bv))
+    out = ad.conv2d(x, w, ad.Tensor(np.zeros(bv.shape)), stride, pad)
     if per_image:
         want = np.stack([brute_conv2d(xi, wi, bi, stride, pad)
                          for xi, wi, bi in zip(xv, wv, bv)])
@@ -288,18 +288,11 @@ def check_conv2d_adjoint(rng, xv, stride, pad, k, per_image=False):
         float(np.sum((with_b.value - out.value) * g)), rel=1e-12)
 
 
-def check_no_input_gradient(out, x, w, b):
+def check_no_input_gradient(out, w, b):
     """An input that is a constant is no parent of the conv's node and takes
-    no slot in its vjp; a `Tensor` input that requires no gradient is a
-    parent and gets None. The weight and bias gradients come either way."""
-    grads = out._vjp(np.ones(out.shape))
-    if isinstance(x, ad.Tensor):
-        assert out._parents == (x, w, b)
-        dx, dw, db = grads
-        assert dx is None
-    else:
-        assert out._parents == (w, b)
-        dw, db = grads
+    no slot in its vjp; the weight and bias gradients still come."""
+    assert out._parents == (w, b)
+    dw, db = out._vjp(np.ones(out.shape))
     assert dw.shape == w.shape and db.shape == b.shape
 
 
@@ -345,13 +338,12 @@ class TestConv2dAdjoint:
         wv, bv = rng.normal(size=(n, 5, 3, k, k)), rng.normal(size=(n, 5))
         oh, ow = (7 + 2 * pad - k) // stride + 1, (6 + 2 * pad - k) // stride + 1
         g = rng.normal(size=(n, 5, oh, ow))
-        x, w, b = (ad.Tensor(v, requires_grad=True) for v in (xv, wv, bv))
+        x, w, b = (ad.Tensor(v) for v in (xv, wv, bv))
         out = ad.conv2d(x, w, b, stride, pad)
         out.backward(g)
         singles = []
         for i in range(n):
-            xi, wi, bi = (ad.Tensor(v, requires_grad=True)
-                          for v in (xv[i : i + 1], wv[i], bv[i]))
+            xi, wi, bi = (ad.Tensor(v) for v in (xv[i : i + 1], wv[i], bv[i]))
             oi = ad.conv2d(xi, wi, bi, stride, pad)
             oi.backward(g[i : i + 1])
             singles.append((oi.value[0], xi.grad[0], wi.grad, bi.grad))
@@ -379,9 +371,9 @@ class TestConv2dAdjoint:
         assert ad._embed(xv, 0, 0, 6, 5) is xv
         assert np.shares_memory(ad._im2col(xv, 1, 1, 1, 6, 5), xv)
         lead = (2,) if per_image else ()
-        x = ad.Tensor(xv.copy(), requires_grad=True)
-        w = ad.Tensor(rng.normal(size=lead + (3, 4, 1, 1)), requires_grad=True)
-        b = ad.Tensor(rng.normal(size=lead + (3,)), requires_grad=True)
+        x = ad.Tensor(xv.copy())
+        w = ad.Tensor(rng.normal(size=lead + (3, 4, 1, 1)))
+        b = ad.Tensor(rng.normal(size=lead + (3,)))
         out = ad.conv2d(x, w, b, stride=1, pad=0)
         g = rng.normal(size=out.shape)
         g_before = g.copy()
@@ -400,12 +392,12 @@ class TestConv2dAdjoint:
         wv, bv = rng.normal(size=(5, 3, k, k)), rng.normal(size=5)
         oh, ow = (7 + 2 * pad - k) // stride + 1, (6 + 2 * pad - k) // stride + 1
         g = rng.normal(size=(n, 5, oh, ow))
-        x, w, b = (ad.Tensor(v, requires_grad=True) for v in (xv, wv, bv))
+        x, w, b = (ad.Tensor(v) for v in (xv, wv, bv))
         out = ad.conv2d(x, w, b, stride, pad)
         out.backward(g)
         singles = []
         for i in range(n):
-            xi, wi, bi = (ad.Tensor(v, requires_grad=True) for v in (xv[i : i + 1], wv, bv))
+            xi, wi, bi = (ad.Tensor(v) for v in (xv[i : i + 1], wv, bv))
             oi = ad.conv2d(xi, wi, bi, stride, pad)
             oi.backward(g[i : i + 1])
             singles.append((oi.value[0], xi.grad[0], wi.grad, bi.grad))
@@ -415,11 +407,11 @@ class TestConv2dAdjoint:
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("x", [np.ones((1, 2, 5, 5)), ad.Tensor(np.ones((1, 2, 5, 5)))])
-    def test_no_input_gradient_without_requires_grad(self, x):
-        w = ad.parameter(np.ones((3, 2, 3, 3)))
-        b = ad.parameter(np.zeros(3))
-        check_no_input_gradient(ad.conv2d(x, w, b, stride=2, pad=1), x, w, b)
+    def test_no_input_gradient_for_a_constant_input(self):
+        w = ad.Tensor(np.ones((3, 2, 3, 3)))
+        b = ad.Tensor(np.zeros(3))
+        check_no_input_gradient(ad.conv2d(np.ones((1, 2, 5, 5)), w, b, stride=2, pad=1),
+                                w, b)
 
 
 class TestUpsampleConv2d:
@@ -430,7 +422,7 @@ class TestUpsampleConv2d:
     def test_adjoint_in_w(self, shape):
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         x = rng.normal(size=(1, shape[1], 3, 4))
-        w = ad.Tensor(rng.normal(size=(*shape, 3, 3)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(*shape, 3, 3)))
         out = ad.upsample_conv2d(x, w, np.zeros(shape[0]))
         assert out.shape == (1, shape[0], 6, 8)
         y = rng.normal(size=out.shape)
@@ -442,7 +434,7 @@ class TestUpsampleConv2d:
     def test_adjoint_in_x(self, shape):
         rng = np.random.default_rng(sum(shape))
         n, c, h, wd = shape
-        x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=shape))
         w = rng.normal(size=(2, c, 3, 3))
         out = ad.upsample_conv2d(x, w, np.zeros(2))
         assert out.shape == (n, 2, 2 * h, 2 * wd)
@@ -462,7 +454,7 @@ class TestUpsampleConv2d:
         g = rng.normal(size=(n, 3, 2 * h, 2 * wd))
 
         def run(xin, gin):
-            x, w, b = ad.Tensor(xin, requires_grad=True), ad.parameter(wv), ad.parameter(bv)
+            x, w, b = ad.Tensor(xin), ad.Tensor(wv), ad.Tensor(bv)
             out = ad.upsample_conv2d(x, w, b)
             out.backward(gin)
             return out.value, x.grad, w.grad, b.grad
@@ -495,11 +487,10 @@ class TestUpsampleConv2d:
         np.testing.assert_allclose(ad.upsample_conv2d(x[None], w, b).value[0], want,
                                    rtol=1e-13, atol=1e-13)
 
-    @pytest.mark.parametrize("x", [np.ones((1, 2, 3, 3)), ad.Tensor(np.ones((1, 2, 3, 3)))])
-    def test_no_input_gradient_without_requires_grad(self, x):
-        w = ad.parameter(np.ones((3, 2, 3, 3)))
-        b = ad.parameter(np.zeros(3))
-        check_no_input_gradient(ad.upsample_conv2d(x, w, b), x, w, b)
+    def test_no_input_gradient_for_a_constant_input(self):
+        w = ad.Tensor(np.ones((3, 2, 3, 3)))
+        b = ad.Tensor(np.zeros(3))
+        check_no_input_gradient(ad.upsample_conv2d(np.ones((1, 2, 3, 3)), w, b), w, b)
 
 
 
@@ -549,10 +540,9 @@ ACTIVATIONS = {None: lambda t: t, "tanh": ad.tanh, "sigmoid": ad.sigmoid}
 
 
 def _fused_operands(values, kinds):
-    """One call's operands: per `kinds` entry, "grad" a `Tensor` that
-    requires grad, "fixed" one that does not, "const" the plain array."""
-    make = {"grad": lambda v: ad.Tensor(v, requires_grad=True), "fixed": ad.Tensor,
-            "const": lambda v: v}
+    """One call's operands: per `kinds` entry, "grad" a `Tensor`, "const"
+    the plain array."""
+    make = {"grad": ad.Tensor, "const": lambda v: v}
     return [make[k](v) for v, k in zip(values, kinds)]
 
 
@@ -562,20 +552,18 @@ def assert_fused_matches(fused, composed, values, kinds):
     `composed(*operands)`, the op composition it replaces, bit for bit."""
     got_args, want_args = _fused_operands(values, kinds), _fused_operands(values, kinds)
     got, want = fused(*got_args), composed(*want_args)
-    if got.requires_grad:
-        assert got._parents == tuple(a for a in got_args if isinstance(a, ad.Tensor))
+    assert got._parents == tuple(a for a in got_args if isinstance(a, ad.Tensor))
     assert got.value.tobytes() == want.value.tobytes()
     g = np.random.default_rng(len(values)).normal(size=got.shape)
     got.backward(g)
     want.backward(g)
     for a, b in zip(got_args, want_args):
-        if isinstance(a, ad.Tensor) and a.requires_grad:
+        if isinstance(a, ad.Tensor):
             assert a.grad.shape == b.grad.shape
             assert a.grad.tobytes() == b.grad.tobytes()
 
 
-KINDS = [("grad", "grad", "grad"), ("fixed", "grad", "grad"), ("const", "grad", "grad"),
-         ("grad", "const", "const")]
+KINDS = [("grad", "grad", "grad"), ("const", "grad", "grad"), ("grad", "const", "const")]
 
 
 class TestFusedOps:
@@ -606,7 +594,7 @@ class TestFusedOps:
             values, kinds)
 
     @pytest.mark.parametrize("act", [None, "tanh"])
-    @pytest.mark.parametrize("x_kind", ["grad", "fixed", "const"])
+    @pytest.mark.parametrize("x_kind", ["grad", "const"])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv2d_per_image_kernel_operands(self, act, x_kind, stride):
         """A sequence of each image's kernel and bias against one stacked
@@ -637,8 +625,8 @@ class TestFusedOps:
         """An overflowed pre-activation raises, though the activation would
         squash it to a finite value."""
         x = np.full((1, 2, 4, 4), 10.0)
-        w = ad.parameter(np.full((3, 2, 3, 3), 1e307))
-        b = ad.parameter(np.zeros(3))
+        w = ad.Tensor(np.full((3, 2, 3, 3), 1e307))
+        b = ad.Tensor(np.zeros(3))
         calls = {
             "affine": lambda: ad.affine(np.full(18, 10.0), w.value.reshape(3, 18).T, b,
                                         act=act),
@@ -657,24 +645,24 @@ class TestFusedOps:
 
 class TestGRL:
     def test_forward_identity_bit_exact(self):
-        x = ad.Tensor(np.array([1.0, -2.5, 3e-7]), requires_grad=True)
+        x = ad.Tensor(np.array([1.0, -2.5, 3e-7]))
         y = ad.grl(x, 0.7)
         assert np.array_equal(y.value, x.value)
 
     def test_backward_scales_by_minus_lambda(self):
-        x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        x = ad.Tensor(np.array([1.0, 2.0]))
         ad.sum(ad.grl(x, 1.0) * 2.0).backward()
         np.testing.assert_array_equal(x.grad, [-2.0, -2.0])
 
     def test_lambda_zero_kills_gradient(self):
-        x = ad.Tensor(np.array([4.0]), requires_grad=True)
+        x = ad.Tensor(np.array([4.0]))
         ad.sum(ad.grl(x, 0.0) * 5.0).backward()
         assert np.all(x.grad == 0.0)
 
     def test_exact_scaling_of_random_upstream(self):
         rng = np.random.default_rng(3)
         g_up = rng.normal(size=8)
-        x = ad.Tensor(np.zeros(8), requires_grad=True)
+        x = ad.Tensor(np.zeros(8))
         y = ad.grl(x, 0.1)
         y.backward(seed=g_up)
         np.testing.assert_array_equal(x.grad, -0.1 * g_up)
@@ -719,15 +707,15 @@ class TestFiniteGuard:
     def test_non_finite_constant_raises_at_the_op_reading_it(self, op, bad):
         """A constant makes no node, so its own values are not checked; the
         node of the op that reads it is."""
-        t = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        t = ad.Tensor(np.ones((2, 3)))
         c = np.ones((2, 3))
         c[1, 2] = bad
         calls = {
             "add": lambda: ad.add(t, c),
             "matmul": lambda: ad.matmul(t, c.T),
             "concat": lambda: ad.concat([t, c], axis=0),
-            "conv2d": lambda: ad.conv2d(c[None, None], ad.parameter(np.ones((1, 1, 3, 3))),
-                                        ad.parameter(np.zeros(1))),
+            "conv2d": lambda: ad.conv2d(c[None, None], ad.Tensor(np.ones((1, 1, 3, 3))),
+                                        ad.Tensor(np.zeros(1))),
         }
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as err:
             calls[op]()
@@ -742,37 +730,21 @@ class TestFiniteGuard:
 
 
 class TestConstantOperands:
-    """A binary op's vjp gives None for an operand that needs no gradient,
-    and the other operand's gradient is the one it gets when both do."""
-
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
-    @pytest.mark.parametrize("const", [0, 1])
-    def test_vjp_skips_the_constant_operand(self, op, const):
-        rng = np.random.default_rng(3)
-        av, bv = rng.normal(size=(3, 4)), rng.normal(size=4) + 3.0
-        g = rng.normal(size=(3, 4))
-        full = op(ad.Tensor(av, requires_grad=True), ad.Tensor(bv, requires_grad=True))
-        want = full._vjp(g)
-        args = [ad.Tensor(av, requires_grad=True), ad.Tensor(bv, requires_grad=True)]
-        args[const] = ad.Tensor(args[const].value)
-        got = op(*args)._vjp(g)
-        assert got[const] is None
-        live = 1 - const
-        assert got[live].tobytes() == want[live].tobytes()
-        assert got[live].shape == args[live].shape
+    """A plain array operand is a constant: it is no parent and takes no
+    slot in the vjp, and the other operand's gradient is the one it gets
+    when both are `Tensor`s."""
 
     @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
     @pytest.mark.parametrize("const", [0, 1])
     def test_plain_operand_takes_no_slot(self, op, const):
         """A plain array operand gives the value and the other operand's
-        gradient of a constant `Tensor` operand, as a node whose one parent
-        is the other operand."""
+        gradient of a `Tensor` operand, as a node whose one parent is the
+        other operand."""
         rng = np.random.default_rng(5)
         av, bv = rng.normal(size=(3, 4)), rng.normal(size=4) + 3.0
         g = rng.normal(size=(3, 4))
         live = 1 - const
-        args = [ad.Tensor(av, requires_grad=True), ad.Tensor(bv, requires_grad=True)]
-        args[const] = ad.Tensor(args[const].value)
+        args = [ad.Tensor(av), ad.Tensor(bv)]
         want = op(*args)
         args[const] = args[const].value
         got = op(*args)
@@ -785,7 +757,7 @@ class TestConstantOperands:
         x = np.array([0.2, 0.4])
         for out in (ad.log(x), ad.mean(x), ad.matmul(x, x), ad.concat([x, x])):
             assert isinstance(out, ad.Tensor)
-            assert out._parents == () and not out.requires_grad
+            assert out._parents == ()
         assert ad.log(x).value.tobytes() == np.log(x).tobytes()
 
 
@@ -798,7 +770,7 @@ class TestMean:
         av = rng.normal(size=(2, 3, 5))
         g_shape = np.sum(av, axis=axis, keepdims=keepdims).shape
         g = rng.normal(size=g_shape)
-        a = ad.Tensor(av, requires_grad=True)
+        a = ad.Tensor(av)
         got = ad.mean(a, axis=axis, keepdims=keepdims)
         got.backward(g)
         got_grad, a.grad = a.grad, None
@@ -813,7 +785,7 @@ class TestMean:
 
 class TestSGD:
     def test_momentum_trajectory(self):
-        p = ad.parameter([1.0])
+        p = ad.Tensor([1.0])
         opt = ad.SGD([p], lr=0.1, momentum=0.5)
         # constant gradient of 1: v_1 = 1, v_2 = 1.5
         for expected in (1.0 - 0.1, 0.9 - 0.15):

@@ -200,6 +200,33 @@ class TestClusterProposals:
         assert members == [[0, 1]] and outliers == [2]
 
 
+class TestProposalSet:
+    BOXES = [[10.0, 10.0, 6.0, 8.0], [20.0, 20.0, 8.0, 8.0]]
+
+    def test_accepts_finite_boxes_of_positive_size(self):
+        pset = grp.ProposalSet(boxes=self.BOXES, objectness=[0.5, 0.9])
+        assert pset.boxes.shape == (2, 4) and pset.objectness.shape == (2,)
+
+    @pytest.mark.parametrize("boxes, objectness, match", [
+        ([], [], "at least one"),
+        ([[10.0, 10.0, 6.0]], [1.0], r"not \(1, 3\) and"),
+        ([10.0, 10.0, 6.0, 8.0], [1.0], r"not \(4,\) and"),
+        (BOXES, np.ones(5), r"and \(5,\)"),
+        (BOXES, [[0.5, 0.9]], r"and \(1, 2\)"),
+        # a NaN width used to be cast to an int in `roi_pool_matrix`, with
+        # only a RuntimeWarning, and every proposal labelled background
+        ([[10.0, 10.0, np.nan, 8.0], [20.0, 20.0, 8.0, 8.0]], [0.5, 0.9], "finite boxes"),
+        ([[np.inf, 10.0, 6.0, 8.0], [20.0, 20.0, 8.0, 8.0]], [0.5, 0.9], "finite boxes"),
+        (BOXES, [0.5, np.nan], "finite boxes"),
+        ([[10.0, 10.0, 0.0, 8.0], [20.0, 20.0, 8.0, 8.0]], [0.5, 0.9], "positive"),
+        ([[10.0, 10.0, 6.0, 8.0], [20.0, 20.0, 8.0, -1.0]], [0.5, 0.9], "positive"),
+    ], ids=["empty", "three-columns", "one-flat-box", "five-scores", "2d-scores",
+            "nan-width", "inf-center", "nan-score", "zero-width", "negative-height"])
+    def test_rejects_malformed_proposals(self, boxes, objectness, match):
+        with pytest.raises(ValueError, match=match):
+            grp.ProposalSet(boxes=boxes, objectness=objectness)
+
+
 class TestDegenerateFallback:
     def test_evenly_spaced_centers_raise(self):
         with pytest.raises(grp.DegenerateGroupingError) as err:

@@ -280,7 +280,7 @@ class TestPooledAdvLoss:
         assert losses.local_adv_loss([ps, pt]).value == want
 
     def test_gradient(self):
-        p = ad.Tensor([0.3, 0.8], requires_grad=True)
+        p = ad.Tensor([0.3, 0.8])
         loss = losses.local_adv_loss(p)
         loss.backward()
         assert float(loss.value) == 0.3 * 0.3 + (1.0 - 0.8) * (1.0 - 0.8)
@@ -288,9 +288,9 @@ class TestPooledAdvLoss:
 
 
 def _operands(values, live):
-    """Fresh operands of one call: a `Tensor` that requires grad where
-    `live` says so, else the plain array."""
-    return [ad.Tensor(v, requires_grad=True) if on else v for v, on in zip(values, live)]
+    """Fresh operands of one call: a `Tensor` where `live` says so, else
+    the plain array."""
+    return [ad.Tensor(v) if on else v for v, on in zip(values, live)]
 
 
 def assert_node_matches_composition(loss, composed, values, live, *extra, seed=1.37):
@@ -394,8 +394,8 @@ class TestDifferentiability:
 
     def test_difference_loss_gradients(self):
         rng = np.random.default_rng(11)
-        d = ad.Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
-        f = ad.Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+        d = ad.Tensor(rng.normal(size=(2, 2, 3, 3)))
+        f = ad.Tensor(rng.normal(size=(2, 2, 3, 3)))
         out = losses.difference_loss(d, f)
         out.backward()
         assert d.grad is not None and f.grad is not None
@@ -409,7 +409,7 @@ class TestDifferentiability:
         assert d.grad[i] == pytest.approx((hi - lo) / (2 * eps), rel=1e-5)
 
     def test_focal_gradient(self):
-        p = ad.Tensor(0.7, requires_grad=True)
+        p = ad.Tensor(0.7)
         focal_source_term(p, 5.0).backward()
         eps = 1e-7
         fd = (

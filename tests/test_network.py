@@ -120,7 +120,7 @@ class TestUpsampleConv:
         for block in (lambda x: ad.upsample_conv2d(x, conv.w, conv.b),
                       lambda x: ad.conv2d(ad.upsample2x(x), conv.w, conv.b, 1, 1)):
             conv.w.grad = conv.b.grad = None
-            x = ad.Tensor(xv, requires_grad=True)
+            x = ad.Tensor(xv)
             out = block(x)
             out.backward(g)
             results.append((out.value, x.grad, conv.w.grad, conv.b.grad))
@@ -135,12 +135,12 @@ class TestUpsampleConv:
         conv.b.value = rng.normal(size=4)
         xv = rng.normal(size=(2, 6, 3, 5))
         g = rng.normal(size=(2, 4, 6, 10))
-        x = ad.Tensor(xv, requires_grad=True)
+        x = ad.Tensor(xv)
         out = ad.upsample_conv2d(x, conv.w, conv.b)
         out.backward(g)
         got = (out.value, x.grad, conv.w.grad, conv.b.grad)
         conv.w.grad = conv.b.grad = None
-        xs = [ad.Tensor(v[None], requires_grad=True) for v in xv]
+        xs = [ad.Tensor(v[None]) for v in xv]
         outs = [ad.conv2d(ad.upsample2x(xi), conv.w, conv.b, 1, 1) for xi in xs]
         ad.sum(ad.concat(outs) * g).backward()
         want = (np.concatenate([o.value for o in outs]),
@@ -178,8 +178,7 @@ class TestCropPool:
             net.crop_pool(fmap, np.array([100.0, 4.0, 4.0, 4.0]))
 
     def test_gradient_flows(self):
-        fmap = ad.Tensor(np.random.default_rng(7).normal(size=(2, 4, 4)),
-                         requires_grad=True)
+        fmap = ad.Tensor(np.random.default_rng(7).normal(size=(2, 4, 4)))
         vec = net.crop_pool(fmap, np.array([8.0, 8.0, 8.0, 8.0]))
         ad.sum(vec).backward()
         assert fmap.grad is not None and fmap.grad.any()
@@ -244,9 +243,9 @@ class TestRoiPool:
     def test_gradient_matches_stacked_crop_pool(self, image):
         fmap, boxes, _ = image
         g = np.random.default_rng(24).normal(size=(len(boxes), 5))
-        batch = ad.Tensor(fmap[None], requires_grad=True)
+        batch = ad.Tensor(fmap[None])
         net.roi_pool(batch, net.roi_pool_matrix(boxes, 8, 8)).backward(g)
-        t = ad.Tensor(fmap, requires_grad=True)
+        t = ad.Tensor(fmap)
         ad.stack([net.crop_pool(t, b) for b in boxes]).backward(g)
         np.testing.assert_allclose(batch.grad[0], t.grad, rtol=1e-12, atol=1e-12)
         with pytest.raises(ValueError, match="batch"):
@@ -319,8 +318,8 @@ class TestDomainHeads:
                 probs.append(p.value)
             return probs, [p.grad for _, p in params], [x.grad for x in inputs]
 
-        single = [ad.Tensor(r[None], requires_grad=True) for r in rows]
-        batch = ad.Tensor(rows, requires_grad=True)
+        single = [ad.Tensor(r[None]) for r in rows]
+        batch = ad.Tensor(rows)
         p1, w1, x1 = grads(single)
         p3, w3, x3 = grads([batch])
         assert p1[0].shape == (1,) and p3[0].shape == (3,)

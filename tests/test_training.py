@@ -242,8 +242,7 @@ def test_a_diverged_box_head_fails_the_match_rate(trained_tiny):
     _, (_, _, detect_eval) = trained_tiny
     net = nw.SeparationNet(tiny_config(1).network, seed=0)
     net.head_box.b.value[:] = 1e308
-    # the sum in autodiff's finiteness check overflows on these finite values
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="refined box"):
+    with pytest.raises(ValueError, match="refined box"):
         training.target_match_rate(net, detect_eval)
 
 
@@ -581,6 +580,14 @@ def _repeat_first_param(manifest):
     manifest["params"][1]["name"] = manifest["params"][0]["name"]
 
 
+def _offset_last_param_to_the_last_value(manifest):
+    manifest["params"][-1]["offset"] = manifest["total"] - 1
+
+
+def _overlap_the_second_param(manifest):
+    manifest["params"][1]["offset"] = 0
+
+
 @pytest.mark.parametrize("spec, edit, match", [
     (training.gradcheck_config().network, None, r"backbone\.f1\.w"),
     (nw.NetworkSpec(), lambda m: m.update(dtype=">f8"), "dtype"),
@@ -590,14 +597,33 @@ def _repeat_first_param(manifest):
     # same parameter shapes, another spec
     (nw.NetworkSpec(domain_head_gain=2.0), None, r"domain_head_gain \(2\.0 vs 8\.0\)"),
     (nw.NetworkSpec(), lambda m: m.pop("network"), "num_classes"),
+    # offsets off the running sum of sizes: one ran past the blob after the
+    # parameters before it were overwritten, one loaded another's bytes
+    (nw.NetworkSpec(), _offset_last_param_to_the_last_value, r"head\.box\.b"),
+    (nw.NetworkSpec(), _overlap_the_second_param, r"offset 0 of backbone\.f1\.b"),
 ])
 def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
     """A checkpoint of another `NetworkSpec`, or whose manifest names other
-    parameters or another dtype, raises and leaves the net unchanged."""
+    parameters, another dtype or offsets that break the packing, raises and
+    leaves the net unchanged."""
     out = _saved_spec_into(tmp_path, spec, edit)
     target = nw.SeparationNet(nw.NetworkSpec(), seed=0)
     before = [p.value.copy() for p in target.params()]
     with pytest.raises(ValueError, match=match):
+        training.load_checkpoint(target, out)
+    for p, v in zip(target.params(), before):
+        assert p.value.tobytes() == v.tobytes()
+
+
+def test_load_checkpoint_rejects_a_blob_short_of_the_parameters(tmp_path):
+    """A blob cut short, with its manifest total to match, raises before the
+    last parameter reads past it, and leaves the net unchanged."""
+    out = _saved_spec_into(tmp_path, nw.NetworkSpec(), lambda m: m.update(total=m["total"] - 1))
+    blob = tmp_path / "checkpoint.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    target = nw.SeparationNet(nw.NetworkSpec(), seed=0)
+    before = [p.value.copy() for p in target.params()]
+    with pytest.raises(ValueError, match="blob size"):
         training.load_checkpoint(target, out)
     for p, v in zip(target.params(), before):
         assert p.value.tobytes() == v.tobytes()
@@ -663,6 +689,9 @@ def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
     # a blur radius whose kernel denominator 2*r**2 underflows made every
     # target pixel NaN
     ({"shift": synth.DomainShiftSpec(blur_radius=1e-200)}, "blur_radius"),
+    # a string is truthy, so "false" switched normalization on
+    ({"normalize_reconstruction": "false"}, "normalize_reconstruction"),
+    ({"normalize_reconstruction": 0}, "normalize_reconstruction"),
 ])
 def test_validate_rejects(change, match):
     cfg = dataclasses.replace(tiny_config(2), **change)
@@ -685,6 +714,7 @@ def test_validate_accepts_the_default_and_a_zero_decay_step(decay_step):
     {"proposal_noise": {"redundancy": 2.5}}, {"proposal_noise": {"background_count": 1.5}},
     {"scene": {"canvas": [32.0, 32]}}, {"scene": {"object_count_range": [1.5, 2]}},
     {"cluster": {"max_scales": 50.5}}, {"cluster": {"max_inner_iters": 10.5}},
+    {"normalize_reconstruction": "false"}, {"normalize_reconstruction": None},
 ])
 def test_config_from_dict_validates_the_nested_specs(data):
     with pytest.raises(ValueError):
