@@ -563,7 +563,8 @@ def assert_fused_matches(fused, composed, values, kinds):
             assert a.grad.tobytes() == b.grad.tobytes()
 
 
-KINDS = [("grad", "grad", "grad"), ("const", "grad", "grad"), ("grad", "const", "const")]
+KINDS = [("grad", "grad", "grad"), ("const", "grad", "const"), ("const", "grad", "grad"),
+         ("grad", "const", "const")]
 
 
 class TestFusedOps:
