@@ -287,17 +287,39 @@ class TestGlobalProperties:
 
 
 # ---------------------------------------------------------------------------
-# reference sweep: the straightforward mean-shift loop the fast one must match
-# bit for bit
+# reference sweeps: the straightforward mean-shift loop, all in numpy. With
+# the expanded exponent and the product mass it is the one the fast loop must
+# match bit for bit; with the direct distances and row sums it is the one the
+# fast loop must match in K, iterations and partitions, and in centers within
+# 1e-8.
 # ---------------------------------------------------------------------------
 
 def ref_shift_all(points, centers, sigma):
+    """(x, y, x^2 + y^2, 1) @ [-2px, -2py, 1, px^2 + py^2] / (-2 sigma^2) is
+    the exponent, and one product with [px, py, 1] gives the weighted sums
+    and the mass."""
+    px, py = points[:, 0], points[:, 1]
+    ones = np.ones_like(px)
+    rows = np.column_stack([centers, centers[:, 0] ** 2 + centers[:, 1] ** 2,
+                            np.ones(len(centers))])
+    exponent = (np.stack([-2.0 * px, -2.0 * py, ones, px * px + py * py])
+                / (-2.0 * sigma * sigma))
+    sums = np.exp(rows @ exponent) @ np.column_stack([px, py, ones])
+    return _normalise(sums[:, :2], sums[:, 2], centers)
+
+
+def ref_shift_all_direct(points, centers, sigma):
+    """exp(-|c - p|^2 / (2 sigma^2)) from the differences, with numpy's row
+    sums for the mass."""
     diff = centers[:, None, :] - points[None, :, :]
     w = np.exp(-(diff * diff).sum(axis=2) / (2.0 * sigma * sigma))
-    total = w.sum(axis=1)
+    return _normalise(w @ points, w.sum(axis=1), centers)
+
+
+def _normalise(moved, total, centers):
     isolated = total < np.finfo(np.float64).tiny
     safe = np.where(isolated, 1.0, total)
-    new = (w @ points) / safe[:, None]
+    new = moved / safe[:, None]
     new[isolated] = centers[isolated]
     return new, isolated
 
@@ -376,7 +398,7 @@ def assert_selection_matches_reference(snapshots, cfg):
     assert np.array_equal(model.centers, centers)
 
 
-def ref_converge(points, init_centers, sigma, cfg):
+def ref_converge(points, init_centers, sigma, cfg, shift=ref_shift_all):
     """(merged centers, iterations, whether any row was isolated)."""
     centers = np.array(init_centers, dtype=np.float64)
     tol = cfg.convergence_tol * sigma
@@ -387,7 +409,7 @@ def ref_converge(points, init_centers, sigma, cfg):
         if idx.size == 0:
             break
         iters += 1
-        new, isolated = ref_shift_all(points, centers[idx], sigma)
+        new, isolated = shift(points, centers[idx], sigma)
         any_isolated |= bool(isolated.any())
         moved = np.linalg.norm(new - centers[idx], axis=1)
         centers[idx] = new
@@ -395,14 +417,14 @@ def ref_converge(points, init_centers, sigma, cfg):
     return ref_merge(centers, cfg.merge_tol * sigma), iters, any_isolated
 
 
-def ref_sweep(points, cfg):
+def ref_sweep(points, cfg, shift=ref_shift_all):
     """([(sigma, centers, iters)], truncated)."""
     points = ssc.as_points(points)
     sigma0 = cfg.sigma0 if cfg.sigma0 is not None else ssc.default_sigma0(points, cfg)
     snaps, seeds = [], points
     for j in range(cfg.max_scales):
         sigma = sigma0 * cfg.k**j
-        centers, iters, _ = ref_converge(points, seeds, sigma, cfg)
+        centers, iters, _ = ref_converge(points, seeds, sigma, cfg, shift)
         snaps.append((float(sigma), centers, iters))
         seeds = centers
         if len(centers) == 1:
@@ -430,11 +452,29 @@ def assert_sweep_matches_reference(points, cfg):
     return snaps, truncated
 
 
+def assert_sweep_near_direct_reference(points, cfg):
+    """The same K and iterations at every scale, the same selected model
+    and labels, and centers within 1e-8 of the direct-distance sweep."""
+    result = ssc.cluster_points(points, cfg)
+    want, want_truncated = ref_sweep(points, cfg, ref_shift_all_direct)
+    assert result.truncated == want_truncated
+    assert ([(s.sigma, s.K, s.iters) for s in result.snapshots]
+            == [(sigma, len(centers), iters) for sigma, centers, iters in want])
+    for snap, (_, centers, _) in zip(result.snapshots, want):
+        np.testing.assert_allclose(snap.centers, centers, rtol=0.0, atol=1e-8)
+    snaps = [ssc.ClusterSnapshot(sigma, centers, iters) for sigma, centers, iters in want]
+    model = ssc.select_model(snaps, ssc.build_lifetime_table(snaps))
+    assert result.model.K == model.K and result.model.sigma_star == model.sigma_star
+    assert np.array_equal(result.assignment.labels, ssc.assign_points(points, model).labels)
+
+
+# (objects, redundancy, background) -> N = objects * redundancy + background
+PROPOSAL_LAYOUTS = [((1, 1, 0), 1), ((1, 2, 0), 2), ((2, 3, 2), 8), ((2, 12, 2), 26),
+                    ((4, 12, 2), 50)]
+
+
 class TestSweepBitIdentity:
-    # (objects, redundancy, background) -> N = objects * redundancy + background
-    @pytest.mark.parametrize("layout,n", [((1, 1, 0), 1), ((1, 2, 0), 2),
-                                          ((2, 3, 2), 8), ((2, 12, 2), 26),
-                                          ((4, 12, 2), 50)])
+    @pytest.mark.parametrize("layout,n", PROPOSAL_LAYOUTS)
     @pytest.mark.parametrize("seed", [3, 40])
     def test_proposal_clouds(self, layout, n, seed):
         pts = proposal_cloud(*layout, seed=seed)
@@ -564,16 +604,47 @@ def test_scale_equivariance(grid, e):
     assert [s.iters for s in r1.snapshots] == [s.iters for s in r2.snapshots]
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(
+# 1 to 30 points in [0, 40]^2, some of them repeated
+random_clouds = dict(
     cloud=st.integers(1, 25).flatmap(lambda n: st.lists(
         st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)), min_size=n, max_size=n)),
     repeats=st.lists(st.integers(0, 24), max_size=5),
 )
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(**random_clouds)
 def test_sweep_matches_reference_on_random_clouds(cloud, repeats):
     # 1 to 30 points, some of them repeated; every snapshot bit for bit
     pts = np.array(cloud + [cloud[i % len(cloud)] for i in repeats])
     assert_sweep_matches_reference(pts, ssc.ScaleSweepConfig())
+
+
+class TestDirectDistances:
+    """The expanded exponent against the direct |c - p|^2: the same
+    partitions, with centers apart only in their last bits."""
+
+    @pytest.mark.parametrize("layout,n", PROPOSAL_LAYOUTS)
+    @pytest.mark.parametrize("seed", [3, 40])
+    def test_proposal_clouds(self, layout, n, seed):
+        assert_sweep_near_direct_reference(proposal_cloud(*layout, seed=seed),
+                                           ssc.ScaleSweepConfig())
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(**random_clouds)
+    def test_random_clouds(self, cloud, repeats):
+        pts = np.array(cloud + [cloud[i % len(cloud)] for i in repeats])
+        assert_sweep_near_direct_reference(pts, ssc.ScaleSweepConfig())
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    @pytest.mark.parametrize("layout", [(2, 3, 2), (3, 6, 2), (2, 12, 2), (4, 12, 2)])
+    def test_a_far_offset_keeps_the_partition(self, layout, offset):
+        # |c|^2 - 2 c.p + |p|^2 cancels most where the coordinates are large
+        pts = proposal_cloud(*layout, seed=3)
+        near = ssc.cluster_points(pts)
+        far = ssc.cluster_points(pts + offset)
+        assert far.model.K == near.model.K
+        assert np.array_equal(far.assignment.labels, near.assignment.labels)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

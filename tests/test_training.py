@@ -760,6 +760,52 @@ def test_corpus_entries_keep_their_grouping_diagnostics():
         assert entry.grouping.inner_iters >= len(result.snapshots)
 
 
+# (groups, outliers, K, sigma_star) of each entry, source entries first, of
+# the 8+8 corpus that perfbench's `train` workload steps on: a change to any
+# partition of it fails here without a benchmark run
+PINNED_TRAIN_GROUPINGS = [
+    ([[1, 2, 3, 4, 5], [6, 7, 9, 10, 11], [13, 14, 15, 16], [18, 19, 21, 22, 23], [24], [25]],
+     [0, 8, 12, 17, 20], 6, 3.284427819355801),
+    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11], [12, 13, 14, 15, 16, 17]],
+     [18, 19], 3, 8.75117248034673),
+    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11], [12, 13, 14, 15, 16, 17], [18, 19, 20, 21, 22, 23]],
+     [24, 25], 4, 7.1111270469455485),
+    ([[0, 1, 4, 5], [6, 7, 8, 9, 10], [12], [13]],
+     [2, 3, 11], 4, 2.9481770152206197),
+    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11], [12, 13, 14, 15, 16, 17]],
+     [18, 19], 3, 6.869319626832635),
+    ([[1, 2, 3, 4, 5], [6, 7, 8, 10], [12, 13, 14, 15, 16, 17], [18, 19]],
+     [0, 9, 11], 4, 3.747490844098729),
+    ([[0, 1, 2, 3], [6, 7, 8, 10], [12], [13]],
+     [4, 5, 9, 11], 4, 2.7686942800251675),
+    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 10, 11], [12], [13]],
+     [9], 4, 2.4797515557006857),
+    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [12, 13, 14, 15, 16, 17], [18, 19, 20, 21, 22, 23]],
+     [11, 24, 25], 4, 5.44317784421961),
+    ([[2, 3, 4, 5], [6, 7, 8, 9, 10, 11], [12, 15, 16, 17], [18], [19]],
+     [0, 1, 13, 14], 5, 2.70230267158889),
+    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 10, 11], [12, 13, 14, 15, 16, 17], [19, 20, 21, 23], [24], [25]],
+     [9, 18, 22], 6, 3.413265137629371),
+    ([[0, 1, 2, 3, 5], [6, 7, 8, 9], [12, 15, 16], [18], [19]],
+     [4, 10, 11, 13, 14, 17], 5, 3.249421402762851),
+    ([[0, 1, 2, 3, 4], [6, 7, 8, 9, 10, 11], [12, 13, 14, 15, 16, 17], [18, 19, 20, 21, 22, 23]],
+     [5, 24, 25], 4, 5.6655044541029485),
+    ([[0, 2, 3, 4, 5], [7, 8, 9, 11], [13, 14, 16, 17], [18], [19]],
+     [1, 6, 10, 12, 15], 5, 2.5571765850084165),
+    ([[1, 2, 3, 4, 5], [6, 7, 9], [12, 13, 14, 16, 17], [19, 22], [24], [25]],
+     [0, 8, 10, 11, 15, 18, 20, 21, 23], 6, 2.9666612157871755),
+    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11], [12, 14, 15, 16, 17]],
+     [13, 18, 19], 3, 7.258933223221746),
+]
+
+
+def test_train_workload_corpus_groupings_are_pinned():
+    source, target = training.build_training_corpus(
+        training.TrainConfig(corpus_size=8, seed=0))
+    got = [(e.groups, e.outliers, e.grouping.K, e.grouping.sigma_star)
+           for e in source + target]
+    assert got == PINNED_TRAIN_GROUPINGS
+
 def test_target_entry_cannot_train_the_detector():
     net, _, target = _pair_and_net()
     with pytest.raises(ValueError, match="no detector targets"):
