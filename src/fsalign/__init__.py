@@ -1,6 +1,6 @@
 """Feature separation and alignment toolkit on synthetic two-domain data.
 
-Subpackages:
+Modules:
   scale_space  -- scale-space filtering clustering of 2-D points
   grouping     -- center-format boxes as (P, 4) arrays (IoU, box deltas),
                   proposal grouping by box-center clustering, outlier removal

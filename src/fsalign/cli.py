@@ -4,7 +4,8 @@
     fsalign gradcheck
 
 `train` runs the adapted model and its source-only twin (`run_experiment`)
-and, with `--out`, writes the loss CSVs, metrics.json and both checkpoints.
+and, with `--out DIR`, writes DIR/metrics.json, DIR/<twin>/steps.jsonl (the
+per-step losses) and DIR/<twin>/checkpoint.npz for <twin> adapted and source_only.
 `gradcheck` prints the per-branch finite-difference report as JSON.
 """
 
@@ -21,7 +22,8 @@ def _parser():
     tr = sub.add_parser("train", help="adapted run plus source-only twin")
     tr.add_argument("--config", help="JSON config (see training.config_to_dict); "
                     "defaults to TrainConfig()")
-    tr.add_argument("--out", help="directory for losses, metrics and checkpoints")
+    tr.add_argument("--out", help="directory for metrics.json, adapted/ and "
+                    "source_only/, each with steps.jsonl and checkpoint.npz")
     sub.add_parser("gradcheck", help="finite-difference check of every branch")
     return p
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .scale_space import is_real
 
 PROB_CLAMP = 1e-7
 
@@ -44,7 +45,7 @@ class ObjectiveWeights:
     def validate(self):
         for name in ("beta", "lam", "gamma"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
+            if not (is_real(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and non-negative")
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .grouping import box_iou, corners, encode_deltas
-from .scale_space import is_count
+from .scale_space import is_count, is_real
 
 # pixels per f3 cell: the backbone's three stride-2 stages
 STRIDE = 8
@@ -68,7 +68,7 @@ class NetworkSpec:
         for name in ("d1_hidden", "d23_hidden", "dri_hidden", "head_hidden", "num_classes"):
             if not is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be a positive integer")
-        if not (math.isfinite(self.domain_head_gain) and self.domain_head_gain > 0):
+        if not (is_real(self.domain_head_gain) and self.domain_head_gain > 0):
             raise ValueError("domain_head_gain must be finite and positive")
 
 

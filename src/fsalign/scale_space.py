@@ -35,6 +35,12 @@ def is_count(v, least=1):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
 
 
+def is_real(v):
+    """Whether `v` is a finite real number (a bool or a string is not)."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and math.isfinite(v))
+
+
 def _check_kernel_scale(sigma0):
     """Reject a starting scale whose kernel denominator 2*sigma0**2 underflows
     to 0: every self-distance term would be 0/0 and every center NaN."""
@@ -63,13 +69,13 @@ class ScaleSweepConfig:
     max_scales: int = 400
 
     def validate(self):
-        if self.sigma0 is not None and not (math.isfinite(self.sigma0) and self.sigma0 > 0):
+        if self.sigma0 is not None and not (is_real(self.sigma0) and self.sigma0 > 0):
             raise ValueError("sigma0 must be finite and positive")
-        if not (math.isfinite(self.k) and self.k > 1):
+        if not (is_real(self.k) and self.k > 1):
             raise ValueError("scale multiplier k must be finite and exceed 1")
         for name in ("epsilon", "convergence_tol", "merge_tol"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
+            if not (is_real(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive")
         for name in ("max_inner_iters", "max_scales"):
             if not is_count(getattr(self, name)):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .grouping import ProposalSet
 from .losses import rgb_to_grayscale
-from .scale_space import is_count
+from .scale_space import is_count, is_real
 
 SHAPE_CLASS_IDS = {"disk": 1, "square": 2, "triangle": 3}
 
@@ -79,7 +79,7 @@ class SceneSpec:
         if unknown or not self.shapes:
             raise ValueError(f"unsupported shapes: {sorted(unknown)}")
         if len(self.radius_range) != 2 or not all(
-                math.isfinite(r) and r > 0 for r in self.radius_range):
+                is_real(r) and r > 0 for r in self.radius_range):
             raise ValueError("radius_range must be two finite positive radii")
         if self.radius_range[0] > self.radius_range[1]:
             raise ValueError("radius_range is inverted")
@@ -89,7 +89,7 @@ class SceneSpec:
         if not self.palette:
             raise ValueError("palette must hold at least one color")
         for name, colors in (("palette", self.palette), ("background", (self.background,))):
-            if not all(len(c) == 3 and all(math.isfinite(v) for v in c) for c in colors):
+            if not all(len(c) == 3 and all(is_real(v) for v in c) for c in colors):
                 raise ValueError(f"{name} colors must be three finite channel values")
 
 
@@ -101,14 +101,14 @@ class DomainShiftSpec:
     noise_std: float = 0.02
 
     def validate(self):
-        if len(self.color_shift) != 3 or not all(math.isfinite(v) for v in self.color_shift):
+        if len(self.color_shift) != 3 or not all(is_real(v) for v in self.color_shift):
             raise ValueError("color_shift must be three finite channel offsets")
-        if not 0.0 <= self.fog_alpha <= 1.0:
+        if not (is_real(self.fog_alpha) and 0.0 <= self.fog_alpha <= 1.0):
             raise ValueError("fog_alpha must lie in [0, 1]")
         # a negative blur or noise would silently switch the effect off
         for name in ("blur_radius", "noise_std"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
+            if not (is_real(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and non-negative")
         # the blur kernel's denominator: at 0 its centre tap is 0/0
         r = self.blur_radius
@@ -131,7 +131,7 @@ class ProposalNoiseSpec:
         # a negative jitter would silently switch the jitter off
         for name in ("jitter_std", "background_margin"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
+            if not (is_real(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and non-negative")
 
 

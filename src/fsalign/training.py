@@ -16,11 +16,8 @@ writes the adapted net and its source-only twin in one loop.
 """
 
 import contextlib
-import csv
 import dataclasses
-import io
 import json
-import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -32,9 +29,9 @@ from . import network as nw
 from . import synth
 from .grouping import (apply_deltas, box_iou, cluster_box_centers, DegenerateGroupingError,
                        ProposalSet)
-from .scale_space import OUTLIER, ScaleSweepConfig, is_count
+from .scale_space import OUTLIER, ScaleSweepConfig, is_count, is_real
 
-CSV_COLUMNS = ("step", "L_c", "L_r", "L_rec", "L_diff", "L_lg", "L_ri", "total")
+LOGGED_TERMS = ("L_c", "L_r", "L_rec", "L_diff", "L_lg", "L_ri")  # branch names, capitalised
 
 REVERSED_BRANCHES = ("l_adv1", "l_adv2", "l_adv3", "l_ri")
 ALL_BRANCHES = ("l_c", "l_r", "l_rec", "l_diff") + REVERSED_BRANCHES + ("composite",)
@@ -79,9 +76,9 @@ class TrainConfig:
     def validate(self):
         for name in ("lr_initial", "lr_after_decay"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
+            if not (is_real(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 <= self.momentum < 1.0:
+        if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
         for name in ("iterations", "corpus_size", "eval_size", "probe_size"):
             if not is_count(getattr(self, name)):
@@ -120,9 +117,12 @@ def config_to_dict(cfg):
     return cfg
 
 
-def _from_plain(cls, data):
-    """Inverse of `config_to_dict` for dataclass `cls`: lists become tuples,
-    missing keys keep the field defaults and an unknown key raises."""
+def _from_plain(cls, data, name="config"):
+    """Inverse of `config_to_dict` for dataclass `cls` from JSON section `name`:
+    lists become tuples, missing keys keep the field defaults, and an unknown
+    key or a section that is not an object raises."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{name} must be a JSON object, not {type(data).__name__}")
     fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(fields))
     if unknown:
@@ -134,7 +134,7 @@ def _from_plain(cls, data):
     kwargs = {}
     for key, value in data.items():
         f = fields[key]
-        kwargs[f.name] = (_from_plain(f.type, value) if dataclasses.is_dataclass(f.type)
+        kwargs[f.name] = (_from_plain(f.type, value, key) if dataclasses.is_dataclass(f.type)
                           else tuples(value))
     return cls(**kwargs)
 
@@ -338,9 +338,8 @@ def train_step(net, source_entry, target_entry, weights, optimizer,
     out["composite"].backward()
     optimizer.step()
 
-    terms = CSV_COLUMNS[1:-1]  # each its branch's name, capitalised
-    vals = {c: float(out[c.lower()].value) for c in terms if c.lower() in out}
-    vals["total"] = L.total_objective(*(vals.get(c, 0.0) for c in terms),
+    vals = {c: float(out[c.lower()].value) for c in LOGGED_TERMS if c.lower() in out}
+    vals["total"] = L.total_objective(*(vals.get(c, 0.0) for c in LOGGED_TERMS),
                                       replace(weights, lam=lam))
     if "p3" in out:
         # d3 is pushed toward 0 on the source image, the region head (whose
@@ -455,72 +454,41 @@ def target_match_rate(net, detect_eval):
 # artifacts
 # ---------------------------------------------------------------------------
 
-def rows_to_csv_text(rows):
-    """The `CSV_COLUMNS` the rows hold, in that order, one line per step."""
-    columns = [c for c in CSV_COLUMNS if not rows or c in rows[0]]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for r in rows:
-        writer.writerow([r["step"]] + [format(r[c], ".17g") for c in columns[1:]])
-    return buf.getvalue()
+def save_checkpoint(net, out_dir):
+    """Write `out_dir`/checkpoint.npz: each parameter under its name, and the
+    net's `NetworkSpec` as JSON under "network"."""
+    np.savez(os.path.join(out_dir, "checkpoint.npz"),
+             network=json.dumps(config_to_dict(net.spec)),
+             **{name: p.value for name, p in net.named_params()})
 
 
-def save_checkpoint(net, out_dir, prefix="checkpoint"):
-    """Flat little-endian float64 blob plus a JSON shape manifest."""
-    entries, blobs, offset = [], [], 0
-    for name, p in net.named_params():
-        arr = np.ascontiguousarray(p.value, dtype="<f8")
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(arr.tobytes())
-        offset += arr.size
-    with open(os.path.join(out_dir, f"{prefix}.bin"), "wb") as fh:
-        fh.write(b"".join(blobs))
-    manifest = {"dtype": "<f8", "total": offset, "params": entries,
-                "network": config_to_dict(net.spec)}
-    with open(os.path.join(out_dir, f"{prefix}.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-
-
-def load_checkpoint(net, out_dir, prefix="checkpoint"):
-    """Load a `save_checkpoint` pair into `net`. The manifest must hold
-    float64 values for exactly the net's parameters, each in the net's
-    shape, packed in manifest order from offset 0 to the blob's end, saved
-    from a net of the same `NetworkSpec`; otherwise a ValueError names what
-    differs and `net` is left unchanged."""
-    with open(os.path.join(out_dir, f"{prefix}.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("dtype") != "<f8":
-        raise ValueError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
-    raw = np.fromfile(os.path.join(out_dir, f"{prefix}.bin"), dtype="<f8")
-    by_name = {e["name"]: e for e in manifest["params"]}
-    named = net.named_params()
-    names = [name for name, _ in named]
-    if sorted(e["name"] for e in manifest["params"]) != sorted(names):
+def load_checkpoint(net, out_dir):
+    """Load `out_dir`/checkpoint.npz, written by `save_checkpoint`, into
+    `net`. It must hold float64 values for exactly the net's parameters, each
+    in the net's shape, saved from a net of the same `NetworkSpec`; otherwise
+    a ValueError names what differs. It is read without unpickling, so an
+    object array raises too. On any error, `net` is left unchanged."""
+    with np.load(os.path.join(out_dir, "checkpoint.npz"), allow_pickle=False) as npz:
+        files = [f for f in npz.files if f != "network"]
+        arrays = {f: npz[f] for f in files}
+        saved = json.loads(str(npz["network"])) if "network" in npz.files else {}
+    params = dict(net.named_params())
+    if sorted(files) != sorted(params):
         raise ValueError(f"checkpoint parameters differ from the net's: missing "
-                         f"{sorted(set(names) - set(by_name))}, unexpected "
-                         f"{sorted(set(by_name) - set(names))} (or a name repeats)")
-    for name, p in named:
-        if tuple(by_name[name]["shape"]) != p.value.shape:
-            raise ValueError(f"checkpoint shape {tuple(by_name[name]['shape'])} of "
-                             f"{name} differs from the net's {p.value.shape}")
-    offset = 0
-    for e in manifest["params"]:
-        if e["offset"] != offset:
-            raise ValueError(f"checkpoint offset {e['offset']} of {e['name']} is not "
-                             f"{offset}, the sum of the sizes before it")
-        offset += math.prod(e["shape"])
-    if offset != raw.size:
-        raise ValueError(f"checkpoint blob size {raw.size} does not match the "
-                         f"{offset} values its manifest's parameters hold")
-    saved, spec = manifest.get("network", {}), config_to_dict(net.spec)
+                         f"{sorted(set(params) - set(files))}, unexpected "
+                         f"{sorted(set(files) - set(params))} (or a name repeats)")
+    for name, p in params.items():
+        arr = arrays[name]
+        if arr.dtype != np.float64 or arr.shape != p.value.shape:
+            raise ValueError(f"checkpoint {name} has dtype {arr.dtype} and shape "
+                             f"{arr.shape}, not float64 and the net's {p.value.shape}")
+    spec = config_to_dict(net.spec)
     differ = sorted(k for k in {**saved, **spec} if saved.get(k) != spec.get(k))
     if differ:
         raise ValueError("checkpoint network differs from the net's in " + ", ".join(
             f"{k} ({saved.get(k)!r} vs {spec.get(k)!r})" for k in differ))
-    for name, p in named:
-        e = by_name[name]
-        p.value = raw[e["offset"] : e["offset"] + p.value.size].reshape(p.value.shape).copy()
+    for name, p in params.items():
+        p.value = arrays[name]
     return net
 
 
@@ -529,25 +497,26 @@ def run_experiment(cfg, out_dir=None, log=None):
 
     Both twins train on one grouped corpus and are evaluated on the same
     held-out samples; the twin (`source_only_config`) is the detector alone.
-    With `out_dir`, each writes its loss CSV and checkpoint (`losses.csv`,
-    `checkpoint.*`, suffixed `_source_only` for the twin, whose CSV holds
-    `L_c`, `L_r` and `total`), then metrics.json; returns the metrics dict.
+    Returns each twin's `probe_accuracy` and `target_match_rate` under its
+    name ("adapted", "source_only"), next to the "seeds". With `out_dir`, each
+    twin writes `<twin>/steps.jsonl`, one JSON line per `train` row, and
+    `<twin>/checkpoint.npz`; then the metrics go to metrics.json.
     """
+    cfg.validate()
     source, target = build_training_corpus(cfg)
     probe_train, probe_eval, detect_eval = build_eval_sets(cfg)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     metrics = {}
-    for suffix, twin_cfg in {"": cfg, "_source_only": source_only_config(cfg)}.items():
+    for twin, twin_cfg in (("adapted", cfg), ("source_only", source_only_config(cfg))):
         result = train(twin_cfg, source, target)
-        metrics[f"probe_accuracy{suffix or '_adapted'}"] = probe_domain_accuracy(
-            result.net, probe_train, probe_eval)
-        metrics[f"target_match_rate{suffix}"] = target_match_rate(result.net, detect_eval)
+        metrics[twin] = {
+            "probe_accuracy": probe_domain_accuracy(result.net, probe_train, probe_eval),
+            "target_match_rate": target_match_rate(result.net, detect_eval)}
         if out_dir:
-            with open(os.path.join(out_dir, f"losses{suffix}.csv"), "w",
-                      encoding="utf-8", newline="") as fh:
-                fh.write(rows_to_csv_text(result.rows))
-            save_checkpoint(result.net, out_dir, prefix=f"checkpoint{suffix}")
+            twin_dir = os.path.join(out_dir, twin)
+            os.makedirs(twin_dir, exist_ok=True)
+            with open(os.path.join(twin_dir, "steps.jsonl"), "w", encoding="utf-8") as fh:
+                fh.writelines(json.dumps(row) + "\n" for row in result.rows)
+            save_checkpoint(result.net, twin_dir)
     metrics["seeds"] = {"train": cfg.seed}
     if log:
         log(json.dumps(metrics))
@@ -583,12 +552,14 @@ def finite_difference_check(seed=0, eps=1e-5, coords_per_param=50, branches=None
 
     Every branch is a node of the trained loss graph (`compute_losses`),
     checked at lam = -1, where gradient reversal is exactly transparent. One
-    forward per perturbation serves every branch. For the reversed branches
-    the lam = +1 vs lam = -1 gradient sign symmetry of every parameter
-    upstream of a GRL is verified exactly. Returns
+    forward per perturbation serves every branch; `branches=None` checks them
+    all. For the reversed branches the lam = +1 vs lam = -1 gradient sign
+    symmetry of every parameter upstream of a GRL is verified exactly. Returns
     {branch: {"max_rel_err": float, "per_param": {...}, "sign_symmetric": bool}}.
     """
-    branches = list(branches or ALL_BRANCHES)
+    branches = list(ALL_BRANCHES if branches is None else branches)
+    if not branches:
+        raise ValueError("branches is empty; pass None to check every branch")
     unknown = [b for b in branches if b not in ALL_BRANCHES]
     if unknown:
         raise ValueError(f"unknown branches {unknown!r}")

@@ -1,9 +1,9 @@
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import traceback
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ def _checked_losses(net, source, target, lam):
                                    cfg.normalize_reconstruction)
 
 
-LOSS_COLUMNS = training.CSV_COLUMNS[1:]
+LOSS_COLUMNS = training.LOGGED_TERMS + ("total",)
 
 # per-step (L_c, L_r, L_rec, L_diff, L_lg, L_ri, total) of train(tiny_config(12)),
 # recorded with the per-proposal crop_pool / per-group head implementation
@@ -151,11 +151,9 @@ def test_logged_total_uses_the_applied_lambda():
     assert at_zero != losses.total_objective(*terms, cfg.weights)
 
 
-def _header_and_last_row(path):
-    """A loss CSV's header and the loss fields of its last row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    return header, [float(v) for v in rows[-1][1:]]
+def read_steps(path):
+    """The rows of a steps.jsonl file."""
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def test_run_experiment_builds_the_corpus_once(monkeypatch, tmp_path):
@@ -171,25 +169,35 @@ def test_run_experiment_builds_the_corpus_once(monkeypatch, tmp_path):
     assert len(calls) == 1
     # recorded when each twin built and grouped its own corpus
     assert metrics == {
-        "probe_accuracy_source_only": 1.0,
-        "probe_accuracy_adapted": 1.0,
-        "target_match_rate": 0.6666666666666666,
-        "target_match_rate_source_only": 0.6666666666666666,
+        "adapted": {"probe_accuracy": 1.0, "target_match_rate": 0.6666666666666666},
+        "source_only": {"probe_accuracy": 1.0, "target_match_rate": 0.6666666666666666},
         "seeds": {"train": 0},
     }
-    header, last = _header_and_last_row(tmp_path / "losses.csv")
-    assert header == list(training.CSV_COLUMNS)
-    np.testing.assert_allclose(last, [
+    last = read_steps(tmp_path / "adapted" / "steps.jsonl")[-1]
+    assert list(last) == [*LOSS_COLUMNS, "acc_d3", "acc_dri", "step"]
+    np.testing.assert_allclose([last[c] for c in LOSS_COLUMNS], [
         1.4304679733367895, 0.05255504963492267, 0.7280477133606047,
         0.0088885243591180323, 2.1199692749733732, 0.018669997621271937,
         -0.58192262585096044], rtol=1e-10, atol=0.0)
-    # the source-only twin is the detector alone, so its CSV holds only
-    # the detector terms and the total
-    header, last = _header_and_last_row(tmp_path / "losses_source_only.csv")
-    assert header == ["step", "L_c", "L_r", "total"]
-    np.testing.assert_allclose(last, [
+    # the source-only twin is the detector alone, so its rows hold only the
+    # detector terms and the total
+    last = read_steps(tmp_path / "source_only" / "steps.jsonl")[-1]
+    assert list(last) == ["L_c", "L_r", "total", "step"]
+    np.testing.assert_allclose([last[c] for c in ("L_c", "L_r", "total")], [
         1.4207127047326555, 0.050450546135618217, 1.4711632508682737],
         rtol=1e-10, atol=0.0)
+
+
+def test_run_experiment_validates_before_building(monkeypatch, tmp_path):
+    """An invalid config raises before the corpus or the held-out sets are
+    built, and writes nothing."""
+    calls = []
+    monkeypatch.setattr(training, "build_training_corpus", calls.append)
+    monkeypatch.setattr(training, "build_eval_sets", calls.append)
+    with pytest.raises(ValueError, match="iterations"):
+        training.run_experiment(tiny_config(0), str(tmp_path / "run"))
+    assert calls == []
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")
@@ -199,8 +207,8 @@ def trained_tiny():
 
 
 # the evaluation path of the net `train(tiny_config(6))` gives, recorded
-# bit-for-bit: pooled f3 features of the detection eval images, and the
-# `.17g` fields of its loss CSV parsed back
+# bit-for-bit: pooled f3 features of the detection eval images, and the loss
+# fields of its steps.jsonl rows parsed back
 PINNED_POOLED = np.array([
     [-0.030992150088208256, -0.004183643059980764, -0.13385527198056638, -0.2804742551280509,
      -0.25473441982854406, -0.1840482655323189, 0.12598440352386991, 0.3794621749874763],
@@ -209,7 +217,7 @@ PINNED_POOLED = np.array([
     [-0.03502996174393276, -0.006959543238654513, -0.15624434722139843, -0.25444013699266566,
      -0.22812028959852296, -0.16754289546967172, 0.10552619009592365, 0.35095576568850995],
 ])
-PINNED_CSV_ROWS = [
+PINNED_STEP_ROWS = [
     [1.425588837454761, 0.05368830760339671, 0.7307985112369606, 0.0020910335536456362,
      1.9095786694190189, 0.0191103073136299, -0.37612287719543036],
     [1.377993130888969, 0.029154403132432193, 0.7056873127194674, 0.0010302794141513298,
@@ -231,10 +239,10 @@ def test_evaluation_path_is_pinned(trained_tiny):
     assert np.array_equal(pooled, PINNED_POOLED)
     assert training.probe_domain_accuracy(result.net, probe_train, probe_eval) == 1.0
     assert training.target_match_rate(result.net, detect_eval) == 2 / 3
-    rows = list(csv.reader(io.StringIO(training.rows_to_csv_text(result.rows))))
-    assert rows[0] == list(training.CSV_COLUMNS)
-    assert [int(r[0]) for r in rows[1:]] == list(range(6))
-    assert [[float(v) for v in r[1:]] for r in rows[1:]] == PINNED_CSV_ROWS
+    # one line of steps.jsonl per row, as `run_experiment` writes it
+    rows = [json.loads(json.dumps(row)) for row in result.rows]
+    assert [r["step"] for r in rows] == list(range(6))
+    assert [[r[c] for c in LOSS_COLUMNS] for r in rows] == PINNED_STEP_ROWS
 
 
 def test_a_diverged_box_head_fails_the_match_rate(trained_tiny):
@@ -304,6 +312,13 @@ def test_source_only_config_changes_only_weights():
     twin = training.source_only_config(cfg)
     assert twin.weights.beta == 0.0 and twin.weights.lam == 0.0
     assert dataclasses.replace(twin, weights=cfg.weights) == cfg
+
+
+@pytest.mark.parametrize("branches, match", [([], "empty"), (["l_x"], "unknown")])
+def test_gradcheck_rejects_an_empty_or_unknown_branch_list(branches, match):
+    """`None` checks every branch; an empty list is an error, not all of them."""
+    with pytest.raises(ValueError, match=match):
+        training.finite_difference_check(branches=branches)
 
 
 def test_l_rec_gradcheck_through_the_decoder():
@@ -535,6 +550,16 @@ def test_config_rejects_unknown_keys(data):
         training.config_from_dict(data)
 
 
+@pytest.mark.parametrize("data, match", [
+    ({"weights": "abc"}, "weights must be a JSON object, not str"),
+    ({"weights": 5}, "weights must be a JSON object, not int"),
+    ([{"iterations": 5}], "config must be a JSON object, not list"),
+])
+def test_config_rejects_a_section_that_is_not_an_object(data, match):
+    with pytest.raises(TypeError, match=match):
+        training.config_from_dict(data)
+
+
 def test_config_missing_keys_take_the_defaults():
     data = {"iterations": 5, "weights": {"lambda": 0.5}, "scene": {"canvas": [32, 32]}}
     cfg = training.config_from_dict(data)
@@ -556,56 +581,66 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
         assert q.value.tobytes() == p.value.tobytes()
 
 
+def _write_npz(path, entries):
+    """Write (name, array) entries as the members of an npz archive, as
+    `np.savez` does, but in the given order, repeats and object arrays kept."""
+    with zipfile.ZipFile(path, "w") as zf, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zipfile warns of a repeated name
+        for name, arr in entries:
+            with zf.open(name + ".npy", "w") as fh:
+                np.lib.format.write_array(fh, np.asanyarray(arr), allow_pickle=True)
+
+
 def _saved_spec_into(tmp_path, spec, edit=None):
-    """Save a fresh net of `spec`, optionally `edit` its manifest dict, and
-    return the directory."""
+    """Save a fresh net of `spec`, optionally replace its checkpoint's
+    (name, array) entries, "network" first, with what `edit` makes of them,
+    and return the directory."""
     training.save_checkpoint(nw.SeparationNet(spec, seed=1), str(tmp_path))
     if edit:
-        path = tmp_path / "checkpoint.json"
-        manifest = json.loads(path.read_text())
-        edit(manifest)
-        path.write_text(json.dumps(manifest))
+        path = tmp_path / "checkpoint.npz"
+        with np.load(path) as npz:
+            entries = [(name, npz[name]) for name in npz.files]
+        _write_npz(path, edit(entries))
     return str(tmp_path)
 
 
-def _drop_last_param(manifest):
-    manifest["params"].pop()
+def _drop_last_param(entries):
+    return entries[:-1]
 
 
-def _rename_first_param(manifest):
-    manifest["params"][0]["name"] = "backbone.f0.w"
+def _rename_first_param(entries):
+    return [entries[0], ("backbone.f0.w", entries[1][1])] + entries[2:]
 
 
-def _repeat_first_param(manifest):
-    manifest["params"][1]["name"] = manifest["params"][0]["name"]
+def _repeat_first_param(entries):
+    return entries[:2] + [(entries[1][0], entries[2][1])] + entries[3:]
 
 
-def _offset_last_param_to_the_last_value(manifest):
-    manifest["params"][-1]["offset"] = manifest["total"] - 1
+def _first_param_as_float32(entries):
+    return [entries[0], (entries[1][0], entries[1][1].astype(np.float32))] + entries[2:]
 
 
-def _overlap_the_second_param(manifest):
-    manifest["params"][1]["offset"] = 0
+def _first_param_as_object(entries):
+    return [entries[0], (entries[1][0], entries[1][1].astype(object))] + entries[2:]
 
 
 @pytest.mark.parametrize("spec, edit, match", [
     (training.gradcheck_config().network, None, r"backbone\.f1\.w"),
-    (nw.NetworkSpec(), lambda m: m.update(dtype=">f8"), "dtype"),
+    # float64 values, but big-endian
+    (nw.NetworkSpec(), lambda e: [e[0]] + [(n, a.astype(">f8")) for n, a in e[1:]], "dtype"),
     (nw.NetworkSpec(), _drop_last_param, r"missing \['head\.box\.b'\]"),
     (nw.NetworkSpec(), _rename_first_param, r"unexpected \['backbone\.f0\.w'\]"),
     (nw.NetworkSpec(), _repeat_first_param, "repeats"),
     # same parameter shapes, another spec
     (nw.NetworkSpec(domain_head_gain=2.0), None, r"domain_head_gain \(2\.0 vs 8\.0\)"),
-    (nw.NetworkSpec(), lambda m: m.pop("network"), "num_classes"),
-    # offsets off the running sum of sizes: one ran past the blob after the
-    # parameters before it were overwritten, one loaded another's bytes
-    (nw.NetworkSpec(), _offset_last_param_to_the_last_value, r"head\.box\.b"),
-    (nw.NetworkSpec(), _overlap_the_second_param, r"offset 0 of backbone\.f1\.b"),
+    (nw.NetworkSpec(), lambda e: e[1:], "num_classes"),
+    (nw.NetworkSpec(), _first_param_as_float32, "dtype float32"),
+    # loading an object array would unpickle it; it raises instead
+    (nw.NetworkSpec(), _first_param_as_object, "allow_pickle"),
 ])
 def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
-    """A checkpoint of another `NetworkSpec`, or whose manifest names other
-    parameters, another dtype or offsets that break the packing, raises and
-    leaves the net unchanged."""
+    """A checkpoint of another `NetworkSpec`, or whose archive names other
+    parameters or holds another dtype, raises and leaves the net unchanged."""
     out = _saved_spec_into(tmp_path, spec, edit)
     target = nw.SeparationNet(nw.NetworkSpec(), seed=0)
     before = [p.value.copy() for p in target.params()]
@@ -615,15 +650,15 @@ def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
         assert p.value.tobytes() == v.tobytes()
 
 
-def test_load_checkpoint_rejects_a_blob_short_of_the_parameters(tmp_path):
-    """A blob cut short, with its manifest total to match, raises before the
-    last parameter reads past it, and leaves the net unchanged."""
-    out = _saved_spec_into(tmp_path, nw.NetworkSpec(), lambda m: m.update(total=m["total"] - 1))
-    blob = tmp_path / "checkpoint.bin"
-    blob.write_bytes(blob.read_bytes()[:-8])
+def test_load_checkpoint_rejects_a_truncated_file(tmp_path):
+    """A file cut short is no zip archive: it raises before any parameter is
+    read, and leaves the net unchanged."""
+    out = _saved_spec_into(tmp_path, nw.NetworkSpec())
+    path = tmp_path / "checkpoint.npz"
+    path.write_bytes(path.read_bytes()[:-8])
     target = nw.SeparationNet(nw.NetworkSpec(), seed=0)
     before = [p.value.copy() for p in target.params()]
-    with pytest.raises(ValueError, match="blob size"):
+    with pytest.raises(zipfile.BadZipFile):
         training.load_checkpoint(target, out)
     for p, v in zip(target.params(), before):
         assert p.value.tobytes() == v.tobytes()
@@ -692,6 +727,22 @@ def test_load_checkpoint_rejects_a_blob_short_of_the_parameters(tmp_path):
     # a string is truthy, so "false" switched normalization on
     ({"normalize_reconstruction": "false"}, "normalize_reconstruction"),
     ({"normalize_reconstruction": 0}, "normalize_reconstruction"),
+    # a bool passed as a real number: lr_initial True trained at lr 1.0; a
+    # string raised a bare TypeError inside math.isfinite
+    ({"lr_initial": True}, "lr_initial"),
+    ({"lr_initial": "x"}, "lr_initial"),
+    ({"momentum": False}, "momentum"),
+    ({"weights": losses.ObjectiveWeights(beta=True)}, "beta"),
+    ({"weights": losses.ObjectiveWeights(gamma="5")}, "gamma"),
+    ({"network": nw.NetworkSpec(domain_head_gain=True)}, "domain_head_gain"),
+    ({"scene": synth.SceneSpec(palette=((True, 0.1, 0.1),))}, "palette"),
+    ({"shift": synth.DomainShiftSpec(fog_alpha=True)}, "fog_alpha"),
+    ({"shift": synth.DomainShiftSpec(noise_std="0.02")}, "noise_std"),
+    ({"proposal_noise": synth.ProposalNoiseSpec(jitter_std=True)}, "jitter_std"),
+    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, sigma0=True)},
+     "sigma0"),
+    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, k="1.05")},
+     "multiplier k"),
 ])
 def test_validate_rejects(change, match):
     cfg = dataclasses.replace(tiny_config(2), **change)
@@ -715,6 +766,7 @@ def test_validate_accepts_the_default_and_a_zero_decay_step(decay_step):
     {"scene": {"canvas": [32.0, 32]}}, {"scene": {"object_count_range": [1.5, 2]}},
     {"cluster": {"max_scales": 50.5}}, {"cluster": {"max_inner_iters": 10.5}},
     {"normalize_reconstruction": "false"}, {"normalize_reconstruction": None},
+    {"lr_initial": True}, {"weights": {"lambda": True}}, {"shift": {"fog_alpha": "0.5"}},
 ])
 def test_config_from_dict_validates_the_nested_specs(data):
     with pytest.raises(ValueError):
