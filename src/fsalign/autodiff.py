@@ -2,7 +2,8 @@
 
 A small tape-free engine: every op returns a `Tensor` node holding its value,
 its parent nodes and a vector-Jacobian closure. `Tensor.backward()` walks the
-graph in reverse topological order and accumulates gradients into `.grad`.
+graph in reverse topological order and accumulates gradients into `.grad`. A
+`Tensor`'s only operators are `t + u` (`add`), `t * u` and `c * t` (`mul`).
 
 A `Tensor` is a node that takes a gradient; a constant, a Python scalar or
 numpy array read by value as float64 (`value_of`), is an operand that makes
@@ -48,7 +49,7 @@ class Tensor:
 
     __slots__ = ("value", "grad", "_parents", "_vjp")
 
-    # make `ndarray <op> Tensor` defer to the reflected Tensor operators
+    # make `ndarray * Tensor` defer to `Tensor.__rmul__`
     __array_ufunc__ = None
 
     def __init__(self, value, _parents=(), _vjp=None):
@@ -100,32 +101,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _toposort(root):
@@ -588,9 +568,9 @@ def upsample_conv2d(x, w, b, act=None):
     stacked (16O, C) kernels with the source's flattened pad-1 grid, whose
     columns are already the shifted inputs of every tap; each phase then
     sums its four taps' products at their shifts (`_tap_windows`). The vjp
-    scatters the phase gradients to those shifts once and takes the weight
-    gradient and, only when `x` is a `Tensor`, the input gradient as one
-    GEMM each, after scaling `g` by the activation's derivative.
+    scales `g` by the activation's derivative, scatters the phase gradients
+    to those shifts once and takes the weight and the input gradients as one
+    GEMM each.
     """
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
     o, c, kh, kw = wv.shape
@@ -620,8 +600,6 @@ def upsample_conv2d(x, w, b, act=None):
         gtaps = gtaps.reshape(16 * o, -1)
         dkern = (gtaps @ grid.T).reshape(16, o * c)
         dw = (_UPSAMPLE_TAPS @ dkern).reshape(3, 3, o, c).transpose(2, 3, 0, 1)
-        if not isinstance(x, Tensor):
-            return (None, dw, db)
         dgrid = (kern.T @ gtaps).reshape(c, n, h + 2, wd + 2)
         return (dgrid[:, :, 1 : h + 1, 1 : wd + 1].transpose(1, 0, 2, 3), dw, db)
 

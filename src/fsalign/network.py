@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .grouping import box_iou, corners, encode_deltas
-from .scale_space import is_count, is_real
+from .scale_space import is_count, is_real, is_tuple_of
 
 # pixels per f3 cell: the backbone's three stride-2 stages
 STRIDE = 8
@@ -63,7 +63,7 @@ class NetworkSpec:
     domain_head_gain: float = 8.0
 
     def validate(self):
-        if len(self.channels) != 3 or not all(is_count(c) for c in self.channels):
+        if not is_tuple_of(self.channels, is_count, 3):
             raise ValueError("channels must be three positive integer counts")
         for name in ("d1_hidden", "d23_hidden", "dri_hidden", "head_hidden", "num_classes"):
             if not is_count(getattr(self, name)):

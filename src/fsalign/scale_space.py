@@ -41,6 +41,12 @@ def is_real(v):
             and not isinstance(v, bool) and math.isfinite(v))
 
 
+def is_tuple_of(v, test, n=None):
+    """Whether `v` is a tuple or list of `n` (if given) values that pass `test`."""
+    return (isinstance(v, (tuple, list)) and (n is None or len(v) == n)
+            and all(test(x) for x in v))
+
+
 def _check_kernel_scale(sigma0):
     """Reject a starting scale whose kernel denominator 2*sigma0**2 underflows
     to 0: every self-distance term would be 0/0 and every center NaN."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .grouping import ProposalSet
 from .losses import rgb_to_grayscale
-from .scale_space import is_count, is_real
+from .scale_space import is_count, is_real, is_tuple_of
 
 SHAPE_CLASS_IDS = {"disk": 1, "square": 2, "triangle": 3}
 
@@ -67,30 +67,28 @@ class SceneSpec:
     radius_range: tuple = (5.0, 9.0)
 
     def validate(self):
-        if len(self.canvas) != 2 or not all(is_count(n, 32) for n in self.canvas):
+        if not is_tuple_of(self.canvas, lambda n: is_count(n, 32), 2):
             raise ValueError("canvas must be (height, width), integers >= 32")
-        if len(self.object_count_range) != 2 or not all(
-                is_count(n) for n in self.object_count_range):
+        if not is_tuple_of(self.object_count_range, is_count, 2):
             raise ValueError("object_count_range must be (min, max) object counts, "
                              "integers >= 1")
         if self.object_count_range[0] > self.object_count_range[1]:
             raise ValueError("object count range is inverted")
-        unknown = set(self.shapes) - set(SHAPE_CLASS_IDS)
-        if unknown or not self.shapes:
-            raise ValueError(f"unsupported shapes: {sorted(unknown)}")
-        if len(self.radius_range) != 2 or not all(
-                is_real(r) and r > 0 for r in self.radius_range):
+        if not (is_tuple_of(self.shapes, lambda s: isinstance(s, str) and s in SHAPE_CLASS_IDS)
+                and self.shapes):
+            raise ValueError(f"shapes must be a list of one or more of {sorted(SHAPE_CLASS_IDS)}")
+        if not is_tuple_of(self.radius_range, lambda r: is_real(r) and r > 0, 2):
             raise ValueError("radius_range must be two finite positive radii")
         if self.radius_range[0] > self.radius_range[1]:
             raise ValueError("radius_range is inverted")
         # an object's center is drawn 2 px further than its radius from every edge
         if self.radius_range[1] > min(self.canvas) / 2.0 - 2.0:
             raise ValueError("radius_range must leave objects room on the canvas")
+        for name, colors in (("palette", self.palette), ("background", (self.background,))):
+            if not is_tuple_of(colors, lambda c: is_tuple_of(c, is_real, 3)):
+                raise ValueError(f"{name} colors must be three finite channel values")
         if not self.palette:
             raise ValueError("palette must hold at least one color")
-        for name, colors in (("palette", self.palette), ("background", (self.background,))):
-            if not all(len(c) == 3 and all(is_real(v) for v in c) for c in colors):
-                raise ValueError(f"{name} colors must be three finite channel values")
 
 
 @dataclass
@@ -101,7 +99,7 @@ class DomainShiftSpec:
     noise_std: float = 0.02
 
     def validate(self):
-        if len(self.color_shift) != 3 or not all(is_real(v) for v in self.color_shift):
+        if not is_tuple_of(self.color_shift, is_real, 3):
             raise ValueError("color_shift must be three finite channel offsets")
         if not (is_real(self.fog_alpha) and 0.0 <= self.fog_alpha <= 1.0):
             raise ValueError("fog_alpha must lie in [0, 1]")

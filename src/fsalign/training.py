@@ -482,6 +482,8 @@ def load_checkpoint(net, out_dir):
         if arr.dtype != np.float64 or arr.shape != p.value.shape:
             raise ValueError(f"checkpoint {name} has dtype {arr.dtype} and shape "
                              f"{arr.shape}, not float64 and the net's {p.value.shape}")
+    if not isinstance(saved, dict):
+        raise ValueError(f"checkpoint network spec is not a JSON object: {saved!r}")
     spec = config_to_dict(net.spec)
     differ = sorted(k for k in {**saved, **spec} if saved.get(k) != spec.get(k))
     if differ:

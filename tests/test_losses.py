@@ -14,7 +14,7 @@ from fsalign import losses
 def focal_source_term(p, gamma):
     """-(1-p)^gamma * log(p) for a source-domain probability p."""
     pc = ad.clip(p, losses.PROB_CLAMP, 1.0 - losses.PROB_CLAMP)
-    return -(ad.power(1.0 - pc, gamma) * ad.log(pc))
+    return ad.mul(ad.power(ad.sub(1.0, pc), gamma) * ad.log(pc), -1.0)
 
 
 def _per_image(a):
@@ -29,19 +29,19 @@ def composed_difference_loss(priv, shared):
 
 def composed_reconstruction_loss(originals, reconstructions, normalize=False):
     w = 1.0 / math.prod(np.shape(originals)[1:]) if normalize else 1.0
-    return ad.matmul(_per_image(ad.absolute(originals - reconstructions)), np.full(2, w))
+    return ad.matmul(_per_image(ad.absolute(ad.sub(originals, reconstructions))), np.full(2, w))
 
 
 def composed_region_instance_loss(probs, groups_per_image, gamma):
     counts = np.asarray(groups_per_image)
     row_domain = np.repeat([0, 1], counts)
-    own = row_domain + (1.0 - 2.0 * row_domain) * probs
+    own = ad.add(row_domain, (1.0 - 2.0 * row_domain) * probs)
     return ad.matmul(focal_source_term(own, gamma), np.repeat(0.5 / counts, counts))
 
 
 def composed_local_adv_loss(p):
     shape = np.shape(p)
-    err = p - np.array([0.0, 1.0]).reshape((2,) + (1,) * (len(shape) - 1))
+    err = ad.sub(p, np.array([0.0, 1.0]).reshape((2,) + (1,) * (len(shape) - 1)))
     return ad.matmul(_per_image(err * err), np.full(2, 1.0 / math.prod(shape[1:])))
 
 

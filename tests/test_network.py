@@ -412,7 +412,7 @@ class TestFiniteDifferenceReport:
 
         def build():
             out = layer(ad.Tensor(x))
-            diff = out - target
+            diff = ad.sub(out, target)
             return {"l2": ad.sum(diff * diff)}
 
         named = [(f"lin.{n}", p) for n, p in layer.params()]
@@ -429,7 +429,7 @@ class TestFiniteDifferenceReport:
         x = rng.normal(size=(3, 4))
 
         def build(lam):
-            return {"sq": ad.sum(ad.grl(layer(ad.Tensor(x)), lam) ** 2.0)}
+            return {"sq": ad.sum(ad.power(ad.grl(layer(ad.Tensor(x)), lam), 2.0))}
 
         named = [("lin.w", layer.w), ("lin.b", layer.b)]
         passing = net.finite_difference_report(
@@ -445,7 +445,7 @@ class TestFiniteDifferenceReport:
         grads = {}
         for lam in (1.0, -1.0):
             layer.w.grad = None
-            ad.sum(ad.grl(layer(ad.Tensor(x)), lam) ** 2.0).backward()
+            ad.sum(ad.power(ad.grl(layer(ad.Tensor(x)), lam), 2.0)).backward()
             grads[lam] = layer.w.grad.copy()
         np.testing.assert_array_equal(grads[1.0], -grads[-1.0])
 

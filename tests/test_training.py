@@ -420,7 +420,7 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
         source_entry.pset.boxes, source_entry.sample.boxes, source_entry.sample.labels))
 
     def rec(x):
-        return ad.sum(ad.absolute(x["gray"] - x["xhat"])) / float(x["gray"].size)
+        return ad.div(ad.sum(ad.absolute(ad.sub(x["gray"], x["xhat"]))), float(x["gray"].size))
 
     def diff(x):
         inner = ad.sum(ad.mean(x["d"], axis=(2, 3)) * ad.mean(x["f3"], axis=(2, 3)))
@@ -429,13 +429,13 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
     def clamp(p):
         return ad.clip(p, losses.PROB_CLAMP, 1.0 - losses.PROB_CLAMP)
 
-    q = 1.0 - t["p1map"]
+    q = ad.sub(1.0, t["p1map"])
     l_adv1 = ad.mean(s["p1map"] * s["p1map"]) + ad.mean(q * q)
-    l_adv2 = s["p2"] * s["p2"] + (1.0 - t["p2"]) * (1.0 - t["p2"])
-    l_adv3 = s["p3"] * s["p3"] + (1.0 - t["p3"]) * (1.0 - t["p3"])
+    l_adv2 = s["p2"] * s["p2"] + ad.sub(1.0, t["p2"]) * ad.sub(1.0, t["p2"])
+    l_adv3 = s["p3"] * s["p3"] + ad.sub(1.0, t["p3"]) * ad.sub(1.0, t["p3"])
     ps, pt = clamp(s["probs"]), clamp(t["probs"])
-    l_ri = 0.5 * (ad.mean(-(ad.power(1.0 - ps, weights.gamma) * ad.log(ps)))
-                  + ad.mean(-(ad.power(pt, weights.gamma) * ad.log(1.0 - pt))))
+    l_ri = 0.5 * (ad.mean(ad.mul(ad.power(ad.sub(1.0, ps), weights.gamma) * ad.log(ps), -1.0))
+                  + ad.mean(ad.mul(ad.power(pt, weights.gamma) * ad.log(ad.sub(1.0, pt)), -1.0)))
     l_rec, l_diff = rec(s) + rec(t), diff(s) + diff(t)
     l_lg = l_adv1 + l_adv2 + l_adv3
     composite = l_c + l_r + weights.beta * (l_rec + l_diff) + (l_lg + l_ri)
@@ -637,6 +637,10 @@ def _first_param_as_object(entries):
     (nw.NetworkSpec(), _first_param_as_float32, "dtype float32"),
     # loading an object array would unpickle it; it raises instead
     (nw.NetworkSpec(), _first_param_as_object, "allow_pickle"),
+    # a spec entry that is JSON but no object raised a bare TypeError
+    (nw.NetworkSpec(), lambda e: [("network", "[1, 2]")] + e[1:], "network spec is not"),
+    (nw.NetworkSpec(), lambda e: [("network", '"x"')] + e[1:], "network spec is not"),
+    (nw.NetworkSpec(), lambda e: [("network", "null")] + e[1:], "network spec is not"),
 ])
 def test_load_checkpoint_rejects_another_net(tmp_path, spec, edit, match):
     """A checkpoint of another `NetworkSpec`, or whose archive names other
@@ -743,6 +747,16 @@ def test_load_checkpoint_rejects_a_truncated_file(tmp_path):
      "sigma0"),
     ({"cluster": dataclasses.replace(training.TrainConfig().cluster, k="1.05")},
      "multiplier k"),
+    # a scalar, a flat list or None where a tuple belongs raised a bare
+    # TypeError from len(); a string of shapes was read letter by letter
+    ({"network": nw.NetworkSpec(channels=5)}, "channels"),
+    ({"scene": synth.SceneSpec(canvas=64)}, "canvas"),
+    ({"scene": synth.SceneSpec(radius_range=5)}, "radius_range"),
+    ({"scene": synth.SceneSpec(object_count_range=3)}, "object_count_range"),
+    ({"scene": synth.SceneSpec(background=0.1)}, "background"),
+    ({"scene": synth.SceneSpec(palette=[0.1, 0.2, 0.3])}, "palette"),
+    ({"shift": synth.DomainShiftSpec(color_shift=None)}, "color_shift"),
+    ({"scene": synth.SceneSpec(shapes="disk")}, "shapes must be a list"),
 ])
 def test_validate_rejects(change, match):
     cfg = dataclasses.replace(tiny_config(2), **change)
@@ -767,6 +781,10 @@ def test_validate_accepts_the_default_and_a_zero_decay_step(decay_step):
     {"cluster": {"max_scales": 50.5}}, {"cluster": {"max_inner_iters": 10.5}},
     {"normalize_reconstruction": "false"}, {"normalize_reconstruction": None},
     {"lr_initial": True}, {"weights": {"lambda": True}}, {"shift": {"fog_alpha": "0.5"}},
+    {"network": {"channels": 5}}, {"scene": {"canvas": 64}}, {"scene": {"radius_range": 5}},
+    {"scene": {"object_count_range": 3}}, {"scene": {"background": 0.1}},
+    {"scene": {"palette": [0.1, 0.2, 0.3]}}, {"shift": {"color_shift": None}},
+    {"scene": {"shapes": "disk"}},
 ])
 def test_config_from_dict_validates_the_nested_specs(data):
     with pytest.raises(ValueError):
