@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .scale_space import is_real
+from .scale_space import is_real, require
 
 PROB_CLAMP = 1e-7
 
@@ -43,10 +43,8 @@ class ObjectiveWeights:
     gamma: float = 5.0
 
     def validate(self):
-        for name in ("beta", "lam", "gamma"):
-            v = getattr(self, name)
-            if not (is_real(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and non-negative")
+        require(self, lambda v: is_real(v) and v >= 0, "finite and non-negative",
+                "beta", "lam", "gamma")
 
 
 def _check_pair(x, what):

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .grouping import box_iou, corners, encode_deltas
-from .scale_space import is_count, is_real, is_tuple_of
+from .scale_space import is_count, is_real, is_tuple_of, require
 
 # pixels per f3 cell: the backbone's three stride-2 stages
 STRIDE = 8
@@ -63,13 +63,10 @@ class NetworkSpec:
     domain_head_gain: float = 8.0
 
     def validate(self):
-        if not is_tuple_of(self.channels, is_count, 3):
-            raise ValueError("channels must be three positive integer counts")
-        for name in ("d1_hidden", "d23_hidden", "dri_hidden", "head_hidden", "num_classes"):
-            if not is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be a positive integer")
-        if not (is_real(self.domain_head_gain) and self.domain_head_gain > 0):
-            raise ValueError("domain_head_gain must be finite and positive")
+        require(self, lambda v: is_tuple_of(v, is_count, 3), "three positive counts", "channels")
+        require(self, is_count, "a positive integer",
+                "d1_hidden", "d23_hidden", "dri_hidden", "head_hidden", "num_classes")
+        require(self, lambda v: is_real(v) and v > 0, "finite and positive", "domain_head_gain")
 
 
 class Conv2d:

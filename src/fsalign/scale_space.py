@@ -29,9 +29,18 @@ OUTLIER = -1
 _WEIGHT_FLOOR = float(np.finfo(np.float64).tiny)
 
 
+def require(spec, test, what, *names):
+    """Raise ValueError("<name> must be <what>") for the first field of `spec`
+    among `names` whose value fails `test`. Every config spec checks each field
+    with it and the predicates below; they live here because every module
+    imports this one and it imports none, so no spec meets an import cycle."""
+    for name in names:
+        if not test(getattr(spec, name)):
+            raise ValueError(f"{name} must be {what}")
+
+
 def is_count(v, least=1):
-    """Whether `v` is an integer (a bool is not) of at least `least`; every
-    config spec checks its counts with it."""
+    """Whether `v` is an integer (a bool is not) of at least `least`."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
 
 
@@ -75,17 +84,12 @@ class ScaleSweepConfig:
     max_scales: int = 400
 
     def validate(self):
-        if self.sigma0 is not None and not (is_real(self.sigma0) and self.sigma0 > 0):
-            raise ValueError("sigma0 must be finite and positive")
-        if not (is_real(self.k) and self.k > 1):
-            raise ValueError("scale multiplier k must be finite and exceed 1")
-        for name in ("epsilon", "convergence_tol", "merge_tol"):
-            v = getattr(self, name)
-            if not (is_real(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive")
-        for name in ("max_inner_iters", "max_scales"):
-            if not is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer >= 1")
+        require(self, lambda v: v is None or (is_real(v) and v > 0),
+                "finite and positive (or None for the default)", "sigma0")
+        require(self, lambda v: is_real(v) and v > 1, "a finite scale multiplier k > 1", "k")
+        require(self, lambda v: is_real(v) and v > 0, "finite and positive",
+                "epsilon", "convergence_tol", "merge_tol")
+        require(self, is_count, "an integer >= 1", "max_inner_iters", "max_scales")
         if self.sigma0 is not None:
             # epsilon is the smallest starting scale, for the default sigma0
             # and a given one alike

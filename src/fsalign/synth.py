@@ -27,7 +27,7 @@ import numpy as np
 
 from .grouping import ProposalSet
 from .losses import rgb_to_grayscale
-from .scale_space import is_count, is_real, is_tuple_of
+from .scale_space import is_count, is_real, is_tuple_of, require
 
 SHAPE_CLASS_IDS = {"disk": 1, "square": 2, "triangle": 3}
 
@@ -67,26 +67,27 @@ class SceneSpec:
     radius_range: tuple = (5.0, 9.0)
 
     def validate(self):
-        if not is_tuple_of(self.canvas, lambda n: is_count(n, 32), 2):
-            raise ValueError("canvas must be (height, width), integers >= 32")
-        if not is_tuple_of(self.object_count_range, is_count, 2):
-            raise ValueError("object_count_range must be (min, max) object counts, "
-                             "integers >= 1")
+        require(self, lambda v: is_tuple_of(v, lambda n: is_count(n, 32), 2),
+                "(height, width), integers >= 32", "canvas")
+        require(self, lambda v: is_tuple_of(v, is_count, 2),
+                "(min, max) object counts, integers >= 1", "object_count_range")
         if self.object_count_range[0] > self.object_count_range[1]:
             raise ValueError("object count range is inverted")
-        if not (is_tuple_of(self.shapes, lambda s: isinstance(s, str) and s in SHAPE_CLASS_IDS)
-                and self.shapes):
-            raise ValueError(f"shapes must be a list of one or more of {sorted(SHAPE_CLASS_IDS)}")
-        if not is_tuple_of(self.radius_range, lambda r: is_real(r) and r > 0, 2):
-            raise ValueError("radius_range must be two finite positive radii")
+        require(self, lambda v: is_tuple_of(v, lambda s: isinstance(s, str)
+                                            and s in SHAPE_CLASS_IDS) and len(v) > 0,
+                f"a list of one or more of {sorted(SHAPE_CLASS_IDS)}", "shapes")
+        # a radius under 1 px draws a pixel or so, and a tiny one's box area underflows to 0
+        require(self, lambda v: is_tuple_of(v, lambda r: is_real(r) and r >= 1, 2),
+                "two finite radii of at least 1 px", "radius_range")
         if self.radius_range[0] > self.radius_range[1]:
             raise ValueError("radius_range is inverted")
         # an object's center is drawn 2 px further than its radius from every edge
         if self.radius_range[1] > min(self.canvas) / 2.0 - 2.0:
             raise ValueError("radius_range must leave objects room on the canvas")
-        for name, colors in (("palette", self.palette), ("background", (self.background,))):
-            if not is_tuple_of(colors, lambda c: is_tuple_of(c, is_real, 3)):
-                raise ValueError(f"{name} colors must be three finite channel values")
+        require(self, lambda v: is_tuple_of(v, lambda c: is_tuple_of(c, is_real, 3)),
+                "colors of three finite channel values", "palette")
+        require(self, lambda v: is_tuple_of(v, is_real, 3),
+                "a color of three finite channel values", "background")
         if not self.palette:
             raise ValueError("palette must hold at least one color")
 
@@ -99,15 +100,12 @@ class DomainShiftSpec:
     noise_std: float = 0.02
 
     def validate(self):
-        if not is_tuple_of(self.color_shift, is_real, 3):
-            raise ValueError("color_shift must be three finite channel offsets")
-        if not (is_real(self.fog_alpha) and 0.0 <= self.fog_alpha <= 1.0):
-            raise ValueError("fog_alpha must lie in [0, 1]")
+        require(self, lambda v: is_tuple_of(v, is_real, 3), "three finite channel offsets",
+                "color_shift")
+        require(self, lambda v: is_real(v) and 0.0 <= v <= 1.0, "in [0, 1]", "fog_alpha")
         # a negative blur or noise would silently switch the effect off
-        for name in ("blur_radius", "noise_std"):
-            v = getattr(self, name)
-            if not (is_real(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and non-negative")
+        require(self, lambda v: is_real(v) and v >= 0, "finite and non-negative",
+                "blur_radius", "noise_std")
         # the blur kernel's denominator: at 0 its centre tap is 0/0
         r = self.blur_radius
         if r > 0 and not 2.0 * r * r > 0:
@@ -123,14 +121,11 @@ class ProposalNoiseSpec:
     background_margin: float = 12.0
 
     def validate(self):
-        for name, least in (("redundancy", 1), ("background_count", 0)):
-            if not is_count(getattr(self, name), least):
-                raise ValueError(f"{name} must be an integer >= {least}")
+        require(self, is_count, "an integer >= 1", "redundancy")
+        require(self, lambda v: is_count(v, 0), "an integer >= 0", "background_count")
         # a negative jitter would silently switch the jitter off
-        for name in ("jitter_std", "background_margin"):
-            v = getattr(self, name)
-            if not (is_real(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and non-negative")
+        require(self, lambda v: is_real(v) and v >= 0, "finite and non-negative",
+                "jitter_std", "background_margin")
 
 
 class Sample:
@@ -284,13 +279,16 @@ def _gaussian_blur(img, sigma):
     out = np.empty_like(img)
     for c in range(img.shape[0]):
         padded = np.pad(img[c], radius, mode="reflect")
-        rows = np.apply_along_axis(
-            lambda v: np.convolve(v, kernel, mode="valid"), 1, padded
-        )
-        out[c] = np.apply_along_axis(
-            lambda v: np.convolve(v, kernel, mode="valid"), 0, rows
-        )
+        rows = np.array([np.convolve(v, kernel, mode="valid") for v in padded])
+        out[c] = np.array([np.convolve(v, kernel, mode="valid") for v in rows.T]).T
     return out
+
+
+def check_blur_radius(radius, hw):
+    """Reject a blur radius above the image's shorter side: the blur pads
+    each channel by 3 radii on every side, so 1e6 px would ask for 262 TiB."""
+    if radius > min(hw):
+        raise ValueError(f"blur_radius = {radius!r} exceeds the image's shorter side {min(hw)}")
 
 
 def apply_domain_shift(sample, shift=None, seed=0):
@@ -302,6 +300,7 @@ def apply_domain_shift(sample, shift=None, seed=0):
     """
     shift = shift or DomainShiftSpec()
     shift.validate()
+    check_blur_radius(shift.blur_radius, sample.image_hw())
     if sample.domain != "source":
         raise ValueError("domain shift applies to source samples")
     rng = np.random.default_rng(seed)

@@ -29,7 +29,7 @@ from . import network as nw
 from . import synth
 from .grouping import (apply_deltas, box_iou, cluster_box_centers, DegenerateGroupingError,
                        ProposalSet)
-from .scale_space import OUTLIER, ScaleSweepConfig, is_count, is_real
+from .scale_space import OUTLIER, ScaleSweepConfig, is_count, is_real, require
 
 LOGGED_TERMS = ("L_c", "L_r", "L_rec", "L_diff", "L_lg", "L_ri")  # branch names, capitalised
 
@@ -74,28 +74,24 @@ class TrainConfig:
         )
 
     def validate(self):
-        for name in ("lr_initial", "lr_after_decay"):
-            v = getattr(self, name)
-            if not (is_real(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive")
-        if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
-        for name in ("iterations", "corpus_size", "eval_size", "probe_size"):
-            if not is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer >= 1")
-        if self.decay_step is not None and not is_count(self.decay_step, 0):
-            raise ValueError("decay_step must be an integer >= 0 (or None for the default)")
-        for name in ("lambda_warmup_steps", "seed"):
-            if not is_count(getattr(self, name), 0):
-                raise ValueError(f"{name} must be an integer >= 0")
-        if not isinstance(self.normalize_reconstruction, bool):
-            raise ValueError("normalize_reconstruction must be true or false")
-        for spec in (self.weights, self.network, self.scene, self.shift,
-                     self.proposal_noise, self.cluster):
-            spec.validate()
+        require(self, lambda v: is_real(v) and v > 0, "finite and positive",
+                "lr_initial", "lr_after_decay")
+        require(self, lambda v: is_real(v) and 0.0 <= v < 1.0, "in [0, 1)", "momentum")
+        require(self, is_count, "an integer >= 1",
+                "iterations", "corpus_size", "eval_size", "probe_size")
+        require(self, lambda v: v is None or is_count(v, 0),
+                "an integer >= 0 (or None for the default)", "decay_step")
+        require(self, lambda v: is_count(v, 0), "an integer >= 0", "lambda_warmup_steps", "seed")
+        require(self, lambda v: isinstance(v, bool), "true or false", "normalize_reconstruction")
+        for f in dataclasses.fields(self):
+            if dataclasses.is_dataclass(f.type):
+                require(self, lambda v: isinstance(v, f.type), f"of type {f.type.__name__}",
+                        f.name)
+                getattr(self, f.name).validate()
         if any(n % nw.STRIDE for n in self.scene.canvas):
             raise ValueError(f"canvas sides must be multiples of the network "
                              f"stride {nw.STRIDE}")
+        synth.check_blur_radius(self.shift.blur_radius, self.scene.canvas)
         top = max(synth.SHAPE_CLASS_IDS[s] for s in self.scene.shapes)
         if self.network.num_classes < top:
             raise ValueError(f"network num_classes {self.network.num_classes} is below "

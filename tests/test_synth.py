@@ -139,6 +139,17 @@ class TestDomainShift:
             _ = t.labels
         assert len(t.eval_boxes()) == len(s.eval_boxes())
 
+    def test_blur_wider_than_the_image_is_rejected(self):
+        """A blur radius up to the image's shorter side blurs; past it the
+        shift names the field before any padding, where a radius of 1e6
+        asked np.pad for 262 TiB."""
+        s = synth.generate_scene(synth.SceneSpec(canvas=(32, 40), object_count_range=(1, 1),
+                                                 radius_range=(4, 6)), seed=19)
+        synth.apply_domain_shift(s, synth.DomainShiftSpec(blur_radius=32.0), seed=0)
+        for radius in (32.5, 1e6):
+            with pytest.raises(ValueError, match="blur_radius"):
+                synth.apply_domain_shift(s, synth.DomainShiftSpec(blur_radius=radius), seed=0)
+
 
 class TestGenerateProposals:
     def test_zero_jitter_equals_ground_truth(self):

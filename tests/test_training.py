@@ -757,10 +757,24 @@ def test_load_checkpoint_rejects_a_truncated_file(tmp_path):
     ({"scene": synth.SceneSpec(palette=[0.1, 0.2, 0.3])}, "palette"),
     ({"shift": synth.DomainShiftSpec(color_shift=None)}, "color_shift"),
     ({"scene": synth.SceneSpec(shapes="disk")}, "shapes must be a list"),
+    # a blur wider than the canvas asked np.pad for 262 TiB when the corpus
+    # was built; radii this small gave boxes of zero area and a 0/0 IoU
+    ({"shift": synth.DomainShiftSpec(blur_radius=1e6)}, "blur_radius"),
+    ({"scene": synth.SceneSpec(canvas=(32, 32), radius_range=(1e-300, 1e-300))},
+     "radius_range"),
 ])
 def test_validate_rejects(change, match):
     cfg = dataclasses.replace(tiny_config(2), **change)
     with pytest.raises(ValueError, match=match):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("name", ["weights", "network", "scene", "shift", "proposal_noise",
+                                  "cluster"])
+def test_validate_rejects_a_nested_spec_of_another_type(name):
+    """A dict where a spec belongs raised a bare AttributeError on `.validate`."""
+    cfg = dataclasses.replace(tiny_config(2), **{name: {}})
+    with pytest.raises(ValueError, match=f"^{name} must be of type "):
         cfg.validate()
 
 
