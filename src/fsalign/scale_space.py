@@ -14,8 +14,10 @@ still moving (about 2.5 on a proposal cloud), so the call count sets its
 cost. `converge_centers` therefore expands the squared distance as
 |c|^2 - 2 c.p + |p|^2 and needs two matrix products per iteration: one for
 the Gaussian exponent, one for the weighted sums and the kernel mass
-together. The expansion cancels near c = p, which costs the exponent an
-absolute error of about eps * (|c|^2 + |p|^2) / sigma^2.
+together. Their two point matrices do not depend on sigma, so
+`kernel_operands` builds them once per sweep and a scale only divides one
+by -2 sigma^2. The expansion cancels near c = p, which costs the exponent
+an absolute error of about eps * (|c|^2 + |p|^2) / sigma^2.
 """
 
 import math
@@ -56,12 +58,11 @@ def is_tuple_of(v, test, n=None):
             and all(test(x) for x in v))
 
 
-def _check_kernel_scale(sigma0):
-    """Reject a starting scale whose kernel denominator 2*sigma0**2 underflows
-    to 0: every self-distance term would be 0/0 and every center NaN."""
-    if not 2.0 * sigma0 * sigma0 > 0:
-        raise ValueError(
-            f"sigma0 = {sigma0!r} is too small: 2*sigma0**2 underflows to 0")
+def _check_kernel_scale(sigma, name="sigma0"):
+    """Reject a scale whose kernel denominator 2*sigma**2 underflows to 0:
+    every self-distance term would be 0/0 and every center NaN."""
+    if not 2.0 * sigma * sigma > 0:
+        raise ValueError(f"{name} = {sigma!r} is too small: 2*{name}**2 underflows to 0")
 
 
 @dataclass
@@ -154,33 +155,68 @@ def as_points(points):
 
 
 def _merge_centers(centers, tol):
-    """Merge centers closer than `tol` (transitively); each surviving center
-    is the mean of its component, ordered by smallest member index."""
-    diff = centers[:, None, :] - centers[None, :, :]
-    close = (diff * diff).sum(axis=2) <= tol * tol
-    if np.count_nonzero(close) == len(centers):  # only the diagonal: nothing merges
-        return centers.copy()
-    # square the reachability matrix until it is closed: row i then holds
-    # i's whole component, and its first True is the smallest member
-    reach = close @ close
-    while not np.array_equal(reach, close):
-        close, reach = reach, reach @ reach
-    root = close.argmax(axis=1)
-    return np.stack([centers[root == r].mean(axis=0) for r in np.unique(root)])
+    """Merge centers within `tol` of each other (transitively) into a new
+    (K', 2) array; each surviving center is the mean of its component,
+    ordered by smallest member index. `centers` is a (K, 2) array or a list
+    of [x, y] pairs.
+
+    One pass over the centers in x order finds every pair within tol: a
+    pair is close when dx*dx + dy*dy <= tol*tol, and once dx*dx alone
+    exceeds tol*tol so does every later center's, so the scan for that
+    center stops there.
+    """
+    out = np.array(centers, dtype=np.float64)
+    tt = tol * tol
+    order = sorted((x, y, i) for i, (x, y) in enumerate(centers))
+    root = None  # root[i] leads toward i's smallest member, once a pair is close
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for a, (x, y, i) in enumerate(order):
+        for u, v, j in order[a + 1:]:
+            dx, dy = u - x, v - y
+            if dx * dx > tt:
+                break
+            if dx * dx + dy * dy <= tt:
+                root = root or list(range(len(order)))
+                ri, rj = find(i), find(j)
+                root[max(ri, rj)] = min(ri, rj)
+    if root is None:  # nothing merges
+        return out
+    members = {}
+    for i in range(len(root)):
+        members.setdefault(find(i), []).append(i)
+    return np.stack([out[m].mean(axis=0) for m in members.values()])
 
 
-def converge_centers(points, init_centers, sigma, cfg):
+def kernel_operands(points):
+    """The (4, N) basis [-2px, -2py, 1, px^2 + py^2] and the (N, 3) sums
+    matrix [px, py, 1] that `converge_centers` multiplies by at every scale
+    of a sweep; neither depends on sigma. `points` are checked by `as_points`."""
+    points = as_points(points)
+    px, py = points[:, 0], points[:, 1]
+    ones = np.ones_like(px)
+    return (np.stack([-2.0 * px, -2.0 * py, ones, px * px + py * py]),
+            np.stack([px, py, ones], axis=1))
+
+
+def converge_centers(operands, init_centers, sigma, cfg):
     """Run every center to convergence at one scale, then deduplicate.
 
-    Movement below `cfg.convergence_tol * sigma` (or kernel-mass underflow)
-    stops a center; converged centers within `cfg.merge_tol * sigma` of each
-    other collapse to their mean.
+    `operands` is `kernel_operands(points)`, built once per sweep. Raises
+    ValueError, naming the argument, unless `init_centers` is a finite
+    (K, 2) array with K >= 1 and `sigma` is finite and positive with
+    2 sigma^2 > 0. Movement below `cfg.convergence_tol * sigma` (or
+    kernel-mass underflow) stops a center; converged centers within
+    `cfg.merge_tol * sigma` of each other collapse to their mean.
 
     An iteration is two matrix products over the still-moving rows. Each row
-    is (x, y, x^2 + y^2, 1), and its product with the (4, N) matrix
-    [-2px, -2py, 1, px^2 + py^2] / (-2 sigma^2), built once per scale, is
-    the Gaussian exponent -|c - p|^2 / (2 sigma^2) against every point.
-    After `exp`, one product with the (N, 3) matrix [px, py, 1] gives each
+    is (x, y, x^2 + y^2, 1), and its product with the basis divided by
+    -2 sigma^2 is the Gaussian exponent -|c - p|^2 / (2 sigma^2) against
+    every point. After `exp`, one product with the sums matrix gives each
     row's weighted sums and its kernel mass. The per-row rest (the isolation
     test, the division by the mass, the movement test) runs on Python floats
     read back with `tolist()`.
@@ -192,37 +228,36 @@ def converge_centers(points, init_centers, sigma, cfg):
     last bits from those of the direct |c - p|^2 (by up to 3e-9 px over the
     benchmark's 864 proposal clouds), with the same iteration counts and
     partitions.
-
-    `points` are read as given: `scale_sweep`, which calls this at every
-    scale, validated them once with `as_points`.
     """
-    points = np.asarray(points, dtype=np.float64)
-    centers = np.atleast_2d(np.asarray(init_centers, dtype=np.float64))
-    if centers.shape[0] < 1:
-        raise ValueError("init_centers must be nonempty")
+    centers = np.asarray(init_centers, dtype=np.float64)
+    if (centers.ndim != 2 or centers.shape[1] != 2 or len(centers) < 1
+            or np.count_nonzero(np.isfinite(centers)) != centers.size):
+        raise ValueError("init_centers must be a finite (K, 2) array with K >= 1")
+    if not (is_real(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, not {sigma!r}")
+    _check_kernel_scale(sigma, "sigma")
+    basis, sums = operands
+    exponent = basis / (-2.0 * sigma * sigma)
     tol = float(cfg.convergence_tol * sigma)
-    px, py = points[:, 0], points[:, 1]
-    ones = np.ones_like(px)
-    exponent = (np.stack([-2.0 * px, -2.0 * py, ones, px * px + py * py])
-                / (-2.0 * sigma * sigma))
-    sums = np.stack([px, py, ones], axis=1)
+    # bound to locals: an iteration's cost is mostly interpreter overhead
+    array, exp, sqrt, floor = np.array, np.exp, math.sqrt, _WEIGHT_FLOOR
     # `out` holds every row's position, written when the row stops; `rows`
     # and `cur` are the indices and (x, y, x^2 + y^2, 1) of the rows still
     # moving
     out = centers.tolist()
     rows, cur, iters = list(range(len(out))), [[x, y, x * x + y * y, 1.0] for x, y in out], 0
     for iters in range(1, cfg.max_inner_iters + 1):
-        w = np.array(cur) @ exponent
-        np.exp(w, out=w)
+        w = array(cur) @ exponent
+        exp(w, out=w)
         moved = (w @ sums).tolist()
         next_rows, next_cur = [], []
         for r, (sx, sy, m), (cx, cy, _, _) in zip(rows, moved, cur):
-            if m < _WEIGHT_FLOOR:  # isolated: the row stays where it is
+            if m < floor:  # isolated: the row stays where it is
                 out[r] = [cx, cy]
                 continue
             x, y = sx / m, sy / m
             dx, dy = x - cx, y - cy
-            if math.sqrt(dx * dx + dy * dy) < tol:
+            if sqrt(dx * dx + dy * dy) < tol:
                 out[r] = [x, y]
             else:
                 next_rows.append(r)
@@ -232,7 +267,7 @@ def converge_centers(points, init_centers, sigma, cfg):
             break
     for r, (x, y, _, _) in zip(rows, cur):  # rows still moving when the iterations ran out
         out[r] = [x, y]
-    merged = _merge_centers(np.array(out), cfg.merge_tol * sigma)
+    merged = _merge_centers(out, cfg.merge_tol * sigma)
     return ClusterSnapshot(sigma=float(sigma), centers=merged, iters=iters)
 
 
@@ -263,11 +298,12 @@ def scale_sweep(points, cfg=None):
     points = as_points(points)
     sigma0 = cfg.sigma0 if cfg.sigma0 is not None else default_sigma0(points, cfg)
     _check_kernel_scale(sigma0)
+    operands = kernel_operands(points)
     snapshots = []
     seeds = points
     for j in range(cfg.max_scales):
         sigma = sigma0 * cfg.k**j
-        snap = converge_centers(points, seeds, sigma, cfg)
+        snap = converge_centers(operands, seeds, sigma, cfg)
         snapshots.append(snap)
         seeds = snap.centers
         if snap.K == 1:

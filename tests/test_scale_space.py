@@ -28,19 +28,21 @@ class TestMeanShiftStep:
 
     def test_symmetric_midpoint_is_fixed(self):
         cfg = ssc.ScaleSweepConfig()
+        ops = ssc.kernel_operands([(-1.0, 0.0), (1.0, 0.0)])
         for sigma in (0.5, 1.0, 7.0):
-            snap = ssc.converge_centers([(-1.0, 0.0), (1.0, 0.0)], [(0.0, 0.0)], sigma, cfg)
+            snap = ssc.converge_centers(ops, [(0.0, 0.0)], sigma, cfg)
             assert snap.iters == 1
             np.testing.assert_allclose(snap.centers, [[0.0, 0.0]], atol=1e-15)
 
     def test_single_point_is_global_mode(self):
         cfg = ssc.ScaleSweepConfig()
-        snap = ssc.converge_centers([(5.0, 5.0)], [(0.0, 0.0)], 10.0, cfg)
+        snap = ssc.converge_centers(ssc.kernel_operands([(5.0, 5.0)]), [(0.0, 0.0)], 10.0, cfg)
         np.testing.assert_allclose(snap.centers, [[5.0, 5.0]], atol=1e-12)
 
     def test_iteration_converges_to_near_mode(self):
         cfg = ssc.ScaleSweepConfig()
-        snap = ssc.converge_centers([(0.0, 0.0), (10.0, 0.0)], [(0.1, 0.0)], 1.0, cfg)
+        snap = ssc.converge_centers(ssc.kernel_operands([(0.0, 0.0), (10.0, 0.0)]), [(0.1, 0.0)],
+                                    1.0, cfg)
         np.testing.assert_allclose(snap.centers, [[0.0, 0.0]], atol=1e-6)
 
     def test_mode_ascent(self):
@@ -48,11 +50,12 @@ class TestMeanShiftStep:
         cfg = ssc.ScaleSweepConfig(max_inner_iters=1)
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(40, 2)) * 3.0
+        ops = ssc.kernel_operands(pts)
         for sigma in (0.5, 1.5):
             c = rng.normal(size=2) * 3.0
             prev = density(pts, c, sigma)
             for _ in range(50):
-                c = ssc.converge_centers(pts, c, sigma, cfg).centers[0]
+                c = ssc.converge_centers(ops, [c], sigma, cfg).centers[0]
                 cur = density(pts, c, sigma)
                 assert cur >= prev - 1e-12
                 prev = cur
@@ -61,14 +64,14 @@ class TestMeanShiftStep:
 class TestConvergeCenters:
     def test_single_point(self):
         cfg = ssc.ScaleSweepConfig()
-        snap = ssc.converge_centers([(2.0, 3.0)], [(0.0, 0.0)], 5.0, cfg)
+        snap = ssc.converge_centers(ssc.kernel_operands([(2.0, 3.0)]), [(0.0, 0.0)], 5.0, cfg)
         assert snap.K == 1
         np.testing.assert_allclose(snap.centers[0], [2.0, 3.0], atol=1e-5)
 
     def test_two_blobs_resolved_at_small_scale(self):
         pts = make_blobs([(0, 0), (30, 0)], 50, 1.0, seed=5)
         cfg = ssc.ScaleSweepConfig()
-        snap = ssc.converge_centers(pts, pts, 2.0, cfg)
+        snap = ssc.converge_centers(ssc.kernel_operands(pts), pts, 2.0, cfg)
         assert snap.K == 2
         # oracle: brute-force per-blob sample means
         m0 = pts[:50].mean(axis=0)
@@ -80,9 +83,30 @@ class TestConvergeCenters:
     def test_two_blobs_merge_at_large_scale(self):
         pts = make_blobs([(0, 0), (30, 0)], 50, 1.0, seed=5)
         cfg = ssc.ScaleSweepConfig()
-        snap = ssc.converge_centers(pts, pts, 100.0, cfg)
+        snap = ssc.converge_centers(ssc.kernel_operands(pts), pts, 100.0, cfg)
         assert snap.K == 1
         np.testing.assert_allclose(snap.centers[0], pts.mean(axis=0), atol=0.5)
+
+    # unchecked, these fail late or not at all: an unpacking error, or NaN
+    # centers (with RuntimeWarnings for a sigma of 0 or NaN) after all 500
+    # iterations
+    @pytest.mark.parametrize("init", [[], [[1.0, 2.0, 3.0]], [[math.nan, 0.0]],
+                                      [[math.inf, 0.0]], [1.0, 2.0]],
+                             ids=["empty", "three_columns", "nan", "inf", "one_dim"])
+    def test_bad_init_centers_rejected(self, init):
+        ops = ssc.kernel_operands([(0.0, 0.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match=r"init_centers must be a finite \(K, 2\)"):
+            ssc.converge_centers(ops, init, 1.0, ssc.ScaleSweepConfig())
+
+    @pytest.mark.parametrize("sigma,message", [
+        (0.0, "sigma must be finite and positive"), (math.nan, "sigma must be finite"),
+        (-1.0, "sigma must be finite"), (math.inf, "sigma must be finite"),
+        (1e-200, r"sigma = 1e-200 is too small: 2\*sigma\*\*2 underflows")],
+        ids=["zero", "nan", "negative", "inf", "underflow"])
+    def test_bad_sigma_rejected(self, sigma, message):
+        ops = ssc.kernel_operands([(0.0, 0.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match=message):
+            ssc.converge_centers(ops, [(0.5, 0.0)], sigma, ssc.ScaleSweepConfig())
 
 
 class TestScaleSweep:
@@ -151,6 +175,13 @@ class TestScaleSweep:
         with pytest.raises(ValueError, match="below epsilon"):
             ssc.cluster_points(pts, cfg)
         ssc.ScaleSweepConfig(sigma0=0.01).validate()  # sigma0 == epsilon is fine
+
+    def test_kernel_operands_built_once_per_sweep(self, monkeypatch):
+        calls = []
+        build = ssc.kernel_operands
+        monkeypatch.setattr(ssc, "kernel_operands", lambda pts: calls.append(1) or build(pts))
+        snaps, _ = ssc.scale_sweep(make_blobs([(0, 0), (12, 0)], 10, 1.0, seed=6))
+        assert len(snaps) >= 10 and len(calls) == 1
 
     def test_tiny_valid_sigma0_accepted(self):
         cfg = ssc.ScaleSweepConfig(sigma0=1e-150, epsilon=1e-150, max_scales=3)
@@ -501,7 +532,7 @@ class TestSweepBitIdentity:
         init = np.concatenate([pts[:5], [(1e4, 1e4), (-3e3, 50.0)]])
         cfg = ssc.ScaleSweepConfig()
         for sigma in (0.5, 2.0):
-            snap = ssc.converge_centers(pts, init, sigma, cfg)
+            snap = ssc.converge_centers(ssc.kernel_operands(pts), init, sigma, cfg)
             centers, iters, any_isolated = ref_converge(pts, init, sigma, cfg)
             assert any_isolated
             assert np.array_equal(snap.centers, centers) and snap.iters == iters
@@ -534,6 +565,38 @@ class TestSweepBitIdentity:
         assert np.array_equal(merged, centers) and merged is not centers
 
 
+class TestMergeCenters:
+    def test_a_pair_exactly_at_tol_merges(self):
+        # 0.75^2 + 1^2 == 1.25^2 in binary, so the test is decided by `<=`
+        centers = np.array([(0.0, 0.0), (0.75, 1.0)])
+        merged = ssc._merge_centers(centers, 1.25)
+        assert np.array_equal(merged, ref_merge(centers, 1.25))
+        assert np.array_equal(merged, [[0.375, 0.5]])
+
+    def test_a_pair_just_beyond_tol_stays_apart(self):
+        centers = np.array([(0.0, 0.0), (0.75, 1.0)])
+        tol = np.nextafter(1.25, 0)
+        assert np.array_equal(ssc._merge_centers(centers, tol), centers)
+        assert np.array_equal(ref_merge(centers, tol), centers)
+
+    def test_a_shuffled_chain_merges_transitively(self):
+        # a chain along x, listed out of order, with a far center that sits
+        # between its links in x and a copy of one link
+        chain = [(0.9 * i, 0.3 * (i % 2)) for i in range(6)]
+        centers = np.array([chain[3], (2.0, 9.0), chain[0], chain[5], chain[1],
+                            chain[4], chain[2], chain[1]])
+        merged = ssc._merge_centers(centers, 1.0)
+        assert np.array_equal(merged, ref_merge(centers, 1.0))
+        assert len(merged) == 2 and np.array_equal(merged[1], [2.0, 9.0])
+
+    def test_lone_centers_come_out_as_their_mean_when_others_merge(self):
+        # the mean of -0.0 alone is 0.0; np.array_equal cannot tell them apart
+        centers = np.array([(-0.0, 5.0), (3.0, 3.0), (3.5, 3.0)])
+        merged = ssc._merge_centers(centers, 1.0)
+        assert merged.tobytes() == ref_merge(centers, 1.0).tobytes()
+        assert merged.tobytes() == np.array([(0.0, 5.0), (3.25, 3.0)]).tobytes()
+
+
 class TestRowWriteBack:
     """Rows leave the active set in the iteration they stop, in place."""
 
@@ -544,8 +607,9 @@ class TestRowWriteBack:
         pts = np.array([(-1.0, 0.0), (1.0, 0.0), (20.0, -1.0), (20.0, 1.0)])
         init = np.array([(1e4, 1e4), (0.0, 0.0), (20.0, 0.7)])
         cfg, sigma = ssc.ScaleSweepConfig(), 1.5
-        one = ssc.converge_centers(pts, init, sigma, ssc.ScaleSweepConfig(max_inner_iters=1))
-        snap = ssc.converge_centers(pts, init, sigma, cfg)
+        ops = ssc.kernel_operands(pts)
+        one = ssc.converge_centers(ops, init, sigma, ssc.ScaleSweepConfig(max_inner_iters=1))
+        snap = ssc.converge_centers(ops, init, sigma, cfg)
         centers, iters, any_isolated = ref_converge(pts, init, sigma, cfg)
         assert any_isolated and iters > 1
         assert np.array_equal(snap.centers, centers) and snap.iters == iters
@@ -561,7 +625,7 @@ class TestRowWriteBack:
         pts = np.array([(0.0, 0.0), (3.0, 1.0), (7.5, -2.25)])
         init = np.concatenate([pts, [(500.0, 500.0)]])
         cfg, sigma = ssc.ScaleSweepConfig(), 0.05
-        snap = ssc.converge_centers(pts, init, sigma, cfg)
+        snap = ssc.converge_centers(ssc.kernel_operands(pts), init, sigma, cfg)
         centers, iters, any_isolated = ref_converge(pts, init, sigma, cfg)
         assert snap.iters == iters == 1 and any_isolated
         assert np.array_equal(snap.centers, centers)
@@ -570,7 +634,7 @@ class TestRowWriteBack:
 
 class TestIterationCounter:
     def test_single_point_stops_after_one_iteration(self):
-        snap = ssc.converge_centers([(2.0, 3.0)], [(2.0, 3.0)], 1.0,
+        snap = ssc.converge_centers(ssc.kernel_operands([(2.0, 3.0)]), [(2.0, 3.0)], 1.0,
                                     ssc.ScaleSweepConfig())
         assert snap.iters == 1
 
