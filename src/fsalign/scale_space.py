@@ -9,6 +9,11 @@ longest lifetime is selected: its lifetime, the log-scale span over which it
 survives, is the number of scale steps it survives in units of log k. Points
 farther than the selected scale from every center are flagged as outliers.
 
+The sweep stops at K = 1, or earlier once no later scale can change the
+selection: past a scale set by the points' diameter every center provably
+merges into one (`scale_sweep`). The selection, labels and `truncated` are
+those of the sweep run on to K = 1, whose snapshots it returns a prefix of.
+
 A mean-shift iteration costs a few numpy calls whatever the number of rows
 still moving (about 2.5 on a proposal cloud), so the call count sets its
 cost. `converge_centers` therefore expands the squared distance as
@@ -29,6 +34,10 @@ OUTLIER = -1
 
 # smallest normal float64; a row whose kernel mass falls below it is isolated
 _WEIGHT_FLOOR = float(np.finfo(np.float64).tiny)
+
+# the largest coordinate whose squares cannot overflow: a squared distance
+# is at most 8 times its square, and a squared norm 2 times
+_COORD_LIMIT = math.sqrt(float(np.finfo(np.float64).max) / 8.0)
 
 
 def require(spec, test, what, *names):
@@ -132,15 +141,24 @@ class Assignment:
 
 @dataclass
 class ClusteringResult:
+    """The selected model and labels, and the sweep they came from.
+
+    `snapshots` holds one snapshot per scale the sweep ran: up to the first
+    K = 1, or fewer, up to the scale where `scale_sweep` found the selection
+    decided. `table` maps each K in them to the (first, last) snapshot index
+    of its run, so the last K's run may be cut short there.
+    """
+
     model: SelectedModel
     assignment: Assignment
-    table: dict  # K -> (first, last) snapshot index of its run
+    table: dict
     snapshots: list
     truncated: bool
 
     @property
     def inner_iters(self):
-        """Mean-shift iterations summed over every scale of the sweep."""
+        """Mean-shift iterations summed over the scales the sweep ran, which
+        stop once the selection is decided."""
         return sum(s.iters for s in self.snapshots)
 
 
@@ -165,7 +183,6 @@ def _merge_centers(centers, tol):
     exceeds tol*tol so does every later center's, so the scan for that
     center stops there.
     """
-    out = np.array(centers, dtype=np.float64)
     tt = tol * tol
     order = sorted((x, y, i) for i, (x, y) in enumerate(centers))
     root = None  # root[i] leads toward i's smallest member, once a pair is close
@@ -185,11 +202,17 @@ def _merge_centers(centers, tol):
                 ri, rj = find(i), find(j)
                 root[max(ri, rj)] = min(ri, rj)
     if root is None:  # nothing merges
-        return out
-    members = {}
-    for i in range(len(root)):
-        members.setdefault(find(i), []).append(i)
-    return np.stack([out[m].mean(axis=0) for m in members.values()])
+        return np.array(centers, dtype=np.float64)
+    # [sum x, sum y, count] per component: the sums start from 0.0 and add
+    # the members in index order, as numpy's mean(axis=0) does, so the mean
+    # is bit for bit numpy's (a lone -0.0 comes out as 0.0)
+    sums = {}
+    for i, (x, y) in enumerate(centers):
+        s = sums.setdefault(find(i), [0.0, 0.0, 0])
+        s[0] += x
+        s[1] += y
+        s[2] += 1
+    return np.array([[sx / n, sy / n] for sx, sy, n in sums.values()])
 
 
 def kernel_operands(points):
@@ -271,42 +294,89 @@ def converge_centers(operands, init_centers, sigma, cfg):
     return ClusterSnapshot(sigma=float(sigma), centers=merged, iters=iters)
 
 
-def default_sigma0(points, cfg):
-    """Half the 5th percentile of nonzero pairwise distances, >= epsilon."""
-    points = as_points(points)
-    if len(points) > 1:
-        diff = points[:, None, :] - points[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=2))
-        nz = d[np.triu_indices(len(points), k=1)]
-        nz = nz[nz > 0]
-        if nz.size:
-            return max(0.5 * float(np.percentile(nz, 5)), cfg.epsilon)
-    return cfg.epsilon
+def pairwise_distances(points):
+    """The N(N-1)/2 distances between distinct rows of checked (N, 2) points
+    (`as_points`), in `np.triu_indices` order."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))[np.triu_indices(len(points), k=1)]
+
+
+def default_sigma0(dists, cfg):
+    """Half the 5th percentile of the nonzero `pairwise_distances`, >= epsilon."""
+    nz = dists[dists > 0]
+    return max(0.5 * float(np.percentile(nz, 5)), cfg.epsilon) if nz.size else cfg.epsilon
+
+
+def _one_center_scale(diameter, sigma0, cfg):
+    """The first scale index j < max_scales at which every center provably
+    ends as one, or None.
+
+    Mean shift maps a center x to m(x) = sum_i w_i(x) p_i, with w(x) the
+    kernel weights normalised to sum to 1. Its Jacobian Cov_w(p) / sigma^2
+    has norm at most rho = (D / 2 sigma)^2 for points of diameter D
+    (Popoviciu's inequality), so on the points' convex hull, which holds
+    every center, m is a rho-contraction when rho < 1. A row that stopped on
+    a step shorter than tol = convergence_tol * sigma then lies within
+    rho tol / (1 - rho) of the one fixed point, so all stopped rows merge
+    when 2 convergence_tol rho / (1 - rho) <= merge_tol. Every row stops
+    within max_inner_iters when rho^(max_inner_iters - 1) D < tol, since its
+    t-th step is at most rho^(t - 1) D. No row is isolated, since every
+    point lies within D < 2 sigma of it (kernel mass >= e^-2). A sigma beyond
+    the float range is no bound: the sweep could not run that scale.
+    """
+    try:
+        for j in range(cfg.max_scales):
+            sigma = sigma0 * cfg.k**j
+            rho = (diameter / (2.0 * sigma)) ** 2
+            if (sigma < math.inf and rho < 1.0
+                    and 2.0 * cfg.convergence_tol * rho / (1.0 - rho) <= cfg.merge_tol
+                    and rho ** (cfg.max_inner_iters - 1) * diameter < cfg.convergence_tol * sigma):
+                return j
+    except OverflowError:  # k**j left the float range before the conditions held
+        pass
+    return None
 
 
 def scale_sweep(points, cfg=None):
-    """Track cluster centers across the geometric scale ladder.
+    """Track cluster centers across the geometric scale ladder until the
+    selection is decided.
 
     Scale j uses sigma_j = sigma0 * k**j. Scale 0 starts from all data
     points; every later scale starts from the previous converged centers, so
-    K is non-increasing. Returns (snapshots, truncated); `truncated` is True
-    when max_scales ran out before K reached 1. Raises ValueError when the
-    resolved sigma0 is so small that 2*sigma0**2 underflows to 0.
+    K is non-increasing. Returns (snapshots, truncated). The snapshots end
+    at the first K = 1, or earlier, once `select_model` would pick the same
+    model from every continuation: K is 1 at `_one_center_scale` j_max, so
+    after snapshot j < j_max the current K's run, begun at snapshot `first`,
+    can last at most j_max - 1 - first steps, and a later run is shorter and
+    has a smaller K. The sweep stops when the longest closed run of K >= 2
+    is at least that long, since the closed run wins a tie by its larger K.
+    `truncated` is True when max_scales ran out before K reached 1 or the
+    selection was decided. Raises ValueError when a coordinate is so large
+    that its squares overflow, or when the resolved sigma0 is so small that
+    2*sigma0**2 underflows to 0.
     """
     cfg = cfg or ScaleSweepConfig()
     cfg.validate()
     points = as_points(points)
-    sigma0 = cfg.sigma0 if cfg.sigma0 is not None else default_sigma0(points, cfg)
+    if float(np.abs(points).max()) > _COORD_LIMIT:
+        raise ValueError(f"points must lie within {_COORD_LIMIT:.3g} of 0 on each axis: "
+                         "beyond it their squared distances overflow")
+    dists = pairwise_distances(points)
+    sigma0 = cfg.sigma0 if cfg.sigma0 is not None else default_sigma0(dists, cfg)
     _check_kernel_scale(sigma0)
+    j_max = _one_center_scale(float(dists.max(initial=0.0)), sigma0, cfg)
     operands = kernel_operands(points)
     snapshots = []
     seeds = points
+    first, longest = 0, -1  # where the current K's run began; the longest closed run
     for j in range(cfg.max_scales):
         sigma = sigma0 * cfg.k**j
         snap = converge_centers(operands, seeds, sigma, cfg)
+        if snapshots and snap.K != snapshots[-1].K:
+            first, longest = j, max(longest, j - 1 - first)
         snapshots.append(snap)
         seeds = snap.centers
-        if snap.K == 1:
+        if snap.K == 1 or (j_max is not None and j < j_max and longest >= j_max - 1 - first):
             return snapshots, False
     return snapshots, True
 

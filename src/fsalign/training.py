@@ -155,7 +155,8 @@ class GroupingDiagnostics:
     """What the scale sweep did on one image: the selected cluster count K
     and scale `sigma_star`, how many proposals it flagged as outliers,
     whether it ran out of scales before K reached 1, its mean-shift
-    iterations over all scales, and whether every proposal was an outlier,
+    iterations over the scales it ran (it stops once its selection is
+    decided, often before K = 1), and whether every proposal was an outlier,
     so that the entry fell back to one group of all proposals."""
 
     K: int

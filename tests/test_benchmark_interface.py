@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from fsalign import autodiff as ad
-from fsalign import losses, network, synth, training
+from fsalign import grouping, losses, network, synth, training
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -55,6 +55,25 @@ def test_a_traced_step_records_each_conv_and_restores_every_name(monkeypatch):
     names = spans.arrays()[0]
     assert np.count_nonzero(names == spans.name_id("autodiff.conv2d.fwd")) == 8
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in before)
+
+
+def test_a_traced_grouping_counts_the_scales_of_a_stopped_sweep(monkeypatch):
+    """`cluster_box_centers` under `tracer.instrument` completes on a cloud
+    whose sweep stops before K = 1, and `scale_space.scales` counts the
+    snapshots it returned, one `converge_centers` span each."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer = importlib.import_module("tracer")
+    scene = synth.generate_scene(synth.SceneSpec(object_count_range=(2, 2)), seed=40)
+    noise = synth.ProposalNoiseSpec(redundancy=3, background_count=2)
+    centers = synth.generate_proposals(scene, noise, seed=41).centers()
+    spans = tracer.Tracer()
+    with tracer.instrument(spans):
+        _, _, result = grouping.cluster_box_centers(centers)
+    assert result.snapshots[-1].K > 1 and not result.truncated  # the sweep stopped
+    assert spans.counters["scale_space.scales"] == len(result.snapshots)
+    names = spans.arrays()[0]
+    assert (np.count_nonzero(names == spans.name_id("scale_space.converge_centers"))
+            == len(result.snapshots))
 
 
 def test_block_zero_groups_as_recorded(monkeypatch):

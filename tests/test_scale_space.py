@@ -448,10 +448,15 @@ def ref_converge(points, init_centers, sigma, cfg, shift=ref_shift_all):
     return ref_merge(centers, cfg.merge_tol * sigma), iters, any_isolated
 
 
+def ref_sigma0(points, cfg):
+    return (cfg.sigma0 if cfg.sigma0 is not None
+            else ssc.default_sigma0(ssc.pairwise_distances(points), cfg))
+
+
 def ref_sweep(points, cfg, shift=ref_shift_all):
-    """([(sigma, centers, iters)], truncated)."""
+    """([(sigma, centers, iters)], truncated), run on to K = 1 or max_scales."""
     points = ssc.as_points(points)
-    sigma0 = cfg.sigma0 if cfg.sigma0 is not None else ssc.default_sigma0(points, cfg)
+    sigma0 = ref_sigma0(points, cfg)
     snaps, seeds = [], points
     for j in range(cfg.max_scales):
         sigma = sigma0 * cfg.k**j
@@ -463,6 +468,64 @@ def ref_sweep(points, cfg, shift=ref_shift_all):
     return snaps, True
 
 
+# each (cloud, config, shift) is swept once per session: several tests and
+# both checks of `assert_sweep_matches_reference` read the same sweep
+_REF_SWEEPS = {}
+
+
+def cached_ref_sweep(points, cfg, shift=ref_shift_all):
+    points = ssc.as_points(points)
+    key = (points.tobytes(), repr(cfg), shift.__name__)
+    if key not in _REF_SWEEPS:
+        _REF_SWEEPS[key] = ref_sweep(points, cfg, shift)
+    return _REF_SWEEPS[key]
+
+
+def ref_j_max(points, cfg):
+    """The first scale j < max_scales where, for the diameter D and
+    rho = (D / 2 sigma_j)^2, rho < 1, 2 convergence_tol rho / (1 - rho) <=
+    merge_tol and rho^(max_inner_iters - 1) D < convergence_tol sigma_j;
+    else None."""
+    pts = ssc.as_points(points).tolist()
+    diameter = max(math.dist(p, q) for p in pts for q in pts)
+    sigma0 = ref_sigma0(ssc.as_points(points), cfg)
+    for j in range(cfg.max_scales):
+        sigma = sigma0 * cfg.k**j
+        rho = diameter**2 / (4.0 * sigma**2)
+        if (rho < 1.0 and 2.0 * cfg.convergence_tol * rho / (1.0 - rho) <= cfg.merge_tol
+                and rho ** (cfg.max_inner_iters - 1) * diameter < cfg.convergence_tol * sigma):
+            return j
+    return None
+
+
+def ref_stop(ks, j_max):
+    """The first snapshot j of a full sweep's K ladder after which the sweep
+    may stop: j < j_max, K_j >= 2, and some run that ended before K_j's began
+    spans at least j_max - 1 - first scale steps, where K_j's run began at
+    `first`. None if there is none."""
+    if j_max is None:
+        return None
+    for j in range(min(j_max, len(ks))):
+        first = ks.index(ks[j])
+        closed = [ks.count(K) - 1 for K in set(ks[:first])]
+        if ks[j] >= 2 and closed and max(closed) >= j_max - 1 - first:
+            return j
+    return None
+
+
+def cut_ref_sweep(points, cfg, shift=ref_shift_all):
+    """The full reference sweep, the part of it a stopping sweep returns,
+    and that part's truncation flag."""
+    want, want_truncated = cached_ref_sweep(points, cfg, shift)
+    j_max = ref_j_max(points, cfg)
+    # the bound: the sweep reaches K = 1 by j_max
+    assert j_max is None or (not want_truncated and len(want) <= j_max + 1)
+    stop = ref_stop([len(centers) for _, centers, _ in want], j_max)
+    if stop is None:
+        return want, want, want_truncated
+    return want, want[:stop + 1], False
+
+
 def proposal_cloud(objects, redundancy, background, seed):
     spec = synth.SceneSpec(object_count_range=(objects, objects))
     noise = synth.ProposalNoiseSpec(redundancy=redundancy, background_count=background)
@@ -470,24 +533,40 @@ def proposal_cloud(objects, redundancy, background, seed):
     return synth.generate_proposals(scene, noise, seed=seed + 1).centers()
 
 
+def assert_selects_as_full_reference(result, points, full, cfg):
+    """The model and labels of `result` are those the reference selection
+    picks over the full reference sweep `full`."""
+    snaps = [ssc.ClusterSnapshot(sigma, centers, iters) for sigma, centers, iters in full]
+    K, sigma_star, centers = ref_select(snaps, ref_lifetime_table(snaps, cfg))
+    assert result.model.K == K and result.model.sigma_star == sigma_star
+    assert np.array_equal(result.model.centers, centers)
+    labels = ssc.assign_points(points, ssc.SelectedModel(centers, sigma_star)).labels
+    assert np.array_equal(result.assignment.labels, labels)
+
+
 def assert_sweep_matches_reference(points, cfg):
-    snaps, truncated = ssc.scale_sweep(points, cfg)
-    want, want_truncated = ref_sweep(points, cfg)
-    assert truncated == want_truncated
+    """The sweep is the full reference sweep cut where the reference stop
+    rule fires, snapshot for snapshot and bit for bit, and it selects what
+    the full reference sweep selects."""
+    result = ssc.cluster_points(points, cfg)
+    full, want, want_truncated = cut_ref_sweep(points, cfg)
+    snaps = result.snapshots
+    assert result.truncated == want_truncated
     assert len(snaps) == len(want)
     for snap, (sigma, centers, iters) in zip(snaps, want):
         assert snap.sigma == sigma
         assert snap.centers.shape == centers.shape
         assert np.array_equal(snap.centers, centers)
         assert snap.iters == iters
-    return snaps, truncated
+    assert_selects_as_full_reference(result, points, full, cfg)
+    return snaps, result.truncated
 
 
 def assert_sweep_near_direct_reference(points, cfg):
     """The same K and iterations at every scale, the same selected model
     and labels, and centers within 1e-8 of the direct-distance sweep."""
     result = ssc.cluster_points(points, cfg)
-    want, want_truncated = ref_sweep(points, cfg, ref_shift_all_direct)
+    _, want, want_truncated = cut_ref_sweep(points, cfg, ref_shift_all_direct)
     assert result.truncated == want_truncated
     assert ([(s.sigma, s.K, s.iters) for s in result.snapshots]
             == [(sigma, len(centers), iters) for sigma, centers, iters in want])
@@ -563,6 +642,79 @@ class TestSweepBitIdentity:
         merged = ssc._merge_centers(centers, 1.0)
         assert np.array_equal(merged, ref_merge(centers, 1.0))
         assert np.array_equal(merged, centers) and merged is not centers
+
+
+class TestEarlyStop:
+    """The sweep stops where the reference stop rule fires, and no earlier;
+    `assert_sweep_matches_reference` also checks the bound on the full
+    reference sweep."""
+
+    # 3 proposals on each of 2 objects plus 2 background. Seed 40: K = 5 at
+    # scale 0, 4 for 30 scales, then 3 for 3, 2 for 8 and 1, with the bound
+    # at scale 57. Seed 2: K = 4 spans 22 steps (snapshots 9-31), and the
+    # K = 2 run begun at 37 can span at most 60 - 1 - 37 = 22 before the
+    # bound: a tie, which the larger K wins, so the sweep stops as that run
+    # begins
+    @pytest.mark.parametrize("seed,stopped,full_length", [(40, 32, 43), (2, 38, 49)])
+    def test_the_stop_fires_on_a_proposal_cloud(self, seed, stopped, full_length):
+        pts = proposal_cloud(2, 3, 2, seed=seed)
+        snaps, truncated = assert_sweep_matches_reference(pts, ssc.ScaleSweepConfig())
+        full, _ = cached_ref_sweep(pts, ssc.ScaleSweepConfig())
+        assert (len(snaps), len(full)) == (stopped, full_length) and not truncated
+        assert snaps[-1].K > 1 and full[-1][1].shape == (1, 2)
+
+    def test_two_points_at_rho_one(self):
+        # the default sigma0 is half their distance, so rho = 1 at scale 0:
+        # no contraction, and the rows run out of iterations apart
+        pts = np.array([(0.0, 0.0), (3.0, 0.0)])
+        snaps, truncated = assert_sweep_matches_reference(pts, ssc.ScaleSweepConfig())
+        assert [(s.K, s.iters) for s in snaps] == [(2, 500), (1, 88)] and not truncated
+
+    def test_equilateral_triangle(self):
+        # by symmetry K = 3 holds until the three centers merge at once, so
+        # no run closes before K = 1 and the stop never fires
+        pts = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0))])
+        snaps, _ = assert_sweep_matches_reference(pts, ssc.ScaleSweepConfig(sigma0=0.25))
+        assert [s.K for s in snaps] == [3] * 26 + [1]
+
+    def test_coincident_points(self):
+        # D = 0: every scale is past the bound, and scale 0 already ends
+        snaps, truncated = assert_sweep_matches_reference(np.array([(2.0, 5.0)] * 4),
+                                                          ssc.ScaleSweepConfig())
+        assert len(snaps) == 1 and snaps[0].K == 1 and not truncated
+
+    def test_no_stop_when_the_bound_lies_beyond_max_scales(self):
+        # the bound's scale is 57 here; taking max_scales = 40 in its place
+        # would stop at snapshot 31, where the K = 4 run outlasts any other
+        pts = proposal_cloud(2, 3, 2, seed=40)
+        snaps, truncated = assert_sweep_matches_reference(pts,
+                                                          ssc.ScaleSweepConfig(max_scales=40))
+        assert truncated and len(snaps) == 40 and snaps[-1].K == 2
+
+    def test_one_iteration_per_scale(self):
+        # rows cut off after one step have no bound on their spread, so the
+        # bound waits until one step is below the convergence tolerance
+        # (scale 358); rho < 1 alone, from scale 61, would stop at 57
+        pts = proposal_cloud(3, 6, 2, seed=3)
+        snaps, truncated = assert_sweep_matches_reference(
+            pts, ssc.ScaleSweepConfig(max_inner_iters=1))
+        assert len(snaps) == 63 and snaps[-1].K == 1 and not truncated
+
+    def test_a_bound_beyond_the_float_range(self):
+        # a step of up to D = 1e9 is below 1e-300 sigma only for sigma >
+        # 1e309: sigma0 * 10.0**300 is inf and 10.0**309 raises, and neither
+        # is a bound, so the sweep runs as if there were none
+        cfg = ssc.ScaleSweepConfig(k=10.0, convergence_tol=1e-300, max_inner_iters=1)
+        assert ssc._one_center_scale(1e9, 5e8, cfg) is None
+        snaps, truncated = ssc.scale_sweep([(0.0, 0.0), (1e9, 0.0)], cfg)
+        assert [s.K for s in snaps] == [2, 1] and not truncated
+
+    def test_points_whose_squares_overflow_are_rejected(self):
+        pts = [[1e160, 0.0], [1e160, 1.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="points must lie within"):
+            ssc.scale_sweep(pts)
+        with pytest.raises(ValueError, match="points must lie within"):
+            ssc.cluster_points(pts)
 
 
 class TestMergeCenters:
@@ -642,7 +794,7 @@ class TestIterationCounter:
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.2), (9.0, 9.0), (9.5, 8.0)])
         cfg = ssc.ScaleSweepConfig()
         result = ssc.cluster_points(pts, cfg)
-        want, _ = ref_sweep(pts, cfg)
+        _, want, _ = cut_ref_sweep(pts, cfg)
         assert [s.iters for s in result.snapshots] == [it for _, _, it in want]
         assert all(s.iters >= 1 for s in result.snapshots)
         assert result.inner_iters == sum(it for _, _, it in want)
@@ -682,6 +834,22 @@ def test_sweep_matches_reference_on_random_clouds(cloud, repeats):
     # 1 to 30 points, some of them repeated; every snapshot bit for bit
     pts = np.array(cloud + [cloud[i % len(cloud)] for i in repeats])
     assert_sweep_matches_reference(pts, ssc.ScaleSweepConfig())
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    blobs=st.lists(st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0), st.integers(1, 5)),
+                   min_size=2, max_size=4),
+    jitter=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                    min_size=20, max_size=20),
+    cfg=st.sampled_from([ssc.ScaleSweepConfig(), ssc.ScaleSweepConfig(k=1.2),
+                         ssc.ScaleSweepConfig(convergence_tol=1e-3, max_inner_iters=60)]),
+)
+def test_stopped_sweep_selects_as_the_full_sweep_on_blob_clouds(blobs, jitter, cfg):
+    # a few proposals on each of two to four objects, where the sweep
+    # often decides its selection well before K = 1
+    pts = np.array([(x, y) for x, y, n in blobs for _ in range(n)])
+    assert_sweep_matches_reference(pts + np.array(jitter[:len(pts)]), cfg)
 
 
 class TestDirectDistances:
