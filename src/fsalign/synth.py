@@ -274,14 +274,35 @@ def _gaussian_kernel(sigma):
 
 
 def _gaussian_blur(img, sigma):
+    """Separable Gaussian blur of a (C, H, W) image, reflect-padded by the
+    kernel radius r: a pass along W, then one along H over the columns of
+    its result. Returns a new C-contiguous array.
+
+    Each pass reflect-pads every line (row, then column) of every channel by
+    r and makes one `np.convolve` over all of them laid end to end. Output j
+    of its "same" mode is the window of 2r + 1 samples centred on flat
+    sample j; the window stays inside one line exactly where that line's own
+    "valid" output starts r samples earlier. So reshaping to lines and
+    dropping r outputs at each end (they straddle two lines, or reach past
+    the ends) leaves the per-line "valid" results. numpy sums each kept
+    output over the same window in the same order whatever the array around
+    it, so they match convolving each line on its own bit for bit. Padding
+    along H only after the W pass gives what padding both axes first and
+    convolving every padded row would: a reflect pad along H copies whole
+    rows, and a copied row convolves to the same bits. Rebinding `flat`
+    frees each buffer once the next is made, so at most two image-sized
+    buffers are live at a time.
+    """
     kernel = _gaussian_kernel(sigma)
-    radius = len(kernel) // 2
-    out = np.empty_like(img)
-    for c in range(img.shape[0]):
-        padded = np.pad(img[c], radius, mode="reflect")
-        rows = np.array([np.convolve(v, kernel, mode="valid") for v in padded])
-        out[c] = np.array([np.convolve(v, kernel, mode="valid") for v in rows.T]).T
-    return out
+    r = len(kernel) // 2
+    c, h, w = img.shape
+    lines = ((0, 0), (0, 0), (r, r))  # a pad along the last axis only
+    flat = np.convolve(np.pad(img, lines, mode="reflect").ravel(), kernel, "same")
+    # the W pass's kept outputs, transposed so that each column is a line
+    flat = np.pad(flat.reshape(c, h, w + 2 * r)[..., r:r + w].transpose(0, 2, 1), lines,
+                  mode="reflect").ravel()
+    flat = np.convolve(flat, kernel, "same")
+    return np.ascontiguousarray(flat.reshape(c, w, h + 2 * r)[..., r:r + h].transpose(0, 2, 1))
 
 
 def check_blur_radius(radius, hw):

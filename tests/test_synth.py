@@ -151,6 +151,46 @@ class TestDomainShift:
                 synth.apply_domain_shift(s, synth.DomainShiftSpec(blur_radius=radius), seed=0)
 
 
+def per_row_blur(img, sigma):
+    """The blur as a loop: each channel reflect-padded on its own, then
+    every padded row and every column of that result convolved on its own."""
+    kernel = synth._gaussian_kernel(sigma)
+    radius = len(kernel) // 2
+    out = np.empty_like(img)
+    for c in range(img.shape[0]):
+        padded = np.pad(img[c], radius, mode="reflect")
+        rows = np.array([np.convolve(v, kernel, mode="valid") for v in padded])
+        out[c] = np.array([np.convolve(v, kernel, mode="valid") for v in rows.T]).T
+    return out
+
+
+# 3, 5, 7, 11, 13, 19 and 31 taps: numpy's convolve sums up to 11 taps in a
+# loop of its own and longer kernels with BLAS ddot
+BLUR_SIGMAS = (0.3, 0.6, 1.0, 1.5, 1.7, 3.0, 5.0)
+
+
+class TestGaussianBlur:
+    @pytest.mark.parametrize("shape, sigma", [
+        (shape, sigma) for shape in ((3, 64, 64), (3, 20, 47), (2, 33, 9), (1, 1, 6))
+        for sigma in BLUR_SIGMAS if sigma <= min(shape[1:])
+    ] + [
+        # sigma = the shorter side: the reflect pad, 3 sigma, is wider than
+        # the image on both axes
+        ((3, 7, 12), 7.0), ((3, 12, 7), 7.0), ((2, 2, 3), 2.0),
+    ])
+    def test_matches_the_per_row_loop_bit_for_bit(self, shape, sigma):
+        img = np.random.default_rng(sum(shape)).random(shape)
+        before = img.copy()
+        out = synth._gaussian_blur(img, sigma)
+        assert out.shape == img.shape and out.dtype == np.float64
+        assert out.flags.c_contiguous and not np.shares_memory(out, img)
+        assert out.tobytes() == per_row_blur(img, sigma).tobytes()
+        assert img.tobytes() == before.tobytes()
+
+    def test_tap_counts_span_both_convolve_paths(self):
+        assert [len(synth._gaussian_kernel(s)) for s in BLUR_SIGMAS] == [3, 5, 7, 11, 13, 19, 31]
+
+
 class TestGenerateProposals:
     def test_zero_jitter_equals_ground_truth(self):
         s = synth.generate_scene(seed=41)
