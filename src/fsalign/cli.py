@@ -32,7 +32,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     if args.command == "train":
         cfg = training.load_config(args.config) if args.config else training.TrainConfig()
-        training.run_experiment(cfg, args.out, log=print)
+        print(json.dumps(training.run_experiment(cfg, args.out)))
     else:
         report = training.finite_difference_check()
         print(json.dumps(report, indent=1, sort_keys=True))

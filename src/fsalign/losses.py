@@ -30,7 +30,7 @@ PROB_CLAMP = 1e-7
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectiveWeights:
     """Scalar weights of the combined objective.
 
@@ -42,7 +42,7 @@ class ObjectiveWeights:
     lam: float = 1.0
     gamma: float = 5.0
 
-    def validate(self):
+    def __post_init__(self):
         require(self, lambda v: is_real(v) and v >= 0, "finite and non-negative",
                 "beta", "lam", "gamma")
 

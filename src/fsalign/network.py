@@ -42,9 +42,9 @@ from .scale_space import is_count, is_real, is_tuple_of, require
 STRIDE = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkSpec:
-    """Channel plan and head widths; shapes are validated when run.
+    """Channel plan and head widths; input shapes are checked when the net runs.
 
     The level domain classifiers are linear (affine stacks without a
     nonlinearity): they stay near their convex optimum while the features
@@ -62,7 +62,7 @@ class NetworkSpec:
     num_classes: int = 3  # object classes; background is logit index 0
     domain_head_gain: float = 8.0
 
-    def validate(self):
+    def __post_init__(self):
         require(self, lambda v: is_tuple_of(v, is_count, 3), "three positive counts", "channels")
         require(self, is_count, "a positive integer",
                 "d1_hidden", "d23_hidden", "dri_hidden", "head_hidden", "num_classes")
@@ -179,7 +179,6 @@ class SeparationNet:
 
     def __init__(self, spec=None, seed=0):
         self.spec = spec or NetworkSpec()
-        self.spec.validate()
         s = self.spec
         c1, c2, c3 = s.channels
         rng = np.random.default_rng(seed)

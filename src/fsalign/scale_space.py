@@ -47,9 +47,11 @@ _COORD_LIMIT = math.sqrt(float(np.finfo(np.float64).max) / 8.0)
 
 def require(spec, test, what, *names):
     """Raise ValueError("<name> must be <what>") for the first field of `spec`
-    among `names` whose value fails `test`. Every config spec checks each field
-    with it and the predicates below; they live here because every module
-    imports this one and it imports none, so no spec meets an import cycle."""
+    among `names` whose value fails `test`. Every config spec is a frozen
+    dataclass that checks each field with it and the predicates below in its
+    `__post_init__`, so a spec that exists is valid and its users take it as
+    it is. They live here because every module imports this one and it
+    imports none, so no spec meets an import cycle."""
     for name in names:
         if not test(getattr(spec, name)):
             raise ValueError(f"{name} must be {what}")
@@ -79,7 +81,7 @@ def _check_kernel_scale(sigma, name="sigma0"):
         raise ValueError(f"{name} = {sigma!r} is too small: 2*{name}**2 underflows to 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScaleSweepConfig:
     """Knobs of the scale sweep.
 
@@ -98,7 +100,7 @@ class ScaleSweepConfig:
     max_inner_iters: int = 500
     max_scales: int = 400
 
-    def validate(self):
+    def __post_init__(self):
         require(self, lambda v: v is None or (is_real(v) and v > 0),
                 "finite and positive (or None for the default)", "sigma0")
         require(self, lambda v: is_real(v) and v > 1, "a finite scale multiplier k > 1", "k")
@@ -363,7 +365,6 @@ def scale_sweep(points, cfg=None):
     2*sigma0**2 underflows to 0.
     """
     cfg = cfg or ScaleSweepConfig()
-    cfg.validate()
     points = as_points(points)
     if float(np.abs(points).max()) > _COORD_LIMIT:
         raise ValueError(f"points must lie within {_COORD_LIMIT:.3g} of 0 on each axis: "

@@ -57,7 +57,7 @@ class LabelQuarantineError(RuntimeError):
     """Target-domain ground truth was touched through a training-path accessor."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     canvas: tuple = (64, 64)
     object_count_range: tuple = (2, 4)
@@ -66,7 +66,7 @@ class SceneSpec:
     background: tuple = (0.15, 0.16, 0.19)
     radius_range: tuple = (5.0, 9.0)
 
-    def validate(self):
+    def __post_init__(self):
         require(self, lambda v: is_tuple_of(v, lambda n: is_count(n, 32), 2),
                 "(height, width), integers >= 32", "canvas")
         require(self, lambda v: is_tuple_of(v, is_count, 2),
@@ -92,14 +92,14 @@ class SceneSpec:
             raise ValueError("palette must hold at least one color")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainShiftSpec:
     color_shift: tuple = (-0.22, 0.05, 0.20)
     fog_alpha: float = 0.45
     blur_radius: float = 1.0
     noise_std: float = 0.02
 
-    def validate(self):
+    def __post_init__(self):
         require(self, lambda v: is_tuple_of(v, is_real, 3), "three finite channel offsets",
                 "color_shift")
         require(self, lambda v: is_real(v) and 0.0 <= v <= 1.0, "in [0, 1]", "fog_alpha")
@@ -113,14 +113,14 @@ class DomainShiftSpec:
                              f"underflows to 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProposalNoiseSpec:
     jitter_std: float = 2.0
     redundancy: int = 6
     background_count: int = 2
     background_margin: float = 12.0
 
-    def validate(self):
+    def __post_init__(self):
         require(self, is_count, "an integer >= 1", "redundancy")
         require(self, lambda v: is_count(v, 0), "an integer >= 0", "background_count")
         # a negative jitter would silently switch the jitter off
@@ -232,7 +232,6 @@ def generate_scene(spec=None, seed=0):
     first attempt is unaffected.
     """
     spec = spec or SceneSpec()
-    spec.validate()
     rng = np.random.default_rng(seed)
     h, w = spec.canvas
     for _ in range(1 + _PLACEMENT_RESTARTS):
@@ -320,7 +319,6 @@ def apply_domain_shift(sample, shift=None, seed=0):
     but becomes evaluation-only.
     """
     shift = shift or DomainShiftSpec()
-    shift.validate()
     check_blur_radius(shift.blur_radius, sample.image_hw())
     if sample.domain != "source":
         raise ValueError("domain shift applies to source samples")
@@ -353,7 +351,6 @@ def generate_proposals(sample, noise=None, seed=0):
     uniformly at least `background_margin` away from every object center.
     """
     noise = noise or ProposalNoiseSpec()
-    noise.validate()
     rng = np.random.default_rng(seed)
     gt_boxes = sample.eval_boxes()
     if not len(gt_boxes):

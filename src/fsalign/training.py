@@ -41,7 +41,7 @@ class TrainingDiverged(RuntimeError):
     """A loss branch produced a non-finite value."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 2000
     lr_initial: float = 1e-3
@@ -73,7 +73,7 @@ class TrainConfig:
             0.7 * self.iterations
         )
 
-    def validate(self):
+    def __post_init__(self):
         require(self, lambda v: is_real(v) and v > 0, "finite and positive",
                 "lr_initial", "lr_after_decay")
         require(self, lambda v: is_real(v) and 0.0 <= v < 1.0, "in [0, 1)", "momentum")
@@ -83,11 +83,11 @@ class TrainConfig:
                 "an integer >= 0 (or None for the default)", "decay_step")
         require(self, lambda v: is_count(v, 0), "an integer >= 0", "lambda_warmup_steps", "seed")
         require(self, lambda v: isinstance(v, bool), "true or false", "normalize_reconstruction")
+        # a nested spec checked its own fields when it was built
         for f in dataclasses.fields(self):
             if dataclasses.is_dataclass(f.type):
                 require(self, lambda v: isinstance(v, f.type), f"of type {f.type.__name__}",
                         f.name)
-                getattr(self, f.name).validate()
         if any(n % nw.STRIDE for n in self.scene.canvas):
             raise ValueError(f"canvas sides must be multiples of the network "
                              f"stride {nw.STRIDE}")
@@ -136,9 +136,7 @@ def _from_plain(cls, data, name="config"):
 
 
 def config_from_dict(data):
-    cfg = _from_plain(TrainConfig, data)
-    cfg.validate()
-    return cfg
+    return _from_plain(TrainConfig, data)
 
 
 def load_config(path):
@@ -359,7 +357,6 @@ class TrainResult:
 
 def train(cfg, source=None, target=None):
     """Run the configured number of steps; returns the net and per-step rows."""
-    cfg.validate()
     if source is None or target is None:
         source, target = build_training_corpus(cfg)
     net = nw.SeparationNet(cfg.network, seed=cfg.seed)
@@ -491,7 +488,7 @@ def load_checkpoint(net, out_dir):
     return net
 
 
-def run_experiment(cfg, out_dir=None, log=None):
+def run_experiment(cfg, out_dir=None):
     """Adapted run plus source-only twin, probed under the same protocol.
 
     Both twins train on one grouped corpus and are evaluated on the same
@@ -501,7 +498,6 @@ def run_experiment(cfg, out_dir=None, log=None):
     twin writes `<twin>/steps.jsonl`, one JSON line per `train` row, and
     `<twin>/checkpoint.npz`; then the metrics go to metrics.json.
     """
-    cfg.validate()
     source, target = build_training_corpus(cfg)
     probe_train, probe_eval, detect_eval = build_eval_sets(cfg)
     metrics = {}
@@ -517,8 +513,6 @@ def run_experiment(cfg, out_dir=None, log=None):
                 fh.writelines(json.dumps(row) + "\n" for row in result.rows)
             save_checkpoint(result.net, twin_dir)
     metrics["seeds"] = {"train": cfg.seed}
-    if log:
-        log(json.dumps(metrics))
     if out_dir:
         with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
             json.dump(metrics, fh, indent=1, sort_keys=True)

@@ -153,7 +153,7 @@ class TestScaleSweep:
 
     def test_underflowing_sigma0_rejected(self):
         with pytest.raises(ValueError, match="underflows"):
-            ssc.ScaleSweepConfig(sigma0=1e-170, epsilon=1e-171).validate()
+            ssc.ScaleSweepConfig(sigma0=1e-170, epsilon=1e-171)
         with pytest.raises(ValueError, match="underflows"):
             ssc.cluster_points(self.UNDERFLOW_POINTS,
                                ssc.ScaleSweepConfig(sigma0=1e-170, epsilon=1e-171))
@@ -161,7 +161,6 @@ class TestScaleSweep:
     def test_underflowing_default_sigma0_rejected(self):
         # the default sigma0 is clamped to epsilon, which underflows here
         cfg = ssc.ScaleSweepConfig(epsilon=1e-171)
-        cfg.validate()
         with pytest.raises(ValueError, match="underflows"):
             ssc.scale_sweep(self.UNDERFLOW_POINTS, cfg)
 
@@ -169,12 +168,11 @@ class TestScaleSweep:
         # epsilon is the smallest starting scale: the default sigma0 is
         # clamped up to it, and a given one below it is rejected
         pts = make_blobs([(0, 0), (20, 0)], 10, 1.0, seed=4)
-        cfg = ssc.ScaleSweepConfig(sigma0=0.001)
         with pytest.raises(ValueError, match=r"sigma0 = 0\.001 is below epsilon = 0\.01"):
-            cfg.validate()
+            ssc.ScaleSweepConfig(sigma0=0.001)
         with pytest.raises(ValueError, match="below epsilon"):
-            ssc.cluster_points(pts, cfg)
-        ssc.ScaleSweepConfig(sigma0=0.01).validate()  # sigma0 == epsilon is fine
+            ssc.cluster_points(pts, ssc.ScaleSweepConfig(sigma0=0.001))
+        ssc.ScaleSweepConfig(sigma0=0.01)  # sigma0 == epsilon is fine
 
     def test_kernel_operands_built_once_per_sweep(self, monkeypatch):
         calls = []

@@ -10,7 +10,7 @@ import pytest
 
 from fsalign import autodiff as ad
 from fsalign import network as nw
-from fsalign import grouping, losses, synth, training
+from fsalign import grouping, losses, scale_space, synth, training
 
 
 def tiny_config(iterations):
@@ -189,8 +189,8 @@ def test_run_experiment_builds_the_corpus_once(monkeypatch, tmp_path):
 
 
 def test_run_experiment_validates_before_building(monkeypatch, tmp_path):
-    """An invalid config raises before the corpus or the held-out sets are
-    built, and writes nothing."""
+    """An invalid config cannot be built, so `run_experiment` never sees one:
+    nothing is built or written."""
     calls = []
     monkeypatch.setattr(training, "build_training_corpus", calls.append)
     monkeypatch.setattr(training, "build_eval_sets", calls.append)
@@ -527,9 +527,10 @@ def test_config_round_trip(through_json):
         tiny_config(5), decay_step=3, lambda_warmup_steps=2,
         weights=losses.ObjectiveWeights(beta=0.2, lam=0.5, gamma=2.0),
     )
-    cfg.scene = dataclasses.replace(
-        cfg.scene, palette=((0.9, 0.1, 0.1), (0.1, 0.9, 0.1), (0.1, 0.1, 0.9)))
-    cfg.cluster = dataclasses.replace(cfg.cluster, sigma0=0.5, max_scales=50)
+    cfg = dataclasses.replace(
+        cfg, scene=dataclasses.replace(
+            cfg.scene, palette=((0.9, 0.1, 0.1), (0.1, 0.9, 0.1), (0.1, 0.1, 0.9))),
+        cluster=dataclasses.replace(cfg.cluster, sigma0=0.5, max_scales=50))
     data = training.config_to_dict(cfg)
     if through_json:
         data = json.loads(json.dumps(data))
@@ -668,119 +669,151 @@ def test_load_checkpoint_rejects_a_truncated_file(tmp_path):
         assert p.value.tobytes() == v.tobytes()
 
 
-@pytest.mark.parametrize("change, match", [
-    ({"eval_size": 0}, "eval_size"),
-    ({"probe_size": 0}, "probe_size"),
-    ({"scene": synth.SceneSpec(canvas=(36, 40))}, "stride 8"),
-    ({"scene": synth.SceneSpec(object_count_range=(0, 2))}, "object count"),
-    ({"shift": synth.DomainShiftSpec(fog_alpha=1.5)}, "fog_alpha"),
-    ({"proposal_noise": synth.ProposalNoiseSpec(redundancy=0)}, "redundancy"),
-    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, k=0.5)}, "multiplier"),
-    ({"decay_step": -1}, "decay_step"),
-    ({"lambda_warmup_steps": -1}, "lambda_warmup_steps"),
+# each change is built inside the test, since an invalid spec raises
+# where it is built
+REJECTED_CHANGES = [
+    (lambda: {"eval_size": 0}, "eval_size"),
+    (lambda: {"probe_size": 0}, "probe_size"),
+    (lambda: {"scene": synth.SceneSpec(canvas=(36, 40))}, "stride 8"),
+    (lambda: {"scene": synth.SceneSpec(object_count_range=(0, 2))}, "object count"),
+    (lambda: {"shift": synth.DomainShiftSpec(fog_alpha=1.5)}, "fog_alpha"),
+    (lambda: {"proposal_noise": synth.ProposalNoiseSpec(redundancy=0)}, "redundancy"),
+    (lambda: {"cluster": dataclasses.replace(training.TrainConfig().cluster, k=0.5)},
+     "multiplier"),
+    (lambda: {"decay_step": -1}, "decay_step"),
+    (lambda: {"lambda_warmup_steps": -1}, "lambda_warmup_steps"),
     # each of these used to pass validation, then switch an effect off
     # silently or fail later inside numpy or the first step
-    ({"shift": synth.DomainShiftSpec(noise_std=-1.0)}, "noise_std"),
-    ({"shift": synth.DomainShiftSpec(blur_radius=-1.0)}, "blur_radius"),
-    ({"shift": synth.DomainShiftSpec(color_shift=(0.1, 0.2))}, "color_shift"),
-    ({"proposal_noise": synth.ProposalNoiseSpec(jitter_std=-1.0)}, "jitter_std"),
-    ({"proposal_noise": synth.ProposalNoiseSpec(background_margin=np.nan)},
+    (lambda: {"shift": synth.DomainShiftSpec(noise_std=-1.0)}, "noise_std"),
+    (lambda: {"shift": synth.DomainShiftSpec(blur_radius=-1.0)}, "blur_radius"),
+    (lambda: {"shift": synth.DomainShiftSpec(color_shift=(0.1, 0.2))}, "color_shift"),
+    (lambda: {"proposal_noise": synth.ProposalNoiseSpec(jitter_std=-1.0)}, "jitter_std"),
+    (lambda: {"proposal_noise": synth.ProposalNoiseSpec(background_margin=np.nan)},
      "background_margin"),
-    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, k=np.inf)},
+    (lambda: {"cluster": dataclasses.replace(training.TrainConfig().cluster, k=np.inf)},
      "multiplier k"),
-    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, sigma0=np.inf)},
+    (lambda: {"cluster": dataclasses.replace(training.TrainConfig().cluster, sigma0=np.inf)},
      "sigma0"),
-    ({"lr_initial": np.nan}, "lr_initial"),
-    ({"lr_after_decay": np.inf}, "lr_after_decay"),
-    ({"network": nw.NetworkSpec(domain_head_gain=np.inf)}, "domain_head_gain"),
-    ({"scene": synth.SceneSpec(canvas=(32, 32), radius_range=(9.0, 5.0))}, "radius_range"),
-    ({"scene": synth.SceneSpec(canvas=(32, 32), radius_range=(4.0, 15.0))}, "radius_range"),
-    ({"scene": synth.SceneSpec(palette=())}, "palette"),
-    ({"scene": synth.SceneSpec(background=(0.1, 0.2))}, "background"),
-    ({"scene": synth.SceneSpec(canvas=(64,))}, "canvas"),
+    (lambda: {"lr_initial": np.nan}, "lr_initial"),
+    (lambda: {"lr_after_decay": np.inf}, "lr_after_decay"),
+    (lambda: {"network": nw.NetworkSpec(domain_head_gain=np.inf)}, "domain_head_gain"),
+    (lambda: {"scene": synth.SceneSpec(canvas=(32, 32), radius_range=(9.0, 5.0))}, "radius_range"),
+    (lambda: {"scene": synth.SceneSpec(canvas=(32, 32), radius_range=(4.0, 15.0))},
+     "radius_range"),
+    (lambda: {"scene": synth.SceneSpec(palette=())}, "palette"),
+    (lambda: {"scene": synth.SceneSpec(background=(0.1, 0.2))}, "background"),
+    (lambda: {"scene": synth.SceneSpec(canvas=(64,))}, "canvas"),
     # these too passed validation, then failed inside the network or step 0
-    ({"network": nw.NetworkSpec(num_classes=2)}, "num_classes"),
-    ({"network": nw.NetworkSpec(d1_hidden=0)}, "d1_hidden"),
-    ({"network": nw.NetworkSpec(d23_hidden=-1)}, "d23_hidden"),
-    ({"network": nw.NetworkSpec(dri_hidden=0)}, "dri_hidden"),
-    ({"network": nw.NetworkSpec(head_hidden=0)}, "head_hidden"),
-    ({"network": nw.NetworkSpec(channels=(4, 6.5, 8))}, "channels"),
+    (lambda: {"network": nw.NetworkSpec(num_classes=2)}, "num_classes"),
+    (lambda: {"network": nw.NetworkSpec(d1_hidden=0)}, "d1_hidden"),
+    (lambda: {"network": nw.NetworkSpec(d23_hidden=-1)}, "d23_hidden"),
+    (lambda: {"network": nw.NetworkSpec(dri_hidden=0)}, "dri_hidden"),
+    (lambda: {"network": nw.NetworkSpec(head_hidden=0)}, "head_hidden"),
+    (lambda: {"network": nw.NetworkSpec(channels=(4, 6.5, 8))}, "channels"),
     # non-integer counts and seeds: each passed validation, then raised a
     # TypeError inside the run or trained without a word (a fractional
     # object count, a bool)
-    ({"iterations": 2.5}, "iterations"),
-    ({"corpus_size": 1.5}, "corpus_size"),
-    ({"eval_size": 2.5}, "eval_size"),
-    ({"probe_size": 2.5}, "probe_size"),
-    ({"proposal_noise": synth.ProposalNoiseSpec(redundancy=2.5)}, "redundancy"),
-    ({"proposal_noise": synth.ProposalNoiseSpec(background_count=1.5)},
+    (lambda: {"iterations": 2.5}, "iterations"),
+    (lambda: {"corpus_size": 1.5}, "corpus_size"),
+    (lambda: {"eval_size": 2.5}, "eval_size"),
+    (lambda: {"probe_size": 2.5}, "probe_size"),
+    (lambda: {"proposal_noise": synth.ProposalNoiseSpec(redundancy=2.5)}, "redundancy"),
+    (lambda: {"proposal_noise": synth.ProposalNoiseSpec(background_count=1.5)},
      "background_count"),
-    ({"scene": synth.SceneSpec(canvas=(32.0, 32))}, "canvas"),
-    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, max_scales=50.5)},
+    (lambda: {"scene": synth.SceneSpec(canvas=(32.0, 32))}, "canvas"),
+    (lambda: {"cluster": dataclasses.replace(training.TrainConfig().cluster, max_scales=50.5)},
      "max_scales"),
-    ({"cluster": dataclasses.replace(training.TrainConfig().cluster,
-                                     max_inner_iters=10.5)}, "max_inner_iters"),
-    ({"scene": synth.SceneSpec(object_count_range=(1.5, 2))}, "object_count_range"),
-    ({"iterations": True}, "iterations"),
-    ({"seed": 2.5}, "seed"),
-    ({"seed": True}, "seed"),
-    ({"network": nw.NetworkSpec(head_hidden=True)}, "head_hidden"),
+    (lambda: {"cluster": dataclasses.replace(training.TrainConfig().cluster,
+                                             max_inner_iters=10.5)}, "max_inner_iters"),
+    (lambda: {"scene": synth.SceneSpec(object_count_range=(1.5, 2))}, "object_count_range"),
+    (lambda: {"iterations": True}, "iterations"),
+    (lambda: {"seed": 2.5}, "seed"),
+    (lambda: {"seed": True}, "seed"),
+    (lambda: {"network": nw.NetworkSpec(head_hidden=True)}, "head_hidden"),
     # a blur radius whose kernel denominator 2*r**2 underflows made every
     # target pixel NaN
-    ({"shift": synth.DomainShiftSpec(blur_radius=1e-200)}, "blur_radius"),
+    (lambda: {"shift": synth.DomainShiftSpec(blur_radius=1e-200)}, "blur_radius"),
     # a string is truthy, so "false" switched normalization on
-    ({"normalize_reconstruction": "false"}, "normalize_reconstruction"),
-    ({"normalize_reconstruction": 0}, "normalize_reconstruction"),
+    (lambda: {"normalize_reconstruction": "false"}, "normalize_reconstruction"),
+    (lambda: {"normalize_reconstruction": 0}, "normalize_reconstruction"),
     # a bool passed as a real number: lr_initial True trained at lr 1.0; a
     # string raised a bare TypeError inside math.isfinite
-    ({"lr_initial": True}, "lr_initial"),
-    ({"lr_initial": "x"}, "lr_initial"),
-    ({"momentum": False}, "momentum"),
-    ({"weights": losses.ObjectiveWeights(beta=True)}, "beta"),
-    ({"weights": losses.ObjectiveWeights(gamma="5")}, "gamma"),
-    ({"network": nw.NetworkSpec(domain_head_gain=True)}, "domain_head_gain"),
-    ({"scene": synth.SceneSpec(palette=((True, 0.1, 0.1),))}, "palette"),
-    ({"shift": synth.DomainShiftSpec(fog_alpha=True)}, "fog_alpha"),
-    ({"shift": synth.DomainShiftSpec(noise_std="0.02")}, "noise_std"),
-    ({"proposal_noise": synth.ProposalNoiseSpec(jitter_std=True)}, "jitter_std"),
-    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, sigma0=True)},
+    (lambda: {"lr_initial": True}, "lr_initial"),
+    (lambda: {"lr_initial": "x"}, "lr_initial"),
+    (lambda: {"momentum": False}, "momentum"),
+    (lambda: {"weights": losses.ObjectiveWeights(beta=True)}, "beta"),
+    (lambda: {"weights": losses.ObjectiveWeights(gamma="5")}, "gamma"),
+    (lambda: {"network": nw.NetworkSpec(domain_head_gain=True)}, "domain_head_gain"),
+    (lambda: {"scene": synth.SceneSpec(palette=((True, 0.1, 0.1),))}, "palette"),
+    (lambda: {"shift": synth.DomainShiftSpec(fog_alpha=True)}, "fog_alpha"),
+    (lambda: {"shift": synth.DomainShiftSpec(noise_std="0.02")}, "noise_std"),
+    (lambda: {"proposal_noise": synth.ProposalNoiseSpec(jitter_std=True)}, "jitter_std"),
+    (lambda: {"cluster": dataclasses.replace(training.TrainConfig().cluster, sigma0=True)},
      "sigma0"),
-    ({"cluster": dataclasses.replace(training.TrainConfig().cluster, k="1.05")},
+    (lambda: {"cluster": dataclasses.replace(training.TrainConfig().cluster, k="1.05")},
      "multiplier k"),
     # a scalar, a flat list or None where a tuple belongs raised a bare
     # TypeError from len(); a string of shapes was read letter by letter
-    ({"network": nw.NetworkSpec(channels=5)}, "channels"),
-    ({"scene": synth.SceneSpec(canvas=64)}, "canvas"),
-    ({"scene": synth.SceneSpec(radius_range=5)}, "radius_range"),
-    ({"scene": synth.SceneSpec(object_count_range=3)}, "object_count_range"),
-    ({"scene": synth.SceneSpec(background=0.1)}, "background"),
-    ({"scene": synth.SceneSpec(palette=[0.1, 0.2, 0.3])}, "palette"),
-    ({"shift": synth.DomainShiftSpec(color_shift=None)}, "color_shift"),
-    ({"scene": synth.SceneSpec(shapes="disk")}, "shapes must be a list"),
+    (lambda: {"network": nw.NetworkSpec(channels=5)}, "channels"),
+    (lambda: {"scene": synth.SceneSpec(canvas=64)}, "canvas"),
+    (lambda: {"scene": synth.SceneSpec(radius_range=5)}, "radius_range"),
+    (lambda: {"scene": synth.SceneSpec(object_count_range=3)}, "object_count_range"),
+    (lambda: {"scene": synth.SceneSpec(background=0.1)}, "background"),
+    (lambda: {"scene": synth.SceneSpec(palette=[0.1, 0.2, 0.3])}, "palette"),
+    (lambda: {"shift": synth.DomainShiftSpec(color_shift=None)}, "color_shift"),
+    (lambda: {"scene": synth.SceneSpec(shapes="disk")}, "shapes must be a list"),
     # a blur wider than the canvas asked np.pad for 262 TiB when the corpus
     # was built; radii this small gave boxes of zero area and a 0/0 IoU
-    ({"shift": synth.DomainShiftSpec(blur_radius=1e6)}, "blur_radius"),
-    ({"scene": synth.SceneSpec(canvas=(32, 32), radius_range=(1e-300, 1e-300))},
+    (lambda: {"shift": synth.DomainShiftSpec(blur_radius=1e6)}, "blur_radius"),
+    (lambda: {"scene": synth.SceneSpec(canvas=(32, 32), radius_range=(1e-300, 1e-300))},
      "radius_range"),
-])
+]
+
+
+@pytest.mark.parametrize("change, match", REJECTED_CHANGES, ids=[
+    f"change{i}-{match}" for i, (_, match) in enumerate(REJECTED_CHANGES)])
 def test_validate_rejects(change, match):
-    cfg = dataclasses.replace(tiny_config(2), **change)
     with pytest.raises(ValueError, match=match):
-        cfg.validate()
+        dataclasses.replace(tiny_config(2), **change())
 
 
 @pytest.mark.parametrize("name", ["weights", "network", "scene", "shift", "proposal_noise",
                                   "cluster"])
 def test_validate_rejects_a_nested_spec_of_another_type(name):
-    """A dict where a spec belongs raised a bare AttributeError on `.validate`."""
-    cfg = dataclasses.replace(tiny_config(2), **{name: {}})
+    """A dict where a spec belongs once raised a bare AttributeError."""
     with pytest.raises(ValueError, match=f"^{name} must be of type "):
-        cfg.validate()
+        dataclasses.replace(tiny_config(2), **{name: {}})
 
 
 @pytest.mark.parametrize("decay_step", [None, 0])
 def test_validate_accepts_the_default_and_a_zero_decay_step(decay_step):
-    dataclasses.replace(tiny_config(2), decay_step=decay_step).validate()
+    dataclasses.replace(tiny_config(2), decay_step=decay_step)
+
+
+@pytest.mark.parametrize("cls, name, bad", [
+    (losses.ObjectiveWeights, "beta", -1.0),
+    (nw.NetworkSpec, "d1_hidden", 0),
+    (scale_space.ScaleSweepConfig, "k", 0.5),
+    (synth.SceneSpec, "canvas", (16, 16)),
+    (synth.DomainShiftSpec, "fog_alpha", 1.5),
+    (synth.ProposalNoiseSpec, "redundancy", 0),
+    (training.TrainConfig, "momentum", 1.0),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_a_spec_is_frozen_and_checks_every_copy(cls, name, bad):
+    spec = cls()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(spec, name, bad)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        dataclasses.replace(spec, **{name: bad})
+
+
+def test_building_a_corpus_checks_no_spec(monkeypatch):
+    """A spec was checked when it was built, so its users take it as it is."""
+    specs = synth.SceneSpec(), synth.DomainShiftSpec(), synth.ProposalNoiseSpec()
+    calls = []
+    monkeypatch.setattr(synth, "require", lambda *args: calls.append(args))
+    synth.build_pair_corpus(*specs, n=3, base_seed=0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("data", [
