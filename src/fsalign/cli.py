@@ -4,8 +4,9 @@
     fsalign gradcheck
 
 `train` runs the adapted model and its source-only twin (`run_experiment`)
-and, with `--out DIR`, writes DIR/metrics.json, DIR/<twin>/steps.jsonl (the
-per-step losses) and DIR/<twin>/checkpoint.npz for <twin> adapted and source_only.
+and, with `--out DIR`, writes DIR/config.json (the config it ran),
+DIR/metrics.json, DIR/<twin>/steps.jsonl (the per-step losses) and
+DIR/<twin>/checkpoint.npz for <twin> adapted and source_only.
 `gradcheck` prints the per-branch finite-difference report as JSON.
 """
 
@@ -22,8 +23,8 @@ def _parser():
     tr = sub.add_parser("train", help="adapted run plus source-only twin")
     tr.add_argument("--config", help="JSON config (see training.config_to_dict); "
                     "defaults to TrainConfig()")
-    tr.add_argument("--out", help="directory for metrics.json, adapted/ and "
-                    "source_only/, each with steps.jsonl and checkpoint.npz")
+    tr.add_argument("--out", help="directory for config.json, metrics.json, adapted/ "
+                    "and source_only/, each with steps.jsonl and checkpoint.npz")
     sub.add_parser("gradcheck", help="finite-difference check of every branch")
     return p
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .grouping import box_iou, corners, encode_deltas
-from .scale_space import is_count, is_real, is_tuple_of, require
+from .scale_space import is_count, is_real, is_tuple_of, require, store_tuples
 
 # pixels per f3 cell: the backbone's three stride-2 stages
 STRIDE = 8
@@ -63,6 +63,7 @@ class NetworkSpec:
     domain_head_gain: float = 8.0
 
     def __post_init__(self):
+        store_tuples(self)
         require(self, lambda v: is_tuple_of(v, is_count, 3), "three positive counts", "channels")
         require(self, is_count, "a positive integer",
                 "d1_hidden", "d23_hidden", "dri_hidden", "head_hidden", "num_classes")

@@ -31,7 +31,7 @@ rows, `exp` and the per-row Python.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,9 +69,20 @@ def is_real(v):
 
 
 def is_tuple_of(v, test, n=None):
-    """Whether `v` is a tuple or list of `n` (if given) values that pass `test`."""
-    return (isinstance(v, (tuple, list)) and (n is None or len(v) == n)
-            and all(test(x) for x in v))
+    """Whether `v` is a tuple of `n` (if given) values that pass `test`."""
+    return isinstance(v, tuple) and (n is None or len(v) == n) and all(test(x) for x in v)
+
+
+def store_tuples(spec):
+    """Store each list field of the frozen dataclass `spec`, and each list
+    inside one, as a tuple, so that a spec built from lists equals and hashes
+    like the one built from tuples. A spec with tuple fields calls it first
+    in `__post_init__`."""
+    def tupled(v):
+        return tuple(tupled(x) for x in v) if isinstance(v, list) else v
+
+    for f in fields(spec):
+        object.__setattr__(spec, f.name, tupled(getattr(spec, f.name)))
 
 
 def _check_kernel_scale(sigma, name="sigma0"):
@@ -114,6 +125,11 @@ class ScaleSweepConfig:
                 raise ValueError(f"sigma0 = {self.sigma0!r} is below "
                                  f"epsilon = {self.epsilon!r}")
             _check_kernel_scale(self.sigma0)
+
+
+# the knobs of a sweep given no config: built and checked once, then shared,
+# which a frozen spec allows
+DEFAULT_SWEEP = ScaleSweepConfig()
 
 
 @dataclass
@@ -364,7 +380,7 @@ def scale_sweep(points, cfg=None):
     that its squares overflow, or when the resolved sigma0 is so small that
     2*sigma0**2 underflows to 0.
     """
-    cfg = cfg or ScaleSweepConfig()
+    cfg = cfg or DEFAULT_SWEEP
     points = as_points(points)
     if float(np.abs(points).max()) > _COORD_LIMIT:
         raise ValueError(f"points must lie within {_COORD_LIMIT:.3g} of 0 on each axis: "
@@ -436,7 +452,7 @@ def assign_points(points, model):
 
 def cluster_points(points, cfg=None):
     """Full pipeline: sweep, run table, model selection, assignment."""
-    cfg = cfg or ScaleSweepConfig()
+    cfg = cfg or DEFAULT_SWEEP
     points = as_points(points)
     snapshots, truncated = scale_sweep(points, cfg)
     table = build_lifetime_table(snapshots)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .grouping import ProposalSet
 from .losses import rgb_to_grayscale
-from .scale_space import is_count, is_real, is_tuple_of, require
+from .scale_space import is_count, is_real, is_tuple_of, require, store_tuples
 
 SHAPE_CLASS_IDS = {"disk": 1, "square": 2, "triangle": 3}
 
@@ -67,6 +67,7 @@ class SceneSpec:
     radius_range: tuple = (5.0, 9.0)
 
     def __post_init__(self):
+        store_tuples(self)
         require(self, lambda v: is_tuple_of(v, lambda n: is_count(n, 32), 2),
                 "(height, width), integers >= 32", "canvas")
         require(self, lambda v: is_tuple_of(v, is_count, 2),
@@ -100,6 +101,7 @@ class DomainShiftSpec:
     noise_std: float = 0.02
 
     def __post_init__(self):
+        store_tuples(self)
         require(self, lambda v: is_tuple_of(v, is_real, 3), "three finite channel offsets",
                 "color_shift")
         require(self, lambda v: is_real(v) and 0.0 <= v <= 1.0, "in [0, 1]", "fog_alpha")

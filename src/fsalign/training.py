@@ -115,23 +115,19 @@ def config_to_dict(cfg):
 
 def _from_plain(cls, data, name="config"):
     """Inverse of `config_to_dict` for dataclass `cls` from JSON section `name`:
-    lists become tuples, missing keys keep the field defaults, and an unknown
-    key or a section that is not an object raises."""
+    missing keys keep the field defaults (a spec stores its lists as tuples),
+    and an unknown key or a section that is not an object raises."""
     if not isinstance(data, dict):
         raise TypeError(f"{name} must be a JSON object, not {type(data).__name__}")
     fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(fields))
     if unknown:
         raise TypeError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-
-    def tuples(v):
-        return tuple(tuples(x) for x in v) if isinstance(v, list) else v
-
     kwargs = {}
     for key, value in data.items():
         f = fields[key]
         kwargs[f.name] = (_from_plain(f.type, value, key) if dataclasses.is_dataclass(f.type)
-                          else tuples(value))
+                          else value)
     return cls(**kwargs)
 
 
@@ -494,10 +490,15 @@ def run_experiment(cfg, out_dir=None):
     Both twins train on one grouped corpus and are evaluated on the same
     held-out samples; the twin (`source_only_config`) is the detector alone.
     Returns each twin's `probe_accuracy` and `target_match_rate` under its
-    name ("adapted", "source_only"), next to the "seeds". With `out_dir`, each
-    twin writes `<twin>/steps.jsonl`, one JSON line per `train` row, and
-    `<twin>/checkpoint.npz`; then the metrics go to metrics.json.
+    name ("adapted", "source_only"), next to the "seeds". With `out_dir`,
+    config.json (`config_to_dict`, which `load_config` reads back) comes
+    first, then each twin writes `<twin>/steps.jsonl`, one JSON line per
+    `train` row, and `<twin>/checkpoint.npz`; then the metrics go to
+    metrics.json.
     """
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_json(os.path.join(out_dir, "config.json"), config_to_dict(cfg))
     source, target = build_training_corpus(cfg)
     probe_train, probe_eval, detect_eval = build_eval_sets(cfg)
     metrics = {}
@@ -514,10 +515,14 @@ def run_experiment(cfg, out_dir=None):
             save_checkpoint(result.net, twin_dir)
     metrics["seeds"] = {"train": cfg.seed}
     if out_dir:
-        with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "metrics.json"), metrics)
     return metrics
+
+
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ from fsalign import network as nw
 
 from test_training import read_steps, tiny_config
 
-WRITTEN = ["adapted/checkpoint.npz", "adapted/steps.jsonl", "metrics.json",
+WRITTEN = ["adapted/checkpoint.npz", "adapted/steps.jsonl", "config.json", "metrics.json",
            "source_only/checkpoint.npz", "source_only/steps.jsonl"]
 
 
 def test_train_writes_the_run(tmp_path, capsys):
-    """The files `train --out` writes: metrics.json as printed, and per twin
-    the rows and the net that `train` gives for the same config."""
+    """The files `train --out` writes: config.json as the config it was
+    given, metrics.json as printed, and per twin the rows and the net that
+    `train` gives for the same config."""
     cfg = tiny_config(2)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(training.config_to_dict(cfg)))
@@ -21,6 +22,7 @@ def test_train_writes_the_run(tmp_path, capsys):
     assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
     assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
                   if p.is_file()) == WRITTEN
+    assert training.load_config(str(out / "config.json")) == cfg
     metrics = json.loads((out / "metrics.json").read_text())
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1]) == metrics
     for twin, twin_cfg in (("adapted", cfg), ("source_only", training.source_only_config(cfg))):

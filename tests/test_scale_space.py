@@ -109,6 +109,16 @@ class TestConvergeCenters:
             ssc.converge_centers(ops, [(0.5, 0.0)], sigma, ssc.ScaleSweepConfig())
 
 
+def test_the_default_sweep_checks_no_spec(monkeypatch):
+    """A sweep given no config shares one default, checked when it was built."""
+    calls = []
+    monkeypatch.setattr(ssc, "require", lambda *args: calls.append(args))
+    points = make_blobs([(0, 0), (30, 0)], 5, 1.0, seed=1)
+    ssc.scale_sweep(points)
+    ssc.cluster_points(points)
+    assert calls == []
+
+
 class TestScaleSweep:
     def test_single_point_single_snapshot(self):
         snaps, truncated = ssc.scale_sweep([(1.0, 1.0)])

@@ -570,6 +570,32 @@ def test_config_missing_keys_take_the_defaults():
         scene=synth.SceneSpec(canvas=(32, 32)))
 
 
+# specs given lists where tuples belong, and the same specs given tuples
+LISTED_SPECS = [
+    (synth.SceneSpec(canvas=[64, 64]), synth.SceneSpec(canvas=(64, 64))),
+    (synth.SceneSpec(palette=[[0.9, 0.1, 0.1], (0.1, 0.9, 0.1)]),
+     synth.SceneSpec(palette=((0.9, 0.1, 0.1), (0.1, 0.9, 0.1)))),
+    (synth.DomainShiftSpec(color_shift=[0.1, 0.0, -0.1]),
+     synth.DomainShiftSpec(color_shift=(0.1, 0.0, -0.1))),
+    (nw.NetworkSpec(channels=[4, 6, 8]), nw.NetworkSpec(channels=(4, 6, 8))),
+]
+
+
+@pytest.mark.parametrize("listed, tupled", LISTED_SPECS)
+def test_a_spec_built_from_lists_equals_the_one_from_tuples(listed, tupled):
+    assert listed == tupled
+
+
+@pytest.mark.parametrize("listed, tupled", LISTED_SPECS)
+def test_a_spec_built_from_lists_hashes_like_the_one_from_tuples(listed, tupled):
+    assert hash(listed) == hash(tupled)
+
+
+def test_a_config_with_a_listed_spec_round_trips():
+    cfg = training.TrainConfig(scene=synth.SceneSpec(canvas=[64, 64]))
+    assert training.config_from_dict(training.config_to_dict(cfg)) == cfg
+
+
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
     trained = training.train(tiny_config(2)).net
     training.save_checkpoint(trained, str(tmp_path))
