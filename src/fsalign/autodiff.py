@@ -22,11 +22,12 @@ in the same order as the composition of the small ops it replaces, so its
 value and gradients are bit-identical to theirs.
 
 Everything is float64. Every node raises on a non-finite value, so a NaN is
-caught where it appears instead of poisoning the whole step; a fused
-activation checks its pre-activation too, so that an overflow is not
-squashed to a finite value. A non-finite constant is caught by the node that
-reads it, wherever it makes that node's value non-finite (a finite value
-divided by an infinite constant gives 0).
+caught where it appears instead of poisoning the whole step. A fused
+activation checks its pre-activation instead, so that an overflow is not
+squashed to a finite value; tanh and sigmoid of a finite array are finite,
+so its output is not checked again. A non-finite constant is caught by the
+node that reads it, wherever it makes that node's value non-finite (a
+finite value divided by an infinite constant gives 0).
 """
 
 import numpy as np
@@ -52,9 +53,9 @@ class Tensor:
     # make `ndarray * Tensor` defer to `Tensor.__rmul__`
     __array_ufunc__ = None
 
-    def __init__(self, value, _parents=(), _vjp=None):
+    def __init__(self, value, _parents=(), _vjp=None, _finite=False):
         self.value = np.asarray(value, dtype=np.float64)
-        if not _all_finite(self.value):
+        if not (_finite or _all_finite(self.value)):
             raise FloatingPointError("non-finite values entering the graph")
         self.grad = None
         self._parents = tuple(_parents)
@@ -131,22 +132,25 @@ def value_of(x):
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def node(value, operands, vjp):
+def node(value, operands, vjp, _finite=False):
     """The node of `value`, computed from `operands`: how every op makes its
     node.
 
     `vjp` maps the output gradient to one gradient per operand, None for a
     constant (an operand that is not a `Tensor`). The `Tensor` operands
     become the parents, in order; a constant's slot is dropped from the
-    gradients, so the node's vjp gives one gradient per parent.
+    gradients, so the node's vjp gives one gradient per parent. `_finite`
+    (this module's fused ops only) skips the node's finiteness check for a
+    value `_activate` has already vouched for.
     """
     for x in operands:
         if not isinstance(x, Tensor):
             break
     else:
-        return Tensor(value, _parents=operands, _vjp=vjp)
-    return Tensor(value, _parents=[x for x in operands if isinstance(x, Tensor)],
-                  _vjp=lambda g: [d for x, d in zip(operands, vjp(g)) if isinstance(x, Tensor)])
+        return Tensor(value, operands, vjp, _finite)
+    return Tensor(value, [x for x in operands if isinstance(x, Tensor)],
+                  lambda g: [d for x, d in zip(operands, vjp(g)) if isinstance(x, Tensor)],
+                  _finite)
 
 
 def _unbroadcast(grad, shape):
@@ -243,7 +247,9 @@ def _activate(pre, act):
     """The epilogue of a fused op: `act` (None, "tanh" or "sigmoid") of the
     pre-activation array, and the map from an output gradient to the
     pre-activation gradient (None without an activation). A non-finite
-    pre-activation raises here, before the activation can squash it."""
+    pre-activation raises here, before the activation can squash it; a
+    finite one gives a finite activation, so the fused op's node skips its
+    own check when `back` is not None."""
     if act is None:
         return pre, None
     if act not in _ACTIVATIONS:
@@ -278,7 +284,7 @@ def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, av.shape).copy(),)
 
-    return node(np.sum(av, axis=axis, keepdims=keepdims), (a,), vjp)
+    return node(av.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def mean(a, axis=None, keepdims=False):
@@ -300,7 +306,7 @@ def mean(a, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, av.shape).copy(),)
 
-    return node(np.sum(av, axis=axis, keepdims=keepdims) / n, (a,), vjp)
+    return node(av.sum(axis=axis, keepdims=keepdims) / n, (a,), vjp)
 
 
 def reshape(a, shape):
@@ -311,17 +317,16 @@ def reshape(a, shape):
 def transpose(a, axes=None):
     """Permute the axes as `np.transpose` does (reversed by default)."""
     back = None if axes is None else tuple(np.argsort(axes))
-    return node(np.transpose(value_of(a), axes), (a,),
-                 lambda g: (np.transpose(g, back),))
+    return node(value_of(a).transpose(axes), (a,), lambda g: (g.transpose(back),))
 
 
 def concat(parts, axis=0):
     values = [value_of(p) for p in parts]
-    splits = np.cumsum([v.shape[axis] for v in values])[:-1]
+    cut = np.cumsum([0] + [v.shape[axis] for v in values]).tolist()
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(piece) if isinstance(p, Tensor) else None
-                     for p, piece in zip(parts, np.split(g, splits, axis=axis)))
+        return tuple(np.ascontiguousarray(g.swapaxes(0, axis)[i:j].swapaxes(0, axis))
+                     if isinstance(p, Tensor) else None for p, i, j in zip(parts, cut, cut[1:]))
 
     return node(np.concatenate(values, axis=axis), parts, vjp)
 
@@ -393,7 +398,7 @@ def affine(x, w, b, act=None):
             _unbroadcast(g, bv.shape) if isinstance(b, Tensor) else None,
         )
 
-    return node(val, (x, w, b), vjp)
+    return node(val, (x, w, b), vjp, _finite=back is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +457,7 @@ def _conv_input_grad(g, wv, stride, pad, h, w):
             nu, nv = -(-(h - a) // stride), -(-(w - e) // stride)
             gp = _embed(g, mh - 1 - (a + pad - i0) // stride,
                         mw - 1 - (e + pad - j0) // stride, nu + mh - 1, nv + mw - 1)
-            wflip = np.swapaxes(taps[..., ::-1, ::-1], -4, -3).reshape(-1, c, o * mh * mw)
+            wflip = taps[..., ::-1, ::-1].swapaxes(-4, -3).reshape(-1, c, o * mh * mw)
             dx[:, :, a::stride, e::stride] = np.matmul(
                 wflip, _im2col(gp, mh, mw, 1, nu, nv)).reshape(n, c, nu, nv)
     return dx
@@ -477,7 +482,7 @@ def conv2d(x, w, b, stride=1, pad=1, act=None):
     per_image = isinstance(w, (list, tuple))
     xv = value_of(x)
     if per_image:
-        wv, bv = np.stack([value_of(k) for k in w]), np.stack([value_of(k) for k in b])
+        wv, bv = np.array([value_of(k) for k in w]), np.array([value_of(k) for k in b])
     else:
         wv, bv = value_of(w), value_of(b)
     o, c, kh, kw = wv.shape[-4:]
@@ -511,7 +516,7 @@ def conv2d(x, w, b, stride=1, pad=1, act=None):
             return (dx, *dw.reshape(wv.shape), *db)
         return (dx, dw.reshape(wv.shape), db)
 
-    return node(out, (x, *w, *b) if per_image else (x, w, b), vjp)
+    return node(out, (x, *w, *b) if per_image else (x, w, b), vjp, _finite=back is not None)
 
 
 def upsample2x(a):
@@ -603,7 +608,7 @@ def upsample_conv2d(x, w, b, act=None):
         dgrid = (kern.T @ gtaps).reshape(c, n, h + 2, wd + 2)
         return (dgrid[:, :, 1 : h + 1, 1 : wd + 1].transpose(1, 0, 2, 3), dw, db)
 
-    return node(out, (x, w, b), vjp)
+    return node(out, (x, w, b), vjp, _finite=back is not None)
 
 
 def grl(a, lam):

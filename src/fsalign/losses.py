@@ -77,9 +77,9 @@ def difference_loss(priv, shared):
         raise ValueError("pooled channel counts differ between streams")
     dv, fv = ad.value_of(priv), ad.value_of(shared)
     nd, nf = float(dv.shape[-2] * dv.shape[-1]), float(fv.shape[-2] * fv.shape[-1])
-    gd = np.sum(dv, axis=(-2, -1)) / nd
-    gf = np.sum(fv, axis=(-2, -1)) / nf
-    inner = np.sum(gd * gf, axis=(1,))
+    gd = dv.sum(axis=(-2, -1)) / nd
+    gf = fv.sum(axis=(-2, -1)) / nf
+    inner = (gd * gf).sum(axis=(1,))
 
     def vjp(g):
         # inner * inner gives each of its two operands the gradient t
@@ -88,7 +88,7 @@ def difference_loss(priv, shared):
         return (np.broadcast_to((dprod * gf / nd)[..., None, None], dv.shape).copy(),
                 np.broadcast_to((dprod * gd / nf)[..., None, None], fv.shape).copy())
 
-    return ad.node(np.sum(inner * inner), (priv, shared), vjp)
+    return ad.node((inner * inner).sum(), (priv, shared), vjp)
 
 
 def reconstruction_loss(originals, reconstructions, normalize=False):
@@ -110,7 +110,7 @@ def reconstruction_loss(originals, reconstructions, normalize=False):
         d = np.broadcast_to(np.expand_dims(g * w, axes), shape) * np.sign(diff)
         return (d, -d)
 
-    return ad.node(np.sum(np.abs(diff), axis=axes) @ w, (originals, reconstructions), vjp)
+    return ad.node(np.abs(diff).sum(axis=axes) @ w, (originals, reconstructions), vjp)
 
 
 def region_instance_loss(probs, groups_per_image, gamma):
@@ -163,7 +163,7 @@ def local_adv_loss(p):
         t = np.broadcast_to((g * w).reshape(per_image), pv.shape) * err
         return (t + t,)
 
-    return ad.node(np.sum(err * err, axis=axes) @ w, (p,), vjp)
+    return ad.node((err * err).sum(axis=axes) @ w, (p,), vjp)
 
 
 def total_objective(l_c, l_r, l_rec, l_diff, l_lg, l_ri, w):

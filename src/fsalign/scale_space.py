@@ -23,11 +23,18 @@ together. Their two point matrices do not depend on sigma, so
 `kernel_operands` builds them once per sweep and a scale only divides one
 by -2 sigma^2. The expansion cancels near c = p, which costs the exponent
 an absolute error of about eps * (|c|^2 + |p|^2) / sigma^2. Both products
-are `np.dot` calls rather than `@`: on these C-contiguous 2-D operands
-they run the same BLAS product, with the same bits, but `@` dispatches as
-a generalized ufunc, which costs 0.5-1 us a call more. An iteration then
-costs about 6 us, most of it the list-to-array conversion of the moving
-rows, `exp` and the per-row Python.
+are `ndarray.dot` methods on arrays: `np.array` of the moving rows, then
+`.dot`. `np.dot` and `@` run the same BLAS product on the same
+C-contiguous operands, with the same bits, but each pays for more Python
+around it: `np.dot` goes through numpy's `__array_function__` dispatch and
+converts a nested list more slowly than `np.array` does, and `@` dispatches
+as a generalized ufunc. At 3 moving rows and 26 points, `np.dot(cur, e)`
+took 1.83 us against 1.51 us for `np.array(cur).dot(e)`, and `np.dot(w, s)`
+0.68 us against 0.47 us for `w.dot(s)` (x86_64, numpy 2.4, one BLAS
+thread). Over 288 benchmark images, timed interleaved in one process, the
+explicit `np.array` alone took 4.6% off the sweep and the two methods 10%,
+at about 5 us an iteration. What is left is mostly `exp` and the per-row
+Python.
 """
 
 import math
@@ -265,9 +272,12 @@ def converge_centers(operands, init_centers, sigma, cfg):
     every point. After `exp`, one product with the sums matrix gives each
     row's weighted sums and its kernel mass. The per-row rest (the isolation
     test, the division by the mass, the movement test) runs on Python floats
-    read back with `tolist()`. The products are `np.dot` calls: `@` gives
-    the same bits from the same BLAS routine but pays a generalized-ufunc
-    dispatch of 0.5-1 us a call, about a tenth of an iteration.
+    read back with `tolist()`. The rows are made an array with `np.array`
+    and both products are `ndarray.dot` methods: `np.dot` and `@` give the
+    same bits from the same BLAS routine, but `np.dot` converts the row
+    list more slowly and pays numpy's `__array_function__` dispatch, and `@`
+    a generalized-ufunc dispatch. Over the benchmark's images that is 10%
+    of the sweep (module docstring).
 
     The expansion |c|^2 - 2 c.p + |p|^2 cancels where c is near p, so the
     exponent carries an absolute error of about eps * (|c|^2 + |p|^2) /
@@ -288,16 +298,16 @@ def converge_centers(operands, init_centers, sigma, cfg):
     exponent = basis / (-2.0 * sigma * sigma)
     tol = float(cfg.convergence_tol * sigma)
     # bound to locals: an iteration's cost is mostly interpreter overhead
-    dot, exp, sqrt, floor = np.dot, np.exp, math.sqrt, _WEIGHT_FLOOR
+    array, exp, sqrt, floor = np.array, np.exp, math.sqrt, _WEIGHT_FLOOR
     # `out` holds every row's position, written when the row stops; `rows`
     # and `cur` are the indices and (x, y, x^2 + y^2, 1) of the rows still
     # moving
     out = centers.tolist()
     rows, cur, iters = list(range(len(out))), [[x, y, x * x + y * y, 1.0] for x, y in out], 0
     for iters in range(1, cfg.max_inner_iters + 1):
-        w = dot(cur, exponent)
+        w = array(cur).dot(exponent)
         exp(w, out=w)
-        moved = dot(w, sums).tolist()
+        moved = w.dot(sums).tolist()
         next_rows, next_cur = [], []
         for r, (sx, sy, m), (cx, cy, _, _) in zip(rows, moved, cur):
             if m < floor:  # isolated: the row stays where it is

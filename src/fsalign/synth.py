@@ -175,20 +175,29 @@ class Sample:
         return self.rgb.shape[1], self.rgb.shape[2]
 
 
-def _shape_mask(shape, cx, cy, r, h, w):
-    yy, xx = np.mgrid[0:h, 0:w]
-    x = xx + 0.5
-    y = yy + 0.5
+def _shape_window(shape, cx, cy, r, h, w):
+    """(rows, cols, mask): slices of an (h, w) canvas and the mask over them
+    of a shape of radius `r` centred at (cx, cy). Pixel (i, j) is tested at
+    its centre (j + 0.5, i + 0.5).
+
+    Every shape lies inside its box, |x - cx| <= r and |y - cy| <= r, and
+    the window is that box plus a 1 px margin, so a pixel outside it is at
+    least 1.5 px from the box and in no shape. The window's mask is the
+    full-canvas mask's entries there, bit for bit: each entry is the same
+    arithmetic on the same pixel centre.
+    """
+    rows = slice(max(math.floor(cy - r) - 1, 0), min(math.ceil(cy + r) + 1, h))
+    cols = slice(max(math.floor(cx - r) - 1, 0), min(math.ceil(cx + r) + 1, w))
+    y = np.arange(rows.start, rows.stop)[:, None] + 0.5
+    x = np.arange(cols.start, cols.stop) + 0.5
     if shape == "disk":
-        return (x - cx) ** 2 + (y - cy) ** 2 <= r * r
+        return rows, cols, (x - cx) ** 2 + (y - cy) ** 2 <= r * r
     if shape == "square":
-        return (np.abs(x - cx) <= r) & (np.abs(y - cy) <= r)
-    # upward triangle with vertices (cx, cy-r), (cx-r, cy+r), (cx+r, cy+r)
-    inside = y <= cy + r
-    # left edge from apex to bottom-left, right edge mirrored
-    inside &= (y - (cy - r)) >= 2.0 * (cx - x)
-    inside &= (y - (cy - r)) >= 2.0 * (x - cx)
-    return inside
+        return rows, cols, (np.abs(x - cx) <= r) & (np.abs(y - cy) <= r)
+    # upward triangle with vertices (cx, cy-r), (cx-r, cy+r), (cx+r, cy+r):
+    # below the apex, inside the left edge and inside the mirrored right edge
+    below = y - (cy - r)
+    return rows, cols, (y <= cy + r) & (below >= 2.0 * (cx - x)) & (below >= 2.0 * (x - cx))
 
 
 def _boxes_overlap(a, b, gap=2.0):
@@ -246,9 +255,9 @@ def generate_scene(spec=None, seed=0):
     for c in range(3):
         rgb[c] = spec.background[c]
     for box, shape, color in objects:
-        mask = _shape_mask(shape, box[0], box[1], box[2] / 2, h, w)
+        rows, cols, mask = _shape_window(shape, box[0], box[1], box[2] / 2, h, w)
         for c in range(3):
-            rgb[c][mask] = color[c]
+            rgb[c, rows, cols][mask] = color[c]
     boxes = [box for box, _, _ in objects]
     labels = [SHAPE_CLASS_IDS[shape] for _, shape, _ in objects]
     return Sample(
@@ -362,8 +371,8 @@ def generate_proposals(sample, noise=None, seed=0):
     for gx, gy, gw, gh in gt_boxes.tolist():
         for _ in range(noise.redundancy):
             if noise.jitter_std > 0:
-                dx, dy = rng.normal(0.0, noise.jitter_std, size=2)
-                sw, sh = 1.0 + rng.uniform(-0.1, 0.1, size=2)
+                dx, dy = rng.normal(0.0, noise.jitter_std, size=2).tolist()
+                sw, sh = (1.0 + rng.uniform(-0.1, 0.1, size=2)).tolist()
             else:
                 dx = dy = 0.0
                 sw = sh = 1.0

@@ -270,10 +270,10 @@ def compute_losses(net, source_entry, target_entry, weights, lam, normalize_rec)
     entries = (source_entry, target_entry) if separate or align else (source_entry,)
     out = {}
     with _branch("pair forward"):
-        f1, f2, f3 = net.forward_backbone(np.stack([e.sample.rgb for e in entries]))
+        f1, f2, f3 = net.forward_backbone(np.array([e.sample.rgb for e in entries]))
         roi = nw.roi_pool(f3, nw.block_diag([e.roi_matrix for e in entries]))
         if separate:
-            gray = np.stack([e.sample.gray for e in entries])
+            gray = np.array([e.sample.gray for e in entries])
             d = net.encode_private(gray)
             xhat = net.reconstruct(d, f3)
         if align:

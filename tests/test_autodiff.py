@@ -639,6 +639,24 @@ class TestFusedOps:
         frames = [f.name for f in traceback.extract_tb(err.value.__traceback__)]
         assert frames[-1] == "_activate" and op in frames
 
+    @pytest.mark.parametrize("act", [None, "tanh", "sigmoid"])
+    @pytest.mark.parametrize("op", ["affine", "conv2d", "upsample_conv2d"])
+    def test_one_finiteness_check_per_fused_node(self, op, act, monkeypatch):
+        """The pre-activation is checked, or the output when there is no
+        activation: never both."""
+        x = np.ones((1, 2, 4, 4))
+        w, b = ad.Tensor(np.ones((3, 2, 3, 3))), ad.Tensor(np.zeros(3))
+        calls = {
+            "affine": lambda: ad.affine(np.ones(18), w.value.reshape(3, 18).T, b, act=act),
+            "conv2d": lambda: ad.conv2d(x, w, b, act=act),
+            "upsample_conv2d": lambda: ad.upsample_conv2d(x, w, b, act=act),
+        }
+        checked = []
+        all_finite = ad._all_finite
+        monkeypatch.setattr(ad, "_all_finite", lambda v: checked.append(v.shape) or all_finite(v))
+        calls[op]()
+        assert len(checked) == 1
+
     def test_rejects_an_unknown_activation(self):
         with pytest.raises(ValueError, match="activation 'relu'"):
             ad.affine(np.ones(2), np.ones((2, 2)), np.zeros(2), act="relu")

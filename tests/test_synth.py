@@ -70,6 +70,40 @@ class TestGenerateScene:
             )
             assert inside_any
 
+    @pytest.mark.parametrize("shape", ["disk", "square", "triangle"])
+    def test_window_mask_is_the_full_canvas_mask(self, shape):
+        def full_mask(cx, cy, r, h, w):
+            yy, xx = np.mgrid[0:h, 0:w]
+            x, y = xx + 0.5, yy + 0.5
+            if shape == "disk":
+                return (x - cx) ** 2 + (y - cy) ** 2 <= r * r
+            if shape == "square":
+                return (np.abs(x - cx) <= r) & (np.abs(y - cy) <= r)
+            inside = y <= cy + r
+            inside &= (y - (cy - r)) >= 2.0 * (cx - x)
+            inside &= (y - (cy - r)) >= 2.0 * (x - cx)
+            return inside
+
+        rng = np.random.default_rng(5)
+        h, w = 40, 64
+        cases = []
+        for _ in range(200):
+            r = float(rng.uniform(1.0, 18.0))
+            cases.append((float(rng.uniform(r + 2.0, w - r - 2.0)),
+                          float(rng.uniform(r + 2.0, h - r - 2.0)), r))
+        for r in (1.0, 5.5, 7.25, 17.0):
+            # the placement margin on every side, and on integer and half pixels
+            cases += [(r + 2.0, r + 2.0, r), (w - r - 2.0, h - r - 2.0, r),
+                      (float(round(w / 2)), h / 2 + 0.5, r)]
+        # windows the canvas clips
+        cases += [(0.3, 39.9, 6.0), (63.5, 0.0, 9.0), (-2.0, 20.0, 3.0)]
+        for cx, cy, r in cases:
+            rows, cols, mask = synth._shape_window(shape, cx, cy, r, h, w)
+            want = full_mask(cx, cy, r, h, w)
+            np.testing.assert_array_equal(mask, want[rows, cols])
+            want[rows, cols] = False
+            assert not want.any()
+
 
 class TestDomainShift:
     def test_identity_shift_unchanged(self):
