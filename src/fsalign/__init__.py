@@ -1,10 +1,12 @@
 """Feature separation and alignment toolkit on synthetic two-domain data.
 
 Modules:
+  specs        -- field checks shared by the config specs
+  boxes        -- center-format boxes as (P, 4) arrays (IoU, box deltas)
+                  and an image's proposal set
   scale_space  -- scale-space filtering clustering of 2-D points
-  grouping     -- center-format boxes as (P, 4) arrays (IoU, box deltas),
-                  proposal grouping by box-center clustering, outlier removal
-  losses       -- difference / reconstruction / focal / adversarial losses
+  grouping     -- proposal grouping by box-center clustering, outlier removal
+  losses       -- difference / reconstruction / focal / adversarial loss terms
   autodiff     -- minimal reverse-mode engine backing the toy network
   network      -- toy detector with private encoders and domain classifiers
   synth        -- deterministic two-domain synthetic detection corpus
@@ -47,18 +49,9 @@ def keep_heap_pages():
     Why these values: they are the ceiling glibc's heuristic raises the two
     thresholds to, so a process starts where a long-running one may end.
     Setting any mallopt parameter stops the heuristic, which is why both
-    are set. Minor faults per step (ms per step) after 20 warm-up steps on
-    a 2+2 corpus at the default network:
-
-        canvas     no policy        3 MiB M_TOP_PAD    this policy
-        64x64      208 (11.1)         0.4 (8.5)        0.3 (9.0)
-        96x96      872 (19.4)         373 (17.0)       0.8 (16.1)
-        128x128   1742 (32.4)        3751 (39.5)       0.8 (25.0)
-
-    A top pad alone must be sized to the step, and it leaves the mmap
-    threshold wherever start-up left it, so at 128x128 it does worse than no
-    policy. The heap keeps only pages the process has already used, so peak
-    memory does not grow: in each row max RSS is within 0.2 MB of no policy's.
+    are set. Unlike a top pad, which must be sized to the step, fixed
+    thresholds hold at every canvas size, and as the heap keeps only pages
+    the process has already used, peak memory does not grow.
     """
     try:
         libc = ctypes.CDLL(None)

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .scale_space import is_real, require
+from .specs import is_real, require
 
 PROB_CLAMP = 1e-7
-
-GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 
 @dataclass(frozen=True)
@@ -53,14 +51,6 @@ def _check_pair(x, what):
     if np.shape(x)[:1] != (2,):
         raise ValueError(f"{what} must lead with the (source, target) pair axis "
                          f"of 2, not shape {np.shape(x)}")
-
-
-def global_pool(f):
-    """Spatial average of an (N, C, H, W) batch: one value per image and
-    channel."""
-    if len(np.shape(f)) != 4:
-        raise ValueError("expected an (N, C, H, W) batch")
-    return ad.mean(f, axis=(-2, -1))
 
 
 def difference_loss(priv, shared):
@@ -174,12 +164,3 @@ def total_objective(l_c, l_r, l_rec, l_diff, l_lg, l_ri, w):
     itself is realised by gradient reversal in the network, not here.
     """
     return l_c + l_r + w.beta * (l_rec + l_diff) - w.lam * (l_lg + l_ri)
-
-
-def rgb_to_grayscale(img):
-    """Luma conversion of a (3, H, W) map in [0, 1] to (1, H, W)."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ValueError("expected a (3, H, W) image")
-    r, g, b = GRAY_WEIGHTS
-    return (r * img[0] + g * img[1] + b * img[2])[None, :, :]

@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .grouping import box_iou, corners, encode_deltas
-from .scale_space import is_count, is_real, is_tuple_of, require, store_tuples
+from .boxes import box_iou, corners, encode_deltas
+from .specs import is_count, is_real, is_tuple_of, require, store_tuples
 
 # pixels per f3 cell: the backbone's three stride-2 stages
 STRIDE = 8
@@ -120,6 +120,14 @@ def _cell_span(boxes, hf, wf):
     if ((j1 <= j0) | (i1 <= i0)).any():
         raise ValueError("box covers no feature cells after clipping")
     return np.stack([i0, i1, j0, j1], axis=1).astype(np.int64)
+
+
+def global_pool(f):
+    """Spatial average of an (N, C, H, W) batch: one value per image and
+    channel."""
+    if len(np.shape(f)) != 4:
+        raise ValueError("expected an (N, C, H, W) batch")
+    return ad.mean(f, axis=(-2, -1))
 
 
 def crop_pool(fmap, box):
@@ -280,7 +288,7 @@ class SeparationNet:
     def _pooled_domain(self, f, hidden, out):
         """Image-level domain probability of a pooled map, () per image,
         plus the hidden activation, detached, used as the context vector."""
-        h = hidden(self.spec.domain_head_gain * ad.mean(f, axis=(-2, -1)))
+        h = hidden(self.spec.domain_head_gain * global_pool(f))
         p = out(h, act="sigmoid")
         return ad.reshape(p, p.shape[:-1]), h.value
 

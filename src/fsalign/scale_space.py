@@ -14,33 +14,17 @@ selection: past a scale set by the points' diameter every center provably
 merges into one (`scale_sweep`). The selection, labels and `truncated` are
 those of the sweep run on to K = 1, whose snapshots it returns a prefix of.
 
-A mean-shift iteration costs a few numpy calls whatever the number of rows
-still moving (about 2.5 on a proposal cloud), so the call count sets its
-cost. `converge_centers` therefore expands the squared distance as
-|c|^2 - 2 c.p + |p|^2 and needs two matrix products per iteration: one for
-the Gaussian exponent, one for the weighted sums and the kernel mass
-together. Their two point matrices do not depend on sigma, so
-`kernel_operands` builds them once per sweep and a scale only divides one
-by -2 sigma^2. The expansion cancels near c = p, which costs the exponent
-an absolute error of about eps * (|c|^2 + |p|^2) / sigma^2. Both products
-are `ndarray.dot` methods on arrays: `np.array` of the moving rows, then
-`.dot`. `np.dot` and `@` run the same BLAS product on the same
-C-contiguous operands, with the same bits, but each pays for more Python
-around it: `np.dot` goes through numpy's `__array_function__` dispatch and
-converts a nested list more slowly than `np.array` does, and `@` dispatches
-as a generalized ufunc. At 3 moving rows and 26 points, `np.dot(cur, e)`
-took 1.83 us against 1.51 us for `np.array(cur).dot(e)`, and `np.dot(w, s)`
-0.68 us against 0.47 us for `w.dot(s)` (x86_64, numpy 2.4, one BLAS
-thread). Over 288 benchmark images, timed interleaved in one process, the
-explicit `np.array` alone took 4.6% off the sweep and the two methods 10%,
-at about 5 us an iteration. What is left is mostly `exp` and the per-row
-Python.
+A mean-shift iteration's cost is set by its numpy calls, not by its rows,
+so `converge_centers` packs each iteration into two matrix products whose
+point matrices `kernel_operands` builds once per sweep.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
+
+from .specs import is_count, is_real, require
 
 OUTLIER = -1
 
@@ -50,46 +34,6 @@ _WEIGHT_FLOOR = float(np.finfo(np.float64).tiny)
 # the largest coordinate whose squares cannot overflow: a squared distance
 # is at most 8 times its square, and a squared norm 2 times
 _COORD_LIMIT = math.sqrt(float(np.finfo(np.float64).max) / 8.0)
-
-
-def require(spec, test, what, *names):
-    """Raise ValueError("<name> must be <what>") for the first field of `spec`
-    among `names` whose value fails `test`. Every config spec is a frozen
-    dataclass that checks each field with it and the predicates below in its
-    `__post_init__`, so a spec that exists is valid and its users take it as
-    it is. They live here because every module imports this one and it
-    imports none, so no spec meets an import cycle."""
-    for name in names:
-        if not test(getattr(spec, name)):
-            raise ValueError(f"{name} must be {what}")
-
-
-def is_count(v, least=1):
-    """Whether `v` is an integer (a bool is not) of at least `least`."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
-
-
-def is_real(v):
-    """Whether `v` is a finite real number (a bool or a string is not)."""
-    return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) and math.isfinite(v))
-
-
-def is_tuple_of(v, test, n=None):
-    """Whether `v` is a tuple of `n` (if given) values that pass `test`."""
-    return isinstance(v, tuple) and (n is None or len(v) == n) and all(test(x) for x in v)
-
-
-def store_tuples(spec):
-    """Store each list field of the frozen dataclass `spec`, and each list
-    inside one, as a tuple, so that a spec built from lists equals and hashes
-    like the one built from tuples. A spec with tuple fields calls it first
-    in `__post_init__`."""
-    def tupled(v):
-        return tuple(tupled(x) for x in v) if isinstance(v, list) else v
-
-    for f in fields(spec):
-        object.__setattr__(spec, f.name, tupled(getattr(spec, f.name)))
 
 
 def _check_kernel_scale(sigma, name="sigma0"):
@@ -273,11 +217,8 @@ def converge_centers(operands, init_centers, sigma, cfg):
     row's weighted sums and its kernel mass. The per-row rest (the isolation
     test, the division by the mass, the movement test) runs on Python floats
     read back with `tolist()`. The rows are made an array with `np.array`
-    and both products are `ndarray.dot` methods: `np.dot` and `@` give the
-    same bits from the same BLAS routine, but `np.dot` converts the row
-    list more slowly and pays numpy's `__array_function__` dispatch, and `@`
-    a generalized-ufunc dispatch. Over the benchmark's images that is 10%
-    of the sweep (module docstring).
+    and both products are `ndarray.dot` methods, which give the same bits
+    as `np.dot` and `@` with less Python dispatch around the BLAS call.
 
     The expansion |c|^2 - 2 c.p + |p|^2 cancels where c is near p, so the
     exponent carries an absolute error of about eps * (|c|^2 + |p|^2) /

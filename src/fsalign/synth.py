@@ -7,7 +7,7 @@ region proposal network: redundant jittered copies of every ground-truth box
 plus a few background boxes. A box is a center-format row (bx, by, w, h) in
 pixels: a sample's truth is one (G, 4) array with (G,) int class labels, and
 its proposals are one (P, 4) array with (P,) objectness scores
-(`grouping.ProposalSet`).
+(`boxes.ProposalSet`).
 
 Everything is a pure function of (spec, seed). Each domain has one sample
 stream (`domain_samples`): sample i of it is seeded by
@@ -25,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grouping import ProposalSet
-from .losses import rgb_to_grayscale
-from .scale_space import is_count, is_real, is_tuple_of, require, store_tuples
+from .boxes import ProposalSet
+from .specs import is_count, is_real, is_tuple_of, require, store_tuples
 
 SHAPE_CLASS_IDS = {"disk": 1, "square": 2, "triangle": 3}
+
+GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 _DEFAULT_PALETTE = (
     (0.85, 0.20, 0.20),
@@ -232,6 +233,15 @@ def _place_objects(spec, rng, h, w):
         color = np.clip(np.asarray(spec.palette[slot]) * tint, 0.0, 1.0)
         objects.append((box, shape, color))
     return objects
+
+
+def rgb_to_grayscale(img):
+    """Luma conversion of a (3, H, W) map in [0, 1] to (1, H, W)."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 3 or img.shape[0] != 3:
+        raise ValueError("expected a (3, H, W) image")
+    r, g, b = GRAY_WEIGHTS
+    return (r * img[0] + g * img[1] + b * img[2])[None, :, :]
 
 
 def generate_scene(spec=None, seed=0):

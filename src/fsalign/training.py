@@ -27,9 +27,10 @@ from . import autodiff as ad
 from . import losses as L
 from . import network as nw
 from . import synth
-from .grouping import (apply_deltas, box_iou, cluster_box_centers, DegenerateGroupingError,
-                       ProposalSet)
-from .scale_space import OUTLIER, ScaleSweepConfig, is_count, is_real, require
+from .boxes import ProposalSet, apply_deltas, box_iou
+from .grouping import DegenerateGroupingError, cluster_box_centers
+from .scale_space import OUTLIER, ScaleSweepConfig
+from .specs import is_count, is_real, require
 
 LOGGED_TERMS = ("L_c", "L_r", "L_rec", "L_diff", "L_lg", "L_ri")  # branch names, capitalised
 
@@ -390,7 +391,7 @@ def pooled_features(net, samples):
     out = np.empty((len(samples), net.spec.channels[2]))
     for i, sample in enumerate(samples):
         _, _, f3 = net.forward_backbone(sample.rgb[None])
-        out[i] = L.global_pool(f3).value[0]
+        out[i] = nw.global_pool(f3).value[0]
     return out
 
 

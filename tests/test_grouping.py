@@ -5,6 +5,7 @@ import pytest
 
 from fsalign import grouping as grp
 from fsalign import synth, training
+from fsalign.boxes import ProposalSet, apply_deltas, box_iou, corners, encode_deltas
 from fsalign.scale_space import ScaleSweepConfig
 
 PILES = ((12.0, 12.0), (52.0, 12.0))
@@ -80,42 +81,42 @@ class TestBoundingBox:
     """Center-format boxes (bx, by, w, h) as rows of arrays."""
 
     def test_corners(self):
-        np.testing.assert_array_equal(grp.corners([[10, 20, 4, 6], [1, 1, 1, 3]]),
+        np.testing.assert_array_equal(corners([[10, 20, 4, 6], [1, 1, 1, 3]]),
                                       [[8.0, 17.0, 12.0, 23.0], [0.5, -0.5, 1.5, 2.5]])
 
     def test_apply_deltas_rejects_non_finite(self):
         box = np.array([[10.0, 12.0, 8.0, 6.0]])
         for bad in ([np.nan, 0, 0, 0], [0, np.inf, 0, 0], [0, 0, -np.inf, 0]):
             with pytest.raises(ValueError, match="deltas must be finite"):
-                grp.apply_deltas(box, np.array([bad]))
+                apply_deltas(box, np.array([bad]))
         # finite deltas whose refined box overflows fail as loudly
         with pytest.raises(ValueError, match="refined box"):
-            grp.apply_deltas(box, np.array([[1e308, 0.0, 0.0, 0.0]]))
+            apply_deltas(box, np.array([[1e308, 0.0, 0.0, 0.0]]))
         # the log-scales clamp to +-4
-        clamped = grp.apply_deltas(box, np.array([[0.0, 0.0, 9.0, -9.0]]))
+        clamped = apply_deltas(box, np.array([[0.0, 0.0, 9.0, -9.0]]))
         np.testing.assert_array_equal(
             clamped, [[10.0, 12.0, 8.0 * math.exp(4.0), 6.0 * math.exp(-4.0)]])
 
     def test_iou_identity(self):
         b = np.array([[5.0, 5.0, 4.0, 4.0]])
-        assert grp.box_iou(b, b)[0, 0] == 1.0
+        assert box_iou(b, b)[0, 0] == 1.0
 
     def test_iou_disjoint(self):
         a = np.array([[0.0, 0.0, 2.0, 2.0]])
         b = np.array([[10.0, 0.0, 2.0, 2.0], [2.0, 0.0, 2.0, 2.0]])
         # the second box touches the first along an edge
-        np.testing.assert_array_equal(grp.box_iou(a, b), [[0.0, 0.0]])
+        np.testing.assert_array_equal(box_iou(a, b), [[0.0, 0.0]])
 
     def test_iou_half_overlap(self):
         a = np.array([[0.0, 0.0, 2.0, 2.0]])
         b = np.array([[1.0, 0.0, 2.0, 2.0], [0.0, 0.0, 1.0, 1.0]])
         # intersection 1x2=2, union 4+4-2=6; the nested box covers a quarter
-        np.testing.assert_allclose(grp.box_iou(a, b), [[2.0 / 6.0, 0.25]], rtol=1e-15)
+        np.testing.assert_allclose(box_iou(a, b), [[2.0 / 6.0, 0.25]], rtol=1e-15)
 
     def test_delta_round_trip(self):
         p = np.array([[10.0, 12.0, 8.0, 6.0]])
         g = np.array([[11.5, 10.0, 10.0, 5.0]])
-        np.testing.assert_allclose(grp.apply_deltas(p, grp.encode_deltas(p, g)), g,
+        np.testing.assert_allclose(apply_deltas(p, encode_deltas(p, g)), g,
                                    rtol=1e-14)
 
 
@@ -125,7 +126,7 @@ class TestArraysMatchThePerBoxFormulas:
         a = np.concatenate([random_boxes(rng, 40), SPECIAL])
         b = np.concatenate([random_boxes(rng, 30), SPECIAL])
         want = np.array([[ref_iou(x, y) for y in b.tolist()] for x in a.tolist()])
-        got = grp.box_iou(a, b)
+        got = box_iou(a, b)
         assert got.shape == (len(a), len(b))
         assert np.array_equal(got, want)
         # the cases the grid and SPECIAL are there for
@@ -138,14 +139,14 @@ class TestArraysMatchThePerBoxFormulas:
         rng = np.random.default_rng(4)
         p = np.concatenate([random_boxes(rng, 2000), SPECIAL])
         g = np.concatenate([random_boxes(rng, 2000), SPECIAL[::-1]])
-        deltas = grp.encode_deltas(p, g)
+        deltas = encode_deltas(p, g)
         want = np.array([ref_encode_deltas(x, y) for x, y in zip(p.tolist(), g.tolist())])
         assert np.array_equal(deltas, want)
         # spread wide enough that the log-scale clamp bites on some rows
         pred = rng.normal(0.0, 3.0, size=p.shape)
         want = np.array([ref_apply_deltas(x, d) for x, d in zip(p.tolist(), pred.tolist())])
         assert (np.abs(pred[:, 2:]) > 4.0).any()
-        assert np.array_equal(grp.apply_deltas(p, pred), want)
+        assert np.array_equal(apply_deltas(p, pred), want)
 
 
 class TestClusterProposals:
@@ -204,7 +205,7 @@ class TestProposalSet:
     BOXES = [[10.0, 10.0, 6.0, 8.0], [20.0, 20.0, 8.0, 8.0]]
 
     def test_accepts_finite_boxes_of_positive_size(self):
-        pset = grp.ProposalSet(boxes=self.BOXES, objectness=[0.5, 0.9])
+        pset = ProposalSet(boxes=self.BOXES, objectness=[0.5, 0.9])
         assert pset.boxes.shape == (2, 4) and pset.objectness.shape == (2,)
 
     @pytest.mark.parametrize("boxes, objectness, match", [
@@ -224,7 +225,7 @@ class TestProposalSet:
             "nan-width", "inf-center", "nan-score", "zero-width", "negative-height"])
     def test_rejects_malformed_proposals(self, boxes, objectness, match):
         with pytest.raises(ValueError, match=match):
-            grp.ProposalSet(boxes=boxes, objectness=objectness)
+            ProposalSet(boxes=boxes, objectness=objectness)
 
 
 class TestDegenerateFallback:
@@ -239,9 +240,9 @@ class TestDegenerateFallback:
     def test_trainer_falls_back_to_one_group(self):
         # the square moved to the middle of a 32x32 image, so every box lies
         # inside it; grouping sees only distances, so it still degenerates
-        pset = grp.ProposalSet(boxes=np.array([[16.0 + bx, 16.0 + by, 8.0, 8.0]
-                                               for bx, by in SQUARE]),
-                               objectness=np.ones(len(SQUARE)))
+        pset = ProposalSet(boxes=np.array([[16.0 + bx, 16.0 + by, 8.0, 8.0]
+                                           for bx, by in SQUARE]),
+                           objectness=np.ones(len(SQUARE)))
         sample = synth.Sample("square", "source", np.zeros((3, 32, 32)),
                               np.zeros((1, 32, 32)), [[16.0, 16.0, 8.0, 8.0]], [1])
         entry = training._grouped_entry(sample, pset, ScaleSweepConfig())

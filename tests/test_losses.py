@@ -5,6 +5,8 @@ import pytest
 
 from fsalign import autodiff as ad
 from fsalign import losses
+from fsalign.network import global_pool
+from fsalign.synth import rgb_to_grayscale
 
 # The op compositions each one-node domain loss replaced, kept as oracles:
 # the loss node must give their value and every gradient bit for bit
@@ -23,7 +25,7 @@ def _per_image(a):
 
 
 def composed_difference_loss(priv, shared):
-    inner = _per_image(losses.global_pool(priv) * losses.global_pool(shared))
+    inner = _per_image(global_pool(priv) * global_pool(shared))
     return ad.sum(inner * inner)
 
 
@@ -60,21 +62,21 @@ def brute_global_pool(f):
 class TestGlobalPool:
     def test_constant_map(self):
         f = np.full((1, 3, 4, 5), 3.0)
-        np.testing.assert_array_equal(losses.global_pool(f).value, [[3.0, 3.0, 3.0]])
+        np.testing.assert_array_equal(global_pool(f).value, [[3.0, 3.0, 3.0]])
 
     def test_singleton(self):
         np.testing.assert_array_equal(
-            losses.global_pool(np.full((1, 1, 1, 1), 2.5)).value, [[2.5]]
+            global_pool(np.full((1, 1, 1, 1), 2.5)).value, [[2.5]]
         )
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         f = rng.normal(size=(2, 4, 5, 5))
         np.testing.assert_allclose(
-            losses.global_pool(f).value, [brute_global_pool(fi) for fi in f], atol=1e-12
+            global_pool(f).value, [brute_global_pool(fi) for fi in f], atol=1e-12
         )
         with pytest.raises(ValueError, match="batch"):
-            losses.global_pool(f[0])
+            global_pool(f[0])
 
 
 def brute_difference(ds, f3s, dt, f3t):
@@ -120,8 +122,8 @@ class TestDifferenceLoss:
         d = [rng.normal(size=(2, 3, 3)) for _ in range(2)]
         f = [rng.normal(size=(2, 3, 3)) for _ in range(2)]
         base_terms = [
-            float(np.dot(losses.global_pool(di[None]).value[0],
-                         losses.global_pool(fi[None]).value[0])) ** 2
+            float(np.dot(global_pool(di[None]).value[0],
+                         global_pool(fi[None]).value[0])) ** 2
             for di, fi in zip(d, f)
         ]
         alpha = 1.7
@@ -373,20 +375,20 @@ class TestObjective:
 class TestGrayscale:
     def test_white(self):
         img = np.ones((3, 2, 2))
-        np.testing.assert_allclose(losses.rgb_to_grayscale(img), np.ones((1, 2, 2)))
+        np.testing.assert_allclose(rgb_to_grayscale(img), np.ones((1, 2, 2)))
 
     def test_black(self):
         img = np.zeros((3, 2, 2))
-        np.testing.assert_array_equal(losses.rgb_to_grayscale(img), np.zeros((1, 2, 2)))
+        np.testing.assert_array_equal(rgb_to_grayscale(img), np.zeros((1, 2, 2)))
 
     def test_pure_red(self):
         img = np.zeros((3, 1, 1))
         img[0] = 1.0
-        assert losses.rgb_to_grayscale(img)[0, 0, 0] == pytest.approx(0.299)
+        assert rgb_to_grayscale(img)[0, 0, 0] == pytest.approx(0.299)
 
     def test_wrong_channels_rejected(self):
         with pytest.raises(ValueError):
-            losses.rgb_to_grayscale(np.zeros((4, 2, 2)))
+            rgb_to_grayscale(np.zeros((4, 2, 2)))
 
 
 class TestDifferentiability:

@@ -8,7 +8,6 @@ from fsalign import autodiff as ad
 from fsalign import network as net
 from fsalign import synth, training
 from fsalign.grouping import cluster_box_centers
-from fsalign.losses import global_pool
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +155,7 @@ class TestCropPool:
         fmap = rng.normal(size=(6, 4, 4))
         box = np.array([16.0, 16.0, 32.0, 32.0])
         got = net.crop_pool(fmap, box)
-        np.testing.assert_array_equal(got.value, global_pool(fmap[None]).value[0])
+        np.testing.assert_array_equal(got.value, net.global_pool(fmap[None]).value[0])
 
     def test_constant_map_any_box(self):
         fmap = np.full((3, 4, 4), 1.5)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fsalign import synth
-from fsalign.grouping import corners
-from fsalign.losses import rgb_to_grayscale
+from fsalign.boxes import corners
+from fsalign.synth import rgb_to_grayscale
 
 
 class TestGenerateScene:

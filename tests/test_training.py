@@ -890,6 +890,21 @@ def test_corpus_entries_cache_the_step_constants(monkeypatch):
     assert all(entry.targets is None for entry in target)
 
 
+@pytest.mark.xfail(strict=True, raises=synth.LabelQuarantineError,
+                   reason="ROADMAP item 17: target proposals are placed from target truth")
+def test_building_the_corpus_reads_no_target_truth(monkeypatch):
+    for name in ("eval_boxes", "eval_labels"):
+        read = getattr(synth.Sample, name)
+
+        def quarantined(sample, read=read):
+            if sample.domain == "target":
+                raise synth.LabelQuarantineError("target truth read while building the corpus")
+            return read(sample)
+
+        monkeypatch.setattr(synth.Sample, name, quarantined)
+    training.build_training_corpus(tiny_config(2))
+
+
 def test_corpus_entries_keep_their_grouping_diagnostics():
     for entry in _pair_and_net()[1:]:
         members, outliers, result = grouping.cluster_box_centers(
