@@ -10,7 +10,8 @@ Modules:
   autodiff     -- minimal reverse-mode engine backing the toy network
   network      -- toy detector with private encoders and domain classifiers
   synth        -- deterministic two-domain synthetic detection corpus
-  training     -- adversarial min-max training loop and evaluation probes
+  training     -- adversarial min-max training loop, evaluation probes and
+                  the finite-difference gradient check
   cli          -- command-line front end
 
 Importing the package sets the process's heap policy (`keep_heap_pages`).

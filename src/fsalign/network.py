@@ -354,62 +354,3 @@ def detector_losses(class_logits, box_deltas, targets):
         l_r = ad.Tensor(0.0)
     return l_c, l_r
 
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def branch_gradients(named_params, losses, branches):
-    """{branch: [gradient per parameter]} of each named scalar node of
-    `losses`, by one backward per branch through their shared graph. A
-    parameter the branch does not reach gets zeros."""
-    out = {}
-    for branch in branches:
-        for _, p in named_params:
-            p.grad = None
-        losses[branch].backward()
-        out[branch] = [
-            p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
-            for _, p in named_params
-        ]
-    return out
-
-
-def finite_difference_report(named_params, builder, branches, eps=1e-5,
-                             coords_per_param=50, rng=None):
-    """Compare analytic parameter gradients against central differences.
-
-    `builder` re-runs the forward pass from current parameter values and
-    returns a dict holding a scalar loss node for each of `branches`. The
-    analytic gradients come from one graph (`branch_gradients`); each
-    perturbed pass builds its graph once and serves every branch.
-    Samples up to `coords_per_param` coordinates from every parameter tensor
-    (all layers, including ones a branch should not touch, so missing graph
-    edges surface as mismatches), the same ones for every branch. Returns
-    {branch: {param_name: max_relative_error}}.
-    """
-    rng = rng or np.random.default_rng(0)
-    analytic = branch_gradients(named_params, builder(), branches)
-    report = {branch: {} for branch in branches}
-    for k, (name, p) in enumerate(named_params):
-        flat = p.value.reshape(-1)
-        n = flat.size
-        idx = np.arange(n) if n <= coords_per_param else rng.choice(
-            n, size=coords_per_param, replace=False
-        )
-        worst = dict.fromkeys(branches, 0.0)
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = builder()
-            flat[i] = orig - eps
-            lo = builder()
-            flat[i] = orig
-            for branch in branches:
-                fd = (float(hi[branch].value) - float(lo[branch].value)) / (2.0 * eps)
-                ag = analytic[branch][k].reshape(-1)[i]
-                err = abs(ag - fd) / max(abs(ag), abs(fd), 1e-6)
-                worst[branch] = max(worst[branch], err)
-        for branch in branches:
-            report[branch][name] = worst[branch]
-    return report

@@ -686,6 +686,18 @@ class TestGRL:
         y.backward(seed=g_up)
         np.testing.assert_array_equal(x.grad, -0.1 * g_up)
 
+    def test_sign_symmetry_on_upstream_params(self):
+        rng = np.random.default_rng(14)
+        w = ad.Tensor(rng.normal(size=(3, 3)))
+        x = rng.normal(size=(2, 3))
+        grads = {}
+        for lam in (1.0, -1.0):
+            w.grad = None
+            y = ad.grl(ad.affine(x, w, np.zeros(3)), lam)
+            ad.sum(y * y).backward()
+            grads[lam] = w.grad.copy()
+        np.testing.assert_array_equal(grads[1.0], -grads[-1.0])
+
 
 class TestFiniteGuard:
     def test_nan_raises(self):

@@ -17,6 +17,9 @@ LAYERS = {
     "losses": {"autodiff", "specs"},
     "synth": {"boxes", "specs"},
     "network": {"autodiff", "boxes", "specs"},
+    "training": {"autodiff", "boxes", "grouping", "losses", "network",
+                 "scale_space", "specs", "synth"},
+    "cli": {"training"},
 }
 
 

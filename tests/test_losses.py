@@ -6,7 +6,6 @@ import pytest
 from fsalign import autodiff as ad
 from fsalign import losses
 from fsalign.network import global_pool
-from fsalign.synth import rgb_to_grayscale
 
 # The op compositions each one-node domain loss replaced, kept as oracles:
 # the loss node must give their value and every gradient bit for bit
@@ -57,26 +56,6 @@ def brute_global_pool(f):
                 s += f[ci, i, j]
         out[ci] = s / (h * w)
     return out
-
-
-class TestGlobalPool:
-    def test_constant_map(self):
-        f = np.full((1, 3, 4, 5), 3.0)
-        np.testing.assert_array_equal(global_pool(f).value, [[3.0, 3.0, 3.0]])
-
-    def test_singleton(self):
-        np.testing.assert_array_equal(
-            global_pool(np.full((1, 1, 1, 1), 2.5)).value, [[2.5]]
-        )
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(1)
-        f = rng.normal(size=(2, 4, 5, 5))
-        np.testing.assert_allclose(
-            global_pool(f).value, [brute_global_pool(fi) for fi in f], atol=1e-12
-        )
-        with pytest.raises(ValueError, match="batch"):
-            global_pool(f[0])
 
 
 def brute_difference(ds, f3s, dt, f3t):
@@ -370,25 +349,6 @@ class TestObjective:
         w = losses.ObjectiveWeights(beta=0.1, lam=1.0)
         got = losses.total_objective(1, 1, 2, 2, 3, 3, w)
         assert got == pytest.approx(-3.6, abs=1e-12)
-
-
-class TestGrayscale:
-    def test_white(self):
-        img = np.ones((3, 2, 2))
-        np.testing.assert_allclose(rgb_to_grayscale(img), np.ones((1, 2, 2)))
-
-    def test_black(self):
-        img = np.zeros((3, 2, 2))
-        np.testing.assert_array_equal(rgb_to_grayscale(img), np.zeros((1, 2, 2)))
-
-    def test_pure_red(self):
-        img = np.zeros((3, 1, 1))
-        img[0] = 1.0
-        assert rgb_to_grayscale(img)[0, 0, 0] == pytest.approx(0.299)
-
-    def test_wrong_channels_rejected(self):
-        with pytest.raises(ValueError):
-            rgb_to_grayscale(np.zeros((4, 2, 2)))
 
 
 class TestDifferentiability:

@@ -149,6 +149,25 @@ class TestUpsampleConv:
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
+class TestGlobalPool:
+    def test_constant_map(self):
+        f = np.full((1, 3, 4, 5), 3.0)
+        np.testing.assert_array_equal(net.global_pool(f).value, [[3.0, 3.0, 3.0]])
+
+    def test_singleton(self):
+        np.testing.assert_array_equal(
+            net.global_pool(np.full((1, 1, 1, 1), 2.5)).value, [[2.5]]
+        )
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(1)
+        f = rng.normal(size=(2, 4, 5, 5))
+        want = [[sum(fc.ravel().tolist()) / fc.size for fc in fi] for fi in f]
+        np.testing.assert_allclose(net.global_pool(f).value, want, atol=1e-12)
+        with pytest.raises(ValueError, match="batch"):
+            net.global_pool(f[0])
+
+
 class TestCropPool:
     def test_whole_image_equals_global_pool(self):
         rng = np.random.default_rng(5)
@@ -400,71 +419,6 @@ class TestDetectorLosses:
     def test_no_proposals_rejected(self):
         with pytest.raises(ValueError):
             net.detector_targets(np.zeros((0, 4)), np.array([[1.0, 1.0, 2.0, 2.0]]), [1])
-
-
-class TestFiniteDifferenceReport:
-    def test_linear_layer_l2_loss_tiny_error(self):
-        rng = np.random.default_rng(12)
-        layer = net.Affine(6, 3, rng)
-        x = rng.normal(size=(4, 6))
-        target = rng.normal(size=(4, 3))
-
-        def build():
-            out = layer(ad.Tensor(x))
-            diff = ad.sub(out, target)
-            return {"l2": ad.sum(diff * diff)}
-
-        named = [(f"lin.{n}", p) for n, p in layer.params()]
-        report = net.finite_difference_report(named, build, ["l2"], coords_per_param=30,
-                                              rng=np.random.default_rng(0))["l2"]
-        assert max(report.values()) < 1e-8
-
-    def test_grl_branch_checked_at_transparent_lambda(self):
-        # GRL is not the gradient of its forward, so finite differences can
-        # only validate a reversed branch at lam = -1 (where GRL is exactly
-        # the identity in both passes); lam = 1 must visibly disagree.
-        rng = np.random.default_rng(13)
-        layer = net.Affine(4, 2, rng)
-        x = rng.normal(size=(3, 4))
-
-        def build(lam):
-            return {"sq": ad.sum(ad.power(ad.grl(layer(ad.Tensor(x)), lam), 2.0))}
-
-        named = [("lin.w", layer.w), ("lin.b", layer.b)]
-        passing = net.finite_difference_report(
-            named, lambda: build(-1.0), ["sq"], coords_per_param=8,
-            rng=np.random.default_rng(0),
-        )["sq"]
-        assert max(passing.values()) < 1e-8
-
-    def test_grl_sign_symmetry_on_upstream_params(self):
-        rng = np.random.default_rng(14)
-        layer = net.Affine(3, 3, rng)
-        x = rng.normal(size=(2, 3))
-        grads = {}
-        for lam in (1.0, -1.0):
-            layer.w.grad = None
-            ad.sum(ad.power(ad.grl(layer(ad.Tensor(x)), lam), 2.0)).backward()
-            grads[lam] = layer.w.grad.copy()
-        np.testing.assert_array_equal(grads[1.0], -grads[-1.0])
-
-    def test_wrong_gradient_detected(self):
-        rng = np.random.default_rng(15)
-        layer = net.Affine(4, 2, rng)
-        x = rng.normal(size=(3, 4))
-        flip = {"on": False}
-
-        def build_mismatch():
-            out = layer(ad.Tensor(x))
-            scaled = out * (2.0 if flip["on"] else 1.0)
-            flip["on"] = True  # finite differences probe a different function
-            return {"sq": ad.sum(scaled * scaled)}
-
-        report = net.finite_difference_report(
-            [("lin.w", layer.w)], build_mismatch, ["sq"], coords_per_param=10,
-            rng=np.random.default_rng(0),
-        )["sq"]
-        assert max(report.values()) > 0.1
 
 
 class TestDeterminism:

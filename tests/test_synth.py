@@ -314,3 +314,22 @@ class TestPairCorpus:
             n=1, base_seed=4,
         )
         assert not np.array_equal(src[0][0].rgb, tgt[0][0].rgb)
+
+
+class TestGrayscale:
+    def test_white(self):
+        img = np.ones((3, 2, 2))
+        np.testing.assert_allclose(rgb_to_grayscale(img), np.ones((1, 2, 2)))
+
+    def test_black(self):
+        img = np.zeros((3, 2, 2))
+        np.testing.assert_array_equal(rgb_to_grayscale(img), np.zeros((1, 2, 2)))
+
+    def test_pure_red(self):
+        img = np.zeros((3, 1, 1))
+        img[0] = 1.0
+        assert rgb_to_grayscale(img)[0, 0, 0] == pytest.approx(0.299)
+
+    def test_wrong_channels_rejected(self):
+        with pytest.raises(ValueError):
+            rgb_to_grayscale(np.zeros((4, 2, 2)))

@@ -351,15 +351,59 @@ def test_gradcheck_through_the_detached_context(branch):
 
 def test_one_forward_report_equals_the_per_branch_loop():
     """The report reads every branch from one forward per perturbation; a
-    loop that rebuilds the graph for each branch must give the same bits."""
+    check of one branch alone must give the same bits."""
     report = training.finite_difference_check(branches=["l_adv1", "l_ri"],
                                               coords_per_param=1)
-    net, source, target = _pair_and_net()
-    loop = nw.finite_difference_report(
-        net.named_params(),
-        lambda: {"l_ri": _checked_losses(net, source, target, -1.0)["l_ri"]},
-        ["l_ri"], coords_per_param=1, rng=np.random.default_rng(1))
-    assert loop["l_ri"] == report["l_ri"]["per_param"]
+    alone = training.finite_difference_check(branches=["l_ri"], coords_per_param=1)
+    assert report["l_ri"] == alone["l_ri"]
+
+
+def test_wrong_gradient_detected(monkeypatch):
+    """A loss node whose vjp returns double its gradient fails its branch."""
+    difference_loss = losses.difference_loss
+
+    def doubled(priv, shared):
+        out = difference_loss(priv, shared)
+        vjp = out._vjp
+        out._vjp = lambda g: vjp(2.0 * g)
+        return out
+
+    monkeypatch.setattr(losses, "difference_loss", doubled)
+    report = training.finite_difference_check(branches=["l_diff"], coords_per_param=1)
+    assert report["l_diff"]["max_rel_err"] > 0.1
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"coords_per_param": 0}, "coords_per_param"),
+    ({"coords_per_param": 1.0}, "coords_per_param"),
+    ({"coords_per_param": True}, "coords_per_param"),
+    ({"eps": 0.0}, "eps"),
+    ({"eps": -1e-5}, "eps"),
+    ({"eps": float("inf")}, "eps"),
+    ({"eps": float("nan")}, "eps"),
+])
+def test_gradcheck_rejects_a_check_that_checks_nothing(kwargs, match):
+    """No sampled coordinate would report 0.0 for every branch, and a zero
+    step would divide by zero."""
+    with pytest.raises(ValueError, match=match):
+        training.finite_difference_check(branches=["l_c"], **kwargs)
+
+
+def test_gradcheck_builds_each_loss_graph_once(monkeypatch):
+    """One graph at lam = -1 gives the analytic gradients and the lam = -1
+    side of the sign check, one at lam = +1 the other side, and each
+    sampled coordinate takes two: 46 parameter tensors, one coordinate each."""
+    calls = []
+    compute_losses = training.compute_losses
+
+    def counted(*args):
+        calls.append(args[4])
+        return compute_losses(*args)
+
+    monkeypatch.setattr(training, "compute_losses", counted)
+    training.finite_difference_check(coords_per_param=1)
+    assert len(calls) == 2 * 46 + 2 == 94
+    assert calls.count(1.0) == 1
 
 
 def test_train_step_descends_the_checked_composite():
@@ -381,8 +425,8 @@ def test_composite_gradient_is_the_weighted_branch_sum(lam):
     net, source, target = _pair_and_net()
     named = net.named_params()
     beta = training.TrainConfig().weights.beta
-    g = nw.branch_gradients(named, _checked_losses(net, source, target, lam),
-                            training.ALL_BRANCHES)
+    g = training.branch_gradients(named, _checked_losses(net, source, target, lam),
+                                  training.ALL_BRANCHES)
     for i, (name, _) in enumerate(named):
         want = (g["l_c"][i] + g["l_r"][i] + beta * (g["l_rec"][i] + g["l_diff"][i])
                 + g["l_adv1"][i] + g["l_adv2"][i] + g["l_adv3"][i] + g["l_ri"][i])
@@ -452,8 +496,8 @@ def test_pair_forward_matches_the_per_image_composition(seed, lam):
     branches = list(training.ALL_BRANCHES) + ["l_lg"]
     pair = training.compute_losses(net, source, target, weights, lam, normalize_rec=True)
     ref = _reference_losses(net, source, target, weights, lam)
-    grads = nw.branch_gradients(named, pair, branches)
-    ref_grads = nw.branch_gradients(named, ref, branches)
+    grads = training.branch_gradients(named, pair, branches)
+    ref_grads = training.branch_gradients(named, ref, branches)
     for branch in branches:
         want = float(ref[branch].value)
         assert abs(float(pair[branch].value) - want) <= 1e-12 * abs(want), branch
@@ -489,8 +533,9 @@ def test_weights_select_the_built_branches(beta, lam):
     value = float(want.value)
     assert abs(float(out["composite"].value) - value) <= 1e-12 * abs(value)
     named = net.named_params()
-    got = nw.branch_gradients(named, out, ["composite"])["composite"]
-    ref_grads = nw.branch_gradients(named, {"composite": want}, ["composite"])["composite"]
+    got = training.branch_gradients(named, out, ["composite"])["composite"]
+    ref_grads = training.branch_gradients(named, {"composite": want},
+                                          ["composite"])["composite"]
     for (name, _), g, w in zip(named, got, ref_grads):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
 
