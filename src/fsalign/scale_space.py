@@ -119,13 +119,13 @@ class ClusteringResult:
 
     `snapshots` holds one snapshot per scale the sweep ran: up to the first
     K = 1, or fewer, up to the scale where `scale_sweep` found the selection
-    decided. `table` maps each K in them to the (first, last) snapshot index
-    of its run, so the last K's run may be cut short there.
+    decided, so the last K's run in them may be cut short there.
+    `build_lifetime_table(snapshots)` gives the run table the model was
+    selected from.
     """
 
     model: SelectedModel
     assignment: Assignment
-    table: dict
     snapshots: list
     truncated: bool
 
@@ -406,13 +406,11 @@ def cluster_points(points, cfg=None):
     cfg = cfg or DEFAULT_SWEEP
     points = as_points(points)
     snapshots, truncated = scale_sweep(points, cfg)
-    table = build_lifetime_table(snapshots)
-    model = select_model(snapshots, table)
+    model = select_model(snapshots, build_lifetime_table(snapshots))
     assignment = assign_points(points, model)
     return ClusteringResult(
         model=model,
         assignment=assignment,
-        table=table,
         snapshots=snapshots,
         truncated=truncated,
     )

@@ -7,7 +7,8 @@ region proposal network: redundant jittered copies of every ground-truth box
 plus a few background boxes. A box is a center-format row (bx, by, w, h) in
 pixels: a sample's truth is one (G, 4) array with (G,) int class labels, and
 its proposals are one (P, 4) array with (P,) objectness scores
-(`boxes.ProposalSet`).
+(`boxes.ProposalSet`). A sample's grayscale is derived from its RGB image,
+and only `domain_samples` names it.
 
 Everything is a pure function of (spec, seed). Each domain has one sample
 stream (`domain_samples`): sample i of it is seeded by
@@ -132,23 +133,29 @@ class ProposalNoiseSpec:
 
 
 class Sample:
-    """One image with ground truth: (G, 4) center-format boxes and (G,) int
-    class labels. Target-domain truth is evaluation-only.
+    """One (3, H, W) RGB image with ground truth: (G, 4) center-format boxes
+    and (G,) int class labels. Target-domain truth is evaluation-only.
+
+    `gray` is derived from `rgb` (`rgb_to_grayscale`). `image_id` is None
+    until `domain_samples` names the sample after its place in its stream.
 
     `boxes` / `labels` raise for target samples so the training loop cannot
     read them by accident; evaluation code uses `eval_boxes()` /
     `eval_labels()`, which return copies.
     """
 
-    def __init__(self, image_id, domain, rgb, gray, boxes, labels):
+    def __init__(self, domain, rgb, boxes, labels):
         if domain not in ("source", "target"):
             raise ValueError("domain must be 'source' or 'target'")
-        self.image_id = image_id
+        self.image_id = None
         self.domain = domain
         self.rgb = np.asarray(rgb, dtype=np.float64)
-        self.gray = np.asarray(gray, dtype=np.float64)
-        self._boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        self.gray = rgb_to_grayscale(self.rgb)
+        self._boxes = np.asarray(boxes, dtype=np.float64)
         self._labels = np.asarray(labels, dtype=np.int64)
+        if self._labels.ndim != 1 or self._boxes.shape != (len(self._labels), 4):
+            raise ValueError(f"truth must be (G, 4) boxes and G labels, not boxes of shape "
+                             f"{self._boxes.shape} and labels of shape {self._labels.shape}")
 
     @property
     def boxes(self):
@@ -171,9 +178,6 @@ class Sample:
 
     def eval_labels(self):
         return self._labels.copy()
-
-    def image_hw(self):
-        return self.rgb.shape[1], self.rgb.shape[2]
 
 
 def _shape_window(shape, cx, cy, r, h, w):
@@ -270,14 +274,7 @@ def generate_scene(spec=None, seed=0):
             rgb[c, rows, cols][mask] = color[c]
     boxes = [box for box, _, _ in objects]
     labels = [SHAPE_CLASS_IDS[shape] for _, shape, _ in objects]
-    return Sample(
-        image_id=f"s{seed}",
-        domain="source",
-        rgb=rgb,
-        gray=rgb_to_grayscale(rgb),
-        boxes=boxes,
-        labels=labels,
-    )
+    return Sample("source", rgb, boxes, labels)
 
 
 def _gaussian_kernel(sigma):
@@ -340,12 +337,11 @@ def apply_domain_shift(sample, shift=None, seed=0):
     but becomes evaluation-only.
     """
     shift = shift or DomainShiftSpec()
-    check_blur_radius(shift.blur_radius, sample.image_hw())
+    check_blur_radius(shift.blur_radius, sample.rgb.shape[1:])
     if sample.domain != "source":
         raise ValueError("domain shift applies to source samples")
     rng = np.random.default_rng(seed)
-    rgb = sample.rgb.copy()
-    rgb += np.asarray(shift.color_shift, dtype=np.float64)[:, None, None]
+    rgb = sample.rgb + np.asarray(shift.color_shift, dtype=np.float64)[:, None, None]
     if shift.blur_radius > 0:
         rgb = _gaussian_blur(rgb, shift.blur_radius)
     if shift.fog_alpha > 0:
@@ -353,14 +349,7 @@ def apply_domain_shift(sample, shift=None, seed=0):
     if shift.noise_std > 0:
         rgb = rgb + rng.normal(0.0, shift.noise_std, size=rgb.shape)
     rgb = np.clip(rgb, 0.0, 1.0)
-    return Sample(
-        image_id=sample.image_id + "t",
-        domain="target",
-        rgb=rgb,
-        gray=rgb_to_grayscale(rgb),
-        boxes=sample.eval_boxes(),
-        labels=sample.eval_labels(),
-    )
+    return Sample("target", rgb, sample.eval_boxes(), sample.eval_labels())
 
 
 def generate_proposals(sample, noise=None, seed=0):
@@ -376,7 +365,7 @@ def generate_proposals(sample, noise=None, seed=0):
     gt_boxes = sample.eval_boxes()
     if not len(gt_boxes):
         raise ValueError("sample has no ground-truth boxes")
-    h, w = sample.image_hw()
+    h, w = sample.rgb.shape[1:]
     boxes, objectness = [], []
     for gx, gy, gw, gh in gt_boxes.tolist():
         for _ in range(noise.redundancy):

@@ -623,7 +623,7 @@ def finite_difference_check(seed=0, eps=1e-5, coords_per_param=50, branches=None
             per_param[branch][name] = worst[branch]
 
     reversed_branches = [b for b in branches if b in REVERSED_BRANCHES]
-    g_pos = branch_gradients(named, build(1.0), reversed_branches)
+    g_pos = branch_gradients(named, build(1.0), reversed_branches) if reversed_branches else {}
     upstream = [name.startswith("backbone.") for name, _ in named]
     report = {}
     for branch in branches:

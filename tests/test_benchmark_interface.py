@@ -92,3 +92,37 @@ def test_block_zero_groups_as_recorded(monkeypatch):
         got += [workloads._cluster_summary(pset.centers()) for _, pset in src + tgt]
     assert len(got) == len(want) == 18
     assert got == want
+
+
+def test_the_speed_probe_hooks_one_call_per_image(monkeypatch):
+    """Every name the speed probe hooks is an attribute of its owner, and
+    building the gradient-check corpus, one source and one target image,
+    calls the hooked names twice and leaves them as they were."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    speed = importlib.import_module("speed")
+    missing = [(owner.__name__, attr) for owner, attr in speed.HOOKS
+               if attr not in owner.__dict__]
+    assert speed.HOOKS and not missing
+    before = [owner.__dict__[attr] for owner, attr in speed.HOOKS]
+    probe = speed.SpeedProbe()
+    ticks = []
+    monkeypatch.setattr(probe, "tick", lambda: ticks.append(1))
+    with probe.hooked():
+        training.build_training_corpus(training.gradcheck_config())
+    assert len(ticks) == 2
+    assert [owner.__dict__[attr] for owner, attr in speed.HOOKS] == before
+
+
+def test_episode_zero_steps_as_recorded(monkeypatch):
+    """The first 8 steps of the `train` workload's episode 0, on the corpus
+    of its set-up at rep 0, match the reference rows by the workload's own
+    row check, so a change of the loss rows fails here before any bench run."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    train = workloads.Train()
+    loop = workloads.Loop()
+    corpus = train.setup(0, loop)
+    want = train.load_reference()[0]
+    got = [t.out for t in train._episode(corpus, 0, loop, limit=8)]
+    assert not loop.errors and len(got) == 8
+    assert all(workloads._row_matches(row, ref) for row, ref in zip(got, want))

@@ -243,8 +243,7 @@ class TestDegenerateFallback:
         pset = ProposalSet(boxes=np.array([[16.0 + bx, 16.0 + by, 8.0, 8.0]
                                            for bx, by in SQUARE]),
                            objectness=np.ones(len(SQUARE)))
-        sample = synth.Sample("square", "source", np.zeros((3, 32, 32)),
-                              np.zeros((1, 32, 32)), [[16.0, 16.0, 8.0, 8.0]], [1])
+        sample = synth.Sample("source", np.zeros((3, 32, 32)), [[16.0, 16.0, 8.0, 8.0]], [1])
         entry = training._grouped_entry(sample, pset, ScaleSweepConfig())
         assert entry.groups == [[0, 1, 2, 3]] and entry.outliers == []
         # the diagnostics describe the sweep that degenerated: all four

@@ -314,7 +314,7 @@ class TestGlobalProperties:
         np.testing.assert_allclose(c1 + shift, c2, atol=1e-9)
         np.testing.assert_array_equal(r1.assignment.labels == ssc.OUTLIER,
                                       r2.assignment.labels == ssc.OUTLIER)
-        assert r1.table == r2.table
+        assert ssc.build_lifetime_table(r1.snapshots) == ssc.build_lifetime_table(r2.snapshots)
 
     def test_bitwise_determinism(self):
         pts = make_blobs([(0, 0), (18, 12), (40, 2)], 70, 2.0, seed=55)

@@ -316,6 +316,33 @@ class TestPairCorpus:
         assert not np.array_equal(src[0][0].rgb, tgt[0][0].rgb)
 
 
+class TestSample:
+    @pytest.mark.parametrize("domain", ["source", "target"])
+    @pytest.mark.parametrize("boxes, labels", [
+        (np.ones((3, 4)), [1]),         # three boxes, one label
+        (np.ones((1, 4)), [1, 2]),      # one box, two labels
+        (np.ones((4, 3)), [1, 1, 1, 1]),  # rows of three coordinates
+        (np.ones(4), [1]),              # a bare box, not a (1, 4) row
+        (np.ones((1, 4)), [[1]]),       # labels not one-dimensional
+    ])
+    def test_truth_that_does_not_pair_up_is_rejected(self, domain, boxes, labels):
+        with pytest.raises(ValueError, match="G labels"):
+            synth.Sample(domain, np.zeros((3, 8, 8)), boxes, labels)
+
+    def test_an_image_that_is_not_three_channel_is_rejected(self):
+        with pytest.raises(ValueError, match="3, H, W"):
+            synth.Sample("source", np.zeros((1, 8, 8)), np.ones((1, 4)), [1])
+
+    def test_only_the_stream_names_a_sample(self):
+        scene = synth.generate_scene(seed=5)
+        assert scene.image_id is None
+        assert synth.apply_domain_shift(scene, seed=6).image_id is None
+        specs = (synth.SceneSpec(), synth.DomainShiftSpec(), synth.ProposalNoiseSpec())
+        for domain, prefix in (("source", "src"), ("target", "tgt")):
+            names = [s.image_id for s, _ in synth.domain_samples(domain, *specs, 2, 3, start=9)]
+            assert names == [f"{prefix}00009", f"{prefix}00010"]
+
+
 class TestGrayscale:
     def test_white(self):
         img = np.ones((3, 2, 2))

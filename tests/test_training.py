@@ -406,6 +406,23 @@ def test_gradcheck_builds_each_loss_graph_once(monkeypatch):
     assert calls.count(1.0) == 1
 
 
+def test_gradcheck_builds_no_sign_graph_without_a_reversed_branch(monkeypatch):
+    """With no reversed branch there is no sign check, so no lam = +1
+    graph: one graph at lam = -1, then two per sampled coordinate."""
+    calls = []
+    compute_losses = training.compute_losses
+
+    def counted(*args):
+        calls.append(args[4])
+        return compute_losses(*args)
+
+    monkeypatch.setattr(training, "compute_losses", counted)
+    report = training.finite_difference_check(branches=["l_rec"], coords_per_param=1)
+    assert len(calls) == 2 * 46 + 1 == 93
+    assert 1.0 not in calls
+    assert "sign_symmetric" not in report["l_rec"]
+
+
 def test_train_step_descends_the_checked_composite():
     net, source, target = _pair_and_net()
     weights = losses.ObjectiveWeights()
