@@ -11,8 +11,10 @@ no node: it is no parent, and the vjp gives gradients for the parents only.
 An op on constants alone returns a parentless `Tensor`. `.value` detaches a
 node, and evaluation runs the same ops and drops the graph. Image
 ops (`conv2d`, `upsample_conv2d`) take (N, C, H, W) batches; one image is a
-batch of one. An op outside this module is built the same way, from its
-value, its operands and a hand-written vjp (`node`); the losses are.
+batch of one; `conv2d` gathers its input's patches (im2col) and scatters
+their gradients back (col2im, the adjoint). An op outside this module is
+built the same way, from its value, its operands and a hand-written vjp
+(`node`); the losses are.
 
 Each node costs a fixed amount of Python work, so the layers are fused
 ops: `affine` is x @ w + b, and `affine`, `conv2d` and `upsample_conv2d`
@@ -410,7 +412,8 @@ def _im2col(xp, kh, kw, stride, oh, ow):
     a strided window view over its buffer, reshaped. The reshape copies
     unless the windows already tile the buffer in order (a 1x1 stride-1
     kernel), in which case the stack is a view of `xp`; callers only read
-    it."""
+    it. `conv2d`'s forward gathers its patches here, and its input gradient
+    scatters them back (`_conv_input_grad`)."""
     n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
     windows = np.ndarray((n, c, kh, kw, oh, ow), np.float64, xp, 0,
@@ -418,49 +421,34 @@ def _im2col(xp, kh, kw, stride, oh, ow):
     return windows.reshape(n, c * kh * kw, oh * ow)
 
 
-def _embed(a, top, left, h, w):
-    """Zeros of shape a.shape[:-2] + (h, w) with `a` placed at offset
-    (top, left) of the trailing two axes. The offsets may be negative; what
-    lands outside the frame is cropped. With no offset and no crop it
+def _pad(a, pad):
+    """`a` with `pad` rows and columns of zeros around its trailing two axes,
+    the array `_im2col` gathers from and col2im scatters into. At pad 0 it
     returns `a` itself, made C-contiguous (a copy only if it was not)."""
-    if top == 0 and left == 0 and a.shape[-2:] == (h, w):
+    if pad == 0:
         return np.ascontiguousarray(a)
-    out = np.zeros(a.shape[:-2] + (h, w), dtype=np.float64)
-    y0, x0 = max(-top, 0), max(-left, 0)
-    y1, x1 = min(a.shape[-2], h - top), min(a.shape[-1], w - left)
-    if y1 > y0 and x1 > x0:
-        out[..., top + y0 : top + y1, left + x0 : left + x1] = a[..., y0:y1, x0:x1]
+    h, w = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    out[..., pad : pad + h, pad : pad + w] = a
     return out
 
 
 def _conv_input_grad(g, wv, stride, pad, h, w):
-    """Input gradient of conv2d for an (N, O, oh, ow) output gradient: a
-    transposed convolution of `g`, (N, C, h, w). `wv` is the shared
-    (O, C, kh, kw) kernel or the (N, O, C, kh, kw) per-image stack.
-
-    Input rows and columns are split by phase mod `stride`. Each phase gets
-    a stride-1 correlation of the padded `g` with the flipped,
-    channel-swapped taps that reach it, as one `np.matmul` of those taps
-    with the `_im2col` stack of every image. At stride 1 there is one phase
-    and it takes the whole kernel.
-    """
-    n = g.shape[0]
+    """(N, C, h, w) input gradient of conv2d for an (N, O, oh, ow) output
+    gradient `g` and the shared or per-image kernels `wv`: col2im, the
+    adjoint of the forward's `_im2col` gather. One `np.matmul` of the
+    transposed kernels with `g` gives every patch's gradient; each tap's
+    slice is added into the zero-padded input where that tap read."""
+    n, _, oh, ow = g.shape
     o, c, kh, kw = wv.shape[-4:]
-    dx = np.zeros((n, c, h, w), dtype=np.float64)
-    for a in range(min(stride, h)):
-        for e in range(min(stride, w)):
-            i0, j0 = (a + pad) % stride, (e + pad) % stride
-            taps = wv[..., i0::stride, j0::stride]
-            mh, mw = taps.shape[-2], taps.shape[-1]
-            if mh == 0 or mw == 0:
-                continue  # no tap of the kernel reaches this phase
-            nu, nv = -(-(h - a) // stride), -(-(w - e) // stride)
-            gp = _embed(g, mh - 1 - (a + pad - i0) // stride,
-                        mw - 1 - (e + pad - j0) // stride, nu + mh - 1, nv + mw - 1)
-            wflip = taps[..., ::-1, ::-1].swapaxes(-4, -3).reshape(-1, c, o * mh * mw)
-            dx[:, :, a::stride, e::stride] = np.matmul(
-                wflip, _im2col(gp, mh, mw, 1, nu, nv)).reshape(n, c, nu, nv)
-    return dx
+    cols = np.matmul(wv.reshape(-1, o, c * kh * kw).transpose(0, 2, 1),
+                     g.reshape(n, o, oh * ow)).reshape(n, c, kh, kw, oh, ow)
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[..., i : i + stride * oh : stride,
+                j : j + stride * ow : stride] += cols[:, :, i, j]
+    return dxp[..., pad : pad + h, pad : pad + w]
 
 
 def conv2d(x, w, b, stride=1, pad=1, act=None):
@@ -476,8 +464,9 @@ def conv2d(x, w, b, stride=1, pad=1, act=None):
     whose (N, O, oh*ow) result is already in output order. The vjp scales
     `g` by the activation's derivative, then reads it as (N, O, oh*ow) the
     same way; the weight and bias gradients are summed over the images for
-    a shared kernel. The input gradient is a transposed convolution
-    (`_conv_input_grad`), computed only when `x` is a `Tensor`.
+    a shared kernel. The input gradient, computed only when `x` is a
+    `Tensor`, is col2im (`_conv_input_grad`): the patch gradients scattered
+    back to the pixels `_im2col` gathered them from.
     """
     per_image = isinstance(w, (list, tuple))
     xv = value_of(x)
@@ -495,7 +484,7 @@ def conv2d(x, w, b, stride=1, pad=1, act=None):
         raise ValueError(f"conv2d kernel stack of {wv.shape[0]} for {n} images")
     if bv.shape != wv.shape[:-3]:
         raise ValueError(f"conv2d bias shape {bv.shape} for kernels {wv.shape}")
-    xp = _embed(xv, pad, pad, h + 2 * pad, wd + 2 * pad)
+    xp = _pad(xv, pad)
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
     cols = _im2col(xp, kh, kw, stride, oh, ow)
@@ -510,7 +499,7 @@ def conv2d(x, w, b, stride=1, pad=1, act=None):
         db = gb.sum(axis=2)
         if wv.ndim == 4:
             dw, db = dw.sum(axis=0), db.sum(axis=0)
-        dx = (_conv_input_grad(gb.reshape(n, o, oh, ow), wv, stride, pad, h, wd)
+        dx = (_conv_input_grad(g, wv, stride, pad, h, wd)
               if isinstance(x, Tensor) else None)
         if per_image:
             return (dx, *dw.reshape(wv.shape), *db)
@@ -586,7 +575,7 @@ def upsample_conv2d(x, w, b, act=None):
     n, cx, h, wd = xv.shape
     if cx != c:
         raise ValueError(f"upsample_conv2d channel mismatch: input {cx}, kernel {c}")
-    grid = _embed(xv.transpose(1, 0, 2, 3), 1, 1, h + 2, wd + 2).reshape(c, -1)
+    grid = _pad(xv.transpose(1, 0, 2, 3), 1).reshape(c, -1)
     kern = (_UPSAMPLE_TAPS.T @ wv.reshape(o * c, 9).T).reshape(16 * o, c)
     taps = (kern @ grid).reshape(16, o, -1)
     # (i, j, O, n, y, x) -> (n, O, 2y+i, 2x+j)

@@ -19,6 +19,11 @@ def corners(boxes):
     return np.concatenate([boxes[..., :2] - half, boxes[..., :2] + half], axis=-1)
 
 
+def valid_boxes(boxes):
+    """Whether every (..., 4) center-format box is finite with a positive size."""
+    return bool(np.isfinite(boxes).all() and (boxes[..., 2:] > 0).all())
+
+
 def box_iou(a, b):
     """(len(a), len(b)) intersection-over-union of two sets of center-format
     boxes, (A, 4) and (B, 4)."""
@@ -74,8 +79,7 @@ class ProposalSet:
         if boxes.ndim != 2 or boxes.shape[1] != 4 or scores.shape != (len(boxes),):
             raise ValueError(f"proposals need (P, 4) boxes and (P,) objectness, not "
                              f"{boxes.shape} and {scores.shape}")
-        if not (np.isfinite(boxes).all() and np.isfinite(scores).all()
-                and (boxes[:, 2:] > 0).all()):
+        if not (valid_boxes(boxes) and np.isfinite(scores).all()):
             raise ValueError("proposals need finite boxes and objectness, and box "
                              "widths and heights that are positive")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import ProposalSet
+from .boxes import ProposalSet, valid_boxes
 from .specs import is_count, is_real, is_tuple_of, require, store_tuples
 
 SHAPE_CLASS_IDS = {"disk": 1, "square": 2, "triangle": 3}
@@ -133,8 +133,8 @@ class ProposalNoiseSpec:
 
 
 class Sample:
-    """One (3, H, W) RGB image with ground truth: (G, 4) center-format boxes
-    and (G,) int class labels. Target-domain truth is evaluation-only.
+    """One (3, H, W) RGB image with ground truth: (G, 4) `valid_boxes` and
+    (G,) labels from `SHAPE_CLASS_IDS`. Target-domain truth is evaluation-only.
 
     `gray` is derived from `rgb` (`rgb_to_grayscale`). `image_id` is None
     until `domain_samples` names the sample after its place in its stream.
@@ -152,10 +152,12 @@ class Sample:
         self.rgb = np.asarray(rgb, dtype=np.float64)
         self.gray = rgb_to_grayscale(self.rgb)
         self._boxes = np.asarray(boxes, dtype=np.float64)
-        self._labels = np.asarray(labels, dtype=np.int64)
-        if self._labels.ndim != 1 or self._boxes.shape != (len(self._labels), 4):
-            raise ValueError(f"truth must be (G, 4) boxes and G labels, not boxes of shape "
-                             f"{self._boxes.shape} and labels of shape {self._labels.shape}")
+        labels, ids = np.asarray(labels), sorted(SHAPE_CLASS_IDS.values())
+        if not (labels.ndim == 1 and self._boxes.shape == (len(labels), 4)
+                and valid_boxes(self._boxes) and np.isin(labels, ids).all()):
+            raise ValueError(f"truth must be (G, 4) valid boxes and G labels in {ids}, not "
+                             f"boxes {self._boxes.tolist()} and labels {labels.tolist()}")
+        self._labels = labels.astype(np.int64)
 
     @property
     def boxes(self):

@@ -65,9 +65,9 @@ class TrainConfig:
     # per-pixel reconstruction normalization: keeps the decoder's gradient
     # scale sane at toy image sizes (the loss itself defaults to the raw sum)
     normalize_reconstruction: bool = True
-    # optional sigmoid-shaped ramp of the GRL coefficient from 0 to
-    # weights.lam over this many steps (0 = constant, matching the paper's
-    # fixed setting)
+    # optional ramp of the GRL coefficient, (2/(1 + e^(-10r)) - 1) * weights.lam
+    # as r goes from 0 to 1 over this many steps, so from 0 to 0.99991 * lam, at
+    # which it stays (0 = constant weights.lam, the paper's fixed setting)
     lambda_warmup_steps: int = 0
 
     def resolved_decay_step(self):

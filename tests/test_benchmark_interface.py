@@ -11,6 +11,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from fsalign import autodiff as ad
 from fsalign import grouping, losses, network, synth, training
@@ -55,6 +56,26 @@ def test_a_traced_step_records_each_conv_and_restores_every_name(monkeypatch):
     names = spans.arrays()[0]
     assert np.count_nonzero(names == spans.name_id("autodiff.conv2d.fwd")) == 8
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in before)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 7: the tracer gives no vjp span to "
+                   "`affine`, `upsample_conv2d` or the loss nodes")
+def test_the_tracer_wraps_every_vjp_of_the_loss_graph(monkeypatch):
+    """Every interior node of one `compute_losses` graph built under
+    `tracer.instrument` carries the tracer's vjp wrapper, so no vjp's time
+    lands in `autodiff.backward`'s self time."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer = importlib.import_module("tracer")
+    cfg = training.gradcheck_config()
+    (source,), (target,) = training.build_training_corpus(cfg)
+    net = network.SeparationNet(cfg.network, seed=0)
+    with tracer.instrument(tracer.Tracer()):
+        out = training.compute_losses(net, source, target, cfg.weights, cfg.weights.lam,
+                                      cfg.normalize_reconstruction)
+    interior = [t for t in ad._toposort(out["composite"]) if t._vjp is not None]
+    bare = [t for t in interior if not getattr(t._vjp, "bench_wrapped", False)]
+    assert interior and not bare, f"{len(bare)} of {len(interior)} vjps are not traced"
 
 
 def test_a_traced_grouping_counts_the_scales_of_a_stopped_sweep(monkeypatch):

@@ -324,6 +324,13 @@ class TestSample:
         (np.ones((4, 3)), [1, 1, 1, 1]),  # rows of three coordinates
         (np.ones(4), [1]),              # a bare box, not a (1, 4) row
         (np.ones((1, 4)), [[1]]),       # labels not one-dimensional
+        ([[1, 1, np.nan, 2]], [1]),     # a NaN width
+        ([[np.inf, 1, 2, 2]], [1]),     # an infinite center
+        ([[1, 1, 0, 2]], [1]),          # a zero width
+        ([[1, 1, 2, -1]], [1]),         # a negative height
+        (np.ones((1, 4)), [1.7]),       # a label that is no integer
+        (np.ones((1, 4)), [7]),         # a label that is no class id
+        (np.ones((1, 4)), [0]),         # the background id is no object's label
     ])
     def test_truth_that_does_not_pair_up_is_rejected(self, domain, boxes, labels):
         with pytest.raises(ValueError, match="G labels"):
