@@ -11,10 +11,11 @@ no node: it is no parent, and the vjp gives gradients for the parents only.
 An op on constants alone returns a parentless `Tensor`. `.value` detaches a
 node, and evaluation runs the same ops and drops the graph. Image
 ops (`conv2d`, `upsample_conv2d`) take (N, C, H, W) batches; one image is a
-batch of one; `conv2d` gathers its input's patches (im2col) and scatters
-their gradients back (col2im, the adjoint). An op outside this module is
-built the same way, from its value, its operands and a hand-written vjp
-(`node`); the losses are.
+batch of one. `conv2d` gathers its input's patches (`_im2col`) and scatters
+their gradients back (`_col2im`, the adjoint); the decoder block
+`upsample_conv2d`, the transpose of a stride-2 conv, runs the pair the other
+way round. An op outside this module is built the same way, from its value,
+its operands and a hand-written vjp (`node`); the losses are.
 
 Each node costs a fixed amount of Python work, so the layers are fused
 ops: `affine` is x @ w + b, and `affine`, `conv2d` and `upsample_conv2d`
@@ -412,8 +413,8 @@ def _im2col(xp, kh, kw, stride, oh, ow):
     a strided window view over its buffer, reshaped. The reshape copies
     unless the windows already tile the buffer in order (a 1x1 stride-1
     kernel), in which case the stack is a view of `xp`; callers only read
-    it. `conv2d`'s forward gathers its patches here, and its input gradient
-    scatters them back (`_conv_input_grad`)."""
+    it. `conv2d`'s forward and the decoder block's vjp gather here, and
+    `_col2im` scatters back."""
     n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
     windows = np.ndarray((n, c, kh, kw, oh, ow), np.float64, xp, 0,
@@ -423,8 +424,8 @@ def _im2col(xp, kh, kw, stride, oh, ow):
 
 def _pad(a, pad):
     """`a` with `pad` rows and columns of zeros around its trailing two axes,
-    the array `_im2col` gathers from and col2im scatters into. At pad 0 it
-    returns `a` itself, made C-contiguous (a copy only if it was not)."""
+    the array `_im2col` gathers from. At pad 0 it returns `a` itself, made
+    C-contiguous (a copy only if it was not)."""
     if pad == 0:
         return np.ascontiguousarray(a)
     h, w = a.shape[-2:]
@@ -433,22 +434,18 @@ def _pad(a, pad):
     return out
 
 
-def _conv_input_grad(g, wv, stride, pad, h, w):
-    """(N, C, h, w) input gradient of conv2d for an (N, O, oh, ow) output
-    gradient `g` and the shared or per-image kernels `wv`: col2im, the
-    adjoint of the forward's `_im2col` gather. One `np.matmul` of the
-    transposed kernels with `g` gives every patch's gradient; each tap's
-    slice is added into the zero-padded input where that tap read."""
-    n, _, oh, ow = g.shape
-    o, c, kh, kw = wv.shape[-4:]
-    cols = np.matmul(wv.reshape(-1, o, c * kh * kw).transpose(0, 2, 1),
-                     g.reshape(n, o, oh * ow)).reshape(n, c, kh, kw, oh, ow)
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+def _col2im(cols, kh, kw, stride, h, w, pad):
+    """(N, C, h, w) adjoint of `_im2col` of the `_pad`-ded array: each tap's rows
+    of an (N, C*kh*kw, oh*ow) patch stack `cols` added into a zeroed buffer where
+    that tap read, then cropped. `conv2d`'s vjp and the decoder's forward scatter here."""
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    cols = cols.reshape(len(cols), -1, kh, kw, oh, ow)
+    out = np.zeros(cols.shape[:2] + (h + 2 * pad, w + 2 * pad), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            dxp[..., i : i + stride * oh : stride,
+            out[..., i : i + stride * oh : stride,
                 j : j + stride * ow : stride] += cols[:, :, i, j]
-    return dxp[..., pad : pad + h, pad : pad + w]
+    return out[..., pad : pad + h, pad : pad + w]
 
 
 def conv2d(x, w, b, stride=1, pad=1, act=None):
@@ -465,8 +462,8 @@ def conv2d(x, w, b, stride=1, pad=1, act=None):
     `g` by the activation's derivative, then reads it as (N, O, oh*ow) the
     same way; the weight and bias gradients are summed over the images for
     a shared kernel. The input gradient, computed only when `x` is a
-    `Tensor`, is col2im (`_conv_input_grad`): the patch gradients scattered
-    back to the pixels `_im2col` gathered them from.
+    `Tensor`, is one `np.matmul` of the transposed kernels with `g`, whose
+    patch gradients `_col2im` scatters back to where `_im2col` read them.
     """
     per_image = isinstance(w, (list, tuple))
     xv = value_of(x)
@@ -488,7 +485,8 @@ def conv2d(x, w, b, stride=1, pad=1, act=None):
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
     cols = _im2col(xp, kh, kw, stride, oh, ow)
-    out, back = _activate((np.matmul(wv.reshape(-1, o, c * kh * kw), cols)
+    kern = wv.reshape(-1, o, c * kh * kw)
+    out, back = _activate((np.matmul(kern, cols)
                            + bv.reshape(-1, o, 1)).reshape(n, o, oh, ow), act)
 
     def vjp(g):
@@ -499,7 +497,7 @@ def conv2d(x, w, b, stride=1, pad=1, act=None):
         db = gb.sum(axis=2)
         if wv.ndim == 4:
             dw, db = dw.sum(axis=0), db.sum(axis=0)
-        dx = (_conv_input_grad(g, wv, stride, pad, h, wd)
+        dx = (_col2im(np.matmul(kern.transpose(0, 2, 1), gb), kh, kw, stride, h, wd, pad)
               if isinstance(x, Tensor) else None)
         if per_image:
             return (dx, *dw.reshape(wv.shape), *db)
@@ -519,52 +517,24 @@ def upsample2x(a):
     return node(av.repeat(2, axis=-2).repeat(2, axis=-1), (a,), vjp)
 
 
-def _upsample_taps():
-    """(9, 16) 0/1 matrix from the 9 taps (p, q) of a 3x3 kernel to the 16
-    taps (i, j, a, b) of its four 2x2 phase kernels, tap (a, b) of phase
-    (i, j) at column 8i + 4j + 2a + b.
-
-    A pad-1 tap of the nearest-upsampled map at output row 2y+i reads source
-    rows (y-1, y, y) for i = 0 and (y, y, y+1) for i = 1. In the pad-1 source
-    that is row y+i+a, so per axis phase 0 has taps (w0, w1+w2) and phase 1
-    has taps (w0+w1, w2).
-    """
-    per_axis = np.array([
-        [[1, 0, 0], [0, 1, 1]],
-        [[1, 1, 0], [0, 0, 1]],
-    ], dtype=np.float64)
-    return np.einsum("iap,jbq->pqijab", per_axis, per_axis).reshape(9, 16)
-
-
-_UPSAMPLE_TAPS = _upsample_taps()
-
-
-def _tap_windows(a, n, h, w):
-    """Window view of a (16, O, n*(h+2)*(w+2)) array over the flattened
-    pad-1 grid of an (n, h, w) batch: entry [i, j, a, b, o, k, y, x] is
-    `a[8i+4j+2a+b, o]` at grid cell (k, y+i+a, x+j+b)."""
-    s16, so, s1 = a.strides
-    hp, wp = h + 2, w + 2
-    return np.ndarray((2, 2, 2, 2, a.shape[1], n, h, w), np.float64, a, 0,
-                      (8 * s16 + wp * s1, 4 * s16 + s1, 2 * s16 + wp * s1, s16 + s1,
-                       so, hp * wp * s1, wp * s1, s1))
+# per axis, source row y of a nearest 2x upsampling's pad-1 conv reaches rows
+# 2y-1 .. 2y+2 by taps (w2, w1+w2, w0+w1, w0); the (16, 9) fold of a 3x3 kernel
+# into its 4x4 kernel is the Kronecker square of that (4, 3) map
+_UPSAMPLE_FOLD = np.kron(*2 * [np.array([[0, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 0]], np.float64)])
 
 
 def upsample_conv2d(x, w, b, act=None):
-    """3x3 stride-1 pad-1 convolution with (O, C, 3, 3) kernels `w` of the
-    nearest 2x upsampling of an (N, C, H, W) batch, giving (N, O, 2H, 2W);
-    equal to `conv2d(upsample2x(x), w, b, act=act)`.
+    """3x3 stride-1 pad-1 convolution with (O, C, 3, 3) kernels `w` and an
+    (O,) bias `b` of the nearest 2x upsampling of an (N, C, H, W) batch,
+    giving (N, O, 2H, 2W); equal to `conv2d(upsample2x(x), w, b, act=act)`.
 
-    It runs at input resolution with only the taps that reach each output
-    phase: the output at rows 2y+i and columns 2x+j sums four taps (a, b),
-    each reading the pad-1 source at (y+i+a, x+j+b). `_UPSAMPLE_TAPS` folds
-    `w` into these 16 (O, C) tap kernels. The forward is one GEMM of the
-    stacked (16O, C) kernels with the source's flattened pad-1 grid, whose
-    columns are already the shifted inputs of every tap; each phase then
-    sums its four taps' products at their shifts (`_tap_windows`). The vjp
-    scales `g` by the activation's derivative, scatters the phase gradients
-    to those shifts once and takes the weight and the input gradients as one
-    GEMM each.
+    It is the transpose of a stride-2 pad-1 `conv2d` from O to C channels
+    whose 4x4 kernels fold each 3x3 kernel per axis (`_UPSAMPLE_FOLD`), so
+    it runs at input resolution on conv2d's own pair: the forward is one
+    `np.matmul` of the folded kernels with x, scattered by `_col2im`. The
+    vjp scales `g` by the activation's derivative and runs that conv's
+    forward on it: `_im2col` of the pad-1 `g`, then one `np.matmul` each for
+    the input gradient and the 4x4 weight gradient, folded back to 3x3.
     """
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
     o, c, kh, kw = wv.shape
@@ -575,27 +545,22 @@ def upsample_conv2d(x, w, b, act=None):
     n, cx, h, wd = xv.shape
     if cx != c:
         raise ValueError(f"upsample_conv2d channel mismatch: input {cx}, kernel {c}")
-    grid = _pad(xv.transpose(1, 0, 2, 3), 1).reshape(c, -1)
-    kern = (_UPSAMPLE_TAPS.T @ wv.reshape(o * c, 9).T).reshape(16 * o, c)
-    taps = (kern @ grid).reshape(16, o, -1)
-    # (i, j, O, n, y, x) -> (n, O, 2y+i, 2x+j)
-    phases = _tap_windows(taps, n, h, wd).sum(axis=(2, 3)) + bv[:, None, None, None]
-    out, back = _activate(phases.transpose(3, 2, 4, 0, 5, 1).reshape(n, o, 2 * h, 2 * wd),
-                          act)
+    if bv.shape != (o,):
+        raise ValueError(f"upsample_conv2d bias shape {bv.shape} for kernels {wv.shape}")
+    # (O*4*4, C): the stride-2 conv's (C, O, 4, 4) kernels, transposed
+    kern = (_UPSAMPLE_FOLD @ wv.transpose(0, 2, 3, 1).reshape(o, 9, c)).reshape(16 * o, c)
+    xb = xv.reshape(n, c, h * wd)
+    out, back = _activate(_col2im(np.matmul(kern, xb), 4, 4, 2, 2 * h, 2 * wd, 1)
+                          + bv[:, None, None], act)
 
     def vjp(g):
         if back is not None:
             g = back(g)
-        # (n, O, 2y+i, 2x+j) -> (i, j, O, n, y, x)
-        gph = g.reshape(n, o, h, 2, wd, 2).transpose(3, 5, 1, 0, 2, 4)
-        db = gph.sum(axis=(0, 1, 3, 4, 5))
-        gtaps = np.zeros((16, o, grid.shape[1]))
-        _tap_windows(gtaps, n, h, wd)[...] = gph[:, :, None, None]
-        gtaps = gtaps.reshape(16 * o, -1)
-        dkern = (gtaps @ grid.T).reshape(16, o * c)
-        dw = (_UPSAMPLE_TAPS @ dkern).reshape(3, 3, o, c).transpose(2, 3, 0, 1)
-        dgrid = (kern.T @ gtaps).reshape(c, n, h + 2, wd + 2)
-        return (dgrid[:, :, 1 : h + 1, 1 : wd + 1].transpose(1, 0, 2, 3), dw, db)
+        cols = _im2col(_pad(g, 1), 4, 4, 2, h, wd)
+        dx = np.matmul(kern.T, cols).reshape(xv.shape) if isinstance(x, Tensor) else None
+        dkern = np.matmul(cols, xb.transpose(0, 2, 1)).sum(axis=0)
+        dw = (_UPSAMPLE_FOLD.T @ dkern.reshape(o, 16, c)).reshape(o, 3, 3, c).transpose(0, 3, 1, 2)
+        return (dx, dw, g.sum(axis=(0, 2, 3)))
 
     return node(out, (x, w, b), vjp, _finite=back is not None)
 

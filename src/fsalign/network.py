@@ -15,10 +15,12 @@ layer one convolution whose kernels are stacked per image (source kernel
 for the source image, target kernel for the target image).
 
 Each decoder block is a 3x3 convolution of a nearest 2x upsampling, one
-`ad.upsample_conv2d` call: it runs at the resolution of its input, and each
-output row and column parity sees only the 2x2 source taps that reach it,
-so the upsampled map is never built and no multiply-add hits a structural
-zero. The parameters keep their plain (O, C, 3, 3) kernel shapes.
+`ad.upsample_conv2d` call. That is the transpose of a stride-2 pad-1 conv
+whose 4x4 kernels fold the 3x3 ones per axis, so it runs at the resolution
+of its input on `ad.conv2d`'s own `_im2col`/`_col2im` pair: each output row
+and column parity sees only the 2x2 source taps that reach it, the
+upsampled map is never built and no multiply-add hits a structural zero.
+The parameters keep their plain (O, C, 3, 3) kernel shapes.
 
 Each layer is one graph node: a convolution or affine map with its tanh or
 sigmoid activation is one `ad.conv2d`, `ad.upsample_conv2d` or `ad.affine`

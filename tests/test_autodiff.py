@@ -302,7 +302,7 @@ class TestConv2dAdjoint:
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("pad", [0, 1, 2])
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 4])
     @pytest.mark.parametrize("hw", [(6, 6), (7, 7), (5, 8)])
     def test_adjoint_identity(self, stride, pad, k, hw):
         rng = np.random.default_rng(100 * stride + 10 * pad + k + hw[1])
@@ -495,37 +495,21 @@ class TestUpsampleConv2d:
 
 
 class TestPhaseOps:
-    """The phase structure of upsample_conv2d: `_UPSAMPLE_TAPS` folds a 3x3
-    kernel into four 2x2 phase kernels, and phase (i, j) lands at rows i::2
-    and columns j::2 of the output."""
+    """The geometry of upsample_conv2d: the transpose of a stride-2 pad-1
+    conv whose 4x4 kernels fold each 3x3 kernel per axis."""
 
-    def test_phase_kernels_sum_taps_per_axis(self):
-        w = np.arange(9, dtype=np.float64)
-        k = (w @ ad._UPSAMPLE_TAPS).reshape(2, 2, 2, 2)
-        rows = ([[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]])
-        for i in range(2):
-            for j in range(2):
-                want = np.array(rows[i]) @ w.reshape(3, 3) @ np.array(rows[j]).T
-                np.testing.assert_array_equal(k[i, j], want)
+    def test_fold_gives_the_four_taps_per_axis(self):
+        """A source row y reaches output rows 2y-1 .. 2y+2 with taps
+        (w2, w1+w2, w0+w1, w0), on each axis: checked on every basis kernel."""
+        def per_axis(v):
+            return [v[2], v[1] + v[2], v[0] + v[1], v[0]]
 
-    def test_depth_to_space_layout(self):
-        """Rows i::2 and columns j::2 of the output are the 2x2 correlation
-        of the pad-1 source at offset (i, j) with phase (i, j)'s kernel."""
-        rng = np.random.default_rng(37)
-        x = rng.normal(size=(3, 4, 5))
-        w = rng.normal(size=(2, 3, 3, 3))
-        b = rng.normal(size=2)
-        out = ad.upsample_conv2d(x[None], w, b).value[0]
-        # (i, j, a, b, O, C)
-        k = np.einsum("ocp,pt->toc", w.reshape(2, 3, 9), ad._UPSAMPLE_TAPS).reshape(
-            2, 2, 2, 2, 2, 3)
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-        for i in range(2):
-            for j in range(2):
-                want = b[:, None, None] + sum(
-                    np.einsum("oc,chw->ohw", k[i, j, a, c], xp[:, i + a : i + a + 4, j + c : j + c + 5])
-                    for a in range(2) for c in range(2))
-                np.testing.assert_allclose(out[:, i::2, j::2], want, rtol=1e-13, atol=1e-13)
+        eye = np.eye(3)
+        for p in range(3):
+            for q in range(3):
+                folded = ad._UPSAMPLE_FOLD @ np.outer(eye[p], eye[q]).ravel()
+                np.testing.assert_array_equal(folded.reshape(4, 4),
+                                              np.outer(per_axis(eye[p]), per_axis(eye[q])))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="3x3"):
@@ -534,6 +518,8 @@ class TestPhaseOps:
             ad.upsample_conv2d(np.ones((1, 3, 2, 2)), np.ones((1, 2, 3, 3)), np.zeros(1))
         with pytest.raises(ValueError, match="batch"):
             ad.upsample_conv2d(np.ones((2, 2, 2)), np.ones((1, 2, 3, 3)), np.zeros(1))
+        with pytest.raises(ValueError, match=r"bias shape \(1,\)"):
+            ad.upsample_conv2d(np.ones((1, 2, 3, 3)), np.ones((3, 2, 3, 3)), np.zeros(1))
 
 
 ACTIVATIONS = {None: lambda t: t, "tanh": ad.tanh, "sigmoid": ad.sigmoid}

@@ -210,26 +210,26 @@ def trained_tiny():
 # bit-for-bit: pooled f3 features of the detection eval images, and the loss
 # fields of its steps.jsonl rows parsed back
 PINNED_POOLED = np.array([
-    [-0.030992150088208263, -0.004183643059980759, -0.1338552719805664, -0.2804742551280509,
+    [-0.03099215008820827, -0.004183643059980754, -0.13385527198056635, -0.2804742551280509,
      -0.25473441982854406, -0.1840482655323189, 0.12598440352386991, 0.37946217498747636],
-    [-0.03245384821527565, -0.006698098104613108, -0.1328968804060636, -0.2630772040145345,
-     -0.23760344925678378, -0.18172969488930774, 0.11229893965071183, 0.3717685477183802],
-    [-0.03502996174393277, -0.00695954323865451, -0.15624434722139843, -0.25444013699266566,
-     -0.22812028959852296, -0.16754289546967172, 0.10552619009592365, 0.35095576568850995],
+    [-0.03245384821527566, -0.006698098104613113, -0.13289688040606357, -0.2630772040145345,
+     -0.2376034492567838, -0.18172969488930774, 0.11229893965071183, 0.3717685477183802],
+    [-0.035029961743932775, -0.006959543238654508, -0.15624434722139843, -0.25444013699266566,
+     -0.22812028959852293, -0.16754289546967172, 0.10552619009592365, 0.35095576568850995],
 ])
 PINNED_STEP_ROWS = [
     [1.425588837454761, 0.05368830760339671, 0.7307985112369606, 0.0020910335536456362,
      1.9095786694190189, 0.0191103073136299, -0.37612287719543036],
     [1.377993130888969, 0.029154403132432193, 0.7056873127194674, 0.0010302794141513298,
      1.6872273555660735, 0.019684998701972555, -0.22909306103328286],
-    [1.376166966755057, 0.029449673352561045, 0.7050297616472708, 0.0015568546104991635,
+    [1.376166966755057, 0.029449673352561045, 0.7050297616472709, 0.0015568546104991635,
      1.7306826233822261, 0.018903703913560374, -0.2733110255623916],
-    [1.3729185320781072, 0.030090714558885595, 0.7022025936709599, 0.002518002145097255,
+    [1.3729185320781072, 0.030090714558885602, 0.7022025936709599, 0.002518002145097254,
      1.8001133637737172, 0.017821021159550934, -0.34445307871466957],
-    [1.4302806592747463, 0.05262532687160759, 0.729983322271683, 0.008665539454888056,
-     2.111191870244851, 0.01881790272878598, -0.5732389006546257],
+    [1.4302806592747463, 0.05262532687160758, 0.729983322271683, 0.008665539454888054,
+     2.111191870244851, 0.01881790272878596, -0.5732389006546259],
     [1.4304679733367895, 0.05255504963492267, 0.7280477133606047, 0.008888524359118032,
-     2.119969274973373, 0.018669997621271927, -0.5819226258509604],
+     2.1199692749733727, 0.018669997621271913, -0.58192262585096],
 ]
 
 
