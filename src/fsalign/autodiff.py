@@ -14,8 +14,11 @@ ops (`conv2d`, `upsample_conv2d`) take (N, C, H, W) batches; one image is a
 batch of one. `conv2d` gathers its input's patches (`_im2col`) and scatters
 their gradients back (`_col2im`, the adjoint); the decoder block
 `upsample_conv2d`, the transpose of a stride-2 conv, runs the pair the other
-way round. An op outside this module is built the same way, from its value,
-its operands and a hand-written vjp (`node`); the losses are.
+way round. The scatter is one `np.bincount` over the positions `_im2col`
+reads, which `_scatter_index` builds once per geometry and keeps in a
+bounded `functools.lru_cache`. An op outside this module is built the same
+way, from its value, its operands and a hand-written vjp (`node`); the
+losses are.
 
 Each node costs a fixed amount of Python work, so the layers are fused
 ops: `affine` is x @ w + b, and `affine`, `conv2d` and `upsample_conv2d`
@@ -32,6 +35,9 @@ so its output is not checked again. A non-finite constant is caught by the
 node that reads it, wherever it makes that node's value non-finite (a
 finite value divided by an infinite constant gives 0).
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -409,15 +415,16 @@ def affine(x, w, b, act=None):
 # ---------------------------------------------------------------------------
 
 def _im2col(xp, kh, kw, stride, oh, ow):
-    """(N, C*kh*kw, oh*ow) patch stack of a C-contiguous (N, C, H, W) array:
-    a strided window view over its buffer, reshaped. The reshape copies
-    unless the windows already tile the buffer in order (a 1x1 stride-1
-    kernel), in which case the stack is a view of `xp`; callers only read
-    it. `conv2d`'s forward and the decoder block's vjp gather here, and
-    `_col2im` scatters back."""
+    """(N, C*kh*kw, oh*ow) patch stack of a C-contiguous (N, C, H, W) array
+    of any dtype: a strided window view over its buffer, reshaped. The
+    reshape copies unless the windows already tile the buffer in order (a
+    1x1 stride-1 kernel), in which case the stack is a view of `xp`; callers
+    only read it. `conv2d`'s forward and the decoder block's vjp gather
+    here, `_scatter_index` gathers the positions, and `_col2im` scatters
+    back."""
     n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
-    windows = np.ndarray((n, c, kh, kw, oh, ow), np.float64, xp, 0,
+    windows = np.ndarray((n, c, kh, kw, oh, ow), xp.dtype, xp, 0,
                          (sn, sc, sh, sw, sh * stride, sw * stride))
     return windows.reshape(n, c * kh * kw, oh * ow)
 
@@ -434,17 +441,38 @@ def _pad(a, pad):
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _scatter_index(shape, kh, kw, stride):
+    """Read-only flat positions in a zeroed (N, C, Hp, Wp) buffer `shape` of
+    every entry of `_im2col`'s patch stack, in its (n, c, i, j, y, x) order:
+    `_im2col` of an integer `arange` of the buffer. It depends only on the
+    geometry, so it is built once per geometry and cached."""
+    oh, ow = (shape[2] - kh) // stride + 1, (shape[3] - kw) // stride + 1
+    index = _im2col(np.arange(math.prod(shape)).reshape(shape), kh, kw, stride, oh, ow).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
 def _col2im(cols, kh, kw, stride, h, w, pad):
-    """(N, C, h, w) adjoint of `_im2col` of the `_pad`-ded array: each tap's rows
-    of an (N, C*kh*kw, oh*ow) patch stack `cols` added into a zeroed buffer where
-    that tap read, then cropped. `conv2d`'s vjp and the decoder's forward scatter here."""
-    oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-    cols = cols.reshape(len(cols), -1, kh, kw, oh, ow)
-    out = np.zeros(cols.shape[:2] + (h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            out[..., i : i + stride * oh : stride,
-                j : j + stride * ow : stride] += cols[:, :, i, j]
+    """(N, C, h, w) adjoint of `_im2col` of the `_pad`-ded array: every entry
+    of an (N, C*kh*kw, oh*ow) patch stack `cols` added where `_im2col` read
+    it, then cropped. `conv2d`'s vjp and the decoder's forward scatter here.
+
+    The scatter is one `np.bincount` over the cached `_scatter_index`. It
+    adds its weights in array order into a zeroed float64 accumulator, so
+    each cell gets its taps in (i, j)-ascending order starting from 0.0:
+    the order of one strided add per tap into a zeroed buffer, so the sums
+    are bit for bit those of that loop. A 1x1 stride-1 kernel's patches
+    tile the buffer, so the scatter is the identity and the result is a
+    view of `cols`, as `_im2col`'s stack is of its input there; a -0.0
+    entry then stays -0.0 instead of becoming 0.0 + -0.0 = 0.0."""
+    n, hp, wp = len(cols), h + 2 * pad, w + 2 * pad
+    if kh == kw == stride == 1:
+        out = cols.reshape(n, -1, hp, wp)
+    else:
+        shape = (n, cols.shape[1] // (kh * kw), hp, wp)
+        out = np.bincount(_scatter_index(shape, kh, kw, stride), weights=cols.reshape(-1),
+                          minlength=math.prod(shape)).reshape(shape)
     return out[..., pad : pad + h, pad : pad + w]
 
 
@@ -481,10 +509,14 @@ def conv2d(x, w, b, stride=1, pad=1, act=None):
         raise ValueError(f"conv2d kernel stack of {wv.shape[0]} for {n} images")
     if bv.shape != wv.shape[:-3]:
         raise ValueError(f"conv2d bias shape {bv.shape} for kernels {wv.shape}")
-    xp = _pad(xv, pad)
+    ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in (stride, pad))
+    if not (ints and stride >= 1 and pad >= 0 and h + 2 * pad >= kh and wd + 2 * pad >= kw):
+        raise ValueError("conv2d needs an integer stride >= 1 and pad >= 0 that leave an output "
+                         f"position: {h}x{wd} input, {kh}x{kw} kernel, stride {stride!r}, pad {pad!r}")
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    cols = _im2col(_pad(xv, pad), kh, kw, stride, oh, ow)
     kern = wv.reshape(-1, o, c * kh * kw)
     out, back = _activate((np.matmul(kern, cols)
                            + bv.reshape(-1, o, 1)).reshape(n, o, oh, ow), act)
@@ -543,6 +575,8 @@ def upsample_conv2d(x, w, b, act=None):
     if xv.ndim != 4:
         raise ValueError(f"upsample_conv2d takes an (N, C, H, W) batch, not shape {xv.shape}")
     n, cx, h, wd = xv.shape
+    if h < 1 or wd < 1:
+        raise ValueError(f"upsample_conv2d has no output position: {h}x{wd} input")
     if cx != c:
         raise ValueError(f"upsample_conv2d channel mismatch: input {cx}, kernel {c}")
     if bv.shape != (o,):

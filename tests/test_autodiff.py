@@ -1,3 +1,4 @@
+import re
 import traceback
 import warnings
 
@@ -362,6 +363,20 @@ class TestConv2dAdjoint:
         with pytest.raises(ValueError, match=match):
             ad.conv2d(np.ones((2, 2, 5, 5)), np.ones(w_shape), np.ones(b_shape))
 
+    @pytest.mark.parametrize("hw, k, stride, pad", [
+        ((2, 2), 3, 1, 0), ((2, 2), 5, 1, 0), ((2, 5), 3, 2, 0),
+        ((4, 4), 3, 0, 1), ((4, 4), 3, 2.0, 1), ((4, 4), 3, True, 1),
+        ((4, 4), 3, 1, -1), ((4, 4), 3, 1, 0.5),
+    ])
+    def test_rejects_a_geometry_with_no_output(self, hw, k, stride, pad):
+        """A stride that is not an integer >= 1, a pad that is not an
+        integer >= 0, or a kernel larger than the padded input fails loudly
+        and names the geometry, instead of giving an empty map or a numpy
+        error."""
+        geometry = f"{hw[0]}x{hw[1]} input, {k}x{k} kernel, stride {stride!r}, pad {pad!r}"
+        with pytest.raises(ValueError, match=re.escape(geometry)):
+            ad.conv2d(np.ones((1, 1, *hw)), np.ones((1, 1, k, k)), np.zeros(1), stride, pad)
+
     @pytest.mark.parametrize("per_image", [False, True])
     def test_pad0_conv_reads_its_input_and_g_in_place(self, per_image):
         """A pad-0 1x1 conv builds its patch stack as a view of the input,
@@ -370,6 +385,8 @@ class TestConv2dAdjoint:
         xv = rng.normal(size=(2, 4, 6, 5))
         assert ad._pad(xv, 0) is xv
         assert np.shares_memory(ad._im2col(xv, 1, 1, 1, 6, 5), xv)
+        cols = xv.reshape(2, 4, 30)
+        assert np.shares_memory(ad._col2im(cols, 1, 1, 1, 6, 5, 0), cols)
         lead = (2,) if per_image else ()
         x = ad.Tensor(xv.copy())
         w = ad.Tensor(rng.normal(size=lead + (3, 4, 1, 1)))
@@ -412,6 +429,59 @@ class TestConv2dAdjoint:
         b = ad.Tensor(np.zeros(3))
         check_no_input_gradient(ad.conv2d(np.ones((1, 2, 5, 5)), w, b, stride=2, pad=1),
                                 w, b)
+
+
+def loop_col2im(cols, kh, kw, stride, h, w, pad):
+    """The scatter as one strided add per tap into a zeroed buffer, taps in
+    (i, j) order, then cropped: the oracle of `_col2im`."""
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    cols = cols.reshape(len(cols), -1, kh, kw, oh, ow)
+    out = np.zeros(cols.shape[:2] + (h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            out[..., i : i + stride * oh : stride,
+                j : j + stride * ow : stride] += cols[:, :, i, j]
+    return out[..., pad : pad + h, pad : pad + w]
+
+
+class TestCol2im:
+    @pytest.mark.parametrize("k, stride, pad", [
+        (3, 2, 1), (4, 2, 1), (3, 1, 1), (1, 1, 0), (1, 1, 2), (1, 3, 0), (4, 3, 2)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_per_tap_loop_bit_for_bit(self, k, stride, pad, n):
+        """Bit for bit, signed zeros included, over entries of mixed
+        magnitudes, some of them -0.0. A 1x1 stride-1 kernel gives `cols`
+        itself, whose -0.0 the loop's 0.0 + -0.0 turns into 0.0; its values
+        still equal the loop's."""
+        rng = np.random.default_rng(100 * k + 10 * stride + pad + 1000 * n)
+        h, w = 7, 6
+        oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        cols = rng.normal(size=(n, 3 * k * k, oh * ow)) * 10.0 ** rng.integers(
+            -8, 9, size=(n, 3 * k * k, oh * ow))
+        cols[rng.random(cols.shape) < 0.2] = -0.0
+        got, want = ad._col2im(cols, k, k, stride, h, w, pad), loop_col2im(
+            cols, k, k, stride, h, w, pad)
+        assert got.shape == want.shape == (n, 3, h, w)
+        if k == stride == 1:
+            np.testing.assert_array_equal(got, want)
+            want = cols.reshape(n, 3, h + 2 * pad, w + 2 * pad)[
+                ..., pad : pad + h, pad : pad + w]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_caches_one_read_only_index_per_geometry(self):
+        index = ad._scatter_index((2, 3, 9, 8), 3, 3, 2)
+        assert ad._scatter_index((2, 3, 9, 8), 3, 3, 2) is index
+        assert not index.flags.writeable
+        assert index.size == 2 * 3 * 9 * 4 * 3
+        for other in (ad._scatter_index((1, 3, 9, 8), 3, 3, 2),
+                      ad._scatter_index((2, 3, 9, 8), 4, 4, 2)):
+            assert other is not index and other.size != index.size
+
+    def test_the_index_cache_stays_bounded(self):
+        info = ad._scatter_index.cache_info()
+        for h in range(4, 4 + info.maxsize + 5):
+            ad._scatter_index((1, 1, h, h), 3, 3, 2)
+        assert ad._scatter_index.cache_info().currsize <= info.maxsize
 
 
 class TestUpsampleConv2d:
@@ -520,6 +590,8 @@ class TestPhaseOps:
             ad.upsample_conv2d(np.ones((2, 2, 2)), np.ones((1, 2, 3, 3)), np.zeros(1))
         with pytest.raises(ValueError, match=r"bias shape \(1,\)"):
             ad.upsample_conv2d(np.ones((1, 2, 3, 3)), np.ones((3, 2, 3, 3)), np.zeros(1))
+        with pytest.raises(ValueError, match="no output position: 0x3 input"):
+            ad.upsample_conv2d(np.ones((1, 2, 0, 3)), np.ones((1, 2, 3, 3)), np.zeros(1))
 
 
 ACTIVATIONS = {None: lambda t: t, "tanh": ad.tanh, "sigmoid": ad.sigmoid}
