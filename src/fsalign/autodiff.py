@@ -86,19 +86,24 @@ class Tensor:
     def backward(self, seed=None):
         """Accumulate gradients of `self` w.r.t. every upstream tensor.
 
-        `seed` defaults to 1 and requires a scalar output. Leaf gradients
-        accumulate across calls; interior nodes start each call from zero,
-        so several outputs of one graph can be backpropagated in turn.
+        `seed` defaults to 1 and requires a scalar output; a given seed must
+        have the output's shape. Leaf gradients accumulate across calls;
+        interior nodes start each call from zero, so several outputs of one
+        graph can be backpropagated in turn.
         """
         if seed is None:
             if self.value.size != 1:
                 raise ValueError("backward() without seed needs a scalar output")
             seed = np.ones_like(self.value)
+        seed = np.asarray(seed, dtype=np.float64)
+        if seed.shape != self.value.shape:
+            raise ValueError(f"backward seed of shape {seed.shape} for an output of "
+                             f"shape {self.value.shape}")
         order = _toposort(self)
         for t in order:
             if t._parents:
                 t.grad = None
-        self.grad = np.asarray(seed, dtype=np.float64)
+        self.grad = seed
         for t in reversed(order):
             if t._vjp is None or t.grad is None:
                 continue
@@ -307,6 +312,8 @@ def mean(a, axis=None, keepdims=False):
         n = 1
         for ax in axes:
             n *= av.shape[ax]
+    if n == 0:
+        raise ValueError(f"mean over no entries: axis {axis} of shape {av.shape}")
     n = float(n)
 
     def vjp(g):
@@ -325,8 +332,9 @@ def reshape(a, shape):
 
 def transpose(a, axes=None):
     """Permute the axes as `np.transpose` does (reversed by default)."""
-    back = None if axes is None else tuple(np.argsort(axes))
-    return node(value_of(a).transpose(axes), (a,), lambda g: (g.transpose(back),))
+    av = value_of(a)
+    back = None if axes is None else tuple(np.argsort(np.mod(axes, av.ndim)))
+    return node(av.transpose(axes), (a,), lambda g: (g.transpose(back),))
 
 
 def concat(parts, axis=0):
@@ -606,12 +614,16 @@ def grl(a, lam):
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean softmax cross-entropy of (N, C) logits against integer labels."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Mean softmax cross-entropy of (N, C) logits against N integer labels
+    in [0, C)."""
     lv = value_of(logits)
-    n = lv.shape[0]
-    if labels.shape[0] != n:
-        raise ValueError("labels length does not match logits rows")
+    n, c = lv.shape
+    labels = np.asarray(labels)
+    if (labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer)
+            or ((labels < 0) | (labels >= c)).any()):
+        raise ValueError(f"labels must be a ({n},) integer array in [0, {c}); got "
+                         f"{labels.dtype} of shape {labels.shape}")
+    labels = labels.astype(np.int64)
     shifted = lv - lv.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + lv.max(axis=1)
     val = np.float64((lse - lv[np.arange(n), labels]).mean())

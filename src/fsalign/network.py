@@ -5,7 +5,7 @@ per domain over the grayscale image, a shared decoder that reconstructs the
 grayscale image from [private, shared] channel fusion, three level-wise
 domain classifiers (per-location on f1, pooled on f2/f3), a region-instance
 domain classifier over pooled fused group features, and a detector head over
-crop-pooled f3 producing class logits and box deltas per proposal.
+RoI-pooled f3 producing class logits and box deltas per proposal.
 
 The shared modules (backbone, decoder, level classifiers, RoI pooling) take
 (N, C, H, W) batches: a training step runs its source/target pair through
@@ -22,12 +22,13 @@ and column parity sees only the 2x2 source taps that reach it, the
 upsampled map is never built and no multiply-add hits a structural zero.
 The parameters keep their plain (O, C, 3, 3) kernel shapes.
 
-Each layer is one graph node: a convolution or affine map with its tanh or
-sigmoid activation is one `ad.conv2d`, `ad.upsample_conv2d` or `ad.affine`
-call (`act=`), and the private encoders pass each domain's kernel and bias
-to their `ad.conv2d` as its own operand. Everything is built on the minimal
-autodiff engine; adversarial branches are wired through gradient reversal
-by the trainer.
+Each layer is a `Layer`, a weight/bias pair of tensors, and its forward
+method runs it as one graph node: one `ad.conv2d`, `ad.upsample_conv2d` or
+`ad.affine` call that writes the layer's stride, padding and tanh or
+sigmoid activation (`act=`) at the call site. The private encoders pass
+each domain's kernel and bias to their `ad.conv2d` as its own operand.
+Everything is built on the minimal autodiff engine; adversarial branches
+are wired through gradient reversal by the trainer.
 """
 
 import math
@@ -72,35 +73,13 @@ class NetworkSpec:
         require(self, lambda v: is_real(v) and v > 0, "finite and positive", "domain_head_gain")
 
 
-class Conv2d:
-    def __init__(self, cin, cout, rng, ksize=3, stride=1, pad=1):
-        std = math.sqrt(1.0 / (cin * ksize * ksize))
-        self.w = ad.Tensor(rng.normal(0.0, std, size=(cout, cin, ksize, ksize)))
-        self.b = ad.Tensor(np.zeros(cout))
-        self.stride = stride
-        self.pad = pad
+class Layer(NamedTuple):
+    """One layer's weight and bias. The forward method that uses it passes
+    both to its `ad.conv2d`, `ad.upsample_conv2d` or `ad.affine` call, which
+    also states the stride, padding and activation."""
 
-    def __call__(self, x, act=None):
-        return ad.conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad, act=act)
-
-    def params(self):
-        return [("w", self.w), ("b", self.b)]
-
-
-class Affine:
-    """x @ w + b with an optional activation of the result, one
-    `ad.affine` node, for (D,) or (P, D) rows `x`."""
-
-    def __init__(self, din, dout, rng):
-        std = math.sqrt(1.0 / din)
-        self.w = ad.Tensor(rng.normal(0.0, std, size=(din, dout)))
-        self.b = ad.Tensor(np.zeros(dout))
-
-    def __call__(self, x, act=None):
-        return ad.affine(x, self.w, self.b, act=act)
-
-    def params(self):
-        return [("w", self.w), ("b", self.b)]
+    w: ad.Tensor
+    b: ad.Tensor
 
 
 def _cell_span(boxes, hf, wf):
@@ -186,61 +165,56 @@ def roi_pool(fmap, a):
 
 
 class SeparationNet:
-    """All trainable modules, built with a seeded generator in a fixed order."""
+    """All trainable layers, built with a seeded generator in a fixed order."""
 
     def __init__(self, spec=None, seed=0):
         self.spec = spec or NetworkSpec()
         s = self.spec
         c1, c2, c3 = s.channels
         rng = np.random.default_rng(seed)
-        self._modules = []
+        self._named_params = []
 
-        def add(name, module):
-            """Register `module` under its public name; the build order is the
-            rng draw order and the `named_modules` order."""
-            self._modules.append((name, module))
-            return module
-
-        def convs(name, plan, **kw):
-            return [add(f"{name}.{i}", Conv2d(cin, cout, rng, **kw))
-                    for i, (cin, cout) in enumerate(plan)]
+        def layer(name, *shape):
+            """A `Layer` with a (O, C, k, k) conv or (D, O) affine weight of
+            `shape`, drawn with std sqrt(1 / fan-in), and a zero (O,) bias.
+            The build order is the rng draw order and the `named_params`
+            order."""
+            fan_in, nout = (math.prod(shape[1:]), shape[0]) if len(shape) == 4 else shape
+            w = ad.Tensor(rng.normal(0.0, math.sqrt(1.0 / fan_in), size=shape))
+            b = ad.Tensor(np.zeros(nout))
+            self._named_params += [(f"{name}.w", w), (f"{name}.b", b)]
+            return Layer(w, b)
 
         # shared backbone, stride 2 per stage
-        self.f1_conv = add("backbone.f1", Conv2d(3, c1, rng, stride=2))
-        self.f2_conv = add("backbone.f2", Conv2d(c1, c2, rng, stride=2))
-        self.f3_conv = add("backbone.f3", Conv2d(c2, c3, rng, stride=2))
+        self.f1_conv = layer("backbone.f1", c1, 3, 3, 3)
+        self.f2_conv = layer("backbone.f2", c2, c1, 3, 3)
+        self.f3_conv = layer("backbone.f3", c3, c2, 3, 3)
         # private grayscale encoders, same output shape as f3
-        self.enc_s = convs("enc_s", ((1, c1), (c1, c2), (c2, c3)), stride=2)
-        self.enc_t = convs("enc_t", ((1, c1), (c1, c2), (c2, c3)), stride=2)
-        # shared decoder: three upsample+conv blocks back to 1 channel, each
-        # one `ad.upsample_conv2d`
-        self.dec = convs("decoder", ((2 * c3, c2), (c2, c1), (c1, 1)))
+        enc = ((1, c1), (c1, c2), (c2, c3))
+        self.enc_s = [layer(f"enc_s.{i}", co, ci, 3, 3) for i, (ci, co) in enumerate(enc)]
+        self.enc_t = [layer(f"enc_t.{i}", co, ci, 3, 3) for i, (ci, co) in enumerate(enc)]
+        # shared decoder: three upsample+conv blocks back to 1 channel
+        dec = ((2 * c3, c2), (c2, c1), (c1, 1))
+        self.dec = [layer(f"decoder.{i}", co, ci, 3, 3) for i, (ci, co) in enumerate(dec)]
         # domain classifiers
-        self.d1_hidden = add("d1.hidden", Conv2d(c1, s.d1_hidden, rng, ksize=1, pad=0))
-        self.d1_out = add("d1.out", Conv2d(s.d1_hidden, 1, rng, ksize=1, pad=0))
-        self.d2_hidden = add("d2.hidden", Affine(c2, s.d23_hidden, rng))
-        self.d2_out = add("d2.out", Affine(s.d23_hidden, 1, rng))
-        self.d3_hidden = add("d3.hidden", Affine(c3, s.d23_hidden, rng))
-        self.d3_out = add("d3.out", Affine(s.d23_hidden, 1, rng))
+        self.d1_hidden = layer("d1.hidden", s.d1_hidden, c1, 1, 1)
+        self.d1_out = layer("d1.out", 1, s.d1_hidden, 1, 1)
+        self.d2_hidden = layer("d2.hidden", c2, s.d23_hidden)
+        self.d2_out = layer("d2.out", s.d23_hidden, 1)
+        self.d3_hidden = layer("d3.hidden", c3, s.d23_hidden)
+        self.d3_out = layer("d3.out", s.d23_hidden, 1)
         fused_dim = s.d1_hidden + 2 * s.d23_hidden + c3
-        self.dri_hidden = add("dri.hidden", Affine(fused_dim, s.dri_hidden, rng))
-        self.dri_out = add("dri.out", Affine(s.dri_hidden, 1, rng))
+        self.dri_hidden = layer("dri.hidden", fused_dim, s.dri_hidden)
+        self.dri_out = layer("dri.out", s.dri_hidden, 1)
         # detector head
-        self.head_hidden = add("head.hidden", Affine(c3, s.head_hidden, rng))
-        self.head_cls = add("head.cls", Affine(s.head_hidden, s.num_classes + 1, rng))
-        self.head_box = add("head.box", Affine(s.head_hidden, 4, rng))
+        self.head_hidden = layer("head.hidden", c3, s.head_hidden)
+        self.head_cls = layer("head.cls", s.head_hidden, s.num_classes + 1)
+        self.head_box = layer("head.box", s.head_hidden, 4)
 
     # -- parameter bookkeeping ------------------------------------------------
-    def named_modules(self):
-        """(name, module) of every trainable module, in build order."""
-        return list(self._modules)
-
     def named_params(self):
-        return [
-            (f"{mname}.{pname}", p)
-            for mname, mod in self.named_modules()
-            for pname, p in mod.params()
-        ]
+        """(name, tensor) of every weight and bias, in build order."""
+        return list(self._named_params)
 
     def params(self):
         return [p for _, p in self.named_params()]
@@ -253,9 +227,9 @@ class SeparationNet:
                 or shape[2] % STRIDE or shape[3] % STRIDE):
             raise ValueError("images must be an (N, 3, H, W) batch with H, W "
                              "divisible by 8")
-        f1 = self.f1_conv(img, act="tanh")
-        f2 = self.f2_conv(f1, act="tanh")
-        f3 = self.f3_conv(f2, act="tanh")
+        f1 = ad.conv2d(img, *self.f1_conv, stride=2, act="tanh")
+        f2 = ad.conv2d(f1, *self.f2_conv, stride=2, act="tanh")
+        f3 = ad.conv2d(f2, *self.f3_conv, stride=2, act="tanh")
         return f1, f2, f3
 
     def encode_private(self, gray):
@@ -265,7 +239,7 @@ class SeparationNet:
         each image's kernel and bias as its own operand."""
         h = gray
         for cs, ct in zip(self.enc_s, self.enc_t):
-            h = ad.conv2d(h, (cs.w, ct.w), (cs.b, ct.b), cs.stride, cs.pad, act="tanh")
+            h = ad.conv2d(h, (cs.w, ct.w), (cs.b, ct.b), stride=2, act="tanh")
         return h
 
     def reconstruct(self, d, f3):
@@ -276,22 +250,22 @@ class SeparationNet:
             raise ValueError("private and shared maps must be batches that align "
                              "spatially")
         h = ad.concat([d, f3], axis=1)
-        h = ad.upsample_conv2d(h, self.dec[0].w, self.dec[0].b, act="tanh")
-        h = ad.upsample_conv2d(h, self.dec[1].w, self.dec[1].b, act="tanh")
-        return ad.upsample_conv2d(h, self.dec[2].w, self.dec[2].b)
+        h = ad.upsample_conv2d(h, *self.dec[0], act="tanh")
+        h = ad.upsample_conv2d(h, *self.dec[1], act="tanh")
+        return ad.upsample_conv2d(h, *self.dec[2])
 
     def local_domain(self, f1):
         """Per-location domain probability map over f1 plus the pooled
         hidden activation, detached, used as the local context vector."""
-        h = self.d1_hidden(f1)
-        pmap = self.d1_out(h, act="sigmoid")
+        h = ad.conv2d(f1, *self.d1_hidden, pad=0)
+        pmap = ad.conv2d(h, *self.d1_out, pad=0, act="sigmoid")
         return pmap, h.value.mean(axis=(-2, -1))
 
     def _pooled_domain(self, f, hidden, out):
         """Image-level domain probability of a pooled map, () per image,
         plus the hidden activation, detached, used as the context vector."""
-        h = hidden(self.spec.domain_head_gain * global_pool(f))
-        p = out(h, act="sigmoid")
+        h = ad.affine(self.spec.domain_head_gain * global_pool(f), *hidden)
+        p = ad.affine(h, *out, act="sigmoid")
         return ad.reshape(p, p.shape[:-1]), h.value
 
     def mid_domain(self, f2):
@@ -305,14 +279,14 @@ class SeparationNet:
         if len(np.shape(fused)) != 2:
             raise ValueError(f"region_domain takes (G, D) rows, not shape "
                              f"{np.shape(fused)}")
-        h = self.dri_hidden(self.spec.domain_head_gain * fused, act="tanh")
-        return ad.reshape(self.dri_out(h, act="sigmoid"), (-1,))
+        h = ad.affine(self.spec.domain_head_gain * fused, *self.dri_hidden, act="tanh")
+        return ad.reshape(ad.affine(h, *self.dri_out, act="sigmoid"), (-1,))
 
     def detector_head(self, roi_features):
-        """(P, C) crop-pooled features -> (P, num_classes+1) logits and
+        """(P, C) RoI-pooled features -> (P, num_classes+1) logits and
         (P, 4) box deltas."""
-        h = self.head_hidden(roi_features, act="tanh")
-        return self.head_cls(h), self.head_box(h)
+        h = ad.affine(roi_features, *self.head_hidden, act="tanh")
+        return ad.affine(h, *self.head_cls), ad.affine(h, *self.head_box)
 
 
 # ---------------------------------------------------------------------------

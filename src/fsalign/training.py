@@ -460,7 +460,9 @@ def load_checkpoint(net, out_dir):
     in the net's shape, saved from a net of the same `NetworkSpec`; otherwise
     a ValueError names what differs. It is read without unpickling, so an
     object array raises too. On any error, `net` is left unchanged."""
-    with np.load(os.path.join(out_dir, "checkpoint.npz"), allow_pickle=False) as npz:
+    # np.load leaves a path it opened open when the archive fails to parse
+    with (open(os.path.join(out_dir, "checkpoint.npz"), "rb") as fh,
+          np.load(fh, allow_pickle=False) as npz):
         files = [f for f in npz.files if f != "network"]
         arrays = {f: npz[f] for f in files}
         saved = json.loads(str(npz["network"])) if "network" in npz.files else {}

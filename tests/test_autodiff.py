@@ -186,12 +186,29 @@ class TestShapeOps:
         assert float(x.grad) == 20.0
 
     def test_transpose_axes(self):
-        a = ad.Tensor(self.rng.normal(size=(2, 3, 4)))
-        out = ad.transpose(a, (1, 2, 0))
-        assert out.shape == (3, 4, 2)
-        g = self.rng.normal(size=out.shape)
-        out.backward(g)
-        np.testing.assert_array_equal(a.grad, g.transpose(2, 0, 1))
+        # negative axes count from the end; the gradient undoes the permutation
+        for axes, shape, back in (((1, 2, 0), (3, 4, 2), (2, 0, 1)),
+                                  ((0, -1, 1), (2, 4, 3), (0, 2, 1))):
+            a = ad.Tensor(self.rng.normal(size=(2, 3, 4)))
+            out = ad.transpose(a, axes)
+            assert out.shape == shape
+            g = self.rng.normal(size=out.shape)
+            out.backward(g)
+            np.testing.assert_array_equal(a.grad, g.transpose(back))
+
+    @pytest.mark.parametrize("shape, axis", [((0, 3), None), ((2, 0, 4), (1, 2))])
+    def test_mean_of_no_entries_raises(self, shape, axis):
+        with pytest.raises(ValueError, match=rf"mean over no entries.*{re.escape(str(shape))}"):
+            ad.mean(ad.Tensor(np.zeros(shape)), axis=axis)
+
+    @pytest.mark.parametrize("op", [lambda x: x + 1.0, lambda x: ad.grl(x, 1.0)],
+                             ids=["add", "grl"])
+    @pytest.mark.parametrize("seed_shape", [(4, 2, 3), (5, 2, 3), (3,), ()])
+    def test_backward_rejects_a_seed_of_another_shape(self, op, seed_shape):
+        x = ad.Tensor(self.rng.normal(size=(2, 3)))
+        with pytest.raises(ValueError, match=r"seed of shape .* output of shape \(2, 3\)"):
+            op(x).backward(np.ones(seed_shape))
+        assert x.grad is None
 
 
 class TestStructuredOps:
@@ -235,6 +252,13 @@ class TestStructuredOps:
         np.testing.assert_allclose(
             logits.grad, numeric_grad(f, logits.value.copy()), rtol=1e-6, atol=1e-9
         )
+
+    @pytest.mark.parametrize("labels", [
+        [0, 3, -1], [0, 3, 4], [0, 1.7, 1], [[0, 1, 2]], [0, 1], [True, False, True],
+    ], ids=["negative", "past the classes", "fractional", "2-D", "short", "bool"])
+    def test_softmax_cross_entropy_rejects_bad_labels(self, labels):
+        with pytest.raises(ValueError, match=r"labels must be a \(3,\) integer array in \[0, 4\)"):
+            ad.softmax_cross_entropy(ad.Tensor(np.zeros((3, 4))), labels)
 
     def test_smooth_l1(self):
         pred = ad.Tensor(self.rng.normal(size=(4, 4)) * 2.0)

@@ -27,9 +27,8 @@ class TestBackbone:
 
     def test_zero_weights_zero_features(self):
         n = net.SeparationNet(seed=0)
-        for _, mod in n.named_modules():
-            for _, p in mod.params():
-                p.value[:] = 0.0
+        for _, p in n.named_params():
+            p.value[:] = 0.0
         f1, f2, f3 = n.forward_backbone(np.zeros((1, 3, 16, 16)))
         assert not f1.value.any() and not f2.value.any() and not f3.value.any()
 
@@ -53,10 +52,9 @@ class TestReconstruct:
 
     def test_zero_weights_constant_bias_image(self):
         n = net.SeparationNet(seed=3)
-        for _, mod in n.named_modules():
-            for pname, p in mod.params():
-                if pname == "w":
-                    p.value[:] = 0.0
+        for name, p in n.named_params():
+            if name.endswith(".w"):
+                p.value[:] = 0.0
         n.dec[2].b.value[:] = 0.25
         out = n.reconstruct(ad.Tensor(np.zeros((1, 32, 2, 2))),
                             ad.Tensor(np.zeros((1, 32, 2, 2))))
@@ -88,7 +86,7 @@ class TestEncodePrivate:
         for i, stack in enumerate((n.enc_s, n.enc_t)):
             h = gray[i : i + 1]
             for conv in stack:
-                h = ad.tanh(conv(h))
+                h = ad.tanh(ad.conv2d(h, *conv, stride=2))
             h.backward(g[i : i + 1])
             assert h.shape == (1,) + pair.shape[1:]
             assert np.abs(pair.value[i] - h.value[0]).max() <= 1e-13 * np.abs(h.value).max()
@@ -101,6 +99,12 @@ class TestEncodePrivate:
             small_net.encode_private(np.zeros((1, 1, 16, 16)))
 
 
+def _conv_layer(rng, cin, cout):
+    """A 3x3 conv `Layer` with a fan-in scaled kernel and a random bias."""
+    w = rng.normal(0.0, math.sqrt(1.0 / (cin * 9)), size=(cout, cin, 3, 3))
+    return net.Layer(ad.Tensor(w), ad.Tensor(rng.normal(size=cout)))
+
+
 class TestUpsampleConv:
     """The decoder block (`ad.upsample_conv2d`) against a 3x3 conv of the
     explicit nearest 2x upsampling: value and the x, w and b gradients."""
@@ -111,8 +115,7 @@ class TestUpsampleConv:
     ])
     def test_matches_conv_of_upsampled(self, cin, cout, h, w):
         rng = np.random.default_rng(cin * 100 + cout + h * w)
-        conv = net.Conv2d(cin, cout, rng)
-        conv.b.value = rng.normal(size=cout)
+        conv = _conv_layer(rng, cin, cout)
         xv = rng.normal(size=(1, cin, h, w))
         g = rng.normal(size=(1, cout, 2 * h, 2 * w))
         results = []
@@ -130,8 +133,7 @@ class TestUpsampleConv:
     def test_batch_matches_conv_of_upsampled(self):
         """An N = 2 batch against the explicit upsampling of each image."""
         rng = np.random.default_rng(77)
-        conv = net.Conv2d(6, 4, rng)
-        conv.b.value = rng.normal(size=4)
+        conv = _conv_layer(rng, 6, 4)
         xv = rng.normal(size=(2, 6, 3, 5))
         g = rng.normal(size=(2, 4, 6, 10))
         x = ad.Tensor(xv)
@@ -323,18 +325,18 @@ class TestDomainHeads:
         """Each row alone, as a (1, D) batch, and the (G, D) batch give the
         same probabilities and, summed, the same gradients."""
         model = net.SeparationNet(net.NetworkSpec(), seed=0)
-        params = model.dri_hidden.params() + model.dri_out.params()
+        params = [*model.dri_hidden, *model.dri_out]
         rows = np.random.default_rng(11).normal(size=(3, model.dri_hidden.w.value.shape[0]))
 
         def grads(inputs):
-            for _, p in params:
+            for p in params:
                 p.grad = None
             probs = []
             for x in inputs:
                 p = model.region_domain(x)
                 ad.sum(p).backward()
                 probs.append(p.value)
-            return probs, [p.grad for _, p in params], [x.grad for x in inputs]
+            return probs, [p.grad for p in params], [x.grad for x in inputs]
 
         single = [ad.Tensor(r[None]) for r in rows]
         batch = ad.Tensor(rows)
@@ -450,8 +452,9 @@ INIT_DIGESTS = {
 @pytest.mark.parametrize("which", sorted(INIT_DIGESTS))
 def test_initial_weights_are_pinned(which):
     """Names, order, shapes and values of the initial parameters are pinned,
-    and `named_modules` holds every module the net's attributes reach,
-    exactly once: a module left out would go untrained and unsaved."""
+    and `named_params` holds every tensor of every `Layer` the net's
+    attributes reach, exactly once: a tensor left out would go untrained and
+    unsaved."""
     spec = {"default": net.NetworkSpec(),
             "gradcheck": training.gradcheck_config().network}[which]
     n = net.SeparationNet(spec, seed=0)
@@ -461,9 +464,10 @@ def test_initial_weights_are_pinned(which):
         h.update(repr(p.value.shape).encode())
         h.update(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
     assert h.hexdigest() == INIT_DIGESTS[which]
-    reachable = [m for v in vars(n).values() for m in (v if isinstance(v, list) else [v])
-                 if isinstance(m, (net.Conv2d, net.Affine))]
-    names, modules = zip(*n.named_modules())
-    assert len(set(names)) == len(names) == 23
-    assert len({id(m) for m in modules}) == len(modules)
-    assert sorted(map(id, reachable)) == sorted(map(id, modules))
+    layers = [m for v in vars(n).values() for m in (v if isinstance(v, list) else [v])
+              if isinstance(m, net.Layer)]
+    names, params = zip(*n.named_params())
+    assert len(layers) == 23
+    assert len(set(names)) == len(names) == 46
+    assert len({id(p) for p in params}) == len(params)
+    assert sorted(id(p) for layer in layers for p in layer) == sorted(map(id, params))

@@ -462,7 +462,7 @@ def _reference_losses(net, source_entry, target_entry, weights, lam):
         f1, f2, f3 = net.forward_backbone(sample.rgb[None])
         d = gray = sample.gray[None]
         for conv in encoder:
-            d = ad.tanh(conv(d))
+            d = ad.tanh(ad.conv2d(d, *conv, stride=2))
         p1map, f_l = net.local_domain(ad.grl(f1, lam))
         p2, f_m = net.mid_domain(ad.grl(f2, lam))
         p3, f_g = net.global_domain(ad.grl(f3, lam))
