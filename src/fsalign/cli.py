@@ -30,9 +30,15 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     if args.command == "train":
-        cfg = training.load_config(args.config) if args.config else training.TrainConfig()
+        cfg = training.TrainConfig()
+        if args.config:
+            try:
+                cfg = training.load_config(args.config)
+            except (OSError, ValueError, TypeError) as err:
+                parser.error(f"--config {args.config}: {err}")
         print(json.dumps(training.run_experiment(cfg, args.out)))
     else:
         report = training.finite_difference_check()

@@ -16,7 +16,18 @@ those of the sweep run on to K = 1, whose snapshots it returns a prefix of.
 
 A mean-shift iteration's cost is set by its numpy calls, not by its rows,
 so `converge_centers` packs each iteration into two matrix products whose
-point matrices `kernel_operands` builds once per sweep.
+point matrices `kernel_operands` builds once per sweep. Once a single row
+is left moving (41% of the iterations on the benchmark's proposal clouds)
+it runs the same two products on a 1-D row, with no 2-D array to build and
+read back; numpy sends a (1, 4) left operand to the same BLAS gemv as the
+1-D row, so the centers are the same bits either way.
+
+The exponent those products give is expanded, and its rounding error grows
+with the points' distance from the origin, so a translated cloud can group
+differently (`converge_centers`). [[0, 0], [0.02, 0], [5, 0], [5.02, 0]]
+selects sigma_star 0.1614 at the origin, 0.1779 moved by 1e5 on each axis
+and 0.1694 moved by 1e7; [[0, 0], [1e-3, 0], [5, 0]] takes 139 mean-shift
+iterations at the origin, 2,128 moved by 1e6 and 3,115 moved by 1e7.
 """
 
 import math
@@ -219,6 +230,10 @@ def converge_centers(operands, init_centers, sigma, cfg):
     read back with `tolist()`. The rows are made an array with `np.array`
     and both products are `ndarray.dot` methods, which give the same bits
     as `np.dot` and `@` with less Python dispatch around the BLAS call.
+    The last row left moving iterates alone on a reused (4,) array: its
+    (4,) @ (4, N) and (N,) @ (N, 3) products run the same gemv calls as the
+    (1, 4) and (1, N) ones of a one-row batch, so they give the same bits
+    without building a 2-D array and its nested lists every iteration.
 
     The expansion |c|^2 - 2 c.p + |p|^2 cancels where c is near p, so the
     exponent carries an absolute error of about eps * (|c|^2 + |p|^2) /
@@ -226,7 +241,10 @@ def converge_centers(operands, init_centers, sigma, cfg):
     coordinates near 1000, at sigma 1. The centers thus differ in their
     last bits from those of the direct |c - p|^2 (by up to 3e-9 px over the
     benchmark's 864 proposal clouds), with the same iteration counts and
-    partitions.
+    partitions. The error grows with the cloud's offset from the origin, so
+    the same cloud translated far enough can take other iteration counts
+    and select another scale (see the module docstring); past that, the
+    exponent can overflow `exp` and the centers turn NaN.
     """
     centers = np.asarray(init_centers, dtype=np.float64)
     if (centers.ndim != 2 or centers.shape[1] != 2 or len(centers) < 1
@@ -245,7 +263,8 @@ def converge_centers(operands, init_centers, sigma, cfg):
     # moving
     out = centers.tolist()
     rows, cur, iters = list(range(len(out))), [[x, y, x * x + y * y, 1.0] for x, y in out], 0
-    for iters in range(1, cfg.max_inner_iters + 1):
+    while len(rows) > 1 and iters < cfg.max_inner_iters:
+        iters += 1
         w = array(cur).dot(exponent)
         exp(w, out=w)
         moved = w.dot(sums).tolist()
@@ -262,10 +281,26 @@ def converge_centers(operands, init_centers, sigma, cfg):
                 next_rows.append(r)
                 next_cur.append([x, y, x * x + y * y, 1.0])
         rows, cur = next_rows, next_cur
-        if not rows:
-            break
-    for r, (x, y, _, _) in zip(rows, cur):  # rows still moving when the iterations ran out
-        out[r] = [x, y]
+    if len(rows) == 1:  # the last moving row: the same iteration on 1-D products
+        (r,), ((cx, cy, _, _),) = rows, cur
+        row = array(cur[0])  # reused: (x, y, x^2 + y^2, 1) of the current position
+        while iters < cfg.max_inner_iters:
+            iters += 1
+            w = row.dot(exponent)
+            exp(w, out=w)
+            sx, sy, m = w.dot(sums).tolist()
+            if m < floor:  # isolated: the row stays where it is
+                break
+            x, y = sx / m, sy / m
+            dx, dy = x - cx, y - cy
+            cx, cy = x, y
+            if sqrt(dx * dx + dy * dy) < tol:
+                break
+            row[0], row[1], row[2] = x, y, x * x + y * y
+        out[r] = [cx, cy]
+    else:
+        for r, (x, y, _, _) in zip(rows, cur):  # rows still moving when the iterations ran out
+            out[r] = [x, y]
     merged = _merge_centers(out, cfg.merge_tol * sigma)
     return ClusterSnapshot(sigma=float(sigma), centers=merged, iters=iters)
 
@@ -328,8 +363,10 @@ def scale_sweep(points, cfg=None):
     is at least that long, since the closed run wins a tie by its larger K.
     `truncated` is True when max_scales ran out before K reached 1 or the
     selection was decided. Raises ValueError when a coordinate is so large
-    that its squares overflow, or when the resolved sigma0 is so small that
-    2*sigma0**2 underflows to 0.
+    that its squares overflow, when the resolved sigma0 is so small that
+    2*sigma0**2 underflows to 0, or when the points lie so far from the
+    origin that the kernel exponent's rounding error overflows `exp` and a
+    scale's centers turn non-finite (`converge_centers`).
     """
     cfg = cfg or DEFAULT_SWEEP
     points = as_points(points)
@@ -346,7 +383,18 @@ def scale_sweep(points, cfg=None):
     first, longest = 0, -1  # where the current K's run began; the longest closed run
     for j in range(cfg.max_scales):
         sigma = sigma0 * cfg.k**j
-        snap = converge_centers(operands, seeds, sigma, cfg)
+        try:
+            snap = converge_centers(operands, seeds, sigma, cfg)
+        except ValueError:
+            if np.isfinite(seeds).all():
+                raise
+            # the seeds are the centers of scale j - 1 (scale 0 starts from
+            # the checked points): their exponent overflowed `exp`
+            raise ValueError(
+                f"scale {j - 1} (sigma = {snapshots[-1].sigma!r}) left non-finite centers: "
+                "the kernel exponent lost its precision at coordinates up to "
+                f"{float(np.abs(points).max()):.3g}, as its rounding error grows with "
+                "the squared distance from the origin") from None
         if snapshots and snap.K != snapshots[-1].K:
             first, longest = j, max(longest, j - 1 - first)
         snapshots.append(snap)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from fsalign import cli, training
 from fsalign import network as nw
@@ -39,6 +40,27 @@ def test_train_writes_the_run(tmp_path, capsys):
         for (name, p), (_, q) in zip(result.net.named_params(), other.named_params()):
             assert q.value.dtype == p.value.dtype and q.value.shape == p.value.shape, name
             assert q.value.tobytes() == p.value.tobytes(), (twin, name)
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "No such file or directory"),
+    ('{"iterations": ', "Expecting value"),
+    ('{"no_such_key": 1}', "unknown TrainConfig keys: no_such_key"),
+    ('{"iterations": 0}', "iterations must be an integer >= 1"),
+], ids=["missing", "malformed", "unknown_key", "bad_field"])
+def test_a_bad_config_is_one_usage_error(tmp_path, capsys, text, message):
+    """A missing, malformed or invalid --config exits with status 2 and
+    usage, the path and the cause on stderr, not a traceback."""
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["train", "--config", str(config)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fsalign")
+    assert f"error: --config {config}: " in err and message in err
+    assert "Traceback" not in err
 
 
 def test_gradcheck_prints_the_report(monkeypatch, capsys):

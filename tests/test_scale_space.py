@@ -724,6 +724,24 @@ class TestEarlyStop:
         with pytest.raises(ValueError, match="points must lie within"):
             ssc.cluster_points(pts)
 
+    @pytest.mark.parametrize("pts,scale,sigma,largest", [
+        ([[1e8, 1e8], [1e8 + 0.02, 1e8], [1e8 + 5, 1e8], [1e8 + 5.02, 1e8]],
+         0, "0.01", "1e+08"),
+        ([[1e150, 0.0], [1e150 + 1e140, 0.0]], 0, "4.99999", "1e+150"),
+    ], ids=["offset_1e8", "offset_1e150"])
+    def test_centers_that_turn_non_finite_name_the_cause(self, pts, scale, sigma, largest):
+        # within _COORD_LIMIT, but so far from the origin that the expanded
+        # exponent's rounding error overflows exp at scale 0, and scale 1
+        # would start from NaN seeds
+        with pytest.warns(RuntimeWarning) as warned:
+            with pytest.raises(ValueError) as err:
+                ssc.cluster_points(pts)
+        assert "overflow encountered in exp" in [str(w.message) for w in warned]
+        message = str(err.value)
+        assert message.startswith(f"scale {scale} (sigma = {sigma}")
+        assert "kernel exponent lost its precision" in message
+        assert f"coordinates up to {largest}," in message
+
 
 class TestMergeCenters:
     def test_a_pair_exactly_at_tol_merges(self):
@@ -790,6 +808,42 @@ class TestRowWriteBack:
         assert snap.iters == iters == 1 and any_isolated
         assert np.array_equal(snap.centers, centers)
         assert np.array_equal(snap.centers, init)
+
+
+class TestLoneRow:
+    """The last moving row iterates alone, on 1-D products; its centers and
+    iteration count match the batched reference bit for bit."""
+
+    POINTS = np.array([(-1.0, 0.0), (1.0, 0.0), (20.0, -1.0), (20.0, 1.0)])
+
+    def assert_matches_reference(self, init, sigma, cfg):
+        snap = ssc.converge_centers(ssc.kernel_operands(self.POINTS), init, sigma, cfg)
+        centers, iters, any_isolated = ref_converge(self.POINTS, init, sigma, cfg)
+        assert snap.centers.tobytes() == centers.tobytes() and snap.iters == iters
+        return snap, any_isolated
+
+    def test_an_isolated_row_stays_in_place(self):
+        snap, any_isolated = self.assert_matches_reference([(1e4, 1e4)], 0.5,
+                                                           ssc.ScaleSweepConfig())
+        assert any_isolated and snap.iters == 1
+        assert snap.centers.tobytes() == np.array([(1e4, 1e4)]).tobytes()
+
+    @pytest.mark.parametrize("max_inner_iters", [500, 3])
+    def test_a_row_at_rho_one_runs_out_of_iterations(self, max_inner_iters):
+        # the left pair is 2 apart, so at sigma 1 the mean shift's contraction
+        # factor is 1 and the row creeps toward 0 by less each step
+        cfg = ssc.ScaleSweepConfig(max_inner_iters=max_inner_iters)
+        snap, _ = self.assert_matches_reference([(0.3, 0.0)], 1.0, cfg)
+        assert snap.iters == max_inner_iters
+
+    def test_a_row_continues_alone_once_the_other_stops(self):
+        # (20.5, 0) steps onto the right pair's mode and stops in iteration
+        # 2; (0.3, 0) runs on alone to the end
+        cfg = ssc.ScaleSweepConfig()
+        ops = ssc.kernel_operands(self.POINTS)
+        assert ssc.converge_centers(ops, [(20.5, 0.0)], 1.0, cfg).iters == 2
+        snap, _ = self.assert_matches_reference([(0.3, 0.0), (20.5, 0.0)], 1.0, cfg)
+        assert snap.iters == 500
 
 
 class TestIterationCounter:
