@@ -12,6 +12,7 @@ DIR/<twin>/checkpoint.npz for <twin> adapted and source_only.
 
 import argparse
 import json
+import os
 import sys
 
 from . import training
@@ -39,6 +40,11 @@ def main(argv=None):
                 cfg = training.load_config(args.config)
             except (OSError, ValueError, TypeError) as err:
                 parser.error(f"--config {args.config}: {err}")
+        if args.out:
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as err:
+                parser.error(f"--out {args.out}: {err}")
         print(json.dumps(training.run_experiment(cfg, args.out)))
     else:
         report = training.finite_difference_check()

@@ -353,10 +353,11 @@ class TrainResult:
     rows: list
 
 
-def train(cfg, source=None, target=None):
-    """Run the configured number of steps; returns the net and per-step rows."""
-    if source is None or target is None:
-        source, target = build_training_corpus(cfg)
+def train(cfg, corpus=None):
+    """Run the configured number of steps on `corpus`, the (source, target)
+    pair of `build_training_corpus(cfg)`, which is built when not given;
+    returns the net and per-step rows."""
+    source, target = build_training_corpus(cfg) if corpus is None else corpus
     net = nw.SeparationNet(cfg.network, seed=cfg.seed)
     opt = ad.SGD(net.params(), lr=cfg.lr_initial, momentum=cfg.momentum)
     batch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17]))
@@ -503,11 +504,11 @@ def run_experiment(cfg, out_dir=None):
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "config.json"), config_to_dict(cfg))
-    source, target = build_training_corpus(cfg)
+    corpus = build_training_corpus(cfg)
     probe_train, probe_eval, detect_eval = build_eval_sets(cfg)
     metrics = {}
     for twin, twin_cfg in (("adapted", cfg), ("source_only", source_only_config(cfg))):
-        result = train(twin_cfg, source, target)
+        result = train(twin_cfg, corpus)
         metrics[twin] = {
             "probe_accuracy": probe_domain_accuracy(result.net, probe_train, probe_eval),
             "target_match_rate": target_match_rate(result.net, detect_eval)}

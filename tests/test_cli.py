@@ -6,7 +6,7 @@ import pytest
 from fsalign import cli, training
 from fsalign import network as nw
 
-from test_training import read_steps, tiny_config
+import golden
 
 WRITTEN = ["adapted/checkpoint.npz", "adapted/steps.jsonl", "config.json", "metrics.json",
            "source_only/checkpoint.npz", "source_only/steps.jsonl"]
@@ -16,7 +16,7 @@ def test_train_writes_the_run(tmp_path, capsys):
     """The files `train --out` writes: config.json as the config it was
     given, metrics.json as printed, and per twin the rows and the net that
     `train` gives for the same config."""
-    cfg = tiny_config(2)
+    cfg = golden.tiny_config(2)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(training.config_to_dict(cfg)))
     out = tmp_path / "run"
@@ -29,7 +29,7 @@ def test_train_writes_the_run(tmp_path, capsys):
     for twin, twin_cfg in (("adapted", cfg), ("source_only", training.source_only_config(cfg))):
         assert set(metrics[twin]) == {"probe_accuracy", "target_match_rate"}
         result = training.train(twin_cfg)
-        rows = read_steps(out / twin / "steps.jsonl")
+        rows = golden.read_steps(out / twin / "steps.jsonl")
         assert rows == result.rows
         # only the adapted twin builds the domain classifiers
         accuracies = {"acc_d3", "acc_dri"} if twin == "adapted" else set()
@@ -37,9 +37,17 @@ def test_train_writes_the_run(tmp_path, capsys):
         other = nw.SeparationNet(cfg.network, seed=cfg.seed + 7)
         assert not np.array_equal(other.head_cls.w.value, result.net.head_cls.w.value)
         training.load_checkpoint(other, str(out / twin))
-        for (name, p), (_, q) in zip(result.net.named_params(), other.named_params()):
-            assert q.value.dtype == p.value.dtype and q.value.shape == p.value.shape, name
-            assert q.value.tobytes() == p.value.tobytes(), (twin, name)
+        assert golden.param_digest(other) == golden.param_digest(result.net), twin
+
+
+def usage_error(capsys, *argv):
+    """The stderr of `fsalign *argv`, which exits 2 with usage, no traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2 and err.startswith("usage: fsalign")
+    assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("text,message", [
@@ -54,13 +62,19 @@ def test_a_bad_config_is_one_usage_error(tmp_path, capsys, text, message):
     config = tmp_path / "config.json"
     if text is not None:
         config.write_text(text)
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(["train", "--config", str(config)])
-    assert exit_info.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: fsalign")
+    err = usage_error(capsys, "train", "--config", str(config))
     assert f"error: --config {config}: " in err and message in err
-    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("under,message", [("", "File exists"), ("run", "Not a directory")],
+                         ids=["a_file", "under_a_file"])
+def test_an_out_at_or_under_a_file_is_one_usage_error(tmp_path, capsys, under, message):
+    """An --out that names a file, or a path under one, exits with status 2
+    and usage, the path and the cause on stderr, not a traceback."""
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / under
+    err = usage_error(capsys, "train", "--out", str(out))
+    assert f"error: --out {out}: " in err and message in err
 
 
 def test_gradcheck_prints_the_report(monkeypatch, capsys):

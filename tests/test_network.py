@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -8,6 +7,8 @@ from fsalign import autodiff as ad
 from fsalign import network as net
 from fsalign import synth, training
 from fsalign.grouping import cluster_box_centers
+
+import golden
 
 
 @pytest.fixture(scope="module")
@@ -425,45 +426,22 @@ class TestDetectorLosses:
 
 class TestDeterminism:
     def test_same_seed_same_params(self):
-        a = net.SeparationNet(seed=42)
-        b = net.SeparationNet(seed=42)
-        for (na, pa), (nb, pb) in zip(a.named_params(), b.named_params()):
-            assert na == nb
-            assert np.array_equal(pa.value, pb.value)
+        a, b = net.SeparationNet(seed=42), net.SeparationNet(seed=42)
+        assert golden.param_digest(a) == golden.param_digest(b)
 
     def test_different_seed_differs(self):
-        a = net.SeparationNet(seed=1)
-        b = net.SeparationNet(seed=2)
-        assert any(
-            not np.array_equal(pa.value, pb.value)
-            for (_, pa), (_, pb) in zip(a.named_params(), b.named_params())
-        )
+        a, b = net.SeparationNet(seed=1), net.SeparationNet(seed=2)
+        assert golden.param_digest(a) != golden.param_digest(b)
 
 
-# sha256 over `named_params()` at seed 0, in order, of each parameter's name,
-# shape and little-endian float64 values; recorded before the modules
-# registered themselves as they are built
-INIT_DIGESTS = {
-    "default": "1535973377ffd2ac56248f9eb4c065beaea572b9455f156c40c2ba692ae1767c",
-    "gradcheck": "ae967814f71a4558d7b5d3710a8230f6bb5853c530a14c92c791dce88ef16325",
-}
-
-
-@pytest.mark.parametrize("which", sorted(INIT_DIGESTS))
+@pytest.mark.parametrize("which", sorted(golden.INIT_SPECS))
 def test_initial_weights_are_pinned(which):
     """Names, order, shapes and values of the initial parameters are pinned,
     and `named_params` holds every tensor of every `Layer` the net's
     attributes reach, exactly once: a tensor left out would go untrained and
     unsaved."""
-    spec = {"default": net.NetworkSpec(),
-            "gradcheck": training.gradcheck_config().network}[which]
-    n = net.SeparationNet(spec, seed=0)
-    h = hashlib.sha256()
-    for name, p in n.named_params():
-        h.update(name.encode())
-        h.update(repr(p.value.shape).encode())
-        h.update(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
-    assert h.hexdigest() == INIT_DIGESTS[which]
+    n = net.SeparationNet(golden.INIT_SPECS[which], seed=0)
+    golden.check("init_digests", golden.param_digest(n), which)
     layers = [m for v in vars(n).values() for m in (v if isinstance(v, list) else [v])
               if isinstance(m, net.Layer)]
     names, params = zip(*n.named_params())

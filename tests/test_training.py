@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import traceback
 import warnings
@@ -12,12 +11,8 @@ from fsalign import autodiff as ad
 from fsalign import network as nw
 from fsalign import grouping, losses, scale_space, synth, training
 
-
-def tiny_config(iterations):
-    """The gradient check's narrow network and 32x32 scenes
-    (`training.gradcheck_config`) with a 2+2 corpus."""
-    return dataclasses.replace(training.gradcheck_config(), iterations=iterations,
-                               corpus_size=2, eval_size=3, probe_size=3)
+import golden
+from golden import tiny_config
 
 
 def _pair_and_net(seed=0):
@@ -34,30 +29,21 @@ def _checked_losses(net, source, target, lam):
                                    cfg.normalize_reconstruction)
 
 
-LOSS_COLUMNS = training.LOGGED_TERMS + ("total",)
-
-# per-step (L_c, L_r, L_rec, L_diff, L_lg, L_ri, total) of train(tiny_config(12)),
-# recorded with the per-proposal crop_pool / per-group head implementation
-GOLDEN_ROWS = np.array([
-    [1.425588837454761, 0.05368830760339671, 0.7307985112369606, 0.0020910335536456362, 1.9095786694190189, 0.019110307313629907, -0.37612287719543036],
-    [1.377993130888969, 0.029154403132432193, 0.7056873127194674, 0.0010302794141513298, 1.6872273555660735, 0.019684998701972566, -0.22909306103328286],
-    [1.376166966755057, 0.029449673352561045, 0.7050297616472709, 0.001556854610499164, 1.7306826233822261, 0.018903703913560367, -0.2733110255623916],
-    [1.3729185320781072, 0.030090714558885595, 0.7022025936709599, 0.002518002145097255, 1.800113363773717, 0.017821021159550934, -0.34445307871466935],
-    [1.4302806592747466, 0.05262532687160759, 0.7299833222716829, 0.008665539454888054, 2.111191870244851, 0.01881790272878597, -0.5732389006546257],
-    [1.4321098792079447, 0.05186192906616004, 0.7273755620090656, 0.01292882372953579, 2.1986472940339903, 0.021338969182838393, -0.661984016368864],
-    [1.3605146970228892, 0.031979433697094745, 0.6995354253939567, 0.011731815126101719, 2.128175767442335, 0.020889514449252487, -0.6854444271195979],
-    [1.4344235151286124, 0.04884258573996651, 0.7282211145206459, 0.026930160901312127, 2.3566496540744413, 0.021671570258818565, -0.8195399959224847],
-    [1.3518485848398636, 0.032081943514548954, 0.6982420820915021, 0.024352836236511268, 2.324890552447888, 0.02155984495113401, -0.8902603772118076],
-    [1.434484241173339, 0.046410407881819035, 0.7276917858615048, 0.03680565790990997, 2.417414999832456, 0.02230838153132003, -0.8823789879314765],
-    [1.350948848451238, 0.03199324983125372, 0.6980499440102301, 0.025840005469859147, 2.339802749235588, 0.021735433866954205, -0.9062070898720418],
-    [1.4343345577117894, 0.04589571747223899, 0.7275018843514031, 0.03871950761709686, 2.426470082466583, 0.02243847353708268, -0.8920561416227872],
-])
+def calls_to(monkeypatch, owner, name):
+    """The arguments of each later call to `owner.name`, which still runs."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
+    return calls
 
 
 def test_train_rows_match_golden():
-    result = training.train(tiny_config(12))
-    got = np.array([[r[c] for c in LOSS_COLUMNS] for r in result.rows])
-    np.testing.assert_allclose(got, GOLDEN_ROWS, rtol=1e-10, atol=0.0)
+    golden.check("golden_rows", golden.golden_rows())
+
+
+def test_golden_json_holds_what_write_writes():
+    """golden.json is byte for byte what `golden.py --write` writes."""
+    with open(golden.PATH, encoding="utf-8") as fh:
+        assert fh.read() == golden.dumps(golden.load())
 
 
 def test_injected_nan_raises_at_the_node():
@@ -99,47 +85,22 @@ def test_nan_in_the_detector_head_names_its_branch():
     assert isinstance(err.value.__cause__, FloatingPointError)
 
 
-def test_a_step_makes_no_constant_nodes(monkeypatch):
-    """Every node one default `train_step` builds has a parent: the image
-    pair, the loss weights and the per-image matrices enter the graph as
-    plain operands, so the only parentless nodes are the parameters, made
-    before the step."""
-    net = nw.SeparationNet(seed=0)
-    _, source, target = _pair_and_net()
-    opt = ad.SGD(net.params(), lr=1e-3)
-    made = []
-    init = ad.Tensor.__init__
-
-    def counted(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
-    monkeypatch.setattr(ad.Tensor, "__init__", counted)
-    training.train_step(net, source, target, losses.ObjectiveWeights(), opt)
-    assert made
-    assert [t for t in made if not t._parents] == []
-
-
 @pytest.mark.parametrize("weights, nodes", [
     (losses.ObjectiveWeights(), 56),
     (losses.ObjectiveWeights(beta=0.0, lam=0.0), 14),
 ], ids=["adapted", "source only"])
 def test_a_step_builds_a_pinned_number_of_nodes(monkeypatch, weights, nodes):
     """The graph nodes one default `train_step` builds: each conv, affine
-    layer and domain loss with its activation or whole formula is one node."""
+    layer and domain loss with its activation or whole formula is one node.
+    Each has a parent: the image pair, the loss weights and the per-image
+    matrices enter the graph as plain operands."""
     net = nw.SeparationNet(seed=0)
     _, source, target = _pair_and_net()
     opt = ad.SGD(net.params(), lr=1e-3)
-    made = []
-    init = ad.Tensor.__init__
-
-    def counted(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
-    monkeypatch.setattr(ad.Tensor, "__init__", counted)
+    calls = calls_to(monkeypatch, ad.Tensor, "__init__")
     training.train_step(net, source, target, weights, opt)
-    assert len(made) == nodes
+    assert len(calls) == nodes
+    assert [self for self, *_ in calls if not self._parents] == []
 
 
 def test_logged_total_uses_the_applied_lambda():
@@ -151,41 +112,17 @@ def test_logged_total_uses_the_applied_lambda():
     assert at_zero != losses.total_objective(*terms, cfg.weights)
 
 
-def read_steps(path):
-    """The rows of a steps.jsonl file."""
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-
-
 def test_run_experiment_builds_the_corpus_once(monkeypatch, tmp_path):
-    calls = []
-    build = training.build_training_corpus
-
-    def counted(cfg):
-        calls.append(cfg)
-        return build(cfg)
-
-    monkeypatch.setattr(training, "build_training_corpus", counted)
-    metrics = training.run_experiment(tiny_config(6), str(tmp_path))
+    calls = calls_to(monkeypatch, training, "build_training_corpus")
+    _, rows = experiment = golden.run_tiny_experiment(str(tmp_path))
     assert len(calls) == 1
-    # recorded when each twin built and grouped its own corpus
-    assert metrics == {
-        "adapted": {"probe_accuracy": 1.0, "target_match_rate": 0.6666666666666666},
-        "source_only": {"probe_accuracy": 1.0, "target_match_rate": 0.6666666666666666},
-        "seeds": {"train": 0},
-    }
-    last = read_steps(tmp_path / "adapted" / "steps.jsonl")[-1]
-    assert list(last) == [*LOSS_COLUMNS, "acc_d3", "acc_dri", "step"]
-    np.testing.assert_allclose([last[c] for c in LOSS_COLUMNS], [
-        1.4304679733367895, 0.05255504963492267, 0.7280477133606047,
-        0.0088885243591180323, 2.1199692749733732, 0.018669997621271937,
-        -0.58192262585096044], rtol=1e-10, atol=0.0)
+    golden.check("run_metrics", golden.run_metrics(experiment))
+    assert list(rows["adapted"][-1]) == [*golden.LOSS_COLUMNS, "acc_d3", "acc_dri", "step"]
+    golden.check("step_rows", golden.loss_rows(rows["adapted"]))
     # the source-only twin is the detector alone, so its rows hold only the
     # detector terms and the total
-    last = read_steps(tmp_path / "source_only" / "steps.jsonl")[-1]
-    assert list(last) == ["L_c", "L_r", "total", "step"]
-    np.testing.assert_allclose([last[c] for c in ("L_c", "L_r", "total")], [
-        1.4207127047326555, 0.050450546135618217, 1.4711632508682737],
-        rtol=1e-10, atol=0.0)
+    assert list(rows["source_only"][-1]) == ["L_c", "L_r", "total", "step"]
+    golden.check("source_only_last_row", golden.source_only_last_row(experiment))
 
 
 def test_run_experiment_validates_before_building(monkeypatch, tmp_path):
@@ -200,108 +137,32 @@ def test_run_experiment_validates_before_building(monkeypatch, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.fixture(scope="module")
-def trained_tiny():
-    cfg = tiny_config(6)
-    return training.train(cfg), training.build_eval_sets(cfg)
-
-
-# the evaluation path of the net `train(tiny_config(6))` gives, recorded
-# bit-for-bit: pooled f3 features of the detection eval images, and the loss
-# fields of its steps.jsonl rows parsed back
-PINNED_POOLED = np.array([
-    [-0.03099215008820827, -0.004183643059980754, -0.13385527198056635, -0.2804742551280509,
-     -0.25473441982854406, -0.1840482655323189, 0.12598440352386991, 0.37946217498747636],
-    [-0.03245384821527566, -0.006698098104613113, -0.13289688040606357, -0.2630772040145345,
-     -0.2376034492567838, -0.18172969488930774, 0.11229893965071183, 0.3717685477183802],
-    [-0.035029961743932775, -0.006959543238654508, -0.15624434722139843, -0.25444013699266566,
-     -0.22812028959852293, -0.16754289546967172, 0.10552619009592365, 0.35095576568850995],
-])
-PINNED_STEP_ROWS = [
-    [1.425588837454761, 0.05368830760339671, 0.7307985112369606, 0.0020910335536456362,
-     1.9095786694190189, 0.0191103073136299, -0.37612287719543036],
-    [1.377993130888969, 0.029154403132432193, 0.7056873127194674, 0.0010302794141513298,
-     1.6872273555660735, 0.019684998701972555, -0.22909306103328286],
-    [1.376166966755057, 0.029449673352561045, 0.7050297616472709, 0.0015568546104991635,
-     1.7306826233822261, 0.018903703913560374, -0.2733110255623916],
-    [1.3729185320781072, 0.030090714558885602, 0.7022025936709599, 0.002518002145097254,
-     1.8001133637737172, 0.017821021159550934, -0.34445307871466957],
-    [1.4302806592747463, 0.05262532687160758, 0.729983322271683, 0.008665539454888054,
-     2.111191870244851, 0.01881790272878596, -0.5732389006546259],
-    [1.4304679733367895, 0.05255504963492267, 0.7280477133606047, 0.008888524359118032,
-     2.1199692749733727, 0.018669997621271913, -0.58192262585096],
-]
-
-
-def test_evaluation_path_is_pinned(trained_tiny):
-    result, (probe_train, probe_eval, detect_eval) = trained_tiny
-    pooled = training.pooled_features(result.net, [s for s, _ in detect_eval])
-    assert np.array_equal(pooled, PINNED_POOLED)
+def test_evaluation_path_is_pinned():
+    result, (probe_train, probe_eval, detect_eval) = golden.trained_tiny()
+    golden.check("pooled", golden.pooled())
     assert training.probe_domain_accuracy(result.net, probe_train, probe_eval) == 1.0
     assert training.target_match_rate(result.net, detect_eval) == 2 / 3
-    # one line of steps.jsonl per row, as `run_experiment` writes it
-    rows = [json.loads(json.dumps(row)) for row in result.rows]
-    assert [r["step"] for r in rows] == list(range(6))
-    assert [[r[c] for c in LOSS_COLUMNS] for r in rows] == PINNED_STEP_ROWS
+    assert [r["step"] for r in result.rows] == list(range(6))
+    golden.check("step_rows", golden.step_rows())
 
 
-def test_a_diverged_box_head_fails_the_match_rate(trained_tiny):
+def test_a_diverged_box_head_fails_the_match_rate():
     """Refined boxes that overflow raise instead of scoring IoU 0."""
-    _, (_, _, detect_eval) = trained_tiny
+    _, (_, _, detect_eval) = golden.trained_tiny()
     net = nw.SeparationNet(tiny_config(1).network, seed=0)
     net.head_box.b.value[:] = 1e308
     with pytest.raises(ValueError, match="refined box"):
         training.target_match_rate(net, detect_eval)
 
 
-def _digest(rows):
-    """sha256 of the little-endian float64 bytes of each row in turn."""
-    h = hashlib.sha256()
-    for row in rows:
-        h.update(np.asarray(row, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
-# sha256 digests of the held-out sets of `tiny_config`, recorded bit-for-bit:
-# the images of each probe split's source and target samples and of the
-# detection set, and the detection set's proposals and ground truth
-PINNED_HELD_OUT = {
-    "probe_train": ["5585adabead2d7962cf31b86db57458bdb55893c43c89e4e9260672fc27df984",
-                    "a6512217cb53e6d00ee24db9df95f080e9d0338c1396861be15acf39f2a9c0de"],
-    "probe_eval": ["3dde7380c007312312bf1b1c6709d3f7d831debf8ce26a953dc225474eae9c54",
-                   "f8713fe423a16816f630b3572f74db7e54ef1bd8324930a8de4450346685bd2c"],
-    "detect_images": "ea5bb00be071ad44f7419831c6ff1dd5a41978b9211c41894901596299245d46",
-    "detect_proposals": "dc18f646c9b578ebd117650b86f96cb86007f87dbcf7be42bc4a8861146ec4a9",
-    "detect_truth": "24085e494e611e3ee914b9d09e3c4ab6a9af093fbb558faa3df32f3f13e82e50",
-}
-
-
-def test_held_out_sets_are_pinned(trained_tiny):
-    _, (probe_train, probe_eval, detect_eval) = trained_tiny
-    got = {}
-    for name, probe in (("probe_train", probe_train), ("probe_eval", probe_eval)):
-        # the source samples, then the target samples, keyed by domain or paired
-        domains = probe.values() if isinstance(probe, dict) else probe
-        got[name] = [_digest(s.rgb for s, _ in samples) for samples in domains]
-    got["detect_images"] = _digest(s.rgb for s, _ in detect_eval)
-    got["detect_proposals"] = _digest(
-        np.column_stack([pset.boxes, pset.objectness]) for _, pset in detect_eval)
-    got["detect_truth"] = _digest(
-        np.column_stack([s.eval_boxes(), s.eval_labels()]) for s, _ in detect_eval)
-    assert got == PINNED_HELD_OUT
+def test_held_out_sets_are_pinned():
+    golden.check("held_out", golden.held_out())
 
 
 def test_eval_sets_generate_only_the_scenes_they_keep(monkeypatch):
     """One scene per held-out sample: two probe splits of both domains and
     the target detection set."""
-    calls = []
-    generate = synth.generate_scene
-
-    def counted(spec=None, seed=0):
-        calls.append(seed)
-        return generate(spec, seed)
-
-    monkeypatch.setattr(synth, "generate_scene", counted)
+    calls = calls_to(monkeypatch, synth, "generate_scene")
     cfg = dataclasses.replace(tiny_config(1), probe_size=2, eval_size=3)
     training.build_eval_sets(cfg)
     assert len(calls) == 4 * cfg.probe_size + cfg.eval_size
@@ -393,33 +254,19 @@ def test_gradcheck_builds_each_loss_graph_once(monkeypatch):
     """One graph at lam = -1 gives the analytic gradients and the lam = -1
     side of the sign check, one at lam = +1 the other side, and each
     sampled coordinate takes two: 46 parameter tensors, one coordinate each."""
-    calls = []
-    compute_losses = training.compute_losses
-
-    def counted(*args):
-        calls.append(args[4])
-        return compute_losses(*args)
-
-    monkeypatch.setattr(training, "compute_losses", counted)
+    calls = calls_to(monkeypatch, training, "compute_losses")
     training.finite_difference_check(coords_per_param=1)
     assert len(calls) == 2 * 46 + 2 == 94
-    assert calls.count(1.0) == 1
+    assert [args[4] for args in calls].count(1.0) == 1
 
 
 def test_gradcheck_builds_no_sign_graph_without_a_reversed_branch(monkeypatch):
     """With no reversed branch there is no sign check, so no lam = +1
     graph: one graph at lam = -1, then two per sampled coordinate."""
-    calls = []
-    compute_losses = training.compute_losses
-
-    def counted(*args):
-        calls.append(args[4])
-        return compute_losses(*args)
-
-    monkeypatch.setattr(training, "compute_losses", counted)
+    calls = calls_to(monkeypatch, training, "compute_losses")
     report = training.finite_difference_check(branches=["l_rec"], coords_per_param=1)
     assert len(calls) == 2 * 46 + 1 == 93
-    assert 1.0 not in calls
+    assert 1.0 not in [args[4] for args in calls]
     assert "sign_symmetric" not in report["l_rec"]
 
 
@@ -664,10 +511,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     other = nw.SeparationNet(trained.spec, seed=7)
     assert not np.array_equal(other.dec[0].w.value, trained.dec[0].w.value)
     training.load_checkpoint(other, str(tmp_path))
-    for (name, p), (oname, q) in zip(trained.named_params(), other.named_params()):
-        assert name == oname
-        assert q.value.shape == p.value.shape
-        assert q.value.tobytes() == p.value.tobytes()
+    assert golden.param_digest(other) == golden.param_digest(trained)
 
 
 def _write_npz(path, entries):
@@ -927,18 +771,12 @@ def test_config_from_dict_validates_the_nested_specs(data):
 
 
 def test_corpus_entries_cache_the_step_constants(monkeypatch):
-    calls = []
     targets = nw.detector_targets
-
-    def counted(boxes, gt_boxes, gt_labels):
-        calls.append(len(boxes))
-        return targets(boxes, gt_boxes, gt_labels)
-
-    monkeypatch.setattr(nw, "detector_targets", counted)
+    calls = calls_to(monkeypatch, nw, "detector_targets")
     # a target image's truth raises LabelQuarantineError when read, so
     # building its entry reads none
     source, target = training.build_training_corpus(tiny_config(2))
-    assert calls == [len(e.pset.boxes) for e in source]
+    assert [len(boxes) for boxes, *_ in calls] == [len(e.pset.boxes) for e in source]
     for entry in source + target:
         boxes = entry.pset.boxes
         np.testing.assert_array_equal(entry.roi_matrix, nw.roi_pool_matrix(boxes, 4, 4))
@@ -980,51 +818,11 @@ def test_corpus_entries_keep_their_grouping_diagnostics():
         assert entry.grouping.inner_iters >= len(result.snapshots)
 
 
-# (groups, outliers, K, sigma_star) of each entry, source entries first, of
-# the 8+8 corpus that perfbench's `train` workload steps on: a change to any
-# partition of it fails here without a benchmark run
-PINNED_TRAIN_GROUPINGS = [
-    ([[1, 2, 3, 4, 5], [6, 7, 9, 10, 11], [13, 14, 15, 16], [18, 19, 21, 22, 23], [24], [25]],
-     [0, 8, 12, 17, 20], 6, 3.284427819355801),
-    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11], [12, 13, 14, 15, 16, 17]],
-     [18, 19], 3, 8.75117248034673),
-    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11], [12, 13, 14, 15, 16, 17], [18, 19, 20, 21, 22, 23]],
-     [24, 25], 4, 7.1111270469455485),
-    ([[0, 1, 4, 5], [6, 7, 8, 9, 10], [12], [13]],
-     [2, 3, 11], 4, 2.9481770152206197),
-    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11], [12, 13, 14, 15, 16, 17]],
-     [18, 19], 3, 6.869319626832635),
-    ([[1, 2, 3, 4, 5], [6, 7, 8, 10], [12, 13, 14, 15, 16, 17], [18, 19]],
-     [0, 9, 11], 4, 3.747490844098729),
-    ([[0, 1, 2, 3], [6, 7, 8, 10], [12], [13]],
-     [4, 5, 9, 11], 4, 2.7686942800251675),
-    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 10, 11], [12], [13]],
-     [9], 4, 2.4797515557006857),
-    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [12, 13, 14, 15, 16, 17], [18, 19, 20, 21, 22, 23]],
-     [11, 24, 25], 4, 5.44317784421961),
-    ([[2, 3, 4, 5], [6, 7, 8, 9, 10, 11], [12, 15, 16, 17], [18], [19]],
-     [0, 1, 13, 14], 5, 2.70230267158889),
-    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 10, 11], [12, 13, 14, 15, 16, 17], [19, 20, 21, 23], [24], [25]],
-     [9, 18, 22], 6, 3.413265137629371),
-    ([[0, 1, 2, 3, 5], [6, 7, 8, 9], [12, 15, 16], [18], [19]],
-     [4, 10, 11, 13, 14, 17], 5, 3.249421402762851),
-    ([[0, 1, 2, 3, 4], [6, 7, 8, 9, 10, 11], [12, 13, 14, 15, 16, 17], [18, 19, 20, 21, 22, 23]],
-     [5, 24, 25], 4, 5.6655044541029485),
-    ([[0, 2, 3, 4, 5], [7, 8, 9, 11], [13, 14, 16, 17], [18], [19]],
-     [1, 6, 10, 12, 15], 5, 2.5571765850084165),
-    ([[1, 2, 3, 4, 5], [6, 7, 9], [12, 13, 14, 16, 17], [19, 22], [24], [25]],
-     [0, 8, 10, 11, 15, 18, 20, 21, 23], 6, 2.9666612157871755),
-    ([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11], [12, 14, 15, 16, 17]],
-     [13, 18, 19], 3, 7.258933223221746),
-]
-
-
 def test_train_workload_corpus_groupings_are_pinned():
-    source, target = training.build_training_corpus(
-        training.TrainConfig(corpus_size=8, seed=0))
-    got = [(e.groups, e.outliers, e.grouping.K, e.grouping.sigma_star)
-           for e in source + target]
-    assert got == PINNED_TRAIN_GROUPINGS
+    """A change to any partition of the corpus that perfbench's `train`
+    workload steps on fails here without a benchmark run."""
+    golden.check("train_groupings", golden.train_groupings())
+
 
 def test_target_entry_cannot_train_the_detector():
     net, _, target = _pair_and_net()
