@@ -103,6 +103,18 @@ def test_a_step_builds_a_pinned_number_of_nodes(monkeypatch, weights, nodes):
     assert [self for self, *_ in calls if not self._parents] == []
 
 
+def test_a_step_makes_no_constant_nodes(monkeypatch):
+    """Every node one default `train_step` builds has a parent, so the only
+    parentless nodes are the parameters, made before the step."""
+    net = nw.SeparationNet(seed=0)
+    _, source, target = _pair_and_net()
+    opt = ad.SGD(net.params(), lr=1e-3)
+    calls = calls_to(monkeypatch, ad.Tensor, "__init__")
+    training.train_step(net, source, target, losses.ObjectiveWeights(), opt)
+    assert calls
+    assert [self for self, *_ in calls if not self._parents] == []
+
+
 def test_logged_total_uses_the_applied_lambda():
     cfg = dataclasses.replace(tiny_config(2), lambda_warmup_steps=4)
     row = training.train(cfg).rows[0]  # the warm-up starts at lam 0
